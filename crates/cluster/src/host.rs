@@ -67,11 +67,18 @@ impl HostStatus {
             LeafPhase::Preparing | LeafPhase::CopyingToShm => PHASE_SHUTTING_DOWN,
             LeafPhase::Down => PHASE_DOWN,
         };
+        self.store(phase, server.free_memory(), server.total_rows());
+    }
+
+    /// Numbers first, phase last. The `Release` store of `phase` is what
+    /// publishes them: it pairs with the `Acquire` phase load in
+    /// [`Self::accepts_queries`] / [`Self::placement_state`], so a reader
+    /// that sees this phase reads numbers at least as new as the ones
+    /// stored here — never a previous incarnation's.
+    fn store(&self, phase: u8, free_memory: usize, total_rows: usize) {
+        self.free_memory.store(free_memory, Ordering::Release);
+        self.total_rows.store(total_rows, Ordering::Release);
         self.phase.store(phase, Ordering::Release);
-        self.free_memory
-            .store(server.free_memory(), Ordering::Release);
-        self.total_rows
-            .store(server.total_rows(), Ordering::Release);
     }
 
     /// Placement state as a tailer sees it.
@@ -647,5 +654,43 @@ mod tests {
         }
         assert_eq!(host2.status().total_rows(), 50);
         host2.kill();
+    }
+
+    /// `HostStatus::store` publishes numbers before the phase: a reader
+    /// already polling a recovering leaf's status must never see ALIVE
+    /// with the numbers the status was born with. One writer, one reader,
+    /// a fresh status per round; the writer holds each publish until the
+    /// reader is spinning on that very status, which forces the
+    /// interleaving every round.
+    #[test]
+    fn alive_is_never_published_ahead_of_its_numbers() {
+        const ROUNDS: usize = 50_000;
+        let statuses: Vec<HostStatus> = (0..ROUNDS)
+            .map(|_| HostStatus::new(PHASE_MEMORY_RECOVERY))
+            .collect();
+        let reader_at = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for (i, status) in statuses.iter().enumerate() {
+                    while reader_at.load(Ordering::Acquire) < i + 1 {
+                        std::hint::spin_loop();
+                    }
+                    status.store(PHASE_ALIVE, i + 7, i + 1);
+                }
+            });
+            // Count, don't assert, inside the scope: the writer waits on
+            // this loop's progress, so a panic here would hang the join.
+            let mut stale = 0usize;
+            for (i, status) in statuses.iter().enumerate() {
+                reader_at.store(i + 1, Ordering::Release);
+                while !status.accepts_queries() {
+                    std::hint::spin_loop();
+                }
+                if (status.total_rows(), status.free_memory()) != (i + 1, i + 7) {
+                    stale += 1;
+                }
+            }
+            assert_eq!(stale, 0, "rounds that saw ALIVE with stale numbers");
+        });
     }
 }

@@ -26,7 +26,7 @@
 //! footer_offset  footer (8 bytes): crc32 over [0, footer_offset) | end magic
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::column::{ColumnData, ColumnValues};
 use crate::encoding::{bitpack, delta, dictionary, lz, shuffle, varint, CompressionCode};
@@ -58,6 +58,12 @@ pub const FOOTER_SIZE: usize = 8;
 /// Layout rules: both variants hold the exact same offset-addressed RBC
 /// image — header, dict, data, footer — so every reader goes through
 /// [`RowBlockColumn::as_bytes`] and cannot tell the variants apart.
+///
+/// A mapped column is adopted with its footer CRC unchecked (attach cost
+/// must not scale with data volume), so it carries a *verify-once latch*:
+/// the outcome of the first [`RowBlockColumn::verify_checksum`], shared by
+/// every clone. The bytes behind a mapping never change, so neither can
+/// the outcome — a failure is as sticky as a success.
 pub enum ColumnBytes {
     /// Owned heap bytes (`Box<[u8]>`), as produced by [`RowBlockColumn::encode`].
     Heap(Box<[u8]>),
@@ -69,6 +75,9 @@ pub enum ColumnBytes {
         offset: usize,
         /// Buffer length in bytes.
         len: usize,
+        /// Verify-once latch: unset until someone runs the deferred
+        /// footer check, then its result for good.
+        verified: Arc<OnceLock<Result<()>>>,
     },
 }
 
@@ -80,6 +89,7 @@ impl ColumnBytes {
                 backing,
                 offset,
                 len,
+                ..
             } => &(**backing).as_ref()[*offset..*offset + *len],
         }
     }
@@ -89,17 +99,20 @@ impl Clone for ColumnBytes {
     fn clone(&self) -> Self {
         match self {
             ColumnBytes::Heap(buf) => ColumnBytes::Heap(buf.clone()),
-            // Cloning a mapped column clones the Arc, not the bytes: query
-            // snapshots of attached tables stay zero-copy and keep the
-            // segment alive until the last clone drops.
+            // Cloning a mapped column clones the Arcs, not the bytes: query
+            // snapshots of attached tables stay zero-copy, keep the segment
+            // alive until the last clone drops, and share one latch — a
+            // check paid through any clone is paid for all of them.
             ColumnBytes::Mapped {
                 backing,
                 offset,
                 len,
+                verified,
             } => ColumnBytes::Mapped {
                 backing: Arc::clone(backing),
                 offset: *offset,
                 len: *len,
+                verified: Arc::clone(verified),
             },
         }
     }
@@ -302,8 +315,9 @@ impl RowBlockColumn {
 
     /// Adopt a byte range of a shared read-only mapping without copying.
     /// Validates structure and the end magic (an O(1) torn-write guard);
-    /// the footer CRC is deliberately deferred to hydration
-    /// ([`Self::to_heap_verified`]) so attach cost stays proportional to
+    /// the footer CRC is deliberately deferred to the first
+    /// [`Self::verify_checksum`] (first query touch or hydration,
+    /// whichever comes first) so attach cost stays proportional to
     /// metadata, not data volume. The segment's valid bit guarantees the
     /// bytes were `msync`'d before the backup committed.
     pub fn from_mapped(
@@ -324,6 +338,7 @@ impl RowBlockColumn {
                 backing,
                 offset,
                 len,
+                verified: Arc::new(OnceLock::new()),
             },
         };
         rbc.parse_header()?;
@@ -337,6 +352,16 @@ impl RowBlockColumn {
         matches!(self.buf, ColumnBytes::Mapped { .. })
     }
 
+    /// Whether the footer CRC is known to match: always for a heap column
+    /// (checked or vouched for at adoption), and for a mapped column once
+    /// some clone's [`Self::verify_checksum`] has succeeded.
+    pub fn is_verified(&self) -> bool {
+        match &self.buf {
+            ColumnBytes::Heap(_) => true,
+            ColumnBytes::Mapped { verified, .. } => matches!(verified.get(), Some(Ok(()))),
+        }
+    }
+
     /// Copy a mapped column into owned heap bytes (identity for heap
     /// columns). Infallible: the buffer was validated at construction.
     pub fn to_heap(&self) -> RowBlockColumn {
@@ -348,10 +373,11 @@ impl RowBlockColumn {
         }
     }
 
-    /// Hydrate: verify the deferred footer CRC, then copy to heap. This is
-    /// the integrity check attach skipped; a mismatch here means the
-    /// segment held torn data and the caller must fall back to disk
-    /// recovery, exactly as a failed restore would (§4.3).
+    /// Hydrate: verify the deferred footer CRC (unless a query touch
+    /// already did), then copy to heap. This is the integrity check attach
+    /// skipped; a mismatch here means the segment held torn data and the
+    /// caller must fall back to disk recovery, exactly as a failed restore
+    /// would (§4.3).
     pub fn to_heap_verified(&self) -> Result<RowBlockColumn> {
         self.verify_checksum()?;
         Ok(self.to_heap())
@@ -387,8 +413,22 @@ impl RowBlockColumn {
         Ok(self.parse_header()?.compression)
     }
 
-    /// Recompute the checksum and compare with the footer.
+    /// Check the footer checksum. A heap column recomputes it on every
+    /// call. A mapped column computes it at most once across all its
+    /// clones: the first caller pays the pass (concurrent callers wait for
+    /// it rather than repeating it) and everyone after gets the latched
+    /// outcome, failure included.
     pub fn verify_checksum(&self) -> Result<()> {
+        match &self.buf {
+            ColumnBytes::Heap(_) => self.compute_checksum(),
+            ColumnBytes::Mapped { verified, .. } => {
+                verified.get_or_init(|| self.compute_checksum()).clone()
+            }
+        }
+    }
+
+    /// Recompute the checksum and compare with the footer.
+    fn compute_checksum(&self) -> Result<()> {
         let buf = self.bytes();
         let h = self.parse_header()?;
         let footer = h.footer_offset as usize;
@@ -971,5 +1011,87 @@ mod tests {
         let backing: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(bytes);
         let mapped = RowBlockColumn::from_mapped(backing, 0, rbc.len_bytes()).unwrap();
         assert!(mapped.to_heap_verified().is_err());
+    }
+    /// A backing whose bytes can be swapped under a mapped column — which
+    /// no real mapping does — so a test can tell a latched answer from a
+    /// recomputed one.
+    struct Swappable {
+        first: Vec<u8>,
+        second: Vec<u8>,
+        swapped: std::sync::atomic::AtomicBool,
+    }
+
+    impl AsRef<[u8]> for Swappable {
+        fn as_ref(&self) -> &[u8] {
+            if self.swapped.load(std::sync::atomic::Ordering::SeqCst) {
+                &self.second
+            } else {
+                &self.first
+            }
+        }
+    }
+
+    /// (intact image, same image with one data-region byte flipped).
+    fn intact_and_torn() -> (Vec<u8>, Vec<u8>) {
+        let rbc = RowBlockColumn::encode(&int_column(&(0..500).collect::<Vec<_>>())).unwrap();
+        let intact = rbc.as_bytes().to_vec();
+        let mut torn = intact.clone();
+        torn[HEADER_SIZE] ^= 0xFF; // structurally silent
+        (intact, torn)
+    }
+
+    #[test]
+    fn mapped_checksum_is_verified_once_and_clones_share_the_latch() {
+        let (intact, torn) = intact_and_torn();
+        let len = intact.len();
+        let backing = Arc::new(Swappable {
+            first: intact,
+            second: torn,
+            swapped: false.into(),
+        });
+        let mapped = RowBlockColumn::from_mapped(backing.clone(), 0, len).unwrap();
+        let clone = mapped.clone();
+        assert!(!mapped.is_verified() && !clone.is_verified());
+        clone.verify_checksum().unwrap();
+        assert!(
+            mapped.is_verified(),
+            "the clone's check counts for the original"
+        );
+        // With the bytes now torn, a second CRC pass would fail: every
+        // later caller, on either handle, reads the latch instead.
+        backing
+            .swapped
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        mapped.verify_checksum().unwrap();
+        clone.verify_checksum().unwrap();
+        assert!(!mapped.to_heap_verified().unwrap().is_mapped());
+        // A fresh adoption of the same range has its own, unset latch.
+        let fresh = RowBlockColumn::from_mapped(backing, 0, len).unwrap();
+        assert!(!fresh.is_verified());
+        assert!(fresh.verify_checksum().is_err());
+    }
+
+    #[test]
+    fn mapped_checksum_failure_is_sticky() {
+        let (intact, torn) = intact_and_torn();
+        let len = intact.len();
+        let backing = Arc::new(Swappable {
+            first: torn,
+            second: intact,
+            swapped: false.into(),
+        });
+        let mapped = RowBlockColumn::from_mapped(backing.clone(), 0, len).unwrap();
+        let clone = mapped.clone();
+        let err = mapped.verify_checksum().unwrap_err();
+        assert!(matches!(err, Error::ChecksumMismatch { .. }));
+        assert!(!mapped.is_verified());
+        // Even if the bytes came good, a condemned column stays condemned,
+        // with the same error for every caller.
+        backing
+            .swapped
+            .store(true, std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(clone.verify_checksum().unwrap_err(), err);
+        assert_eq!(mapped.to_heap_verified().unwrap_err(), err);
+        assert!(!clone.is_verified());
     }
 }

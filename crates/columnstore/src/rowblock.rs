@@ -243,9 +243,8 @@ impl RowBlock {
     }
 
     /// Copy every mapped column to heap (identity for heap blocks). The
-    /// hydration worker calls this after verifying each column's deferred
-    /// CRC; see [`RowBlockColumn::to_heap_verified`]. Clears the cold ref:
-    /// a heap copy is no longer served from the cold tier.
+    /// hydration worker calls this after [`Self::verify_columns`]. Clears
+    /// the cold ref: a heap copy is no longer served from the cold tier.
     pub fn to_heap(&self) -> RowBlock {
         RowBlock {
             header: self.header,
@@ -256,11 +255,15 @@ impl RowBlock {
         }
     }
 
-    /// Recompute and check every column's footer CRC in place, without
-    /// copying. Used when a cold or mapped block is touched by a query
-    /// for the first time (construction deferred the checksum).
+    /// Check, in place and without copying, the footer CRC of every
+    /// column whose construction deferred it — the mapped ones; heap
+    /// columns were checked when adopted. Every toucher of a cold or
+    /// shm-backed block calls this (query, hydrator, promotion, disk
+    /// reconcile); each column's verify-once latch
+    /// ([`RowBlockColumn::verify_checksum`]) makes the first of them pay
+    /// and hands the rest the same outcome.
     pub fn verify_columns(&self) -> Result<()> {
-        for col in &self.columns {
+        for col in self.columns.iter().filter(|c| c.is_mapped()) {
             col.verify_checksum()?;
         }
         Ok(())

@@ -391,8 +391,8 @@ impl ShmPersistable for LeafStore {
         // (manifest, preludes) are copied to heap with their frame CRC
         // verified — they must outlive the mapping and cost O(metadata).
         // Column chunks stay *mapped*: structural validation only, with
-        // the full payload CRC deferred to hydration
-        // (`RowBlockColumn::to_heap_verified`).
+        // the full payload CRC deferred to the first toucher
+        // (`RowBlockColumn::verify_checksum`, once per column).
         let Some(first) = source.next_mapped_chunk()? else {
             return Err(PersistError::Framing("missing table manifest".to_owned()));
         };

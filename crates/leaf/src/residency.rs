@@ -86,8 +86,6 @@ pub struct ResidencyManager {
     /// Cold blocks touched by queries: ptr → touch count. Cleared for a
     /// block when it is drained for promotion.
     cold_touches: Mutex<std::collections::HashMap<usize, u32>>,
-    /// Cold blocks whose deferred column CRCs already verified clean.
-    verified: Mutex<HashSet<usize>>,
     /// Cold blocks due for promotion (table, block), deduped by ptr.
     promotions: Mutex<Vec<(String, Arc<RowBlock>)>>,
     /// First cold-block verification failure: (table, reason). The
@@ -109,7 +107,6 @@ impl ResidencyManager {
             hand: 0,
             touched: Mutex::new(HashSet::new()),
             cold_touches: Mutex::new(std::collections::HashMap::new()),
-            verified: Mutex::new(HashSet::new()),
             promotions: Mutex::new(Vec::new()),
             poison: Mutex::new(None),
         }
@@ -144,32 +141,22 @@ impl ResidencyManager {
             .insert(Arc::as_ptr(block) as usize);
     }
 
-    /// Record a query touch on a *cold* block (`&self`). On the first
-    /// touch the block's deferred column CRCs are verified in place — a
-    /// mismatch poisons the manager (see
-    /// [`ResidencyManager::take_poison`]) and returns the reason as
-    /// `Err` so the query can fail closed. Repeated touches queue the
-    /// block for promotion back to heap.
+    /// Record a query touch on a *cold* block (`&self`). The block's
+    /// deferred column CRCs are verified in place — once: each column's
+    /// verify-once latch answers every later touch. A mismatch poisons
+    /// the manager (see [`ResidencyManager::take_poison`]) and returns
+    /// the reason as `Err` so the query can fail closed. Repeated
+    /// touches queue the block for promotion back to heap.
     pub fn touch_cold(&self, table: &str, block: &Arc<RowBlock>) -> Result<(), String> {
-        let key = Arc::as_ptr(block) as usize;
-        {
-            let verified = self.verified.lock().unwrap_or_else(|e| e.into_inner());
-            if !verified.contains(&key) {
-                drop(verified);
-                if let Err(e) = block.verify_columns() {
-                    let reason = format!("cold block of table {table:?} failed CRC: {e}");
-                    let mut poison = self.poison.lock().unwrap_or_else(|e| e.into_inner());
-                    if poison.is_none() {
-                        *poison = Some((table.to_owned(), reason.clone()));
-                    }
-                    return Err(reason);
-                }
-                self.verified
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(key);
+        if let Err(e) = block.verify_columns() {
+            let reason = format!("cold block of table {table:?} failed CRC: {e}");
+            let mut poison = self.poison.lock().unwrap_or_else(|e| e.into_inner());
+            if poison.is_none() {
+                *poison = Some((table.to_owned(), reason.clone()));
             }
+            return Err(reason);
         }
+        let key = Arc::as_ptr(block) as usize;
         let touches = {
             let mut map = self.cold_touches.lock().unwrap_or_else(|e| e.into_inner());
             let n = map.entry(key).or_insert(0);
@@ -245,8 +232,8 @@ impl ResidencyManager {
         self.gc_cold_state(store);
     }
 
-    /// Drop touch/verify state for cold blocks that are gone (promoted,
-    /// expired) so the maps cannot grow without bound.
+    /// Drop touch state for cold blocks that are gone (promoted, expired)
+    /// so the map cannot grow without bound.
     fn gc_cold_state(&mut self, store: &LeafMap) {
         let mut live_cold: HashSet<usize> = HashSet::new();
         for table in store.iter() {
@@ -260,10 +247,6 @@ impl ResidencyManager {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .retain(|k, _| live_cold.contains(k));
-        self.verified
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|k| live_cold.contains(k));
     }
 
     /// Run one SIEVE step: sweep the hand until an unvisited candidate
@@ -312,10 +295,6 @@ impl ResidencyManager {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
         self.cold_touches
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-        self.verified
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();

@@ -351,12 +351,11 @@ struct HydratedBlock {
     new: Result<RowBlock, String>,
 }
 
-/// Verify every mapped column's deferred RBC checksum, then copy the
-/// block to heap. Runs on a worker thread; no store access.
+/// Verify every mapped column's deferred RBC checksum — a no-op for
+/// columns a query touch already latched — then copy the block to heap.
+/// Runs on a worker thread; no store access.
 fn hydrate_block(block: &RowBlock) -> Result<RowBlock, String> {
-    for column in block.columns().iter().filter(|c| c.is_mapped()) {
-        column.verify_checksum().map_err(|e| e.to_string())?;
-    }
+    block.verify_columns().map_err(|e| e.to_string())?;
     Ok(block.to_heap())
 }
 
@@ -469,10 +468,6 @@ struct Hydrator {
     started: Instant,
     /// The shared work queue (query touches promote through it).
     queue: Arc<HydrationQueue>,
-    /// Mapped blocks whose deferred CRC a query already verified (keyed
-    /// by block address; blocks are pinned by the table for the whole
-    /// hydration, so addresses are stable).
-    verified: std::sync::Mutex<std::collections::HashSet<usize>>,
     /// First in-place CRC failure seen by a query, if any. Queries take
     /// `&self`, so they can only *record* the condemnation here; the next
     /// poll/finish turns it into the disk fallback.
@@ -513,37 +508,34 @@ impl Hydrator {
             pending,
             started: Instant::now(),
             queue,
-            verified: std::sync::Mutex::new(std::collections::HashSet::new()),
             poison: std::sync::Mutex::new(None),
         }
     }
 
     /// A query is about to scan `table`: CRC-verify every mapped block it
-    /// will touch (first touch only), then promote those blocks to the
-    /// head of the hydration queue. A verification failure poisons the
-    /// hydrator — the caller fails the query and the next poll/finish
-    /// falls back to disk.
+    /// will touch, then promote those blocks to the head of the hydration
+    /// queue. Each column's verify-once latch makes this first-touch-only
+    /// and shares the pass with the workers: whoever reaches a column
+    /// first pays, the other side reads the outcome. A verification
+    /// failure poisons the hydrator — the caller fails the query and the
+    /// next poll/finish falls back to disk.
     fn touch(&self, table: &Table, query: &Query) -> Result<(), String> {
         if let Some(reason) = self.poison.lock().unwrap().clone() {
             return Err(reason);
         }
         let plan = scuba_query::plan_scan(table, query).map_err(|e| e.to_string())?;
         for block in &plan.blocks {
-            if !block.columns().iter().any(|c| c.is_mapped()) {
+            // First touch only — read off the latches, so a repeat query
+            // takes no lock at all: heap blocks and blocks someone already
+            // verified (hence already promoted, or with a worker) skip.
+            if block.columns().iter().all(|c| c.is_verified()) {
                 continue;
             }
-            let key = Arc::as_ptr(block) as usize;
-            if self.verified.lock().unwrap().contains(&key) {
-                continue;
+            if let Err(e) = block.verify_columns() {
+                let reason = format!("query touched corrupt mapped block: {e}");
+                *self.poison.lock().unwrap() = Some(reason.clone());
+                return Err(reason);
             }
-            for column in block.columns().iter().filter(|c| c.is_mapped()) {
-                if let Err(e) = column.verify_checksum() {
-                    let reason = format!("query touched corrupt mapped block: {e}");
-                    *self.poison.lock().unwrap() = Some(reason.clone());
-                    return Err(reason);
-                }
-            }
-            self.verified.lock().unwrap().insert(key);
             self.queue.promote(block);
         }
         Ok(())
@@ -1082,9 +1074,7 @@ impl LeafServer {
         for block in table.blocks() {
             let n = block.row_count();
             if base + n > from {
-                for column in block.columns().iter().filter(|c| c.is_mapped()) {
-                    column.verify_checksum().map_err(|e| e.to_string())?;
-                }
+                block.verify_columns().map_err(|e| e.to_string())?;
                 let rows = block.decode_rows().map_err(|e| e.to_string())?;
                 out.extend_from_slice(&rows[from.saturating_sub(base)..]);
             }
@@ -2677,25 +2667,15 @@ mod tests {
         assert_eq!(view_unlink_count(), before + 1, "unlinked more than once");
     }
 
-    #[test]
-    fn hydration_crc_mismatch_falls_back_to_disk() {
-        let _l = HYDRATE_LOCK.lock().unwrap();
-        let (mut cfg, dir) = test_config("hydcrc");
-        cfg.restore_mode = RestoreMode::TwoPhase;
-        let mut s = LeafServer::new(cfg.clone()).unwrap();
-        let _c = Cleanup(s.namespace().clone(), dir);
-        fill(&mut s, 1000);
-        s.shutdown_to_shm(0).unwrap(); // syncs disk before the copy
-        drop(s);
-
-        // Corrupt a payload byte deep in the table segment — the middle
-        // of the largest column chunk, found by walking the TLV frames.
-        // Attach's structural checks cannot see it; the deferred CRC at
-        // hydration must.
+    /// Corrupt a payload byte deep in the shut-down leaf's first table
+    /// segment: the middle of the largest column chunk's RBC *data region*
+    /// (found by walking the TLV frames, offsets read from the RBC
+    /// header), so only the deferred payload CRC can tell.
+    fn corrupt_fattest_column_chunk(cfg: &LeafConfig) {
+        use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
         let ns = scuba_shmem::ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
         let mut seg = scuba_shmem::ShmSegment::open(&ns.table_segment_name(0)).unwrap();
         let buf = seg.as_mut_slice();
-        use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
         let mut pos = 0usize;
         let mut fattest = (0usize, 0usize);
         loop {
@@ -2710,13 +2690,26 @@ mod tests {
             pos = payload + len as usize;
         }
         assert!(fattest.1 > 0, "no column chunk found");
-        // Flip mid-way through the RBC *data region* (offsets read from
-        // the RBC header) so only the deferred payload CRC can tell.
         let rbc = &mut buf[fattest.0..fattest.0 + fattest.1];
         let data_off = u64::from_le_bytes(rbc[48..56].try_into().unwrap()) as usize;
         let footer_off = u64::from_le_bytes(rbc[56..64].try_into().unwrap()) as usize;
         rbc[(data_off + footer_off) / 2] ^= 0xFF;
-        drop(seg);
+    }
+
+    #[test]
+    fn hydration_crc_mismatch_falls_back_to_disk() {
+        let _l = HYDRATE_LOCK.lock().unwrap();
+        let (mut cfg, dir) = test_config("hydcrc");
+        cfg.restore_mode = RestoreMode::TwoPhase;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 1000);
+        s.shutdown_to_shm(0).unwrap(); // syncs disk before the copy
+        drop(s);
+
+        // Attach's structural checks cannot see this; the deferred CRC at
+        // hydration must.
+        corrupt_fattest_column_chunk(&cfg);
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(
@@ -2918,31 +2911,7 @@ mod tests {
         s.shutdown_to_shm(0).unwrap();
         drop(s);
 
-        // Same corruption shape as hydration_crc_mismatch_falls_back_to_disk:
-        // a payload byte inside the fattest column chunk's data region.
-        let ns = scuba_shmem::ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
-        let mut seg = scuba_shmem::ShmSegment::open(&ns.table_segment_name(0)).unwrap();
-        let buf = seg.as_mut_slice();
-        use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
-        let mut pos = 0usize;
-        let mut fattest = (0usize, 0usize);
-        loop {
-            let (desc, len, _crc) = decode_header_v2(&buf[pos..pos + FRAME_HEADER_V2]);
-            if desc.tag == TAG_END {
-                break;
-            }
-            let payload = pos + FRAME_HEADER_V2;
-            if desc.tag == crate::persist::TAG_COLUMN && len as usize > fattest.1 {
-                fattest = (payload, len as usize);
-            }
-            pos = payload + len as usize;
-        }
-        assert!(fattest.1 > 0, "no column chunk found");
-        let rbc = &mut buf[fattest.0..fattest.0 + fattest.1];
-        let data_off = u64::from_le_bytes(rbc[48..56].try_into().unwrap()) as usize;
-        let footer_off = u64::from_le_bytes(rbc[56..64].try_into().unwrap()) as usize;
-        rbc[(data_off + footer_off) / 2] ^= 0xFF;
-        drop(seg);
+        corrupt_fattest_column_chunk(&cfg);
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
@@ -2957,6 +2926,97 @@ mod tests {
         // Disk recovery restored everything; queries serve heap bytes.
         assert_eq!(s2.total_rows(), 800);
         assert_eq!(s2.shm_resident(), 0);
+        assert_eq!(s2.query(&q).unwrap().rows_matched, 800);
+    }
+
+    /// Verify once: the query's first touch latches every mapped column
+    /// it scans, so the hydrator worker's `hydrate_block` on the same
+    /// block finds the check already paid — through the original columns
+    /// or any clone of them.
+    #[test]
+    fn query_touch_pays_the_crc_the_hydrator_would_have() {
+        let _l = HYDRATE_LOCK.lock().unwrap();
+        let (mut cfg, dir) = test_config("latchonce");
+        cfg.restore_mode = RestoreMode::TwoPhase;
+        cfg.hydration = HydrationMode::OnAccess; // workers parked until the touch
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 800);
+        s.shutdown_to_shm(0).unwrap();
+        drop(s);
+
+        let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        let blocks: Vec<Arc<RowBlock>> = s2.store().map().get("logs").unwrap().blocks().to_vec();
+        let mapped_columns = |b: &RowBlock| -> Vec<scuba_columnstore::RowBlockColumn> {
+            b.columns()
+                .iter()
+                .filter(|c| c.is_mapped())
+                .cloned()
+                .collect()
+        };
+        assert!(blocks.iter().any(|b| b.is_mapped()));
+        // Attach deferred every footer CRC.
+        for b in &blocks {
+            assert!(mapped_columns(b).iter().all(|c| !c.is_verified()));
+        }
+        assert_eq!(
+            s2.query(&Query::new("logs", 0, 1000)).unwrap().rows_matched,
+            800
+        );
+        // The touch paid for all of them — visible through fresh clones —
+        // so the worker's verify pass is a latch read, then the copy.
+        for b in &blocks {
+            assert!(mapped_columns(b).iter().all(|c| c.is_verified()));
+            let heap = hydrate_block(b).unwrap();
+            assert!(!heap.is_mapped());
+        }
+        s2.finish_hydration().unwrap();
+        assert!(s2.hydration_fallback_reason().is_none());
+        assert_eq!(s2.total_rows(), 800);
+    }
+
+    /// A corrupt mapped column condemns itself once: the query touch, the
+    /// hydrator worker and the disk-reconcile decode all report the same
+    /// latched error, and the fallback is the usual one.
+    #[test]
+    fn corrupt_mapped_column_reports_one_sticky_error_to_every_toucher() {
+        let _l = HYDRATE_LOCK.lock().unwrap();
+        let (mut cfg, dir) = test_config("latchbad");
+        cfg.restore_mode = RestoreMode::TwoPhase;
+        cfg.hydration = HydrationMode::OnAccess;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 800);
+        s.shutdown_to_shm(0).unwrap();
+        drop(s);
+        corrupt_fattest_column_chunk(&cfg);
+
+        let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        let q = Query::new("logs", 0, 1000);
+        let from_query = s2.query(&q).unwrap_err().to_string();
+        let table = s2.store().map().get("logs").unwrap();
+        let bad = table
+            .blocks()
+            .iter()
+            .find(|b| {
+                b.columns()
+                    .iter()
+                    .any(|c| c.is_mapped() && !c.is_verified())
+            })
+            .expect("the query stopped at the corrupt block");
+        let column_err = bad.verify_columns().unwrap_err().to_string();
+        assert!(column_err.contains("checksum"), "{column_err}");
+        assert!(from_query.ends_with(&column_err), "{from_query}");
+        assert_eq!(hydrate_block(bad).unwrap_err(), column_err);
+        assert_eq!(
+            LeafServer::materialize_rows_from(table, 0).unwrap_err(),
+            column_err
+        );
+        // Unchanged consequence: the poison becomes the disk fallback.
+        assert_eq!(s2.poll_hydration().unwrap(), 0);
+        assert!(s2.hydration_fallback_reason().unwrap().contains("checksum"));
         assert_eq!(s2.query(&q).unwrap().rows_matched, 800);
     }
 

@@ -1,12 +1,13 @@
 //! CRC-32 (IEEE) used by the metadata region and the restart protocol's
 //! chunk framing.
 //!
-//! The implementation lives in the shared `scuba-checksum` crate (one
-//! slicing-by-8 kernel for both this crate and the column store, so the
-//! two layers cannot drift apart); this module re-exports it and adds the
-//! instrumented wrapper used on the copy path.
+//! The implementation lives in the shared `scuba-checksum` crate (one set
+//! of kernels — carry-less-multiply folding, slicing-by-8, Sarwate — for
+//! both this crate and the column store, so the two layers cannot drift
+//! apart); this module re-exports it and adds the instrumented wrapper
+//! used on the copy path.
 
-pub use scuba_checksum::{crc32, crc32_scalar, Crc32};
+pub use scuba_checksum::{crc32, crc32_scalar, crc32_slice8, Crc32};
 
 /// [`crc32`] with the elapsed time measured and recorded into the
 /// `shmem_crc_nanos_total` / `shmem_crc_bytes_total` counters, so the

@@ -37,7 +37,7 @@ pub mod segment;
 pub mod view;
 
 pub use arena::{SegmentReader, SegmentWriter};
-pub use checksum::{crc32, crc32_scalar, crc32_timed, Crc32};
+pub use checksum::{crc32, crc32_scalar, crc32_slice8, crc32_timed, Crc32};
 pub use error::{ShmError, ShmResult};
 pub use metadata::{LeafMetadata, MetadataContents, SegmentEntry, LEGACY_V1_VERSION};
 pub use namespace::ShmNamespace;

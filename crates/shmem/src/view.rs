@@ -76,17 +76,26 @@ impl AsRef<[u8]> for SegmentView {
     }
 }
 
-impl Drop for SegmentView {
-    fn drop(&mut self) {
-        scuba_obs::gauge!("shmem_views_live").dec();
-        // Unlink-on-last-drop. Ok(false) means someone else (a cleanup
-        // sweep, an earlier fallback) already removed the name; only a real
-        // unlink counts. Errors are swallowed: the segment stays linked and
-        // the next restart's orphan sweep will collect it.
-        if let Ok(true) = ShmSegment::unlink(self.segment.name()) {
+impl SegmentView {
+    /// Unlink-on-last-drop, the part of `Drop` with an outcome: true iff
+    /// *this* call removed the name. `Ok(false)` means someone else (a
+    /// cleanup sweep, an earlier fallback) already did; only a real unlink
+    /// counts. Errors are swallowed: the segment stays linked and the next
+    /// restart's orphan sweep will collect it.
+    fn release(&mut self) -> bool {
+        let unlinked = matches!(ShmSegment::unlink(self.segment.name()), Ok(true));
+        if unlinked {
             VIEW_UNLINKS.fetch_add(1, Ordering::Relaxed);
             scuba_obs::counter!("shmem_view_unlinks").inc();
         }
+        unlinked
+    }
+}
+
+impl Drop for SegmentView {
+    fn drop(&mut self) {
+        scuba_obs::gauge!("shmem_views_live").dec();
+        self.release();
     }
 }
 
@@ -102,6 +111,10 @@ mod tests {
         w.finish().unwrap()
     }
 
+    // These two assert on what *this* view's release did, not on a delta
+    // of the process-wide `view_unlink_count()`: sibling tests drop views
+    // in parallel and move that counter.
+
     #[test]
     fn last_drop_unlinks_exactly_once() {
         let name = format!("/scuba-view-once-{}", std::process::id());
@@ -109,7 +122,6 @@ mod tests {
         drop(seg); // drop the writable mapping; name stays linked
         assert!(ShmSegment::exists(&name));
 
-        let before = view_unlink_count();
         let view = SegmentView::attach(&name).unwrap();
         assert_eq!(view.bytes(), b"hello view");
 
@@ -117,12 +129,12 @@ mod tests {
         let reader = Arc::clone(&view);
         drop(view);
         assert!(ShmSegment::exists(&name), "unlinked while a reader held it");
-        assert_eq!(view_unlink_count(), before);
 
         assert_eq!(reader.as_ref().as_ref(), b"hello view");
-        drop(reader);
+        let mut last = Arc::try_unwrap(reader).expect("sole owner");
+        assert!(last.release(), "the last owner unlinks");
         assert!(!ShmSegment::exists(&name));
-        assert_eq!(view_unlink_count(), before + 1);
+        assert!(!last.release(), "unlinked more than once");
     }
 
     #[test]
@@ -131,14 +143,14 @@ mod tests {
         let seg = make_segment(&name, &[7u8; 4096]);
         drop(seg);
 
-        let before = view_unlink_count();
         let view = SegmentView::attach(&name).unwrap();
         // A cleanup sweep races ahead of the view.
         assert!(ShmSegment::unlink(&name).unwrap());
         // The mapping is still valid after the name is gone.
         assert_eq!(view.bytes()[100], 7);
-        drop(view); // must not double-count or error
-        assert_eq!(view_unlink_count(), before);
+        let mut view = Arc::try_unwrap(view).expect("sole owner");
+        assert!(!view.release(), "must not count an unlink it did not do");
+        drop(view); // and the real drop after it must not error
     }
 
     #[test]
