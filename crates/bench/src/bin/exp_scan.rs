@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use scuba::columnstore::{Table, TIME_COLUMN};
+use scuba::columnstore::Table;
 use scuba::ingest::{WorkloadKind, WorkloadSpec};
 use scuba::leaf::{HydrationMode, LeafServer, RecoveryOutcome, RestoreMode};
 use scuba::query::{execute, execute_vectorized, plan_scan, AggSpec, CmpOp, Filter, Query};
@@ -23,8 +23,8 @@ use scuba_bench::{fmt_bytes, fmt_dur, header, BenchJson, LeafRig};
 
 /// The filter-heavy query mix: selective predicates over every encoding
 /// family the kernels special-case — integer equality, dictionary-id
-/// string equality, double range — plus one grouped query that forces
-/// the boxed fold on selected rows only.
+/// string equality, double range — plus one grouped query through the
+/// dictionary slot table.
 fn query_mix() -> Vec<(&'static str, Query)> {
     vec![
         (
@@ -56,12 +56,11 @@ fn query_mix() -> Vec<(&'static str, Query)> {
     ]
 }
 
-/// Encoded bytes a query actually reads: the touched columns (plus the
-/// time column) of every block surviving pruning.
+/// Encoded bytes a query may read: the columns it names (plus the time
+/// column) of every block surviving pruning.
 fn scanned_bytes(table: &Table, query: &Query) -> u64 {
     let plan = plan_scan(table, query).expect("plan");
-    let mut touched: Vec<&str> = query.touched_columns();
-    touched.push(TIME_COLUMN);
+    let touched = query.columns_read();
     let mut bytes = 0u64;
     for block in &plan.blocks {
         for name in &touched {

@@ -16,6 +16,10 @@ use crate::schema::Schema;
 use crate::types::ColumnType;
 use crate::{MAX_BLOCK_BYTES, MAX_ROWS_PER_BLOCK, TIME_COLUMN};
 
+thread_local! {
+    static SNAPSHOTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Mutable accumulator for one in-progress row block.
 #[derive(Debug, Clone)]
 pub struct RowBlockBuilder {
@@ -143,9 +147,19 @@ impl RowBlockBuilder {
     }
 
     /// Encode the current contents into a block *without* consuming the
-    /// builder. Queries use this to see not-yet-sealed rows.
+    /// builder. Queries use this to see not-yet-sealed rows. It clones and
+    /// re-encodes every buffered row, so a query should pay it once — see
+    /// [`Self::snapshots_on_thread`].
     pub fn snapshot(&self) -> Result<RowBlock> {
+        SNAPSHOTS.with(|n| n.set(n.get() + 1));
         self.clone().finish()
+    }
+
+    /// How many [`Self::snapshot`]s the calling thread has encoded. Tests
+    /// pin "one per query" with a delta of this; it is per thread so that
+    /// tests running in parallel do not see each other's.
+    pub fn snapshots_on_thread() -> u64 {
+        SNAPSHOTS.with(std::cell::Cell::get)
     }
 }
 

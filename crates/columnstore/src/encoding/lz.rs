@@ -164,11 +164,17 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         if out.len() + match_len > expected_len {
             return Err(Error::Corrupt("LZ match overruns expected length"));
         }
-        // Byte-by-byte copy: matches may overlap their own output (RLE).
+        // A match may overlap its own output (offset < length, e.g. RLE):
+        // the bytes from `start` on then repeat with period `offset`, so
+        // copying everything written since `start` — a whole number of
+        // periods, doubling each round — continues the pattern exactly as
+        // a byte-by-byte copy would. A non-overlapping match is one round.
         let start = out.len() - offset;
-        for i in 0..match_len {
-            let b = out[start + i];
-            out.push(b);
+        let mut remaining = match_len;
+        while remaining > 0 {
+            let n = (out.len() - start).min(remaining);
+            out.extend_from_within(start..start + n);
+            remaining -= n;
         }
     }
     if out.len() != expected_len {
@@ -245,6 +251,10 @@ mod tests {
         let mut data = vec![b'x'];
         data.extend(std::iter::repeat_n(b'x', 300));
         round_trip(&data);
+        // Period 3, ending mid-period: the match overlaps itself and its
+        // length is not a whole number of periods.
+        let data: Vec<u8> = b"abc".iter().copied().cycle().take(305).collect();
+        assert!(round_trip(&data) < 20);
     }
 
     #[test]

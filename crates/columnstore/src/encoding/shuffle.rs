@@ -29,14 +29,12 @@ pub fn unshuffle_f64(bytes: &[u8], count: usize) -> Result<Vec<f64>> {
             available: bytes.len(),
         });
     }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let mut b = [0u8; 8];
-        for (lane, slot) in b.iter_mut().enumerate() {
-            *slot = bytes[lane * count + i];
-        }
-        out.push(f64::from_le_bytes(b));
-    }
+    // One slice per byte lane, each exactly `count` long, so the loop
+    // below indexes them without a bounds check per byte.
+    let lanes: [&[u8]; 8] = std::array::from_fn(|lane| &bytes[lane * count..(lane + 1) * count]);
+    let out = (0..count)
+        .map(|i| f64::from_le_bytes(std::array::from_fn(|lane| lanes[lane][i])))
+        .collect();
     Ok(out)
 }
 

@@ -413,6 +413,25 @@ impl RowBlockColumn {
         Ok(self.parse_header()?.compression)
     }
 
+    /// True when no cell is null: the data region opens with presence
+    /// flag 0 (no bitmap). One byte read, nothing decoded — the scan uses
+    /// it to decide whether a block header's time bounds speak for every
+    /// row.
+    pub fn is_fully_present(&self) -> Result<bool> {
+        let h = self.parse_header()?;
+        if h.data_offset == h.footer_offset {
+            return Err(Error::Truncated {
+                needed: 1,
+                available: 0,
+            });
+        }
+        match self.bytes()[h.data_offset as usize] {
+            0 => Ok(true),
+            1 => Ok(false),
+            _ => Err(Error::Corrupt("bad presence flag")),
+        }
+    }
+
     /// Check the footer checksum. A heap column recomputes it on every
     /// call. A mapped column computes it at most once across all its
     /// clones: the first caller pays the pass (concurrent callers wait for
@@ -831,6 +850,18 @@ mod tests {
         s.push(Value::from("x")).unwrap();
         s.push_null();
         round_trip(&s);
+    }
+
+    #[test]
+    fn fully_present_is_the_presence_flag() {
+        let full = round_trip(&int_column(&[1, 2, 3]));
+        assert!(full.is_fully_present().unwrap());
+        let mut holes = ColumnData::new(ColumnType::Int64);
+        holes.push(crate::types::Value::Int(1)).unwrap();
+        holes.push_null();
+        assert!(!round_trip(&holes).is_fully_present().unwrap());
+        // An empty column has no nulls either.
+        assert!(round_trip(&int_column(&[])).is_fully_present().unwrap());
     }
 
     #[test]

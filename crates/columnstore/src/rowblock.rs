@@ -257,16 +257,40 @@ impl RowBlock {
 
     /// Check, in place and without copying, the footer CRC of every
     /// column whose construction deferred it — the mapped ones; heap
-    /// columns were checked when adopted. Every toucher of a cold or
-    /// shm-backed block calls this (query, hydrator, promotion, disk
-    /// reconcile); each column's verify-once latch
-    /// ([`RowBlockColumn::verify_checksum`]) makes the first of them pay
+    /// columns were checked when adopted. Everyone about to copy or
+    /// persist a cold or shm-backed block calls this (hydrator, promotion,
+    /// disk reconcile); a query checks only what it reads
+    /// ([`Self::verify_columns_for`]). Each column's verify-once latch
+    /// ([`RowBlockColumn::verify_checksum`]) makes the first toucher pay
     /// and hands the rest the same outcome.
     pub fn verify_columns(&self) -> Result<()> {
         for col in self.columns.iter().filter(|c| c.is_mapped()) {
             col.verify_checksum()?;
         }
         Ok(())
+    }
+
+    /// [`Self::verify_columns`] narrowed to the columns in `names` (names
+    /// the block lacks are skipped): what a query owes before it scans.
+    /// The columns it does not read stay unverified until whoever copies
+    /// the block checks them.
+    pub fn verify_columns_for(&self, names: &[&str]) -> Result<()> {
+        for col in names.iter().filter_map(|n| self.column(n)) {
+            if col.is_mapped() {
+                col.verify_checksum()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// True once every mapped column in `names` has passed its deferred
+    /// check (vacuously for heap columns and absent names) — a latch
+    /// read, no CRC work.
+    pub fn columns_verified(&self, names: &[&str]) -> bool {
+        names
+            .iter()
+            .filter_map(|n| self.column(n))
+            .all(|c| c.is_verified())
     }
 
     fn image_size(schema: &Schema, columns: &[RowBlockColumn]) -> usize {
@@ -414,8 +438,9 @@ impl RowBlock {
     /// header + end magic, but — unlike [`RowBlock::deserialize`] — defers
     /// the CRC work (per-column footer CRCs and the image CRC) so attach
     /// stays O(metadata) and does not page the whole mapping in. Callers
-    /// must run [`RowBlock::verify_columns`] before first trusting the
-    /// data, mirroring the shm attach path.
+    /// must run [`RowBlock::verify_columns`] — or, to scan,
+    /// [`RowBlock::verify_columns_for`] the columns they read — before
+    /// first trusting the data, mirroring the shm attach path.
     pub fn deserialize_mapped(
         backing: &Arc<dyn AsRef<[u8]> + Send + Sync>,
         pos: usize,
@@ -621,6 +646,29 @@ mod tests {
         let heap = parsed.to_heap();
         assert_eq!(heap, block);
         assert!(!heap.is_mapped());
+    }
+
+    #[test]
+    fn verify_columns_for_checks_only_the_named_columns() {
+        let block = sample_block();
+        let mut buf = Vec::new();
+        block.serialize(&mut buf);
+        let backing: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(buf);
+        let (mapped, _) = RowBlock::deserialize_mapped(&backing, 0).unwrap();
+        let verified = |name: &str| mapped.column(name).unwrap().is_verified();
+        assert!(!mapped.columns_verified(&[crate::TIME_COLUMN]));
+        // Names the block lacks are skipped, not errors.
+        mapped
+            .verify_columns_for(&[crate::TIME_COLUMN, "absent"])
+            .unwrap();
+        assert!(mapped.columns_verified(&[crate::TIME_COLUMN, "absent"]));
+        assert!(verified(crate::TIME_COLUMN) && !verified("code") && !verified("msg"));
+        assert!(!mapped.columns_verified(&["code"]));
+        mapped.verify_columns().unwrap();
+        assert!(verified("code") && verified("msg"));
+        // Heap columns have nothing deferred.
+        assert!(block.columns_verified(&["code", "msg"]));
+        block.verify_columns_for(&["code"]).unwrap();
     }
 
     #[test]

@@ -62,8 +62,12 @@ impl Presence {
     /// Number of present rows strictly before `row`: the dense index of
     /// `row` when `get(row)` is true.
     pub fn rank(&self, row: usize) -> usize {
-        let w = row / 64;
-        let below = self.bits[w] & ((1u64 << (row % 64)) - 1);
+        self.dense_in_word(row / 64, row % 64)
+    }
+
+    /// [`Self::rank`] of the row at bit `b` of word `w`.
+    fn dense_in_word(&self, w: usize, b: usize) -> usize {
+        let below = self.bits[w] & ((1u64 << b) - 1);
         self.prefix[w] as usize + below.count_ones() as usize
     }
 }
@@ -336,41 +340,68 @@ pub fn sel_for_each(sel: &[u64], mut f: impl FnMut(usize)) {
 /// column: a selected row survives iff it is present *and* `pred` holds
 /// for its value. Null rows never match (the row-wise `Filter::matches`
 /// null rule). One pass, word-at-a-time, with an O(1) dense cursor.
+///
+/// The common case — a column without nulls under a still-full selection
+/// word, i.e. the first filter of a query — takes a dense path: the mask
+/// of 64 contiguous values is built branch-free, which the compiler
+/// unrolls, instead of one `trailing_zeros` round trip per row.
 pub fn sel_retain<T: Copy>(
     sel: &mut [u64],
     presence: Option<&Presence>,
     values: &[T],
     mut pred: impl FnMut(T) -> bool,
 ) {
-    let mut dense_base = 0usize;
-    for w in 0..sel.len() {
-        let pw = presence.map(|p| p.bits[w]);
-        let m = sel[w];
-        if m != 0 {
+    let Some(presence) = presence else {
+        for (w, word) in sel.iter_mut().enumerate() {
             let mut keep = 0u64;
-            let mut bits = m;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let ok = match pw {
-                    Some(pw) => {
-                        if pw & (1u64 << b) != 0 {
-                            let dense = dense_base + (pw & ((1u64 << b) - 1)).count_ones() as usize;
-                            pred(values[dense])
-                        } else {
-                            false
-                        }
-                    }
-                    None => pred(values[w * 64 + b]),
-                };
-                if ok {
-                    keep |= 1u64 << b;
+            if *word == u64::MAX {
+                // A full word means all 64 rows exist (bits past the row
+                // count are never set), so the slice is in bounds.
+                for (b, &v) in values[w * 64..w * 64 + 64].iter().enumerate() {
+                    keep |= (pred(v) as u64) << b;
+                }
+            } else {
+                let mut bits = *word;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    keep |= (pred(values[w * 64 + b]) as u64) << b;
                 }
             }
-            sel[w] = keep;
+            *word = keep;
         }
-        if let Some(pw) = pw {
-            dense_base += pw.count_ones() as usize;
+        return;
+    };
+    for (w, (word, &pw)) in sel.iter_mut().zip(&presence.bits).enumerate() {
+        let mut keep = 0u64;
+        let mut bits = *word & pw;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            keep |= (pred(values[presence.dense_in_word(w, b)]) as u64) << b;
+        }
+        *word = keep;
+    }
+}
+
+/// Visit every selected, non-null row in ascending order as
+/// `(row, dense)`, `dense` being the row's index into the column's
+/// present-values array — how the fold reads aggregate inputs without
+/// boxing a cell.
+pub fn sel_for_each_present(
+    sel: &[u64],
+    presence: Option<&Presence>,
+    mut f: impl FnMut(usize, usize),
+) {
+    let Some(presence) = presence else {
+        return sel_for_each(sel, |row| f(row, row));
+    };
+    for (w, (&word, &pw)) in sel.iter().zip(&presence.bits).enumerate() {
+        let mut bits = word & pw;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            f(w * 64 + b, presence.dense_in_word(w, b));
         }
     }
 }
@@ -454,6 +485,7 @@ mod tests {
     use super::*;
     use crate::builder::RowBlockBuilder;
     use crate::row::Row;
+    use crate::TIME_COLUMN as TIME;
 
     fn mixed_block() -> crate::rowblock::RowBlock {
         let mut b = RowBlockBuilder::new(0);
@@ -543,6 +575,51 @@ mod tests {
         let mut got = Vec::new();
         sel_for_each(&sel, |r| got.push(r));
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn sel_retain_dense_and_sparse_words_agree() {
+        // 200 rows, no nulls: words 0–2 are full (dense path), word 3 is
+        // the 8-row tail; a second pass then runs over sparse words.
+        let values: Vec<i64> = (0..200).map(|i| (i * 37) % 101).collect();
+        let expect = |pred: &dyn Fn(i64) -> bool| -> Vec<usize> {
+            (0..200).filter(|&r| pred(values[r])).collect()
+        };
+        let rows = |sel: &[u64]| {
+            let mut got = Vec::new();
+            sel_for_each(sel, |r| got.push(r));
+            got
+        };
+        let mut sel = sel_all(200);
+        sel_retain(&mut sel, None, &values, |v| v % 3 == 0);
+        assert_eq!(rows(&sel), expect(&|v| v % 3 == 0));
+        sel_retain(&mut sel, None, &values, |v| v > 40);
+        assert_eq!(rows(&sel), expect(&|v| v % 3 == 0 && v > 40));
+        // Nothing, and everything.
+        let mut sel = sel_all(200);
+        sel_retain(&mut sel, None, &values, |_| true);
+        assert_eq!(sel, sel_all(200));
+        sel_retain(&mut sel, None, &values, |_| false);
+        assert!(sel_is_empty(&sel));
+    }
+
+    #[test]
+    fn sel_for_each_present_pairs_rows_with_dense_indexes() {
+        let block = mixed_block();
+        for name in ["n", "d", "host", TIME] {
+            let view = ColumnView::build(block.column(name).unwrap()).unwrap();
+            let mut sel = sel_all(block.row_count());
+            sel[1] &= 0x0F0F_0F0F_0F0F_0F0F; // a sparse word too
+            let mut got = Vec::new();
+            sel_for_each_present(&sel, view.presence(), |row, dense| got.push((row, dense)));
+            let mut want = Vec::new();
+            sel_for_each(&sel, |row| {
+                if let Some(dense) = dense_index(view.presence(), row) {
+                    want.push((row, dense));
+                }
+            });
+            assert_eq!(got, want, "column {name}");
+        }
     }
 
     #[test]

@@ -84,6 +84,10 @@ impl Bencher {
 
 pub struct Criterion {
     samples: usize,
+    /// `--test` on the command line, as with the real crate: run every
+    /// benchmark once to prove it still works, whatever sample size it
+    /// asks for.
+    test_mode: bool,
 }
 
 impl Default for Criterion {
@@ -93,7 +97,11 @@ impl Default for Criterion {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(10);
-        Criterion { samples }
+        let test_mode = std::env::args().any(|a| a == "--test");
+        Criterion {
+            samples: if test_mode { 1 } else { samples },
+            test_mode,
+        }
     }
 }
 
@@ -102,6 +110,7 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             samples: self.samples,
+            test_mode: self.test_mode,
             throughput: None,
             _parent: std::marker::PhantomData,
         }
@@ -119,13 +128,16 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     samples: usize,
+    test_mode: bool,
     throughput: Option<Throughput>,
     _parent: std::marker::PhantomData<&'a mut Criterion>,
 }
 
 impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = n.max(1);
+        if !self.test_mode {
+            self.samples = n.max(1);
+        }
         self
     }
 
@@ -204,7 +216,10 @@ mod tests {
 
     #[test]
     fn group_api_compiles_and_runs() {
-        let mut c = Criterion { samples: 3 };
+        let mut c = Criterion {
+            samples: 3,
+            test_mode: false,
+        };
         let mut group = c.benchmark_group("t");
         group.sample_size(3);
         group.throughput(Throughput::Bytes(1024));

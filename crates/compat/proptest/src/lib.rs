@@ -24,8 +24,14 @@ pub mod test_runner {
     }
 
     impl Default for Config {
+        /// As in the real crate, only the default honors `PROPTEST_CASES`;
+        /// an explicit [`Config::with_cases`] wins over the environment.
         fn default() -> Self {
-            Config { cases: 64 }
+            let cases = std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(64);
+            Config { cases }
         }
     }
 

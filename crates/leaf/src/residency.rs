@@ -141,20 +141,22 @@ impl ResidencyManager {
             .insert(Arc::as_ptr(block) as usize);
     }
 
-    /// Record a query touch on a *cold* block (`&self`). The block's
-    /// deferred column CRCs are verified in place — once: each column's
-    /// verify-once latch answers every later touch. A mismatch poisons
-    /// the manager (see [`ResidencyManager::take_poison`]) and returns
-    /// the reason as `Err` so the query can fail closed. Repeated
-    /// touches queue the block for promotion back to heap.
-    pub fn touch_cold(&self, table: &str, block: &Arc<RowBlock>) -> Result<(), String> {
-        if let Err(e) = block.verify_columns() {
-            let reason = format!("cold block of table {table:?} failed CRC: {e}");
-            let mut poison = self.poison.lock().unwrap_or_else(|e| e.into_inner());
-            if poison.is_none() {
-                *poison = Some((table.to_owned(), reason.clone()));
-            }
-            return Err(reason);
+    /// Record a query touch on a *cold* block (`&self`). The deferred
+    /// CRCs of the columns the query reads (`columns`) are verified in
+    /// place — once: each column's verify-once latch answers every later
+    /// touch. The other columns stay unverified until promotion checks
+    /// the whole block before copying it. A mismatch poisons the manager
+    /// (see [`ResidencyManager::take_poison`]) and returns the reason as
+    /// `Err` so the query can fail closed. Repeated touches queue the
+    /// block for promotion back to heap.
+    pub fn touch_cold(
+        &self,
+        table: &str,
+        block: &Arc<RowBlock>,
+        columns: &[&str],
+    ) -> Result<(), String> {
+        if let Err(e) = block.verify_columns_for(columns) {
+            return Err(self.condemn(table, &e));
         }
         let key = Arc::as_ptr(block) as usize;
         let touches = {
@@ -170,6 +172,18 @@ impl ResidencyManager {
             }
         }
         Ok(())
+    }
+
+    /// A cold block of `table` failed its CRC (at a query touch, or at the
+    /// whole-block check before promotion): record the first such failure
+    /// for [`ResidencyManager::take_poison`] and return the reason.
+    pub fn condemn(&self, table: &str, error: &dyn std::fmt::Display) -> String {
+        let reason = format!("cold block of table {table:?} failed CRC: {error}");
+        let mut poison = self.poison.lock().unwrap_or_else(|e| e.into_inner());
+        if poison.is_none() {
+            *poison = Some((table.to_owned(), reason.clone()));
+        }
+        reason
     }
 
     /// Reconcile the candidate list with the live store and fold queued
@@ -427,18 +441,18 @@ mod tests {
                 })),
         );
         let mut m = ResidencyManager::new();
-        m.touch_cold("t", &cold).unwrap();
+        m.touch_cold("t", &cold, &["time", "v"]).unwrap();
         assert!(
             m.drain_promotions().is_empty(),
             "first touch serves in place"
         );
-        m.touch_cold("t", &cold).unwrap();
+        m.touch_cold("t", &cold, &["time", "v"]).unwrap();
         let promos = m.drain_promotions();
         assert_eq!(promos.len(), 1);
         assert!(Arc::ptr_eq(&promos[0].1, &cold));
         // Re-touching after the drain does not re-queue (count moved past
         // the threshold).
-        m.touch_cold("t", &cold).unwrap();
+        m.touch_cold("t", &cold, &["time", "v"]).unwrap();
         assert!(m.drain_promotions().is_empty());
         assert!(m.take_poison().is_none());
     }

@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::{Row, RowBlock, Table};
 use scuba_diskstore::{rowformat, ColdStore, DiskBackup, RecoveryStats, Throttle};
 use scuba_obs::PhaseBreakdown;
-use scuba_query::{execute_vectorized, LeafQueryResult, Query};
+use scuba_query::{execute_planned, LeafQueryResult, Query};
 use scuba_restart::{
     attach_from_shm, backup_to_shm_with, read_wal, resolve_copy_threads, restore_from_shm_with,
     AttachReport, BackupReport, CopyOptions, LeafBackupState, LeafRestoreState, RestoreError,
@@ -352,8 +352,9 @@ struct HydratedBlock {
 }
 
 /// Verify every mapped column's deferred RBC checksum — a no-op for
-/// columns a query touch already latched — then copy the block to heap.
-/// Runs on a worker thread; no store access.
+/// columns a query touch already latched — then copy the block to heap:
+/// the one way a mapped block (shm or cold) becomes a heap block. Run by
+/// the hydration workers and by cold promotion; no store access.
 fn hydrate_block(block: &RowBlock) -> Result<RowBlock, String> {
     block.verify_columns().map_err(|e| e.to_string())?;
     Ok(block.to_heap())
@@ -512,26 +513,31 @@ impl Hydrator {
         }
     }
 
-    /// A query is about to scan `table`: CRC-verify every mapped block it
-    /// will touch, then promote those blocks to the head of the hydration
-    /// queue. Each column's verify-once latch makes this first-touch-only
-    /// and shares the pass with the workers: whoever reaches a column
-    /// first pays, the other side reads the outcome. A verification
-    /// failure poisons the hydrator — the caller fails the query and the
-    /// next poll/finish falls back to disk.
-    fn touch(&self, table: &Table, query: &Query) -> Result<(), String> {
+    /// A query is about to scan `blocks`: CRC-verify, in every mapped one,
+    /// the columns the query reads (`columns`, [`Query::columns_read`]) —
+    /// and only those — then promote the block to the head of the
+    /// hydration queue. Each column's verify-once latch makes this
+    /// first-touch-only and shares the pass with the workers: whoever
+    /// reaches a column first pays, the other side reads the outcome. The
+    /// columns the query does not read stay unverified, and unread, until
+    /// a worker's whole-block [`hydrate_block`] checks them before the
+    /// copy — so every byte is checked once before anyone trusts it, and
+    /// a corrupt column nobody queried still condemns the attach there. A
+    /// verification failure here poisons the hydrator — the caller fails
+    /// the query and the next poll/finish falls back to disk.
+    fn touch(&self, blocks: &[Arc<RowBlock>], columns: &[&str]) -> Result<(), String> {
         if let Some(reason) = self.poison.lock().unwrap().clone() {
             return Err(reason);
         }
-        let plan = scuba_query::plan_scan(table, query).map_err(|e| e.to_string())?;
-        for block in &plan.blocks {
+        for block in blocks {
             // First touch only — read off the latches, so a repeat query
-            // takes no lock at all: heap blocks and blocks someone already
-            // verified (hence already promoted, or with a worker) skip.
-            if block.columns().iter().all(|c| c.is_verified()) {
+            // takes no lock at all: heap blocks and columns someone already
+            // verified (the block hence already promoted, or with a
+            // worker) skip.
+            if block.columns_verified(columns) {
                 continue;
             }
-            if let Err(e) = block.verify_columns() {
+            if let Err(e) = block.verify_columns_for(columns) {
                 let reason = format!("query touched corrupt mapped block: {e}");
                 *self.poison.lock().unwrap() = Some(reason.clone());
                 return Err(reason);
@@ -1778,10 +1784,11 @@ impl LeafServer {
 
     /// Execute a query against this leaf's fraction of the table, on the
     /// vectorized scan path (in-place over mapped blocks — no hydration
-    /// forced). On a `Hydrating` leaf the touched mapped blocks are
-    /// CRC-verified first (first touch only) and jump the hydration
-    /// queue; a verification failure fails the query and condemns the
-    /// attach at the next [`Self::poll_hydration`].
+    /// forced). On a `Hydrating` leaf the columns the query reads are
+    /// CRC-verified in each touched mapped block first (first touch only)
+    /// and the block jumps the hydration queue; a verification failure
+    /// fails the query and condemns the attach at the next
+    /// [`Self::poll_hydration`].
     pub fn query(&self, query: &Query) -> LeafResult<LeafQueryResult> {
         let latency = scuba_obs::Stopwatch::start();
         if !self.phase.accepts_queries() {
@@ -1793,22 +1800,25 @@ impl LeafServer {
         let Some(t) = self.store.map().get(&query.table) else {
             return Ok(LeafQueryResult::empty());
         };
+        // Plan once: planning snapshots (re-encodes) the open block, and
+        // both first-touch passes must see the very blocks the scan reads.
+        let plan = scuba_query::plan_scan(t, query).map_err(|e| LeafError::Query(e.to_string()))?;
+        let columns = query.columns_read();
         if let Some(h) = self.hydrator.as_ref() {
-            h.touch(t, query)
+            h.touch(&plan.blocks, &columns)
                 .map_err(|reason| LeafError::Query(format!("mapped scan condemned: {reason}")))?;
         }
         if self.config.tiering == TieringMode::Sieve {
             // Residency touches mirror Hydrator::touch: the blocks the scan
             // will visit (post zone-map pruning) get their SIEVE visited
-            // bit; cold blocks get first-touch CRC verification, and a
-            // failure fails the query — the poison is acted on (per-table
-            // disk fallback) at the next tiering poll.
-            let plan =
-                scuba_query::plan_scan(t, query).map_err(|e| LeafError::Query(e.to_string()))?;
+            // bit; cold blocks get first-touch CRC verification of the
+            // columns the query reads, and a failure fails the query — the
+            // poison is acted on (per-table disk fallback) at the next
+            // tiering poll.
             for block in &plan.blocks {
                 if block.is_cold() {
                     self.residency
-                        .touch_cold(&query.table, block)
+                        .touch_cold(&query.table, block, &columns)
                         .map_err(|reason| {
                             LeafError::Query(format!("cold scan condemned: {reason}"))
                         })?;
@@ -1818,7 +1828,7 @@ impl LeafServer {
             }
         }
         let scan = Instant::now();
-        let result = execute_vectorized(t, query)?;
+        let result = execute_planned(&plan, query)?;
         if scuba_obs::enabled() {
             scuba_obs::histogram!("query_scan_ns")
                 .observe(scan.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -2160,18 +2170,19 @@ impl LeafServer {
         self.run_tiering(self.tier_now)
     }
 
-    /// One tiering pass: act on query-detected cold corruption, promote
-    /// repeatedly-touched cold blocks back to heap, then demote until the
-    /// resident set fits the budget.
+    /// One tiering pass: promote repeatedly-touched cold blocks back to
+    /// heap, act on cold corruption (found by a query touch or by the
+    /// promotion's own check), then demote until the resident set fits the
+    /// budget.
     fn run_tiering(&mut self, now: i64) -> LeafResult<()> {
         if self.config.tiering != TieringMode::Sieve {
             return Ok(());
         }
         self.tier_now = now;
+        self.apply_promotions();
         if let Some((table, reason)) = self.residency.take_poison() {
             self.recover_cold_table(&table, now, reason)?;
         }
-        self.apply_promotions();
         self.enforce_budget(now)?;
         self.publish_memory_gauges();
         Ok(())
@@ -2201,10 +2212,11 @@ impl LeafServer {
         Ok(())
     }
 
-    /// Swap repeatedly-touched cold blocks back onto the heap. The first
-    /// touch already CRC-verified the image in place, so the copy here is
-    /// just a copy. Tables whose last cold block promoted shed their
-    /// fast-format file.
+    /// Swap repeatedly-touched cold blocks back onto the heap. The touches
+    /// verified only the columns their queries read, so the rest are
+    /// checked here, before the copy (a latch read for the ones already
+    /// paid); a failure condemns the table like a failed touch. Tables
+    /// whose last cold block promoted shed their fast-format file.
     fn apply_promotions(&mut self) {
         let promotions = self.residency.drain_promotions();
         if promotions.is_empty() {
@@ -2219,7 +2231,13 @@ impl LeafServer {
             let Some(t) = self.store.map_mut().get_mut(&name) else {
                 continue;
             };
-            let heap = Arc::new(old.to_heap());
+            let heap = match hydrate_block(&old) {
+                Ok(heap) => Arc::new(heap),
+                Err(e) => {
+                    self.residency.condemn(&name, &e);
+                    continue;
+                }
+            };
             if t.apply_block_patch(&old, heap) {
                 if scuba_obs::enabled() {
                     let labels = [("leaf", obs_key.as_str())];
@@ -2340,7 +2358,7 @@ impl LeafServer {
 mod tests {
     use super::*;
     use scuba_columnstore::table::RetentionLimits;
-    use scuba_columnstore::Value;
+    use scuba_columnstore::{ColdRef, Value};
     use scuba_query::{AggSpec, GroupKey};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU32, Ordering};
@@ -2716,6 +2734,11 @@ mod tests {
             matches!(outcome, RecoveryOutcome::MemoryAttached(_)),
             "attach should not notice payload corruption: {outcome:?}"
         );
+        // Nor does a query that never reads the corrupt column: it checks
+        // only what it reads. The worker's whole-block check before the
+        // copy is what condemns the attach.
+        let count = Query::new("logs", 0, 2000);
+        assert_eq!(s2.query(&count).unwrap().rows_matched, 1000);
         s2.finish_hydration().unwrap();
         assert_eq!(s2.phase(), LeafPhase::Alive);
         let reason = s2.hydration_fallback_reason().expect("fallback recorded");
@@ -2896,9 +2919,11 @@ mod tests {
         assert_eq!(s2.total_rows(), 1000);
     }
 
-    /// Satellite: a query that scans a corrupt mapped block fails (the
-    /// first-touch CRC catches it), and the recorded poison turns into
-    /// the full disk fallback at the next poll — data intact from disk.
+    /// Column-granular first touch: a corrupt column a query does not
+    /// read does not fail it (nor is it checked); a query that reads it
+    /// fails closed (the first-touch CRC catches it) with the sticky
+    /// error, and the recorded poison turns into the full disk fallback at
+    /// the next poll — data intact from disk.
     #[test]
     fn query_over_corrupt_mapped_block_fails_then_falls_back() {
         let _l = HYDRATE_LOCK.lock().unwrap();
@@ -2915,9 +2940,23 @@ mod tests {
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-        let q = Query::new("logs", 0, 1000);
+        let bad = corrupt_column_of(&s2, "logs");
+        assert_ne!(bad, "time", "the fixture is meant to spare the time column");
+        let good = if bad == "sev" { "code" } else { "sev" };
+        let count = Query::new("logs", 0, 1000);
+        assert_eq!(s2.query(&count).unwrap().rows_matched, 800);
+        let over_good = count
+            .clone()
+            .aggregates(vec![AggSpec::CountDistinct(good.into())]);
+        assert_eq!(s2.query(&over_good).unwrap().rows_matched, 800);
+        let block = Arc::clone(&s2.store().map().get("logs").unwrap().blocks()[0]);
+        assert!(!block.column(&bad).unwrap().is_verified());
+
+        let q = count.clone().aggregates(vec![AggSpec::CountDistinct(bad)]);
         let err = s2.query(&q).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+        // Sticky: the poison now fails every query until the fallback.
+        assert_eq!(s2.query(&count).unwrap_err().to_string(), err.to_string());
         // The poison condemns the attach at the next poll.
         assert_eq!(s2.poll_hydration().unwrap(), 0);
         assert_eq!(s2.phase(), LeafPhase::Alive);
@@ -2929,10 +2968,10 @@ mod tests {
         assert_eq!(s2.query(&q).unwrap().rows_matched, 800);
     }
 
-    /// Verify once: the query's first touch latches every mapped column
-    /// it scans, so the hydrator worker's `hydrate_block` on the same
-    /// block finds the check already paid — through the original columns
-    /// or any clone of them.
+    /// The touch contract: a query pays the deferred CRC of the columns it
+    /// reads, the hydrator worker pays for the rest before it copies, and
+    /// nobody pays twice — each column's latch is read through the
+    /// original or any clone.
     #[test]
     fn query_touch_pays_the_crc_the_hydrator_would_have() {
         let _l = HYDRATE_LOCK.lock().unwrap();
@@ -2948,32 +2987,99 @@ mod tests {
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
         let blocks: Vec<Arc<RowBlock>> = s2.store().map().get("logs").unwrap().blocks().to_vec();
-        let mapped_columns = |b: &RowBlock| -> Vec<scuba_columnstore::RowBlockColumn> {
-            b.columns()
-                .iter()
-                .filter(|c| c.is_mapped())
-                .cloned()
-                .collect()
-        };
-        assert!(blocks.iter().any(|b| b.is_mapped()));
-        // Attach deferred every footer CRC.
+        // Fresh clones, so what we see is the shared latch, not a cache.
+        let verified = |b: &RowBlock, name: &str| b.column(name).unwrap().clone().is_verified();
+        assert!(blocks.iter().all(|b| b.is_mapped()));
+        // Attach deferred every footer CRC, and parked every block.
         for b in &blocks {
-            assert!(mapped_columns(b).iter().all(|c| !c.is_verified()));
+            assert!(["time", "sev", "code"].iter().all(|c| !verified(b, c)));
         }
-        assert_eq!(
-            s2.query(&Query::new("logs", 0, 1000)).unwrap().rows_matched,
-            800
-        );
-        // The touch paid for all of them — visible through fresh clones —
-        // so the worker's verify pass is a latch read, then the copy.
+        let parked = || s2.hydrator.as_ref().unwrap().queue.parked_len();
+        assert_eq!(parked(), blocks.len());
+
+        // What a count(*) touches: `time` and nothing else. Touch copies
+        // of the blocks — the columns share their latches with the
+        // originals, but the copies are not the parked `Arc`s, so nothing
+        // is promoted and no worker races these assertions.
+        let copies: Vec<Arc<RowBlock>> = blocks.iter().map(|b| Arc::new((**b).clone())).collect();
+        let h = s2.hydrator.as_ref().unwrap();
+        h.touch(&copies, &Query::new("logs", 0, 1000).columns_read())
+            .unwrap();
         for b in &blocks {
-            assert!(mapped_columns(b).iter().all(|c| c.is_verified()));
-            let heap = hydrate_block(b).unwrap();
-            assert!(!heap.is_mapped());
+            assert!(verified(b, "time"));
+            assert!(!verified(b, "sev") && !verified(b, "code"));
+        }
+        // A query over another column pays for that column only.
+        h.touch(&copies, &["time", "sev"]).unwrap();
+        for b in &blocks {
+            assert!(verified(b, "sev") && !verified(b, "code"));
+        }
+        assert_eq!(parked(), blocks.len());
+
+        // A real query promotes each block it had to verify something in
+        // — once: finishing below would apply a block queued twice twice,
+        // and trip the pending count.
+        let sum_code = Query::new("logs", 0, 1000).aggregates(vec![AggSpec::Sum("code".into())]);
+        assert_eq!(s2.query(&sum_code).unwrap().rows_matched, 800);
+        assert_eq!(parked(), 0);
+        assert_eq!(s2.query(&sum_code).unwrap().rows_matched, 800);
+        // The worker finds every check paid, and copies.
+        for b in &blocks {
+            assert!(["time", "sev", "code"].iter().all(|c| verified(b, c)));
+            assert!(!hydrate_block(b).unwrap().is_mapped());
         }
         s2.finish_hydration().unwrap();
         assert!(s2.hydration_fallback_reason().is_none());
         assert_eq!(s2.total_rows(), 800);
+    }
+
+    /// Name of the one column of `table` whose bytes fail their footer
+    /// CRC, found through heap copies so no latch is touched.
+    fn corrupt_column_of(server: &LeafServer, table: &str) -> String {
+        let mut bad = Vec::new();
+        for b in server.store().map().get(table).unwrap().blocks() {
+            for (name, _) in b.schema().iter() {
+                let bytes = b.column(name).unwrap().as_bytes().to_vec();
+                if scuba_columnstore::RowBlockColumn::from_bytes(bytes.into()).is_err() {
+                    bad.push(name.to_owned());
+                }
+            }
+        }
+        assert_eq!(bad.len(), 1, "expected one corrupt column, found {bad:?}");
+        bad.pop().unwrap()
+    }
+
+    /// Plan once per query: planning snapshots (clones and re-encodes) the
+    /// open block, so the hydrator touch, the tiering touch and the scan
+    /// share one plan instead of making three.
+    #[test]
+    fn query_encodes_the_open_block_once() {
+        let _l = HYDRATE_LOCK.lock().unwrap();
+        let (mut cfg, dir) = tiered_config("planonce", 0);
+        cfg.restore_mode = RestoreMode::TwoPhase;
+        cfg.hydration = HydrationMode::OnAccess;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 600);
+        s.shutdown_to_shm(0).unwrap();
+        drop(s);
+
+        let (mut s2, _) = LeafServer::start(cfg, 0, None).unwrap();
+        let tail: Vec<Row> = (600..650).map(|i| Row::at(i).with("sev", "late")).collect();
+        s2.add_rows("logs", &tail, 0).unwrap();
+        // All three consumers are live: hydrating, tiering, unsealed rows.
+        assert!(s2.is_hydrating());
+        assert!(s2.store().map().get("logs").unwrap().unsealed_rows() > 0);
+        let before = scuba_columnstore::RowBlockBuilder::snapshots_on_thread();
+        let r = s2
+            .query(&Query::new("logs", 0, 1000).group_by("sev"))
+            .unwrap();
+        assert_eq!(r.rows_matched, 650);
+        assert_eq!(
+            scuba_columnstore::RowBlockBuilder::snapshots_on_thread() - before,
+            1
+        );
+        s2.finish_hydration().unwrap();
     }
 
     /// A corrupt mapped column condemns itself once: the query touch, the
@@ -2994,7 +3100,8 @@ mod tests {
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-        let q = Query::new("logs", 0, 1000);
+        let bad = corrupt_column_of(&s2, "logs");
+        let q = Query::new("logs", 0, 1000).aggregates(vec![AggSpec::CountDistinct(bad)]);
         let from_query = s2.query(&q).unwrap_err().to_string();
         let table = s2.store().map().get("logs").unwrap();
         let bad = table
@@ -3581,26 +3688,19 @@ mod tests {
         assert_eq!(s.query(&q).unwrap().rows_matched, 2000);
     }
 
-    /// A corrupt cold block fails the touching query and condemns only
-    /// that table: the next tiering pass rebuilds it from the disk row
-    /// log (§4.3 conservatism, narrowed per-table) — no wedge, no other
-    /// table disturbed.
-    #[test]
-    fn corrupt_cold_block_recovers_table_from_disk() {
-        let _x = scuba_faults::exclusive();
-        scuba_faults::clear_all();
-        let (cfg, dir) = tiered_config("tier_corrupt", 8 * 1024);
+    /// A tiered leaf with some cold blocks, one of them stomped mid-image
+    /// on disk (the mapping is MAP_SHARED, so the running leaf sees the
+    /// rot) — which lands in the fat `msg` column. Returns the stomped
+    /// block's cold ref.
+    fn leaf_with_corrupt_cold_msg(tag: &str) -> (LeafServer, Cleanup, ColdRef) {
+        let (cfg, dir) = tiered_config(tag, 8 * 1024);
         let mut s = LeafServer::new(cfg).unwrap();
-        let _c = Cleanup(s.namespace().clone(), dir);
+        let cleanup = Cleanup(s.namespace().clone(), dir);
         fill_wide(&mut s, 2, 1000);
         let other: Vec<Row> = (0..100).map(Row::at).collect();
         s.add_rows("other", &other, 0).unwrap();
         s.sync_disk().unwrap();
         s.poll_tiering().unwrap();
-        assert!(s.cold_blocks() > 0, "no blocks were demoted");
-
-        // Stomp the middle of one cold block's image on disk. The mapping
-        // is MAP_SHARED, so the running leaf sees the rot.
         let cr = s
             .store()
             .map()
@@ -3620,16 +3720,51 @@ mod tests {
             f.write_all(&[0xFF; 16]).unwrap();
             f.sync_all().unwrap();
         }
+        assert_eq!(corrupt_column_of(&s, "logs"), "msg");
+        (s, cleanup, cr)
+    }
 
-        let q = Query::new("logs", 0, 10_000);
-        let err = s.query(&q).unwrap_err().to_string();
+    /// Column-granular first touch on the cold tier: queries that do not
+    /// read the corrupt column answer, and leave it unverified; one that
+    /// reads it fails closed and condemns only that table — the next
+    /// tiering pass rebuilds it from the disk row log (§4.3 conservatism,
+    /// narrowed per-table): no wedge, no other table disturbed.
+    #[test]
+    fn corrupt_unread_cold_column_fails_only_the_queries_that_read_it() {
+        let _x = scuba_faults::exclusive();
+        scuba_faults::clear_all();
+        let (mut s, _c, cr) = leaf_with_corrupt_cold_msg("tier_colgran");
+
+        let count = Query::new("logs", 0, 10_000);
+        assert_eq!(s.query(&count).unwrap().rows_matched, 2000);
+        let by_sev = count.clone().group_by("sev");
+        assert_eq!(s.query(&by_sev).unwrap().groups.len(), 2);
+        let cold = s
+            .store()
+            .map()
+            .get("logs")
+            .unwrap()
+            .blocks()
+            .iter()
+            .find(|b| b.cold_ref() == Some(&cr))
+            .cloned()
+            .expect("still cold: one count is one touch");
+        assert!(cold.column("time").unwrap().is_verified());
+        assert!(cold.column("sev").unwrap().is_verified());
+        assert!(!cold.column("msg").unwrap().is_verified());
+
+        let over_msg = count
+            .clone()
+            .aggregates(vec![AggSpec::CountDistinct("msg".into())]);
+        let err = s.query(&over_msg).unwrap_err().to_string();
         assert!(err.contains("cold scan condemned"), "{err}");
-        // The poison is acted on at the next pass: per-table disk rebuild.
-        // Budget off so the pass doesn't immediately re-demote the
-        // rebuilt table (which would legitimately recreate the file).
+        // Budget off so the pass doesn't immediately re-demote the rebuilt
+        // table (which would legitimately recreate the file).
         s.config.memory_budget_bytes = 0;
         s.poll_tiering().unwrap();
-        assert_eq!(s.query(&q).unwrap().rows_matched, 2000);
+        let r = s.query(&over_msg).unwrap();
+        assert_eq!(r.rows_matched, 2000);
+        assert_eq!(r.groups[&GroupKey::Null][0].finish(), Value::Int(2000));
         assert_eq!(
             s.query(&Query::new("other", 0, 10_000))
                 .unwrap()
@@ -3637,10 +3772,28 @@ mod tests {
             100,
             "unrelated table disturbed by the fallback"
         );
-        assert!(
-            !cr.path.exists(),
-            "condemned table kept its corrupt cold file"
-        );
+        assert!(!cr.path.exists(), "condemned table kept its cold file");
+    }
+
+    /// ... and when no query ever reads the corrupt cold column, the
+    /// whole-block check before promotion's copy still finds it.
+    #[test]
+    fn corrupt_cold_column_nobody_queried_condemns_at_promotion() {
+        let _x = scuba_faults::exclusive();
+        scuba_faults::clear_all();
+        let (mut s, _c, cr) = leaf_with_corrupt_cold_msg("tier_colpromo");
+
+        let count = Query::new("logs", 0, 10_000);
+        s.config.memory_budget_bytes = 0; // let promotions stick
+        assert_eq!(s.query(&count).unwrap().rows_matched, 2000);
+        assert_eq!(s.query(&count).unwrap().rows_matched, 2000); // queues promotion
+        s.poll_tiering().unwrap();
+        // The corrupt image never reached the heap: the table was rebuilt
+        // from the disk log instead, and its cold file dropped.
+        assert!(!cr.path.exists(), "condemned table kept its cold file");
+        let over_msg = count.aggregates(vec![AggSpec::CountDistinct("msg".into())]);
+        let r = s.query(&over_msg).unwrap();
+        assert_eq!(r.groups[&GroupKey::Null][0].finish(), Value::Int(2000));
     }
 
     /// Shutdown/restart re-attaches both tiers: cold blocks come back as

@@ -86,7 +86,7 @@ pub enum DistinctValue {
 }
 
 impl DistinctValue {
-    fn from_value(v: &Value) -> Option<DistinctValue> {
+    pub(crate) fn from_value(v: &Value) -> Option<DistinctValue> {
         match v {
             Value::Null => None,
             Value::Int(i) => Some(DistinctValue::Int(*i)),
@@ -130,38 +130,57 @@ impl AggState {
     /// skipped (except Count, which counts the row regardless).
     pub fn update(&mut self, cell: &Value) {
         match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum(s) => {
-                if let Some(v) = cell.as_numeric() {
-                    *s += v;
-                }
-            }
-            AggState::Min(m) => {
-                if let Some(v) = cell.as_numeric() {
-                    *m = Some(m.map_or(v, |cur| cur.min(v)));
-                }
-            }
-            AggState::Max(m) => {
-                if let Some(v) = cell.as_numeric() {
-                    *m = Some(m.map_or(v, |cur| cur.max(v)));
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if let Some(v) = cell.as_numeric() {
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-            AggState::Percentile { histogram, .. } => {
-                if let Some(v) = cell.as_numeric() {
-                    histogram.record(v);
-                }
-            }
-            AggState::Distinct(set) => {
+            AggState::Count(_) => self.add_count(1),
+            AggState::Distinct(_) => {
                 if let Some(dv) = DistinctValue::from_value(cell) {
-                    set.insert(dv);
+                    self.insert_distinct(dv);
                 }
             }
+            _ => {
+                if let Some(v) = cell.as_numeric() {
+                    self.update_num(v);
+                }
+            }
+        }
+    }
+
+    // The three typed updaters below are what `update` is made of, exposed
+    // so the vectorized fold can feed an accumulator straight from a typed
+    // column without boxing a `Value` per row. Each accepts only the kinds
+    // named; the fold picks the updater from the `AggSpec` the state was
+    // built from, so a mismatch is a bug, as in `merge`.
+
+    /// Count `n` rows at once.
+    pub fn add_count(&mut self, n: u64) {
+        match self {
+            AggState::Count(c) => *c += n,
+            other => panic!("add_count on {other:?}"),
+        }
+    }
+
+    /// Fold one non-null numeric cell, already widened to f64 the way
+    /// [`Value::as_numeric`] widens it, into a Sum/Min/Max/Avg/Percentile.
+    pub fn update_num(&mut self, v: f64) {
+        match self {
+            AggState::Sum(s) => *s += v,
+            AggState::Min(m) => *m = Some(m.map_or(v, |cur| cur.min(v))),
+            AggState::Max(m) => *m = Some(m.map_or(v, |cur| cur.max(v))),
+            AggState::Avg { sum, count } => {
+                *sum += v;
+                *count += 1;
+            }
+            AggState::Percentile { histogram, .. } => histogram.record(v),
+            other => panic!("update_num on {other:?}"),
+        }
+    }
+
+    /// Add one non-null cell to a Distinct set.
+    pub fn insert_distinct(&mut self, v: DistinctValue) {
+        match self {
+            AggState::Distinct(set) => {
+                set.insert(v);
+            }
+            other => panic!("insert_distinct on {other:?}"),
         }
     }
 

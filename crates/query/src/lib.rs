@@ -12,7 +12,8 @@
 //!   differential oracle for the vectorized path.
 //! * [`vectorized`] — the production scan path: columnar filter kernels
 //!   over in-place [`scuba_columnstore::ColumnView`]s and selection
-//!   vectors; `Value` boxing only for selected rows.
+//!   vectors, a slot-indexed typed fold (no `Value` per row), and block
+//!   headers answering the time range where they can.
 //! * [`partial`] — aggregator-side merging: "Scuba can and does return
 //!   partial query results when not all servers are available" (§1), so a
 //!   merged result carries the fraction of leaves that contributed.
@@ -35,4 +36,4 @@ pub use parse::{parse_query, ParseError};
 pub use partial::{merge_partials, MergedResult};
 pub use plan::{plan_scan, ScanPlan};
 pub use query::{GroupKey, Query};
-pub use vectorized::execute_vectorized;
+pub use vectorized::{execute_planned, execute_vectorized};

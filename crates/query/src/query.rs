@@ -1,6 +1,6 @@
 //! Query descriptions and group keys.
 
-use scuba_columnstore::Value;
+use scuba_columnstore::{Value, TIME_COLUMN};
 
 use crate::agg::AggSpec;
 use crate::expr::Filter;
@@ -134,6 +134,20 @@ impl Query {
         }
         cols
     }
+
+    /// Every column the scan may read a byte of: `time` (the range
+    /// predicate, or the presence flag that lets a block header answer it)
+    /// plus [`Self::touched_columns`]. The leaf verifies exactly these
+    /// columns of a mapped block before the first scan over it.
+    pub fn columns_read(&self) -> Vec<&str> {
+        let mut cols = vec![TIME_COLUMN];
+        cols.extend(
+            self.touched_columns()
+                .into_iter()
+                .filter(|c| *c != TIME_COLUMN),
+        );
+        cols
+    }
 }
 
 #[cfg(test)]
@@ -182,6 +196,13 @@ mod tests {
             .group_by("sev")
             .aggregates(vec![AggSpec::Count, AggSpec::Avg("latency".into())]);
         assert_eq!(q.touched_columns(), vec!["sev", "code", "latency"]);
+        assert_eq!(
+            q.columns_read(),
+            vec![TIME_COLUMN, "sev", "code", "latency"]
+        );
+        // Naming `time` explicitly does not list it twice.
+        let q = Query::new("t", 0, 10).aggregates(vec![AggSpec::Max(TIME_COLUMN.into())]);
+        assert_eq!(q.columns_read(), vec![TIME_COLUMN]);
     }
 
     #[test]

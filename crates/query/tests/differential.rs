@@ -3,6 +3,10 @@
 //! scan statistic — across encodings, null patterns, mapped/heap
 //! backings, and arbitrary queries. Zone-map pruning must never change
 //! answers (a zone-stripped table gives the same groups/row counts).
+//!
+//! "Identical" is `LeafQueryResult == LeafQueryResult`: `AggState` compares
+//! its `f64`s with `==`, and the two executors add the same values in the
+//! same order, so sums and means agree to the bit.
 
 use std::sync::Arc;
 
@@ -11,8 +15,27 @@ use proptest::option;
 use proptest::prelude::*;
 
 use scuba_columnstore::scan::remap_block;
-use scuba_columnstore::{Row, Table, Value, TIME_COLUMN};
-use scuba_query::{execute, execute_vectorized, AggSpec, CmpOp, Filter, Query};
+use scuba_columnstore::{
+    ColumnData, ColumnType, Row, RowBlock, RowBlockColumn, RowBlockHeader, Schema, Table, Value,
+    TIME_COLUMN,
+};
+use scuba_query::{
+    execute, execute_vectorized, AggSpec, AggState, CmpOp, Filter, LeafQueryResult, Query,
+};
+
+/// The bit pattern of every f64 a result holds, group by group — `==` on
+/// the results themselves would let `0.0 == -0.0` through.
+fn float_bits(r: &LeafQueryResult) -> Vec<Vec<Option<u64>>> {
+    let bits = |s: &AggState| match s {
+        AggState::Sum(v) | AggState::Avg { sum: v, .. } => Some(v.to_bits()),
+        AggState::Min(v) | AggState::Max(v) => v.map(f64::to_bits),
+        _ => None,
+    };
+    r.groups
+        .values()
+        .map(|states| states.iter().map(bits).collect())
+        .collect()
+}
 
 /// Rows exercising every column type with independent null patterns:
 /// `n` (int, sometimes null), `d` (double, sometimes null), `s` (string
@@ -86,23 +109,53 @@ fn arb_column() -> impl Strategy<Value = &'static str> {
     (0usize..COLUMNS.len()).prop_map(|i| COLUMNS[i])
 }
 
+/// Every aggregate kind over every column type (and a column no block
+/// has); a query takes a random handful.
+fn agg_pool() -> Vec<AggSpec> {
+    vec![
+        AggSpec::Count,
+        AggSpec::Sum("n".into()),
+        AggSpec::Sum("d".into()),
+        AggSpec::Min("d".into()),
+        AggSpec::Max("n".into()),
+        AggSpec::Avg("d".into()),
+        AggSpec::Avg("extra".into()),
+        AggSpec::Min(TIME_COLUMN.into()),
+        AggSpec::p50("d"),
+        AggSpec::p99("n"),
+        AggSpec::CountDistinct("s".into()),
+        AggSpec::CountDistinct("n".into()),
+        AggSpec::CountDistinct("d".into()),
+        AggSpec::CountDistinct("tags".into()),
+        AggSpec::Sum("s".into()),
+        AggSpec::Max("missing".into()),
+    ]
+}
+
+/// A time range: mostly inside the data's 0..2000 (so time-sorted blocks
+/// fall inside, across and outside it), sometimes unbounded on either or
+/// both sides.
+fn arb_range() -> impl Strategy<Value = (i64, i64)> {
+    ((0i64..1000, 1i64..2100), 0u8..8).prop_map(|((from, span), kind)| match kind {
+        0 => (i64::MIN, i64::MAX),
+        1 => (i64::MIN, from + span),
+        2 => (from, i64::MAX),
+        _ => (from, from + span),
+    })
+}
+
 fn arb_query() -> impl Strategy<Value = Query> {
     (
-        (0i64..1000, 1i64..2100),
+        arb_range(),
         vec((arb_column(), arb_op(), arb_literal()), 0..3),
         option::of(arb_column()),
         option::of(1i64..500),
+        vec(0usize..agg_pool().len(), 1..6),
     )
-        .prop_map(|((from, span), filters, group_by, bucket)| {
-            let mut q = Query::new("t", from, from + span).aggregates(vec![
-                AggSpec::Count,
-                AggSpec::Sum("n".into()),
-                AggSpec::Min("d".into()),
-                AggSpec::Max("n".into()),
-                AggSpec::Avg("d".into()),
-                AggSpec::p50("d"),
-                AggSpec::CountDistinct("s".into()),
-            ]);
+        .prop_map(|((from, to), filters, group_by, bucket, aggs)| {
+            let pool = agg_pool();
+            let mut q = Query::new("t", from, to)
+                .aggregates(aggs.into_iter().map(|i| pool[i].clone()).collect());
             for (c, op, lit) in filters {
                 q = q.filter(Filter {
                     column: c.to_string(),
@@ -145,15 +198,27 @@ fn map_table(t: &Table) -> Table {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    // Default config (64 cases per run here): CI's scan-kernels leg raises
+    // it with PROPTEST_CASES, which an explicit `with_cases` would ignore.
 
     /// Vectorized == row-wise, bit for bit, over heap and mapped backings.
     #[test]
-    fn vectorized_equals_row_wise(rows in arb_rows(), q in arb_query(), seal_every in 20usize..120) {
+    fn vectorized_equals_row_wise(
+        mut rows in arb_rows(),
+        sorted in any::<bool>(),
+        q in arb_query(),
+        seal_every in 20usize..120,
+    ) {
+        // Time-sorted rows give blocks with disjoint time ranges, so the
+        // query's range contains some, cuts through some and misses some.
+        if sorted {
+            rows.sort_by_key(Row::time);
+        }
         let heap = build_table(&rows, seal_every);
         let row_wise = execute(&heap, &q).unwrap();
         let vec_wise = execute_vectorized(&heap, &q).unwrap();
         prop_assert_eq!(&row_wise, &vec_wise);
+        prop_assert_eq!(float_bits(&row_wise), float_bits(&vec_wise));
 
         let mapped = map_table(&heap);
         let vec_mapped = execute_vectorized(&mapped, &q).unwrap();
@@ -196,5 +261,264 @@ proptest! {
         prop_assert!(without.blocks_zonemap_pruned <= with_zones.blocks_zonemap_pruned);
         // Pruned blocks can only reduce work, never add it.
         prop_assert!(with_zones.rows_scanned <= without.rows_scanned);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fixed cases: the shapes the slot-indexed fold and the header-answered
+// time range special-case, each against the row-wise oracle.
+// ---------------------------------------------------------------------------
+
+/// Both executors over `t` and over its mapped twin, whole results.
+fn assert_same(t: &Table, q: &Query) {
+    let row_wise = execute(t, q).unwrap();
+    let vec_wise = execute_vectorized(t, q).unwrap();
+    assert_eq!(row_wise, vec_wise, "heap, {q:?}");
+    assert_eq!(float_bits(&row_wise), float_bits(&vec_wise), "heap, {q:?}");
+    let mapped = map_table(t);
+    assert_eq!(
+        execute(&mapped, q).unwrap(),
+        execute_vectorized(&mapped, q).unwrap(),
+        "mapped, {q:?}"
+    );
+}
+
+/// A sealed block of `times.len()` rows whose time column holds the given
+/// cells (`None` = a null timestamp, which the builder can never produce)
+/// and whose header bounds cover the non-null ones, as a writer's would.
+fn block_with_times(times: &[Option<i64>]) -> RowBlock {
+    let mut t = Table::new("t", 0);
+    for (i, _) in times.iter().enumerate() {
+        t.append(
+            &Row::at(0)
+                .with("n", i as i64)
+                .with("s", format!("k{}", i % 5)),
+            0,
+        )
+        .unwrap();
+    }
+    t.seal(0).unwrap();
+    let built = &t.blocks()[0];
+    let mut time = ColumnData::new(ColumnType::Int64);
+    for cell in times {
+        match cell {
+            Some(v) => time.push(Value::Int(*v)).unwrap(),
+            None => time.push_null(),
+        }
+    }
+    let mut columns = built.columns().to_vec();
+    columns[built.schema().index_of(TIME_COLUMN).unwrap()] = RowBlockColumn::encode(&time).unwrap();
+    let mut header = *built.header();
+    header.min_time = times.iter().flatten().copied().min().unwrap();
+    header.max_time = times.iter().flatten().copied().max().unwrap();
+    RowBlock::from_parts(header, built.schema().clone(), columns).unwrap()
+}
+
+/// Four time-disjoint sealed blocks (100 rows each at 0.., 1000.., 2000..,
+/// 3000..) plus an unsealed tail; `late` exists only from the third block
+/// on; `wide` is a string column with 350 distinct values and some nulls.
+fn epochs_table() -> Table {
+    let mut t = Table::new("t", 0);
+    let row = |time: i64, i: i64| {
+        let mut row = Row::at(time);
+        if i % 3 != 0 {
+            row.set("n", i % 11 - 5);
+        }
+        if i % 4 != 0 {
+            row.set("d", i as f64 * 0.37 + 1e-7 * ((i * 37) % 11) as f64);
+        }
+        if i % 7 != 0 {
+            row.set("wide", format!("w{:03}", (i * 13) % 350));
+        }
+        if i % 5 != 4 {
+            row.set("s", format!("s{}", i % 6));
+        }
+        if i % 6 == 0 {
+            row.set(
+                "tags",
+                Value::set([format!("t{}", i % 3), "all".to_string()]),
+            );
+        }
+        row
+    };
+    for epoch in 0..4i64 {
+        for i in 0..400i64 {
+            let mut r = row(epoch * 1000 + i / 4, epoch * 400 + i);
+            if epoch >= 2 {
+                r.set("late", i);
+            }
+            t.append(&r, 0).unwrap();
+        }
+        t.seal(0).unwrap();
+    }
+    for i in 0..30i64 {
+        t.append(&row(4000 + i, 1600 + i), 0).unwrap();
+    }
+    t
+}
+
+#[test]
+fn time_range_against_block_headers() {
+    let t = epochs_table();
+    let aggs = vec![AggSpec::Count, AggSpec::Sum("d".into())];
+    for (from, to) in [
+        (i64::MIN, i64::MAX), // every block inside
+        (0, 5000),
+        (1000, 3100),     // blocks 1–2 inside, 3 cut at its first row, 0 outside
+        (1000, 3099 + 1), // exclusive bound exactly past block 3's max
+        (1050, 2050),     // cuts through two blocks, contains none
+        (999, 1000),      // empty in data
+        (1099, 1100),     // a block's last second only
+        (4010, 4020),     // the unsealed tail only
+        (5000, 6000),     // outside everything
+    ] {
+        for q in [
+            Query::new("t", from, to),
+            Query::new("t", from, to).aggregates(aggs.clone()),
+            Query::new("t", from, to).bucket_secs(64),
+            Query::new("t", from, to)
+                .group_by("s")
+                .aggregates(aggs.clone()),
+            Query::new("t", from, to).filter(Filter::new(TIME_COLUMN, CmpOp::Ge, 1010i64)),
+            Query::new("t", from, to).aggregates(vec![AggSpec::Max(TIME_COLUMN.into())]),
+        ] {
+            assert_same(&t, &q);
+        }
+    }
+}
+
+/// A block whose `time` column holds doubles. No writer produces one, but
+/// `from_parts` accepts it, and both executors read every such timestamp
+/// as i64::MIN — whatever the header claims.
+fn block_with_double_times(rows: usize) -> RowBlock {
+    let mut schema = Schema::new();
+    schema.add_column(TIME_COLUMN, ColumnType::Double).unwrap();
+    let mut time = ColumnData::new(ColumnType::Double);
+    for i in 0..rows {
+        time.push(Value::Double(10.0 + i as f64)).unwrap();
+    }
+    let header = RowBlockHeader {
+        size_bytes: 0, // recomputed by from_parts
+        row_count: rows as u32,
+        min_time: 10,
+        max_time: 10 + rows as i64,
+        created_at: 0,
+    };
+    RowBlock::from_parts(header, schema, vec![RowBlockColumn::encode(&time).unwrap()]).unwrap()
+}
+
+#[test]
+fn null_timestamps_are_never_answered_by_the_header() {
+    // Header bounds [10, 30] lie inside every range below, but rows 1 and
+    // 3 have no timestamp: they read as i64::MIN, inside only a range
+    // that starts there.
+    let nulls = block_with_times(&[Some(10), None, Some(20), None, Some(30), Some(12)]);
+    let full = block_with_times(&[Some(11), Some(12), Some(13), Some(14)]);
+    let doubles = block_with_double_times(3);
+    let blocks = vec![Arc::new(nulls), Arc::new(full), Arc::new(doubles)];
+    let t = Table::from_blocks("t", blocks, 0);
+    for (from, to) in [(0, 100), (i64::MIN, 100), (i64::MIN, i64::MAX), (15, 25)] {
+        for q in [
+            Query::new("t", from, to),
+            Query::new("t", from, to).group_by("s"),
+            Query::new("t", from, to).bucket_secs(64),
+            Query::new("t", from, to)
+                .bucket_secs(8)
+                .group_by("s")
+                .aggregates(vec![AggSpec::Count, AggSpec::Min(TIME_COLUMN.into())]),
+            Query::new("t", from, to).filter(Filter::new(TIME_COLUMN, CmpOp::Lt, 25i64)),
+        ] {
+            assert_same(&t, &q);
+        }
+    }
+    // The null rows are real rows: counted from i64::MIN, not otherwise.
+    let count = |from| {
+        execute_vectorized(&t, &Query::new("t", from, 100))
+            .unwrap()
+            .rows_matched
+    };
+    assert_eq!(count(i64::MIN), 13);
+    assert_eq!(count(0), 8);
+}
+
+#[test]
+fn group_sources_and_buckets() {
+    let t = epochs_table();
+    let aggs = vec![
+        AggSpec::Count,
+        AggSpec::Sum("d".into()),
+        AggSpec::Avg("n".into()),
+    ];
+    for group in [
+        None,
+        Some("wide"),    // dictionary, 350 entries, nulls: the slot table
+        Some("s"),       // small dictionary
+        Some("n"),       // integers: boxed keys
+        Some("d"),       // doubles group under Null
+        Some("tags"),    // string sets: boxed keys
+        Some("late"),    // absent from the first two blocks
+        Some("missing"), // absent everywhere
+        Some(TIME_COLUMN),
+    ] {
+        for bucket in [None, Some(1), Some(7), Some(250), Some(100_000)] {
+            for filter in [None, Some(Filter::new("n", CmpOp::Ge, 0i64))] {
+                let mut q = Query::new("t", 500, 3500).aggregates(aggs.clone());
+                if let Some(g) = group {
+                    q = q.group_by(g);
+                }
+                if let Some(b) = bucket {
+                    q = q.bucket_secs(b);
+                }
+                if let Some(f) = filter {
+                    q = q.filter(f);
+                }
+                assert_same(&t, &q);
+            }
+        }
+    }
+}
+
+#[test]
+fn every_aggregate_over_every_column_type() {
+    let t = epochs_table();
+    let columns = [
+        "n",
+        "d",
+        "wide",
+        "s",
+        "tags",
+        "late",
+        "missing",
+        TIME_COLUMN,
+    ];
+    for c in columns {
+        let aggs = vec![
+            AggSpec::Count,
+            AggSpec::Sum(c.into()),
+            AggSpec::Min(c.into()),
+            AggSpec::Max(c.into()),
+            AggSpec::Avg(c.into()),
+            AggSpec::p50(c),
+            AggSpec::Percentile(c.into(), 0.99),
+            AggSpec::CountDistinct(c.into()),
+        ];
+        for q in [
+            Query::new("t", 0, 5000).aggregates(aggs.clone()),
+            Query::new("t", 0, 5000)
+                .group_by("s")
+                .aggregates(aggs.clone()),
+            Query::new("t", 0, 5000)
+                .group_by("wide")
+                .aggregates(aggs.clone()),
+            Query::new("t", 0, 5000)
+                .bucket_secs(300)
+                .group_by("n")
+                .aggregates(aggs.clone()),
+            Query::new("t", 1050, 3050)
+                .filter(Filter::new("s", CmpOp::Ne, "s2"))
+                .aggregates(aggs),
+        ] {
+            assert_same(&t, &q);
+        }
     }
 }
