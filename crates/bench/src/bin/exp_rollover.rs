@@ -9,8 +9,8 @@
 //! ```
 
 use scuba::cluster::{
-    rollover, simulate_rollover, Cluster, ClusterConfig, Dashboard, DashboardRow, RecoveryPath,
-    RolloverConfig, SimConfig,
+    rollover, simulate_rollover, ClusterConfig, Dashboard, DashboardRow, HostedCluster,
+    NullSloFeed, RecoveryPath, RolloverConfig, SimConfig, SloPolicy,
 };
 use scuba::columnstore::table::RetentionLimits;
 use scuba_bench::{fmt_dur, header, request_rows, row, table_header};
@@ -25,7 +25,7 @@ fn main() {
     println!("\n-- real mini-cluster (4 machines x 2 leaves, real shm + disk) --\n");
     let dir = std::env::temp_dir().join(format!("scuba_e4_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = HostedCluster::new(ClusterConfig {
         machines: 4,
         leaves_per_machine: 2,
         shm_prefix: format!("e4x{}", std::process::id()),
@@ -34,34 +34,28 @@ fn main() {
         retention: RetentionLimits::NONE,
     })
     .expect("cluster");
-    for (i, m) in (0..4).zip(0..) {
-        let _ = i;
-        let rows = request_rows(30_000, m as u64);
-        for l in 0..2 {
-            cluster.machines_mut()[m].slots_mut()[l]
-                .server_mut()
-                .unwrap()
-                .add_rows("requests", &rows, 0)
-                .unwrap();
-        }
+    let lpm = cluster.config().leaves_per_machine;
+    for idx in 0..cluster.total_leaves() {
+        // Both leaves of a machine hold that machine's rows.
+        let rows = request_rows(30_000, (idx / lpm) as u64);
+        cluster.add_rows(idx, "requests", rows, 0).unwrap();
     }
-    let report = rollover(&mut cluster, &RolloverConfig::default());
+    let report = rollover(
+        &cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     println!(
         "  {} leaves, {} waves, {} memory recoveries, wall time {:?}, min availability {:.1}%",
-        report.events.len(),
+        report.restarted,
         report.waves,
         report.memory_recoveries(),
-        report.total_duration,
+        report.duration,
         report.min_availability * 100.0
     );
     println!("{}", report.dashboard.render(10));
-    for m in cluster.machines() {
-        for s in m.slots() {
-            if let Some(srv) = s.server() {
-                srv.namespace().unlink_all(8);
-            }
-        }
-    }
+    cluster.unlink_shm();
     let _ = std::fs::remove_dir_all(&dir);
 
     // -- Paper scale. --

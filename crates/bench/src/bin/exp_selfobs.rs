@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use scuba::cluster::dashboard::DashboardFeed;
 use scuba::cluster::{
-    restore_ns_by_leaf, rollover, Cluster, ClusterConfig, QueryDashboardFeed, RolloverConfig,
-    TelemetryExporter,
+    restore_ns_by_leaf, rollover, ClusterConfig, HostedCluster, NullSloFeed, QueryDashboardFeed,
+    RolloverConfig, SloPolicy, TelemetryExporter,
 };
 use scuba::columnstore::table::RetentionLimits;
 use scuba::leaf::RecoveryOutcome;
@@ -37,7 +37,7 @@ use scuba_bench::{header, request_rows, row, table_header, BenchJson};
 
 /// A disposable mini-cluster with its own shm namespace and disk root.
 struct ClusterRig {
-    cluster: Cluster,
+    cluster: HostedCluster,
     dir: PathBuf,
 }
 
@@ -46,7 +46,7 @@ impl ClusterRig {
         let prefix = format!("selfobs{}", std::process::id());
         let dir = std::env::temp_dir().join(format!("scuba_{prefix}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let cluster = Cluster::new(ClusterConfig {
+        let cluster = HostedCluster::new(ClusterConfig {
             machines,
             leaves_per_machine,
             shm_prefix: prefix,
@@ -61,34 +61,25 @@ impl ClusterRig {
 
 impl Drop for ClusterRig {
     fn drop(&mut self) {
-        for m in self.cluster.machines() {
-            for s in m.slots() {
-                if let Some(srv) = s.server() {
-                    srv.namespace().unlink_all(8);
-                }
-            }
-        }
+        self.cluster.unlink_shm();
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
 /// Ingest `batches` × `batch_rows` user rows round-robin across every
-/// leaf; returns the wall-clock seconds spent inside `add_rows`.
-fn ingest_rows(cluster: &mut Cluster, rows: &[scuba::columnstore::Row], batches: usize) -> f64 {
-    let machines = cluster.machines().len();
-    let lpm = cluster.config().leaves_per_machine;
+/// leaf through its admission queue; returns the wall-clock seconds the
+/// batches took, each one's copy into the request included.
+fn ingest_rows(cluster: &HostedCluster, rows: &[scuba::columnstore::Row], batches: usize) -> f64 {
+    let leaves = cluster.total_leaves();
+    let now = rows
+        .iter()
+        .map(scuba::columnstore::Row::time)
+        .max()
+        .unwrap_or(0);
     let t = Instant::now();
     for b in 0..batches {
-        let (m, l) = ((b / lpm) % machines, b % lpm);
-        let now = rows
-            .iter()
-            .map(scuba::columnstore::Row::time)
-            .max()
-            .unwrap_or(0);
-        cluster.machines_mut()[m].slots_mut()[l]
-            .server_mut()
-            .expect("leaf up")
-            .add_rows("requests", rows, now)
+        cluster
+            .add_rows(b % leaves, "requests", rows.to_vec(), now)
             .expect("ingest batch");
     }
     t.elapsed().as_secs_f64()
@@ -100,7 +91,7 @@ fn ingest_rows(cluster: &mut Cluster, rows: &[scuba::columnstore::Row], batches:
 /// (seconds), amortized over however many user rows arrive in between.
 /// We price one snapshot (collect + flush through the same leaves) and
 /// compare against the user ingest it rides along with.
-fn part_overhead(cluster: &mut Cluster, json: &mut BenchJson, smoke: bool) -> i64 {
+fn part_overhead(cluster: &HostedCluster, json: &mut BenchJson, smoke: bool) -> i64 {
     header(
         "E18a: telemetry ingest overhead",
         "self-telemetry must cost <2% of leaf ingest throughput",
@@ -167,7 +158,7 @@ fn part_overhead(cluster: &mut Cluster, json: &mut BenchJson, smoke: bool) -> i6
 
 /// Part 2 — dashboard query latency: the query-driven feed vs the
 /// registry feed, over the same fleet.
-fn part_dashboard(cluster: &mut Cluster, json: &mut BenchJson, smoke: bool) {
+fn part_dashboard(cluster: &HostedCluster, json: &mut BenchJson, smoke: bool) {
     header(
         "E18b: dashboard query latency",
         "Figure-8 rows rebuilt from vectorized queries over __scuba_telemetry",
@@ -266,7 +257,7 @@ fn part_slo(json: &mut BenchJson) {
 
 /// Part 4 — one query filtered by the rollover's trace id reconstructs
 /// every leaf's restore time within ±5% of the RestartReport.
-fn part_trace(cluster: &mut Cluster, json: &mut BenchJson) {
+fn part_trace(cluster: &HostedCluster, json: &mut BenchJson) {
     header(
         "E18d: end-to-end restart tracing",
         "one trace_id query rebuilds the per-leaf restore timeline (±5%)",
@@ -274,7 +265,12 @@ fn part_trace(cluster: &mut Cluster, json: &mut BenchJson) {
     // Every restart span of the rollover must survive until the sampler
     // drains the ring: widen it well past leaves × phases.
     scuba::obs::set_span_capacity(8192);
-    let report = rollover(cluster, &RolloverConfig::default());
+    let report = rollover(
+        cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     assert!(report.trace_id != 0, "rollover must allocate a trace id");
 
     let mut exporter = TelemetryExporter::default();
@@ -285,16 +281,15 @@ fn part_trace(cluster: &mut Cluster, json: &mut BenchJson) {
     let by_leaf = restore_ns_by_leaf(cluster, report.trace_id);
     let query_ms = t.elapsed().as_secs_f64() * 1e3;
 
-    let prefix = cluster.config().shm_prefix.clone();
-    let lpm = cluster.config().leaves_per_machine;
+    let keys = cluster.leaf_keys();
     let mut max_err_pct = 0.0f64;
-    for e in &report.events {
-        let key = format!("{prefix}:{}", e.machine * lpm + e.leaf);
-        let RecoveryOutcome::Memory(ref r) = e.outcome else {
-            panic!("expected a shared-memory restore, got {:?}", e.outcome);
+    for (idx, outcome) in &report.recoveries {
+        let key = &keys[*idx];
+        let RecoveryOutcome::Memory(r) = outcome else {
+            panic!("expected a shared-memory restore, got {outcome:?}");
         };
         let want = r.phases.phase_sum().as_nanos() as i64;
-        let got = by_leaf.get(&key).copied().unwrap_or(0);
+        let got = by_leaf.get(key).copied().unwrap_or(0);
         let tol = (want as f64 * 0.05).max(1000.0);
         assert!(
             (got - want).abs() as f64 <= tol,
@@ -304,14 +299,14 @@ fn part_trace(cluster: &mut Cluster, json: &mut BenchJson) {
             max_err_pct = max_err_pct.max(100.0 * (got - want).abs() as f64 / want as f64);
         }
     }
-    assert_eq!(by_leaf.len(), report.events.len(), "every leaf traced");
+    assert_eq!(by_leaf.len(), report.recoveries.len(), "every leaf traced");
     scuba::obs::set_span_capacity(256);
 
     table_header();
     row(
         "leaves reconstructed",
         "all",
-        &format!("{}/{}", by_leaf.len(), report.events.len()),
+        &format!("{}/{}", by_leaf.len(), report.recoveries.len()),
     );
     row(
         "worst error vs RestartReport",
@@ -394,13 +389,13 @@ fn main() {
     let mut json = BenchJson::new(&["e18_"]);
 
     let (machines, lpm) = if smoke { (2, 2) } else { (2, 4) };
-    let rig = &mut ClusterRig::new(machines, lpm);
+    let rig = ClusterRig::new(machines, lpm);
 
-    let events = part_overhead(&mut rig.cluster, &mut json, smoke);
+    let events = part_overhead(&rig.cluster, &mut json, smoke);
     println!("\n  (one registry snapshot currently produces {events} events)");
-    part_dashboard(&mut rig.cluster, &mut json, smoke);
+    part_dashboard(&rig.cluster, &mut json, smoke);
     part_slo(&mut json);
-    part_trace(&mut rig.cluster, &mut json);
+    part_trace(&rig.cluster, &mut json);
     part_shed(&mut json);
 
     json.write();

@@ -5,7 +5,7 @@
 //! of users while 2% of machines are down. This experiment closes that
 //! loop in-process: a seeded load generator (closed-loop hammer plus an
 //! open-loop arrival process) drives every leaf's bounded admission queue
-//! while [`paced_rollover`] restarts the whole fleet, pacing waves off the
+//! while [`rollover`] restarts the whole fleet, pacing waves off the
 //! live `leaf_query_latency_ns` p99 and availability.
 //!
 //! Asserted invariants (the acceptance criteria, not just prints):
@@ -27,8 +27,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use scuba::cluster::{
-    paced_rollover, AdmissionConfig, ClusterConfig, HostedCluster, LiveSloFeed, LoadMode,
-    LoadReport, LoadgenConfig, PaceEvent, RolloverConfig, ShedPolicy, SloPolicy,
+    rollover, AdmissionConfig, ClusterConfig, HostedCluster, LiveSloFeed, LoadMode, LoadReport,
+    LoadgenConfig, PaceEvent, RolloverConfig, ShedPolicy, SloPolicy,
 };
 use scuba::columnstore::table::RetentionLimits;
 use scuba::columnstore::Row;
@@ -36,7 +36,6 @@ use scuba_bench::{header, row, table_header, BenchJson};
 
 struct Rig {
     cluster: HostedCluster,
-    prefix: String,
     dir: std::path::PathBuf,
 }
 
@@ -49,7 +48,7 @@ impl Rig {
             ClusterConfig {
                 machines,
                 leaves_per_machine,
-                shm_prefix: prefix.clone(),
+                shm_prefix: prefix,
                 disk_root: dir.clone(),
                 leaf_memory_capacity: 1 << 30,
                 retention: RetentionLimits::NONE,
@@ -60,21 +59,13 @@ impl Rig {
             },
         )
         .expect("boot hosted cluster");
-        Rig {
-            cluster,
-            prefix,
-            dir,
-        }
+        Rig { cluster, dir }
     }
 }
 
 impl Drop for Rig {
     fn drop(&mut self) {
-        for id in 0..self.cluster.total_leaves() {
-            if let Ok(ns) = scuba::shmem::ShmNamespace::new(&self.prefix, id as u32) {
-                ns.unlink_all(8);
-            }
-        }
+        self.cluster.unlink_shm();
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
@@ -160,7 +151,7 @@ fn main() {
         // Let traffic establish a latency baseline, then roll the fleet.
         std::thread::sleep(Duration::from_millis(if smoke { 50 } else { 200 }));
         let mut feed = LiveSloFeed::new();
-        let report = paced_rollover(cluster, &RolloverConfig::default(), &policy, &mut feed);
+        let report = rollover(cluster, &RolloverConfig::default(), &policy, &mut feed);
 
         // A short tail of traffic against the fully-new fleet.
         std::thread::sleep(Duration::from_millis(if smoke { 50 } else { 200 }));

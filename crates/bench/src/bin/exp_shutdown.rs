@@ -53,5 +53,5 @@ fn main() {
         "(same order)",
         &fmt_dur(15.0 * 1024.0 * 1024.0 * 1024.0 / last_rate),
     );
-    println!("\nthe 3-minute kill timeout is exercised by the rollover tests (killed leaves recover from disk).");
+    println!("\nthe kill path (a failed shutdown is a kill; the replacement recovers from disk) is exercised by tests/rollover.rs.");
 }

@@ -554,9 +554,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                 scuba_faults::configure(site, plan)?;
             }
 
-            // --- One rollover under fire. A failed shutdown is what the
-            // rollover script's timeout-kill produces: a crashed old
-            // process.
+            // --- One rollover under fire. A failed shutdown is a kill,
+            // as in the hosted cluster: a crashed old process.
             if server.shutdown_to_shm(0).is_err() {
                 server.crash();
             }

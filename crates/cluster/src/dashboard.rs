@@ -13,7 +13,7 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::cluster::Cluster;
+use crate::hosted::HostedCluster;
 
 /// One sample of rollover progress.
 #[derive(Debug, Clone, PartialEq)]
@@ -161,13 +161,14 @@ impl fmt::Display for Dashboard {
 /// "new version". A leaf whose gauge says it is not answering queries is
 /// "rolling"; everyone else is still "old". Availability is the fraction
 /// of leaves answering — by construction the same number
-/// [`Cluster::availability`] computes from slot phases, because every
-/// phase transition in the leaf server routes through the gauge.
+/// [`HostedCluster::availability`] computes from the hosts' published
+/// status, because every phase transition in the leaf server routes
+/// through the gauge.
 ///
 /// When instrumentation is disabled ([`scuba_obs::enabled`] is false) the
 /// gauges are never written, so [`DashboardFeed::sample`] falls back to
-/// reading slot phases directly and classifies a leaf as "new" once it
-/// has been observed down and then answering again.
+/// reading the hosts' status directly and classifies a leaf as "new" once
+/// it has been observed down and then answering again.
 #[derive(Debug)]
 pub struct DashboardFeed {
     keys: Vec<String>,
@@ -205,18 +206,12 @@ fn leaf_counter(name: &str, key: &str) -> u64 {
 impl DashboardFeed {
     /// A feed over every leaf in `cluster`, with recovery baselines taken
     /// now. Create it immediately before starting a rollover.
-    pub fn new(cluster: &Cluster) -> DashboardFeed {
-        let keys = cluster
-            .machines()
-            .iter()
-            .flat_map(|m| m.slots())
-            .map(|s| format!("{}:{}", s.config().shm_prefix, s.config().leaf_id))
-            .collect();
-        DashboardFeed::from_keys(keys)
+    pub fn new(cluster: &HostedCluster) -> DashboardFeed {
+        DashboardFeed::from_keys(cluster.leaf_keys())
     }
 
     /// A feed over an explicit set of leaf metric keys (each leaf's
-    /// `shm_prefix:leaf_id`), for callers without a [`Cluster`] handle —
+    /// `shm_prefix:leaf_id`), for callers without a cluster handle —
     /// the chaos soak rolls a single bare [`scuba_leaf::LeafServer`].
     pub fn from_keys(keys: Vec<String>) -> DashboardFeed {
         let baseline = keys.iter().map(|k| recoveries(k)).collect();
@@ -229,16 +224,13 @@ impl DashboardFeed {
     }
 
     /// Sample the fleet: one row classifying every leaf as old/rolling/new
-    /// from the metric registry, falling back to slot phases when
-    /// instrumentation is disabled.
-    pub fn sample(&mut self, cluster: &Cluster, elapsed: Duration) -> DashboardRow {
-        let phases: Vec<bool> = cluster
-            .machines()
-            .iter()
-            .flat_map(|m| m.slots())
-            .map(|s| s.phase().accepts_queries())
+    /// from the metric registry, falling back to the hosts' published
+    /// status when instrumentation is disabled.
+    pub fn sample(&mut self, cluster: &HostedCluster, elapsed: Duration) -> DashboardRow {
+        let accepts: Vec<bool> = (0..cluster.total_leaves())
+            .map(|i| cluster.with_host(i, |h| h.is_some_and(|h| h.status().accepts_queries())))
             .collect();
-        self.sample_inner(elapsed, &phases)
+        self.sample_inner(elapsed, &accepts)
     }
 
     /// Sample purely from the metric registry, with no cluster handle.

@@ -16,7 +16,7 @@
 //! backlog.
 
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{bounded, Sender};
 use scuba_columnstore::Row;
@@ -43,8 +43,8 @@ pub struct HostStatus {
     phase: AtomicU8,
     free_memory: AtomicUsize,
     total_rows: AtomicUsize,
-    /// 0 = fresh boot / unknown, 1 = memory recovery, 2 = disk recovery.
-    recovery_path: AtomicU8,
+    /// How this leaf's boot recovered; unset for a fresh boot.
+    recovery: OnceLock<RecoveryOutcome>,
 }
 
 impl HostStatus {
@@ -53,7 +53,7 @@ impl HostStatus {
             phase: AtomicU8::new(phase),
             free_memory: AtomicUsize::new(0),
             total_rows: AtomicUsize::new(0),
-            recovery_path: AtomicU8::new(0),
+            recovery: OnceLock::new(),
         }
     }
 
@@ -119,14 +119,15 @@ impl HostStatus {
     }
 
     /// How this leaf's boot recovered: `None` for a fresh boot (or while
-    /// recovery is still running), otherwise whether memory recovery
-    /// succeeded.
+    /// recovery is still running).
+    pub fn recovery(&self) -> Option<&RecoveryOutcome> {
+        self.recovery.get()
+    }
+
+    /// Whether this leaf's boot recovered through shared memory (`None`
+    /// for a fresh boot or while recovery is still running).
     pub fn recovered_via_memory(&self) -> Option<bool> {
-        match self.recovery_path.load(Ordering::Acquire) {
-            1 => Some(true),
-            2 => Some(false),
-            _ => None,
-        }
+        self.recovery().map(RecoveryOutcome::is_memory)
     }
 }
 
@@ -141,7 +142,8 @@ enum Command {
     SyncDisk {
         reply: Sender<LeafResult<u64>>,
     },
-    /// Clean shutdown: copy to shared memory, reply, exit the thread.
+    /// Clean shutdown: copy to shared memory, reply, exit the thread. A
+    /// shutdown that fails crashes the server instead.
     Shutdown {
         now: i64,
         reply: Sender<LeafResult<ShutdownSummary>>,
@@ -231,10 +233,8 @@ impl LeafHost {
         let thread = std::thread::spawn(move || {
             let mut server = match boot() {
                 Ok((server, outcome)) => {
-                    if let Some(o) = &outcome {
-                        thread_status
-                            .recovery_path
-                            .store(if o.is_memory() { 1 } else { 2 }, Ordering::Release);
+                    if let Some(o) = outcome {
+                        let _ = thread_status.recovery.set(o);
                     }
                     server
                 }
@@ -291,12 +291,15 @@ impl LeafHost {
                     }
                     Command::Shutdown { now, reply } => {
                         let result = server.shutdown_to_shm(now);
-                        let ok = result.is_ok();
+                        if result.is_err() {
+                            // A leaf that cannot shut down cleanly is
+                            // killed (§4.5): it loses what a real kill
+                            // loses — rows not yet synced to disk.
+                            server.crash();
+                        }
                         thread_status.publish(&server);
                         let _ = reply.send(result);
-                        if ok {
-                            break; // process exit
-                        }
+                        break; // process exit
                     }
                     Command::Kill => {
                         server.crash();
@@ -432,7 +435,8 @@ impl LeafHost {
     }
 
     /// Clean shutdown: drains queued requests first (FIFO), copies to
-    /// shared memory, and terminates the thread. Consumes the host.
+    /// shared memory, and terminates the thread. Consumes the host. On
+    /// error the leaf has been killed, as [`Self::kill`] would.
     pub fn shutdown(mut self, now: i64) -> LeafResult<ShutdownSummary> {
         let (reply, rx) = bounded(1);
         self.queue

@@ -1,24 +1,47 @@
-//! A cluster of [`LeafHost`]s: every leaf on its own thread, queries
-//! fanned out concurrently, and a rollover that runs **while** clients
-//! keep querying from other threads — the full §4.5 scenario with real
-//! concurrency instead of a single-threaded reenactment.
+//! The cluster: machines × leaves, every leaf on its own thread behind
+//! a bounded admission queue, queries fanned out concurrently and merged
+//! (the two-level aggregator path of Figure 1), and the stop/start halves
+//! the rollover loop ([`crate::rollover::rollover`]) restarts waves
+//! with **while** clients keep querying from other threads — the §4.5
+//! scenario with real concurrency.
 //!
 //! Each leaf slot sits behind its own `RwLock`, so restarting one leaf
-//! never blocks traffic to the other `N-1`: the rollover write-locks a
-//! slot only for the instants it takes the old host out and puts the
+//! never blocks traffic to the other `N-1`: a restart write-locks a slot
+//! only for the instants it takes the old host out and puts the
 //! replacement in, and the admission queues in front of every leaf keep
 //! overload bounded while the fleet is degraded.
 
+use std::path::PathBuf;
+use std::sync::Arc;
+
 use parking_lot::RwLock;
+use scuba_columnstore::table::RetentionLimits;
 use scuba_columnstore::Row;
 use scuba_ingest::{LeafClient, PlacementState};
-use scuba_leaf::{LeafConfig, LeafResult};
+use scuba_leaf::{LeafConfig, LeafResult, RecoveryOutcome};
 use scuba_query::{merge_partials, LeafQueryResult, MergedResult, Query};
+use scuba_shmem::ShmNamespace;
 
 use crate::admission::AdmissionConfig;
-use crate::cluster::ClusterConfig;
 use crate::host::LeafHost;
 use crate::rollover::RolloverConfig;
+
+/// Cluster construction parameters.
+#[derive(Debug, Clone)]
+pub struct ClusterConfig {
+    /// Number of machines.
+    pub machines: usize,
+    /// Leaf servers per machine (the paper runs 8).
+    pub leaves_per_machine: usize,
+    /// Shared-memory name prefix for the whole cluster.
+    pub shm_prefix: String,
+    /// Root directory for all disk backups.
+    pub disk_root: PathBuf,
+    /// Per-leaf memory capacity in bytes.
+    pub leaf_memory_capacity: usize,
+    /// Retention limits for every leaf.
+    pub retention: RetentionLimits,
+}
 
 /// A cluster whose leaves are threads behind bounded admission queues.
 #[derive(Debug)]
@@ -26,33 +49,20 @@ pub struct HostedCluster {
     config: ClusterConfig,
     admission: AdmissionConfig,
     /// Flattened hosts: machine `m`, leaf `l` lives at `m * L + l`.
-    /// `None` while a replacement is being started. Per-slot locks:
-    /// restarting one leaf never stalls traffic to the rest.
+    /// `None` while the leaf is stopped. Per-slot locks: restarting one
+    /// leaf never stalls traffic to the rest.
     hosts: Vec<RwLock<Option<LeafHost>>>,
 }
 
-/// What a hosted rollover did.
-#[derive(Debug)]
-pub struct HostedRolloverReport {
-    /// Leaves restarted.
-    pub restarted: usize,
-    /// Of which recovered via shared memory.
-    pub memory_recoveries: usize,
-    /// Waves executed.
-    pub waves: usize,
-    /// Wall-clock duration.
-    pub duration: std::time::Duration,
-}
-
-/// Outcome of restarting one wave of leaves (building block of both the
-/// plain and the SLO-paced rollover).
+/// Outcome of restarting one wave of leaves with
+/// [`HostedCluster::restart_leaves`].
 #[derive(Debug)]
 pub struct WaveOutcome {
     /// Leaves restarted in this wave.
     pub restarted: usize,
     /// Of which recovered via shared memory.
     pub memory_recoveries: usize,
-    /// Lowest availability sampled while the wave was down.
+    /// Availability while the wave was down.
     pub min_availability: f64,
 }
 
@@ -80,28 +90,33 @@ impl HostedCluster {
         config: ClusterConfig,
         admission: AdmissionConfig,
     ) -> LeafResult<HostedCluster> {
-        let total = config.machines * config.leaves_per_machine;
-        let mut hosts = Vec::with_capacity(total);
-        for global_id in 0..total {
-            let m = global_id / config.leaves_per_machine;
-            let l = global_id % config.leaves_per_machine;
-            let mut leaf_config = LeafConfig::new(
-                global_id as u32,
-                &config.shm_prefix,
-                config.disk_root.join(format!("m{m}_l{l}")),
-            );
-            leaf_config.memory_capacity = config.leaf_memory_capacity;
-            leaf_config.retention = config.retention;
-            hosts.push(RwLock::new(Some(LeafHost::fresh_with(
-                leaf_config,
-                admission,
-            )?)));
-        }
-        Ok(HostedCluster {
+        let mut cluster = HostedCluster {
             config,
             admission,
-            hosts,
-        })
+            hosts: Vec::new(),
+        };
+        let total = cluster.config.machines * cluster.config.leaves_per_machine;
+        for idx in 0..total {
+            let host = LeafHost::fresh_with(cluster.leaf_config(idx), admission)?;
+            cluster.hosts.push(RwLock::new(Some(host)));
+        }
+        Ok(cluster)
+    }
+
+    /// Leaf `idx`'s configuration: its own disk root and shared-memory
+    /// namespace, derived from the cluster prefix and the global leaf
+    /// numbering. Every process that ever serves the slot runs with it.
+    fn leaf_config(&self, idx: usize) -> LeafConfig {
+        let m = idx / self.config.leaves_per_machine;
+        let l = idx % self.config.leaves_per_machine;
+        let mut config = LeafConfig::new(
+            idx as u32,
+            &self.config.shm_prefix,
+            self.config.disk_root.join(format!("m{m}_l{l}")),
+        );
+        config.memory_capacity = self.config.leaf_memory_capacity;
+        config.retention = self.config.retention;
+        config
     }
 
     /// The construction config.
@@ -119,8 +134,26 @@ impl HostedCluster {
         self.hosts.len()
     }
 
-    /// Run `f` against leaf `idx` (or `None` while its replacement is
-    /// being started). The slot's read lock is held for the duration.
+    /// Every leaf's metric label (`shm_prefix:leaf_id`), in slot order —
+    /// the key its `leaf`-labeled series are published under.
+    pub fn leaf_keys(&self) -> Vec<String> {
+        (0..self.total_leaves())
+            .map(|idx| format!("{}:{idx}", self.config.shm_prefix))
+            .collect()
+    }
+
+    /// Unlink every leaf's shared-memory segments — cleanup once the
+    /// cluster is done with them.
+    pub fn unlink_shm(&self) {
+        for idx in 0..self.total_leaves() {
+            if let Ok(ns) = ShmNamespace::new(&self.config.shm_prefix, idx as u32) {
+                ns.unlink_all(8);
+            }
+        }
+    }
+
+    /// Run `f` against leaf `idx` (or `None` while it is stopped). The
+    /// slot's read lock is held for the duration.
     pub fn with_host<R>(&self, idx: usize, f: impl FnOnce(Option<&LeafHost>) -> R) -> R {
         let guard = self.hosts[idx].read();
         f(guard.as_ref())
@@ -143,7 +176,7 @@ impl HostedCluster {
             Some(host) => host.add_rows(table, rows, now),
             None => Err(scuba_leaf::LeafError::Unavailable {
                 operation: "add rows",
-                phase: "replacing",
+                phase: "DOWN",
             }),
         }
     }
@@ -156,9 +189,10 @@ impl HostedCluster {
         total
     }
 
-    /// Fraction of leaves currently answering queries. A leaf that is
-    /// *shedding* under overload still counts as answering — shedding is
-    /// backpressure, not unavailability.
+    /// Fraction of leaves currently answering queries — the "98% of data
+    /// online" dashboard number. A leaf that is *shedding* under overload
+    /// still counts as answering — shedding is backpressure, not
+    /// unavailability.
     pub fn availability(&self) -> f64 {
         let mut up = 0;
         self.for_each_host(|_, h| {
@@ -206,55 +240,73 @@ impl HostedCluster {
 
     /// Tailer-facing clients over the hosts (lock per call: they keep
     /// working across a concurrent rollover, routing around slots that
-    /// are mid-replacement).
+    /// are stopped).
     pub fn leaf_clients(&self) -> Vec<HostClient<'_>> {
         self.hosts.iter().map(|slot| HostClient { slot }).collect()
     }
 
-    /// Restart one wave of leaves (global ids): clean-shutdown (or kill)
-    /// each, boot its replacement, then wait until every replacement is
-    /// answering. Traffic to the other slots keeps flowing throughout —
-    /// the write lock is held only for the take/put instants.
-    pub fn restart_leaves(&self, ids: &[usize], cfg: &RolloverConfig) -> WaveOutcome {
-        let mut replacements: Vec<usize> = Vec::with_capacity(ids.len());
+    /// Take leaves `ids` (global ids) out of service: each is shut down
+    /// through shared memory — or killed, with `cfg.use_shm` off — and
+    /// its slot stays empty until [`Self::start_leaves`]. A leaf whose
+    /// clean shutdown fails has been killed by its host, so its
+    /// replacement recovers from disk (§4.5). Returns how many leaves
+    /// were killed rather than cleanly shut down.
+    pub fn stop_leaves(&self, ids: &[usize], cfg: &RolloverConfig) -> usize {
+        let mut killed = 0;
         for &idx in ids {
-            let host = self.hosts[idx].write().take().expect("leaf present");
-            let config = host.config().clone();
-            if cfg.use_shm {
-                if host.shutdown(cfg.now).is_err() {
-                    // Failed shutdown = the 3-minute kill: disk path.
-                }
-            } else {
+            let host = self.hosts[idx].write().take().expect("leaf running");
+            if !cfg.use_shm {
                 host.kill();
+                killed += 1;
+            } else if host.shutdown(cfg.now).is_err() {
+                killed += 1;
             }
-            // Start the replacement immediately; it recovers on its own
-            // thread while we take down the rest of the wave.
-            let replacement = LeafHost::start_with(config, cfg.now, self.admission);
-            *self.hosts[idx].write() = Some(replacement);
-            replacements.push(idx);
         }
-        // The wave is at its most degraded right before recoveries land.
-        let min_availability = self.availability();
-        let mut restarted = 0;
-        let mut memory_recoveries = 0;
-        for idx in replacements {
-            loop {
-                let guard = self.hosts[idx].read();
-                let host = guard.as_ref().expect("replacement present");
-                if host.status().accepts_queries() || host.status().is_down() {
-                    restarted += 1;
-                    if host.status().recovered_via_memory() == Some(true) {
-                        memory_recoveries += 1;
-                    }
-                    break;
-                }
-                drop(guard);
+        killed
+    }
+
+    /// Boot a replacement for each stopped leaf in `ids` — each recovers
+    /// from shared memory or disk on its own thread, concurrently — then
+    /// wait until every one is answering or has failed to boot. Returns
+    /// each replacement's recovery outcome in `ids` order; one that failed
+    /// to boot has none.
+    pub fn start_leaves(
+        &self,
+        ids: &[usize],
+        cfg: &RolloverConfig,
+    ) -> Vec<(usize, RecoveryOutcome)> {
+        let mut statuses = Vec::with_capacity(ids.len());
+        for &idx in ids {
+            let mut config = self.leaf_config(idx);
+            config.trace_id = cfg.trace_id;
+            let replacement = LeafHost::start_with(config, cfg.now, self.admission);
+            statuses.push(Arc::clone(replacement.status()));
+            let previous = self.hosts[idx].write().replace(replacement);
+            assert!(previous.is_none(), "leaf {idx} started while running");
+        }
+        let mut outcomes = Vec::with_capacity(ids.len());
+        for (&idx, status) in ids.iter().zip(statuses) {
+            while !status.accepts_queries() && !status.is_down() {
                 std::thread::yield_now();
             }
+            if let Some(outcome) = status.recovery() {
+                outcomes.push((idx, outcome.clone()));
+            }
         }
+        outcomes
+    }
+
+    /// Restart one wave of leaves: [`Self::stop_leaves`], then
+    /// [`Self::start_leaves`]. Traffic to the other slots keeps flowing
+    /// throughout — the write lock is held only for the take/put instants.
+    pub fn restart_leaves(&self, ids: &[usize], cfg: &RolloverConfig) -> WaveOutcome {
+        self.stop_leaves(ids, cfg);
+        // The wave is at its most degraded right before replacements land.
+        let min_availability = self.availability();
+        let outcomes = self.start_leaves(ids, cfg);
         WaveOutcome {
-            restarted,
-            memory_recoveries,
+            restarted: ids.len(),
+            memory_recoveries: outcomes.iter().filter(|(_, o)| o.is_memory()).count(),
             min_availability,
         }
     }
@@ -271,34 +323,6 @@ impl HostedCluster {
             }
         }
         order
-    }
-
-    /// Roll the whole cluster, wave by wave (at most one leaf per machine
-    /// per wave), while other threads keep using [`Self::query`] and the
-    /// tailer clients — no outer lock required. For SLO-paced waves see
-    /// [`crate::rollover::paced_rollover`].
-    pub fn rollover(&self, cfg: &RolloverConfig) -> HostedRolloverReport {
-        let total = self.total_leaves();
-        let per_wave =
-            ((total as f64 * cfg.fraction).ceil() as usize).clamp(1, self.config.machines.max(1));
-        let order = self.rollover_order();
-
-        let started = std::time::Instant::now();
-        let mut restarted = 0usize;
-        let mut memory_recoveries = 0usize;
-        let mut waves = 0usize;
-        for wave in order.chunks(per_wave) {
-            let outcome = self.restart_leaves(wave, cfg);
-            restarted += outcome.restarted;
-            memory_recoveries += outcome.memory_recoveries;
-            waves += 1;
-        }
-        HostedRolloverReport {
-            restarted,
-            memory_recoveries,
-            waves,
-            duration: started.elapsed(),
-        }
     }
 }
 
@@ -328,7 +352,7 @@ impl LeafClient for HostClient<'_> {
 
     fn deliver(&mut self, table: &str, rows: &[Row]) -> Result<(), String> {
         let guard = self.slot.read();
-        let host = guard.as_ref().ok_or("leaf is being replaced")?;
+        let host = guard.as_ref().ok_or("leaf is down")?;
         let now = rows.iter().map(Row::time).max().unwrap_or(0);
         host.add_rows(table, rows.to_vec(), now)
             .map_err(|e| e.to_string())
@@ -339,8 +363,9 @@ impl LeafClient for HostClient<'_> {
 pub(crate) mod tests {
     use super::*;
     use crate::admission::ShedPolicy;
-    use scuba_columnstore::table::RetentionLimits;
+    use crate::rollover::{rollover, NullSloFeed, RolloverReport, SloPolicy};
     use scuba_columnstore::Value;
+    use scuba_query::AggSpec;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use std::sync::Arc;
 
@@ -389,7 +414,7 @@ pub(crate) mod tests {
     impl Drop for Guard {
         fn drop(&mut self) {
             for id in 0..self.total {
-                if let Ok(ns) = scuba_shmem::ShmNamespace::new(&self.prefix, id as u32) {
+                if let Ok(ns) = ShmNamespace::new(&self.prefix, id as u32) {
                     ns.unlink_all(8);
                 }
             }
@@ -397,7 +422,12 @@ pub(crate) mod tests {
         }
     }
 
-    fn fill(c: &HostedCluster, rows_per_leaf: i64) {
+    /// The paper's fixed 2%-at-a-time rollover: no SLO gating.
+    pub(crate) fn roll(c: &HostedCluster, cfg: &RolloverConfig) -> RolloverReport {
+        rollover(c, cfg, &SloPolicy::fixed(0.02), &mut NullSloFeed)
+    }
+
+    pub(crate) fn fill(c: &HostedCluster, rows_per_leaf: i64) {
         for leaf in 0..c.total_leaves() {
             c.add_rows(
                 leaf,
@@ -428,11 +458,137 @@ pub(crate) mod tests {
         );
     }
 
+    /// Row `i` of `n` lands on leaf `i % total`, carrying `v = i`.
+    fn spread_rows(c: &HostedCluster, n: i64) {
+        let total = c.total_leaves() as i64;
+        for leaf in 0..total {
+            let rows = (leaf..n)
+                .step_by(total as usize)
+                .map(|i| Row::at(i).with("v", i))
+                .collect();
+            c.add_rows(leaf as usize, "t", rows, 0).unwrap();
+        }
+    }
+
+    fn leaf_rows(c: &HostedCluster, idx: usize) -> Option<usize> {
+        c.with_host(idx, |h| h.map(|h| h.status().total_rows()))
+    }
+
+    #[test]
+    fn machine_hosts_independent_leaves() {
+        let (c, _g) = hosted(1, 3);
+        c.add_rows(0, "t", vec![Row::at(1)], 0).unwrap();
+        assert_eq!(leaf_rows(&c, 0), Some(1));
+        assert_eq!(leaf_rows(&c, 1), Some(0));
+        assert_eq!(c.availability(), 1.0);
+    }
+
+    #[test]
+    fn aggregator_merges_across_machines() {
+        let (c, _g) = hosted(2, 2);
+        spread_rows(&c, 100);
+        assert_eq!(c.total_rows(), 100);
+        let q = Query::new("t", 0, 1000).aggregates(vec![AggSpec::Count, AggSpec::Sum("v".into())]);
+        let r = c.query(&q);
+        assert!(r.is_complete());
+        assert_eq!(r.leaves_total, 4);
+        let totals = r.totals().unwrap();
+        assert_eq!(totals[0], Value::Int(100));
+        assert_eq!(totals[1], Value::Double((0..100).sum::<i64>() as f64));
+    }
+
+    #[test]
+    fn partial_results_during_restart() {
+        let (c, _g) = hosted(2, 2);
+        spread_rows(&c, 100);
+        // Take one leaf down (clean shutdown: data parked in shm).
+        let cfg = RolloverConfig::default();
+        assert_eq!(c.stop_leaves(&[0], &cfg), 0);
+        let (r, stats) = c.query_detailed(&Query::new("t", 0, 1000));
+        assert!(!r.is_complete());
+        assert_eq!((r.leaves_responded, stats.unavailable), (3, 1));
+        assert!((r.availability() - 0.75).abs() < 1e-9);
+        // 25 of 100 rows lived on that leaf.
+        assert_eq!(r.totals().unwrap()[0], Value::Int(75));
+        assert!((c.availability() - 0.75).abs() < 1e-9);
+
+        // Bring it back: full results again.
+        let outcomes = c.start_leaves(&[0], &cfg);
+        assert!(outcomes[0].1.is_memory());
+        let r = c.query(&Query::new("t", 0, 1000));
+        assert!(r.is_complete());
+        assert_eq!(r.totals().unwrap()[0], Value::Int(100));
+    }
+
+    #[test]
+    fn leaf_clients_reflect_phases() {
+        let (c, _g) = hosted(1, 3);
+        c.stop_leaves(&[1], &RolloverConfig::default());
+        let clients = c.leaf_clients();
+        assert_eq!(clients.len(), 3);
+        assert_eq!(clients[0].placement_state(), PlacementState::Alive);
+        assert_eq!(clients[1].placement_state(), PlacementState::Down);
+        assert!(clients[0].free_memory() > 0);
+        assert_eq!(clients[1].free_memory(), 0);
+    }
+
+    #[test]
+    fn delivery_through_client_lands_in_leaf() {
+        let (c, _g) = hosted(1, 2);
+        {
+            let mut clients = c.leaf_clients();
+            clients[1]
+                .deliver("t", &[Row::at(5).with("v", 1i64)])
+                .unwrap();
+            assert!(clients[0].deliver("t", &[]).is_ok());
+        }
+        assert_eq!(c.total_rows(), 1);
+        assert_eq!(leaf_rows(&c, 1), Some(1));
+    }
+
+    #[test]
+    fn slot_restart_cycle() {
+        let (c, _g) = hosted(1, 2);
+        c.add_rows(0, "t", (0..100).map(Row::at).collect(), 0)
+            .unwrap();
+        let cfg = RolloverConfig::default();
+        c.stop_leaves(&[0], &cfg);
+        assert_eq!(leaf_rows(&c, 0), None);
+        let outcome = c.restart_leaves(&[1], &cfg);
+        assert_eq!((outcome.restarted, outcome.memory_recoveries), (1, 1));
+        assert!((outcome.min_availability - 0.0).abs() < 1e-9);
+        let outcomes = c.start_leaves(&[0], &cfg);
+        assert!(outcomes[0].1.is_memory());
+        assert_eq!(leaf_rows(&c, 0), Some(100));
+        c.with_host(0, |h| {
+            assert_eq!(h.unwrap().status().recovered_via_memory(), Some(true))
+        });
+    }
+
+    #[test]
+    fn kill_forces_disk_recovery() {
+        let (c, _g) = hosted(1, 1);
+        c.add_rows(0, "t", (0..10).map(Row::at).collect(), 0)
+            .unwrap();
+        c.with_host(0, |h| h.unwrap().sync_disk().unwrap());
+        let cfg = RolloverConfig {
+            use_shm: false,
+            ..Default::default()
+        };
+        assert_eq!(c.stop_leaves(&[0], &cfg), 1);
+        let outcomes = c.start_leaves(&[0], &cfg);
+        assert!(!outcomes[0].1.is_memory());
+        assert_eq!(leaf_rows(&c, 0), Some(10));
+        c.with_host(0, |h| {
+            assert_eq!(h.unwrap().status().recovered_via_memory(), Some(false))
+        });
+    }
+
     #[test]
     fn hosted_rollover_preserves_data() {
         let (c, _g) = hosted(2, 2);
         fill(&c, 200);
-        let report = c.rollover(&RolloverConfig::default());
+        let report = roll(&c, &RolloverConfig::default());
         assert_eq!(report.restarted, 4);
         assert_eq!(c.total_rows(), 800);
         let r = c.query(&Query::new("t", 0, i64::MAX));
@@ -465,7 +621,7 @@ pub(crate) mod tests {
             observations
         });
 
-        let report = c.rollover(&RolloverConfig::default());
+        let report = roll(&c, &RolloverConfig::default());
         assert_eq!(report.restarted, 6);
         stop.store(true, Ordering::Relaxed);
         let observations = client.join().unwrap();

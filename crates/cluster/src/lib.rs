@@ -5,10 +5,11 @@
 //!
 //! Two levels of fidelity, used by different experiments:
 //!
-//! * **Real mini-cluster** ([`machine`], [`cluster`], [`mod@rollover`]) — a
-//!   handful of machines × leaves with *real* leaf servers: real shared
-//!   memory, real disk backups, real queries running through the restart.
-//!   Everything in the paper's §4 actually executes.
+//! * **Real mini-cluster** ([`hosted`], [`host`], [`mod@rollover`]) — a
+//!   handful of machines × leaves with *real* leaf servers, each on its own
+//!   thread behind an admission queue: real shared memory, real disk
+//!   backups, real queries running through the restart. Everything in the
+//!   paper's §4 actually executes.
 //! * **Paper-scale simulator** ([`sim`]) — hundreds of servers with 120 GB
 //!   machines don't fit a laptop, so rollover duration and availability at
 //!   that scale are computed by a pipelined discrete-event model whose
@@ -18,12 +19,10 @@
 
 pub mod admission;
 pub mod chaos;
-pub mod cluster;
 pub mod dashboard;
 pub mod host;
 pub mod hosted;
 pub mod loadgen;
-pub mod machine;
 pub mod rollover;
 pub mod sim;
 pub mod telemetry;
@@ -33,15 +32,13 @@ pub use admission::{
     SHED_COUNTER,
 };
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport, WaveRecord};
-pub use cluster::{Cluster, ClusterConfig};
 pub use dashboard::{Dashboard, DashboardRow};
 pub use host::{HostStatus, LeafHost};
-pub use hosted::{HostClient, HostedCluster, HostedRolloverReport, QueryFanoutStats, WaveOutcome};
+pub use hosted::{ClusterConfig, HostClient, HostedCluster, QueryFanoutStats, WaveOutcome};
 pub use loadgen::{LatencySummary, LoadMode, LoadReport, LoadgenConfig};
-pub use machine::{LeafSlot, Machine};
 pub use rollover::{
-    paced_rollover, rollover, LiveSloFeed, PaceEvent, PacedRolloverReport, RolloverConfig,
-    RolloverEvent, RolloverReport, SloFeed, SloPolicy, SloSample, WindowedQuantile,
+    rollover, LiveSloFeed, NullSloFeed, PaceEvent, RolloverConfig, RolloverReport, SloFeed,
+    SloPolicy, SloSample, WindowedQuantile,
 };
 pub use sim::{
     leaf_restart_secs, simulate_rollover, simulate_rollover_paths, simulate_single_machine,

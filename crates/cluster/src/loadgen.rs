@@ -255,7 +255,7 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, ShedPolicy};
-    use crate::hosted::tests::{hosted, hosted_with};
+    use crate::hosted::tests::{hosted, hosted_with, roll};
     use crate::rollover::RolloverConfig;
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
             });
             // Let traffic build, then roll the whole fleet under it.
             std::thread::sleep(Duration::from_millis(50));
-            let rollover = c.rollover(&RolloverConfig::default());
+            let rollover = roll(&c, &RolloverConfig::default());
             assert_eq!(rollover.restarted, 4);
             stop.store(true, Ordering::Relaxed);
             loadgen.join().unwrap()

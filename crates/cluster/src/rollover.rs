@@ -8,218 +8,49 @@
 //! we kill the leaf server if it has not shut down after 3 minutes. If
 //! the old leaf server is killed, the new leaf server will restart from
 //! disk." (§4.3, §4.5)
+//!
+//! [`rollover`] is the one loop that rolls a fleet. Waves are gated on an
+//! [`SloFeed`] — p99 query latency and availability — pausing while
+//! either is degraded and accelerating after a streak of healthy waves:
+//! §4.5's "engineers watch the dashboard" loop, closed. The paper's fixed
+//! 2%-at-a-time rollover is the same loop with [`SloPolicy::fixed`] and
+//! the [`NullSloFeed`]. Every wave stops its leaves, samples the Figure 8
+//! dashboard while they are down, and starts their replacements.
 
 use std::time::{Duration, Instant};
 
-use scuba_leaf::{RecoveryOutcome, WriterCompat};
+use scuba_leaf::RecoveryOutcome;
 
-use crate::cluster::Cluster;
 use crate::dashboard::{Dashboard, DashboardFeed};
+use crate::hosted::HostedCluster;
 
-/// Rollover policy knobs.
+/// How each leaf of a wave is restarted.
 #[derive(Debug, Clone)]
 pub struct RolloverConfig {
-    /// Fraction of leaves restarted concurrently (the paper's 2%). At
-    /// least one leaf per wave.
-    pub fraction: f64,
-    /// Use the shared-memory path (`false` forces disk recovery, for the
-    /// comparison experiments).
+    /// Use the shared-memory path (`false` kills every leaf instead,
+    /// forcing disk recovery, for the comparison experiments).
     pub use_shm: bool,
-    /// Kill a leaf whose clean shutdown exceeds this (the 3-minute loop).
-    pub kill_timeout: Duration,
     /// Timestamp stamped on recovered blocks.
     pub now: i64,
-    /// Writer-format schedule for the *outgoing* binaries: wave `k` shuts
-    /// its leaves down as `old_writers[k % len]`. A rollover is exactly
-    /// the moment writer versions mix — the old build writes the image,
-    /// the new build reads it — so drills list the formats in production
-    /// here and leave the replacements on the current reader.
-    pub old_writers: Vec<WriterCompat>,
     /// Trace id stamped on every backup/restore/WAL-replay/hydration span
     /// this rollover causes, so a single query over the telemetry table
     /// reconstructs the whole fleet restart as a per-leaf timeline.
-    /// 0 (the default) allocates a fresh id; the report carries it.
+    /// 0 (the default) makes [`rollover`] allocate a fresh id; the report
+    /// carries it.
     pub trace_id: u64,
 }
 
 impl Default for RolloverConfig {
     fn default() -> Self {
         RolloverConfig {
-            fraction: 0.02,
             use_shm: true,
-            kill_timeout: Duration::from_secs(180),
             now: 0,
-            old_writers: vec![WriterCompat::Current],
             trace_id: 0,
         }
     }
 }
 
-/// What happened to one leaf during the rollover.
-#[derive(Debug)]
-pub struct RolloverEvent {
-    /// Wave index.
-    pub wave: usize,
-    /// Machine index.
-    pub machine: usize,
-    /// Leaf index on the machine.
-    pub leaf: usize,
-    /// Whether the old process was killed (timeout / failed shutdown).
-    pub killed: bool,
-    /// Image format the outgoing binary wrote for this leaf.
-    pub writer: WriterCompat,
-    /// How the replacement recovered.
-    pub outcome: RecoveryOutcome,
-    /// Wall-clock shutdown + restart duration for this leaf.
-    pub duration: Duration,
-}
-
-/// Full rollover outcome.
-#[derive(Debug)]
-pub struct RolloverReport {
-    /// Per-leaf events in execution order.
-    pub events: Vec<RolloverEvent>,
-    /// Number of waves executed.
-    pub waves: usize,
-    /// Total wall-clock duration.
-    pub total_duration: Duration,
-    /// Lowest query availability observed during the rollover.
-    pub min_availability: f64,
-    /// Figure-8 style dashboard rows, one per wave boundary.
-    pub dashboard: Dashboard,
-    /// The trace id every restart span of this rollover carries — the
-    /// key for reconstructing it from the telemetry table.
-    pub trace_id: u64,
-}
-
-impl RolloverReport {
-    /// Leaves that recovered via shared memory.
-    pub fn memory_recoveries(&self) -> usize {
-        self.events.iter().filter(|e| e.outcome.is_memory()).count()
-    }
-}
-
-/// Roll the whole cluster to the "new version": wave by wave, restart
-/// `fraction` of leaves (at most one per machine per wave), waiting for
-/// each wave to be back up before starting the next.
-pub fn rollover(cluster: &mut Cluster, config: &RolloverConfig) -> RolloverReport {
-    let total = cluster.total_leaves();
-    let per_wave = ((total as f64 * config.fraction).ceil() as usize).max(1);
-    let leaves_per_machine = cluster.config().leaves_per_machine;
-
-    // Global leaf ids, ordered so consecutive ids land on different
-    // machines: wave k restarts leaf k%L of machines spread round-robin.
-    let mut order: Vec<(usize, usize)> = Vec::with_capacity(total);
-    for l in 0..leaves_per_machine {
-        for m in 0..cluster.machines().len() {
-            order.push((m, l));
-        }
-    }
-
-    // One trace id for the whole rollover: the process-wide current trace
-    // plus a per-slot override, so spans stay attributed even when several
-    // clusters roll in one process (parallel tests).
-    let trace_id = if config.trace_id != 0 {
-        config.trace_id
-    } else {
-        scuba_obs::next_trace_id()
-    };
-    scuba_obs::set_trace_id(trace_id);
-
-    let started = Instant::now();
-    let mut events = Vec::with_capacity(total);
-    let mut dashboard = Dashboard::new(total);
-    // Dashboard rows come from the live leaf metrics, not hand counting.
-    let mut feed = DashboardFeed::new(cluster);
-    let mut min_availability = 1.0f64;
-    let mut wave = 0usize;
-
-    for chunk in order.chunks(per_wave) {
-        let writer = config.old_writers[wave % config.old_writers.len().max(1)];
-        // Phase 1: shut the wave down (all leaves in a wave are on
-        // different machines by construction when per_wave ≤ machines).
-        let mut wave_started: Vec<(usize, usize, bool, Instant)> = Vec::new();
-        for &(m, l) in chunk {
-            let leaf_start = Instant::now();
-            let slot = &mut cluster.machines_mut()[m].slots_mut()[l];
-            slot.set_trace_id(trace_id);
-            if let Some(server) = slot.server_mut() {
-                // The outgoing process *is* the old build: it writes its
-                // own (possibly older) image format.
-                server.set_writer_compat(writer);
-            }
-            let killed = if config.use_shm {
-                match slot.shutdown(config.now) {
-                    Ok(_summary) => {
-                        // The wait-for-death loop: our in-process shutdown
-                        // is synchronous, so "exceeded the timeout" can
-                        // only be observed after the fact.
-                        leaf_start.elapsed() > config.kill_timeout
-                    }
-                    Err(_) => {
-                        slot.kill();
-                        true
-                    }
-                }
-            } else {
-                // Disk-comparison mode: no shared-memory copy at all.
-                slot.kill();
-                false
-            };
-            if killed {
-                // Invalidate any shared memory: recovery must go to disk.
-                slot.kill();
-            }
-            wave_started.push((m, l, killed, leaf_start));
-        }
-
-        // Availability dips while the wave is down.
-        min_availability = min_availability.min(cluster.availability());
-        dashboard.push(feed.sample(cluster, started.elapsed()));
-
-        // Phase 2: start replacements and wait for recovery.
-        for (m, l, killed, leaf_start) in wave_started {
-            let slot = &mut cluster.machines_mut()[m].slots_mut()[l];
-            let outcome = slot
-                .start(config.now)
-                .expect("replacement process must boot");
-            events.push(RolloverEvent {
-                wave,
-                machine: m,
-                leaf: l,
-                killed,
-                writer,
-                outcome,
-                duration: leaf_start.elapsed(),
-            });
-        }
-        wave += 1;
-    }
-
-    dashboard.push(feed.sample(cluster, started.elapsed()));
-    scuba_obs::clear_trace_id();
-
-    RolloverReport {
-        events,
-        waves: wave,
-        total_duration: started.elapsed(),
-        min_availability,
-        dashboard,
-        trace_id,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SLO-paced rollover: the production replacement for a fixed-interval
-// restarter. Waves are gated on a live SLO feed — p99 query latency and
-// availability — pausing while either is degraded and accelerating after a
-// streak of healthy waves. This is §4.5's "engineers watch the dashboard"
-// loop, closed.
-// ---------------------------------------------------------------------------
-
-use crate::hosted::HostedCluster;
-
-/// SLO thresholds and pacing knobs for [`paced_rollover`].
+/// SLO thresholds and pacing knobs for [`rollover`].
 #[derive(Debug, Clone)]
 pub struct SloPolicy {
     /// Pause while the windowed p99 of `leaf_query_latency_ns` exceeds
@@ -240,6 +71,19 @@ pub struct SloPolicy {
     pub max_consecutive_pauses: usize,
     /// Sleep between SLO samples while paused.
     pub pause_backoff: Duration,
+}
+
+impl SloPolicy {
+    /// A fixed-fraction policy: waves of `fraction` of the fleet that
+    /// never accelerate. With the [`NullSloFeed`] this is the paper's
+    /// "restart 2% of the leaf servers at a time".
+    pub fn fixed(fraction: f64) -> SloPolicy {
+        SloPolicy {
+            base_fraction: fraction,
+            max_fraction: fraction,
+            ..SloPolicy::default()
+        }
+    }
 }
 
 impl Default for SloPolicy {
@@ -277,11 +121,25 @@ impl SloSample {
 }
 
 /// Source of SLO samples for the pacing loop. The live implementation is
-/// [`LiveSloFeed`]; tests script a feed to make pause/accelerate decisions
-/// deterministic.
+/// [`LiveSloFeed`]; [`NullSloFeed`] never gates; tests script a feed to
+/// make pause/accelerate decisions deterministic.
 pub trait SloFeed {
     /// Take one observation.
     fn sample(&mut self, cluster: &HostedCluster) -> SloSample;
+}
+
+/// A feed that always reports healthy: waves run back to back at the
+/// policy's fraction, never paused.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NullSloFeed;
+
+impl SloFeed for NullSloFeed {
+    fn sample(&mut self, _cluster: &HostedCluster) -> SloSample {
+        SloSample {
+            p99_query_ns: None,
+            availability: 1.0,
+        }
+    }
 }
 
 /// Windowed quantile over a named log₂ histogram: each call reports the
@@ -409,14 +267,19 @@ pub enum PaceEvent {
     },
 }
 
-/// Outcome of an SLO-paced rollover.
+/// Outcome of a rollover.
 #[derive(Debug)]
-pub struct PacedRolloverReport {
+pub struct RolloverReport {
+    /// The trace id every restart span of this rollover carries — the
+    /// key for reconstructing it from the telemetry table.
+    pub trace_id: u64,
     /// Leaves restarted (always the whole fleet: pauses delay, never
     /// abandon).
     pub restarted: usize,
-    /// Of which recovered via shared memory.
-    pub memory_recoveries: usize,
+    /// Leaves killed instead of cleanly shut down (a failed shutdown, or
+    /// every leaf with `use_shm` off); their replacements recover from
+    /// disk.
+    pub killed: usize,
     /// Waves executed.
     pub waves: usize,
     /// Times the scheduler paused on a degraded sample.
@@ -427,31 +290,66 @@ pub struct PacedRolloverReport {
     pub events: Vec<PaceEvent>,
     /// Lowest availability sampled while waves were down.
     pub min_availability: f64,
+    /// Figure 8: one row per wave, sampled while the wave is down, then a
+    /// closing row once the last replacement answers.
+    pub dashboard: Dashboard,
+    /// Each replacement's recovery, by global leaf id, in restart order.
+    /// A replacement that failed to boot has no entry.
+    pub recoveries: Vec<(usize, RecoveryOutcome)>,
     /// Wall-clock duration.
     pub duration: Duration,
 }
 
-/// Roll the whole hosted cluster, pacing waves off the SLO feed: before
-/// each wave, sample; while degraded, pause (and drop back to the base
+impl RolloverReport {
+    /// Leaves that recovered via shared memory.
+    pub fn memory_recoveries(&self) -> usize {
+        self.recoveries
+            .iter()
+            .filter(|(_, o)| o.is_memory())
+            .count()
+    }
+}
+
+/// Roll the whole cluster, pacing waves off the SLO feed: before each
+/// wave, sample; while degraded, pause (and drop back to the base
 /// fraction); after `accelerate_after` consecutive healthy gates, double
-/// the fraction up to `max_fraction`. Serving continues throughout on the
-/// cluster's per-slot locks — this is meant to run *under load*.
-pub fn paced_rollover(
+/// the fraction up to `max_fraction`. Waves take leaves in
+/// [`HostedCluster::rollover_order`], at most one per machine. Serving
+/// continues throughout on the cluster's per-slot locks — this is meant
+/// to run *under load*.
+pub fn rollover(
     cluster: &HostedCluster,
     cfg: &RolloverConfig,
     policy: &SloPolicy,
     feed: &mut dyn SloFeed,
-) -> PacedRolloverReport {
+) -> RolloverReport {
     let order = cluster.rollover_order();
     let total = order.len();
     let machines = cluster.config().machines.max(1);
-    let started = Instant::now();
 
+    // One trace id for the whole rollover: process-wide for the outgoing
+    // leaves' backup spans, and in every replacement's config so restore
+    // spans stay attributed even when several clusters roll in one
+    // process (parallel tests).
+    let trace_id = match cfg.trace_id {
+        0 => scuba_obs::next_trace_id(),
+        id => id,
+    };
+    scuba_obs::set_trace_id(trace_id);
+    let cfg = RolloverConfig {
+        trace_id,
+        ..cfg.clone()
+    };
+
+    let started = Instant::now();
+    let mut dashboard = Dashboard::new(total);
+    // Dashboard rows come from the live leaf metrics, not hand counting.
+    let mut progress = DashboardFeed::new(cluster);
     let mut events = Vec::new();
+    let mut recoveries = Vec::with_capacity(total);
     let mut fraction = policy.base_fraction;
     let mut healthy_streak = 0usize;
-    let mut restarted = 0usize;
-    let mut memory_recoveries = 0usize;
+    let mut killed = 0usize;
     let mut waves = 0usize;
     let mut pauses = 0usize;
     let mut accelerations = 0usize;
@@ -495,27 +393,34 @@ pub fn paced_rollover(
 
         let per_wave = ((total as f64 * fraction).ceil() as usize).clamp(1, machines);
         let end = (idx + per_wave).min(total);
-        let outcome = cluster.restart_leaves(&order[idx..end], cfg);
-        restarted += outcome.restarted;
-        memory_recoveries += outcome.memory_recoveries;
-        min_availability = min_availability.min(outcome.min_availability);
+        let wave = &order[idx..end];
+        killed += cluster.stop_leaves(wave, &cfg);
+        // The wave is at its most degraded right before replacements land.
+        min_availability = min_availability.min(cluster.availability());
+        dashboard.push(progress.sample(cluster, started.elapsed()));
+        recoveries.extend(cluster.start_leaves(wave, &cfg));
         events.push(PaceEvent::Wave {
             index: waves,
-            leaves: end - idx,
+            leaves: wave.len(),
             fraction,
         });
         idx = end;
         waves += 1;
     }
+    dashboard.push(progress.sample(cluster, started.elapsed()));
+    scuba_obs::clear_trace_id();
 
-    PacedRolloverReport {
-        restarted,
-        memory_recoveries,
+    RolloverReport {
+        trace_id,
+        restarted: total,
+        killed,
         waves,
         pauses,
         accelerations,
         events,
         min_availability,
+        dashboard,
+        recoveries,
         duration: started.elapsed(),
     }
 }
@@ -523,126 +428,69 @@ pub fn paced_rollover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::tests::{cleanup, test_cluster};
-    use scuba_columnstore::Row;
+    use crate::hosted::tests::{fill, hosted, roll};
     use scuba_columnstore::Value;
     use scuba_query::Query;
 
-    fn fill(cluster: &mut Cluster, rows_per_leaf: i64) {
-        let lpm = cluster.config().leaves_per_machine;
-        for m in 0..cluster.machines().len() {
-            for l in 0..lpm {
-                let batch: Vec<Row> = (0..rows_per_leaf)
-                    .map(|i| Row::at(i).with("v", i))
-                    .collect();
-                cluster.machines_mut()[m].slots_mut()[l]
-                    .server_mut()
-                    .unwrap()
-                    .add_rows("t", &batch, 0)
-                    .unwrap();
-            }
-        }
-    }
-
     #[test]
     fn shm_rollover_preserves_all_data() {
-        let (mut c, dir) = test_cluster(3, 2);
-        fill(&mut c, 50);
+        let (c, _g) = hosted(3, 2);
+        fill(&c, 50);
         let before = c.total_rows();
 
-        let report = rollover(&mut c, &RolloverConfig::default());
-        assert_eq!(report.events.len(), 6);
+        let report = roll(&c, &RolloverConfig::default());
+        assert_eq!(report.recoveries.len(), 6);
         assert_eq!(report.memory_recoveries(), 6);
+        assert_eq!(report.killed, 0);
+        assert!(report.trace_id != 0);
         assert_eq!(c.total_rows(), before);
-        assert!(c.query(&Query::new("t", 0, 100)).is_complete());
-        assert_eq!(
-            c.query(&Query::new("t", 0, 100)).totals().unwrap()[0],
-            Value::Int(300)
-        );
+        let r = c.query(&Query::new("t", 0, 100));
+        assert!(r.is_complete());
+        assert_eq!(r.totals().unwrap()[0], Value::Int(300));
         // One leaf at a time out of 6: availability never below 5/6.
         assert!(report.min_availability >= 5.0 / 6.0 - 1e-9);
-        cleanup(&c, &dir);
     }
 
     #[test]
     fn waves_respect_fraction() {
-        let (mut c, dir) = test_cluster(4, 2); // 8 leaves
-        fill(&mut c, 5);
-        let cfg = RolloverConfig {
-            fraction: 0.25, // 2 leaves per wave
-            ..Default::default()
-        };
-        let report = rollover(&mut c, &cfg);
+        let (c, _g) = hosted(4, 2); // 8 leaves
+        fill(&c, 5);
+        let policy = SloPolicy::fixed(0.25); // 2 leaves per wave
+        let report = rollover(&c, &RolloverConfig::default(), &policy, &mut NullSloFeed);
         assert_eq!(report.waves, 4);
-        // Waves restart one leaf per machine: check no wave had two leaves
-        // of the same machine.
-        for w in 0..report.waves {
-            let machines: Vec<usize> = report
-                .events
-                .iter()
-                .filter(|e| e.wave == w)
-                .map(|e| e.machine)
-                .collect();
-            let mut dedup = machines.clone();
-            dedup.dedup();
-            assert_eq!(machines.len(), dedup.len(), "wave {w}: {machines:?}");
+        assert_eq!(report.accelerations, 0);
+        // Waves restart at most one leaf per machine: no wave holds two
+        // leaves of the same machine.
+        let lpm = c.config().leaves_per_machine;
+        for wave in report.recoveries.chunks(2) {
+            let machines: Vec<usize> = wave.iter().map(|(id, _)| id / lpm).collect();
+            assert_eq!(machines.len(), 2);
+            assert_ne!(machines[0], machines[1], "{machines:?}");
         }
-        cleanup(&c, &dir);
-    }
-
-    #[test]
-    fn mixed_writer_rollover_preserves_all_data() {
-        // Upgrade drill: consecutive waves shut down as different builds
-        // (current, pre-refactor v1, early-TLV v2). Every replacement runs
-        // the current reader and must memory-restore every image.
-        let (mut c, dir) = test_cluster(3, 2);
-        fill(&mut c, 40);
-        let before = c.total_rows();
-
-        let cfg = RolloverConfig {
-            old_writers: vec![
-                WriterCompat::Current,
-                WriterCompat::LegacyV1,
-                WriterCompat::AgedV2,
-            ],
-            ..Default::default()
-        };
-        let report = rollover(&mut c, &cfg);
-        assert_eq!(report.events.len(), 6);
-        assert_eq!(report.memory_recoveries(), 6);
-        // The schedule cycled: both old formats actually rolled.
-        for w in [WriterCompat::LegacyV1, WriterCompat::AgedV2] {
-            assert!(report.events.iter().any(|e| e.writer == w), "{w:?}");
-        }
-        assert_eq!(c.total_rows(), before);
-        assert!(c.query(&Query::new("t", 0, 100)).is_complete());
-        cleanup(&c, &dir);
     }
 
     #[test]
     fn disk_mode_recovers_from_disk() {
-        let (mut c, dir) = test_cluster(2, 2);
-        fill(&mut c, 20);
+        let (c, _g) = hosted(2, 2);
+        fill(&c, 20);
         // Make data durable, as a real cluster continuously does.
-        for m in c.machines_mut() {
-            for s in m.slots_mut() {
-                s.server_mut().unwrap().sync_disk().unwrap();
-            }
-        }
+        c.for_each_host(|_, h| {
+            h.sync_disk().unwrap();
+        });
         let cfg = RolloverConfig {
             use_shm: false,
             ..Default::default()
         };
-        let report = rollover(&mut c, &cfg);
+        let report = roll(&c, &cfg);
         assert_eq!(report.memory_recoveries(), 0);
+        assert_eq!(report.killed, 4);
         assert_eq!(c.total_rows(), 80);
-        cleanup(&c, &dir);
     }
 
     #[test]
     fn feed_rows_match_hand_computation() {
-        let (mut c, dir) = test_cluster(2, 2);
-        fill(&mut c, 5);
+        let (c, _g) = hosted(2, 2);
+        fill(&c, 5);
         let total = c.total_leaves();
         let mut feed = DashboardFeed::new(&c);
 
@@ -655,7 +503,8 @@ mod tests {
 
         // One leaf down: it shows as rolling, and the metric-derived
         // availability equals the cluster's phase-based computation.
-        c.machines_mut()[0].slots_mut()[0].shutdown(0).unwrap();
+        let cfg = RolloverConfig::default();
+        c.stop_leaves(&[0], &cfg);
         let row = feed.sample(&c, Duration::from_secs(1));
         assert_eq!(
             (row.old_version, row.rolling, row.new_version),
@@ -665,7 +514,7 @@ mod tests {
         assert!(row.availability < 1.0);
 
         // Back up: the advanced recovery counter moves it to "new".
-        c.machines_mut()[0].slots_mut()[0].start(0).unwrap();
+        c.start_leaves(&[0], &cfg);
         let row = feed.sample(&c, Duration::from_secs(2));
         assert_eq!(
             (row.old_version, row.rolling, row.new_version),
@@ -673,31 +522,32 @@ mod tests {
         );
         assert_eq!(row.availability, c.availability());
         assert_eq!(row.availability, 1.0);
-        cleanup(&c, &dir);
     }
 
     #[test]
     fn dashboard_progression() {
-        let (mut c, dir) = test_cluster(2, 2);
-        fill(&mut c, 5);
-        let report = rollover(&mut c, &RolloverConfig::default());
+        let (c, _g) = hosted(2, 2);
+        fill(&c, 5);
+        let report = roll(&c, &RolloverConfig::default());
         let rows = report.dashboard.rows();
-        assert!(rows.len() >= 2);
+        // One row per wave plus the closing row.
+        assert_eq!(rows.len(), report.waves + 1);
         assert_eq!(rows[0].new_version, 0);
+        assert_eq!(rows[0].rolling, 1);
         let last = rows.last().unwrap();
         assert_eq!(last.new_version, 4);
         assert_eq!(last.rolling, 0);
         assert_eq!(last.availability, 1.0);
-        // Monotonic progress.
+        // Monotonic progress, and every row partitions the fleet.
         assert!(rows
             .windows(2)
             .all(|w| w[0].new_version <= w[1].new_version));
-        cleanup(&c, &dir);
+        for r in rows {
+            assert_eq!(r.old_version + r.rolling + r.new_version, 4);
+        }
     }
 
-    // --- SLO-paced scheduler ---------------------------------------------
-
-    use crate::hosted::tests::hosted;
+    // --- SLO pacing ------------------------------------------------------
 
     /// Deterministic feed: the first `degraded_first` samples violate the
     /// SLO, everything after is healthy.
@@ -724,24 +574,10 @@ mod tests {
         }
     }
 
-    fn fill_hosted(c: &HostedCluster, rows_per_leaf: i64) {
-        for leaf in 0..c.total_leaves() {
-            c.add_rows(
-                leaf,
-                "t",
-                (0..rows_per_leaf)
-                    .map(|i| Row::at(i).with("v", i))
-                    .collect(),
-                0,
-            )
-            .unwrap();
-        }
-    }
-
     #[test]
     fn paced_rollover_pauses_on_degraded_feed_then_completes() {
         let (c, _g) = hosted(2, 2);
-        fill_hosted(&c, 25);
+        fill(&c, 25);
         let policy = SloPolicy {
             base_fraction: 0.3,
             max_fraction: 0.3,
@@ -753,7 +589,7 @@ mod tests {
             degraded_first: 3,
             calls: 0,
         };
-        let report = paced_rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
+        let report = rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
 
         // Provably paused: three degraded samples → three Pause events,
         // all before wave 0 ran, then the rollover completed in full.
@@ -766,26 +602,26 @@ mod tests {
         }
         assert!(matches!(report.events[3], PaceEvent::Wave { index: 0, .. }));
         assert_eq!(report.restarted, 4);
-        assert_eq!(report.memory_recoveries, 4);
+        assert_eq!(report.memory_recoveries(), 4);
         assert_eq!(report.accelerations, 0);
         assert_eq!(c.total_rows(), 100);
 
         // Deterministic: the identical script on an identical cluster
         // produces the identical pacing trace.
         let (c2, _g2) = hosted(2, 2);
-        fill_hosted(&c2, 25);
+        fill(&c2, 25);
         let mut feed2 = Scripted {
             degraded_first: 3,
             calls: 0,
         };
-        let report2 = paced_rollover(&c2, &RolloverConfig::default(), &policy, &mut feed2);
+        let report2 = rollover(&c2, &RolloverConfig::default(), &policy, &mut feed2);
         assert_eq!(report.events, report2.events);
     }
 
     #[test]
     fn paced_rollover_accelerates_while_healthy() {
         let (c, _g) = hosted(4, 2); // 8 leaves
-        fill_hosted(&c, 10);
+        fill(&c, 10);
         let policy = SloPolicy {
             base_fraction: 0.02,
             max_fraction: 0.5,
@@ -797,7 +633,7 @@ mod tests {
             degraded_first: 0,
             calls: 0,
         };
-        let report = paced_rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
+        let report = rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
 
         assert_eq!(report.restarted, 8);
         assert_eq!(report.pauses, 0);
@@ -824,7 +660,7 @@ mod tests {
         // A feed that never turns healthy must not wedge the upgrade: after
         // `max_consecutive_pauses` the wave proceeds at the base fraction.
         let (c, _g) = hosted(1, 2);
-        fill_hosted(&c, 5);
+        fill(&c, 5);
         let policy = SloPolicy {
             base_fraction: 0.6,
             max_consecutive_pauses: 2,
@@ -835,7 +671,7 @@ mod tests {
             degraded_first: usize::MAX,
             calls: 0,
         };
-        let report = paced_rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
+        let report = rollover(&c, &RolloverConfig::default(), &policy, &mut feed);
         assert_eq!(report.restarted, 2);
         assert_eq!(report.pauses, 2 * report.waves);
         assert_eq!(c.total_rows(), 10);

@@ -14,9 +14,10 @@
 //! # Shed, never block
 //!
 //! Telemetry must not backpressure user traffic. The exporter's buffer is
-//! bounded: when it is full, or when no live leaf accepts the batch, the
-//! excess events are *dropped* and counted in
-//! `telemetry_events_dropped_total`. Nothing in this module ever waits.
+//! bounded: when it is full, when no live leaf accepts the batch, or when
+//! a leaf's admission queue sheds its shard, the excess events are
+//! *dropped* and counted in `telemetry_events_dropped_total`. Nothing in
+//! this module retries or waits for room.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -24,8 +25,8 @@ use scuba_columnstore::Row;
 use scuba_obs::{TelemetryEvent, TelemetrySampler};
 use scuba_query::{AggSpec, CmpOp, Filter, GroupKey, Query};
 
-use crate::cluster::Cluster;
 use crate::dashboard::DashboardRow;
+use crate::hosted::HostedCluster;
 
 /// The reserved self-telemetry table. The `__scuba_` prefix keeps it out
 /// of the user namespace; it is queried like any other table.
@@ -99,55 +100,44 @@ impl TelemetryExporter {
     }
 
     /// Ship every buffered event into [`TELEMETRY_TABLE`], round-robin
-    /// across the leaves currently accepting ingest. Never blocks and
-    /// never fails: a batch no live leaf accepts is shed and counted.
-    /// Returns the number of events delivered.
-    pub fn flush(&mut self, cluster: &mut Cluster) -> usize {
+    /// across the leaves currently accepting ingest, through each leaf's
+    /// admission queue. Never fails: a batch no live leaf accepts — or
+    /// one its leaf sheds — is dropped and counted. Returns the number of
+    /// events delivered.
+    pub fn flush(&mut self, cluster: &HostedCluster) -> usize {
         if self.buffer.is_empty() {
             return 0;
         }
         let events: Vec<TelemetryEvent> = self.buffer.drain(..).collect();
-        // Live leaves, as (machine, slot) coordinates.
-        let coords: Vec<(usize, usize)> = cluster
-            .machines()
-            .iter()
-            .enumerate()
-            .flat_map(|(m, machine)| {
-                machine
-                    .slots()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.phase().accepts_adds())
-                    .map(move |(l, _)| (m, l))
-            })
-            .collect();
-        if coords.is_empty() {
+        let mut live = Vec::new();
+        cluster.for_each_host(|idx, h| {
+            if h.status().accepts_adds() {
+                live.push(idx);
+            }
+        });
+        if live.is_empty() {
             self.shed(events.len() as u64);
             return 0;
         }
         // Shard the batch: event i goes to live leaf (next_leaf + i) % n.
-        let n = coords.len();
+        let n = live.len();
         let mut batches: Vec<Vec<Row>> = vec![Vec::new(); n];
         for (i, e) in events.iter().enumerate() {
             batches[(self.next_leaf + i) % n].push(event_row(e));
         }
         self.next_leaf = (self.next_leaf + 1) % n;
         let mut delivered = 0usize;
-        for ((m, l), rows) in coords.into_iter().zip(batches) {
+        for (idx, rows) in live.into_iter().zip(batches) {
             if rows.is_empty() {
                 continue;
             }
             let count = rows.len();
             let now = rows.iter().map(Row::time).max().unwrap_or(0);
-            let ok = cluster.machines_mut()[m].slots_mut()[l]
-                .server_mut()
-                .map(|s| s.add_rows(TELEMETRY_TABLE, &rows, now).is_ok())
-                .unwrap_or(false);
-            if ok {
+            if cluster.add_rows(idx, TELEMETRY_TABLE, rows, now).is_ok() {
                 delivered += count;
             } else {
-                // The leaf went away between the liveness scan and the
-                // add: shed the shard rather than wait or retry.
+                // Shed at admission, or the leaf went away since the
+                // liveness scan: drop the shard rather than retry.
                 self.shed(count as u64);
             }
         }
@@ -171,7 +161,7 @@ fn event_row(e: &TelemetryEvent) -> Row {
 /// Per-leaf values of one metric at one logical timestamp, read back out
 /// of [`TELEMETRY_TABLE`] with a grouped vectorized query.
 pub fn metric_by_leaf(
-    cluster: &Cluster,
+    cluster: &HostedCluster,
     ts: i64,
     kind: &str,
     metric: &str,
@@ -192,7 +182,7 @@ pub fn metric_by_leaf(
 
 /// Fleet-wide value of one *unlabeled* metric at one logical timestamp
 /// (e.g. `cluster_inflight_requests`, which has no `leaf` label).
-pub fn global_metric(cluster: &Cluster, ts: i64, kind: &str, metric: &str) -> i64 {
+pub fn global_metric(cluster: &HostedCluster, ts: i64, kind: &str, metric: &str) -> i64 {
     let q = Query::new(TELEMETRY_TABLE, ts, ts + 1)
         .filter(Filter::new("kind", CmpOp::Eq, kind))
         .filter(Filter::new("metric", CmpOp::Eq, metric))
@@ -229,15 +219,9 @@ impl QueryDashboardFeed {
     /// A feed over every leaf in `cluster`, with recovery baselines taken
     /// now — through the telemetry table, like every later read. Create
     /// it (like the registry feed) immediately before a rollover.
-    pub fn new(cluster: &mut Cluster, exporter: &mut TelemetryExporter) -> QueryDashboardFeed {
-        let keys: Vec<String> = cluster
-            .machines()
-            .iter()
-            .flat_map(|m| m.slots())
-            .map(|s| format!("{}:{}", s.config().shm_prefix, s.config().leaf_id))
-            .collect();
+    pub fn new(cluster: &HostedCluster, exporter: &mut TelemetryExporter) -> QueryDashboardFeed {
         let mut feed = QueryDashboardFeed {
-            keys,
+            keys: cluster.leaf_keys(),
             baseline: Vec::new(),
             next_ts: 0,
         };
@@ -253,7 +237,7 @@ impl QueryDashboardFeed {
 
     /// Write one registry snapshot into the telemetry table and return
     /// its logical timestamp.
-    fn snapshot(&mut self, cluster: &mut Cluster, exporter: &mut TelemetryExporter) -> i64 {
+    fn snapshot(&mut self, cluster: &HostedCluster, exporter: &mut TelemetryExporter) -> i64 {
         let ts = self.next_ts;
         self.next_ts += 1;
         exporter.collect(ts);
@@ -267,7 +251,7 @@ impl QueryDashboardFeed {
     /// sample_inner`] applies to the live registry.
     pub fn sample(
         &mut self,
-        cluster: &mut Cluster,
+        cluster: &HostedCluster,
         exporter: &mut TelemetryExporter,
         elapsed: std::time::Duration,
     ) -> DashboardRow {
@@ -358,7 +342,7 @@ impl QueryDashboardFeed {
 /// table: total restore nanoseconds per leaf, from the `restart.phase`
 /// spans stamped with `trace_id`. One query — the Figure-5-per-leaf view
 /// the tentpole promises.
-pub fn restore_ns_by_leaf(cluster: &Cluster, trace_id: u64) -> BTreeMap<String, i64> {
+pub fn restore_ns_by_leaf(cluster: &HostedCluster, trace_id: u64) -> BTreeMap<String, i64> {
     let q = Query::new(TELEMETRY_TABLE, i64::MIN, i64::MAX)
         .filter(Filter::new("kind", CmpOp::Eq, "span"))
         .filter(Filter::new("metric", CmpOp::Eq, "restart.phase"))
@@ -382,27 +366,11 @@ pub fn restore_ns_by_leaf(cluster: &Cluster, trace_id: u64) -> BTreeMap<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::tests::{cleanup, test_cluster};
     use crate::dashboard::DashboardFeed;
-    use crate::rollover::{rollover, RolloverConfig};
+    use crate::hosted::tests::{fill, hosted, roll};
+    use crate::rollover::RolloverConfig;
     use scuba_leaf::RecoveryOutcome;
     use std::time::Duration;
-
-    fn fill(cluster: &mut Cluster, rows_per_leaf: i64) {
-        let lpm = cluster.config().leaves_per_machine;
-        for m in 0..cluster.machines().len() {
-            for l in 0..lpm {
-                let batch: Vec<Row> = (0..rows_per_leaf)
-                    .map(|i| Row::at(i).with("v", i))
-                    .collect();
-                cluster.machines_mut()[m].slots_mut()[l]
-                    .server_mut()
-                    .unwrap()
-                    .add_rows("t", &batch, 0)
-                    .unwrap();
-            }
-        }
-    }
 
     /// Gauge columns must agree within ±5% (they are read from the same
     /// snapshot, so in practice exactly).
@@ -447,38 +415,38 @@ mod tests {
         // ring consumers (the sampler drains the process-global ring).
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
-        let (mut c, dir) = test_cluster(2, 2);
-        fill(&mut c, 10);
+        let (c, _g) = hosted(2, 2);
+        fill(&c, 10);
 
         let mut exporter = TelemetryExporter::default();
-        let mut qfeed = QueryDashboardFeed::new(&mut c, &mut exporter);
+        let mut qfeed = QueryDashboardFeed::new(&c, &mut exporter);
         let mut dfeed = DashboardFeed::new(&c);
 
         // All answering on the old version.
-        let q0 = qfeed.sample(&mut c, &mut exporter, Duration::from_secs(0));
+        let q0 = qfeed.sample(&c, &mut exporter, Duration::from_secs(0));
         let d0 = dfeed.sample(&c, Duration::from_secs(0));
         assert_rows_agree(&q0, &d0);
         assert_eq!((q0.old_version, q0.rolling, q0.new_version), (4, 0, 0));
 
         // A rollover wave: one leaf down. The wave's telemetry lands on
         // the three live leaves, so the snapshot is fully queryable.
-        c.machines_mut()[0].slots_mut()[0].shutdown(0).unwrap();
-        let q1 = qfeed.sample(&mut c, &mut exporter, Duration::from_secs(1));
+        let cfg = RolloverConfig::default();
+        c.stop_leaves(&[0], &cfg);
+        let q1 = qfeed.sample(&c, &mut exporter, Duration::from_secs(1));
         let d1 = dfeed.sample(&c, Duration::from_secs(1));
         assert_rows_agree(&q1, &d1);
         assert_eq!((q1.old_version, q1.rolling, q1.new_version), (3, 1, 0));
         assert!(q1.availability < 1.0);
 
         // Replacement up: recovery counter moved past baseline → "new".
-        c.machines_mut()[0].slots_mut()[0].start(0).unwrap();
-        let q2 = qfeed.sample(&mut c, &mut exporter, Duration::from_secs(2));
+        c.start_leaves(&[0], &cfg);
+        let q2 = qfeed.sample(&c, &mut exporter, Duration::from_secs(2));
         let d2 = dfeed.sample(&c, Duration::from_secs(2));
         assert_rows_agree(&q2, &d2);
         assert_eq!((q2.old_version, q2.rolling, q2.new_version), (3, 0, 1));
         assert_eq!(q2.availability, 1.0);
 
         assert_eq!(exporter.dropped(), 0, "nothing shed in normal operation");
-        cleanup(&c, &dir);
     }
 
     #[test]
@@ -488,11 +456,10 @@ mod tests {
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
         scuba_obs::set_span_capacity(8192);
-        let (mut c, dir) = test_cluster(3, 2);
-        fill(&mut c, 40);
+        let (c, _g) = hosted(3, 2);
+        fill(&c, 40);
 
-        let cfg = RolloverConfig::default();
-        let report = rollover(&mut c, &cfg);
+        let report = roll(&c, &RolloverConfig::default());
         assert!(report.trace_id != 0);
         assert_eq!(report.memory_recoveries(), 6);
 
@@ -500,18 +467,17 @@ mod tests {
         // one question: restore nanoseconds per leaf for this trace.
         let mut exporter = TelemetryExporter::default();
         exporter.collect(100);
-        exporter.flush(&mut c);
+        exporter.flush(&c);
         let by_leaf = restore_ns_by_leaf(&c, report.trace_id);
 
-        let prefix = &c.config().shm_prefix;
-        let lpm = c.config().leaves_per_machine;
-        for e in &report.events {
-            let key = format!("{prefix}:{}", e.machine * lpm + e.leaf);
-            let RecoveryOutcome::Memory(ref r) = e.outcome else {
-                panic!("expected a full memory restore, got {:?}", e.outcome);
+        let keys = c.leaf_keys();
+        for (idx, outcome) in &report.recoveries {
+            let key = &keys[*idx];
+            let RecoveryOutcome::Memory(r) = outcome else {
+                panic!("expected a full memory restore, got {outcome:?}");
             };
             let want = r.phases.phase_sum().as_nanos() as i64;
-            let got = by_leaf.get(&key).copied().unwrap_or(0);
+            let got = by_leaf.get(key).copied().unwrap_or(0);
             // The spans carry the report's own phase durations, so the
             // reconstruction must land within ±5% of the RestartReport.
             let tol = (want as f64 * 0.05).max(1000.0);
@@ -520,16 +486,15 @@ mod tests {
                 "{key}: reconstructed {got} ns vs report {want} ns"
             );
         }
-        assert_eq!(by_leaf.len(), report.events.len(), "every leaf traced");
+        assert_eq!(by_leaf.len(), report.recoveries.len(), "every leaf traced");
         scuba_obs::set_span_capacity(256);
-        cleanup(&c, &dir);
     }
 
     #[test]
     fn exporter_sheds_and_never_blocks() {
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
-        let (mut c, dir) = test_cluster(1, 2);
+        let (c, _g) = hosted(1, 2);
 
         // Saturation: a buffer far smaller than one registry snapshot.
         let mut exporter = TelemetryExporter::new(8);
@@ -545,10 +510,9 @@ mod tests {
         assert!(exporter.dropped() > before);
 
         // Whole fleet down: flush sheds the batch instead of waiting.
-        c.machines_mut()[0].slots_mut()[0].kill();
-        c.machines_mut()[0].slots_mut()[1].kill();
+        c.stop_leaves(&[0, 1], &RolloverConfig::default());
         let before = exporter.dropped();
-        assert_eq!(exporter.flush(&mut c), 0);
+        assert_eq!(exporter.flush(&c), 0);
         assert_eq!(exporter.buffered(), 0);
         assert_eq!(exporter.dropped(), before + 8);
         // The shed path is itself observable.
@@ -556,6 +520,5 @@ mod tests {
             scuba_obs::counter_value("telemetry_events_dropped_total").unwrap_or(0)
                 >= exporter.dropped()
         );
-        cleanup(&c, &dir);
     }
 }

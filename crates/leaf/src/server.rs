@@ -300,7 +300,7 @@ impl LeafPhase {
 }
 
 /// How a leaf came back up.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum RecoveryOutcome {
     /// Shared-memory restore succeeded (everything copied to heap).
     Memory(RestoreReport),

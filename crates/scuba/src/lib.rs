@@ -50,7 +50,7 @@
 //! | [`leaf`] | `scuba-leaf` | the leaf server lifecycle |
 //! | [`query`] | `scuba-query` | filters, aggregation, partial-result merging |
 //! | [`ingest`] | `scuba-ingest` | Scribe, tailers, two-random-choice placement, workloads |
-//! | [`cluster`] | `scuba-cluster` | machines, rollover orchestration, dashboard, paper-scale simulator |
+//! | [`cluster`] | `scuba-cluster` | hosted leaves, admission, the rollover loop, dashboard, paper-scale simulator |
 //! | [`obs`] | `scuba-obs` | metrics registry, restart tracing, phase breakdowns, exposition sinks |
 
 pub use scuba_cluster as cluster;
@@ -65,7 +65,9 @@ pub use scuba_shmem as shmem;
 
 /// Convenience prelude: the types most programs touch.
 pub mod prelude {
-    pub use scuba_cluster::{Cluster, ClusterConfig, HostedCluster, LeafHost, RolloverConfig};
+    pub use scuba_cluster::{
+        rollover, ClusterConfig, HostedCluster, LeafHost, NullSloFeed, RolloverConfig, SloPolicy,
+    };
     pub use scuba_columnstore::{ColumnType, Row, Table, Value};
     pub use scuba_ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
     pub use scuba_leaf::{LeafConfig, LeafServer, RecoveryOutcome};

@@ -5,7 +5,10 @@
 //! cargo run --release --example cluster_rollover
 //! ```
 
-use scuba::cluster::{rollover, simulate_rollover_paths, Cluster, ClusterConfig, RolloverConfig};
+use scuba::cluster::{
+    rollover, simulate_rollover_paths, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig,
+    SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
 use scuba::columnstore::Row;
 
@@ -14,13 +17,13 @@ fn main() {
     paper_scale_simulation();
 }
 
-/// Part 1: a real rollover — real shared memory, real leaf processes'
-/// worth of state, real queries.
+/// Part 1: a real rollover — real shared memory, every leaf on its own
+/// thread, real queries.
 fn real_mini_cluster() {
     println!("=== part 1: real mini-cluster rollover ===");
     let dir = std::env::temp_dir().join(format!("scuba_rollex_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = HostedCluster::new(ClusterConfig {
         machines: 5,
         leaves_per_machine: 2,
         shm_prefix: format!("rollex{}", std::process::id()),
@@ -31,17 +34,11 @@ fn real_mini_cluster() {
     .expect("boot cluster");
 
     // Fill every leaf with data.
-    for m in 0..cluster.machines().len() {
-        for l in 0..cluster.config().leaves_per_machine {
-            let rows: Vec<Row> = (0..20_000)
-                .map(|i| Row::at(i).with("v", i).with("k", format!("key{}", i % 11)))
-                .collect();
-            cluster.machines_mut()[m].slots_mut()[l]
-                .server_mut()
-                .unwrap()
-                .add_rows("metrics", &rows, 0)
-                .unwrap();
-        }
+    for idx in 0..cluster.total_leaves() {
+        let rows: Vec<Row> = (0..20_000)
+            .map(|i| Row::at(i).with("v", i).with("k", format!("key{}", i % 11)))
+            .collect();
+        cluster.add_rows(idx, "metrics", rows, 0).unwrap();
     }
     let total = cluster.total_rows();
     println!(
@@ -49,26 +46,27 @@ fn real_mini_cluster() {
         cluster.total_leaves()
     );
 
-    let report = rollover(&mut cluster, &RolloverConfig::default());
+    // The paper's rollover: 2% of the fleet at a time (here one leaf per
+    // wave), no SLO gating.
+    let report = rollover(
+        &cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     println!(
         "rollover: {} waves, {}/{} leaves via shared memory, wall time {:?}",
         report.waves,
         report.memory_recoveries(),
-        report.events.len(),
-        report.total_duration
+        report.restarted,
+        report.duration
     );
     println!("dashboard (Figure 8, real run):");
     println!("{}", report.dashboard.render(12));
     assert_eq!(cluster.total_rows(), total);
     println!("all {total} rows intact ✓\n");
 
-    for m in cluster.machines() {
-        for s in m.slots() {
-            if let Some(srv) = s.server() {
-                srv.namespace().unlink_all(8);
-            }
-        }
-    }
+    cluster.unlink_shm();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

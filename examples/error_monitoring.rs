@@ -13,12 +13,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scuba::cluster::{rollover, Cluster, ClusterConfig, RolloverConfig};
+use scuba::cluster::{
+    rollover, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig, SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
 use scuba::ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
 use scuba::query::{AggSpec, CmpOp, Filter, Query};
 
-fn dashboard_poll(cluster: &Cluster, label: &str) -> u64 {
+fn dashboard_poll(cluster: &HostedCluster, label: &str) -> u64 {
     let q = Query::new("error_logs", 0, i64::MAX)
         .filter(Filter::new("severity", CmpOp::Eq, "fatal"))
         .group_by("product")
@@ -47,7 +49,7 @@ fn dashboard_poll(cluster: &Cluster, label: &str) -> u64 {
 fn main() {
     let dir = std::env::temp_dir().join(format!("scuba_errmon_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cluster = Cluster::new(ClusterConfig {
+    let cluster = HostedCluster::new(ClusterConfig {
         machines: 4,
         leaves_per_machine: 2,
         shm_prefix: format!("errmon{}", std::process::id()),
@@ -58,7 +60,7 @@ fn main() {
     .expect("boot cluster");
     println!(
         "cluster up: {} machines x {} leaves",
-        cluster.machines().len(),
+        cluster.config().machines,
         cluster.config().leaves_per_machine
     );
 
@@ -77,23 +79,25 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(1);
 
     scribe.log_batch("error_logs", spec.rows(50_000));
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 0);
-    }
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 0);
     println!("ingested {} error events\n", cluster.total_rows());
 
     let before = dashboard_poll(&cluster, "pre-upgrade ");
 
     // The weekly software upgrade, one leaf at a time.
     println!("\nrolling upgrade starting (one leaf per wave) ...");
-    let report = rollover(&mut cluster, &RolloverConfig::default());
+    let report = rollover(
+        &cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     println!(
         "upgrade done: {} leaves, {} waves, {} via shared memory, {:?} total, min availability {:.1}%\n",
-        report.events.len(),
+        report.restarted,
         report.waves,
         report.memory_recoveries(),
-        report.total_duration,
+        report.duration,
         report.min_availability * 100.0
     );
     println!("{}", report.dashboard.render(12));
@@ -104,18 +108,9 @@ fn main() {
 
     // On-call keeps watching while new errors stream in.
     scribe.log_batch("error_logs", spec.rows(10_000));
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 100);
-    }
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 100);
     dashboard_poll(&cluster, "live        ");
 
-    for m in cluster.machines() {
-        for s in m.slots() {
-            if let Some(srv) = s.server() {
-                srv.namespace().unlink_all(8);
-            }
-        }
-    }
+    cluster.unlink_shm();
     let _ = std::fs::remove_dir_all(&dir);
 }

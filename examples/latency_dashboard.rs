@@ -7,7 +7,9 @@
 //! cargo run --release --example latency_dashboard
 //! ```
 
-use scuba::cluster::{ClusterConfig, HostedCluster, RolloverConfig};
+use scuba::cluster::{
+    rollover, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig, SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
 use scuba::columnstore::Value;
 use scuba::ingest::{WorkloadKind, WorkloadSpec};
@@ -101,10 +103,18 @@ fn main() {
 
     // Roll the cluster while the dashboard keeps working.
     println!("\nrolling upgrade (one leaf per machine per wave)...");
-    let report = cluster.rollover(&RolloverConfig::default());
+    let report = rollover(
+        &cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     println!(
         "upgrade: {} leaves in {} waves, {} via shared memory, {:?}\n",
-        report.restarted, report.waves, report.memory_recoveries, report.duration
+        report.restarted,
+        report.waves,
+        report.memory_recoveries(),
+        report.duration
     );
 
     render_panel(&cluster, "after upgrade ");
@@ -122,10 +132,6 @@ fn main() {
     );
     println!("identical drill-down results across the upgrade ✓");
 
-    for id in 0..cluster.total_leaves() {
-        if let Ok(ns) = scuba::shmem::ShmNamespace::new(&cluster.config().shm_prefix, id as u32) {
-            ns.unlink_all(8);
-        }
-    }
+    cluster.unlink_shm();
     let _ = std::fs::remove_dir_all(&dir);
 }

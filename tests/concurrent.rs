@@ -8,7 +8,9 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scuba::cluster::{ClusterConfig, HostedCluster, RolloverConfig};
+use scuba::cluster::{
+    rollover, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig, RolloverReport, SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
 use scuba::columnstore::{Row, Value};
 use scuba::ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
@@ -51,6 +53,11 @@ fn hosted(machines: usize, leaves: usize, tag: &str) -> (HostedCluster, Guard) {
             total: machines * leaves,
         },
     )
+}
+
+/// The paper's fixed 2%-at-a-time rollover: no SLO gating.
+fn roll(cluster: &HostedCluster, cfg: &RolloverConfig) -> RolloverReport {
+    rollover(cluster, cfg, &SloPolicy::fixed(0.02), &mut NullSloFeed)
 }
 
 #[test]
@@ -135,10 +142,11 @@ fn live_pipeline_through_a_concurrent_rollover() {
 
     // Let the pipeline warm up, then roll the cluster while it all runs.
     std::thread::sleep(std::time::Duration::from_millis(50));
-    let report = cluster.rollover(&RolloverConfig::default());
+    let report = roll(&cluster, &RolloverConfig::default());
     assert_eq!(report.restarted, 6);
     assert_eq!(
-        report.memory_recoveries, 6,
+        report.memory_recoveries(),
+        6,
         "all leaves should restart via shm"
     );
 
@@ -170,12 +178,15 @@ fn hosted_disk_rollover_preserves_synced_data() {
             .unwrap();
         host.sync_disk().unwrap();
     });
-    let report = cluster.rollover(&RolloverConfig {
-        use_shm: false,
-        ..Default::default()
-    });
+    let report = roll(
+        &cluster,
+        &RolloverConfig {
+            use_shm: false,
+            ..Default::default()
+        },
+    );
     assert_eq!(report.restarted, 4);
-    assert_eq!(report.memory_recoveries, 0);
+    assert_eq!(report.memory_recoveries(), 0);
     let r = cluster.query(&Query::new("t", 0, i64::MAX));
     assert_eq!(r.totals().unwrap()[0], Value::Int(400));
 }

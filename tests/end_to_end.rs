@@ -5,7 +5,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scuba::cluster::{rollover, Cluster, ClusterConfig, RolloverConfig};
+use scuba::cluster::{
+    rollover, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig, SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
 use scuba::diskstore::FastBackup;
 use scuba::ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
@@ -24,12 +26,12 @@ impl Drop for Guard {
     }
 }
 
-fn cluster(machines: usize, leaves: usize) -> (Cluster, Guard) {
+fn cluster(machines: usize, leaves: usize) -> (HostedCluster, Guard) {
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let prefix = format!("e2e{}x{n}", std::process::id());
     let dir = std::env::temp_dir().join(format!("scuba_e2e_{prefix}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let c = Cluster::new(ClusterConfig {
+    let c = HostedCluster::new(ClusterConfig {
         machines,
         leaves_per_machine: leaves,
         shm_prefix: prefix,
@@ -41,19 +43,9 @@ fn cluster(machines: usize, leaves: usize) -> (Cluster, Guard) {
     (c, Guard { dir })
 }
 
-fn unlink_all(cluster: &Cluster) {
-    for m in cluster.machines() {
-        for s in m.slots() {
-            if let Some(srv) = s.server() {
-                srv.namespace().unlink_all(8);
-            }
-        }
-    }
-}
-
 #[test]
 fn products_to_dashboard_across_an_upgrade() {
-    let (mut cluster, _g) = cluster(3, 2);
+    let (cluster, _g) = cluster(3, 2);
     let scribe = Scribe::new();
     let mut rng = StdRng::seed_from_u64(2024);
 
@@ -82,11 +74,9 @@ fn products_to_dashboard_across_an_upgrade() {
             )
         })
         .collect();
-    {
-        let mut clients = cluster.leaf_clients();
-        for t in &mut tailers {
-            t.tick(&scribe, &mut clients, &mut rng, 0);
-        }
+    let mut clients = cluster.leaf_clients();
+    for t in &mut tailers {
+        t.tick(&scribe, &mut clients, &mut rng, 0);
     }
     assert_eq!(cluster.total_rows(), 9000);
 
@@ -102,7 +92,12 @@ fn products_to_dashboard_across_an_upgrade() {
     assert!(before.rows_matched > 0);
 
     // Weekly software upgrade.
-    let report = rollover(&mut cluster, &RolloverConfig::default());
+    let report = rollover(
+        &cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(0.02),
+        &mut NullSloFeed,
+    );
     assert_eq!(report.memory_recoveries(), 6);
 
     // Same dashboard, same numbers.
@@ -121,13 +116,13 @@ fn products_to_dashboard_across_an_upgrade() {
     let r = cluster.query(&latency_panel);
     assert!(!r.groups.is_empty());
 
-    unlink_all(&cluster);
+    cluster.unlink_shm();
 }
 
 #[test]
 fn two_choice_placement_balances_the_cluster() {
     // E12 at integration scale: leaf fill imbalance stays small.
-    let (mut cluster, _g) = cluster(4, 2);
+    let (cluster, _g) = cluster(4, 2);
     let scribe = Scribe::new();
     let mut rng = StdRng::seed_from_u64(5);
     scribe.log_batch(
@@ -143,16 +138,9 @@ fn two_choice_placement_balances_the_cluster() {
             max_pair_tries: 4,
         },
     );
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 0);
-    }
-    let counts: Vec<usize> = cluster
-        .machines()
-        .iter()
-        .flat_map(|m| m.slots())
-        .map(|s| s.server().unwrap().total_rows())
-        .collect();
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 0);
+    let mut counts = Vec::new();
+    cluster.for_each_host(|_, h| counts.push(h.status().total_rows()));
     let max = *counts.iter().max().unwrap();
     let min = *counts.iter().min().unwrap();
     assert_eq!(counts.iter().sum::<usize>(), 16_000);
@@ -160,7 +148,7 @@ fn two_choice_placement_balances_the_cluster() {
         (max - min) as f64 <= 16_000.0 / 8.0,
         "two-choice imbalance too high: {counts:?}"
     );
-    unlink_all(&cluster);
+    cluster.unlink_shm();
 }
 
 #[test]

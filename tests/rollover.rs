@@ -1,58 +1,92 @@
 //! Integration: system-wide rollover on a live mini-cluster (§4.5) with
 //! ingestion and queries running throughout — the Figure 8 scenario.
+//!
+//! One test here arms a process-global failpoint on the shutdown path, so
+//! every test in this file holds [`scuba_faults::exclusive`]: a sibling
+//! shutting a leaf down in parallel would otherwise trip it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use scuba::cluster::{rollover, Cluster, ClusterConfig, RolloverConfig};
+use scuba::cluster::{
+    rollover, ClusterConfig, HostedCluster, NullSloFeed, RolloverConfig, RolloverReport, SloPolicy,
+};
 use scuba::columnstore::table::RetentionLimits;
-use scuba::columnstore::Value;
+use scuba::columnstore::{Row, Value};
 use scuba::ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
 use scuba::query::Query;
+use scuba::shmem::ShmNamespace;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 static COUNTER: AtomicU32 = AtomicU32::new(0);
 
-fn mini_cluster(machines: usize, leaves: usize) -> (Cluster, Guard) {
+fn mini_cluster(machines: usize, leaves: usize) -> (HostedCluster, Guard) {
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let prefix = format!("roll{}x{n}", std::process::id());
     let dir = std::env::temp_dir().join(format!("scuba_roll_{prefix}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let cluster = Cluster::new(ClusterConfig {
+    let cluster = HostedCluster::new(ClusterConfig {
         machines,
         leaves_per_machine: leaves,
-        shm_prefix: prefix,
+        shm_prefix: prefix.clone(),
         disk_root: dir.clone(),
         leaf_memory_capacity: 1 << 30,
         retention: RetentionLimits::NONE,
     })
     .unwrap();
-    (cluster, Guard { dir })
+    let guard = Guard {
+        prefix,
+        dir,
+        total: machines * leaves,
+    };
+    (cluster, guard)
 }
 
 struct Guard {
+    prefix: String,
     dir: PathBuf,
+    total: usize,
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
+        for id in 0..self.total {
+            if let Ok(ns) = ShmNamespace::new(&self.prefix, id as u32) {
+                ns.unlink_all(8);
+            }
+        }
         let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
-fn unlink_all(cluster: &Cluster) {
-    for m in cluster.machines() {
-        for s in m.slots() {
-            if let Some(srv) = s.server() {
-                srv.namespace().unlink_all(8);
-            }
-        }
-    }
+/// The paper's fixed-fraction rollover: no SLO gating.
+fn roll(cluster: &HostedCluster, fraction: f64) -> RolloverReport {
+    rollover(
+        cluster,
+        &RolloverConfig::default(),
+        &SloPolicy::fixed(fraction),
+        &mut NullSloFeed,
+    )
+}
+
+fn leaf_rows(cluster: &HostedCluster, idx: usize) -> usize {
+    cluster.with_host(idx, |h| h.map_or(0, |h| h.status().total_rows()))
+}
+
+/// Names in `/dev/shm` belonging to leaf `idx` of the cluster.
+fn shm_segments(cluster: &HostedCluster, idx: usize) -> Vec<String> {
+    let stem = format!("{}_leaf{idx}_", cluster.config().shm_prefix);
+    std::fs::read_dir("/dev/shm")
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with(&stem))
+        .collect()
 }
 
 #[test]
 fn rollover_with_live_ingest_and_queries() {
-    let (mut cluster, _g) = mini_cluster(4, 2);
+    let _x = scuba_faults::exclusive();
+    let (cluster, _g) = mini_cluster(4, 2);
     let scribe = Scribe::new();
     let spec = WorkloadSpec::new(WorkloadKind::Requests, 99);
     let mut rng = StdRng::seed_from_u64(7);
@@ -68,22 +102,18 @@ fn rollover_with_live_ingest_and_queries() {
 
     // Seed ingest before the rollover.
     scribe.log_batch("requests", spec.rows(4000));
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 0);
-    }
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 0);
     let seeded = cluster.total_rows();
     assert_eq!(seeded, 4000);
 
-    // Roll the cluster one leaf at a time; after each wave, ingest more
-    // rows and verify queries keep answering with partial results.
-    let report = rollover(&mut cluster, &RolloverConfig::default());
+    // Roll the cluster one leaf at a time.
+    let report = roll(&cluster, 0.02);
     assert_eq!(report.memory_recoveries(), 8);
     assert_eq!(cluster.total_rows(), 4000);
     assert!(report.min_availability >= 7.0 / 8.0 - 1e-9);
 
-    // During-restart behaviour is asserted by the orchestrator's
-    // availability trace; now verify completeness after.
+    // During-restart behaviour is asserted by the rollover's availability
+    // trace; now verify completeness after.
     let q = Query::new("requests", 0, i64::MAX);
     let r = cluster.query(&q);
     assert!(r.is_complete());
@@ -91,31 +121,24 @@ fn rollover_with_live_ingest_and_queries() {
 
     // Ingest continues seamlessly on the new version.
     scribe.log_batch("requests", spec.rows(1000));
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 100);
-    }
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 100);
     assert_eq!(cluster.total_rows(), 5000);
-
-    unlink_all(&cluster);
 }
 
 #[test]
 fn queries_see_partial_data_while_one_leaf_is_down() {
-    let (mut cluster, _g) = mini_cluster(2, 2);
+    let _x = scuba_faults::exclusive();
+    let (cluster, _g) = mini_cluster(2, 2);
     // Place a known number of rows on each leaf directly.
-    for (i, m) in cluster.machines_mut().iter_mut().enumerate() {
-        for (l, slot) in m.slots_mut().iter_mut().enumerate() {
-            let rows: Vec<scuba::columnstore::Row> = (0..100)
-                .map(|k| scuba::columnstore::Row::at(k).with("leaf", (i * 2 + l) as i64))
-                .collect();
-            slot.server_mut().unwrap().add_rows("t", &rows, 0).unwrap();
-        }
+    for idx in 0..cluster.total_leaves() {
+        let rows: Vec<Row> = (0..100)
+            .map(|k| Row::at(k).with("leaf", idx as i64))
+            .collect();
+        cluster.add_rows(idx, "t", rows, 0).unwrap();
     }
     // Shut one leaf down mid-"upgrade".
-    cluster.machines_mut()[1].slots_mut()[0]
-        .shutdown(0)
-        .unwrap();
+    let cfg = RolloverConfig::default();
+    cluster.stop_leaves(&[2], &cfg);
 
     let r = cluster.query(&Query::new("t", 0, 1000));
     assert_eq!(r.leaves_responded, 3);
@@ -123,16 +146,16 @@ fn queries_see_partial_data_while_one_leaf_is_down() {
     assert!((r.availability() - 0.75).abs() < 1e-9);
 
     // Completes after the leaf returns.
-    cluster.machines_mut()[1].slots_mut()[0].start(0).unwrap();
+    cluster.start_leaves(&[2], &cfg);
     let r = cluster.query(&Query::new("t", 0, 1000));
     assert_eq!(r.totals().unwrap()[0], Value::Int(400));
     assert!(r.is_complete());
-    unlink_all(&cluster);
 }
 
 #[test]
 fn tailers_route_around_restarting_leaves() {
-    let (mut cluster, _g) = mini_cluster(2, 2);
+    let _x = scuba_faults::exclusive();
+    let (cluster, _g) = mini_cluster(2, 2);
     let scribe = Scribe::new();
     let mut rng = StdRng::seed_from_u64(3);
     let mut tailer = Tailer::new(
@@ -146,64 +169,41 @@ fn tailers_route_around_restarting_leaves() {
     );
 
     // Take leaf 0 down; ingest must land on the other three.
-    cluster.machines_mut()[0].slots_mut()[0]
-        .shutdown(0)
-        .unwrap();
-    scribe.log_batch("t", (0..1000).map(scuba::columnstore::Row::at));
-    {
-        let mut clients = cluster.leaf_clients();
-        let delivered = tailer.tick(&scribe, &mut clients, &mut rng, 0);
-        assert_eq!(delivered, 1000);
-    }
-    assert_eq!(
-        cluster.machines()[0].slots()[0]
-            .server()
-            .map(|s| s.total_rows())
-            .unwrap_or(0),
-        0
-    );
+    let cfg = RolloverConfig::default();
+    cluster.stop_leaves(&[0], &cfg);
+    scribe.log_batch("t", (0..1000).map(Row::at));
+    let delivered = tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 0);
+    assert_eq!(delivered, 1000);
+    assert_eq!(leaf_rows(&cluster, 0), 0);
     assert_eq!(cluster.total_rows(), 1000);
 
     // Restart it; it gets traffic again.
-    cluster.machines_mut()[0].slots_mut()[0].start(0).unwrap();
-    scribe.log_batch("t", (0..2000).map(scuba::columnstore::Row::at));
-    {
-        let mut clients = cluster.leaf_clients();
-        tailer.tick(&scribe, &mut clients, &mut rng, 1);
-    }
+    cluster.start_leaves(&[0], &cfg);
+    scribe.log_batch("t", (0..2000).map(Row::at));
+    tailer.tick(&scribe, &mut cluster.leaf_clients(), &mut rng, 1);
     assert!(
-        cluster.machines()[0].slots()[0]
-            .server()
-            .unwrap()
-            .total_rows()
-            > 0,
+        leaf_rows(&cluster, 0) > 0,
         "restarted leaf received no traffic"
     );
-    unlink_all(&cluster);
 }
 
 #[test]
 fn dashboard_records_figure8_shape() {
-    let (mut cluster, _g) = mini_cluster(5, 2); // 10 leaves
-    for m in cluster.machines_mut() {
-        for s in m.slots_mut() {
-            s.server_mut()
-                .unwrap()
-                .add_rows("t", &[scuba::columnstore::Row::at(0)], 0)
-                .unwrap();
-        }
+    let _x = scuba_faults::exclusive();
+    let (cluster, _g) = mini_cluster(5, 2); // 10 leaves
+    for idx in 0..cluster.total_leaves() {
+        cluster.add_rows(idx, "t", vec![Row::at(0)], 0).unwrap();
     }
-    let cfg = RolloverConfig {
-        fraction: 0.2, // 2 at a time
-        ..Default::default()
-    };
-    let report = rollover(&mut cluster, &cfg);
+    let report = roll(&cluster, 0.2); // 2 at a time
+    assert_eq!(report.waves, 5);
     let rendered = report.dashboard.render(20);
     // Render parses and carries the three populations plus availability.
     assert!(rendered.contains("availability"));
     assert!(rendered.contains('#'));
+    assert!(rendered.contains('~'));
     // Old decreases, new increases, fleet partitions hold.
     let rows = report.dashboard.rows();
+    assert_eq!(rows.len(), report.waves + 1);
     assert!(rows
         .windows(2)
         .all(|w| w[0].old_version >= w[1].old_version));
@@ -213,5 +213,46 @@ fn dashboard_records_figure8_shape() {
     for r in rows {
         assert_eq!(r.old_version + r.rolling + r.new_version, 10);
     }
-    unlink_all(&cluster);
+    let last = rows.last().unwrap();
+    assert_eq!((last.new_version, last.availability), (10, 1.0));
+}
+
+/// §4.5: a leaf that does not shut down cleanly is killed, and its
+/// replacement restarts from disk. The kill loses what a real process
+/// death loses: rows not yet synced to disk.
+#[test]
+fn failed_shutdown_is_a_kill() {
+    let _x = scuba_faults::exclusive();
+    let (cluster, _g) = mini_cluster(2, 1);
+    for idx in 0..cluster.total_leaves() {
+        cluster
+            .add_rows(idx, "t", (0..100).map(Row::at).collect(), 0)
+            .unwrap();
+        cluster.with_host(idx, |h| h.unwrap().sync_disk().unwrap());
+        // Acknowledged but never synced: still in the backup's buffer.
+        cluster
+            .add_rows(idx, "t", (100..120).map(Row::at).collect(), 0)
+            .unwrap();
+    }
+    assert_eq!(cluster.total_rows(), 240);
+
+    // The first shutdown of the rollover — leaf 0's — fails.
+    let report = {
+        let _fault = scuba_faults::guard("leaf::phase::preparing", "error@1").unwrap();
+        roll(&cluster, 0.02)
+    };
+    assert_eq!(report.killed, 1);
+    assert_eq!(report.recoveries.len(), 2);
+    let (id, outcome) = &report.recoveries[0];
+    assert_eq!(*id, 0);
+    assert!(!outcome.is_memory(), "killed leaf must recover from disk");
+    assert!(report.recoveries[1].1.is_memory());
+
+    // Leaf 0 holds exactly its synced rows; leaf 1 lost nothing.
+    assert_eq!(leaf_rows(&cluster, 0), 100);
+    assert_eq!(leaf_rows(&cluster, 1), 120);
+    let r = cluster.query(&Query::new("t", 0, i64::MAX));
+    assert_eq!(r.totals().unwrap()[0], Value::Int(220));
+    // Nothing the dead process or its replacement touched is left in shm.
+    assert_eq!(shm_segments(&cluster, 0), Vec::<String>::new());
 }
