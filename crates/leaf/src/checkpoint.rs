@@ -79,14 +79,15 @@ pub struct TableSnapshot {
 }
 
 /// One checkpoint request: a consistent multi-table snapshot plus the
-/// ingest epoch it was taken at (the server uses the epoch to decide
-/// whether the WAL can be truncated when the cycle completes).
+/// WAL segment the server rotated to at the same instant. Every record in
+/// an older segment is in the snapshot, so once the cycle commits the
+/// server unlinks them.
 #[derive(Debug)]
 pub struct CheckpointJob {
     /// Per-table snapshots, name order.
     pub tables: Vec<TableSnapshot>,
-    /// The server's ingest epoch at snapshot time.
-    pub epoch: u64,
+    /// First WAL segment the snapshot does *not* cover.
+    pub covered_seq: u64,
 }
 
 /// What one committed checkpoint cycle did.
@@ -109,8 +110,8 @@ pub struct CheckpointStats {
 /// Completion message for one cycle.
 #[derive(Debug)]
 pub struct CheckpointOutcome {
-    /// The epoch the job was snapshotted at.
-    pub epoch: u64,
+    /// The job's [`CheckpointJob::covered_seq`].
+    pub covered_seq: u64,
     /// Stats on success; on failure the image has been marked invalid and
     /// the next cycle rebuilds it from scratch.
     pub result: Result<CheckpointStats, String>,
@@ -179,12 +180,15 @@ impl Checkpointer {
                 while let Ok(msg) = rx.recv() {
                     match msg {
                         CkMsg::Checkpoint(job) => {
-                            let epoch = job.epoch;
+                            let covered_seq = job.covered_seq;
                             let result = w.run_cycle(job);
                             if result.is_err() {
                                 w.reset_after_failure();
                             }
-                            let _ = done_tx.send(CheckpointOutcome { epoch, result });
+                            let _ = done_tx.send(CheckpointOutcome {
+                                covered_seq,
+                                result,
+                            });
                         }
                         CkMsg::Teardown => {
                             w.teardown();
@@ -735,11 +739,14 @@ mod tests {
         store.map_mut().get_mut(table).unwrap().seal(0).unwrap();
     }
 
-    fn checkpoint(ck: &Checkpointer, store: &LeafStore, epoch: u64) -> CheckpointStats {
+    fn checkpoint(ck: &Checkpointer, store: &LeafStore, covered_seq: u64) -> CheckpointStats {
         let tables = snapshot_tables(store).unwrap();
-        assert!(ck.request(CheckpointJob { tables, epoch }));
+        assert!(ck.request(CheckpointJob {
+            tables,
+            covered_seq
+        }));
         let outcome = ck.wait_done().expect("worker alive");
-        assert_eq!(outcome.epoch, epoch);
+        assert_eq!(outcome.covered_seq, covered_seq);
         outcome.result.expect("cycle committed")
     }
 
@@ -880,7 +887,10 @@ mod tests {
         scuba_faults::configure("leaf::checkpoint::write", "error@1").unwrap();
         ingest(&mut store, "logs", 200, 10);
         let tables = snapshot_tables(&store).unwrap();
-        assert!(ck.request(CheckpointJob { tables, epoch: 2 }));
+        assert!(ck.request(CheckpointJob {
+            tables,
+            covered_seq: 2
+        }));
         let outcome = ck.wait_done().unwrap();
         assert!(outcome.result.is_err());
         scuba_faults::clear_all();

@@ -10,9 +10,10 @@ use scuba_diskstore::{rowformat, ColdStore, DiskBackup, RecoveryStats, Throttle}
 use scuba_obs::PhaseBreakdown;
 use scuba_query::{execute_planned, LeafQueryResult, Query};
 use scuba_restart::{
-    attach_from_shm, backup_to_shm_with, read_wal, resolve_copy_threads, restore_from_shm_with,
-    AttachReport, BackupReport, CopyOptions, LeafBackupState, LeafRestoreState, RestoreError,
-    RestoreReport, TableBackupState, WalWriter, SHM_LAYOUT_VERSION,
+    attach_from_shm, backup_to_shm_with, read_segments, resolve_copy_threads,
+    restore_from_shm_with, AttachReport, BackupReport, CopyOptions, LeafBackupState,
+    LeafRestoreState, RestoreError, RestoreReport, SegmentedWal, TableBackupState,
+    SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{LeafMetadata, ShmNamespace};
 
@@ -24,9 +25,14 @@ use crate::error::{LeafError, LeafResult};
 use crate::persist::LeafStore;
 use crate::residency::ResidencyManager;
 
-/// WAL file name inside `disk_root`. The disk backup only reads
+/// WAL segment directory inside `disk_root`. The disk backup only reads
 /// `*.rows` files during recovery, so the log can live alongside them.
-pub const WAL_FILE: &str = "leaf.wal";
+pub const WAL_DIR: &str = "wal";
+
+/// The single-file log binaries before segmented logs wrote into
+/// `disk_root`. A start adopts it as segment 0, so a binary swap across a
+/// crash keeps the fast path.
+const LEGACY_WAL_FILE: &str = "leaf.wal";
 
 /// Check the failpoint guarding entry into a lifecycle phase. `error`
 /// plans surface as [`LeafError::Injected`] (the caller treats the leaf as
@@ -44,17 +50,21 @@ const WAL_TAG_BATCH: u8 = 1;
 /// WAL payload tag: a sync-coverage anchor (see [`encode_sync_anchor`]).
 const WAL_TAG_SYNC: u8 = 2;
 
-/// One decoded WAL record: a single ingest batch with its dedup anchor.
-struct WalBatch {
+/// The header of one WAL batch record, read without decoding its rows:
+/// enough to route the record to its table's replay worker and to skip it
+/// when the restored image already covers it.
+struct BatchHeader<'a> {
     /// Destination table.
-    table: String,
+    table: &'a str,
     /// The table's row count immediately *before* the batch was applied —
     /// the idempotence anchor: replay skips the record when the restored
     /// table already covers it, appends when it lines up exactly, and
     /// declares the image inconsistent otherwise.
     start_rows: u64,
-    /// The batch itself.
-    rows: Vec<Row>,
+    /// Rows in the batch.
+    n_rows: u64,
+    /// The batch's rowformat records, still encoded.
+    rows: &'a [u8],
 }
 
 /// Encode one ingest batch as a WAL record payload:
@@ -93,10 +103,10 @@ fn encode_sync_anchor(entries: &[(String, u64, u64)]) -> Vec<u8> {
     buf
 }
 
-/// A decoded WAL payload.
-enum WalRecord {
-    /// An ingest batch to replay.
-    Batch(WalBatch),
+/// A WAL payload, decoded as far as the main thread needs.
+enum WalRecord<'a> {
+    /// An ingest batch to replay; its rows are decoded by the worker.
+    Batch(BatchHeader<'a>),
     /// A sync-coverage anchor: per-table `(rows, bytes)` disk coverage.
     SyncAnchor(Vec<(String, u64, u64)>),
 }
@@ -105,9 +115,9 @@ enum WalRecord {
 /// already matched, so any structural problem here is a logic error worth
 /// failing loudly on — the caller answers with a disk fallback, never a
 /// partial apply.
-fn decode_wal_record(payload: &[u8]) -> Result<WalRecord, String> {
+fn decode_wal_record(payload: &[u8]) -> Result<WalRecord<'_>, String> {
     match payload.first() {
-        Some(&WAL_TAG_BATCH) => decode_wal_batch(&payload[1..]).map(WalRecord::Batch),
+        Some(&WAL_TAG_BATCH) => read_batch_header(&payload[1..]).map(WalRecord::Batch),
         Some(&WAL_TAG_SYNC) => decode_sync_anchor(&payload[1..]).map(WalRecord::SyncAnchor),
         Some(&tag) => Err(format!("unknown wal record tag {tag}")),
         None => Err("empty wal record".to_owned()),
@@ -148,8 +158,8 @@ fn decode_sync_anchor(payload: &[u8]) -> Result<Vec<(String, u64, u64)>, String>
     Ok(entries)
 }
 
-/// Decode an ingest-batch payload (tag already stripped).
-fn decode_wal_batch(payload: &[u8]) -> Result<WalBatch, String> {
+/// Read an ingest-batch header (tag already stripped).
+fn read_batch_header(payload: &[u8]) -> Result<BatchHeader<'_>, String> {
     let need = |n: usize, pos: usize| -> Result<(), String> {
         if payload.len() < pos + n {
             return Err(format!(
@@ -162,28 +172,38 @@ fn decode_wal_batch(payload: &[u8]) -> Result<WalBatch, String> {
     need(2, 0)?;
     let name_len = u16::from_le_bytes(payload[0..2].try_into().unwrap()) as usize;
     need(name_len, 2)?;
-    let table = String::from_utf8(payload[2..2 + name_len].to_vec())
+    let table = std::str::from_utf8(&payload[2..2 + name_len])
         .map_err(|e| format!("wal record table name: {e}"))?;
-    let mut pos = 2 + name_len;
+    let pos = 2 + name_len;
     need(12, pos)?;
-    let start_rows = u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap());
-    let n_rows = u32::from_le_bytes(payload[pos + 8..pos + 12].try_into().unwrap()) as usize;
-    pos += 12;
-    let mut rows = Vec::with_capacity(n_rows.min(1 << 20));
-    for _ in 0..n_rows {
-        match rowformat::read_record(payload, &mut pos) {
+    Ok(BatchHeader {
+        table,
+        start_rows: u64::from_le_bytes(payload[pos..pos + 8].try_into().unwrap()),
+        n_rows: u64::from(u32::from_le_bytes(
+            payload[pos + 8..pos + 12].try_into().unwrap(),
+        )),
+        rows: &payload[pos + 12..],
+    })
+}
+
+/// Decode a batch's rows.
+fn decode_batch_rows(batch: &BatchHeader<'_>) -> Result<Vec<Row>, String> {
+    let mut rows = Vec::with_capacity((batch.n_rows as usize).min(1 << 20));
+    let mut pos = 0;
+    while (rows.len() as u64) < batch.n_rows {
+        match rowformat::read_record(batch.rows, &mut pos) {
             rowformat::ReadOutcome::Record(row) => rows.push(row),
             rowformat::ReadOutcome::End => {
-                return Err(format!("wal record short: {} of {n_rows} rows", rows.len()))
+                return Err(format!(
+                    "wal record short: {} of {} rows",
+                    rows.len(),
+                    batch.n_rows
+                ))
             }
             rowformat::ReadOutcome::Torn(why) => return Err(format!("wal record torn: {why}")),
         }
     }
-    Ok(WalBatch {
-        table,
-        start_rows,
-        rows,
-    })
+    Ok(rows)
 }
 
 /// What a non-destructive peek at the metadata region found, taken
@@ -592,13 +612,15 @@ pub struct LeafServer {
     /// error *poisons* it (set to `None`, checkpointer torn down) so a
     /// crash degrades to the disk path rather than replaying a log with
     /// holes. Ingest never fails because of the WAL.
-    wal: Option<WalWriter>,
+    wal: Option<SegmentedWal>,
+    /// Payload of the last sync-coverage anchor written to the WAL. Every
+    /// rotation re-appends it as the new segment's first record, so the
+    /// reconcile scan stays bounded after the segment that first held it
+    /// is unlinked.
+    last_sync_anchor: Option<Vec<u8>>,
     /// Background checkpoint worker, present iff `checkpoint_enabled`
     /// and the crash path is healthy.
     checkpointer: Option<Checkpointer>,
-    /// Monotonic ingest-batch counter; checkpoint jobs are stamped with
-    /// it so completion can tell whether the image covers the whole WAL.
-    ingest_epoch: u64,
     /// Sealed blocks covered by the last committed checkpoint (feeds the
     /// `leaf_checkpoint_lag_blocks` gauge).
     committed_sealed: usize,
@@ -669,8 +691,8 @@ impl LeafServer {
             hydration_fallback: None,
             skipped_units: Vec::new(),
             wal: None,
+            last_sync_anchor: None,
             checkpointer: None,
-            ingest_epoch: 0,
             committed_sealed: 0,
             rows_since_checkpoint: 0,
             checkpoint_inflight: false,
@@ -696,25 +718,47 @@ impl LeafServer {
     }
 
     /// Start the crash path: spawn the checkpoint worker on `parity` and
-    /// open the WAL writer (truncating it first when the log predates the
-    /// state we now hold, e.g. after a disk recovery). Any WAL problem
-    /// poisons the path instead of failing the server.
-    fn open_crash_path(&mut self, parity: u32, truncate_wal: bool) {
+    /// open the WAL (clearing it when the log predates the state we now
+    /// hold, e.g. after a disk recovery). Any WAL problem poisons the path
+    /// instead of failing the server.
+    fn open_crash_path(&mut self, parity: u32, clear_wal: bool) {
         debug_assert!(self.config.checkpoint_enabled);
         self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
-        match WalWriter::open(self.config.disk_root.join(WAL_FILE)) {
-            Ok(mut wal) => {
-                if truncate_wal {
-                    if let Err(e) = wal.truncate() {
-                        self.wal = Some(wal);
-                        self.poison_wal(format!("truncate: {e}"));
-                        return;
-                    }
-                }
+        let opened = self
+            .adopt_legacy_wal()
+            .and_then(|()| SegmentedWal::open(self.wal_dir()));
+        match opened {
+            Ok(wal) => {
                 self.wal = Some(wal);
+                if clear_wal {
+                    self.clear_wal();
+                }
                 self.publish_checkpoint_gauges();
             }
             Err(e) => self.poison_wal(format!("open: {e}")),
+        }
+    }
+
+    fn wal_dir(&self) -> std::path::PathBuf {
+        self.config.disk_root.join(WAL_DIR)
+    }
+
+    /// Move a previous binary's single-file log into the segment directory
+    /// as segment 0 (no-op when there is none).
+    fn adopt_legacy_wal(&self) -> Result<(), scuba_restart::WalError> {
+        let legacy = self.config.disk_root.join(LEGACY_WAL_FILE);
+        scuba_restart::wal::adopt_single_file(&self.wal_dir(), &legacy)
+    }
+
+    /// Drop every WAL record: the image (or the disk state a recovery just
+    /// rebuilt) holds them all. The carried sync anchor goes too — the
+    /// disk log it describes may have been rewritten.
+    fn clear_wal(&mut self) {
+        self.last_sync_anchor = None;
+        if let Some(wal) = self.wal.as_mut() {
+            if let Err(e) = wal.clear() {
+                self.poison_wal(format!("clear: {e}"));
+            }
         }
     }
 
@@ -724,6 +768,7 @@ impl LeafServer {
     /// crash recovers from disk with exact durable fidelity.
     fn poison_wal(&mut self, reason: String) {
         self.wal = None;
+        self.last_sync_anchor = None;
         if let Some(ck) = self.checkpointer.take() {
             ck.teardown();
         }
@@ -939,7 +984,7 @@ impl LeafServer {
                     // what the dead process held — replay the WAL tail on
                     // top of it, in parallel across tables, then make the
                     // disk backup cover every row now in memory *before*
-                    // anything can truncate the WAL (a crash discards the
+                    // anything can unlink WAL segments (a crash discards the
                     // backup's buffered tail; without reconciliation those
                     // rows would live only in memory + volatile shm, and a
                     // later disk-path recovery would silently lose them).
@@ -980,9 +1025,10 @@ impl LeafServer {
                             }
                         }
                         // The replayed rows are in memory and still in the
-                        // log; the next full-coverage checkpoint truncates
-                        // it. Replay is idempotent, so keeping the old
-                        // records is safe.
+                        // log's segments; the first checkpoint of this life
+                        // rotates past them at its snapshot and unlinks them
+                        // when it commits. Replay is idempotent, so keeping
+                        // them until then is safe.
                         server.open_crash_path(ck_parity, false);
                     }
                     state = state.transition(LeafRestoreState::Alive)?;
@@ -1103,7 +1149,7 @@ impl LeafServer {
     /// record prefix (cheap when the WAL's last sync anchor bounds the
     /// scan), truncate any torn tail, and re-append the uncovered row
     /// suffix — all before the crash path reopens and anything can
-    /// truncate the WAL. A log holding *more* rows than memory means
+    /// unlink WAL segments. A log holding *more* rows than memory means
     /// image+WAL and disk disagree; condemn the memory recovery.
     fn reconcile_disk_coverage(
         &mut self,
@@ -1162,20 +1208,20 @@ impl LeafServer {
         Ok(())
     }
 
-    /// Apply one table's WAL records onto its restored state. The
-    /// `start_rows` anchor makes this idempotent: records the image
-    /// already covers are skipped, records that line up exactly append,
+    /// Decode and apply one table's WAL records onto its restored state.
+    /// The `start_rows` anchor makes this idempotent: a record the image
+    /// already covers is skipped from its header (its rows are never
+    /// decoded), a record that lines up exactly is decoded and appended,
     /// and anything else means image and log disagree — fail the replay.
     fn apply_wal_batches(
         table: &mut Table,
-        batches: &[WalBatch],
+        batches: &[BatchHeader<'_>],
         now: i64,
     ) -> Result<usize, String> {
         let mut applied = 0;
         for batch in batches {
             let rc = table.row_count() as u64;
-            let n = batch.rows.len() as u64;
-            if rc >= batch.start_rows + n {
+            if rc >= batch.start_rows.saturating_add(batch.n_rows) {
                 continue; // image already covers this batch
             }
             if rc != batch.start_rows {
@@ -1185,20 +1231,23 @@ impl LeafServer {
                     batch.start_rows
                 ));
             }
-            for row in &batch.rows {
-                table.append(row, now).map_err(|e| e.to_string())?;
+            for row in decode_batch_rows(batch)? {
+                table.append(&row, now).map_err(|e| e.to_string())?;
             }
             applied += 1;
         }
         Ok(applied)
     }
 
-    /// Replay the WAL tail onto the freshly memory-recovered store,
-    /// fanning tables out across the copy-thread pool (the same
-    /// parallelism knob as the restore copy itself). A torn tail is fine
-    /// — replay stops at the last intact record, which is exactly the
-    /// durable prefix. An unreadable log or an image/log mismatch is an
-    /// `Err`, answered by the caller with a full disk fallback.
+    /// Replay the WAL tail onto the freshly memory-recovered store. The
+    /// main thread reads only each record's header, grouping the still
+    /// encoded batches by table; decode and apply run per table on the
+    /// copy-thread pool (the same parallelism knob as the restore copy
+    /// itself). A table the WAL created after the last checkpoint starts
+    /// empty. A torn tail in the last segment is fine — replay stops at
+    /// the last intact record, which is exactly the durable prefix. An
+    /// unreadable log, a torn earlier segment, or an image/log mismatch is
+    /// an `Err`, answered by the caller with a full disk fallback.
     ///
     /// Returns the *last* sync anchor's per-table `(rows, bytes)` disk
     /// coverage (empty if the log holds none) — the scan hints for
@@ -1207,47 +1256,44 @@ impl LeafServer {
         &mut self,
         now: i64,
     ) -> Result<std::collections::BTreeMap<String, (u64, u64)>, String> {
-        let path = self.config.disk_root.join(WAL_FILE);
         let started = Instant::now();
-        let contents = read_wal(&path).map_err(|e| format!("wal unreadable: {e}"))?;
-        if contents.torn {
+        let contents = self
+            .adopt_legacy_wal()
+            .and_then(|()| read_segments(&self.wal_dir()))
+            .map_err(|e| format!("wal unreadable: {e}"))?;
+        if contents.torn() {
             scuba_obs::counter!("leaf_wal_torn_tails_total").inc();
         }
         self.wal_replayed_records = 0;
         let mut hints = std::collections::BTreeMap::new();
-        if contents.records.is_empty() {
-            return Ok(hints);
-        }
-        let mut groups: std::collections::BTreeMap<String, Vec<WalBatch>> =
+        let mut groups: std::collections::BTreeMap<&str, Vec<BatchHeader<'_>>> =
             std::collections::BTreeMap::new();
-        for record in &contents.records {
+        for record in contents.records() {
             match decode_wal_record(record)? {
-                WalRecord::Batch(batch) => {
-                    groups.entry(batch.table.clone()).or_default().push(batch);
-                }
+                WalRecord::Batch(batch) => groups.entry(batch.table).or_default().push(batch),
                 WalRecord::SyncAnchor(entries) => {
                     // Later anchors supersede earlier ones entirely.
                     hints = entries
                         .into_iter()
                         .map(|(name, rows, bytes)| (name, (rows, bytes)))
                         .collect();
+                    self.last_sync_anchor = Some(record.to_vec());
                 }
             }
         }
-        // Tables present in the image replay in parallel; tables the WAL
-        // created *after* the last checkpoint don't exist yet and are
-        // built serially afterwards.
-        let mut tables = self.store.map_mut().take_tables();
-        let mut jobs: Vec<(Table, Vec<WalBatch>)> = Vec::new();
-        let mut fresh: Vec<(String, Vec<WalBatch>)> = Vec::new();
-        for (name, batches) in groups {
-            match tables.remove(&name) {
-                Some(table) => jobs.push((table, batches)),
-                None => fresh.push((name, batches)),
-            }
+        if groups.is_empty() {
+            return Ok(hints);
         }
-        let threads = resolve_copy_threads(self.config.copy_threads).min(jobs.len().max(1));
-        let mut buckets: Vec<Vec<(Table, Vec<WalBatch>)>> =
+        let mut tables = self.store.map_mut().take_tables();
+        let jobs: Vec<(Table, Vec<BatchHeader<'_>>)> = groups
+            .into_iter()
+            .map(|(name, batches)| {
+                let table = tables.remove(name).unwrap_or_else(|| Table::new(name, now));
+                (table, batches)
+            })
+            .collect();
+        let threads = resolve_copy_threads(self.config.copy_threads).min(jobs.len());
+        let mut buckets: Vec<Vec<(Table, Vec<BatchHeader<'_>>)>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (i, job) in jobs.into_iter().enumerate() {
             buckets[i % threads].push(job);
@@ -1286,25 +1332,6 @@ impl LeafServer {
         for (_, table) in tables {
             self.store.map_mut().insert(table);
         }
-        for (name, batches) in fresh {
-            for batch in &batches {
-                let rc = self.store.map().get(&name).map_or(0, |t| t.row_count()) as u64;
-                let n = batch.rows.len() as u64;
-                if rc >= batch.start_rows + n {
-                    continue;
-                }
-                if rc != batch.start_rows {
-                    return Err(format!(
-                        "wal gap on new table {name:?}: {rc} rows, record starts at {}",
-                        batch.start_rows
-                    ));
-                }
-                self.store
-                    .append_rows(&name, &batch.rows, now)
-                    .map_err(|e| e.to_string())?;
-                applied += 1;
-            }
-        }
         self.wal_replayed_records = applied;
         scuba_obs::counter!("leaf_wal_replayed_records_total").add(applied as u64);
         if scuba_obs::enabled() {
@@ -1335,21 +1362,24 @@ impl LeafServer {
         scuba_obs::labeled_gauge("leaf_wal_bytes", &labels).set(self.wal_bytes() as i64);
     }
 
-    /// Snapshot the store and hand the worker a checkpoint job. False if
-    /// the crash path is down (disabled or poisoned) or the worker died.
+    /// Snapshot the store, cut the WAL at the same instant, and hand the
+    /// worker a checkpoint job. False if the crash path is down (disabled
+    /// or poisoned) or the worker died.
     fn request_checkpoint(&mut self) -> bool {
-        if self.wal.is_none() {
+        if self.wal.is_none() || self.checkpointer.is_none() {
             return false; // poisoned: a log with holes must not pair with an image
         }
-        let Some(ck) = self.checkpointer.as_ref() else {
-            return false;
-        };
         let Ok(tables) = snapshot_tables(&self.store) else {
             return false;
         };
-        let ok = ck.request(CheckpointJob {
-            tables,
-            epoch: self.ingest_epoch,
+        let Some(covered_seq) = self.rotate_wal() else {
+            return false;
+        };
+        let ok = self.checkpointer.as_ref().is_some_and(|ck| {
+            ck.request(CheckpointJob {
+                tables,
+                covered_seq,
+            })
         });
         if ok {
             self.checkpoint_inflight = true;
@@ -1358,8 +1388,29 @@ impl LeafServer {
         ok
     }
 
+    /// Start a new WAL segment, carrying the last sync anchor into it, and
+    /// return its seq. Runs on the ingest thread, so no batch can land
+    /// between the snapshot just taken and the cut. A failure poisons the
+    /// crash path.
+    fn rotate_wal(&mut self) -> Option<u64> {
+        let wal = self.wal.as_mut()?;
+        let rotated = wal.rotate().and_then(|seq| {
+            if let Some(anchor) = &self.last_sync_anchor {
+                wal.append(anchor)?;
+            }
+            Ok(seq)
+        });
+        match rotated {
+            Ok(seq) => Some(seq),
+            Err(e) => {
+                self.poison_wal(format!("rotate: {e}"));
+                None
+            }
+        }
+    }
+
     /// Fold one completed cycle into the server: remember coverage for
-    /// the lag gauge and drop the WAL when the image covers every batch.
+    /// the lag gauge and unlink the WAL segments the image now covers.
     fn apply_checkpoint_outcome(
         &mut self,
         outcome: CheckpointOutcome,
@@ -1368,14 +1419,9 @@ impl LeafServer {
         match outcome.result {
             Ok(stats) => {
                 self.committed_sealed = stats.sealed_blocks;
-                if outcome.epoch == self.ingest_epoch {
-                    // Nothing landed since the snapshot: the image covers
-                    // the whole log. (Otherwise keep it — replay skips
-                    // covered records via the start_rows anchor.)
-                    if let Some(wal) = self.wal.as_mut() {
-                        if let Err(e) = wal.truncate() {
-                            self.poison_wal(format!("truncate: {e}"));
-                        }
+                if let Some(wal) = self.wal.as_mut() {
+                    if let Err(e) = wal.drop_below(outcome.covered_seq) {
+                        self.poison_wal(format!("unlink covered segments: {e}"));
                     }
                 }
                 self.publish_checkpoint_gauges();
@@ -1384,7 +1430,8 @@ impl LeafServer {
             Err(reason) => {
                 // The worker already invalidated the image and will
                 // rebuild from scratch next cycle; until then a crash
-                // falls back to disk.
+                // falls back to disk. The segments stay: a later commit
+                // covers them.
                 self.publish_checkpoint_gauges();
                 Err(reason)
             }
@@ -1398,14 +1445,18 @@ impl LeafServer {
         }
     }
 
-    /// Auto-trigger: request a checkpoint when enough rows landed since
-    /// the last one and the worker is idle.
+    /// Auto-trigger: apply a finished cycle on the first batch after it
+    /// lands (unlinking its covered segments then, not an interval later),
+    /// and request a checkpoint when enough rows landed since the last one
+    /// and the worker is idle.
     fn maybe_auto_checkpoint(&mut self) {
+        if self.checkpoint_inflight {
+            self.drain_checkpoint_outcomes();
+        }
         let interval = self.config.checkpoint_interval_rows;
         if interval == 0 || self.rows_since_checkpoint < interval {
             return;
         }
-        self.drain_checkpoint_outcomes();
         if self.checkpoint_inflight {
             return; // still copying the previous snapshot; try after
         }
@@ -1464,11 +1515,7 @@ impl LeafServer {
         }
         self.checkpoint_inflight = false;
         self.committed_sealed = 0;
-        if let Some(wal) = self.wal.as_mut() {
-            if let Err(e) = wal.truncate() {
-                self.poison_wal(format!("truncate: {e}"));
-            }
-        }
+        self.clear_wal();
         self.publish_checkpoint_gauges();
     }
 
@@ -1483,11 +1530,12 @@ impl LeafServer {
         self.recovered_from_checkpoint
     }
 
-    /// Record bytes currently in the WAL, excluding the file header
-    /// (0 when the crash path is off or poisoned).
+    /// Record bytes currently in the WAL's segments, excluding their file
+    /// headers (0 when the crash path is off or poisoned).
     pub fn wal_bytes(&self) -> u64 {
         self.wal.as_ref().map_or(0, |w| {
-            w.len_bytes().saturating_sub(scuba_restart::wal::WAL_HEADER)
+            let headers = w.seqs().len() as u64 * scuba_restart::wal::WAL_HEADER;
+            w.len_bytes().saturating_sub(headers)
         })
     }
 
@@ -1760,7 +1808,6 @@ impl LeafServer {
             return Err(e.into());
         }
         if self.config.checkpoint_enabled && !rows.is_empty() {
-            self.ingest_epoch += 1;
             self.rows_since_checkpoint += rows.len();
             if self.wal.is_some() {
                 let payload = encode_wal_batch(table, start_rows, rows);
@@ -1941,8 +1988,9 @@ impl LeafServer {
             entries.push((table.name().to_owned(), table.row_count() as u64, len));
         }
         let payload = encode_sync_anchor(&entries);
-        if let Err(e) = self.wal.as_mut().unwrap().append(&payload) {
-            self.poison_wal(format!("append anchor: {e}"));
+        match self.wal.as_mut().unwrap().append(&payload) {
+            Ok(()) => self.last_sync_anchor = Some(payload),
+            Err(e) => self.poison_wal(format!("append anchor: {e}")),
         }
     }
 
@@ -2027,11 +2075,7 @@ impl LeafServer {
 
         // The backup's valid bit is committed: the image covers every
         // row, so the WAL is obsolete. Drop it before exit.
-        if let Some(wal) = self.wal.as_mut() {
-            if let Err(e) = wal.truncate() {
-                self.poison_wal(format!("truncate: {e}"));
-            }
-        }
+        self.clear_wal();
         self.wal = None;
 
         // EXIT. A fault here stands on the narrowest ledge: the valid bit
@@ -2125,7 +2169,7 @@ impl LeafServer {
         if let Some(ck) = self.checkpointer.take() {
             ck.abandon();
         }
-        self.wal = None; // close the fd; never truncate on a crash
+        self.wal = None; // close the fds; never clear on a crash
                          // A SIGKILL loses the disk backup's userspace buffer too: drop it
                          // unflushed so the crash's durability is exactly the synced
                          // prefix, not whatever the allocator felt like flushing.
@@ -3133,6 +3177,272 @@ mod tests {
         (cfg, dir)
     }
 
+    /// Batch records (sync anchors not counted) in the leaf's WAL.
+    fn wal_batches(cfg: &LeafConfig) -> usize {
+        scuba_restart::read_segments(&cfg.disk_root.join(WAL_DIR))
+            .unwrap()
+            .records()
+            .filter(|r| r.first() == Some(&WAL_TAG_BATCH))
+            .count()
+    }
+
+    /// Chop `bytes` off the end of a file: a torn write.
+    fn tear(path: &std::path::Path, bytes: u64) {
+        let len = std::fs::metadata(path).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+        f.set_len(len - bytes).unwrap();
+    }
+
+    /// Rows `first..first + n` of a table whose `seq` column counts rows.
+    fn seq_rows(first: i64, n: i64) -> Vec<Row> {
+        (first..first + n)
+            .map(|i| Row::at(i).with("seq", i))
+            .collect()
+    }
+
+    /// Row count and Σ`seq` of a table: a table holding exactly rows
+    /// `0..n` answers `(n, n(n-1)/2)`.
+    fn count_and_seq_sum(s: &LeafServer, table: &str) -> (u64, f64) {
+        let q = Query::new(table, 0, i64::MAX)
+            .aggregates(vec![AggSpec::Count, AggSpec::Sum("seq".into())]);
+        let r = s.query(&q).unwrap();
+        let sum = r
+            .groups
+            .values()
+            .next()
+            .map_or(Value::Double(0.0), |a| a[1].finish());
+        match sum {
+            Value::Double(sum) => (r.rows_matched, sum),
+            other => panic!("sum is {other:?}"),
+        }
+    }
+
+    fn exact_prefix(n: u64) -> (u64, f64) {
+        (n, (n * n.saturating_sub(1) / 2) as f64)
+    }
+
+    /// Take a checkpoint and let the worker commit it, but never drain the
+    /// outcome: the state a crash finds between the worker's commit and
+    /// the server's unlink of the covered segments.
+    fn commit_without_draining(s: &mut LeafServer) {
+        assert!(s.request_checkpoint());
+        let outcome = s.checkpointer.as_ref().unwrap().wait_done().unwrap();
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+    }
+
+    /// Under continuous ingest the log holds about one checkpoint interval,
+    /// not everything since the last quiet moment: each committed cycle
+    /// unlinks the segments below its cut, with no `checkpoint_and_wait`.
+    #[test]
+    fn wal_stays_bounded_under_continuous_ingest() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        const INTERVAL: usize = 10_000;
+        const BATCH: i64 = 1000;
+        let (mut cfg, dir) = crash_config("ckbounded");
+        cfg.checkpoint_interval_rows = INTERVAL;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let tables = ["bounded_a", "bounded_b"];
+        let mut acked = [0u64; 2];
+        let mut commits = 0;
+        let mut finished = None;
+        for b in 0..100 {
+            let t = b % 2;
+            s.add_rows(tables[t], &seq_rows(acked[t] as i64, BATCH), 0)
+                .unwrap();
+            acked[t] += BATCH as u64;
+            // A busy leaf notices a finished cycle only on a later batch,
+            // after more rows have landed behind the cut.
+            if let Some(outcome) = finished.take() {
+                commits += usize::from(s.apply_checkpoint_outcome(outcome).is_ok());
+            }
+            if s.checkpoint_inflight {
+                finished = s.checkpointer.as_ref().unwrap().wait_done();
+            }
+        }
+        // The last finished cycle, if any, is never drained: no batch
+        // came after it.
+        assert!(commits >= 2, "only {commits} auto checkpoints committed");
+        let bytes_per_row =
+            encode_wal_batch(tables[0], 0, &seq_rows(0, BATCH)).len() as f64 / BATCH as f64;
+        let bound = 3.0 * INTERVAL as f64 * bytes_per_row;
+        assert!(
+            s.wal_bytes() as f64 <= bound,
+            "log holds {} bytes after {commits} commits, bound {bound}",
+            s.wal_bytes()
+        );
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert!(
+            s2.wal_replayed_records() <= 30,
+            "replayed {} records",
+            s2.wal_replayed_records()
+        );
+        for (t, table) in tables.iter().enumerate() {
+            assert_eq!(count_and_seq_sum(&s2, table), exact_prefix(acked[t]));
+        }
+    }
+
+    /// The worker committed but the server had not drained the outcome
+    /// when the process died: the covered segments are still on disk, and
+    /// replay skips their records from the header.
+    #[test]
+    fn crash_between_commit_and_unlink_skips_covered_records() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckundrained");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        commit_without_draining(&mut s);
+        for b in 3..5 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        assert_eq!(wal_batches(&cfg), 5, "covered segments were unlinked");
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(500));
+    }
+
+    /// A covered segment whose unlink never happened (restored here by
+    /// hand) replays idempotently: its records are all skipped.
+    #[test]
+    fn stale_covered_segment_replays_idempotently() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckstaleseg");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        let wal_dir = cfg.disk_root.join(WAL_DIR);
+        let covered = s.wal.as_ref().unwrap().seqs();
+        let stale: Vec<_> = covered
+            .iter()
+            .map(|&seq| {
+                let path = scuba_restart::wal::segment_path(&wal_dir, seq);
+                (path.clone(), std::fs::read(path).unwrap())
+            })
+            .collect();
+        s.checkpoint_and_wait().unwrap();
+        s.wal.as_mut().unwrap().wait_unlinked().unwrap();
+        for (path, bytes) in &stale {
+            assert!(
+                !path.exists(),
+                "covered segment {path:?} survived the commit"
+            );
+            std::fs::write(path, bytes).unwrap();
+        }
+        for b in 3..5 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        assert_eq!(wal_batches(&cfg), 5);
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(500));
+    }
+
+    /// Only the live segment is appended to, so a torn record in an
+    /// earlier one is damage, not a crash shape: the log no longer covers
+    /// the tail and recovery goes to disk.
+    #[test]
+    fn torn_record_in_an_earlier_segment_recovers_from_disk() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckgap");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        let first = s.wal.as_ref().unwrap().seqs()[0];
+        commit_without_draining(&mut s);
+        s.add_rows("logs", &seq_rows(300, 100), 0).unwrap();
+        s.sync_disk().unwrap();
+        s.crash();
+        drop(s);
+        let wal_dir = cfg.disk_root.join(WAL_DIR);
+        assert!(scuba_restart::wal::list_segments(&wal_dir).unwrap().len() >= 2);
+        tear(&scuba_restart::wal::segment_path(&wal_dir, first), 3);
+
+        let (s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        match &outcome {
+            RecoveryOutcome::Disk { reason, .. } => {
+                assert!(reason.contains("not the last"), "{reason}");
+            }
+            other => panic!("expected disk fallback, got {other:?}"),
+        }
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(400));
+        assert_eq!(
+            wal_batches(&cfg),
+            0,
+            "the damaged log survived the fallback"
+        );
+    }
+
+    /// A binary swap across a crash: the previous binary's single-file
+    /// log is read as segment 0 and moved into the segment directory, and
+    /// the restart still takes the fast path.
+    #[test]
+    fn legacy_single_file_wal_is_adopted_as_segment_zero() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("cklegacy");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        s.checkpoint_and_wait().unwrap();
+        for b in 3..5 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        s.crash();
+        drop(s);
+        // Rewrite the log the way the previous binary kept it: one file.
+        let wal_dir = cfg.disk_root.join(WAL_DIR);
+        let legacy = cfg.disk_root.join(LEGACY_WAL_FILE);
+        let records: Vec<Vec<u8>> = scuba_restart::read_segments(&wal_dir)
+            .unwrap()
+            .records()
+            .map(<[u8]>::to_vec)
+            .collect();
+        std::fs::remove_dir_all(&wal_dir).unwrap();
+        let mut single = scuba_restart::WalWriter::open(&legacy).unwrap();
+        for record in &records {
+            single.append(record).unwrap();
+        }
+        drop(single);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(500));
+        assert!(!legacy.exists(), "the single-file log was left behind");
+        assert_eq!(
+            scuba_restart::wal::list_segments(&wal_dir).unwrap(),
+            vec![0]
+        );
+    }
+
     /// Tentpole acceptance + the drop-ordering regression (a dying
     /// process must never unlink the live checkpoint image): checkpoint,
     /// ingest a WAL tail, crash — the replacement attaches the warm image
@@ -3145,7 +3455,9 @@ mod tests {
         fill(&mut s, 400);
         s.sync_disk().unwrap();
         s.checkpoint_and_wait().unwrap();
-        assert_eq!(s.wal_bytes(), 0, "full-coverage checkpoint keeps the WAL");
+        s.wal.as_mut().unwrap().wait_unlinked().unwrap();
+        assert_eq!(wal_batches(&cfg), 0, "the checkpoint left covered batches");
+        assert_eq!(s.wal.as_ref().unwrap().seqs().len(), 1);
         // Post-checkpoint tail: two batches, the second never disk-synced.
         let b1: Vec<Row> = (400..460).map(|i| Row::at(i).with("sev", "tail")).collect();
         s.add_rows("logs", &b1, 0).unwrap();
@@ -3198,16 +3510,14 @@ mod tests {
         s.crash();
         drop(s);
 
-        // Tear mid-way into the last record, as a death inside write()
-        // would.
-        let wal_path = cfg.disk_root.join(WAL_FILE);
-        let len = std::fs::metadata(&wal_path).unwrap().len();
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&wal_path)
+        // Tear mid-way into the last record of the live segment, as a
+        // death inside write() would.
+        let dir = cfg.disk_root.join(WAL_DIR);
+        let live = *scuba_restart::wal::list_segments(&dir)
+            .unwrap()
+            .last()
             .unwrap();
-        f.set_len(len - 3).unwrap();
-        drop(f);
+        tear(&scuba_restart::wal::segment_path(&dir, live), 3);
 
         let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(outcome.is_memory(), "{outcome:?}");
@@ -3253,7 +3563,7 @@ mod tests {
     }
 
     /// An injected replay fault condemns the memory recovery; the leaf
-    /// falls back to disk (and the stale WAL is truncated for the new
+    /// falls back to disk (and the stale WAL is cleared for the new
     /// life).
     #[test]
     fn wal_replay_fault_falls_back_to_disk() {
@@ -3330,12 +3640,15 @@ mod tests {
         s.add_rows("logs", &rows, 0).unwrap();
         s.shutdown_to_shm(0).unwrap();
         drop(s);
+        let dir = cfg.disk_root.join(WAL_DIR);
+        let seqs = scuba_restart::wal::list_segments(&dir).unwrap();
+        assert_eq!(seqs.len(), 1, "the clean shutdown left segments: {seqs:?}");
         assert_eq!(
-            std::fs::metadata(cfg.disk_root.join(WAL_FILE))
+            std::fs::metadata(scuba_restart::wal::segment_path(&dir, seqs[0]))
                 .unwrap()
                 .len(),
-            8,
-            "WAL not truncated by the clean shutdown"
+            scuba_restart::wal::WAL_HEADER,
+            "WAL not cleared by the clean shutdown"
         );
         let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
         for parity in 0..2u32 {
@@ -3383,7 +3696,7 @@ mod tests {
 
     /// REVIEW (high): rows that came back through WAL replay must reach
     /// the disk backup during recovery — a later disk-path recovery (the
-    /// WAL is truncated by then) must still surface them.
+    /// WAL is cleared by then) must still surface them.
     #[test]
     fn wal_replayed_rows_reach_disk_backup() {
         let (cfg, dir) = crash_config("ckreconcile");

@@ -58,7 +58,7 @@ pub use traits::{
     ChunkDesc, ChunkSink, ChunkSource, MappedChunk, MappedChunkSource, ShmPersistable,
     FLAG_SKIPPABLE,
 };
-pub use wal::{read_wal, WalContents, WalError, WalWriter};
+pub use wal::{read_segments, read_wal, SegmentedWal, WalContents, WalError, WalWriter};
 
 /// Version of the shared-memory layout this library writes — and the
 /// reader version this binary implements. The paper treats any version

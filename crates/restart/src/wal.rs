@@ -18,12 +18,24 @@
 //! record (§4.1's truncate-at-first-bad-record durability contract,
 //! applied to the WAL instead of the disk backup).
 //!
+//! A leaf keeps its log as a [`SegmentedWal`]: a directory of such files,
+//! one per *segment*, named by a monotonically increasing sequence number.
+//! Rotating to a fresh segment is the log's cut point — a checkpoint taken
+//! at the rotation covers every record in the older segments, and once it
+//! commits they are unlinked whole ([`SegmentedWal::drop_below`]). Crash
+//! replay therefore reads only what the image lacks, bounded by the
+//! checkpoint cadence instead of by the time since the last quiet moment
+//! (arXiv:1604.03226's checkpoint-bounded log tail; the rotation is the
+//! single well-defined cut arXiv:1810.04915 asks a snapshot to have).
+//!
 //! Failpoints: `restart::wal::append`, `restart::wal::fsync`,
 //! `restart::wal::replay`.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 use scuba_shmem::crc32;
 
@@ -60,6 +72,14 @@ pub enum WalError {
         /// The offending payload length.
         len: usize,
     },
+    /// A segment other than the last ends in a torn or corrupt record.
+    /// Only the live (last) segment is ever appended to, so this is not a
+    /// crash shape: records after the tear are unreachable and the log no
+    /// longer covers the tail, so replay must not be trusted.
+    Gap {
+        /// The damaged segment.
+        seq: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -72,6 +92,9 @@ impl std::fmt::Display for WalError {
                     f,
                     "wal record payload of {len} bytes exceeds {MAX_RECORD_LEN}"
                 )
+            }
+            WalError::Gap { seq } => {
+                write!(f, "wal segment {seq:016x} is torn but not the last")
             }
         }
     }
@@ -106,20 +129,52 @@ pub struct WalContents {
 /// surfaces as [`WalError::Injected`], which callers answer with a disk
 /// fallback.
 pub fn read_wal(path: &Path) -> Result<WalContents, WalError> {
+    replay_failpoint()?;
+    let file = read_file(path)?;
+    Ok(WalContents {
+        records: file.records().map(<[u8]>::to_vec).collect(),
+        torn: file.torn,
+        valid_len: file.valid_len,
+        file_len: file.bytes.len() as u64,
+    })
+}
+
+fn replay_failpoint() -> Result<(), WalError> {
     if scuba_faults::check("restart::wal::replay").is_some() {
         return Err(WalError::Injected {
             site: "restart::wal::replay",
         });
     }
-    let mut out = WalContents::default();
+    Ok(())
+}
+
+/// One log file read whole: its bytes plus where each valid record's
+/// payload sits in them (no payload is copied).
+#[derive(Debug, Default)]
+struct LogFile {
+    bytes: Vec<u8>,
+    records: Vec<Range<usize>>,
+    torn: bool,
+    valid_len: u64,
+}
+
+impl LogFile {
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        self.records.iter().map(|r| &self.bytes[r.clone()])
+    }
+}
+
+/// Read and frame-check one log file (no failpoint: callers check it once
+/// per read, not once per file).
+fn read_file(path: &Path) -> Result<LogFile, WalError> {
+    let mut out = LogFile::default();
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
         Err(e) => return Err(e.into()),
     };
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-    out.file_len = buf.len() as u64;
+    file.read_to_end(&mut out.bytes)?;
+    let buf = &out.bytes;
     if buf.len() < WAL_HEADER as usize {
         out.torn = !buf.is_empty();
         return Ok(out);
@@ -145,16 +200,21 @@ pub fn read_wal(path: &Path) -> Result<WalContents, WalError> {
             out.torn = true;
             break;
         }
-        let payload = &buf[start..start + len];
-        if crc32(payload) != crc {
+        if crc32(&buf[start..start + len]) != crc {
             out.torn = true;
             break;
         }
-        out.records.push(payload.to_vec());
+        out.records.push(start..start + len);
         pos = start + len;
         out.valid_len = pos as u64;
     }
     Ok(out)
+}
+
+fn write_header(file: &mut File) -> Result<u64, WalError> {
+    file.write_all(&WAL_MAGIC.to_le_bytes())?;
+    file.write_all(&WAL_VERSION.to_le_bytes())?;
+    Ok(WAL_HEADER)
 }
 
 /// Append handle to a leaf's WAL. Opening scans the existing log and
@@ -175,11 +235,11 @@ impl WalWriter {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let contents = match read_wal(&path) {
+        let contents = match replay_failpoint().and_then(|()| read_file(&path)) {
             Ok(c) => c,
             // An armed replay fault must not wedge the writer: treat the
             // log as unreadable and start fresh.
-            Err(WalError::Injected { .. }) => WalContents::default(),
+            Err(WalError::Injected { .. }) => LogFile::default(),
             Err(e) => return Err(e),
         };
         let mut file = OpenOptions::new()
@@ -195,11 +255,22 @@ impl WalWriter {
         } else {
             // Empty, torn-header, or foreign file: rewrite from scratch.
             file.set_len(0)?;
-            file.write_all(&WAL_MAGIC.to_le_bytes())?;
-            file.write_all(&WAL_VERSION.to_le_bytes())?;
-            WAL_HEADER
+            write_header(&mut file)?
         };
         file.seek(SeekFrom::Start(len))?;
+        Ok(WalWriter { file, path, len })
+    }
+
+    /// Create an empty log at `path`, replacing any file there. Reads
+    /// nothing, so unlike [`Self::open`] it never consults the replay
+    /// failpoint.
+    fn create(path: PathBuf) -> Result<WalWriter, WalError> {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)?;
+        let len = write_header(&mut file)?;
         Ok(WalWriter { file, path, len })
     }
 
@@ -237,15 +308,6 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Drop every record: the checkpoint (or a completed disk recovery /
-    /// planned shutdown) has made them redundant.
-    pub fn truncate(&mut self) -> Result<(), WalError> {
-        self.file.set_len(WAL_HEADER)?;
-        self.file.seek(SeekFrom::Start(WAL_HEADER))?;
-        self.len = WAL_HEADER;
-        Ok(())
-    }
-
     /// Current log size in bytes (header included).
     pub fn len_bytes(&self) -> u64 {
         self.len
@@ -254,6 +316,234 @@ impl WalWriter {
     /// The log's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+}
+
+/// File name of segment `seq` inside a segment directory: sixteen hex
+/// digits, so name order is sequence order.
+pub fn segment_path(dir: &Path, seq: u64) -> PathBuf {
+    dir.join(format!("{seq:016x}.wal"))
+}
+
+/// The segment sequence numbers present in `dir`, ascending. A missing
+/// directory holds none; files that are not segments are ignored.
+pub fn list_segments(dir: &Path) -> Result<Vec<u64>, WalError> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e.into()),
+    };
+    let mut seqs = Vec::new();
+    for entry in entries {
+        let name = entry?.file_name();
+        let Some(stem) = name.to_str().and_then(|n| n.strip_suffix(".wal")) else {
+            continue;
+        };
+        if stem.len() == 16 {
+            if let Ok(seq) = u64::from_str_radix(stem, 16) {
+                seqs.push(seq);
+            }
+        }
+    }
+    seqs.sort_unstable();
+    Ok(seqs)
+}
+
+/// Move a single-file log (the layout before segments) into `dir` as
+/// segment 0, replacing any segments there: a segmented writer removes the
+/// single file whenever it opens, so one that still exists was written
+/// after them. No-op when `file` does not exist.
+pub fn adopt_single_file(dir: &Path, file: &Path) -> Result<(), WalError> {
+    if !file.exists() {
+        return Ok(());
+    }
+    std::fs::create_dir_all(dir)?;
+    for seq in list_segments(dir)? {
+        remove_segment(dir, seq)?;
+    }
+    std::fs::rename(file, segment_path(dir, 0))?;
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
+fn remove_segment(dir: &Path, seq: u64) -> Result<(), WalError> {
+    match std::fs::remove_file(segment_path(dir, seq)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
+/// A segment directory read back whole, in sequence order.
+#[derive(Debug, Default)]
+pub struct SegmentedContents {
+    segments: Vec<LogFile>,
+}
+
+impl SegmentedContents {
+    /// Every valid record payload, segment by segment, append order.
+    pub fn records(&self) -> impl Iterator<Item = &[u8]> {
+        self.segments.iter().flat_map(LogFile::records)
+    }
+
+    /// Whether the last segment ended in a torn record (replay stops there
+    /// either way; this is reporting, not an error).
+    pub fn torn(&self) -> bool {
+        self.segments.last().is_some_and(|f| f.torn)
+    }
+}
+
+/// Read every segment in `dir`. A torn record ends replay only in the last
+/// segment; in any earlier one it is [`WalError::Gap`]. Record CRCs are
+/// checked here; payloads are not copied. Guarded by the same
+/// `restart::wal::replay` failpoint as [`read_wal`].
+pub fn read_segments(dir: &Path) -> Result<SegmentedContents, WalError> {
+    replay_failpoint()?;
+    let seqs = list_segments(dir)?;
+    let mut out = SegmentedContents::default();
+    for (i, &seq) in seqs.iter().enumerate() {
+        let file = read_file(&segment_path(dir, seq))?;
+        if file.torn && i + 1 < seqs.len() {
+            return Err(WalError::Gap { seq });
+        }
+        out.segments.push(file);
+    }
+    Ok(out)
+}
+
+/// The leaf's log: a directory of segments, each an ordinary WAL file
+/// written by a [`WalWriter`]. Appends go to the live (highest) segment;
+/// [`Self::rotate`] closes it and starts the next; [`Self::drop_below`]
+/// unlinks whole closed segments a checkpoint has covered.
+#[derive(Debug)]
+pub struct SegmentedWal {
+    dir: PathBuf,
+    live: WalWriter,
+    live_seq: u64,
+    /// Closed segments the log still holds: `(seq, bytes)`, ascending.
+    closed: Vec<(u64, u64)>,
+    /// Closed segments not yet fsynced since they were rotated away from;
+    /// the next [`Self::sync`] flushes them with the live one.
+    unsynced: Vec<(u64, WalWriter)>,
+    /// A rotation created a file the directory has not been fsynced for.
+    dir_dirty: bool,
+    /// Unlinks of dropped segments still running. Freeing the blocks of a
+    /// synced segment a checkpoint interval long takes milliseconds, so
+    /// it runs off the caller's (ingest) thread; its error surfaces at the
+    /// next [`Self::drop_below`], [`Self::clear`] or
+    /// [`Self::wait_unlinked`].
+    unlinking: Option<JoinHandle<Result<(), WalError>>>,
+}
+
+impl SegmentedWal {
+    /// Open (or create) the segment directory. The highest segment becomes
+    /// the live one, its torn tail (if any) truncated by
+    /// [`WalWriter::open`]; an empty directory starts at segment 0.
+    pub fn open(dir: impl Into<PathBuf>) -> Result<SegmentedWal, WalError> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let mut seqs = list_segments(&dir)?;
+        let live_seq = seqs.pop().unwrap_or(0);
+        let mut closed = Vec::with_capacity(seqs.len());
+        for seq in seqs {
+            closed.push((seq, std::fs::metadata(segment_path(&dir, seq))?.len()));
+        }
+        Ok(SegmentedWal {
+            live: WalWriter::open(segment_path(&dir, live_seq))?,
+            dir,
+            live_seq,
+            closed,
+            unsynced: Vec::new(),
+            dir_dirty: true,
+            unlinking: None,
+        })
+    }
+
+    /// Append one record to the live segment ([`WalWriter::append`]).
+    pub fn append(&mut self, payload: &[u8]) -> Result<(), WalError> {
+        self.live.append(payload)
+    }
+
+    /// fsync every segment written since the last sync, and the directory
+    /// if a rotation added a file to it.
+    pub fn sync(&mut self) -> Result<(), WalError> {
+        self.live.sync()?;
+        for (_, w) in &mut self.unsynced {
+            w.sync()?;
+        }
+        self.unsynced.clear();
+        if self.dir_dirty {
+            File::open(&self.dir)?.sync_all()?;
+            self.dir_dirty = false;
+        }
+        Ok(())
+    }
+
+    /// Close the live segment and start the next one. Returns the new
+    /// segment's seq: every record appended before this call lies in a
+    /// segment below it.
+    pub fn rotate(&mut self) -> Result<u64, WalError> {
+        let seq = self.live_seq + 1;
+        let next = WalWriter::create(segment_path(&self.dir, seq))?;
+        let old = std::mem::replace(&mut self.live, next);
+        self.closed.push((self.live_seq, old.len_bytes()));
+        self.unsynced.push((self.live_seq, old));
+        self.live_seq = seq;
+        self.dir_dirty = true;
+        Ok(seq)
+    }
+
+    /// Drop every closed segment below `seq` from the log and unlink them
+    /// in the background, oldest first. The live segment is never dropped.
+    /// Reports the previous drop's unlink error, if it had one.
+    pub fn drop_below(&mut self, seq: u64) -> Result<(), WalError> {
+        self.wait_unlinked()?;
+        let n = self.closed.partition_point(|&(s, _)| s < seq);
+        if n == 0 {
+            return Ok(());
+        }
+        let doomed: Vec<u64> = self.closed.drain(..n).map(|(s, _)| s).collect();
+        self.unsynced.retain(|(u, _)| *u >= seq);
+        let dir = self.dir.clone();
+        self.unlinking = Some(std::thread::spawn(move || {
+            doomed.iter().try_for_each(|&s| remove_segment(&dir, s))
+        }));
+        Ok(())
+    }
+
+    /// Wait for the segments [`Self::drop_below`] dropped to be unlinked.
+    pub fn wait_unlinked(&mut self) -> Result<(), WalError> {
+        match self.unlinking.take() {
+            Some(handle) => handle
+                .join()
+                .unwrap_or_else(|_| Err(std::io::Error::other("segment unlink panicked").into())),
+            None => Ok(()),
+        }
+    }
+
+    /// Drop every record: unlink all segments and start an empty one (the
+    /// sequence keeps counting up). Returns once the files are gone.
+    pub fn clear(&mut self) -> Result<(), WalError> {
+        let seq = self.rotate()?;
+        self.drop_below(seq)?;
+        self.wait_unlinked()
+    }
+
+    /// Bytes across the segments the log holds, headers included.
+    pub fn len_bytes(&self) -> u64 {
+        self.closed.iter().map(|&(_, len)| len).sum::<u64>() + self.live.len_bytes()
+    }
+
+    /// Seqs of the segments the log holds, ascending (the live one last).
+    pub fn seqs(&self) -> Vec<u64> {
+        let mut seqs: Vec<u64> = self.closed.iter().map(|&(seq, _)| seq).collect();
+        seqs.push(self.live_seq);
+        seqs
+    }
+}
+
+impl Drop for SegmentedWal {
+    fn drop(&mut self) {
+        let _ = self.wait_unlinked();
     }
 }
 
@@ -267,6 +557,7 @@ mod tests {
 
     #[test]
     fn round_trips_records_in_order() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("rt");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path).unwrap();
@@ -288,6 +579,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_log() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let c = read_wal(Path::new("/nonexistent/scuba.wal")).unwrap();
         assert!(c.records.is_empty());
         assert!(!c.torn);
@@ -295,6 +587,7 @@ mod tests {
 
     #[test]
     fn torn_tail_stops_at_last_valid_record() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("torn");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path).unwrap();
@@ -327,6 +620,7 @@ mod tests {
 
     #[test]
     fn corrupt_crc_stops_replay_cleanly() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("crc");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path).unwrap();
@@ -350,6 +644,7 @@ mod tests {
 
     #[test]
     fn oversized_length_word_is_torn_not_allocated() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("huge");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path).unwrap();
@@ -370,6 +665,7 @@ mod tests {
 
     #[test]
     fn oversized_append_rejected_at_write_time() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("bigappend");
         let _ = std::fs::remove_file(&path);
         let mut w = WalWriter::open(&path).unwrap();
@@ -391,25 +687,8 @@ mod tests {
     }
 
     #[test]
-    fn truncate_drops_all_records() {
-        let path = tmp("trunc");
-        let _ = std::fs::remove_file(&path);
-        let mut w = WalWriter::open(&path).unwrap();
-        w.append(b"a").unwrap();
-        w.append(b"b").unwrap();
-        assert!(w.len_bytes() > WAL_HEADER);
-        w.truncate().unwrap();
-        assert_eq!(w.len_bytes(), WAL_HEADER);
-        w.append(b"after").unwrap();
-        drop(w);
-        let c = read_wal(&path).unwrap();
-        assert!(!c.torn);
-        assert_eq!(c.records, vec![b"after".to_vec()]);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn foreign_file_is_rewritten_not_replayed() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
         let path = tmp("foreign");
         std::fs::write(&path, b"this is not a wal at all, just bytes").unwrap();
         let c = read_wal(&path).unwrap();
@@ -422,6 +701,119 @@ mod tests {
         assert!(!c.torn);
         assert_eq!(c.records, vec![b"fresh".to_vec()]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("scuba_walseg_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn all_records(dir: &Path) -> Vec<Vec<u8>> {
+        read_segments(dir)
+            .unwrap()
+            .records()
+            .map(<[u8]>::to_vec)
+            .collect()
+    }
+
+    #[test]
+    fn segments_rotate_drop_and_read_in_seq_order() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
+        let dir = tmp_dir("rot");
+        let mut w = SegmentedWal::open(&dir).unwrap();
+        assert_eq!(w.seqs(), vec![0]);
+        w.append(b"a").unwrap();
+        assert_eq!(w.rotate().unwrap(), 1);
+        w.append(b"b").unwrap();
+        assert_eq!(w.rotate().unwrap(), 2);
+        w.append(b"c").unwrap();
+        w.sync().unwrap();
+        assert_eq!(w.seqs(), vec![0, 1, 2]);
+        assert_eq!(list_segments(&dir).unwrap(), vec![0, 1, 2]);
+        assert_eq!(
+            w.len_bytes(),
+            3 * (WAL_HEADER + WAL_RECORD_HEADER as u64 + 1)
+        );
+        assert_eq!(
+            all_records(&dir),
+            vec![b"a".to_vec(), b"b".to_vec(), b"c".to_vec()]
+        );
+
+        // Unlinks whole closed segments below the cut, never the live one.
+        w.drop_below(2).unwrap();
+        w.wait_unlinked().unwrap();
+        assert_eq!(list_segments(&dir).unwrap(), vec![2]);
+        assert_eq!(all_records(&dir), vec![b"c".to_vec()]);
+        w.drop_below(u64::MAX).unwrap();
+        assert_eq!(w.seqs(), vec![2]);
+        drop(w);
+
+        // Reopening appends to the highest segment.
+        let mut w = SegmentedWal::open(&dir).unwrap();
+        w.append(b"d").unwrap();
+        assert_eq!(w.seqs(), vec![2]);
+        assert_eq!(all_records(&dir), vec![b"c".to_vec(), b"d".to_vec()]);
+
+        // Clear empties the log; the sequence keeps counting up.
+        w.clear().unwrap();
+        assert_eq!(w.seqs(), vec![3]);
+        assert_eq!(w.len_bytes(), WAL_HEADER);
+        assert!(all_records(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_record_ends_replay_only_in_the_last_segment() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
+        let dir = tmp_dir("torn");
+        let mut w = SegmentedWal::open(&dir).unwrap();
+        w.append(b"first").unwrap();
+        w.rotate().unwrap();
+        w.append(b"second").unwrap();
+        w.append(b"third").unwrap();
+        drop(w);
+        let tear = |seq: u64| {
+            let path = segment_path(&dir, seq);
+            let len = std::fs::metadata(&path).unwrap().len();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.set_len(len - 2).unwrap();
+        };
+
+        // Last segment torn: the durable prefix replays.
+        tear(1);
+        assert!(read_segments(&dir).unwrap().torn());
+        assert_eq!(
+            all_records(&dir),
+            vec![b"first".to_vec(), b"second".to_vec()]
+        );
+
+        // Earlier segment torn: a gap, not a shorter log.
+        tear(0);
+        assert!(matches!(read_segments(&dir), Err(WalError::Gap { seq: 0 })));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn single_file_log_is_adopted_as_segment_zero() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
+        let dir = tmp_dir("adopt");
+        let mut w = SegmentedWal::open(&dir).unwrap();
+        w.append(b"stale").unwrap();
+        w.rotate().unwrap();
+        drop(w);
+        let file = dir.with_extension("wal");
+        let mut single = WalWriter::open(&file).unwrap();
+        single.append(b"newer").unwrap();
+        drop(single);
+
+        adopt_single_file(&dir, &file).unwrap();
+        assert!(!file.exists());
+        assert_eq!(list_segments(&dir).unwrap(), vec![0]);
+        assert_eq!(all_records(&dir), vec![b"newer".to_vec()]);
+        adopt_single_file(&dir, &file).unwrap(); // nothing left to adopt
+        assert_eq!(all_records(&dir), vec![b"newer".to_vec()]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

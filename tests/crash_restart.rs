@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::Row;
 use scuba_leaf::{LeafConfig, LeafServer};
 use scuba_query::Query;
+use scuba_restart::wal::{list_segments, segment_path};
 use scuba_shmem::{ShmNamespace, ShmSegment};
 
 /// Wait for the child to signal readiness, kill it cold, and reap it.
@@ -166,11 +167,13 @@ fn sigkill_with_torn_wal_tail_replays_valid_prefix() {
     }
     kill_when_ready(child, &ready);
 
-    // Tear the WAL: chop 3 bytes off the last record, the torn-write shape
-    // a real crash leaves. Replay must stop cleanly at the last valid
-    // record — dropping exactly the final (never-synced) batch — and still
-    // take the fast path.
-    let wal_path = dir.join(scuba_leaf::server::WAL_FILE);
+    // Tear the WAL: chop 3 bytes off the last record of the live (last)
+    // segment, the torn-write shape a real crash leaves. Replay must stop
+    // cleanly at the last valid record — dropping exactly the final
+    // (never-synced) batch — and still take the fast path.
+    let wal_dir = dir.join(scuba_leaf::server::WAL_DIR);
+    let live = *list_segments(&wal_dir).unwrap().last().unwrap();
+    let wal_path = segment_path(&wal_dir, live);
     let mut wal = std::fs::OpenOptions::new()
         .write(true)
         .open(&wal_path)
@@ -191,6 +194,70 @@ fn sigkill_with_torn_wal_tail_replays_valid_prefix() {
     assert_eq!(r.rows_matched as usize, total);
 
     drop(recovered);
+    assert_no_orphans(&prefix);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// After a checkpoint commit unlinks the segment holding the last sync
+/// anchor, the anchor carried into the next segment still bounds the
+/// crash reconcile: it scans only what reached the table's disk log since
+/// the last `sync_disk`, not the whole `.rows` file.
+#[test]
+fn reconcile_scan_stays_bounded_after_segment_drop() {
+    scuba_obs::set_enabled(true);
+    let prefix = format!("crashanchor{}", std::process::id());
+    let dir = std::env::temp_dir().join(format!("scuba_{prefix}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = LeafConfig::new(0, prefix.clone(), dir.clone());
+    cfg.checkpoint_enabled = true;
+    let rows = |from: i64, to: i64| -> Vec<Row> {
+        (from..to)
+            .map(|i| Row::at(i).with("v", i).with("pad", format!("row-{i:012}")))
+            .collect()
+    };
+
+    let mut server = LeafServer::new(cfg.clone()).unwrap();
+    server.add_rows("data", &rows(0, BASE), 0).unwrap();
+    server.sync_disk().unwrap(); // the anchor lands in the live segment
+    let wal_dir = dir.join(scuba_leaf::server::WAL_DIR);
+    let anchored = list_segments(&wal_dir).unwrap();
+    server.checkpoint_and_wait().unwrap();
+    let rows_file = dir.join("data.rows");
+    let synced_len = std::fs::metadata(&rows_file).unwrap().len();
+    // Unsynced ingest: large enough that the backup's buffer spills part
+    // of it into the file before the crash discards the rest.
+    server
+        .add_rows("data", &rows(BASE, BASE + TAIL * 4), 0)
+        .unwrap();
+    let key = server.obs_key().to_owned();
+    server.crash();
+    drop(server);
+    for seq in &anchored {
+        assert!(
+            !segment_path(&wal_dir, *seq).exists(),
+            "segment {seq} with the anchor was not dropped"
+        );
+    }
+    let crash_len = std::fs::metadata(&rows_file).unwrap().len();
+    assert!(
+        crash_len > synced_len,
+        "nothing reached the disk log unsynced"
+    );
+
+    let (recovered, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+    assert!(outcome.is_memory(), "{outcome:?}");
+    assert_eq!(recovered.total_rows(), (BASE + TAIL * 4) as usize);
+    let gauge = scuba_obs::labeled_name("leaf_crash_reconcile_scanned_bytes", &[("leaf", &key)]);
+    let scanned = scuba_obs::gauge_value(&gauge).expect("reconcile ran") as u64;
+    assert!(
+        scanned <= crash_len - synced_len,
+        "reconcile scanned {scanned} bytes; only {} were written since the last sync \
+         ({crash_len} in the file)",
+        crash_len - synced_len
+    );
+
+    drop(recovered);
+    ShmNamespace::new(&prefix, 0).unwrap().unlink_all(16);
     assert_no_orphans(&prefix);
     let _ = std::fs::remove_dir_all(&dir);
 }
