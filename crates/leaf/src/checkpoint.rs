@@ -24,9 +24,12 @@
 //! flips each process generation: a recovering process may still hold its
 //! predecessor's segments through unlink-on-last-drop [`SegmentView`]s
 //! (two-phase attach), and those views must never unlink the warm image
-//! the *new* generation is building. The stream grammar inside a segment
-//! is byte-identical to the shutdown backup's, so the existing restore,
-//! attach, and hydration machinery consumes a checkpoint image unchanged.
+//! the *new* generation is building. Each segment's stream is written by
+//! the shutdown backup's own writer ([`image::write_manifest`],
+//! [`image::write_block`]), so it is byte-identical to the backup's image
+//! of the same blocks (`tests/format_compat.rs` pins both to one golden
+//! fixture) and the existing restore, attach, and hydration machinery
+//! consumes a checkpoint image unchanged.
 //!
 //! [`SegmentView`]: scuba_shmem::SegmentView
 
@@ -38,13 +41,11 @@ use std::thread::JoinHandle;
 use scuba_columnstore::{RowBlock, Schema};
 use scuba_restart::framing::{encode_header_v2, end_header_v2, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
-use scuba_restart::{ChunkDesc, SHM_LAYOUT_VERSION};
+use scuba_restart::{ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
 use scuba_shmem::{crc32, LeafMetadata, SegmentEntry, ShmNamespace, ShmResult, ShmSegment};
 
-use crate::persist::{
-    write_coldref, LeafStore, COLDREF_VERSION, COLUMN_VERSION, MANIFEST_VERSION, PRELUDE_VERSION,
-    TAG_COLDREF, TAG_COLUMN, TAG_MANIFEST, TAG_PRELUDE, TAG_ZONES, ZONES_VERSION,
-};
+use crate::image::{self, MANIFEST_VERSION};
+use crate::persist::LeafStore;
 
 /// Registry-entry flag marking a segment as part of the continuous
 /// checkpoint image (vs a planned-shutdown backup). Readers tolerate
@@ -455,7 +456,7 @@ impl Worker {
                         );
                     }
                     let st = self.states.get_mut(&snap.name).expect("just inserted");
-                    let written = full_write(st, snap)
+                    let written = full_write(st, snap, schema_bytes)
                         .map_err(|e| format!("checkpointing {:?}: {e}", snap.name))?;
                     stats.bytes_written += written;
                     stats.full_rewrites += 1;
@@ -551,8 +552,10 @@ impl SegCursor<'_> {
         self.pos += bytes.len();
         Ok(())
     }
+}
 
-    fn write_frame(&mut self, desc: ChunkDesc, payload: &[u8]) -> ShmResult<()> {
+impl ChunkSink for SegCursor<'_> {
+    fn put_chunk(&mut self, desc: ChunkDesc, payload: &[u8]) -> ShmResult<()> {
         self.write(&encode_header_v2(
             desc,
             payload.len() as u64,
@@ -560,51 +563,6 @@ impl SegCursor<'_> {
         ))?;
         self.write(payload)
     }
-
-    fn write_block(&mut self, block: &RowBlock) -> ShmResult<()> {
-        // Cold blocks checkpoint as a reference (plus zones), never as a
-        // copy of their image: the crash path, like planned shutdown,
-        // re-attaches the fast-format file by mmap.
-        if let Some(cr) = block.cold_ref() {
-            let mut coldref = Vec::new();
-            write_coldref(cr, &mut coldref);
-            self.write_frame(ChunkDesc::new(TAG_COLDREF, COLDREF_VERSION), &coldref)?;
-            if let Some(zones) = block.zones().filter(|z| !z.is_empty()) {
-                let mut payload = Vec::new();
-                zones.serialize(&mut payload);
-                self.write_frame(
-                    ChunkDesc::new(TAG_ZONES, ZONES_VERSION).skippable(),
-                    &payload,
-                )?;
-            }
-            return Ok(());
-        }
-        let mut prelude = Vec::new();
-        crate::persist::write_prelude(block, &mut prelude);
-        self.write_frame(ChunkDesc::new(TAG_PRELUDE, PRELUDE_VERSION), &prelude)?;
-        if let Some(zones) = block.zones().filter(|z| !z.is_empty()) {
-            let mut payload = Vec::new();
-            zones.serialize(&mut payload);
-            self.write_frame(
-                ChunkDesc::new(TAG_ZONES, ZONES_VERSION).skippable(),
-                &payload,
-            )?;
-        }
-        for column in block.columns() {
-            self.write_frame(
-                ChunkDesc::new(TAG_COLUMN, COLUMN_VERSION),
-                column.as_bytes(),
-            )?;
-        }
-        Ok(())
-    }
-}
-
-fn manifest_payload(block_count: u64, schema_bytes: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + schema_bytes.len());
-    payload.extend_from_slice(&block_count.to_le_bytes());
-    payload.extend_from_slice(schema_bytes);
-    payload
 }
 
 fn block_count(snap: &TableSnapshot) -> u64 {
@@ -612,29 +570,23 @@ fn block_count(snap: &TableSnapshot) -> u64 {
 }
 
 /// Serialize the whole table into its segment from offset 0 — the same
-/// stream the shutdown backup writes: name frame, manifest, per-block
-/// prelude + columns (the open block, if any, serialized as a final
-/// ordinary block), END. Returns bytes written.
-fn full_write(st: &mut SegState, snap: &TableSnapshot) -> ShmResult<u64> {
-    let mut schema_bytes = Vec::with_capacity(snap.schema.serialized_size());
-    snap.schema.serialize(&mut schema_bytes);
-
+/// stream the shutdown backup writes: name frame, manifest, the blocks
+/// (the open block, if any, serialized as a final ordinary block), END.
+/// Returns bytes written.
+fn full_write(st: &mut SegState, snap: &TableSnapshot, schema_bytes: Vec<u8>) -> ShmResult<u64> {
     let mut cur = SegCursor {
         segment: &mut st.segment,
         pos: 0,
     };
-    cur.write_frame(ChunkDesc::new(TAG_UNIT_NAME, 1), snap.name.as_bytes())?;
+    cur.put_chunk(ChunkDesc::new(TAG_UNIT_NAME, 1), snap.name.as_bytes())?;
     let manifest_off = cur.pos;
-    cur.write_frame(
-        ChunkDesc::new(TAG_MANIFEST, MANIFEST_VERSION),
-        &manifest_payload(block_count(snap), &schema_bytes),
-    )?;
+    image::write_manifest(block_count(snap), &snap.schema, &mut cur)?;
     for block in &snap.sealed {
-        cur.write_block(block)?;
+        image::write_block(block, &mut cur)?;
     }
     let sealed_end = cur.pos;
     if let Some(open) = &snap.open {
-        cur.write_block(open)?;
+        image::write_block(open, &mut cur)?;
     }
     cur.write(&end_header_v2())?;
     let used = cur.pos;
@@ -663,28 +615,25 @@ fn incremental_write(st: &mut SegState, snap: &TableSnapshot) -> ShmResult<u64> 
         pos: start,
     };
     for block in &snap.sealed[st.sealed_count..] {
-        cur.write_block(block)?;
+        image::write_block(block, &mut cur)?;
     }
     let sealed_end = cur.pos;
     if let Some(open) = &snap.open {
-        cur.write_block(open)?;
+        image::write_block(open, &mut cur)?;
     }
     cur.write(&end_header_v2())?;
     let used = cur.pos;
     let tail_written = (used - start) as u64;
 
-    // Patch the manifest frame in place: only the block-count word and
-    // the frame CRC change.
-    let payload = manifest_payload(block_count(snap), &st.schema_bytes);
-    let header = encode_header_v2(
-        ChunkDesc::new(TAG_MANIFEST, MANIFEST_VERSION),
-        payload.len() as u64,
-        crc32(&payload),
-    );
-    let off = st.manifest_off;
-    let slice = st.segment.as_mut_slice();
-    slice[off..off + header.len()].copy_from_slice(&header);
-    slice[off + header.len()..off + header.len() + payload.len()].copy_from_slice(&payload);
+    // Rewrite the manifest frame in place. The schema is unchanged (the
+    // precondition), so the frame keeps its length: only the block-count
+    // word and the frame CRC change.
+    let mut cur = SegCursor {
+        segment: &mut st.segment,
+        pos: st.manifest_off,
+    };
+    image::write_manifest(block_count(snap), &snap.schema, &mut cur)?;
+    let manifest_written = (cur.pos - st.manifest_off) as u64;
 
     st.segment.resize(used)?;
     st.segment.sync()?;
@@ -693,7 +642,7 @@ fn incremental_write(st: &mut SegState, snap: &TableSnapshot) -> ShmResult<u64> 
     st.rows = snap.rows;
     st.sealed_end = sealed_end;
     st.used = used;
-    Ok(tail_written + (header.len() + payload.len()) as u64)
+    Ok(tail_written + manifest_written)
 }
 
 #[cfg(test)]

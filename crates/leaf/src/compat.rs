@@ -19,16 +19,17 @@
 //! [`Table`]s, so restored results can be compared cell for cell against
 //! what the old writer held. The byte streams are deterministic given the
 //! tables, which is what makes the checked-in golden fixtures possible.
+//! They are old formats on purpose, so they do not go through
+//! [`crate::image`]'s writer; they share only its tags and its prelude
+//! payload, which no format version has changed.
 
-use std::sync::Arc;
-
-use scuba_columnstore::{RowBlock, Table};
+use scuba_columnstore::Table;
 use scuba_restart::framing::{encode_header_v2, end_header_v2, END_SENTINEL_V1, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
 use scuba_restart::{ChunkDesc, SHM_LAYOUT_VERSION};
 use scuba_shmem::{crc32, LeafMetadata, ShmError, ShmNamespace, ShmSegment};
 
-use crate::persist::{write_prelude, TAG_COLUMN, TAG_MANIFEST, TAG_PRELUDE};
+use crate::image::{prelude, TAG_COLUMN, TAG_MANIFEST, TAG_PRELUDE};
 
 /// A chunk tag no store in this workspace has ever defined — the
 /// "written by a future/forked binary" stranger used by aged images.
@@ -51,40 +52,17 @@ fn frame_v2(out: &mut Vec<u8>, desc: ChunkDesc, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Serialize each sealed block to (prelude, column buffers) — the chunk
-/// material both old writers share with the current one.
-fn block_chunks(table: &Table) -> Vec<(Vec<u8>, Vec<Arc<RowBlock>>)> {
-    // Return shape is (prelude, [block]) so column bytes are borrowed
-    // from the live Arc at write time; the helper exists to keep the two
-    // stream writers in lockstep about what a "block" contributes.
-    table
-        .blocks()
-        .iter()
-        .map(|b| {
-            let mut prelude = Vec::new();
-            write_prelude(b, &mut prelude);
-            (prelude, vec![Arc::clone(b)])
-        })
-        .collect()
-}
-
 /// The exact unit byte stream the pre-refactor writer produced: name
 /// frame, bare-count manifest, per block a prelude then one frame per
 /// column, closed by the `u64::MAX` sentinel.
 pub fn v1_unit_stream(table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
-    let name = table.name();
-    out.extend_from_slice(&(name.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(name.as_bytes()).to_le_bytes());
-    out.extend_from_slice(name.as_bytes());
-
+    frame_v1(&mut out, table.name().as_bytes());
     frame_v1(&mut out, &(table.blocks().len() as u64).to_le_bytes());
-    for (prelude, blocks) in block_chunks(table) {
-        frame_v1(&mut out, &prelude);
-        for block in &blocks {
-            for column in block.columns() {
-                frame_v1(&mut out, column.as_bytes());
-            }
+    for block in table.blocks() {
+        frame_v1(&mut out, &prelude(block));
+        for column in block.columns() {
+            frame_v1(&mut out, column.as_bytes());
         }
     }
     out.extend_from_slice(&END_SENTINEL_V1.to_le_bytes());
@@ -130,12 +108,10 @@ pub fn aged_v2_unit_stream(table: &Table, opts: &AgedImageOptions) -> Vec<u8> {
             b"load-bearing data only the future writer understands",
         );
     }
-    for (prelude, blocks) in block_chunks(table) {
-        frame_v2(&mut out, ChunkDesc::new(TAG_PRELUDE, 1), &prelude);
-        for block in &blocks {
-            for column in block.columns() {
-                frame_v2(&mut out, ChunkDesc::new(TAG_COLUMN, 1), column.as_bytes());
-            }
+    for block in table.blocks() {
+        frame_v2(&mut out, ChunkDesc::new(TAG_PRELUDE, 1), &prelude(block));
+        for column in block.columns() {
+            frame_v2(&mut out, ChunkDesc::new(TAG_COLUMN, 1), column.as_bytes());
         }
     }
     out.extend_from_slice(&end_header_v2());

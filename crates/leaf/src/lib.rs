@@ -24,6 +24,7 @@ pub mod checkpoint;
 pub mod compat;
 pub mod config;
 pub mod error;
+pub mod image;
 pub mod persist;
 pub mod residency;
 pub mod server;

@@ -1,110 +1,20 @@
 //! [`LeafStore`]: the leaf's in-memory state, wired into the restart
 //! protocol via [`ShmPersistable`].
 //!
-//! Chunk granularity follows the paper exactly: within each table's
-//! segment, the stream is a table manifest, then per row block a small
-//! prelude (header + schema) followed by **one chunk per row block
-//! column** — each of those chunks is the single-`memcpy` RBC buffer of
-//! Figure 3. Heap memory is freed as chunks are emitted ("delete row
-//! block column from heap ... delete row block from heap ... delete table
-//! from heap", Figure 6), so the combined footprint stays flat (§4.4).
-//!
-//! The stream is written in the self-describing v2 TLV framing: every
-//! chunk carries a tag ([`TAG_MANIFEST`], [`TAG_PRELUDE`],
-//! [`TAG_COLUMN`]) and a per-tag format version, and the manifest carries
-//! the table-level schema snapshot. Decode is tag-driven: older chunk
-//! versions are upgraded through the [`ShimRegistry`], unknown-but-
-//! skippable chunks are ignored, and an unknown *required* chunk is a
-//! per-table incompatibility ([`PersistError::Incompatible`]) — the
-//! protocol skips just that table. Images from the pre-TLV (v1) writer
-//! surface with legacy descriptors and take the positional decode path.
+//! Backup streams each table through [`image::write_manifest`] and
+//! [`image::write_block`] — a table manifest, then per row block a small
+//! prelude followed by **one chunk per row block column** — freeing heap
+//! as blocks are emitted ("delete row block column from heap ... delete
+//! row block from heap ... delete table from heap", Figure 6), so the
+//! combined footprint stays flat (§4.4). Restore and attach both read a
+//! table back through [`image::read_table`]: heap copies on the copying
+//! path, windows into the mapping on attach. The stream format itself
+//! lives in [`crate::image`].
 
-use std::collections::HashMap;
-use std::fmt;
-use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use scuba_columnstore::{LeafMap, Result as StoreResult, Row, Table};
+use scuba_restart::{ChunkSink, ChunkSource, MappedChunkSource, ShmPersistable};
 
-use scuba_columnstore::{
-    ColdRef, LeafMap, Result as StoreResult, Row, RowBlock, RowBlockColumn, Schema, Table, ZoneMap,
-};
-use scuba_restart::framing::TAG_STORE_BASE;
-use scuba_restart::migrate::{MigrateError, ShimRegistry};
-use scuba_restart::{
-    ChunkDesc, ChunkSink, ChunkSource, MappedChunk, MappedChunkSource, ShmPersistable,
-};
-use scuba_shmem::ShmError;
-
-/// Chunk tag: the table manifest (block count + schema snapshot).
-pub const TAG_MANIFEST: u16 = TAG_STORE_BASE;
-/// Chunk tag: one row block's prelude (header + block schema).
-pub const TAG_PRELUDE: u16 = TAG_STORE_BASE + 1;
-/// Chunk tag: one row block column's single-memcpy buffer.
-pub const TAG_COLUMN: u16 = TAG_STORE_BASE + 2;
-/// Chunk tag: one row block's zone map (per-column min/max statistics for
-/// query-time block pruning). Written *skippable*: the image stays
-/// readable by binaries that predate zone maps, which simply lose the
-/// pruning, not the data.
-pub const TAG_ZONES: u16 = TAG_STORE_BASE + 3;
-/// Chunk tag: a cold-block reference (cold file path + image offset +
-/// length) standing in for the prelude + column chunks of a block that
-/// lives on the disk fast-format tier. Written *required* (not
-/// skippable): a reader that skipped it would silently drop data, so an
-/// old binary takes the per-table disk fallback instead — which is also
-/// the correct recovery when the cold file itself is gone or corrupt.
-pub const TAG_COLDREF: u16 = TAG_STORE_BASE + 4;
-
-/// Current manifest payload version: v1 was the bare block count, v2
-/// appends the table-level schema snapshot.
-pub const MANIFEST_VERSION: u16 = 2;
-/// Current prelude payload version.
-pub const PRELUDE_VERSION: u16 = 1;
-/// Current column payload version.
-pub const COLUMN_VERSION: u16 = 1;
-/// Current zone-map payload version.
-pub const ZONES_VERSION: u16 = 1;
-/// Current cold-ref payload version.
-pub const COLDREF_VERSION: u16 = 1;
-
-/// Error produced while (de)serializing leaf state for the protocol.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Column-store error (encode/decode/validation).
-    Store(scuba_columnstore::Error),
-    /// Shared-memory error propagated through a sink/source.
-    Shm(ShmError),
-    /// Framing violation (wrong chunk count, bad prelude...).
-    Framing(String),
-    /// A format this binary cannot understand: an unknown required chunk
-    /// tag, or a chunk version with no shim path to the current one. The
-    /// protocol treats this as *per-table* — the one unit is skipped and
-    /// disk-recovered, the rest of the leaf restores from memory.
-    Incompatible(String),
-}
-
-impl fmt::Display for PersistError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PersistError::Store(e) => write!(f, "store error: {e}"),
-            PersistError::Shm(e) => write!(f, "shared memory error: {e}"),
-            PersistError::Framing(m) => write!(f, "framing error: {m}"),
-            PersistError::Incompatible(m) => write!(f, "incompatible format: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<ShmError> for PersistError {
-    fn from(e: ShmError) -> Self {
-        PersistError::Shm(e)
-    }
-}
-
-impl From<scuba_columnstore::Error> for PersistError {
-    fn from(e: scuba_columnstore::Error) -> Self {
-        PersistError::Store(e)
-    }
-}
+use crate::image::{self, PersistError, MANIFEST_VERSION};
 
 /// The leaf's in-memory store: a [`LeafMap`] plus persistence plumbing.
 #[derive(Debug, Default)]
@@ -154,132 +64,6 @@ impl LeafStore {
     }
 }
 
-/// Serialize a row block prelude (everything but the column buffers).
-pub(crate) fn write_prelude(block: &RowBlock, out: &mut Vec<u8>) {
-    let h = block.header();
-    out.extend_from_slice(&h.row_count.to_le_bytes());
-    out.extend_from_slice(&h.min_time.to_le_bytes());
-    out.extend_from_slice(&h.max_time.to_le_bytes());
-    out.extend_from_slice(&h.created_at.to_le_bytes());
-    out.extend_from_slice(&(block.columns().len() as u32).to_le_bytes());
-    block.schema().serialize(out);
-}
-
-/// Parse a prelude; returns (header fields, n_columns, schema).
-fn read_prelude(buf: &[u8]) -> Result<(u32, i64, i64, i64, u32, Schema), PersistError> {
-    if buf.len() < 32 {
-        return Err(PersistError::Framing("prelude too short".to_owned()));
-    }
-    let row_count = u32::from_le_bytes(buf[0..4].try_into().unwrap());
-    let min_time = i64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let max_time = i64::from_le_bytes(buf[12..20].try_into().unwrap());
-    let created_at = i64::from_le_bytes(buf[20..28].try_into().unwrap());
-    let n_columns = u32::from_le_bytes(buf[28..32].try_into().unwrap());
-    let (schema, end) = Schema::deserialize(buf, 32)?;
-    if end != buf.len() {
-        return Err(PersistError::Framing(
-            "trailing bytes in prelude".to_owned(),
-        ));
-    }
-    Ok((row_count, min_time, max_time, created_at, n_columns, schema))
-}
-
-/// Upgrade a v1 manifest (bare block count) to v2 by appending an empty
-/// schema snapshot — "unknown, derive from the blocks", which is exactly
-/// what a v1 writer's image can promise.
-fn manifest_v1_to_v2(payload: &[u8]) -> Result<Vec<u8>, String> {
-    if payload.len() != 8 {
-        return Err(format!("bad v1 manifest size {}", payload.len()));
-    }
-    let mut out = payload.to_vec();
-    Schema::new().serialize(&mut out);
-    Ok(out)
-}
-
-/// The leaf's shim registry: every chunk tag it understands, its current
-/// payload version per tag, and the upgrade edges from older versions.
-fn shim_registry() -> &'static ShimRegistry {
-    static REG: OnceLock<ShimRegistry> = OnceLock::new();
-    REG.get_or_init(|| {
-        let mut reg = ShimRegistry::new();
-        reg.declare(TAG_MANIFEST, MANIFEST_VERSION)
-            .shim(TAG_MANIFEST, 1, manifest_v1_to_v2)
-            .declare(TAG_PRELUDE, PRELUDE_VERSION)
-            .declare(TAG_COLUMN, COLUMN_VERSION)
-            .declare(TAG_ZONES, ZONES_VERSION)
-            .declare(TAG_COLDREF, COLDREF_VERSION);
-        reg
-    })
-}
-
-/// Map a migration failure onto the persist error taxonomy: a shim
-/// rejecting its input means the payload is malformed (corruption-class,
-/// whole-leaf fallback); everything else — unknown tag, missing shim,
-/// from-the-future version — is a true per-table incompatibility.
-fn migrate_err(e: MigrateError) -> PersistError {
-    match e {
-        MigrateError::ShimFailed { .. } => PersistError::Framing(e.to_string()),
-        _ => PersistError::Incompatible(e.to_string()),
-    }
-}
-
-/// Pull the next chunk the leaf understands: unknown-but-skippable chunks
-/// are ignored (the writer promised we may), unknown required tags are a
-/// per-table incompatibility, and known tags have their payloads upgraded
-/// to the current version through the shim registry.
-fn next_known(source: &mut dyn ChunkSource) -> Result<Option<(ChunkDesc, Vec<u8>)>, PersistError> {
-    let reg = shim_registry();
-    loop {
-        let Some((desc, payload)) = source.next_chunk()? else {
-            return Ok(None);
-        };
-        if reg.current_version(desc.tag).is_none() {
-            if desc.is_skippable() {
-                continue;
-            }
-            return Err(PersistError::Incompatible(format!(
-                "unknown required chunk tag {} in unit stream",
-                desc.tag
-            )));
-        }
-        let payload = reg
-            .upgrade(desc.tag, desc.version, payload)
-            .map_err(migrate_err)?;
-        return Ok(Some((desc, payload)));
-    }
-}
-
-/// A [`ChunkSource`] with one chunk pushed back (the grammar-dispatch
-/// peek in `decode_unit`).
-struct Peeked<'a> {
-    head: Option<(ChunkDesc, Vec<u8>)>,
-    rest: &'a mut dyn ChunkSource,
-}
-
-impl ChunkSource for Peeked<'_> {
-    fn next_chunk(&mut self) -> Result<Option<(ChunkDesc, Vec<u8>)>, ShmError> {
-        match self.head.take() {
-            Some(c) => Ok(Some(c)),
-            None => self.rest.next_chunk(),
-        }
-    }
-}
-
-/// A [`MappedChunkSource`] with one chunk pushed back.
-struct PeekedMapped<'a> {
-    head: Option<MappedChunk>,
-    rest: &'a mut dyn MappedChunkSource,
-}
-
-impl MappedChunkSource for PeekedMapped<'_> {
-    fn next_mapped_chunk(&mut self) -> Result<Option<MappedChunk>, ShmError> {
-        match self.head.take() {
-            Some(c) => Ok(Some(c)),
-            None => self.rest.next_mapped_chunk(),
-        }
-    }
-}
-
 impl ShmPersistable for LeafStore {
     type Error = PersistError;
     type Unit = Table;
@@ -324,89 +108,30 @@ impl ShmPersistable for LeafStore {
     }
 
     fn backup_extracted(table: Table, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
-        let snapshot = table.schema_snapshot();
-        let (blocks, _builder) = decompose(table);
-
-        let mut manifest = Vec::with_capacity(8 + snapshot.serialized_size());
-        manifest.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
-        snapshot.serialize(&mut manifest);
-        sink.put_chunk(ChunkDesc::new(TAG_MANIFEST, MANIFEST_VERSION), &manifest)?;
-
+        // Only sealed blocks are persisted: callers seal first, and any
+        // unsealed remainder is dropped with the table, mirroring the
+        // crash tolerance of §4.1.
+        let blocks = table.blocks().to_vec();
+        image::write_manifest(blocks.len() as u64, &table.schema_snapshot(), sink)?;
+        drop(table);
         for block in blocks {
-            // A cold block's bytes already live in a fast-format file on
-            // disk: persist only the reference (plus zones), never copy
-            // the image into shared memory. Restart re-attaches the cold
-            // tier by mmap, keeping shm usage proportional to the *warm*
-            // data only.
-            if let Some(cr) = block.cold_ref() {
-                let mut coldref = Vec::new();
-                write_coldref(cr, &mut coldref);
-                sink.put_chunk(ChunkDesc::new(TAG_COLDREF, COLDREF_VERSION), &coldref)?;
-                write_zone_chunk(&block, sink)?;
-                continue;
-            }
-            let mut prelude = Vec::new();
-            write_prelude(&block, &mut prelude);
-            sink.put_chunk(ChunkDesc::new(TAG_PRELUDE, PRELUDE_VERSION), &prelude)?;
-            write_zone_chunk(&block, sink)?;
-            // One chunk per row block column: the single-memcpy copy.
-            // Unwrap the Arc if we are the last owner so the buffer is
-            // freed as we go; clone-on-shared keeps correctness if a
-            // query snapshot still holds the block.
-            let block = Arc::try_unwrap(block).unwrap_or_else(|arc| (*arc).clone());
-            for column in block.columns() {
-                sink.put_chunk(
-                    ChunkDesc::new(TAG_COLUMN, COLUMN_VERSION),
-                    column.as_bytes(),
-                )?;
-            }
-            // `block` (and each column buffer) freed here: "delete row
-            // block column from heap; delete row block from heap".
+            image::write_block(&block, sink)?;
+            // `block` is freed here unless a query snapshot still holds
+            // it: "delete row block column from heap; delete row block
+            // from heap".
         }
         Ok(())
     }
 
     fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<Table, Self::Error> {
-        // The first chunk's descriptor picks the grammar: legacy images
-        // surface with tag 0 and decode positionally; TLV images decode
-        // tag-driven.
-        let Some(first) = source.next_chunk()? else {
-            return Err(PersistError::Framing("missing table manifest".to_owned()));
-        };
-        if first.0.is_legacy() {
-            decode_unit_legacy(unit, first.1, source)
-        } else {
-            decode_unit_v2(
-                unit,
-                &mut Peeked {
-                    head: Some(first),
-                    rest: source,
-                },
-            )
-        }
+        image::read_table(unit, source)
     }
 
     fn attach_unit(unit: &str, source: &mut dyn MappedChunkSource) -> Result<Table, Self::Error> {
-        // Zero-copy variant of `decode_unit`: small metadata chunks
-        // (manifest, preludes) are copied to heap with their frame CRC
-        // verified — they must outlive the mapping and cost O(metadata).
-        // Column chunks stay *mapped*: structural validation only, with
-        // the full payload CRC deferred to the first toucher
-        // (`RowBlockColumn::verify_checksum`, once per column).
-        let Some(first) = source.next_mapped_chunk()? else {
-            return Err(PersistError::Framing("missing table manifest".to_owned()));
-        };
-        if first.desc.is_legacy() {
-            attach_unit_legacy(unit, first, source)
-        } else {
-            attach_unit_v2(
-                unit,
-                &mut PeekedMapped {
-                    head: Some(first),
-                    rest: source,
-                },
-            )
-        }
+        // Zero-copy variant of `decode_unit`: metadata chunks are copied
+        // to heap with their frame CRC verified; column chunks stay
+        // mapped, their payload CRC deferred to the first toucher.
+        image::read_table(unit, source)
     }
 
     fn install_unit(&mut self, _unit: &str, table: Table) -> Result<(), Self::Error> {
@@ -427,478 +152,16 @@ impl ShmPersistable for LeafStore {
     }
 }
 
-/// Emit a block's zone map as a skippable chunk (sits between the
-/// prelude and the column chunks; absent when the block has no stats).
-pub(crate) fn write_zone_chunk(
-    block: &RowBlock,
-    sink: &mut dyn ChunkSink,
-) -> Result<(), PersistError> {
-    if let Some(zones) = block.zones().filter(|z| !z.is_empty()) {
-        let mut payload = Vec::new();
-        zones.serialize(&mut payload);
-        sink.put_chunk(
-            ChunkDesc::new(TAG_ZONES, ZONES_VERSION).skippable(),
-            &payload,
-        )?;
-    }
-    Ok(())
-}
-
-/// Parse a zone-map payload; a malformed one is corruption-class
-/// ([`PersistError::Framing`] → whole-unit disk fallback), never silently
-/// dropped — wrong statistics would silently wrong query answers.
-fn read_zones(payload: &[u8]) -> Result<scuba_columnstore::ZoneMap, PersistError> {
-    scuba_columnstore::ZoneMap::deserialize(payload)
-        .map_err(|e| PersistError::Framing(format!("bad zone chunk: {e}")))
-}
-
-/// Serialize a cold-block reference: the cold file path (u32 length +
-/// UTF-8 bytes) followed by the block image's offset and length within
-/// that file.
-pub(crate) fn write_coldref(cr: &ColdRef, out: &mut Vec<u8>) {
-    let path = cr.path.to_string_lossy();
-    let bytes = path.as_bytes();
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(bytes);
-    out.extend_from_slice(&cr.offset.to_le_bytes());
-    out.extend_from_slice(&cr.len.to_le_bytes());
-}
-
-/// Parse a cold-ref payload.
-fn read_coldref(buf: &[u8]) -> Result<ColdRef, PersistError> {
-    if buf.len() < 4 {
-        return Err(PersistError::Framing("cold ref too short".to_owned()));
-    }
-    let path_len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if buf.len() != 4 + path_len + 16 {
-        return Err(PersistError::Framing(format!(
-            "bad cold ref size {} (path {path_len} bytes)",
-            buf.len()
-        )));
-    }
-    let path = std::str::from_utf8(&buf[4..4 + path_len])
-        .map_err(|_| PersistError::Framing("cold ref path is not utf-8".to_owned()))?;
-    let offset = u64::from_le_bytes(buf[4 + path_len..12 + path_len].try_into().unwrap());
-    let len = u64::from_le_bytes(buf[12 + path_len..20 + path_len].try_into().unwrap());
-    Ok(ColdRef {
-        path: PathBuf::from(path),
-        offset,
-        len,
-    })
-}
-
-/// Per-unit cache of cold-file mappings: all cold blocks of one table
-/// live in one fast-format file, which is mmapped once and shared.
-type ColdMaps = HashMap<PathBuf, Arc<dyn AsRef<[u8]> + Send + Sync>>;
-
-/// Re-attach one cold block from its fast-format file, without copying
-/// its bytes. Any failure — missing file, mmap error, structural
-/// corruption, ref out of bounds — is a *per-table* incompatibility: the
-/// restore path disk-recovers just that table (the §4.3 conservatism,
-/// narrowed per-table).
-fn attach_cold_block(
-    cr: ColdRef,
-    zones: Option<ZoneMap>,
-    maps: &mut ColdMaps,
-) -> Result<Arc<RowBlock>, PersistError> {
-    let backing = match maps.get(&cr.path) {
-        Some(b) => Arc::clone(b),
-        None => {
-            let map = scuba_diskstore::ColdMap::open(&cr.path)
-                .map_err(|e| PersistError::Incompatible(format!("cold file {:?}: {e}", cr.path)))?;
-            let b: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(map);
-            maps.insert(cr.path.clone(), Arc::clone(&b));
-            b
-        }
-    };
-    let (block, end) = RowBlock::deserialize_mapped(&backing, cr.offset as usize)
-        .map_err(|e| PersistError::Incompatible(format!("cold block {:?}: {e}", cr.path)))?;
-    if end as u64 != cr.offset + cr.len {
-        return Err(PersistError::Incompatible(format!(
-            "cold block {:?}: ref says {} bytes, image decoded {}",
-            cr.path,
-            cr.len,
-            end as u64 - cr.offset
-        )));
-    }
-    Ok(Arc::new(block.with_zones(zones).with_cold_ref(Some(cr))))
-}
-
-/// Pull the next known chunk, honoring a one-chunk lookahead buffer. The
-/// buffer lives *outside* the per-block loop: a zone probe that finds the
-/// next block's prelude (or the stream end) parks it here.
-fn next_buffered(
-    pending: &mut Option<(ChunkDesc, Vec<u8>)>,
-    source: &mut dyn ChunkSource,
-) -> Result<Option<(ChunkDesc, Vec<u8>)>, PersistError> {
-    match pending.take() {
-        Some(c) => Ok(Some(c)),
-        None => next_known(source),
-    }
-}
-
-/// Mapped-path variant of [`next_buffered`].
-fn next_buffered_mapped(
-    pending: &mut Option<MappedChunk>,
-    source: &mut dyn MappedChunkSource,
-) -> Result<Option<MappedChunk>, PersistError> {
-    match pending.take() {
-        Some(c) => Ok(Some(c)),
-        None => next_known_mapped(source),
-    }
-}
-
-/// Parse a (current-version) manifest payload: block count + schema
-/// snapshot.
-fn read_manifest(manifest: &[u8]) -> Result<(u64, Schema), PersistError> {
-    if manifest.len() < 8 {
-        return Err(PersistError::Framing("bad manifest size".to_owned()));
-    }
-    let n_blocks = u64::from_le_bytes(manifest[0..8].try_into().unwrap());
-    let (snapshot, end) = Schema::deserialize(manifest, 8)?;
-    if end != manifest.len() {
-        return Err(PersistError::Framing(
-            "trailing bytes in manifest".to_owned(),
-        ));
-    }
-    Ok((n_blocks, snapshot))
-}
-
-fn block_header(
-    row_count: u32,
-    min_time: i64,
-    max_time: i64,
-    created_at: i64,
-) -> scuba_columnstore::RowBlockHeader {
-    scuba_columnstore::RowBlockHeader {
-        size_bytes: 0, // recomputed by from_parts
-        row_count,
-        min_time,
-        max_time,
-        created_at,
-    }
-}
-
-/// Tag-driven decode of the v2 TLV stream. Every chunk has already been
-/// shim-upgraded to its tag's current version by [`next_known`]; chunk
-/// order within the known tags is still manifest → (prelude → columns)*.
-fn decode_unit_v2(unit: &str, source: &mut dyn ChunkSource) -> Result<Table, PersistError> {
-    let (mdesc, manifest) = next_known(source)?
-        .ok_or_else(|| PersistError::Framing("missing table manifest".to_owned()))?;
-    if mdesc.tag != TAG_MANIFEST {
-        return Err(PersistError::Framing(format!(
-            "expected manifest chunk, found tag {}",
-            mdesc.tag
-        )));
-    }
-    // The schema snapshot is advisory on decode — blocks carry their own
-    // schemas — but it must parse, as it is the readers' view of the
-    // writer's column set.
-    let (n_blocks, _snapshot) = read_manifest(&manifest)?;
-
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20) as usize);
-    let mut pending: Option<(ChunkDesc, Vec<u8>)> = None;
-    let mut cold_maps = ColdMaps::new();
-    for _ in 0..n_blocks {
-        let (pdesc, prelude) = next_buffered(&mut pending, source)?
-            .ok_or_else(|| PersistError::Framing("missing block prelude".to_owned()))?;
-        if pdesc.tag == TAG_COLDREF {
-            // A cold block: the image stays in its fast-format file and
-            // is re-attached by mmap — never copied, even on the full
-            // (copy-everything) restore path.
-            let cr = read_coldref(&prelude)?;
-            let mut zones = None;
-            if let Some((zdesc, zpayload)) = next_buffered(&mut pending, source)? {
-                if zdesc.tag == TAG_ZONES {
-                    zones = Some(read_zones(&zpayload)?);
-                } else {
-                    pending = Some((zdesc, zpayload));
-                }
-            }
-            blocks.push(attach_cold_block(cr, zones, &mut cold_maps)?);
-            continue;
-        }
-        if pdesc.tag != TAG_PRELUDE {
-            return Err(PersistError::Framing(format!(
-                "expected prelude chunk, found tag {}",
-                pdesc.tag
-            )));
-        }
-        let (row_count, min_time, max_time, created_at, n_columns, schema) =
-            read_prelude(&prelude)?;
-        // Optional zone chunk between prelude and columns: anything else
-        // parks in the lookahead buffer for the next expectation.
-        let mut zones = None;
-        if let Some((zdesc, zpayload)) = next_buffered(&mut pending, source)? {
-            if zdesc.tag == TAG_ZONES {
-                zones = Some(read_zones(&zpayload)?);
-            } else {
-                pending = Some((zdesc, zpayload));
-            }
-        }
-        let mut columns = Vec::with_capacity(n_columns as usize);
-        for _ in 0..n_columns {
-            let (cdesc, chunk) = next_buffered(&mut pending, source)?
-                .ok_or_else(|| PersistError::Framing("missing column chunk".to_owned()))?;
-            if cdesc.tag != TAG_COLUMN {
-                return Err(PersistError::Framing(format!(
-                    "expected column chunk, found tag {}",
-                    cdesc.tag
-                )));
-            }
-            // Structural validation only (magic, offsets, end marker).
-            // The enclosing chunk frame's CRC-32 already covered these
-            // exact bytes — the RBC footer CRC over the same range is
-            // redundant here, and skipping it nearly halves restore
-            // CPU. The disk-recovery path (`RowBlock::deserialize`)
-            // keeps the full footer check.
-            columns.push(RowBlockColumn::from_bytes_trusted(
-                chunk.into_boxed_slice(),
-            )?);
-        }
-        blocks.push(Arc::new(
-            RowBlock::from_parts(
-                block_header(row_count, min_time, max_time, created_at),
-                schema,
-                columns,
-            )?
-            .with_zones(zones),
-        ));
-    }
-    if next_buffered(&mut pending, source)?.is_some() {
-        return Err(PersistError::Framing(
-            "trailing chunks after last block".to_owned(),
-        ));
-    }
-    Ok(Table::from_blocks(unit, blocks, 0))
-}
-
-/// Positional decode of a legacy (pre-TLV) image: the manifest is the
-/// bare block count and chunks carry no descriptors.
-fn decode_unit_legacy(
-    unit: &str,
-    manifest: Vec<u8>,
-    source: &mut dyn ChunkSource,
-) -> Result<Table, PersistError> {
-    if manifest.len() != 8 {
-        return Err(PersistError::Framing("bad manifest size".to_owned()));
-    }
-    let n_blocks = u64::from_le_bytes(manifest.as_slice().try_into().unwrap());
-
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20) as usize);
-    for _ in 0..n_blocks {
-        let (_, prelude) = source
-            .next_chunk()?
-            .ok_or_else(|| PersistError::Framing("missing block prelude".to_owned()))?;
-        let (row_count, min_time, max_time, created_at, n_columns, schema) =
-            read_prelude(&prelude)?;
-        let mut columns = Vec::with_capacity(n_columns as usize);
-        for _ in 0..n_columns {
-            let (_, chunk) = source
-                .next_chunk()?
-                .ok_or_else(|| PersistError::Framing("missing column chunk".to_owned()))?;
-            columns.push(RowBlockColumn::from_bytes_trusted(
-                chunk.into_boxed_slice(),
-            )?);
-        }
-        blocks.push(Arc::new(RowBlock::from_parts(
-            block_header(row_count, min_time, max_time, created_at),
-            schema,
-            columns,
-        )?));
-    }
-    if source.next_chunk()?.is_some() {
-        return Err(PersistError::Framing(
-            "trailing chunks after last block".to_owned(),
-        ));
-    }
-    Ok(Table::from_blocks(unit, blocks, 0))
-}
-
-/// Pull the next mapped chunk the leaf understands, mirroring
-/// [`next_known`]'s skip/incompatible rules without touching payloads.
-fn next_known_mapped(
-    source: &mut dyn MappedChunkSource,
-) -> Result<Option<MappedChunk>, PersistError> {
-    let reg = shim_registry();
-    loop {
-        let Some(chunk) = source.next_mapped_chunk()? else {
-            return Ok(None);
-        };
-        if reg.current_version(chunk.desc.tag).is_none() {
-            if chunk.desc.is_skippable() {
-                continue;
-            }
-            return Err(PersistError::Incompatible(format!(
-                "unknown required chunk tag {} in unit stream",
-                chunk.desc.tag
-            )));
-        }
-        return Ok(Some(chunk));
-    }
-}
-
-/// Tag-driven attach of the v2 TLV stream. Metadata chunks (manifest,
-/// preludes) are copied to heap and shim-upgraded; column chunks stay
-/// mapped when they are already at the current version and are upgraded
-/// through a verified heap copy otherwise.
-fn attach_unit_v2(unit: &str, source: &mut dyn MappedChunkSource) -> Result<Table, PersistError> {
-    let reg = shim_registry();
-    let upgraded = |chunk: &MappedChunk| -> Result<Vec<u8>, PersistError> {
-        reg.upgrade(chunk.desc.tag, chunk.desc.version, chunk.to_heap()?)
-            .map_err(migrate_err)
-    };
-
-    let mchunk = next_known_mapped(source)?
-        .ok_or_else(|| PersistError::Framing("missing table manifest".to_owned()))?;
-    if mchunk.desc.tag != TAG_MANIFEST {
-        return Err(PersistError::Framing(format!(
-            "expected manifest chunk, found tag {}",
-            mchunk.desc.tag
-        )));
-    }
-    let (n_blocks, _snapshot) = read_manifest(&upgraded(&mchunk)?)?;
-
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20) as usize);
-    let mut pending: Option<MappedChunk> = None;
-    let mut cold_maps = ColdMaps::new();
-    for _ in 0..n_blocks {
-        let pchunk = next_buffered_mapped(&mut pending, source)?
-            .ok_or_else(|| PersistError::Framing("missing block prelude".to_owned()))?;
-        if pchunk.desc.tag == TAG_COLDREF {
-            // Cold block: re-attach the fast-format file by mmap; the shm
-            // image only carried the reference (plus zones).
-            let cr = read_coldref(&upgraded(&pchunk)?)?;
-            let mut zones = None;
-            if let Some(zchunk) = next_buffered_mapped(&mut pending, source)? {
-                if zchunk.desc.tag == TAG_ZONES {
-                    zones = Some(read_zones(&upgraded(&zchunk)?)?);
-                } else {
-                    pending = Some(zchunk);
-                }
-            }
-            blocks.push(attach_cold_block(cr, zones, &mut cold_maps)?);
-            continue;
-        }
-        if pchunk.desc.tag != TAG_PRELUDE {
-            return Err(PersistError::Framing(format!(
-                "expected prelude chunk, found tag {}",
-                pchunk.desc.tag
-            )));
-        }
-        let (row_count, min_time, max_time, created_at, n_columns, schema) =
-            read_prelude(&upgraded(&pchunk)?)?;
-        // Zone maps are metadata: heap-copied (frame-CRC-verified) like
-        // the prelude, never served from the mapping.
-        let mut zones = None;
-        if let Some(zchunk) = next_buffered_mapped(&mut pending, source)? {
-            if zchunk.desc.tag == TAG_ZONES {
-                zones = Some(read_zones(&upgraded(&zchunk)?)?);
-            } else {
-                pending = Some(zchunk);
-            }
-        }
-        let mut columns = Vec::with_capacity(n_columns as usize);
-        for _ in 0..n_columns {
-            let chunk = next_buffered_mapped(&mut pending, source)?
-                .ok_or_else(|| PersistError::Framing("missing column chunk".to_owned()))?;
-            if chunk.desc.tag != TAG_COLUMN {
-                return Err(PersistError::Framing(format!(
-                    "expected column chunk, found tag {}",
-                    chunk.desc.tag
-                )));
-            }
-            if chunk.desc.version == COLUMN_VERSION {
-                columns.push(RowBlockColumn::from_mapped(
-                    Arc::clone(&chunk.backing),
-                    chunk.offset,
-                    chunk.len,
-                )?);
-            } else {
-                // An older column version cannot be served in place — the
-                // shim rewrites the payload, so this one column pays the
-                // verified copy.
-                columns.push(RowBlockColumn::from_bytes_trusted(
-                    upgraded(&chunk)?.into_boxed_slice(),
-                )?);
-            }
-        }
-        blocks.push(Arc::new(
-            RowBlock::from_parts(
-                block_header(row_count, min_time, max_time, created_at),
-                schema,
-                columns,
-            )?
-            .with_zones(zones),
-        ));
-    }
-    if next_buffered_mapped(&mut pending, source)?.is_some() {
-        return Err(PersistError::Framing(
-            "trailing chunks after last block".to_owned(),
-        ));
-    }
-    Ok(Table::from_blocks(unit, blocks, 0))
-}
-
-/// Positional attach of a legacy (pre-TLV) image.
-fn attach_unit_legacy(
-    unit: &str,
-    first: MappedChunk,
-    source: &mut dyn MappedChunkSource,
-) -> Result<Table, PersistError> {
-    let manifest = first.to_heap()?;
-    if manifest.len() != 8 {
-        return Err(PersistError::Framing("bad manifest size".to_owned()));
-    }
-    let n_blocks = u64::from_le_bytes(manifest.as_slice().try_into().unwrap());
-
-    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20) as usize);
-    for _ in 0..n_blocks {
-        let prelude = source
-            .next_mapped_chunk()?
-            .ok_or_else(|| PersistError::Framing("missing block prelude".to_owned()))?
-            .to_heap()?;
-        let (row_count, min_time, max_time, created_at, n_columns, schema) =
-            read_prelude(&prelude)?;
-        let mut columns = Vec::with_capacity(n_columns as usize);
-        for _ in 0..n_columns {
-            let chunk = source
-                .next_mapped_chunk()?
-                .ok_or_else(|| PersistError::Framing("missing column chunk".to_owned()))?;
-            columns.push(RowBlockColumn::from_mapped(
-                Arc::clone(&chunk.backing),
-                chunk.offset,
-                chunk.len,
-            )?);
-        }
-        blocks.push(Arc::new(RowBlock::from_parts(
-            block_header(row_count, min_time, max_time, created_at),
-            schema,
-            columns,
-        )?));
-    }
-    if source.next_mapped_chunk()?.is_some() {
-        return Err(PersistError::Framing(
-            "trailing chunks after last block".to_owned(),
-        ));
-    }
-    Ok(Table::from_blocks(unit, blocks, 0))
-}
-
-/// Split a table into its sealed blocks (the builder's unsealed rows must
-/// have been sealed by the caller; any remainder is dropped, mirroring the
-/// crash-tolerance of §4.1 — callers seal first so this is empty).
-fn decompose(table: Table) -> (Vec<Arc<RowBlock>>, ()) {
-    (table.blocks().to_vec(), ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::{TAG_COLDREF, TAG_ZONES, ZONES_VERSION};
+    use scuba_columnstore::{RowBlock, RowBlockColumn};
     use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
     use scuba_restart::{backup_to_shm, restore_from_shm};
     use scuba_shmem::ShmNamespace;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     const V: u32 = scuba_restart::SHM_LAYOUT_VERSION;
 
@@ -1296,20 +559,6 @@ mod tests {
         assert_eq!(rep.skipped, vec!["errors".to_owned()]);
         assert!(restored.map().get("errors").is_none());
         assert_eq!(restored.map().get("requests").unwrap().row_count(), 500);
-    }
-
-    #[test]
-    fn coldref_payload_round_trips() {
-        let cr = ColdRef {
-            path: PathBuf::from("/somewhere/errors.cold"),
-            offset: 12345,
-            len: 678,
-        };
-        let mut buf = Vec::new();
-        write_coldref(&cr, &mut buf);
-        assert_eq!(read_coldref(&buf).unwrap(), cr);
-        assert!(read_coldref(&buf[..3]).is_err());
-        assert!(read_coldref(&buf[..buf.len() - 1]).is_err());
     }
 
     #[test]

@@ -2748,7 +2748,7 @@ mod tests {
                 break;
             }
             let payload = pos + FRAME_HEADER_V2;
-            if desc.tag == crate::persist::TAG_COLUMN && len as usize > fattest.1 {
+            if desc.tag == crate::image::TAG_COLUMN && len as usize > fattest.1 {
                 fattest = (payload, len as usize);
             }
             pos = payload + len as usize;

@@ -21,6 +21,16 @@
 //! image's metadata writer version, and yields legacy chunks with
 //! [`ChunkDesc::legacy`] descriptors so stores can fall back to
 //! positional decoding.
+//!
+//! Both restore paths parse frames here, over a [`FrameCursor`] — a
+//! segment being drained ([`SegmentReader`]) or shared bytes
+//! ([`SharedCursor`]: an attached mapping, or a buffer in memory):
+//! [`read_frame_header`] for every chunk, [`read_unit_name`] for the
+//! first frame, and [`drain`] for the check that follows a store's read.
+
+use std::sync::Arc;
+
+use scuba_shmem::{SegmentReader, ShmError};
 
 use crate::traits::ChunkDesc;
 
@@ -77,6 +87,124 @@ pub fn decode_header_v2(h: &[u8]) -> (ChunkDesc, u64, u32) {
     let len = u64::from_le_bytes(h[8..16].try_into().unwrap());
     let crc = u32::from_le_bytes(h[16..20].try_into().unwrap());
     (desc, len, crc)
+}
+
+/// A bounds-checked sequential reader over one unit's frames.
+pub trait FrameCursor {
+    /// Offset of the next unread byte.
+    fn position(&self) -> usize;
+    /// Borrow the next `len` bytes and move past them; an error if fewer
+    /// remain.
+    fn take(&mut self, len: usize) -> Result<&[u8], ShmError>;
+}
+
+impl FrameCursor for SegmentReader {
+    fn position(&self) -> usize {
+        SegmentReader::position(self)
+    }
+
+    fn take(&mut self, len: usize) -> Result<&[u8], ShmError> {
+        self.read_borrowed(len)
+    }
+}
+
+/// A [`FrameCursor`] over shared bytes that keeps the backing, so chunks
+/// can be handed out as windows into it.
+pub struct SharedCursor {
+    backing: Arc<dyn AsRef<[u8]> + Send + Sync>,
+    /// Names the bytes in errors (the segment name).
+    name: String,
+    pos: usize,
+}
+
+impl SharedCursor {
+    /// A cursor at the start of `backing`.
+    pub fn new(backing: Arc<dyn AsRef<[u8]> + Send + Sync>, name: impl Into<String>) -> Self {
+        SharedCursor {
+            backing,
+            name: name.into(),
+            pos: 0,
+        }
+    }
+
+    /// The bytes this cursor reads.
+    pub fn backing(&self) -> &Arc<dyn AsRef<[u8]> + Send + Sync> {
+        &self.backing
+    }
+}
+
+impl FrameCursor for SharedCursor {
+    fn position(&self) -> usize {
+        self.pos
+    }
+
+    fn take(&mut self, len: usize) -> Result<&[u8], ShmError> {
+        let bytes = (*self.backing).as_ref();
+        let end = self.pos.saturating_add(len);
+        if end > bytes.len() {
+            return Err(ShmError::Corrupt {
+                name: self.name.clone(),
+                reason: format!(
+                    "frame extends past segment end (need {end}, have {})",
+                    bytes.len()
+                ),
+            });
+        }
+        let start = std::mem::replace(&mut self.pos, end);
+        Ok(&bytes[start..end])
+    }
+}
+
+/// Read the next frame header as `(descriptor, payload length, stored
+/// CRC)`, or `None` at the end of the unit: the v1 `u64::MAX` length
+/// sentinel or the v2 [`TAG_END`] frame. Legacy frames surface with
+/// [`ChunkDesc::legacy`].
+pub fn read_frame_header<C: FrameCursor + ?Sized>(
+    cur: &mut C,
+    legacy: bool,
+) -> Result<Option<(ChunkDesc, u64, u32)>, ShmError> {
+    if !legacy {
+        let (desc, len, crc) = decode_header_v2(cur.take(FRAME_HEADER_V2)?);
+        return Ok((desc.tag != TAG_END).then_some((desc, len, crc)));
+    }
+    let len = u64::from_le_bytes(cur.take(8)?.try_into().unwrap());
+    if len == END_SENTINEL_V1 {
+        return Ok(None);
+    }
+    let crc = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+    Ok(Some((ChunkDesc::legacy(), len, crc)))
+}
+
+/// Read and verify a unit's first frame, its name. Returns the name and
+/// the nanoseconds its CRC took.
+pub fn read_unit_name<C: FrameCursor + ?Sized>(
+    cur: &mut C,
+    legacy: bool,
+) -> Result<(String, u64), String> {
+    let frame_err = |e: ShmError| format!("unit name frame: {e}");
+    let (desc, len, crc) = read_frame_header(cur, legacy)
+        .map_err(frame_err)?
+        .ok_or_else(|| "expected unit name frame, found end of unit".to_owned())?;
+    if !legacy && desc.tag != TAG_UNIT_NAME {
+        return Err(format!(
+            "expected unit name frame, found chunk tag {}",
+            desc.tag
+        ));
+    }
+    let name = cur.take(len as usize).map_err(frame_err)?;
+    let (computed, crc_ns) = scuba_shmem::crc32_timed(name);
+    if computed != crc {
+        return Err("unit name frame checksum mismatch".to_owned());
+    }
+    let name = std::str::from_utf8(name).map_err(|_| "unit name is not UTF-8".to_owned())?;
+    Ok((name.to_owned(), crc_ns))
+}
+
+/// Pull a unit's remaining frames after its store stopped reading, so a
+/// short read cannot silently drop data.
+pub fn drain<T>(mut next: impl FnMut() -> Result<Option<T>, ShmError>) -> Result<(), ShmError> {
+    while next()?.is_some() {}
+    Ok(())
 }
 
 #[cfg(test)]

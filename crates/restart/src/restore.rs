@@ -40,7 +40,7 @@ use scuba_shmem::{
 };
 
 use crate::copy::{CopyOptions, FootprintTracker};
-use crate::framing::{decode_header_v2, END_SENTINEL_V1, FRAME_HEADER_V2, TAG_END, TAG_UNIT_NAME};
+use crate::framing::{drain, read_frame_header, read_unit_name, FrameCursor, SharedCursor};
 use crate::migrate;
 use crate::phases::{RunAcc, UnitStats};
 use crate::state::LeafRestoreState;
@@ -165,29 +165,6 @@ struct FramingSource<'a> {
     copy_ns: u64,
 }
 
-impl FramingSource<'_> {
-    /// Read the next frame header. `None` means end of unit.
-    fn next_header(&mut self) -> Result<Option<(ChunkDesc, u64, u32)>, ShmError> {
-        if self.legacy {
-            let len = self.reader.read_u64()?;
-            if len == END_SENTINEL_V1 {
-                return Ok(None);
-            }
-            let stored_crc = self.reader.read_u32()?;
-            Ok(Some((ChunkDesc::legacy(), len, stored_crc)))
-        } else {
-            let (desc, len, stored_crc) = {
-                let h = self.reader.read_borrowed(FRAME_HEADER_V2)?;
-                decode_header_v2(h)
-            };
-            if desc.tag == TAG_END {
-                return Ok(None);
-            }
-            Ok(Some((desc, len, stored_crc)))
-        }
-    }
-}
-
 impl ChunkSource for FramingSource<'_> {
     fn next_chunk(&mut self) -> Result<Option<(ChunkDesc, Vec<u8>)>, ShmError> {
         if self.done {
@@ -196,7 +173,7 @@ impl ChunkSource for FramingSource<'_> {
         if scuba_faults::check("restart::restore::chunk").is_some() {
             return Err(ShmError::injected("restart::restore::chunk", "failpoint"));
         }
-        let Some((desc, len, stored_crc)) = self.next_header()? else {
+        let Some((desc, len, stored_crc)) = read_frame_header(self.reader, self.legacy)? else {
             self.done = true;
             return Ok(None);
         };
@@ -554,42 +531,9 @@ fn attach_one_unit<S: ShmPersistable>(
     view: Arc<SegmentView>,
     legacy: bool,
 ) -> Result<AttachOutcome<S::Unit>, String> {
-    let mut cursor = ViewCursor {
-        view: Arc::clone(&view),
-        pos: 0,
-    };
-    let (name_len, name_crc) = if legacy {
-        let len = cursor
-            .read_u64()
-            .map_err(|e| format!("unit name frame: {e}"))?;
-        let crc = cursor
-            .read_u32()
-            .map_err(|e| format!("unit name frame: {e}"))?;
-        (len, crc)
-    } else {
-        let (desc, len, crc) = {
-            let h = cursor
-                .read_slice(FRAME_HEADER_V2)
-                .map_err(|e| format!("unit name frame: {e}"))?;
-            decode_header_v2(h)
-        };
-        if desc.tag != TAG_UNIT_NAME {
-            return Err(format!(
-                "expected unit name frame, found chunk tag {}",
-                desc.tag
-            ));
-        }
-        (len, crc)
-    };
-    let name_bytes = cursor
-        .read_slice(name_len as usize)
-        .map_err(|e| format!("unit name frame: {e}"))?;
-    if scuba_shmem::crc32(name_bytes) != name_crc {
-        return Err("unit name frame checksum mismatch".to_owned());
-    }
-    let unit = std::str::from_utf8(name_bytes)
-        .map_err(|_| "unit name is not UTF-8".to_owned())?
-        .to_owned();
+    let name = view.name().to_owned();
+    let mut cursor = SharedCursor::new(view, name);
+    let (unit, _) = read_unit_name(&mut cursor, legacy)?;
 
     let mut source = ViewSource {
         cursor,
@@ -606,19 +550,11 @@ fn attach_one_unit<S: ShmPersistable>(
         Err(e) if S::error_is_incompatible(&e) => Ok(None),
         Err(e) => Err(format!("attaching unit {unit:?}: {e}")),
     };
-    if matches!(result, Ok(Some(_))) && !source.done {
-        // The store stopped early; walk the remaining frames so a short
-        // read doesn't silently drop data (same drain-validate rule as the
-        // copying path — here each step is O(1), no payload is touched).
-        loop {
-            match source.next_mapped_chunk() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e.to_string());
-                    break;
-                }
-            }
+    if matches!(result, Ok(Some(_))) {
+        // Same drain-validate rule as the copying path; here each step is
+        // O(1), no payload is touched.
+        if let Err(e) = drain(|| source.next_mapped_chunk()) {
+            result = Err(e.to_string());
         }
     }
     match result? {
@@ -632,46 +568,13 @@ fn attach_one_unit<S: ShmPersistable>(
     }
 }
 
-/// Bounds-checked cursor over an attached mapping.
-struct ViewCursor {
-    view: Arc<SegmentView>,
-    pos: usize,
-}
-
-impl ViewCursor {
-    fn read_slice(&mut self, len: usize) -> Result<&[u8], ShmError> {
-        let bytes = self.view.bytes();
-        let end = self.pos.saturating_add(len);
-        if end > bytes.len() {
-            return Err(ShmError::Corrupt {
-                name: self.view.name().to_owned(),
-                reason: format!(
-                    "frame extends past segment end (need {end}, have {})",
-                    bytes.len()
-                ),
-            });
-        }
-        let slice = &bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn read_u64(&mut self) -> Result<u64, ShmError> {
-        Ok(u64::from_le_bytes(self.read_slice(8)?.try_into().unwrap()))
-    }
-
-    fn read_u32(&mut self) -> Result<u32, ShmError> {
-        Ok(u32::from_le_bytes(self.read_slice(4)?.try_into().unwrap()))
-    }
-}
-
 /// [`MappedChunkSource`] over one segment view: reads the same framing as
 /// [`FramingSource`] but yields windows instead of heap copies and leaves
 /// the payload CRC to the consumer (verified either by
 /// [`MappedChunk::to_heap`] for metadata chunks or by the per-column
 /// checksum at hydration for payload chunks).
 struct ViewSource {
-    cursor: ViewCursor,
+    cursor: SharedCursor,
     /// Image uses the legacy v1 framing.
     legacy: bool,
     done: bool,
@@ -687,33 +590,19 @@ impl MappedChunkSource for ViewSource {
         if scuba_faults::check("restart::restore::chunk").is_some() {
             return Err(ShmError::injected("restart::restore::chunk", "failpoint"));
         }
-        let (desc, len, stored_crc) = if self.legacy {
-            let len = self.cursor.read_u64()?;
-            if len == END_SENTINEL_V1 {
-                self.done = true;
-                return Ok(None);
-            }
-            let crc = self.cursor.read_u32()?;
-            (ChunkDesc::legacy(), len, crc)
-        } else {
-            let (desc, len, crc) = {
-                let h = self.cursor.read_slice(FRAME_HEADER_V2)?;
-                decode_header_v2(h)
-            };
-            if desc.tag == TAG_END {
-                self.done = true;
-                return Ok(None);
-            }
-            (desc, len, crc)
+        let Some((desc, len, stored_crc)) = read_frame_header(&mut self.cursor, self.legacy)?
+        else {
+            self.done = true;
+            return Ok(None);
         };
-        let offset = self.cursor.pos;
+        let offset = self.cursor.position();
         // Bounds-check the payload window without reading it.
-        self.cursor.read_slice(len as usize)?;
+        self.cursor.take(len as usize)?;
         self.chunks += 1;
         self.payload_bytes += len;
         Ok(Some(MappedChunk {
             desc,
-            backing: Arc::clone(&self.cursor.view) as Arc<dyn AsRef<[u8]> + Send + Sync>,
+            backing: Arc::clone(self.cursor.backing()),
             offset,
             len: len as usize,
             stored_crc,
@@ -791,41 +680,11 @@ fn read_unit_inner<S: ShmPersistable>(
     let seg_name = segment.name().to_owned();
     let mut reader = SegmentReader::new(segment);
     let sw = Stopwatch::start();
-    let (name_len, name_crc) = if legacy {
-        let len = reader
-            .read_u64()
-            .map_err(|e| format!("unit name frame: {e}"))?;
-        let crc = reader
-            .read_u32()
-            .map_err(|e| format!("unit name frame: {e}"))?;
-        (len, crc)
-    } else {
-        let (desc, len, crc) = {
-            let h = reader
-                .read_borrowed(FRAME_HEADER_V2)
-                .map_err(|e| format!("unit name frame: {e}"))?;
-            decode_header_v2(h)
-        };
-        if desc.tag != TAG_UNIT_NAME {
-            return Err(format!(
-                "expected unit name frame, found chunk tag {}",
-                desc.tag
-            ));
-        }
-        (len, crc)
-    };
-    let name_bytes = reader
-        .read_borrowed(name_len as usize)
-        .map_err(|e| format!("unit name frame: {e}"))?;
-    acc.add(Phase::Open, sw.elapsed_ns());
-    let (computed_crc, crc_ns) = scuba_shmem::crc32_timed(name_bytes);
+    let name = read_unit_name(&mut reader, legacy);
+    let name_ns = sw.elapsed_ns();
+    let (unit, crc_ns) = name?;
+    acc.add(Phase::Open, name_ns.saturating_sub(crc_ns));
     acc.add(Phase::Crc, crc_ns);
-    if computed_crc != name_crc {
-        return Err("unit name frame checksum mismatch".to_owned());
-    }
-    let unit = std::str::from_utf8(name_bytes)
-        .map_err(|_| "unit name is not UTF-8".to_owned())?
-        .to_owned();
     stats.table = Some(unit.clone());
 
     let mut source = FramingSource {
@@ -848,18 +707,9 @@ fn read_unit_inner<S: ShmPersistable>(
         Err(e) if S::error_is_incompatible(&e) => Ok(None),
         Err(e) => Err(format!("restoring unit {unit:?}: {e}")),
     };
-    if matches!(result, Ok(Some(_))) && !source.done {
-        // The store stopped early; drain to validate framing so a
-        // short read doesn't silently drop data.
-        loop {
-            match source.next_chunk() {
-                Ok(Some(_)) => {}
-                Ok(None) => break,
-                Err(e) => {
-                    result = Err(e.to_string());
-                    break;
-                }
-            }
+    if matches!(result, Ok(Some(_))) {
+        if let Err(e) = drain(|| source.next_chunk()) {
+            result = Err(e.to_string());
         }
     }
     let decode_wall = decode_sw.elapsed_ns();
@@ -1160,7 +1010,10 @@ mod tests {
     use super::*;
     use crate::backup::testutil::{ToyError, ToyStore, TAG_TOY};
     use crate::backup::{backup_to_shm, backup_to_shm_with, BackupError};
-    use crate::framing::{encode_header_v2, end_header_v2, TAG_STORE_BASE};
+    use crate::framing::{
+        encode_header_v2, end_header_v2, END_SENTINEL_V1, FRAME_HEADER_V2, TAG_STORE_BASE,
+        TAG_UNIT_NAME,
+    };
     use std::sync::atomic::{AtomicU32, Ordering};
 
     const V: u32 = crate::SHM_LAYOUT_VERSION;

@@ -4,18 +4,25 @@
 //! v1 (pre-TLV) writer produced for two fixed tables. Every future binary
 //! must keep restoring those bytes through shared memory with query
 //! results identical to a live server holding the same rows — the CI
-//! `format-compat` gate.
+//! `format-compat` gate. `tests/fixtures/golden_v2_*.bin` pins the current
+//! writer: the shutdown backup and the checkpointer must both reproduce it.
 //!
 //! Regenerate after an *intentional* fixture change with
 //! `SCUBA_REGEN_FIXTURES=1 cargo test --test format_compat`.
 
-use scuba::columnstore::{Row, Table, Value};
-use scuba::diskstore::ColdStore;
-use scuba::leaf::{compat, LeafConfig, LeafServer, RecoveryOutcome, RestoreMode, TieringMode};
+use scuba::columnstore::{Row, RowBlock, Table, Value};
+use scuba::diskstore::{ColdMap, ColdStore};
+use scuba::leaf::checkpoint::{snapshot_tables, CheckpointJob};
+use scuba::leaf::{
+    compat, Checkpointer, LeafConfig, LeafServer, LeafStore, RecoveryOutcome, RestoreMode,
+    TieringMode,
+};
 use scuba::query::{AggSpec, CmpOp, Filter, Query};
-use scuba::shmem::ShmNamespace;
+use scuba::restart::{backup_to_shm, SHM_LAYOUT_VERSION};
+use scuba::shmem::{ShmNamespace, ShmSegment};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 static COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -205,6 +212,93 @@ fn golden_v1_image_restores_byte_identical() {
         }
         assert_eq!(fingerprint(&server), expected, "{tag}");
     }
+}
+
+/// The golden v2 table: the first fixture table's rows, sealed as two
+/// blocks, each with a zone map. No cold block: a cold ref carries an
+/// absolute path, which no checked-in fixture can hold.
+fn golden_v2_table() -> Table {
+    let mut t = Table::new("golden_blocks", FIXTURE_EPOCH);
+    for (i, row) in fixture_rows(1).iter().enumerate() {
+        if i == 300 {
+            t.seal(FIXTURE_EPOCH + 300).unwrap();
+        }
+        t.append(row, FIXTURE_EPOCH).unwrap();
+    }
+    t.seal(FIXTURE_EPOCH + 600).unwrap();
+    assert_eq!(t.blocks().len(), 2);
+    assert!(t.blocks().iter().all(|b| b.zones().is_some()));
+    t
+}
+
+/// The unit stream (name frame through END) the checkpointer writes for
+/// `store`, then the one the shutdown backup writes — in that order,
+/// because the backup empties the store.
+fn checkpoint_and_backup_streams(store: &mut LeafStore, tag: &str) -> (Vec<u8>, Vec<u8>) {
+    let (_, ck_guard) = config(&format!("{tag}c"));
+    let ck = Checkpointer::spawn(ck_guard.ns.clone(), 0);
+    assert!(ck.request(CheckpointJob {
+        tables: snapshot_tables(store).unwrap(),
+        covered_seq: 1,
+    }));
+    ck.wait_done().unwrap().result.unwrap();
+    let checkpoint = ShmSegment::open(&ck_guard.ns.checkpoint_segment_name(0, 0))
+        .unwrap()
+        .as_slice()
+        .to_vec();
+    ck.teardown();
+
+    let (_, bk_guard) = config(&format!("{tag}b"));
+    backup_to_shm(store, &bk_guard.ns, SHM_LAYOUT_VERSION).unwrap();
+    let backup = ShmSegment::open(&bk_guard.ns.table_segment_name(0))
+        .unwrap()
+        .as_slice()
+        .to_vec();
+    (checkpoint, backup)
+}
+
+fn golden_v2_path() -> PathBuf {
+    fixtures_dir().join("golden_v2_golden_blocks.bin")
+}
+
+#[test]
+fn golden_v2_backup_and_checkpoint_write_the_fixture_bytes() {
+    // The one writer's bytes, pinned: the shutdown backup and a full
+    // checkpoint of the same sealed table both produce exactly the
+    // checked-in unit stream.
+    let mut store = LeafStore::new();
+    store.map_mut().insert(golden_v2_table());
+    let (checkpoint, backup) = checkpoint_and_backup_streams(&mut store, "v2");
+    if std::env::var_os("SCUBA_REGEN_FIXTURES").is_some() {
+        std::fs::create_dir_all(fixtures_dir()).unwrap();
+        std::fs::write(golden_v2_path(), &backup).unwrap();
+    }
+    let golden = std::fs::read(golden_v2_path()).unwrap_or_else(|e| {
+        panic!("missing fixture ({e}); regenerate with SCUBA_REGEN_FIXTURES=1")
+    });
+    assert_eq!(backup, golden, "shutdown backup diverges from the fixture");
+    assert_eq!(checkpoint, golden, "checkpoint diverges from the fixture");
+}
+
+#[test]
+fn backup_and_checkpoint_agree_on_a_demoted_block() {
+    let (_, g) = config("v2cold");
+    let mut table = golden_v2_table();
+    let cold = ColdStore::open(g.dir.join("cold")).unwrap();
+    let old = Arc::clone(&table.blocks()[0]);
+    let cold_ref = cold.append_block(table.name(), &old, None).unwrap();
+    let backing: Arc<dyn AsRef<[u8]> + Send + Sync> =
+        Arc::new(ColdMap::open(&cold_ref.path).unwrap());
+    let (block, _) = RowBlock::deserialize_mapped(&backing, cold_ref.offset as usize).unwrap();
+    let demoted = block
+        .with_zones(old.zones().cloned())
+        .with_cold_ref(Some(cold_ref));
+    assert!(table.apply_block_patch(&old, Arc::new(demoted)));
+
+    let mut store = LeafStore::new();
+    store.map_mut().insert(table);
+    let (checkpoint, backup) = checkpoint_and_backup_streams(&mut store, "v2d");
+    assert_eq!(checkpoint, backup);
 }
 
 fn cold_fixture_path(table: &str) -> PathBuf {
