@@ -118,14 +118,6 @@ pub fn aged_v2_unit_stream(table: &Table, opts: &AgedImageOptions) -> Vec<u8> {
     out
 }
 
-/// Write `bytes` into a freshly created segment named `seg_name`.
-fn install_segment(seg_name: &str, bytes: &[u8]) -> Result<(), ShmError> {
-    let _ = ShmSegment::unlink(seg_name);
-    let mut seg = ShmSegment::create(seg_name, bytes.len().max(1))?;
-    seg.as_mut_slice()[..bytes.len()].copy_from_slice(bytes);
-    Ok(())
-}
-
 /// Install a complete, committed legacy-v1 image of `tables` under `ns`,
 /// exactly as the pre-refactor binary's clean shutdown left it: v1
 /// metadata region, one bare-framed segment per table, valid bit set.
@@ -143,16 +135,8 @@ pub fn install_legacy_v1_image_raw(
     streams: &[Vec<u8>],
 ) -> Result<usize, ShmError> {
     let _ = ShmSegment::unlink(&ns.metadata_name());
-    let mut meta = LeafMetadata::create_legacy_v1(ns)?;
-    let mut total = 0usize;
-    for (i, bytes) in streams.iter().enumerate() {
-        let seg_name = ns.table_segment_name(i);
-        total += bytes.len();
-        install_segment(&seg_name, bytes)?;
-        meta.add_segment_invalidating(&seg_name, 1, 0)?;
-    }
-    meta.set_valid(true)?;
-    Ok(total)
+    let meta = LeafMetadata::create_legacy_v1(ns)?;
+    install_units(ns, meta, streams)
 }
 
 /// Install a complete, committed aged-v2 image of `tables` under `ns`:
@@ -176,17 +160,30 @@ pub fn install_aged_v2_image_mixed(
     opts_for: impl Fn(&str) -> AgedImageOptions,
 ) -> Result<usize, ShmError> {
     let _ = ShmSegment::unlink(&ns.metadata_name());
-    let mut meta = LeafMetadata::create(ns, SHM_LAYOUT_VERSION, CURRENT_IMAGE_MIN_READER)?;
-    let mut total = 0usize;
-    for (i, table) in tables.iter().enumerate() {
+    let meta = LeafMetadata::create(ns, SHM_LAYOUT_VERSION, CURRENT_IMAGE_MIN_READER)?;
+    let streams: Vec<Vec<u8>> = tables
+        .iter()
+        .map(|t| aged_v2_unit_stream(t, &opts_for(t.name())))
+        .collect();
+    install_units(ns, meta, &streams)
+}
+
+/// Write each unit stream into a freshly created table segment, register
+/// it, and commit the valid bit. Returns the total segment bytes written.
+fn install_units(
+    ns: &ShmNamespace,
+    mut meta: LeafMetadata,
+    streams: &[Vec<u8>],
+) -> Result<usize, ShmError> {
+    for (i, bytes) in streams.iter().enumerate() {
         let seg_name = ns.table_segment_name(i);
-        let bytes = aged_v2_unit_stream(table, &opts_for(table.name()));
-        total += bytes.len();
-        install_segment(&seg_name, &bytes)?;
+        let _ = ShmSegment::unlink(&seg_name);
+        let mut seg = ShmSegment::create(&seg_name, bytes.len().max(1))?;
+        seg.as_mut_slice()[..bytes.len()].copy_from_slice(bytes);
         meta.add_segment_invalidating(&seg_name, 1, 0)?;
     }
     meta.set_valid(true)?;
-    Ok(total)
+    Ok(streams.iter().map(Vec::len).sum())
 }
 
 #[cfg(test)]

@@ -1,0 +1,1008 @@
+//! The ingest side of the crash path (DESIGN §13): the WAL record codec,
+//! and [`CrashPath`] — the one owner of the log, the checkpoint worker and
+//! the bookkeeping that keeps both in step with the store.
+
+use std::path::PathBuf;
+
+use scuba_columnstore::Row;
+use scuba_diskstore::{rowformat, DiskBackup};
+use scuba_restart::wal::SegmentedContents;
+use scuba_restart::{read_segments, SegmentedWal, WalError};
+use scuba_shmem::ShmNamespace;
+
+use crate::checkpoint::{
+    snapshot_tables, CheckpointJob, CheckpointOutcome, CheckpointStats, Checkpointer,
+};
+use crate::config::LeafConfig;
+use crate::error::{LeafError, LeafResult};
+use crate::persist::LeafStore;
+use crate::server::{LeafMetrics, LeafServer};
+
+/// WAL segment directory inside `disk_root`. The disk backup only reads
+/// `*.rows` files during recovery, so the log can live alongside them.
+pub const WAL_DIR: &str = "wal";
+
+/// The single-file log binaries before segmented logs wrote into
+/// `disk_root`. A start adopts it as segment 0, so a binary swap across a
+/// crash keeps the fast path.
+pub(crate) const LEGACY_WAL_FILE: &str = "leaf.wal";
+
+/// WAL payload tag: an ingest batch.
+pub(crate) const WAL_TAG_BATCH: u8 = 1;
+/// WAL payload tag: a sync-coverage anchor (see [`encode_sync_anchor`]).
+const WAL_TAG_SYNC: u8 = 2;
+
+/// The header of one WAL batch record, read without decoding its rows:
+/// enough to route the record to its table's replay worker and to skip it
+/// when the restored image already covers it.
+pub(crate) struct BatchHeader<'a> {
+    /// Destination table.
+    pub(crate) table: &'a str,
+    /// The table's row count immediately *before* the batch was applied —
+    /// the idempotence anchor: replay skips the record when the restored
+    /// table already covers it, appends when it lines up exactly, and
+    /// declares the image inconsistent otherwise.
+    pub(crate) start_rows: u64,
+    /// Rows in the batch.
+    pub(crate) n_rows: u64,
+    /// The batch's rowformat records, still encoded.
+    rows: &'a [u8],
+}
+
+/// Encode one ingest batch as a WAL record payload:
+/// `tag u8 | name_len u16 | name | start_rows u64 | n_rows u32 |
+/// rowformat records`.
+fn encode_wal_batch(table: &str, start_rows: u64, rows: &[Row]) -> Vec<u8> {
+    let name = table.as_bytes();
+    let mut buf = Vec::with_capacity(15 + name.len() + rows.len() * 16);
+    buf.push(WAL_TAG_BATCH);
+    buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&start_rows.to_le_bytes());
+    buf.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    for row in rows {
+        rowformat::write_record(row, &mut buf);
+    }
+    buf
+}
+
+/// Encode a sync-coverage anchor: after a successful full disk sync, each
+/// table's durable log provably holds its first `rows` in-memory rows in
+/// exactly the first `bytes` file bytes. Crash recovery uses the *last*
+/// anchor to bound the disk-coverage reconciliation scan to the file
+/// suffix written since. Payload:
+/// `tag u8 | n u32 | per table: name_len u16 | name | rows u64 | bytes u64`.
+fn encode_sync_anchor(entries: &[(String, u64, u64)]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(5 + entries.len() * 40);
+    buf.push(WAL_TAG_SYNC);
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (name, rows, bytes) in entries {
+        buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&rows.to_le_bytes());
+        buf.extend_from_slice(&bytes.to_le_bytes());
+    }
+    buf
+}
+
+/// A WAL payload, decoded as far as the main thread needs.
+pub(crate) enum WalRecord<'a> {
+    /// An ingest batch to replay; its rows are decoded by the worker.
+    Batch(BatchHeader<'a>),
+    /// A sync-coverage anchor: per-table `(rows, bytes)` disk coverage.
+    SyncAnchor(Vec<(String, u64, u64)>),
+}
+
+/// Decode a WAL record payload by its leading tag. The outer frame's CRC
+/// already matched, so any structural problem here is a logic error worth
+/// failing loudly on — the caller answers with a disk fallback, never a
+/// partial apply.
+pub(crate) fn decode_wal_record(payload: &[u8]) -> Result<WalRecord<'_>, String> {
+    match payload.first() {
+        Some(&WAL_TAG_BATCH) => read_batch_header(&payload[1..]).map(WalRecord::Batch),
+        Some(&WAL_TAG_SYNC) => decode_sync_anchor(&payload[1..]).map(WalRecord::SyncAnchor),
+        Some(&tag) => Err(format!("unknown wal record tag {tag}")),
+        None => Err("empty wal record".to_owned()),
+    }
+}
+
+/// Bounds-checked reads off a WAL payload; `what` names the record kind
+/// in the truncation error.
+struct Fields<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    what: &'static str,
+}
+
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.buf.len() < self.pos + n {
+            return Err(format!(
+                "wal {} truncated at {}+{n} of {}",
+                self.what,
+                self.pos,
+                self.buf.len()
+            ));
+        }
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
+    }
+
+    fn u16(&mut self) -> Result<usize, String> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize)
+    }
+}
+
+/// Decode a sync-anchor payload (tag already stripped).
+fn decode_sync_anchor(payload: &[u8]) -> Result<Vec<(String, u64, u64)>, String> {
+    let mut f = Fields {
+        buf: payload,
+        pos: 0,
+        what: "anchor",
+    };
+    let n = u32::from_le_bytes(f.take(4)?.try_into().unwrap()) as usize;
+    let mut entries = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let name_len = f.u16()?;
+        let entry = f.take(name_len + 16)?;
+        let name = String::from_utf8(entry[..name_len].to_vec())
+            .map_err(|e| format!("wal anchor table name: {e}"))?;
+        let rows = u64::from_le_bytes(entry[name_len..name_len + 8].try_into().unwrap());
+        let bytes = u64::from_le_bytes(entry[name_len + 8..].try_into().unwrap());
+        entries.push((name, rows, bytes));
+    }
+    if f.pos != payload.len() {
+        return Err("trailing bytes in wal anchor".to_owned());
+    }
+    Ok(entries)
+}
+
+/// Read an ingest-batch header (tag already stripped).
+fn read_batch_header(payload: &[u8]) -> Result<BatchHeader<'_>, String> {
+    let mut f = Fields {
+        buf: payload,
+        pos: 0,
+        what: "record",
+    };
+    let name_len = f.u16()?;
+    let table = std::str::from_utf8(f.take(name_len)?)
+        .map_err(|e| format!("wal record table name: {e}"))?;
+    let counts = f.take(12)?;
+    Ok(BatchHeader {
+        table,
+        start_rows: u64::from_le_bytes(counts[..8].try_into().unwrap()),
+        n_rows: u64::from(u32::from_le_bytes(counts[8..].try_into().unwrap())),
+        rows: &payload[f.pos..],
+    })
+}
+
+/// Decode a batch's rows.
+pub(crate) fn decode_batch_rows(batch: &BatchHeader<'_>) -> Result<Vec<Row>, String> {
+    let mut rows = Vec::with_capacity((batch.n_rows as usize).min(1 << 20));
+    let mut pos = 0;
+    while (rows.len() as u64) < batch.n_rows {
+        match rowformat::read_record(batch.rows, &mut pos) {
+            rowformat::ReadOutcome::Record(row) => rows.push(row),
+            rowformat::ReadOutcome::End => {
+                return Err(format!(
+                    "wal record short: {} of {} rows",
+                    rows.len(),
+                    batch.n_rows
+                ))
+            }
+            rowformat::ReadOutcome::Torn(why) => return Err(format!("wal record torn: {why}")),
+        }
+    }
+    Ok(rows)
+}
+
+/// The crash path of one leaf: the per-leaf write-ahead log covering
+/// post-checkpoint ingest, the background checkpoint worker keeping the
+/// warm image, and the counters that tie the two to the store. Switched on
+/// by [`LeafConfig::checkpoint_enabled`]; off, every method is a no-op and
+/// a crash recovers from disk, as in the paper.
+#[derive(Debug)]
+pub(crate) struct CrashPath {
+    enabled: bool,
+    /// Auto-checkpoint after this many rows (0: explicit only).
+    interval_rows: usize,
+    ns: ShmNamespace,
+    wal_dir: PathBuf,
+    legacy_wal: PathBuf,
+    obs: LeafMetrics,
+    /// The log. Present iff the path is on, open and healthy; a write
+    /// error *poisons* it (set to `None`, checkpointer torn down) so a
+    /// crash degrades to the disk path rather than replaying a log with
+    /// holes. Ingest never fails because of the WAL.
+    wal: Option<SegmentedWal>,
+    /// Payload of the last sync-coverage anchor written to the WAL. Every
+    /// rotation re-appends it as the new segment's first record, so the
+    /// reconcile scan stays bounded after the segment that first held it
+    /// is unlinked.
+    last_sync_anchor: Option<Vec<u8>>,
+    /// Background checkpoint worker, present iff the path is open and
+    /// healthy.
+    checkpointer: Option<Checkpointer>,
+    /// Sealed blocks covered by the last committed checkpoint (feeds the
+    /// `leaf_checkpoint_lag_blocks` gauge).
+    committed_sealed: usize,
+    /// Rows ingested since the last checkpoint request (auto-trigger).
+    rows_since_checkpoint: usize,
+    /// Whether a checkpoint request is in flight on the worker.
+    checkpoint_inflight: bool,
+    /// WAL records applied by the last recovery's replay.
+    wal_replayed_records: usize,
+    /// True when the last recovery came back through a *checkpoint*
+    /// image (crash-fast path) rather than a planned-shutdown backup.
+    recovered_from_checkpoint: bool,
+    /// Why the WAL was poisoned, if it was.
+    wal_poison_reason: Option<String>,
+}
+
+impl CrashPath {
+    /// The crash path `config` asks for, not yet open: recovery must read
+    /// the WAL and probe the old image *before* the writer truncates torn
+    /// tails or the checkpointer picks a parity.
+    pub(crate) fn new(config: &LeafConfig, ns: ShmNamespace, obs: LeafMetrics) -> CrashPath {
+        CrashPath {
+            enabled: config.checkpoint_enabled,
+            interval_rows: config.checkpoint_interval_rows,
+            ns,
+            wal_dir: config.disk_root.join(WAL_DIR),
+            legacy_wal: config.disk_root.join(LEGACY_WAL_FILE),
+            obs,
+            wal: None,
+            last_sync_anchor: None,
+            checkpointer: None,
+            committed_sealed: 0,
+            rows_since_checkpoint: 0,
+            checkpoint_inflight: false,
+            wal_replayed_records: 0,
+            recovered_from_checkpoint: false,
+            wal_poison_reason: None,
+        }
+    }
+
+    /// Whether the crash path is configured on.
+    pub(crate) fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Start the crash path: spawn the checkpoint worker on `parity` and
+    /// open the WAL (clearing it when the log predates the state we now
+    /// hold, e.g. after a disk recovery). Any WAL problem poisons the path
+    /// instead of failing the server.
+    pub(crate) fn open(&mut self, parity: u32, clear_wal: bool, store: &LeafStore) {
+        debug_assert!(self.enabled);
+        self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
+        match self
+            .adopt_legacy_wal()
+            .and_then(|()| SegmentedWal::open(&self.wal_dir))
+        {
+            Ok(wal) => {
+                self.wal = Some(wal);
+                if clear_wal {
+                    self.clear();
+                }
+                self.publish_gauges(store);
+            }
+            Err(e) => self.poison(format!("open: {e}")),
+        }
+    }
+
+    /// Move a previous binary's single-file log into the segment directory
+    /// as segment 0 (no-op when there is none).
+    fn adopt_legacy_wal(&self) -> Result<(), WalError> {
+        scuba_restart::wal::adopt_single_file(&self.wal_dir, &self.legacy_wal)
+    }
+
+    /// Every record the dead process logged, for replay.
+    pub(crate) fn read_log(&self) -> Result<SegmentedContents, WalError> {
+        self.adopt_legacy_wal()
+            .and_then(|()| read_segments(&self.wal_dir))
+    }
+
+    /// Drop every WAL record: the image (or the disk state a recovery just
+    /// rebuilt) holds them all. The carried sync anchor goes too — the
+    /// disk log it describes may have been rewritten.
+    fn clear(&mut self) {
+        self.last_sync_anchor = None;
+        if let Some(wal) = self.wal.as_mut() {
+            if let Err(e) = wal.clear() {
+                self.poison(format!("clear: {e}"));
+            }
+        }
+    }
+
+    /// The log can no longer promise to cover every post-checkpoint batch
+    /// (a WAL write failed, or memory and the disk log fell out of step),
+    /// so a warm image + this log would silently drop rows. Drop the log
+    /// *and* the checkpoint image — the next crash recovers from disk with
+    /// exact durable fidelity.
+    pub(crate) fn poison(&mut self, reason: String) {
+        if !self.enabled {
+            return;
+        }
+        self.wal = None;
+        self.last_sync_anchor = None;
+        self.retire_image();
+        scuba_obs::counter!("leaf_wal_poisoned_total").inc();
+        self.obs.set("leaf_wal_bytes", 0);
+        self.obs.add("leaf_wal_poisoned", 1);
+        self.wal_poison_reason = Some(reason);
+    }
+
+    /// Publish the crash-path gauges: how far the image trails the store
+    /// (sealed blocks not yet checkpointed) and how much WAL tail a crash
+    /// would have to replay.
+    pub(crate) fn publish_gauges(&self, store: &LeafStore) {
+        if !scuba_obs::enabled() || !self.enabled {
+            return;
+        }
+        let sealed_now: usize = store.map().iter().map(|t| t.blocks().len()).sum();
+        self.obs.set(
+            "leaf_checkpoint_lag_blocks",
+            sealed_now.saturating_sub(self.committed_sealed) as i64,
+        );
+        self.obs.set("leaf_wal_bytes", self.wal_bytes() as i64);
+    }
+
+    /// Snapshot the store, cut the WAL at the same instant, and hand the
+    /// worker a checkpoint job. False if the crash path is down (disabled
+    /// or poisoned) or the worker died.
+    pub(crate) fn request(&mut self, store: &LeafStore) -> bool {
+        if self.wal.is_none() || self.checkpointer.is_none() {
+            return false; // poisoned: a log with holes must not pair with an image
+        }
+        let Ok(tables) = snapshot_tables(store) else {
+            return false;
+        };
+        let Some(covered_seq) = self.rotate() else {
+            return false;
+        };
+        let ok = self.checkpointer.as_ref().is_some_and(|ck| {
+            ck.request(CheckpointJob {
+                tables,
+                covered_seq,
+            })
+        });
+        if ok {
+            self.checkpoint_inflight = true;
+            self.rows_since_checkpoint = 0;
+        }
+        ok
+    }
+
+    /// Start a new WAL segment, carrying the last sync anchor into it, and
+    /// return its seq. Runs on the ingest thread, so no batch can land
+    /// between the snapshot just taken and the cut. A failure poisons the
+    /// crash path.
+    fn rotate(&mut self) -> Option<u64> {
+        let wal = self.wal.as_mut()?;
+        let rotated = wal.rotate().and_then(|seq| {
+            if let Some(anchor) = &self.last_sync_anchor {
+                wal.append(anchor)?;
+            }
+            Ok(seq)
+        });
+        match rotated {
+            Ok(seq) => Some(seq),
+            Err(e) => {
+                self.poison(format!("rotate: {e}"));
+                None
+            }
+        }
+    }
+
+    /// Fold one completed cycle into the crash path: remember coverage for
+    /// the lag gauge and unlink the WAL segments the image now covers.
+    pub(crate) fn apply_outcome(
+        &mut self,
+        outcome: CheckpointOutcome,
+        store: &LeafStore,
+    ) -> Result<CheckpointStats, String> {
+        self.checkpoint_inflight = false;
+        match outcome.result {
+            Ok(stats) => {
+                self.committed_sealed = stats.sealed_blocks;
+                if let Some(wal) = self.wal.as_mut() {
+                    if let Err(e) = wal.drop_below(outcome.covered_seq) {
+                        self.poison(format!("unlink covered segments: {e}"));
+                    }
+                }
+                self.publish_gauges(store);
+                Ok(stats)
+            }
+            Err(reason) => {
+                // The worker already invalidated the image and will
+                // rebuild from scratch next cycle; until then a crash
+                // falls back to disk. The segments stay: a later commit
+                // covers them.
+                self.publish_gauges(store);
+                Err(reason)
+            }
+        }
+    }
+
+    /// Auto-trigger: apply a finished cycle on the first batch after it
+    /// lands (unlinking its covered segments then, not an interval later),
+    /// and request a checkpoint when enough rows landed since the last one
+    /// and the worker is idle.
+    fn maybe_auto_checkpoint(&mut self, store: &LeafStore) {
+        if self.checkpoint_inflight {
+            while let Some(outcome) = self.checkpointer.as_ref().and_then(|ck| ck.try_done()) {
+                let _ = self.apply_outcome(outcome, store);
+            }
+        }
+        let interval = self.interval_rows;
+        if interval == 0 || self.rows_since_checkpoint < interval {
+            return;
+        }
+        if self.checkpoint_inflight {
+            return; // still copying the previous snapshot; try after
+        }
+        self.request(store);
+    }
+
+    /// The store is about to change (or just changed) in a way the
+    /// incremental writer cannot track — disk fallback mid-life, expiry.
+    /// Tear the image down (same parity respawn) and drop the stale WAL;
+    /// the next cycle rebuilds from scratch, and until then a crash goes
+    /// to disk.
+    pub(crate) fn reset(&mut self, store: &LeafStore) {
+        if !self.enabled {
+            return;
+        }
+        if let Some(ck) = self.checkpointer.take() {
+            let parity = ck.parity();
+            ck.teardown();
+            self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
+        }
+        self.checkpoint_inflight = false;
+        self.committed_sealed = 0;
+        self.clear();
+        self.publish_gauges(store);
+    }
+
+    /// Log a batch the store just applied (`start_rows`: the table's row
+    /// count before it) and run the auto-checkpoint trigger. WAL problems
+    /// never fail ingest: they poison the crash path, degrading the next
+    /// crash to the disk path.
+    pub(crate) fn append(&mut self, store: &LeafStore, table: &str, start_rows: u64, rows: &[Row]) {
+        if !self.enabled || rows.is_empty() {
+            return;
+        }
+        self.rows_since_checkpoint += rows.len();
+        if let Some(wal) = self.wal.as_mut() {
+            if let Err(e) = wal.append(&encode_wal_batch(table, start_rows, rows)) {
+                self.poison(format!("append: {e}"));
+            }
+        }
+        self.maybe_auto_checkpoint(store);
+        self.publish_gauges(store);
+    }
+
+    /// After the disk backup synced: fsync the WAL on the same cadence, so
+    /// its records become durable against machine failure with the backup
+    /// they shadow, then anchor the coverage just synced.
+    pub(crate) fn sync(&mut self, store: &LeafStore, disk: &DiskBackup) {
+        if let Some(wal) = self.wal.as_mut() {
+            if let Err(e) = wal.sync() {
+                self.poison(format!("fsync: {e}"));
+            }
+        }
+        self.append_sync_anchor(store, disk);
+    }
+
+    /// Record the just-synced per-table disk coverage in the WAL. The
+    /// anchor is advisory (it bounds the reconcile scan); failing to
+    /// write it is a WAL append failure like any other and poisons the
+    /// crash path.
+    fn append_sync_anchor(&mut self, store: &LeafStore, disk: &DiskBackup) {
+        if self.wal.is_none() {
+            return;
+        }
+        let mut entries: Vec<(String, u64, u64)> = Vec::new();
+        for table in store.map().iter() {
+            let len = match disk.file_len(table.name()) {
+                Ok(len) => len,
+                // Can't state the coverage: write no anchor (the next
+                // recovery falls back to a full scan, which is always
+                // correct).
+                Err(_) => return,
+            };
+            entries.push((table.name().to_owned(), table.row_count() as u64, len));
+        }
+        let payload = encode_sync_anchor(&entries);
+        match self.wal.as_mut().unwrap().append(&payload) {
+            Ok(()) => self.last_sync_anchor = Some(payload),
+            Err(e) => self.poison(format!("append anchor: {e}")),
+        }
+    }
+
+    /// A planned shutdown supersedes the crash path: stop the checkpointer
+    /// and unlink its image, so the backup and the checkpointer never write
+    /// the metadata region together.
+    pub(crate) fn retire_image(&mut self) {
+        if let Some(ck) = self.checkpointer.take() {
+            ck.teardown();
+        }
+        self.checkpoint_inflight = false;
+    }
+
+    /// The shutdown backup's valid bit is committed and its image covers
+    /// every row: drop the log.
+    pub(crate) fn retire_log(&mut self) {
+        self.clear();
+        self.wal = None;
+    }
+
+    /// A crash: *abandon* the checkpointer — never tear it down, so the
+    /// dying process can't unlink the very image its replacement is about
+    /// to attach — and close the WAL's fds without clearing it.
+    pub(crate) fn abandon(&mut self) {
+        if let Some(ck) = self.checkpointer.take() {
+            ck.abandon();
+        }
+        self.wal = None;
+    }
+
+    /// Record what the recovery's WAL replay did: the records it applied,
+    /// and the last sync anchor it read (carried into the next rotation).
+    pub(crate) fn replayed(&mut self, records: usize, anchor: Option<Vec<u8>>) {
+        self.wal_replayed_records = records;
+        self.last_sync_anchor = anchor;
+    }
+
+    /// The recovery came back through a checkpoint image: the crash-fast
+    /// path.
+    pub(crate) fn recovered_through_checkpoint(&mut self) {
+        self.recovered_from_checkpoint = true;
+        self.obs.add("leaf_crash_fast_recoveries_total", 1);
+    }
+
+    fn wal_bytes(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |w| {
+            let headers = w.seqs().len() as u64 * scuba_restart::wal::WAL_HEADER;
+            w.len_bytes().saturating_sub(headers)
+        })
+    }
+}
+
+impl LeafServer {
+    /// Take a checkpoint now and wait for it to commit. The synchronous
+    /// variant the chaos harness and tests drive; production leaves it to
+    /// `checkpoint_interval_rows`.
+    pub fn checkpoint_and_wait(&mut self) -> LeafResult<CheckpointStats> {
+        if !self.phase().accepts_adds() {
+            return Err(self.unavailable("checkpoint"));
+        }
+        // Settle any in-flight auto cycle first so ours is next.
+        if self.crash.checkpoint_inflight {
+            match self
+                .crash
+                .checkpointer
+                .as_ref()
+                .and_then(|ck| ck.wait_done())
+            {
+                Some(outcome) => drop(self.crash.apply_outcome(outcome, &self.store)),
+                None => self.crash.checkpoint_inflight = false,
+            }
+        }
+        if !self.crash.request(&self.store) {
+            return Err(self.unavailable("checkpoint (crash path disabled or poisoned)"));
+        }
+        let Some(outcome) = self
+            .crash
+            .checkpointer
+            .as_ref()
+            .and_then(|ck| ck.wait_done())
+        else {
+            return Err(self.unavailable("checkpoint (worker died)"));
+        };
+        self.crash
+            .apply_outcome(outcome, &self.store)
+            .map_err(LeafError::Backup)
+    }
+
+    /// WAL records applied by the last recovery's replay.
+    pub fn wal_replayed_records(&self) -> usize {
+        self.crash.wal_replayed_records
+    }
+
+    /// True when the last recovery came back through a checkpoint image
+    /// (the crash-fast path) rather than a planned-shutdown backup.
+    pub fn recovered_from_checkpoint(&self) -> bool {
+        self.crash.recovered_from_checkpoint
+    }
+
+    /// Record bytes currently in the WAL's segments, excluding their file
+    /// headers (0 when the crash path is off or poisoned).
+    pub fn wal_bytes(&self) -> u64 {
+        self.crash.wal_bytes()
+    }
+
+    /// Why the WAL was poisoned, if it was.
+    pub fn wal_poison_reason(&self) -> Option<&str> {
+        self.crash.wal_poison_reason.as_deref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checkpoint::SEG_FLAG_CHECKPOINT;
+    use crate::server::{LeafServer, RecoveryOutcome};
+    use crate::testkit::*;
+    use scuba_columnstore::table::RetentionLimits;
+    use scuba_shmem::LeafMetadata;
+
+    /// Take a checkpoint and let the worker commit it, but never drain the
+    /// outcome: the state a crash finds between the worker's commit and
+    /// the server's unlink of the covered segments.
+    fn commit_without_draining(s: &mut LeafServer) {
+        assert!(s.crash.request(&s.store));
+        let outcome = s.crash.checkpointer.as_ref().unwrap().wait_done().unwrap();
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
+    }
+
+    /// Under continuous ingest the log holds about one checkpoint interval,
+    /// not everything since the last quiet moment: each committed cycle
+    /// unlinks the segments below its cut, with no `checkpoint_and_wait`.
+    #[test]
+    fn wal_stays_bounded_under_continuous_ingest() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        const INTERVAL: usize = 10_000;
+        const BATCH: i64 = 1000;
+        let (mut cfg, dir) = crash_config("ckbounded");
+        cfg.checkpoint_interval_rows = INTERVAL;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let tables = ["bounded_a", "bounded_b"];
+        let mut acked = [0u64; 2];
+        let mut commits = 0;
+        let mut finished = None;
+        for b in 0..100 {
+            let t = b % 2;
+            s.add_rows(tables[t], &seq_rows(acked[t] as i64, BATCH), 0)
+                .unwrap();
+            acked[t] += BATCH as u64;
+            // A busy leaf notices a finished cycle only on a later batch,
+            // after more rows have landed behind the cut.
+            if let Some(outcome) = finished.take() {
+                commits += usize::from(s.crash.apply_outcome(outcome, &s.store).is_ok());
+            }
+            if s.crash.checkpoint_inflight {
+                finished = s.crash.checkpointer.as_ref().unwrap().wait_done();
+            }
+        }
+        // The last finished cycle, if any, is never drained: no batch
+        // came after it.
+        assert!(commits >= 2, "only {commits} auto checkpoints committed");
+        let bytes_per_row =
+            encode_wal_batch(tables[0], 0, &seq_rows(0, BATCH)).len() as f64 / BATCH as f64;
+        let bound = 3.0 * INTERVAL as f64 * bytes_per_row;
+        assert!(
+            s.wal_bytes() as f64 <= bound,
+            "log holds {} bytes after {commits} commits, bound {bound}",
+            s.wal_bytes()
+        );
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert!(
+            s2.wal_replayed_records() <= 30,
+            "replayed {} records",
+            s2.wal_replayed_records()
+        );
+        for (t, table) in tables.iter().enumerate() {
+            assert_eq!(count_and_seq_sum(&s2, table), exact_prefix(acked[t]));
+        }
+    }
+
+    /// The worker committed but the server had not drained the outcome
+    /// when the process died: the covered segments are still on disk, and
+    /// replay skips their records from the header.
+    #[test]
+    fn crash_between_commit_and_unlink_skips_covered_records() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckundrained");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        commit_without_draining(&mut s);
+        for b in 3..5 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        assert_eq!(wal_batches(&cfg), 5, "covered segments were unlinked");
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(500));
+    }
+
+    /// A covered segment whose unlink never happened (restored here by
+    /// hand) replays idempotently: its records are all skipped.
+    #[test]
+    fn stale_covered_segment_replays_idempotently() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckstaleseg");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        let wal_dir = cfg.disk_root.join(WAL_DIR);
+        let covered = s.crash.wal.as_ref().unwrap().seqs();
+        let stale: Vec<_> = covered
+            .iter()
+            .map(|&seq| {
+                let path = scuba_restart::wal::segment_path(&wal_dir, seq);
+                (path.clone(), std::fs::read(path).unwrap())
+            })
+            .collect();
+        s.checkpoint_and_wait().unwrap();
+        s.crash.wal.as_mut().unwrap().wait_unlinked().unwrap();
+        for (path, bytes) in &stale {
+            assert!(
+                !path.exists(),
+                "covered segment {path:?} survived the commit"
+            );
+            std::fs::write(path, bytes).unwrap();
+        }
+        for b in 3..5 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        assert_eq!(wal_batches(&cfg), 5);
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(500));
+    }
+
+    /// Only the live segment is appended to, so a torn record in an
+    /// earlier one is damage, not a crash shape: the log no longer covers
+    /// the tail and recovery goes to disk.
+    #[test]
+    fn torn_record_in_an_earlier_segment_recovers_from_disk() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckgap");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+        }
+        let first = s.crash.wal.as_ref().unwrap().seqs()[0];
+        commit_without_draining(&mut s);
+        s.add_rows("logs", &seq_rows(300, 100), 0).unwrap();
+        s.sync_disk().unwrap();
+        s.crash();
+        drop(s);
+        let wal_dir = cfg.disk_root.join(WAL_DIR);
+        assert!(scuba_restart::wal::list_segments(&wal_dir).unwrap().len() >= 2);
+        tear(&scuba_restart::wal::segment_path(&wal_dir, first), 3);
+
+        let (s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        match &outcome {
+            RecoveryOutcome::Disk { reason, .. } => {
+                assert!(reason.contains("not the last"), "{reason}");
+            }
+            other => panic!("expected disk fallback, got {other:?}"),
+        }
+        assert_eq!(count_and_seq_sum(&s2, "logs"), exact_prefix(400));
+        assert_eq!(
+            wal_batches(&cfg),
+            0,
+            "the damaged log survived the fallback"
+        );
+    }
+
+    /// Tentpole acceptance + the drop-ordering regression (a dying
+    /// process must never unlink the live checkpoint image): checkpoint,
+    /// ingest a WAL tail, crash — the replacement attaches the warm image
+    /// and replays just the tail.
+    #[test]
+    fn crash_recovers_fast_from_checkpoint_plus_wal_tail() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckfast");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 400);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        s.crash.wal.as_mut().unwrap().wait_unlinked().unwrap();
+        assert_eq!(wal_batches(&cfg), 0, "the checkpoint left covered batches");
+        assert_eq!(s.crash.wal.as_ref().unwrap().seqs().len(), 1);
+        // Post-checkpoint tail: two batches, the second never disk-synced.
+        let b1: Vec<Row> = (400..460).map(|i| Row::at(i).with("sev", "tail")).collect();
+        s.add_rows("logs", &b1, 0).unwrap();
+        s.sync_disk().unwrap();
+        let b2: Vec<Row> = (460..500).map(|i| Row::at(i).with("sev", "tail")).collect();
+        s.add_rows("logs", &b2, 0).unwrap();
+        assert!(s.wal_bytes() > 0);
+        s.crash();
+        drop(s);
+
+        // Drop-ordering regression: the image must still be linked and
+        // valid after the old process died.
+        let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
+        let meta = LeafMetadata::open(&ns).expect("checkpoint metadata survives the crash");
+        let contents = meta.read().unwrap();
+        assert!(contents.valid, "crash invalidated the checkpoint image");
+        assert!(contents
+            .segments
+            .iter()
+            .all(|e| e.flags & SEG_FLAG_CHECKPOINT != 0));
+        drop(meta);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "crash took the disk path: {outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        assert_eq!(s2.wal_replayed_records(), 2);
+        assert_eq!(s2.total_rows(), 500, "lost part of the WAL tail");
+        if scuba_obs::enabled() {
+            let name = scuba_obs::labeled_name(
+                "leaf_crash_fast_recoveries_total",
+                &[("leaf", s2.obs_key())],
+            );
+            assert_eq!(scuba_obs::counter_value(&name), Some(1));
+        }
+    }
+
+    /// A WAL append fault poisons the crash path: ingest keeps working,
+    /// the image is torn down, and the next crash recovers from disk with
+    /// exact durable fidelity.
+    #[test]
+    fn wal_append_fault_degrades_crash_to_disk() {
+        let _x = scuba_faults::exclusive();
+        scuba_faults::clear_all();
+        let (cfg, dir) = crash_config("ckpoison");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 100);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+
+        scuba_faults::configure("restart::wal::append", "error@1").unwrap();
+        let rows: Vec<Row> = (100..150).map(Row::at).collect();
+        s.add_rows("logs", &rows, 0).unwrap(); // ingest survives the fault
+        scuba_faults::clear_all();
+        assert!(s.wal_poison_reason().unwrap().contains("append"));
+        assert_eq!(s.total_rows(), 150);
+        assert!(
+            s.checkpoint_and_wait().is_err(),
+            "poisoned path kept checkpointing"
+        );
+        s.crash();
+        drop(s);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(
+            !outcome.is_memory(),
+            "poisoned image was trusted: {outcome:?}"
+        );
+        // Disk fidelity is exactly the synced prefix: the crash discarded
+        // the buffered tail the way a SIGKILL would.
+        assert_eq!(s2.total_rows(), 100);
+    }
+
+    /// Steady-state serving with auto-checkpointing: the image trails by
+    /// at most the interval, the crash recovers everything up to the last
+    /// WAL record, and repeated crashes flip the image parity.
+    #[test]
+    fn auto_checkpoint_and_repeated_crashes() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (mut cfg, dir) = crash_config("ckauto");
+        cfg.checkpoint_interval_rows = 100;
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for wave in 0..3i64 {
+            for batch in 0..5i64 {
+                let t0 = wave * 500 + batch * 100;
+                let rows: Vec<Row> = (t0..t0 + 100).map(Row::at).collect();
+                s.add_rows("logs", &rows, 0).unwrap();
+            }
+            // Settle the async auto cycle deterministically for the test.
+            s.checkpoint_and_wait().unwrap();
+            s.crash();
+            drop(s);
+            let (next, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+            assert!(outcome.is_memory(), "wave {wave}: {outcome:?}");
+            assert_eq!(next.total_rows(), (wave as usize + 1) * 500);
+            s = next;
+        }
+        drop(s);
+        let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
+        ns.unlink_all(16);
+    }
+
+    /// Clean shutdown still wins over the crash path: the checkpointer is
+    /// torn down, the planned backup image restores, and no checkpoint
+    /// segment or WAL byte is left behind.
+    #[test]
+    fn clean_shutdown_supersedes_checkpoint_image() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckclean");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 250);
+        s.checkpoint_and_wait().unwrap();
+        let rows: Vec<Row> = (250..300).map(Row::at).collect();
+        s.add_rows("logs", &rows, 0).unwrap();
+        s.shutdown_to_shm(0).unwrap();
+        drop(s);
+        let dir = cfg.disk_root.join(WAL_DIR);
+        let seqs = scuba_restart::wal::list_segments(&dir).unwrap();
+        assert_eq!(seqs.len(), 1, "the clean shutdown left segments: {seqs:?}");
+        assert_eq!(
+            std::fs::metadata(scuba_restart::wal::segment_path(&dir, seqs[0]))
+                .unwrap()
+                .len(),
+            scuba_restart::wal::WAL_HEADER,
+            "WAL not cleared by the clean shutdown"
+        );
+        let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
+        for parity in 0..2u32 {
+            for index in 0..8 {
+                assert!(
+                    !scuba_shmem::ShmSegment::exists(&ns.checkpoint_segment_name(parity, index)),
+                    "orphan checkpoint segment k{parity}_{index}"
+                );
+            }
+        }
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory());
+        assert!(!s2.recovered_from_checkpoint());
+        assert_eq!(s2.total_rows(), 300);
+    }
+
+    /// Expiry invalidates the crash path (the image's immutable prefix
+    /// changed): a crash right after expire goes to disk, and the next
+    /// checkpoint rebuilds a fresh image.
+    #[test]
+    fn expire_resets_crash_path() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (mut cfg, dir) = crash_config("ckexpire");
+        cfg.retention = RetentionLimits {
+            max_age_secs: Some(50),
+            max_bytes: None,
+        };
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 100); // times 0..99
+        s.sync_disk().unwrap();
+        s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+        s.checkpoint_and_wait().unwrap();
+        assert_eq!(s.expire(200).unwrap(), 1); // drops the sealed block
+        s.crash();
+        drop(s);
+        let (s2, outcome) = LeafServer::start(cfg.clone(), 200, None).unwrap();
+        assert!(
+            !outcome.is_memory(),
+            "stale image served expired rows: {outcome:?}"
+        );
+        drop(s2);
+        let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
+        ns.unlink_all(16);
+    }
+}

@@ -24,8 +24,11 @@ pub mod checkpoint;
 pub mod compat;
 pub mod config;
 pub mod error;
+mod hydrate;
 pub mod image;
+mod ingest;
 pub mod persist;
+mod recover;
 pub mod residency;
 pub mod server;
 
@@ -35,3 +38,6 @@ pub use error::{LeafError, LeafResult};
 pub use persist::LeafStore;
 pub use residency::{Residency, ResidencyManager};
 pub use server::{LeafPhase, LeafServer, RecoveryOutcome, ShutdownSummary};
+
+#[cfg(test)]
+mod testkit;

@@ -35,9 +35,12 @@ pub struct LogHistogram {
 }
 
 /// The bucket of a positive magnitude, by definition: one `log2` per call.
-/// (Infinity saturates the cast to `isize::MAX`, and the `+ 1` wraps it
-/// into the underflow tail, as release builds always placed it.)
+/// Infinity belongs in the overflow tail; the cast below would saturate
+/// it to `isize::MAX` and the `+ 1` wrap it into the underflow tail.
 fn bucket_index_by_log2(magnitude: f64) -> usize {
+    if magnitude.is_infinite() {
+        return BUCKETS - 1;
+    }
     let idx =
         (((magnitude.log2() - OCTAVE_LO as f64) / GROWTH_LOG2).floor() as isize).wrapping_add(1);
     idx.clamp(0, BUCKETS as isize - 1) as usize
@@ -388,6 +391,21 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.quantile(1.0), Some(f64::INFINITY));
         assert_eq!(h.quantile(0.0), Some(f64::NEG_INFINITY));
+    }
+
+    #[test]
+    fn infinite_samples_count_in_the_overflow_tail() {
+        let h = filled(&[1.0, f64::INFINITY, f64::INFINITY, f64::INFINITY]);
+        let p50 = h.quantile(0.5).unwrap();
+        assert!(p50 >= 2f64.powi(47), "p50 = {p50}");
+        let h = filled(&[
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+        ]);
+        let p50 = h.quantile(0.5).unwrap();
+        assert!(p50 <= -(2f64.powi(47)), "p50 = {p50}");
     }
 
     #[test]

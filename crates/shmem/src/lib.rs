@@ -42,4 +42,4 @@ pub use error::{ShmError, ShmResult};
 pub use metadata::{LeafMetadata, MetadataContents, SegmentEntry, LEGACY_V1_VERSION};
 pub use namespace::ShmNamespace;
 pub use segment::ShmSegment;
-pub use view::{view_unlink_count, SegmentView};
+pub use view::SegmentView;

@@ -14,21 +14,10 @@
 //! sweep already removed the name is harmless — the mapping itself stays
 //! valid until `munmap`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::ShmResult;
 use crate::segment::ShmSegment;
-
-/// Number of segments actually unlinked by dropping views (process-wide).
-/// Test hook for the "unlinked exactly once, never while a reader holds
-/// it" protocol.
-static VIEW_UNLINKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of segments unlinked by [`SegmentView`] drops.
-pub fn view_unlink_count() -> u64 {
-    VIEW_UNLINKS.load(Ordering::Relaxed)
-}
 
 /// A read-only mapping of one shared-memory segment, shared behind an
 /// `Arc` by everything that borrows its bytes. When the last clone drops,
@@ -85,7 +74,6 @@ impl SegmentView {
     fn release(&mut self) -> bool {
         let unlinked = matches!(ShmSegment::unlink(self.segment.name()), Ok(true));
         if unlinked {
-            VIEW_UNLINKS.fetch_add(1, Ordering::Relaxed);
             scuba_obs::counter!("shmem_view_unlinks").inc();
         }
         unlinked
@@ -111,9 +99,8 @@ mod tests {
         w.finish().unwrap()
     }
 
-    // These two assert on what *this* view's release did, not on a delta
-    // of the process-wide `view_unlink_count()`: sibling tests drop views
-    // in parallel and move that counter.
+    // These two assert on what *this* view's release did: sibling tests
+    // drop views in parallel, so no process-wide count can tell.
 
     #[test]
     fn last_drop_unlinks_exactly_once() {
