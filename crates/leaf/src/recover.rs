@@ -3,14 +3,13 @@
 //! memory restore or attach, WAL replay and reconcile, disk rebuilds.
 
 use std::collections::BTreeMap;
-use std::thread;
 use std::time::Instant;
 
 use scuba_columnstore::{Row, Table};
 use scuba_diskstore::Throttle;
 use scuba_restart::{
-    attach_from_shm, resolve_copy_threads, restore_from_shm_with, CopyOptions, LeafRestoreState,
-    RestoreError, SHM_LAYOUT_VERSION,
+    attach_from_shm, fan_out, resolve_copy_threads, restore_from_shm_with, CopyOptions,
+    LeafRestoreState, RestoreError, SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{LeafMetadata, ShmNamespace};
 
@@ -507,13 +506,14 @@ impl LeafServer {
 
     /// Replay the WAL tail onto the freshly memory-recovered store. The
     /// main thread reads only each record's header, grouping the still
-    /// encoded batches by table; decode and apply run per table on the
-    /// copy-thread pool (the same parallelism knob as the restore copy
-    /// itself). A table the WAL created after the last checkpoint starts
-    /// empty. A torn tail in the last segment is fine — replay stops at
-    /// the last intact record, which is exactly the durable prefix. An
-    /// unreadable log, a torn earlier segment, or an image/log mismatch is
-    /// an `Err`, answered by the caller with a full disk fallback.
+    /// encoded batches by table; decode and apply run per table through
+    /// the copy pool's [`fan_out`] (the same parallelism knob as the
+    /// restore copy itself). A table the WAL created after the last
+    /// checkpoint starts empty. A torn tail in the last segment is fine —
+    /// replay stops at the last intact record, which is exactly the
+    /// durable prefix. An unreadable log, a torn earlier segment, or an
+    /// image/log mismatch is an `Err`, answered by the caller with a full
+    /// disk fallback.
     ///
     /// Returns the *last* sync anchor's per-table `(rows, bytes)` disk
     /// coverage (empty if the log holds none) — the scan hints for
@@ -547,51 +547,25 @@ impl LeafServer {
             self.crash.replayed(0, anchor);
             return Ok(hints);
         }
+        let threads = resolve_copy_threads(self.config.copy_threads).min(groups.len());
         let mut tables = self.store.map_mut().take_tables();
-        let jobs: Vec<(Table, Vec<BatchHeader<'_>>)> = groups
-            .into_iter()
-            .map(|(name, batches)| {
-                let table = tables.remove(name).unwrap_or_else(|| Table::new(name, now));
-                (table, batches)
-            })
-            .collect();
-        let threads = resolve_copy_threads(self.config.copy_threads).min(jobs.len());
-        let mut buckets: Vec<Vec<(Table, Vec<BatchHeader<'_>>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, job) in jobs.into_iter().enumerate() {
-            buckets[i % threads].push(job);
-        }
-        let results: Vec<Result<(Vec<Table>, usize), String>> = thread::scope(|scope| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    scope.spawn(move || {
-                        let mut done = Vec::with_capacity(bucket.len());
-                        let mut applied = 0;
-                        for (mut table, batches) in bucket {
-                            applied += apply_wal_batches(&mut table, &batches, now)?;
-                            done.push(table);
-                        }
-                        Ok((done, applied))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("replay worker panicked".into()))
-                })
-                .collect()
-        });
+        let mut groups = groups.into_iter();
         let mut applied = 0;
-        for result in results {
-            let (done, n) = result?;
-            applied += n;
-            for table in done {
-                tables.insert(table.name().to_owned(), table);
-            }
-        }
+        fan_out(
+            threads,
+            |_| {
+                let (name, batches) = groups.next()?;
+                let table = tables.remove(name).unwrap_or_else(|| Table::new(name, now));
+                Some(Ok((table, batches)))
+            },
+            |(mut table, batches)| apply_wal_batches(&mut table, &batches, now).map(|n| (table, n)),
+            drop,
+            |(table, n)| {
+                applied += n;
+                self.store.map_mut().insert(table);
+                Ok(())
+            },
+        )?;
         for (_, table) in tables {
             self.store.map_mut().insert(table);
         }
@@ -983,6 +957,34 @@ mod tests {
         // honest durable state; what must NOT happen is a memory
         // recovery from the abandoned image.
         assert_eq!(s3.total_rows(), 300);
+    }
+
+    /// The same with the crash path off and a planned-shutdown image: a
+    /// fresh `new()` abandons it, so a crash of the new life recovers the
+    /// new life's synced rows from disk rather than attaching the old
+    /// life's image.
+    #[test]
+    fn first_boot_sweeps_stale_planned_image() {
+        let (cfg, dir) = test_config("plannedstale");
+        let mut s1 = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s1.namespace().clone(), dir);
+        fill(&mut s1, 300);
+        s1.shutdown_to_shm(0).unwrap(); // valid planned image of 300 rows
+        drop(s1);
+
+        let mut s2 = LeafServer::new(cfg.clone()).unwrap();
+        let rows: Vec<Row> = (300..350).map(Row::at).collect();
+        s2.add_rows("logs", &rows, 0).unwrap();
+        s2.sync_disk().unwrap();
+        s2.crash();
+        drop(s2);
+
+        let (s3, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(
+            !outcome.is_memory(),
+            "abandoned planned image attached: {outcome:?}"
+        );
+        assert_eq!(s3.total_rows(), 350);
     }
 
     /// A disk recovery started with memory recovery disabled abandons the

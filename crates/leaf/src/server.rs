@@ -226,17 +226,19 @@ impl LeafServer {
     /// Create an empty leaf (first boot; no recovery attempted).
     pub fn new(config: LeafConfig) -> LeafResult<LeafServer> {
         let mut server = LeafServer::new_core(config)?;
-        if server.crash.enabled() {
-            // Probe the parity first: a dying predecessor may still hold
-            // unlink-on-last-drop views over its image's parity, so the
-            // new checkpointer must take the other one.
-            let parity = next_parity(probe_image(&server.ns));
-            // First boot abandons any predecessor state. Sweep a dead
-            // predecessor's image now — leaving a *valid* stale image
-            // linked means a crash before our first checkpoint cycle
-            // would let the next start() resurrect the abandoned life's
-            // data over an empty WAL.
-            sweep_image(&server.ns);
+        // Probe the parity first: a dying predecessor may still hold
+        // unlink-on-last-drop views over its image's parity, so the new
+        // checkpointer must take the other one.
+        let parity = server
+            .crash
+            .enabled()
+            .then(|| next_parity(probe_image(&server.ns)));
+        // First boot abandons any predecessor state, whatever the crash
+        // path: a *valid* stale image — checkpoint or planned — left
+        // linked would let a crash of this life send the next start()
+        // back to the abandoned life's rows.
+        sweep_image(&server.ns);
+        if let Some(parity) = parity {
             server.crash.open(parity, true, &server.store);
         }
         Ok(server)

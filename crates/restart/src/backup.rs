@@ -22,26 +22,21 @@
 //! metadata/valid-bit envelope, per-unit segments, chunk framing, and
 //! footprint accounting.
 //!
-//! The per-table loop is parallelized across a bounded worker pool
-//! ([`crate::CopyOptions`]): the coordinator walks units in order —
-//! failpoint, estimate, create segment, register it in the metadata,
-//! extract the unit from the store — and hands `(unit, SegmentWriter)`
-//! jobs to workers over a bounded channel, which caps in-flight units so
-//! the §4.4 footprint invariant survives parallelism. Workers serialize
-//! and sync independently; the valid bit is still committed exactly once,
-//! by the coordinator, only after every worker has finished — a failure
-//! anywhere propagates (first unit in order wins) and cleanup is
-//! unchanged, so crash semantics are identical to the sequential path.
+//! The per-table loop runs through [`crate::copy::fan_out`]: the
+//! coordinator walks units in order — failpoint, estimate, create segment,
+//! register it in the metadata, extract the unit from the store — and a
+//! worker serializes and syncs each one. At one worker that is the loop
+//! above, inline. The valid bit is committed exactly once, by the
+//! coordinator, after every unit is written; any failure (first unit in
+//! order wins) skips the commit and runs the same cleanup at every width.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use scuba_obs::{Phase, PhaseBreakdown, Stopwatch, TableSample, BACKUP_PHASES};
 use scuba_shmem::{LeafMetadata, SegmentWriter, ShmError, ShmNamespace, ShmSegment};
 
-use crate::copy::{CopyOptions, FootprintTracker};
+use crate::copy::{fan_out, CopyOptions, FootprintTracker};
 use crate::framing::{encode_header_v2, end_header_v2, FRAME_HEADER_V2, TAG_UNIT_NAME};
 use crate::migrate::CURRENT_IMAGE_MIN_READER;
 use crate::phases::{RunAcc, UnitStats};
@@ -203,8 +198,8 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
     let initial_footprint = store.heap_bytes();
     let tracker = FootprintTracker::new(initial_footprint);
     let unit_names = store.unit_names();
-    // Size the pool against the estimated payload: small leaves fall back
-    // to the sequential path, where pool startup would dominate the copy.
+    // Size the pool against the estimated payload: small leaves copy
+    // inline, where pool startup would dominate the copy.
     let total_estimated: usize = unit_names.iter().map(|u| store.estimate_unit_size(u)).sum();
     let threads = options
         .threads_for_bytes(total_estimated)
@@ -224,27 +219,40 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
         }
     };
 
-    let result = copy_units(store, ns, &mut meta, &unit_names, &tracker, &acc, threads)
-        .and_then(|ok| {
-            // The instant before commit: every segment written and synced,
-            // the valid bit still false. Dying here must cost only speed.
-            if scuba_faults::check("restart::backup::commit").is_some() {
-                return Err(BackupError::Shm(ShmError::injected(
-                    "restart::backup::commit",
-                    "failpoint",
-                )));
-            }
-            Ok(ok)
-        })
-        .and_then(|ok| {
-            // Commit point: everything is in shared memory and synced.
-            let sw = Stopwatch::start();
-            meta.set_valid(true)?;
-            acc.add(Phase::Commit, sw.elapsed_ns());
-            Ok(ok)
-        });
+    let (mut chunks, mut bytes_copied) = (0usize, 0u64);
+    let result = fan_out(
+        threads,
+        |index| {
+            let unit = unit_names.get(index)?;
+            let prepared = prepare_unit(store, ns, &mut meta, index, unit, &tracker, &acc);
+            Some(prepared.map(|job| (unit.as_str(), job)))
+        },
+        |(unit, (data, heap, writer))| write_unit::<S>(unit, data, heap, writer, &tracker, &acc),
+        // Dropping an unwritten unit frees its heap.
+        |(_, (_, heap, _))| tracker.sub_in_flight(heap),
+        |(c, b)| {
+            chunks += c;
+            bytes_copied += b;
+            Ok(())
+        },
+    )
+    .and_then(|()| {
+        // The instant before commit: every segment written and synced,
+        // the valid bit still false. Dying here must cost only speed.
+        if scuba_faults::check("restart::backup::commit").is_some() {
+            return Err(BackupError::Shm(ShmError::injected(
+                "restart::backup::commit",
+                "failpoint",
+            )));
+        }
+        // Commit point: everything is in shared memory and synced.
+        let sw = Stopwatch::start();
+        meta.set_valid(true)?;
+        acc.add(Phase::Commit, sw.elapsed_ns());
+        Ok(())
+    });
     match result {
-        Ok((chunks, bytes_copied, segment_names)) => {
+        Ok(()) => {
             leaf_state = leaf_state
                 .transition(LeafBackupState::Exit)
                 .map_err(BackupError::State)?;
@@ -266,7 +274,10 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
                 duration: start.elapsed(),
                 peak_footprint: tracker.peak(),
                 initial_footprint,
-                segment_names,
+                // Unit `i` went to segment `i`.
+                segment_names: (0..unit_names.len())
+                    .map(|i| ns.table_segment_name(i))
+                    .collect(),
                 threads,
                 phases,
             })
@@ -299,16 +310,21 @@ fn finish_failed(acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
     scuba_obs::publish_breakdown(phases);
 }
 
+/// An extracted unit, its heap bytes and the writer of its segment.
+type Extracted<S> = (<S as ShmPersistable>::Unit, usize, SegmentWriter);
+
 /// Coordinator-side per-unit prologue: failpoint, estimate, segment
-/// create, metadata registration. Identical on both copy paths.
-fn prepare_segment<S: ShmPersistable>(
-    store: &S,
+/// create, metadata registration, extraction from the store. Returns the
+/// unit ready for [`write_unit`].
+fn prepare_unit<S: ShmPersistable>(
+    store: &mut S,
     ns: &ShmNamespace,
     meta: &mut LeafMetadata,
     index: usize,
     unit: &str,
+    tracker: &FootprintTracker,
     acc: &RunAcc,
-) -> Result<(SegmentWriter, String), BackupError<S::Error>> {
+) -> Result<Extracted<S>, BackupError<S::Error>> {
     // Between units: some tables fully copied, others still heap-only.
     if scuba_faults::check("restart::backup::unit").is_some() {
         return Err(BackupError::Shm(ShmError::injected(
@@ -328,12 +344,20 @@ fn prepare_segment<S: ShmPersistable>(
     let sw = Stopwatch::start();
     meta.add_segment_invalidating(&seg_name, store.unit_format_version(unit), 0)?;
     acc.add(Phase::Prepare, sw.elapsed_ns());
-    Ok((SegmentWriter::new(segment), seg_name))
+    let sw = Stopwatch::start();
+    let data = store.extract_unit(unit);
+    acc.add(Phase::Extract, sw.elapsed_ns());
+    let data = data.map_err(BackupError::Store)?;
+    let heap = S::unit_heap_bytes(&data);
+    tracker.add_in_flight(heap);
+    tracker.set_store_heap(store.heap_bytes());
+    tracker.sample();
+    Ok((data, heap, SegmentWriter::new(segment)))
 }
 
 /// Serialize one extracted unit into its segment: name frame, chunk
-/// frames, end sentinel, trim + sync. Runs on a worker thread on the
-/// parallel path, inline on the sequential path.
+/// frames, end sentinel, trim + sync. Runs on a worker thread, or inline
+/// at one worker.
 ///
 /// Wraps [`write_unit_inner`] so a `backup.table` span and a
 /// [`TableSample`] are flushed on *every* exit, including mid-copy
@@ -409,7 +433,7 @@ fn write_unit_inner<S: ShmPersistable>(
     );
     stats.chunks = chunks as u64;
     stats.bytes = payload_bytes;
-    // The unit's data is dropped by now on both paths; release whatever
+    // The unit's data is dropped by now; release whatever
     // in-flight heap the chunk loop did not already account for.
     tracker.sub_in_flight(leftover);
     result?;
@@ -421,188 +445,6 @@ fn write_unit_inner<S: ShmPersistable>(
     acc.add(Phase::ShmWrite, sw.elapsed_ns());
     tracker.sample();
     Ok((chunks, payload_bytes))
-}
-
-fn copy_units<S: ShmPersistable>(
-    store: &mut S,
-    ns: &ShmNamespace,
-    meta: &mut LeafMetadata,
-    unit_names: &[String],
-    tracker: &FootprintTracker,
-    acc: &RunAcc,
-    threads: usize,
-) -> Result<(usize, u64, Vec<String>), BackupError<S::Error>> {
-    if threads <= 1 || unit_names.len() <= 1 {
-        copy_units_sequential(store, ns, meta, unit_names, tracker, acc)
-    } else {
-        copy_units_parallel(store, ns, meta, unit_names, tracker, acc, threads)
-    }
-}
-
-fn copy_units_sequential<S: ShmPersistable>(
-    store: &mut S,
-    ns: &ShmNamespace,
-    meta: &mut LeafMetadata,
-    unit_names: &[String],
-    tracker: &FootprintTracker,
-    acc: &RunAcc,
-) -> Result<(usize, u64, Vec<String>), BackupError<S::Error>> {
-    let mut chunks = 0usize;
-    let mut bytes_copied = 0u64;
-    let mut segment_names = Vec::with_capacity(unit_names.len());
-
-    for (index, unit) in unit_names.iter().enumerate() {
-        let (writer, seg_name) = prepare_segment(store, ns, meta, index, unit, acc)?;
-        let sw = Stopwatch::start();
-        let data = store.extract_unit(unit);
-        acc.add(Phase::Extract, sw.elapsed_ns());
-        let data = data.map_err(BackupError::Store)?;
-        let heap = S::unit_heap_bytes(&data);
-        tracker.add_in_flight(heap);
-        tracker.set_store_heap(store.heap_bytes());
-        let (c, b) = write_unit::<S>(unit, data, heap, writer, tracker, acc)?;
-        chunks += c;
-        bytes_copied += b;
-        segment_names.push(seg_name);
-    }
-    Ok((chunks, bytes_copied, segment_names))
-}
-
-/// One unit handed from the coordinator to a worker.
-struct UnitJob<S: ShmPersistable> {
-    index: usize,
-    unit: String,
-    data: S::Unit,
-    heap_bytes: usize,
-    writer: SegmentWriter,
-}
-
-/// A worker's verdict on one unit.
-struct UnitDone<E> {
-    index: usize,
-    result: Result<(usize, u64), BackupError<E>>,
-}
-
-fn copy_units_parallel<S: ShmPersistable>(
-    store: &mut S,
-    ns: &ShmNamespace,
-    meta: &mut LeafMetadata,
-    unit_names: &[String],
-    tracker: &FootprintTracker,
-    acc: &RunAcc,
-    threads: usize,
-) -> Result<(usize, u64, Vec<String>), BackupError<S::Error>> {
-    let abort = AtomicBool::new(false);
-    let (res_tx, res_rx) = mpsc::channel::<UnitDone<S::Error>>();
-    let mut coordinator_err: Option<(usize, BackupError<S::Error>)> = None;
-    let mut segment_names = Vec::with_capacity(unit_names.len());
-
-    std::thread::scope(|scope| {
-        // Bounded handoff: at most `threads` units being serialized plus
-        // one queued — the in-flight cap that keeps §4.4 honest.
-        let (job_tx, job_rx) = mpsc::sync_channel::<UnitJob<S>>(1);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        for _ in 0..threads {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let abort = &abort;
-            scope.spawn(move || loop {
-                let job = {
-                    let rx = job_rx.lock().expect("job receiver lock");
-                    rx.recv()
-                };
-                let Ok(job) = job else { break };
-                if abort.load(Ordering::Acquire) {
-                    // Another worker failed: drain the queue (dropping the
-                    // unit frees its heap) so the coordinator never blocks
-                    // on a full channel during shutdown-on-error.
-                    tracker.sub_in_flight(job.heap_bytes);
-                    drop(job.data);
-                    continue;
-                }
-                let UnitJob {
-                    index,
-                    unit,
-                    data,
-                    heap_bytes,
-                    writer,
-                } = job;
-                let result = write_unit::<S>(&unit, data, heap_bytes, writer, tracker, acc);
-                if result.is_err() {
-                    abort.store(true, Ordering::Release);
-                }
-                let _ = res_tx.send(UnitDone { index, result });
-            });
-        }
-        drop(res_tx); // workers hold the remaining senders
-
-        for (index, unit) in unit_names.iter().enumerate() {
-            if abort.load(Ordering::Acquire) {
-                break;
-            }
-            match prepare_segment::<S>(store, ns, meta, index, unit, acc) {
-                Ok((writer, seg_name)) => {
-                    segment_names.push(seg_name);
-                    let sw = Stopwatch::start();
-                    let extracted = store.extract_unit(unit);
-                    acc.add(Phase::Extract, sw.elapsed_ns());
-                    match extracted {
-                        Ok(data) => {
-                            let heap = S::unit_heap_bytes(&data);
-                            tracker.add_in_flight(heap);
-                            tracker.set_store_heap(store.heap_bytes());
-                            tracker.sample();
-                            let job = UnitJob {
-                                index,
-                                unit: unit.clone(),
-                                data,
-                                heap_bytes: heap,
-                                writer,
-                            };
-                            if job_tx.send(job).is_err() {
-                                break; // all workers gone (unreachable in practice)
-                            }
-                        }
-                        Err(e) => {
-                            coordinator_err = Some((index, BackupError::Store(e)));
-                            abort.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => {
-                    coordinator_err = Some((index, e));
-                    abort.store(true, Ordering::Release);
-                    break;
-                }
-            }
-        }
-        drop(job_tx); // close the queue; workers drain and exit
-    });
-
-    // Workers joined (scope end). First error in unit order wins, so a
-    // single injected fault surfaces identically regardless of worker
-    // scheduling.
-    let mut chunks = 0usize;
-    let mut bytes_copied = 0u64;
-    let mut first_err = coordinator_err;
-    for done in res_rx.try_iter() {
-        match done.result {
-            Ok((c, b)) => {
-                chunks += c;
-                bytes_copied += b;
-            }
-            Err(e) => {
-                if first_err.as_ref().is_none_or(|(i, _)| done.index < *i) {
-                    first_err = Some((done.index, e));
-                }
-            }
-        }
-    }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    Ok((chunks, bytes_copied, segment_names))
 }
 
 #[cfg(test)]

@@ -1,9 +1,16 @@
-//! Worker-pool plumbing shared by the parallel backup and restore paths:
-//! thread-count resolution and the cross-thread footprint accounting that
-//! keeps the §4.4 "memory footprint nearly unchanged" invariant checkable
-//! while several units are in flight at once.
+//! The one copy pool behind every per-unit copy loop — the shutdown
+//! copy-out, the full copy-back restore and the crash path's WAL replay —
+//! plus thread-count resolution and the cross-thread footprint accounting
+//! that keeps the §4.4 "memory footprint nearly unchanged" invariant
+//! checkable while several units are in flight at once.
+//!
+//! [`fan_out`] owns the coordinator/worker contract; each caller supplies
+//! only its per-unit closures, which is where the body of Figure 6's and
+//! Figure 7's loops now lives. At one worker it runs those closures inline,
+//! one unit at a time: the paper's loop, unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex};
 
 /// Environment override for the copy worker count. Takes precedence over
 /// [`CopyOptions::threads`]; `0` or garbage is ignored.
@@ -19,12 +26,13 @@ pub const DEFAULT_MIN_BYTES_PER_THREAD: usize = 8 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CopyOptions {
     /// Worker threads for the per-unit copy. `0` means auto
-    /// ([`default_copy_threads`]); `1` forces the sequential path. The
-    /// [`COPY_THREADS_ENV`] environment variable overrides this.
+    /// ([`default_copy_threads`]); `1` runs [`fan_out`]'s inline case, one
+    /// unit at a time on the caller's thread. The [`COPY_THREADS_ENV`]
+    /// environment variable overrides this.
     pub threads: usize,
     /// Minimum estimated payload bytes per worker: the pool shrinks until
-    /// every worker has at least this much to copy, falling back to the
-    /// sequential path for small leaves. `0` disables the clamp; a
+    /// every worker has at least this much to copy, down to the inline
+    /// case for small leaves. `0` disables the clamp; a
     /// [`COPY_THREADS_ENV`] pin also bypasses it (an explicit env override
     /// means "use exactly this many", e.g. the CI thread matrix).
     pub min_bytes_per_thread: usize,
@@ -101,6 +109,118 @@ pub fn resolve_copy_threads(configured: usize) -> usize {
         return configured.min(64);
     }
     default_copy_threads()
+}
+
+/// Run a stream of jobs through `threads` workers, keeping everything that
+/// orders the run on the calling thread.
+///
+/// The coordinator (the caller's thread) pulls job `i` from `next(i)` until
+/// it returns `None`, and hands each one to a worker over a
+/// `sync_channel(1)`: at most `threads` jobs in work plus one queued, the
+/// cap that keeps the §4.4 footprint flat. Workers run `work`; every result
+/// comes back to the coordinator, which passes it to `consume` between
+/// dispatches and after the last one. So `next` and `consume` — the only
+/// closures that get the caller's `&mut` state — never leave its thread.
+///
+/// An error from any closure stops dispatch. Jobs handed off after the
+/// failed one and not yet started go to `discard`, exactly once each; jobs
+/// before it still run, so the run returns the error of the lowest failing
+/// job index — the one the inline case returns — whatever the scheduling.
+///
+/// With `threads <= 1` nothing is spawned: each job runs
+/// `next → work → consume` inline and the first error returns at once, so
+/// one job is in flight at a time.
+pub fn fan_out<J, R, E>(
+    threads: usize,
+    mut next: impl FnMut(usize) -> Option<Result<J, E>>,
+    work: impl Fn(J) -> Result<R, E> + Sync,
+    discard: impl Fn(J) + Sync,
+    mut consume: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E>
+where
+    J: Send,
+    R: Send,
+    E: Send,
+{
+    if threads <= 1 {
+        let mut index = 0;
+        while let Some(job) = next(index) {
+            consume(work(job?)?)?;
+            index += 1;
+        }
+        return Ok(());
+    }
+
+    // The lowest job index that failed so far (`usize::MAX`: none). It
+    // publishes no other data; Release/Acquire only keeps a worker from
+    // starting a job the coordinator already knows is doomed.
+    let failed_at = AtomicUsize::new(usize::MAX);
+    let mut first_err: Option<(usize, E)> = None;
+    let fail = |index: usize, e: E, first_err: &mut Option<(usize, E)>| {
+        failed_at.fetch_min(index, Ordering::AcqRel);
+        if first_err.as_ref().is_none_or(|(i, _)| index < *i) {
+            *first_err = Some((index, e));
+        }
+    };
+    let (job_tx, job_rx) = mpsc::sync_channel::<(usize, J)>(1);
+    let job_rx = Mutex::new(job_rx);
+    std::thread::scope(|scope| {
+        let (res_tx, res_rx) = mpsc::channel::<(usize, Result<R, E>)>();
+        for _ in 0..threads {
+            let res_tx = res_tx.clone();
+            let (job_rx, failed_at, work, discard) = (&job_rx, &failed_at, &work, &discard);
+            scope.spawn(move || loop {
+                let job = job_rx
+                    .lock()
+                    .expect("no worker panics holding the queue")
+                    .recv();
+                let Ok((index, job)) = job else { break };
+                if index > failed_at.load(Ordering::Acquire) {
+                    // Keep draining so the coordinator's send never blocks
+                    // on a queue nobody reads.
+                    discard(job);
+                    continue;
+                }
+                let result = work(job);
+                if result.is_err() {
+                    failed_at.fetch_min(index, Ordering::AcqRel);
+                }
+                let _ = res_tx.send((index, result));
+            });
+        }
+        drop(res_tx); // workers hold the remaining senders
+
+        let mut settle = |(index, result): (usize, Result<R, E>), first_err: &mut Option<_>| {
+            if let Err(e) = result.and_then(&mut consume) {
+                fail(index, e, first_err);
+            }
+        };
+        let mut index = 0;
+        while failed_at.load(Ordering::Acquire) == usize::MAX {
+            let Some(job) = next(index) else { break };
+            match job {
+                Ok(job) => {
+                    if let Err(mpsc::SendError((_, job))) = job_tx.send((index, job)) {
+                        discard(job); // every worker is gone: unreachable
+                        break;
+                    }
+                }
+                Err(e) => {
+                    fail(index, e, &mut first_err);
+                    break;
+                }
+            }
+            index += 1;
+            for done in res_rx.try_iter() {
+                settle(done, &mut first_err);
+            }
+        }
+        drop(job_tx); // close the queue; workers drain and exit
+        for done in res_rx.iter() {
+            settle(done, &mut first_err);
+        }
+    });
+    first_err.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Shared footprint accounting for one backup or restore run.
@@ -231,5 +351,255 @@ mod tests {
         t.sub_shm(1000);
         t.sample();
         assert_eq!(t.peak(), 130);
+    }
+
+    /// Where a scripted run fails: in `next`, `work` or `consume`, by job
+    /// index.
+    #[derive(Default)]
+    struct Script {
+        jobs: usize,
+        next: Vec<usize>,
+        work: Vec<usize>,
+        consume: Vec<usize>,
+    }
+
+    /// Run `script` through [`fan_out`]; the error is the failing job's
+    /// index, the success value the consumed indices in order.
+    fn run(threads: usize, script: &Script) -> Result<Vec<usize>, usize> {
+        let mut consumed = Vec::new();
+        fan_out(
+            threads,
+            |i| {
+                (i < script.jobs).then(|| {
+                    if script.next.contains(&i) {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                })
+            },
+            |i| {
+                if script.work.contains(&i) {
+                    Err(i)
+                } else {
+                    Ok(i)
+                }
+            },
+            drop,
+            |i| {
+                if script.consume.contains(&i) {
+                    return Err(i);
+                }
+                consumed.push(i);
+                Ok(())
+            },
+        )
+        .map(|()| consumed)
+    }
+
+    #[test]
+    fn fan_out_surfaces_the_lowest_failing_index() {
+        let scripts = [
+            (
+                Script {
+                    jobs: 40,
+                    work: vec![5, 9, 30],
+                    ..Script::default()
+                },
+                5,
+            ),
+            (
+                Script {
+                    jobs: 40,
+                    work: vec![31],
+                    next: vec![17],
+                    ..Script::default()
+                },
+                17,
+            ),
+            (
+                Script {
+                    jobs: 40,
+                    consume: vec![2, 3],
+                    work: vec![4],
+                    ..Script::default()
+                },
+                2,
+            ),
+            (
+                Script {
+                    jobs: 40,
+                    next: vec![12],
+                    consume: vec![11],
+                    ..Script::default()
+                },
+                11,
+            ),
+            (
+                Script {
+                    jobs: 40,
+                    work: vec![0],
+                    consume: vec![39],
+                    ..Script::default()
+                },
+                0,
+            ),
+            (
+                Script {
+                    jobs: 40,
+                    work: vec![39],
+                    ..Script::default()
+                },
+                39,
+            ),
+        ];
+        for threads in [1, 2, 8] {
+            for (script, lowest) in &scripts {
+                // Repeat: the pool's interleaving differs run to run, the
+                // surfaced error must not.
+                for _ in 0..20 {
+                    assert_eq!(run(threads, script), Err(*lowest), "threads {threads}");
+                }
+            }
+            let mut all = run(
+                threads,
+                &Script {
+                    jobs: 40,
+                    ..Script::default()
+                },
+            )
+            .unwrap();
+            all.sort_unstable();
+            assert_eq!(all, (0..40).collect::<Vec<_>>(), "threads {threads}");
+        }
+    }
+
+    /// A gate a test opens once and any number of threads wait on.
+    #[derive(Default)]
+    struct Gate(Mutex<bool>, std::sync::Condvar);
+
+    impl Gate {
+        fn open(&self) {
+            *self.0.lock().unwrap() = true;
+            self.1.notify_all();
+        }
+        fn wait(&self) {
+            let mut open = self.0.lock().unwrap();
+            while !*open {
+                open = self.1.wait(open).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_discards_every_unstarted_job_once() {
+        for threads in [1usize, 2, 8] {
+            // Job 0 fails once the pool is full: jobs 1..threads are taken
+            // (and held in `work` if started), job `threads` is queued and
+            // job `threads + 1` is being handed off. Those two reach a
+            // worker only after the failure, so both are discarded; a taken
+            // job may be too, if its worker had not started it yet. The
+            // first discard lets the held jobs finish.
+            let (fail_now, release) = (Gate::default(), Gate::default());
+            let outstanding = AtomicUsize::new(0);
+            let (worked, discarded) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let result = fan_out(
+                threads,
+                |i| {
+                    if i == threads + 1 {
+                        fail_now.open();
+                    }
+                    (i <= threads + 1).then(|| {
+                        outstanding.fetch_add(1, Ordering::SeqCst);
+                        Ok::<_, usize>(i)
+                    })
+                },
+                |i| {
+                    outstanding.fetch_sub(1, Ordering::SeqCst);
+                    worked.fetch_add(1, Ordering::SeqCst);
+                    match i {
+                        0 if threads > 1 => fail_now.wait(),
+                        0 => {}
+                        _ => release.wait(),
+                    }
+                    if i == 0 {
+                        Err(0)
+                    } else {
+                        Ok(())
+                    }
+                },
+                |_| {
+                    outstanding.fetch_sub(1, Ordering::SeqCst);
+                    discarded.fetch_add(1, Ordering::SeqCst);
+                    release.open();
+                },
+                |()| Ok(()),
+            );
+            assert_eq!(result, Err(0), "threads {threads}");
+            assert_eq!(outstanding.load(Ordering::SeqCst), 0, "threads {threads}");
+            let worked = worked.load(Ordering::SeqCst);
+            let discarded = discarded.load(Ordering::SeqCst);
+            if threads == 1 {
+                // Inline: the failure stops the loop before job 1 exists.
+                assert_eq!((worked, discarded), (1, 0));
+            } else {
+                assert_eq!(worked + discarded, threads + 2, "threads {threads}");
+                assert!(discarded >= 2, "threads {threads}: {discarded} discarded");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_consumes_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 8] {
+            let on_caller = |_| assert_eq!(std::thread::current().id(), caller);
+            let mut consumed = 0;
+            fan_out(
+                threads,
+                |i| {
+                    on_caller(());
+                    (i < 32).then_some(Ok::<_, ()>(i))
+                },
+                Ok,
+                drop,
+                |_| {
+                    on_caller(());
+                    consumed += 1;
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(consumed, 32, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn fan_out_at_one_worker_is_the_sequential_loop() {
+        let caller = std::thread::current().id();
+        // Jobs produced by `next` and not yet consumed.
+        let in_flight = std::cell::Cell::new(0usize);
+        let (mut peak, mut order) = (0, Vec::new());
+        fan_out(
+            1,
+            |i| {
+                in_flight.set(in_flight.get() + 1);
+                peak = peak.max(in_flight.get());
+                (i < 16).then_some(Ok::<_, ()>(i))
+            },
+            |i| {
+                assert_eq!(std::thread::current().id(), caller, "work left the caller");
+                Ok(i)
+            },
+            drop,
+            |i| {
+                in_flight.set(in_flight.get() - 1);
+                order.push(i);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(peak, 1, "more than one job in flight");
+        assert_eq!(order, (0..16).collect::<Vec<_>>());
     }
 }

@@ -46,7 +46,9 @@ pub mod traits;
 pub mod wal;
 
 pub use backup::{backup_to_shm, backup_to_shm_with, BackupError, BackupReport};
-pub use copy::{default_copy_threads, resolve_copy_threads, CopyOptions, COPY_THREADS_ENV};
+pub use copy::{
+    default_copy_threads, fan_out, resolve_copy_threads, CopyOptions, COPY_THREADS_ENV,
+};
 pub use restore::{
     attach_from_shm, restore_from_shm, restore_from_shm_with, AttachReport, Fallback, RestoreError,
     RestoreReport,

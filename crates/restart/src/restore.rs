@@ -22,16 +22,15 @@
 //! checksum mismatch, store decode error — collapses into [`Fallback`],
 //! which tells the caller to run its disk recovery instead.
 //!
-//! The per-segment loop mirrors the backup worker pool: the coordinator
-//! opens and validates every segment (and owns both valid-bit edges),
-//! workers drain segments into decoded units concurrently, and each
-//! decoded unit is installed into the store back on the coordinator. Any
-//! worker error aborts the run and falls back exactly like the sequential
-//! path.
+//! The per-segment loop runs through [`crate::copy::fan_out`], as the
+//! backup's does: the coordinator opens every segment up front (and owns
+//! both valid-bit edges), a worker drains each segment into a decoded
+//! unit, and the coordinator installs it into the store. At one worker
+//! that is the loop above, inline. Any error aborts the run and falls back
+//! the same way at every width.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scuba_obs::{Phase, PhaseBreakdown, Stopwatch, TableSample, RESTORE_PHASES};
@@ -39,7 +38,7 @@ use scuba_shmem::{
     LeafMetadata, MetadataContents, SegmentReader, SegmentView, ShmError, ShmNamespace, ShmSegment,
 };
 
-use crate::copy::{CopyOptions, FootprintTracker};
+use crate::copy::{fan_out, CopyOptions, FootprintTracker};
 use crate::framing::{drain, read_frame_header, read_unit_name, FrameCursor, SharedCursor};
 use crate::migrate;
 use crate::phases::{RunAcc, UnitStats};
@@ -632,9 +631,9 @@ fn record_skip(skipped: &mut Vec<String>, unit: String) {
 }
 
 /// Drain one opened segment into a decoded unit: name frame, chunk
-/// frames, drain-validate, unlink. Runs on a worker thread on the
-/// parallel path, inline on the sequential path. Store access is not
-/// needed — the decoded unit is installed by the coordinator.
+/// frames, drain-validate, unlink. Runs on a worker thread, or inline at
+/// one worker. Store access is not needed — the decoded unit is installed
+/// by the coordinator.
 ///
 /// Wraps [`read_unit_inner`] so a `restore.table` span and a
 /// [`TableSample`] are flushed on *every* exit, including mid-copy
@@ -807,182 +806,38 @@ fn copy_units_back<S: ShmPersistable>(
     tracker.add_shm(total_shm);
     tracker.sample();
 
-    let (units, chunks, bytes_copied, skipped) = if threads <= 1 || segments.len() <= 1 {
-        copy_back_sequential::<S>(store, segments, tracker, acc, legacy)?
-    } else {
-        copy_back_parallel::<S>(store, segments, tracker, acc, threads, legacy)?
-    };
-    Ok((units, chunks, bytes_copied, skipped))
-}
-
-fn copy_back_sequential<S: ShmPersistable>(
-    store: &mut S,
-    segments: Vec<ShmSegment>,
-    tracker: &FootprintTracker,
-    acc: &RunAcc,
-    legacy: bool,
-) -> Result<(usize, usize, u64, Vec<String>), String> {
-    let mut units = 0usize;
-    let mut chunks = 0usize;
-    let mut bytes_copied = 0u64;
+    let (mut units, mut chunks, mut bytes_copied) = (0usize, 0usize, 0u64);
     let mut skipped = Vec::new();
-    for segment in segments {
-        match read_unit::<S>(segment, tracker, acc, legacy)? {
-            UnitRead::Decoded {
-                unit,
-                data,
-                chunks: c,
-                bytes: b,
-            } => {
-                if install_unit(store, &unit, data, b, tracker, acc)? {
-                    units += 1;
-                    chunks += c;
-                    bytes_copied += b;
-                } else {
-                    record_skip(&mut skipped, unit);
-                }
-            }
-            UnitRead::Skipped { unit } => record_skip(&mut skipped, unit),
-        }
-    }
-    Ok((units, chunks, bytes_copied, skipped))
-}
-
-/// One segment handed from the coordinator to a worker.
-struct SegmentJob {
-    index: usize,
-    segment: ShmSegment,
-}
-
-/// A worker's verdict on one segment: the decoded unit ready to install
-/// (or a per-table skip), or the first failure.
-struct SegmentDone<U> {
-    index: usize,
-    result: Result<UnitRead<U>, String>,
-}
-
-fn copy_back_parallel<S: ShmPersistable>(
-    store: &mut S,
-    segments: Vec<ShmSegment>,
-    tracker: &FootprintTracker,
-    acc: &RunAcc,
-    threads: usize,
-    legacy: bool,
-) -> Result<(usize, usize, u64, Vec<String>), String> {
-    let abort = AtomicBool::new(false);
-    let (res_tx, res_rx) = mpsc::channel::<SegmentDone<S::Unit>>();
-    let mut units = 0usize;
-    let mut chunks = 0usize;
-    let mut bytes_copied = 0u64;
-    let mut skipped = Vec::new();
-    let mut first_err: Option<(usize, String)> = None;
-
-    std::thread::scope(|scope| {
-        let (job_tx, job_rx) = mpsc::sync_channel::<SegmentJob>(1);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        for _ in 0..threads {
-            let job_rx = Arc::clone(&job_rx);
-            let res_tx = res_tx.clone();
-            let abort = &abort;
-            scope.spawn(move || loop {
-                let job = {
-                    let rx = job_rx.lock().expect("job receiver lock");
-                    rx.recv()
-                };
-                let Ok(job) = job else { break };
-                if abort.load(Ordering::Acquire) {
-                    // Drop without unlinking; the caller's cleanup sweeps
-                    // every segment on the error path.
-                    drop(job.segment);
-                    continue;
-                }
-                let result = read_unit::<S>(job.segment, tracker, acc, legacy);
-                if result.is_err() {
-                    abort.store(true, Ordering::Release);
-                }
-                let _ = res_tx.send(SegmentDone {
-                    index: job.index,
-                    result,
-                });
-            });
-        }
-        drop(res_tx); // workers hold the remaining senders
-
-        let handle = |done: SegmentDone<S::Unit>,
-                      store: &mut S,
-                      first_err: &mut Option<(usize, String)>,
-                      units: &mut usize,
-                      chunks: &mut usize,
-                      bytes_copied: &mut u64,
-                      skipped: &mut Vec<String>| {
-            match done.result {
-                Ok(UnitRead::Decoded {
+    let mut segments = segments.into_iter();
+    fan_out(
+        threads,
+        |_| segments.next().map(Ok),
+        |segment| read_unit::<S>(segment, tracker, acc, legacy),
+        // Dropped without unlinking: the error path's cleanup sweeps every
+        // segment.
+        drop,
+        |read| {
+            match read {
+                UnitRead::Decoded {
                     unit,
                     data,
                     chunks: c,
                     bytes: b,
-                }) => match install_unit(store, &unit, data, b, tracker, acc) {
-                    Ok(true) => {
-                        *units += 1;
-                        *chunks += c;
-                        *bytes_copied += b;
-                    }
-                    Ok(false) => record_skip(skipped, unit),
-                    Err(e) => {
-                        abort.store(true, Ordering::Release);
-                        if first_err.as_ref().is_none_or(|(i, _)| done.index < *i) {
-                            *first_err = Some((done.index, e));
-                        }
-                    }
-                },
-                Ok(UnitRead::Skipped { unit }) => record_skip(skipped, unit),
-                Err(e) => {
-                    if first_err.as_ref().is_none_or(|(i, _)| done.index < *i) {
-                        *first_err = Some((done.index, e));
+                } => {
+                    if install_unit(store, &unit, data, b, tracker, acc)? {
+                        units += 1;
+                        chunks += c;
+                        bytes_copied += b;
+                    } else {
+                        record_skip(&mut skipped, unit);
                     }
                 }
+                UnitRead::Skipped { unit } => record_skip(&mut skipped, unit),
             }
-        };
-
-        for (index, segment) in segments.into_iter().enumerate() {
-            if abort.load(Ordering::Acquire) {
-                break; // undrained segments are swept by cleanup
-            }
-            if job_tx.send(SegmentJob { index, segment }).is_err() {
-                break;
-            }
-            // Install whatever has already finished while dispatch
-            // continues, so decoded units do not pile up.
-            for done in res_rx.try_iter() {
-                handle(
-                    done,
-                    store,
-                    &mut first_err,
-                    &mut units,
-                    &mut chunks,
-                    &mut bytes_copied,
-                    &mut skipped,
-                );
-            }
-        }
-        drop(job_tx); // close the queue; workers drain and exit
-        for done in res_rx.iter() {
-            handle(
-                done,
-                store,
-                &mut first_err,
-                &mut units,
-                &mut chunks,
-                &mut bytes_copied,
-                &mut skipped,
-            );
-        }
-    });
-
-    match first_err {
-        Some((_, e)) => Err(e),
-        None => Ok((units, chunks, bytes_copied, skipped)),
-    }
+            Ok(())
+        },
+    )?;
+    Ok((units, chunks, bytes_copied, skipped))
 }
 
 fn fallback(reason: String, cleaned_up: bool) -> RestoreError {

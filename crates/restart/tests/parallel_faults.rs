@@ -1,7 +1,8 @@
-//! Fault injection under the parallel copy pipeline: failpoints that fire
-//! on *worker threads* must propagate exactly like sequential failures —
-//! backup aborts before the valid-bit commit and leaves no shared memory;
-//! restore collapses into a cleaned-up disk fallback.
+//! Fault injection through the copy pool, at one worker (the inline loop)
+//! and at four: failpoints that fire on worker threads must propagate
+//! exactly like inline failures — backup aborts before the valid-bit
+//! commit and leaves no shared memory; restore collapses into a
+//! cleaned-up disk fallback.
 //!
 //! Every test takes the fault registry's process-global test lock, so
 //! this file keeps armed failpoints away from the rest of the suite.
@@ -111,6 +112,13 @@ impl Drop for Cleanup {
     }
 }
 
+/// Every test runs once per width: the inline case and a pool.
+const THREADS: [usize; 2] = [1, 4];
+
+fn options(threads: usize) -> CopyOptions {
+    CopyOptions::with_threads(threads).without_size_clamp()
+}
+
 fn assert_no_shm(ns: &ShmNamespace) {
     assert!(!ShmSegment::exists(&ns.metadata_name()));
     for i in 0..12 {
@@ -124,25 +132,21 @@ fn assert_no_shm(ns: &ShmNamespace) {
 #[test]
 fn worker_chunk_error_aborts_backup_and_cleans_up() {
     let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
-    let ns = fresh_ns();
-    let _c = Cleanup(ns.clone());
-    scuba_faults::configure("restart::backup::chunk", "error@5").unwrap();
+    for threads in THREADS {
+        scuba_faults::clear_all();
+        let ns = fresh_ns();
+        let _c = Cleanup(ns.clone());
+        scuba_faults::configure("restart::backup::chunk", "error@5").unwrap();
 
-    let mut store = ParStore::with_units(8, 3, 512);
-    let err = backup_to_shm_with(
-        &mut store,
-        &ns,
-        V,
-        CopyOptions::with_threads(4).without_size_clamp(),
-    )
-    .unwrap_err();
-    assert!(scuba_faults::triggered("restart::backup::chunk") > 0);
-    scuba_faults::clear_all();
-    // The sink error propagates through the store's serialization loop,
-    // exactly as on the sequential path.
-    assert!(err.to_string().contains("restart::backup::chunk"), "{err}");
-    assert_no_shm(&ns);
+        let mut store = ParStore::with_units(8, 3, 512);
+        let err = backup_to_shm_with(&mut store, &ns, V, options(threads)).unwrap_err();
+        assert!(scuba_faults::triggered("restart::backup::chunk") > 0);
+        scuba_faults::clear_all();
+        // The sink error propagates through the store's serialization loop
+        // at every width.
+        assert!(err.to_string().contains("restart::backup::chunk"), "{err}");
+        assert_no_shm(&ns);
+    }
 }
 
 #[test]
@@ -150,83 +154,65 @@ fn worker_short_write_aborts_backup_and_cleans_up() {
     // The torn-frame plan: a worker writes a full header and a truncated
     // payload, then errors — the on-shm shape a crash mid-memcpy leaves.
     let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
-    let ns = fresh_ns();
-    let _c = Cleanup(ns.clone());
-    scuba_faults::configure("restart::backup::chunk", "short=4@6").unwrap();
+    for threads in THREADS {
+        scuba_faults::clear_all();
+        let ns = fresh_ns();
+        let _c = Cleanup(ns.clone());
+        scuba_faults::configure("restart::backup::chunk", "short=4@6").unwrap();
 
-    let mut store = ParStore::with_units(6, 4, 256);
-    let err = backup_to_shm_with(
-        &mut store,
-        &ns,
-        V,
-        CopyOptions::with_threads(4).without_size_clamp(),
-    )
-    .unwrap_err();
-    scuba_faults::clear_all();
-    assert!(err.to_string().contains("restart::backup::chunk"), "{err}");
-    assert_no_shm(&ns);
+        let mut store = ParStore::with_units(6, 4, 256);
+        let err = backup_to_shm_with(&mut store, &ns, V, options(threads)).unwrap_err();
+        scuba_faults::clear_all();
+        assert!(err.to_string().contains("restart::backup::chunk"), "{err}");
+        assert_no_shm(&ns);
+    }
 }
 
 #[test]
 fn worker_restore_chunk_error_falls_back_and_cleans_up() {
     let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
-    let ns = fresh_ns();
-    let _c = Cleanup(ns.clone());
+    for threads in THREADS {
+        scuba_faults::clear_all();
+        let ns = fresh_ns();
+        let _c = Cleanup(ns.clone());
 
-    let mut store = ParStore::with_units(8, 3, 512);
-    let original = store.clone();
-    backup_to_shm_with(
-        &mut store,
-        &ns,
-        V,
-        CopyOptions::with_threads(4).without_size_clamp(),
-    )
-    .unwrap();
+        let mut store = ParStore::with_units(8, 3, 512);
+        let original = store.clone();
+        backup_to_shm_with(&mut store, &ns, V, options(threads)).unwrap();
 
-    scuba_faults::configure("restart::restore::chunk", "error@7").unwrap();
-    let mut restored = ParStore::default();
-    let err = restore_from_shm_with(
-        &mut restored,
-        &ns,
-        V,
-        CopyOptions::with_threads(4).without_size_clamp(),
-    )
-    .unwrap_err();
-    scuba_faults::clear_all();
-    let RestoreError::Fallback(fb) = err;
-    assert!(fb.cleaned_up);
-    assert_no_shm(&ns);
+        scuba_faults::configure("restart::restore::chunk", "error@7").unwrap();
+        let mut restored = ParStore::default();
+        let err = restore_from_shm_with(&mut restored, &ns, V, options(threads)).unwrap_err();
+        scuba_faults::clear_all();
+        let RestoreError::Fallback(fb) = err;
+        assert!(fb.cleaned_up);
+        assert_no_shm(&ns);
 
-    // And the original data was only ever durable on disk — a clean
-    // retry must not see half-restored shared memory.
-    let mut retry = ParStore::default();
-    assert!(restore_from_shm_with(&mut retry, &ns, V, CopyOptions::default()).is_err());
-    assert_ne!(retry, original);
+        // And the original data was only ever durable on disk — a clean
+        // retry must not see half-restored shared memory.
+        let mut retry = ParStore::default();
+        assert!(restore_from_shm_with(&mut retry, &ns, V, CopyOptions::default()).is_err());
+        assert_ne!(retry, original);
+    }
 }
 
 #[test]
 fn commit_failpoint_still_single_shot_under_parallelism() {
-    // The valid bit is committed once, by the coordinator, after all
-    // workers join: a fault at the commit point must fail the backup with
-    // every segment already written — and still sweep everything.
+    // The valid bit is committed once, by the coordinator, after every
+    // unit is written: a fault at the commit point must fail the backup
+    // with every segment already written — and still sweep everything.
     let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
-    let ns = fresh_ns();
-    let _c = Cleanup(ns.clone());
-    scuba_faults::configure("restart::backup::commit", "error@1").unwrap();
+    for threads in THREADS {
+        scuba_faults::clear_all();
+        let ns = fresh_ns();
+        let _c = Cleanup(ns.clone());
+        scuba_faults::configure("restart::backup::commit", "error@1").unwrap();
 
-    let mut store = ParStore::with_units(6, 2, 128);
-    let err = backup_to_shm_with(
-        &mut store,
-        &ns,
-        V,
-        CopyOptions::with_threads(4).without_size_clamp(),
-    )
-    .unwrap_err();
-    assert_eq!(scuba_faults::triggered("restart::backup::commit"), 1);
-    scuba_faults::clear_all();
-    assert!(matches!(err, BackupError::Shm(_)), "{err}");
-    assert_no_shm(&ns);
+        let mut store = ParStore::with_units(6, 2, 128);
+        let err = backup_to_shm_with(&mut store, &ns, V, options(threads)).unwrap_err();
+        assert_eq!(scuba_faults::triggered("restart::backup::commit"), 1);
+        scuba_faults::clear_all();
+        assert!(matches!(err, BackupError::Shm(_)), "{err}");
+        assert_no_shm(&ns);
+    }
 }

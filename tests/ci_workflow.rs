@@ -1,17 +1,20 @@
 //! The CI workflow runs what it names.
 //!
-//! Reads `.github/workflows/ci.yml` as text (no YAML dependency) and
-//! checks three things:
+//! Reads `.github/workflows/ci.yml` and `scripts/ci_smoke.sh` as text (no
+//! YAML dependency) and checks four things:
 //!
 //! 1. every `--test X`, `--bin X`, `--example X` and `--bench X` a cargo
-//!    command names is a target of the workspace;
+//!    command names, in the workflow or the script, is a target of the
+//!    workspace;
 //! 2. every test-name filter matches at least one `#[test]` fn of the
 //!    targets the command runs — as a substring of `module::fn` for a
 //!    positional filter, as the whole path under `--exact`;
 //! 3. every `run:` value a YAML parser would misread is quoted: a plain
 //!    scalar may not start with an indicator character, and may not hold
 //!    `": "` or `" #"` (a `host:: hosted::` filter once made the whole
-//!    file invalid, so CI ran nothing at all).
+//!    file invalid, so CI ran nothing at all);
+//! 4. the workflow names no test: what must run by name lives in the
+//!    script, and each script section the workflow calls exists.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -437,17 +440,77 @@ fn check_commands(runs: &[RunValue], targets: &[Target]) -> (Vec<String>, usize,
     (problems, n_commands, n_filters)
 }
 
+/// The smoke script's path from the repository root, as the workflow
+/// calls it.
+const SMOKE_SCRIPT: &str = "scripts/ci_smoke.sh";
+
 fn workflow() -> String {
     fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).unwrap()
+}
+
+fn smoke_script() -> String {
+    fs::read_to_string(repo_root().join(SMOKE_SCRIPT)).unwrap()
+}
+
+/// Every command line of a shell script, as a [`RunValue`] each: comments
+/// and blank lines skipped, `\`-continued lines joined.
+fn script_commands(script: &str) -> Vec<RunValue> {
+    script
+        .replace("\\\n", " ")
+        .lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+        .map(|(line, l)| RunValue {
+            line,
+            header: l.to_owned(),
+            text: l.to_owned(),
+        })
+        .collect()
 }
 
 #[test]
 fn workflow_names_existing_targets_and_tests() {
     let targets = workspace_targets(&repo_root());
-    let (problems, n_commands, n_filters) = check_commands(&run_values(&workflow()), &targets);
+    let runs = run_values(&workflow());
+    let (problems, n_commands, n_filters) = check_commands(&runs, &targets);
     assert!(problems.is_empty(), "{}", problems.join("\n"));
-    // The walk must have seen the workflow's cargo lines and filters, or
-    // the checks above passed vacuously.
+    // The walk must have seen the workflow's cargo lines, or the checks
+    // above passed vacuously.
+    assert!(n_commands >= 5, "only {n_commands} cargo commands found");
+    assert_eq!(
+        n_filters, 0,
+        "the workflow names tests; move them to {SMOKE_SCRIPT}"
+    );
+
+    // Every call of the script names sections the script defines.
+    let script = smoke_script();
+    let calls: Vec<&RunValue> = runs
+        .iter()
+        .filter(|r| r.text.starts_with(SMOKE_SCRIPT))
+        .collect();
+    assert!(!calls.is_empty(), "the workflow never runs {SMOKE_SCRIPT}");
+    for call in calls {
+        for section in call.text.split_whitespace().skip(1) {
+            assert!(
+                script.contains(&format!("\n{section}() (")),
+                "line {}: {SMOKE_SCRIPT} has no section {section:?}",
+                call.line
+            );
+        }
+    }
+}
+
+#[test]
+fn smoke_script_names_existing_targets_and_tests() {
+    let targets = workspace_targets(&repo_root());
+    let (problems, n_commands, n_filters) =
+        check_commands(&script_commands(&smoke_script()), &targets);
+    assert!(
+        problems.is_empty(),
+        "{SMOKE_SCRIPT}:\n{}",
+        problems.join("\n")
+    );
     assert!(n_commands >= 20, "only {n_commands} cargo commands found");
     assert!(n_filters >= 10, "only {n_filters} filters found");
 }
@@ -489,6 +552,23 @@ steps:
     assert!(problems[0].contains("no_such_target"));
     assert!(problems[1].contains("no_such_test_name"));
     assert!(problems[2].contains("--exact"));
+
+    // In a script: comments are not commands, an env prefix is not a
+    // filter, and a continued line is one command.
+    let script = "\
+# cargo test --test no_such_target
+f() (
+    PROPTEST_CASES=2000 cargo test -p scuba-query --test differential
+    cargo test --release --test leaf_restart \\
+        no_such_test_name -- --nocapture
+)
+";
+    let runs = script_commands(script);
+    let (problems, n_commands, n_filters) = check_commands(&runs, &targets);
+    assert_eq!((n_commands, n_filters), (2, 1), "{problems:#?}");
+    assert_eq!(problems.len(), 1, "{problems:#?}");
+    assert!(problems[0].starts_with("line 4:"), "{problems:#?}");
+    assert!(problems[0].contains("no_such_test_name"));
 }
 
 #[test]
