@@ -42,8 +42,8 @@ fn main() {
         let rig2 = LeafRig::new("e3n");
         let server2 = build_leaf(&rig2, rows);
         let initial2 = server2.memory_used();
-        let seg = ShmSegment::create(&rig2.namespace().table_segment_name(0), 0).unwrap();
-        let mut writer = SegmentWriter::new(seg);
+        let mut seg = ShmSegment::create(&rig2.namespace().table_segment_name(0), 0).unwrap();
+        let mut writer = SegmentWriter::new(&mut seg);
         // Write all table images while the store still holds them.
         {
             let store = server2.store();
@@ -55,11 +55,11 @@ fn main() {
                 writer.write(&image).unwrap();
             }
         }
-        let shm_bytes = writer.written();
+        let shm_bytes = writer.position();
         // Peak: full heap + full shm copy + the transient serialization
         // buffer (we charge only heap+shm, the favorable case).
         let naive_peak = server2.store().heap_bytes() + shm_bytes;
-        drop(writer.finish().unwrap());
+        writer.finish().unwrap();
 
         println!(
             "  {:>10} {:>12} {:>16} {:>13.1}% {:>16} {:>13.1}%",

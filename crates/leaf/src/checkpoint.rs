@@ -26,10 +26,12 @@
 //! (two-phase attach), and those views must never unlink the warm image
 //! the *new* generation is building. Each segment's stream is written by
 //! the shutdown backup's own writer ([`image::write_manifest`],
-//! [`image::write_block`]), so it is byte-identical to the backup's image
-//! of the same blocks (`tests/format_compat.rs` pins both to one golden
-//! fixture) and the existing restore, attach, and hydration machinery
-//! consumes a checkpoint image unchanged.
+//! [`image::write_block`]) through the one segment writer
+//! ([`SegmentWriter`]: `pwrite` into the segment's descriptor, one
+//! `ftruncate` at the end of a cycle), so it is byte-identical to the
+//! backup's image of the same blocks (`tests/format_compat.rs` pins both
+//! to one golden fixture) and the existing restore, attach, and hydration
+//! machinery consumes a checkpoint image unchanged.
 //!
 //! [`SegmentView`]: scuba_shmem::SegmentView
 
@@ -39,10 +41,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use scuba_columnstore::{RowBlock, Schema};
-use scuba_restart::framing::{encode_header_v2, end_header_v2, TAG_UNIT_NAME};
+use scuba_restart::framing::{end_header_v2, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
 use scuba_restart::{ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
-use scuba_shmem::{crc32, LeafMetadata, SegmentEntry, ShmNamespace, ShmResult, ShmSegment};
+use scuba_shmem::{LeafMetadata, SegmentEntry, SegmentWriter, ShmNamespace, ShmResult, ShmSegment};
 
 use crate::image::{self, MANIFEST_VERSION};
 use crate::persist::LeafStore;
@@ -51,10 +53,6 @@ use crate::persist::LeafStore;
 /// checkpoint image (vs a planned-shutdown backup). Readers tolerate
 /// unknown flag bits, so pre-checkpoint binaries still restore the image.
 pub const SEG_FLAG_CHECKPOINT: u32 = 0x100;
-
-/// Segment growth quantum: segments grow in 1 MiB steps while a cycle
-/// writes, then shrink to exact size at commit.
-const GROW_QUANTUM: usize = 1 << 20;
 
 /// How far the worker sweeps its own parity for stale segments before the
 /// first cycle (leftovers of a crashed generation two restarts back).
@@ -437,7 +435,7 @@ impl Worker {
                         let index = self.alloc_index();
                         let name = self.ns.checkpoint_segment_name(self.parity, index);
                         let _ = ShmSegment::unlink(&name);
-                        let segment = ShmSegment::create(&name, GROW_QUANTUM)
+                        let segment = ShmSegment::create(&name, 0)
                             .map_err(|e| format!("creating {name:?}: {e}"))?;
                         self.states.insert(
                             snap.name.clone(),
@@ -529,42 +527,6 @@ impl Worker {
     }
 }
 
-/// Bounds-managed cursor over a checkpoint segment: grows in
-/// [`GROW_QUANTUM`] steps while writing; the caller trims to exact size
-/// at commit.
-struct SegCursor<'a> {
-    segment: &'a mut ShmSegment,
-    pos: usize,
-}
-
-impl SegCursor<'_> {
-    fn ensure(&mut self, need: usize) -> ShmResult<()> {
-        if need > self.segment.len() {
-            let target = need.div_ceil(GROW_QUANTUM) * GROW_QUANTUM;
-            self.segment.resize(target)?;
-        }
-        Ok(())
-    }
-
-    fn write(&mut self, bytes: &[u8]) -> ShmResult<()> {
-        self.ensure(self.pos + bytes.len())?;
-        self.segment.as_mut_slice()[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
-        self.pos += bytes.len();
-        Ok(())
-    }
-}
-
-impl ChunkSink for SegCursor<'_> {
-    fn put_chunk(&mut self, desc: ChunkDesc, payload: &[u8]) -> ShmResult<()> {
-        self.write(&encode_header_v2(
-            desc,
-            payload.len() as u64,
-            crc32(payload),
-        ))?;
-        self.write(payload)
-    }
-}
-
 fn block_count(snap: &TableSnapshot) -> u64 {
     snap.sealed.len() as u64 + u64::from(snap.open.is_some())
 }
@@ -574,24 +536,20 @@ fn block_count(snap: &TableSnapshot) -> u64 {
 /// (the open block, if any, serialized as a final ordinary block), END.
 /// Returns bytes written.
 fn full_write(st: &mut SegState, snap: &TableSnapshot, schema_bytes: Vec<u8>) -> ShmResult<u64> {
-    let mut cur = SegCursor {
-        segment: &mut st.segment,
-        pos: 0,
-    };
-    cur.put_chunk(ChunkDesc::new(TAG_UNIT_NAME, 1), snap.name.as_bytes())?;
-    let manifest_off = cur.pos;
-    image::write_manifest(block_count(snap), &snap.schema, &mut cur)?;
+    let mut w = SegmentWriter::new(&mut st.segment);
+    w.put_chunk(ChunkDesc::new(TAG_UNIT_NAME, 1), snap.name.as_bytes())?;
+    let manifest_off = w.position();
+    image::write_manifest(block_count(snap), &snap.schema, &mut w)?;
     for block in &snap.sealed {
-        image::write_block(block, &mut cur)?;
+        image::write_block(block, &mut w)?;
     }
-    let sealed_end = cur.pos;
+    let sealed_end = w.position();
     if let Some(open) = &snap.open {
-        image::write_block(open, &mut cur)?;
+        image::write_block(open, &mut w)?;
     }
-    cur.write(&end_header_v2())?;
-    let used = cur.pos;
-    st.segment.resize(used)?;
-    st.segment.sync()?;
+    w.write(&end_header_v2())?;
+    let used = w.position();
+    w.finish()?;
     st.sealed_count = snap.sealed.len();
     st.cold_count = snap.sealed.iter().filter(|b| b.is_cold()).count();
     st.rows = snap.rows;
@@ -610,39 +568,31 @@ fn full_write(st: &mut SegState, snap: &TableSnapshot, schema_bytes: Vec<u8>) ->
 /// written.
 fn incremental_write(st: &mut SegState, snap: &TableSnapshot) -> ShmResult<u64> {
     let start = st.sealed_end;
-    let mut cur = SegCursor {
-        segment: &mut st.segment,
-        pos: start,
-    };
+    let mut w = SegmentWriter::at(&mut st.segment, start);
     for block in &snap.sealed[st.sealed_count..] {
-        image::write_block(block, &mut cur)?;
+        image::write_block(block, &mut w)?;
     }
-    let sealed_end = cur.pos;
+    let sealed_end = w.position();
     if let Some(open) = &snap.open {
-        image::write_block(open, &mut cur)?;
+        image::write_block(open, &mut w)?;
     }
-    cur.write(&end_header_v2())?;
-    let used = cur.pos;
+    w.write(&end_header_v2())?;
+    let used = w.position();
     let tail_written = (used - start) as u64;
 
     // Rewrite the manifest frame in place. The schema is unchanged (the
     // precondition), so the frame keeps its length: only the block-count
     // word and the frame CRC change.
-    let mut cur = SegCursor {
-        segment: &mut st.segment,
-        pos: st.manifest_off,
-    };
-    image::write_manifest(block_count(snap), &snap.schema, &mut cur)?;
-    let manifest_written = (cur.pos - st.manifest_off) as u64;
-
-    st.segment.resize(used)?;
-    st.segment.sync()?;
+    let mut manifest = Vec::new();
+    image::write_manifest(block_count(snap), &snap.schema, &mut manifest)?;
+    w.write_at(st.manifest_off, &manifest)?;
+    w.finish()?;
     st.sealed_count = snap.sealed.len();
     st.cold_count = snap.sealed.iter().filter(|b| b.is_cold()).count();
     st.rows = snap.rows;
     st.sealed_end = sealed_end;
     st.used = used;
-    Ok(tail_written + manifest_written)
+    Ok(tail_written + manifest.len() as u64)
 }
 
 #[cfg(test)]

@@ -24,10 +24,10 @@
 //! payload, which no format version has changed.
 
 use scuba_columnstore::Table;
-use scuba_restart::framing::{encode_header_v2, end_header_v2, END_SENTINEL_V1, TAG_UNIT_NAME};
+use scuba_restart::framing::{end_header_v2, END_SENTINEL_V1, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
-use scuba_restart::{ChunkDesc, SHM_LAYOUT_VERSION};
-use scuba_shmem::{crc32, LeafMetadata, ShmError, ShmNamespace, ShmSegment};
+use scuba_restart::{ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
+use scuba_shmem::{crc32, LeafMetadata, SegmentWriter, ShmError, ShmNamespace, ShmSegment};
 
 use crate::image::{prelude, TAG_COLUMN, TAG_MANIFEST, TAG_PRELUDE};
 
@@ -44,12 +44,8 @@ fn frame_v1(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// Append one v2 TLV frame.
 fn frame_v2(out: &mut Vec<u8>, desc: ChunkDesc, payload: &[u8]) {
-    out.extend_from_slice(&encode_header_v2(
-        desc,
-        payload.len() as u64,
-        crc32(payload),
-    ));
-    out.extend_from_slice(payload);
+    out.put_chunk(desc, payload)
+        .expect("a heap buffer takes any frame");
 }
 
 /// The exact unit byte stream the pre-refactor writer produced: name
@@ -178,8 +174,10 @@ fn install_units(
     for (i, bytes) in streams.iter().enumerate() {
         let seg_name = ns.table_segment_name(i);
         let _ = ShmSegment::unlink(&seg_name);
-        let mut seg = ShmSegment::create(&seg_name, bytes.len().max(1))?;
-        seg.as_mut_slice()[..bytes.len()].copy_from_slice(bytes);
+        let mut seg = ShmSegment::create(&seg_name, 0)?;
+        let mut w = SegmentWriter::new(&mut seg);
+        w.write(bytes)?;
+        w.finish()?;
         meta.add_segment_invalidating(&seg_name, 1, 0)?;
     }
     meta.set_valid(true)?;

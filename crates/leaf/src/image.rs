@@ -568,8 +568,8 @@ mod tests {
     use crate::persist::LeafStore;
     use scuba_columnstore::Row;
     use scuba_restart::framing::{
-        drain, encode_header_v2, end_header_v2, read_frame_header, read_unit_name, FrameCursor,
-        SharedCursor, TAG_UNIT_NAME,
+        drain, end_header_v2, read_frame_header, read_unit_name, FrameCursor, SharedCursor,
+        TAG_UNIT_NAME,
     };
     use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
     use scuba_restart::{attach_from_shm, restore_from_shm, RestoreError, SHM_LAYOUT_VERSION};
@@ -579,26 +579,14 @@ mod tests {
 
     static COUNTER: AtomicU32 = AtomicU32::new(0);
 
-    /// Frames chunks into an in-memory unit stream.
-    struct VecSink(Vec<u8>);
-
-    impl ChunkSink for VecSink {
-        fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
-            let header = encode_header_v2(desc, chunk.len() as u64, crc32(chunk));
-            self.0.extend_from_slice(&header);
-            self.0.extend_from_slice(chunk);
-            Ok(())
-        }
-    }
-
     /// A v2 unit stream: the name frame, whatever `body` writes, END.
-    fn unit_stream(name: &str, body: impl FnOnce(&mut VecSink) -> Result<(), ShmError>) -> Vec<u8> {
-        let mut sink = VecSink(Vec::new());
+    fn unit_stream(name: &str, body: impl FnOnce(&mut Vec<u8>) -> Result<(), ShmError>) -> Vec<u8> {
+        let mut sink = Vec::new();
         sink.put_chunk(ChunkDesc::new(TAG_UNIT_NAME, 1), name.as_bytes())
             .unwrap();
         body(&mut sink).unwrap();
-        sink.0.extend_from_slice(&end_header_v2());
-        sink.0
+        sink.extend_from_slice(&end_header_v2());
+        sink
     }
 
     /// `blocks` sealed blocks of `rows` rows each, over three columns.

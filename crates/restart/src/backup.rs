@@ -111,8 +111,8 @@ impl<E> From<ShmError> for BackupError<E> {
 /// Sink wrapper that frames chunks into the unit segment and keeps the
 /// footprint statistics. One per in-flight unit; safe to drive from a
 /// worker thread (the tracker is atomic).
-struct FramingSink<'a> {
-    writer: &'a mut SegmentWriter,
+struct FramingSink<'a, 'seg> {
+    writer: &'a mut SegmentWriter<'seg>,
     tracker: &'a FootprintTracker,
     /// Heap bytes of the unit not yet handed off, for in-flight
     /// accounting (decremented as chunks are emitted, saturating).
@@ -126,7 +126,7 @@ struct FramingSink<'a> {
     write_ns: u64,
 }
 
-impl ChunkSink for FramingSink<'_> {
+impl ChunkSink for FramingSink<'_, '_> {
     fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
         match scuba_faults::check("restart::backup::chunk") {
             Some(scuba_faults::Fault::ShortWrite(n)) => {
@@ -227,7 +227,7 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
             let prepared = prepare_unit(store, ns, &mut meta, index, unit, &tracker, &acc);
             Some(prepared.map(|job| (unit.as_str(), job)))
         },
-        |(unit, (data, heap, writer))| write_unit::<S>(unit, data, heap, writer, &tracker, &acc),
+        |(unit, (data, heap, segment))| write_unit::<S>(unit, data, heap, segment, &tracker, &acc),
         // Dropping an unwritten unit frees its heap.
         |(_, (_, heap, _))| tracker.sub_in_flight(heap),
         |(c, b)| {
@@ -310,8 +310,8 @@ fn finish_failed(acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
     scuba_obs::publish_breakdown(phases);
 }
 
-/// An extracted unit, its heap bytes and the writer of its segment.
-type Extracted<S> = (<S as ShmPersistable>::Unit, usize, SegmentWriter);
+/// An extracted unit, its heap bytes and its segment.
+type Extracted<S> = (<S as ShmPersistable>::Unit, usize, ShmSegment);
 
 /// Coordinator-side per-unit prologue: failpoint, estimate, segment
 /// create, metadata registration, extraction from the store. Returns the
@@ -352,12 +352,12 @@ fn prepare_unit<S: ShmPersistable>(
     tracker.add_in_flight(heap);
     tracker.set_store_heap(store.heap_bytes());
     tracker.sample();
-    Ok((data, heap, SegmentWriter::new(segment)))
+    Ok((data, heap, segment))
 }
 
 /// Serialize one extracted unit into its segment: name frame, chunk
-/// frames, end sentinel, trim + sync. Runs on a worker thread, or inline
-/// at one worker.
+/// frames, end sentinel written through the descriptor, then trim + sync.
+/// Runs on a worker thread, or inline at one worker.
 ///
 /// Wraps [`write_unit_inner`] so a `backup.table` span and a
 /// [`TableSample`] are flushed on *every* exit, including mid-copy
@@ -367,13 +367,13 @@ fn write_unit<S: ShmPersistable>(
     unit: &str,
     data: S::Unit,
     heap_bytes: usize,
-    writer: SegmentWriter,
+    segment: ShmSegment,
     tracker: &FootprintTracker,
     acc: &RunAcc,
 ) -> Result<(usize, u64), BackupError<S::Error>> {
     let mut span = scuba_obs::span!("backup.table", table = unit);
     let mut stats = UnitStats::default();
-    let result = write_unit_inner::<S>(unit, data, heap_bytes, writer, tracker, acc, &mut stats);
+    let result = write_unit_inner::<S>(unit, data, heap_bytes, segment, tracker, acc, &mut stats);
     if span.active() {
         span.add_bytes(stats.bytes);
         acc.add_table(TableSample {
@@ -394,11 +394,12 @@ fn write_unit_inner<S: ShmPersistable>(
     unit: &str,
     data: S::Unit,
     heap_bytes: usize,
-    mut writer: SegmentWriter,
+    mut segment: ShmSegment,
     tracker: &FootprintTracker,
     acc: &RunAcc,
     stats: &mut UnitStats,
 ) -> Result<(usize, u64), BackupError<S::Error>> {
+    let mut writer = SegmentWriter::new(&mut segment);
     // Unit name frame so restore knows which table this segment holds;
     // CRC'd and TLV-framed like every other chunk.
     let (name_crc, name_crc_ns) = scuba_shmem::crc32_timed(unit.as_bytes());
@@ -442,6 +443,7 @@ fn write_unit_inner<S: ShmPersistable>(
     writer.write(&end_header_v2())?;
     tracker.add_shm(FRAME_HEADER_V2);
     writer.finish()?; // trims to written, syncs
+    drop(segment); // unmap and close inside the timed write
     acc.add(Phase::ShmWrite, sw.elapsed_ns());
     tracker.sample();
     Ok((chunks, payload_bytes))

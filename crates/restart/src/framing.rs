@@ -22,7 +22,9 @@
 //! [`ChunkDesc::legacy`] descriptors so stores can fall back to
 //! positional decoding.
 //!
-//! Both restore paths parse frames here, over a [`FrameCursor`] — a
+//! Writers frame chunks through the [`ChunkSink`] impls here: v2 frames
+//! appended to a segment ([`SegmentWriter`]) or to a heap buffer. Both
+//! restore paths parse frames here, over a [`FrameCursor`] — a
 //! segment being drained ([`SegmentReader`]) or shared bytes
 //! ([`SharedCursor`]: an attached mapping, or a buffer in memory):
 //! [`read_frame_header`] for every chunk, [`read_unit_name`] for the
@@ -30,9 +32,9 @@
 
 use std::sync::Arc;
 
-use scuba_shmem::{SegmentReader, ShmError};
+use scuba_shmem::{crc32, SegmentReader, SegmentWriter, ShmError};
 
-use crate::traits::ChunkDesc;
+use crate::traits::{ChunkDesc, ChunkSink};
 
 /// v2 frame header size in bytes: tag + version + flags + len + crc.
 pub const FRAME_HEADER_V2: usize = 2 + 2 + 4 + 8 + 4;
@@ -74,6 +76,27 @@ pub fn end_header_v2() -> [u8; FRAME_HEADER_V2] {
         0,
         0,
     )
+}
+
+/// A v2 frame — header with the payload's CRC, then the payload —
+/// appended to a segment image. The checkpointer and the old-writer
+/// installers write through this; the shutdown backup wraps the writer to
+/// time each step and to carry its failpoint.
+impl ChunkSink for SegmentWriter<'_> {
+    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
+        self.write(&encode_header_v2(desc, chunk.len() as u64, crc32(chunk)))?;
+        self.write(chunk)
+    }
+}
+
+/// The same v2 frame appended to a heap buffer: a frame built aside to be
+/// patched into an image, or a unit stream assembled in memory.
+impl ChunkSink for Vec<u8> {
+    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
+        self.extend_from_slice(&encode_header_v2(desc, chunk.len() as u64, crc32(chunk)));
+        self.extend_from_slice(chunk);
+        Ok(())
+    }
 }
 
 /// Decode a v2 frame header into `(desc, len, crc)`.

@@ -1,13 +1,18 @@
-//! Satellite regression tests for ISSUE 3: a worker that errors mid-copy
-//! must still flush its partial per-table timing — the failed table shows
-//! up in the published breakdown with the chunks/bytes/duration it
-//! managed before the failpoint fired, and its `backup.table` /
-//! `restore.table` span lands in the ring with outcome `"error"`.
+//! A worker that errors mid-copy must still flush its partial per-table
+//! timing — the failed table shows up in the published breakdown with the
+//! chunks/bytes/duration it managed before the error, and its
+//! `backup.table` / `restore.table` span lands in the ring with outcome
+//! `"error"`.
+//!
+//! The error comes from the test store itself, per unit: [`WOUNDED`] fails
+//! right after its first chunk, on backup and on restore. So the same
+//! assertions hold at every copy-pool width, `SCUBA_COPY_THREADS` pins
+//! included — a failpoint armed by global hit count would assume the
+//! inline loop's order.
 //!
 //! These tests live in their own binary so the process-global metric
 //! registry, span ring, and last-breakdown slots see only this file's
-//! traffic; the fault registry's test lock serializes the tests among
-//! themselves.
+//! traffic; the obs test lock serializes the tests among themselves.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,9 +29,14 @@ use scuba_shmem::{ShmError, ShmNamespace};
 const CHUNK_LEN: usize = 64 * 1024;
 const CHUNKS_PER_UNIT: usize = 3;
 
+/// The unit that fails right after its first chunk: on backup when the
+/// store is [`ObsStore::wounding_backup`], on every restore.
+const WOUNDED: &str = "t01";
+
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct ObsStore {
     units: BTreeMap<String, Vec<Vec<u8>>>,
+    wound_backup: bool,
 }
 
 impl ObsStore {
@@ -39,8 +49,20 @@ impl ObsStore {
                 (format!("t{u:02}"), chunks)
             })
             .collect();
-        ObsStore { units }
+        ObsStore {
+            units,
+            wound_backup: false,
+        }
     }
+
+    fn wounding_backup(mut self) -> ObsStore {
+        self.wound_backup = true;
+        self
+    }
+}
+
+fn wound(unit: &str) -> ObsError {
+    ObsError(format!("{unit} fails after its first chunk"))
 }
 
 #[derive(Debug)]
@@ -59,7 +81,8 @@ impl From<ShmError> for ObsError {
 
 impl ShmPersistable for ObsStore {
     type Error = ObsError;
-    type Unit = Vec<Vec<u8>>;
+    /// The unit's chunks, and whether backing it up fails after the first.
+    type Unit = (Vec<Vec<u8>>, bool);
     fn unit_names(&self) -> Vec<String> {
         self.units.keys().cloned().collect()
     }
@@ -70,28 +93,37 @@ impl ShmPersistable for ObsStore {
             .unwrap_or(0)
     }
     fn extract_unit(&mut self, unit: &str) -> Result<Self::Unit, ObsError> {
-        self.units
+        let chunks = self
+            .units
             .remove(unit)
-            .ok_or_else(|| ObsError(format!("unknown unit {unit}")))
+            .ok_or_else(|| ObsError(format!("unknown unit {unit}")))?;
+        Ok((chunks, self.wound_backup && unit == WOUNDED))
     }
     fn unit_heap_bytes(unit: &Self::Unit) -> usize {
-        unit.iter().map(Vec::len).sum()
+        unit.0.iter().map(Vec::len).sum()
     }
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), ObsError> {
-        for c in data {
-            sink.put_chunk(ChunkDesc::new(TAG_STORE_BASE, 1), &c)?;
+        let (chunks, wounded) = data;
+        for (i, c) in chunks.iter().enumerate() {
+            if wounded && i == 1 {
+                return Err(wound(WOUNDED));
+            }
+            sink.put_chunk(ChunkDesc::new(TAG_STORE_BASE, 1), c)?;
         }
         Ok(())
     }
-    fn decode_unit(_unit: &str, source: &mut dyn ChunkSource) -> Result<Self::Unit, ObsError> {
+    fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<Self::Unit, ObsError> {
         let mut chunks = Vec::new();
         while let Some((_desc, c)) = source.next_chunk()? {
             chunks.push(c);
+            if unit == WOUNDED {
+                return Err(wound(unit));
+            }
         }
-        Ok(chunks)
+        Ok((chunks, false))
     }
     fn install_unit(&mut self, unit: &str, data: Self::Unit) -> Result<(), ObsError> {
-        self.units.insert(unit.to_owned(), data);
+        self.units.insert(unit.to_owned(), data.0);
         Ok(())
     }
     fn heap_bytes(&self) -> usize {
@@ -124,19 +156,17 @@ impl Drop for Cleanup {
 
 #[test]
 fn failed_backup_flushes_partial_table_timings() {
-    let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
+    let _x = scuba_obs::exclusive();
     scuba_obs::set_enabled(true);
     scuba_obs::clear_spans();
 
     let ns = test_ns();
     let _c = Cleanup(ns.clone());
-    let mut store = ObsStore::two_tables();
-    // t00's three chunks pass (hits 1-3); t01 lands one chunk (hit 4)
-    // and dies on its second (hit 5) — mid-copy, not between units.
-    let _g = scuba_faults::guard("restart::backup::chunk", "error@5").unwrap();
+    // t00's three chunks pass; t01 lands one chunk and dies before its
+    // second — mid-copy, not between units.
+    let mut store = ObsStore::two_tables().wounding_backup();
     let err = backup_to_shm_with(&mut store, &ns, V, CopyOptions::with_threads(1));
-    assert!(err.is_err(), "failpoint must abort the backup");
+    assert!(err.is_err(), "the wounded unit must abort the backup");
 
     let b = scuba_obs::last_backup_breakdown().expect("failed backup must publish a breakdown");
     assert_eq!(b.op, "backup");
@@ -153,7 +183,7 @@ fn failed_backup_flushes_partial_table_timings() {
     let partial = &b.tables[1];
     assert_eq!(partial.table, "t01");
     assert!(!partial.ok);
-    assert_eq!(partial.chunks, 1, "one chunk landed before the failpoint");
+    assert_eq!(partial.chunks, 1, "one chunk landed before the error");
     assert_eq!(partial.bytes, CHUNK_LEN as u64);
     assert!(partial.duration > Duration::ZERO);
 
@@ -177,8 +207,7 @@ fn failed_backup_flushes_partial_table_timings() {
 
 #[test]
 fn failed_restore_flushes_partial_table_timings() {
-    let _x = scuba_faults::exclusive();
-    scuba_faults::clear_all();
+    let _x = scuba_obs::exclusive();
     scuba_obs::set_enabled(true);
     scuba_obs::clear_spans();
 
@@ -187,13 +216,10 @@ fn failed_restore_flushes_partial_table_timings() {
     let mut store = ObsStore::two_tables();
     backup_to_shm_with(&mut store, &ns, V, CopyOptions::with_threads(1)).unwrap();
 
-    // The source's failpoint is consulted once per frame read, including
-    // each unit's end sentinel: t00 spends hits 1-4 (3 chunks + sentinel),
-    // t01 lands one chunk (hit 5) and dies on its second (hit 6).
-    let _g = scuba_faults::guard("restart::restore::chunk", "error@6").unwrap();
+    // t00 restores whole; t01 decodes one chunk and fails.
     let mut restored = ObsStore::default();
     let err = restore_from_shm_with(&mut restored, &ns, V, CopyOptions::with_threads(1));
-    assert!(err.is_err(), "failpoint must abort the restore");
+    assert!(err.is_err(), "the wounded unit must abort the restore");
 
     let b = scuba_obs::last_restore_breakdown().expect("failed restore must publish a breakdown");
     assert_eq!(b.op, "restore");
@@ -206,9 +232,9 @@ fn failed_restore_flushes_partial_table_timings() {
     assert_eq!(full.chunks, CHUNKS_PER_UNIT as u64);
 
     let partial = &b.tables[1];
-    assert_eq!(partial.table, "t01", "name frame was read before the fault");
+    assert_eq!(partial.table, "t01", "name frame was read before the error");
     assert!(!partial.ok);
-    assert_eq!(partial.chunks, 1, "one chunk landed before the failpoint");
+    assert_eq!(partial.chunks, 1, "one chunk landed before the error");
     assert_eq!(partial.bytes, CHUNK_LEN as u64);
     assert!(partial.duration > Duration::ZERO);
 

@@ -1,61 +1,93 @@
 //! Sequential writers/readers over a segment.
 //!
-//! Shutdown (Figure 6) appends row-block-column buffers to a table segment,
-//! growing it as needed; restore (Figure 7) reads them back in order and
-//! truncates the segment as it goes so the freed pages return to the OS
-//! while the heap refills — the trick that keeps the total footprint flat
-//! (§4.4).
+//! Shutdown (Figure 6) and the checkpointer append frames to a table
+//! segment through [`SegmentWriter`]; restore (Figure 7) reads them back in
+//! order and truncates the segment as it goes so the freed pages return to
+//! the OS while the heap refills — the trick that keeps the total
+//! footprint flat (§4.4).
+
+use std::os::unix::fs::FileExt;
 
 use crate::error::{ShmError, ShmResult};
 use crate::segment::ShmSegment;
 
-/// Growth quantum for [`SegmentWriter`]: grow in 1 MiB steps to amortize
-/// remaps without over-reserving (shutdown "estimates" table size first;
-/// the quantum absorbs estimate error).
-pub const GROWTH_QUANTUM: usize = 1 << 20;
-
-/// Appends bytes to a segment, growing it on demand.
+/// Writes a segment through its descriptor: the one writer of every
+/// shared-memory image (shutdown backup, checkpoints, old-writer images).
+///
+/// Bytes go in with `pwrite`, never through the mapping. On tmpfs a write
+/// fault on a fresh mapping allocates, zeroes and maps each page; `pwrite`
+/// allocates the page and copies into it without zeroing what it fully
+/// overwrites and without the per-page fault, which measured about twice
+/// the single-thread rate and scales with threads where the mapping path
+/// does not (EXPERIMENTS.md E14). The segment is sized once, at
+/// [`SegmentWriter::finish`]; a mapping of it — the read side's interface,
+/// or the caller's own handle — sees the written bytes.
 #[derive(Debug)]
-pub struct SegmentWriter {
-    segment: ShmSegment,
+pub struct SegmentWriter<'a> {
+    segment: &'a mut ShmSegment,
     cursor: usize,
 }
 
-impl SegmentWriter {
-    /// Wrap a segment, appending after `cursor` = 0.
-    pub fn new(segment: ShmSegment) -> SegmentWriter {
-        SegmentWriter { segment, cursor: 0 }
+impl<'a> SegmentWriter<'a> {
+    /// Append from offset 0.
+    pub fn new(segment: &'a mut ShmSegment) -> SegmentWriter<'a> {
+        SegmentWriter::at(segment, 0)
     }
 
-    /// Bytes written so far.
-    pub fn written(&self) -> usize {
+    /// Append from `offset`: the bytes before it are kept, the ones after
+    /// it are replaced (the checkpointer's sealed-frontier append).
+    pub fn at(segment: &'a mut ShmSegment, offset: usize) -> SegmentWriter<'a> {
+        SegmentWriter {
+            segment,
+            cursor: offset,
+        }
+    }
+
+    /// Where the next append lands.
+    pub fn position(&self) -> usize {
         self.cursor
     }
 
-    /// Append `bytes`, growing the segment if needed (Figure 6: "grow the
-    /// table segment in size if needed").
+    /// Append `bytes` (Figure 6: "copy data from heap to the table
+    /// segment"; the file grows as it is written).
     pub fn write(&mut self, bytes: &[u8]) -> ShmResult<()> {
-        let end = self.cursor + bytes.len();
-        if end > self.segment.len() {
-            let new_size = end.div_ceil(GROWTH_QUANTUM) * GROWTH_QUANTUM;
-            self.segment.resize(new_size)?;
-        }
-        self.segment.as_mut_slice()[self.cursor..end].copy_from_slice(bytes);
-        self.cursor = end;
+        self.pwrite(self.cursor, bytes)?;
+        self.cursor += bytes.len();
         Ok(())
     }
 
-    /// Append a little-endian u64 (length prefixes).
-    pub fn write_u64(&mut self, v: u64) -> ShmResult<()> {
-        self.write(&v.to_le_bytes())
+    /// Overwrite bytes already appended, in place (the checkpointer's
+    /// manifest patch). The append position does not move.
+    pub fn write_at(&self, offset: usize, bytes: &[u8]) -> ShmResult<()> {
+        if offset + bytes.len() > self.cursor {
+            return Err(ShmError::OutOfBounds {
+                name: self.segment.name().to_owned(),
+                offset,
+                len: bytes.len(),
+                size: self.cursor,
+            });
+        }
+        self.pwrite(offset, bytes)
     }
 
-    /// Finish: shrink the segment to exactly the bytes written, sync, and
-    /// return it.
-    pub fn finish(mut self) -> ShmResult<ShmSegment> {
+    fn pwrite(&self, offset: usize, bytes: &[u8]) -> ShmResult<()> {
+        self.segment
+            .file()
+            .write_all_at(bytes, offset as u64)
+            .map_err(|source| ShmError::Syscall {
+                call: "pwrite",
+                name: self.segment.name().to_owned(),
+                source,
+            })
+    }
+
+    /// Finish: size the segment to exactly the bytes appended (one
+    /// `ftruncate`, which drops anything a longer earlier image left past
+    /// the end; the segment's mapping follows), then sync — the write
+    /// barrier before a caller publishes the valid bit.
+    pub fn finish(self) -> ShmResult<()> {
         self.segment.resize(self.cursor)?;
-        self.segment.sync()?;
-        Ok(self.segment)
+        self.segment.sync()
     }
 }
 
@@ -191,14 +223,14 @@ mod tests {
 
     #[test]
     fn write_then_read_round_trip() {
-        let (s, name) = seg("rt", 0);
+        let (mut s, name) = seg("rt", 0);
         let _c = Cleanup(name);
-        let mut w = SegmentWriter::new(s);
-        w.write_u64(3).unwrap();
+        let mut w = SegmentWriter::new(&mut s);
+        w.write(&3u64.to_le_bytes()).unwrap();
         w.write(b"abc").unwrap();
-        w.write_u64(5).unwrap();
+        w.write(&5u64.to_le_bytes()).unwrap();
         w.write(b"hello").unwrap();
-        let s = w.finish().unwrap();
+        w.finish().unwrap();
         assert_eq!(s.len(), 8 + 3 + 8 + 5);
 
         let mut r = SegmentReader::new(s);
@@ -210,18 +242,94 @@ mod tests {
     }
 
     #[test]
-    fn writer_grows_across_quantum() {
-        let (s, name) = seg("grow", 0);
-        let _c = Cleanup(name);
-        let mut w = SegmentWriter::new(s);
-        let chunk = vec![0x5A; 700_000];
-        for _ in 0..3 {
-            w.write(&chunk).unwrap(); // crosses 1 MiB and 2 MiB boundaries
+    fn fd_writes_are_what_a_fresh_open_maps() {
+        let (mut s, name) = seg("fresh", 0);
+        let _c = Cleanup(name.clone());
+        let mut expected = Vec::new();
+        let mut w = SegmentWriter::new(&mut s);
+        for i in 0..1000u32 {
+            let small: Vec<u8> = (0..(i % 37) as u8).map(|b| b ^ i as u8).collect();
+            w.write(&small).unwrap();
+            expected.extend_from_slice(&small);
         }
-        assert_eq!(w.written(), 2_100_000);
-        let s = w.finish().unwrap();
-        assert_eq!(s.len(), 2_100_000);
-        assert!(s.as_slice().iter().all(|&b| b == 0x5A));
+        // One write of many pages, past 1 MiB and not page-aligned.
+        let large: Vec<u8> = (0..(3 << 20) + 123).map(|i| (i % 251) as u8).collect();
+        w.write(&large).unwrap();
+        expected.extend_from_slice(&large);
+        w.write(b"tail").unwrap();
+        expected.extend_from_slice(b"tail");
+        assert_eq!(w.position(), expected.len());
+        w.finish().unwrap();
+        drop(s);
+
+        let reopened = ShmSegment::open(&name).unwrap();
+        assert_eq!(reopened.len(), expected.len());
+        assert!(reopened.as_slice() == expected.as_slice());
+    }
+
+    #[test]
+    fn write_at_patches_in_place_and_finish_drops_the_old_tail() {
+        let (mut s, name) = seg("patch", 0);
+        let _c = Cleanup(name);
+        let mut w = SegmentWriter::new(&mut s);
+        w.write(&[0xAA; 100]).unwrap();
+        w.finish().unwrap();
+        assert_eq!(s.len(), 100);
+
+        // Rewrite from offset 40 with a shorter tail, then patch a prefix.
+        let mut w = SegmentWriter::at(&mut s, 40);
+        w.write(&[0xBB; 20]).unwrap();
+        w.write_at(10, b"patch").unwrap();
+        assert_eq!(w.position(), 60, "write_at does not move the cursor");
+        assert!(matches!(
+            w.write_at(58, b"past"),
+            Err(ShmError::OutOfBounds { .. })
+        ));
+        w.finish().unwrap();
+
+        let mut expected = vec![0xAA; 40];
+        expected[10..15].copy_from_slice(b"patch");
+        expected.extend_from_slice(&[0xBB; 20]);
+        assert_eq!(s.len(), 60);
+        assert_eq!(s.as_slice(), expected.as_slice());
+    }
+
+    #[test]
+    fn a_live_mapping_sees_fd_writes_after_finish() {
+        // The checkpointer keeps one handle per table across cycles and
+        // writes each cycle through it: its mapping must follow.
+        let (mut s, name) = seg("live", 0);
+        let _c = Cleanup(name.clone());
+        let mut w = SegmentWriter::new(&mut s);
+        w.write(b"first cycle").unwrap();
+        w.finish().unwrap();
+        let reader = ShmSegment::open(&name).unwrap();
+        assert_eq!(reader.as_slice(), b"first cycle");
+
+        let mut w = SegmentWriter::at(&mut s, 6);
+        w.write(b"CYCLE, then more").unwrap();
+        w.finish().unwrap();
+        assert_eq!(s.as_slice(), b"first CYCLE, then more");
+        // Another process's (or thread's) older mapping sees the rewritten
+        // prefix it already covers.
+        assert_eq!(reader.as_slice(), b"first CYCLE");
+    }
+
+    #[test]
+    fn finish_allocates_only_the_written_pages() {
+        const PAGE: usize = 4096;
+        for len in [1, PAGE, PAGE + 1, (1 << 20) + 5, 3 << 20] {
+            let (mut s, name) = seg("resident", 0);
+            let _c = Cleanup(name);
+            let mut w = SegmentWriter::new(&mut s);
+            w.write(&vec![0x11; len]).unwrap();
+            w.finish().unwrap();
+            assert_eq!(
+                s.resident_bytes().unwrap(),
+                len.div_ceil(PAGE) * PAGE,
+                "{len} bytes written"
+            );
+        }
     }
 
     #[test]
@@ -237,12 +345,12 @@ mod tests {
 
     #[test]
     fn release_consumed_frees_pages_behind_cursor() {
-        let (s, name) = seg("release", 0);
+        let (mut s, name) = seg("release", 0);
         let _c = Cleanup(name);
-        let mut w = SegmentWriter::new(s);
+        let mut w = SegmentWriter::new(&mut s);
         let payload: Vec<u8> = (0..512 * 1024).map(|i| (i % 251) as u8).collect();
         w.write(&payload).unwrap();
-        let s = w.finish().unwrap();
+        w.finish().unwrap();
         let full = s.resident_bytes().unwrap();
 
         let mut r = SegmentReader::new(s);
@@ -260,12 +368,12 @@ mod tests {
 
     #[test]
     fn read_borrowed_is_zero_copy_and_advances() {
-        let (s, name) = seg("borrow", 0);
+        let (mut s, name) = seg("borrow", 0);
         let _c = Cleanup(name);
-        let mut w = SegmentWriter::new(s);
+        let mut w = SegmentWriter::new(&mut s);
         w.write(b"abcdefgh").unwrap();
-        w.write_u64(42).unwrap();
-        let s = w.finish().unwrap();
+        w.write(&42u64.to_le_bytes()).unwrap();
+        w.finish().unwrap();
 
         let mut r = SegmentReader::new(s);
         assert_eq!(r.read_borrowed(4).unwrap(), b"abcd");
@@ -281,19 +389,19 @@ mod tests {
 
     #[test]
     fn finish_trims_to_written() {
-        let (s, name) = seg("trim", 1 << 16);
+        let (mut s, name) = seg("trim", 1 << 16);
         let _c = Cleanup(name);
-        let mut w = SegmentWriter::new(s);
+        let mut w = SegmentWriter::new(&mut s);
         w.write(b"xy").unwrap();
-        let s = w.finish().unwrap();
+        w.finish().unwrap();
         assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn empty_writer_finishes_empty() {
-        let (s, name) = seg("empty", 0);
+        let (mut s, name) = seg("empty", 0);
         let _c = Cleanup(name);
-        let s = SegmentWriter::new(s).finish().unwrap();
+        SegmentWriter::new(&mut s).finish().unwrap();
         assert!(s.is_empty());
         assert_eq!(SegmentReader::new(s).remaining(), 0);
     }

@@ -8,14 +8,16 @@
 //! mmap (mmap, munmap, sync, mprotect) based API".
 //!
 //! This crate wraps `shm_open`/`ftruncate`/`mmap`/`munmap`/`shm_unlink`
-//! (the paper used Boost::Interprocess over the same primitives):
+//! (the paper used Boost::Interprocess over the same primitives), and
+//! writes images with `pwrite` on the segment's descriptor:
 //!
 //! * [`ShmSegment`] — one named segment that **outlives the process**; the
 //!   handle unmaps on drop but never unlinks, which is exactly the
 //!   memory-lifetime/process-lifetime decoupling the paper is about.
-//! * [`SegmentWriter`] / [`SegmentReader`] — bump-style sequential access,
-//!   including the "grow the table segment in size if needed" step from
-//!   the Figure 6 shutdown pseudocode.
+//! * [`SegmentWriter`] / [`SegmentReader`] — sequential access: every
+//!   image is written through the segment's descriptor (`pwrite`, the
+//!   file growing as it is written — Figure 6's "grow the table segment in
+//!   size if needed") and read back through its mapping.
 //! * [`LeafMetadata`] — the per-leaf fixed-location metadata region of
 //!   Figure 4: a valid bit, a layout version number, and the names of the
 //!   table segments the leaf allocated.

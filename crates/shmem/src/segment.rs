@@ -8,12 +8,18 @@
 //!
 //! # Safety
 //!
-//! This module owns the only `unsafe` blocks in the workspace's hot path.
+//! This module owns the only `unsafe` blocks in the workspace's hot path:
+//! `shm_open`, `mmap`/`munmap`, `msync`, `mprotect` and `fallocate`. The
+//! descriptor is a [`File`], so closing, sizing (`set_len`), `fstat` and
+//! the image writers' `pwrite` ([`crate::SegmentWriter`]) are safe calls.
 //! The invariants each mapping upholds:
 //!
 //! * `ptr` is the non-null result of a successful `mmap` of exactly `len`
 //!   bytes, and is unmapped exactly once (in `unmap`/`Drop`).
-//! * `len` never exceeds the file size set via `ftruncate`.
+//! * `len` never exceeds the file size. A `pwrite` may grow the file past
+//!   `len`; the mapping then covers a prefix of it until the next
+//!   [`ShmSegment::resize`]. The kernel keeps the bytes written through
+//!   the descriptor coherent with every `MAP_SHARED` mapping of the file.
 //! * Slices handed out borrow `self`, so they cannot outlive the mapping,
 //!   and `&mut` access goes through `&mut self`, so Rust aliasing rules
 //!   hold within this process. Cross-process aliasing is inherent to
@@ -22,6 +28,9 @@
 //!   and the valid-bit + checksum protocol detects torn writes.
 
 use std::ffi::CString;
+use std::fs::File;
+use std::os::fd::{AsRawFd, FromRawFd};
+use std::os::unix::fs::MetadataExt;
 use std::ptr::NonNull;
 use std::time::Duration;
 
@@ -76,11 +85,34 @@ fn retry_transient<T>(
     unreachable!("loop returns on success or on the final attempt's error")
 }
 
+/// `shm_open(name, flags, 0600)` as an owned [`File`].
+fn shm_open(name: &CString, flags: libc::c_int) -> Result<File, std::io::Error> {
+    // SAFETY: `name` is NUL-terminated; a non-negative return is a fresh
+    // descriptor that nothing else owns, so the File may close it.
+    unsafe {
+        let fd = libc::shm_open(name.as_ptr(), flags, 0o600);
+        if fd < 0 {
+            Err(std::io::Error::last_os_error())
+        } else {
+            Ok(File::from_raw_fd(fd))
+        }
+    }
+}
+
+/// `fstat` of a segment's descriptor.
+fn fstat(file: &File, name: &str) -> ShmResult<std::fs::Metadata> {
+    file.metadata().map_err(|source| ShmError::Syscall {
+        call: "fstat",
+        name: name.to_owned(),
+        source,
+    })
+}
+
 /// An open, mapped shared-memory segment.
 #[derive(Debug)]
 pub struct ShmSegment {
     name: String,
-    fd: libc::c_int,
+    file: File,
     ptr: NonNull<u8>,
     len: usize,
 }
@@ -108,19 +140,8 @@ impl ShmSegment {
             return Err(ShmError::injected("shmem::segment::create", name));
         }
         let cname = validate_name(name)?;
-        let fd = retry_transient("shmem::segment::shm_open", "shm_open", name, || {
-            let fd = unsafe {
-                libc::shm_open(
-                    cname.as_ptr(),
-                    libc::O_CREAT | libc::O_EXCL | libc::O_RDWR,
-                    0o600,
-                )
-            };
-            if fd < 0 {
-                Err(std::io::Error::last_os_error())
-            } else {
-                Ok(fd)
-            }
+        let file = retry_transient("shmem::segment::shm_open", "shm_open", name, || {
+            shm_open(&cname, libc::O_CREAT | libc::O_EXCL | libc::O_RDWR)
         })?;
         // The name exists in /dev/shm from this point on: bump the linked
         // gauge *before* finish_open so its failed-ftruncate cleanup path
@@ -129,8 +150,7 @@ impl ShmSegment {
         // created name has been unlinked.
         scuba_obs::counter!("shmem_segments_created").inc();
         scuba_obs::gauge!("shmem_segments_linked").inc();
-        let seg = Self::finish_open(name, fd, size, true)?;
-        Ok(seg)
+        Self::finish_open(name, file, size, true)
     }
 
     /// Open an existing segment, mapping its current size.
@@ -139,41 +159,20 @@ impl ShmSegment {
             return Err(ShmError::injected("shmem::segment::open", name));
         }
         let cname = validate_name(name)?;
-        let fd = retry_transient("shmem::segment::shm_open", "shm_open", name, || {
-            let fd = unsafe { libc::shm_open(cname.as_ptr(), libc::O_RDWR, 0o600) };
-            if fd < 0 {
-                Err(std::io::Error::last_os_error())
-            } else {
-                Ok(fd)
-            }
+        let file = retry_transient("shmem::segment::shm_open", "shm_open", name, || {
+            shm_open(&cname, libc::O_RDWR)
         })?;
-        let mut stat: libc::stat = unsafe { std::mem::zeroed() };
-        if unsafe { libc::fstat(fd, &mut stat) } != 0 {
-            let err = ShmError::syscall("fstat", name);
-            unsafe { libc::close(fd) };
-            return Err(err);
-        }
-        Self::finish_open(name, fd, stat.st_size as usize, false)
+        let size = fstat(&file, name)?.len() as usize;
+        Self::finish_open(name, file, size, false)
     }
 
-    fn finish_open(
-        name: &str,
-        fd: libc::c_int,
-        size: usize,
-        truncate: bool,
-    ) -> ShmResult<ShmSegment> {
+    fn finish_open(name: &str, file: File, size: usize, truncate: bool) -> ShmResult<ShmSegment> {
         if truncate {
             let grown = retry_transient("shmem::segment::ftruncate", "ftruncate", name, || {
-                if unsafe { libc::ftruncate(fd, size as libc::off_t) } != 0 {
-                    Err(std::io::Error::last_os_error())
-                } else {
-                    Ok(())
-                }
+                file.set_len(size as u64)
             });
             if let Err(err) = grown {
-                unsafe {
-                    libc::close(fd);
-                }
+                drop(file);
                 // A failed create should not leave the name behind.
                 let _ = Self::unlink(name);
                 return Err(err);
@@ -186,18 +185,16 @@ impl ShmSegment {
                 map_len,
                 libc::PROT_READ | libc::PROT_WRITE,
                 libc::MAP_SHARED,
-                fd,
+                file.as_raw_fd(),
                 0,
             )
         };
         if ptr == libc::MAP_FAILED {
-            let err = ShmError::syscall("mmap", name);
-            unsafe { libc::close(fd) };
-            return Err(err);
+            return Err(ShmError::syscall("mmap", name));
         }
         Ok(ShmSegment {
             name: name.to_owned(),
-            fd,
+            file,
             ptr: NonNull::new(ptr as *mut u8).expect("mmap returned non-null"),
             len: size,
         })
@@ -224,15 +221,18 @@ impl ShmSegment {
         unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Mutable view of the whole segment.
+    /// Mutable view of the whole segment, for in-place edits of a mapped
+    /// region (the metadata region's valid bit, tests that tear bytes).
+    /// Images are written through the descriptor by
+    /// [`crate::SegmentWriter`], never through this view.
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: as above; &mut self gives in-process exclusivity.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
     }
 
-    /// Resize the segment (grow or shrink) and remap. Figure 6's shutdown
-    /// loop grows the table segment as row blocks are appended; Figure 7's
-    /// restore truncates it as data is copied back out.
+    /// Resize the segment (grow or shrink) and remap. An image writer
+    /// sizes its segment once this way, in [`crate::SegmentWriter::finish`],
+    /// after writing it through the descriptor.
     pub fn resize(&mut self, new_size: usize) -> ShmResult<()> {
         if new_size == self.len {
             return Ok(());
@@ -241,13 +241,9 @@ impl ShmSegment {
             return Err(ShmError::injected("shmem::segment::resize", &self.name));
         }
         self.unmap();
-        let fd = self.fd;
+        let file = &self.file;
         retry_transient("shmem::segment::ftruncate", "ftruncate", &self.name, || {
-            if unsafe { libc::ftruncate(fd, new_size as libc::off_t) } != 0 {
-                Err(std::io::Error::last_os_error())
-            } else {
-                Ok(())
-            }
+            file.set_len(new_size as u64)
         })?;
         let map_len = new_size.max(1);
         let ptr = unsafe {
@@ -256,7 +252,7 @@ impl ShmSegment {
                 map_len,
                 libc::PROT_READ | libc::PROT_WRITE,
                 libc::MAP_SHARED,
-                self.fd,
+                self.file.as_raw_fd(),
                 0,
             )
         };
@@ -344,7 +340,7 @@ impl ShmSegment {
         }
         let rc = unsafe {
             libc::fallocate(
-                self.fd,
+                self.file.as_raw_fd(),
                 libc::FALLOC_FL_PUNCH_HOLE | libc::FALLOC_FL_KEEP_SIZE,
                 offset as libc::off_t,
                 len as libc::off_t,
@@ -360,11 +356,12 @@ impl ShmSegment {
     /// which shrinks as holes are punched. Used by the footprint
     /// experiment (E3).
     pub fn resident_bytes(&self) -> ShmResult<usize> {
-        let mut stat: libc::stat = unsafe { std::mem::zeroed() };
-        if unsafe { libc::fstat(self.fd, &mut stat) } != 0 {
-            return Err(ShmError::syscall("fstat", &self.name));
-        }
-        Ok(stat.st_blocks as usize * 512)
+        Ok(fstat(&self.file, &self.name)?.blocks() as usize * 512)
+    }
+
+    /// The segment's descriptor, for [`crate::SegmentWriter`].
+    pub(crate) fn file(&self) -> &File {
+        &self.file
     }
 
     /// Remove the segment *name* from the system. Existing mappings stay
@@ -410,10 +407,8 @@ impl ShmSegment {
 impl Drop for ShmSegment {
     fn drop(&mut self) {
         self.unmap();
-        unsafe {
-            libc::close(self.fd);
-        }
-        // Deliberately NOT shm_unlink: the data must outlive this process.
+        // The File closes the descriptor. Deliberately NOT shm_unlink: the
+        // data must outlive this process.
     }
 }
 

@@ -94,9 +94,11 @@ mod tests {
 
     fn make_segment(name: &str, payload: &[u8]) -> ShmSegment {
         let _ = ShmSegment::unlink(name);
-        let mut w = SegmentWriter::new(ShmSegment::create(name, 0).unwrap());
+        let mut seg = ShmSegment::create(name, 0).unwrap();
+        let mut w = SegmentWriter::new(&mut seg);
         w.write(payload).unwrap();
-        w.finish().unwrap()
+        w.finish().unwrap();
+        seg
     }
 
     // These two assert on what *this* view's release did: sibling tests

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CI steps that must run by name: experiment smokes that carry their
-# own asserts, and suites run again under another env or profile than
-# tier-1. Each section below was one CI job and keeps that job's env.
+# own asserts, suites run again under another env or profile than tier-1,
+# and the ledger smoke. Each section below was one CI job and keeps that
+# job's env.
 #
 #   scripts/ci_smoke.sh               every section but `crash`
 #   scripts/ci_smoke.sh crash [...]   only the named sections
@@ -118,9 +119,24 @@ serving() (
     cargo run --release --example error_monitoring
 )
 
+# The ledger (benchmark/, a workspace of its own) at smoke size: every
+# workload untraced, then traced, each answer checked against the
+# generator's brute-force oracle. run.sh already exits non-zero when an
+# operation fails; the result set is checked again so a run that wrote
+# failures or wrong answers can never pass.
+ledger() (
+    dir="$(mktemp -d)"
+    trap 'rm -rf "$dir"' EXIT
+    benchmark/run.sh --smoke --out "$dir/ledger-smoke.json"
+    if grep -Eo '"ops_failed": ([1-9]|null)|"correct": false' "$dir/ledger-smoke.json" >&2; then
+        echo "ledger: failed operations or wrong answers" >&2
+        exit 1
+    fi
+)
+
 sections=("$@")
 if [ ${#sections[@]} -eq 0 ]; then
-    sections=(observability format_compat scan_kernels self_telemetry tiered_storage serving)
+    sections=(observability format_compat scan_kernels self_telemetry tiered_storage serving ledger)
 fi
 for section in "${sections[@]}"; do
     if ! declare -F "$section" >/dev/null; then

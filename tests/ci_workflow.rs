@@ -14,7 +14,8 @@
 //!    `": "` or `" #"` (a `host:: hosted::` filter once made the whole
 //!    file invalid, so CI ran nothing at all);
 //! 4. the workflow names no test: what must run by name lives in the
-//!    script, and each script section the workflow calls exists.
+//!    script, and each script section the workflow calls, or the script
+//!    runs by default, exists.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -452,6 +453,11 @@ fn smoke_script() -> String {
     fs::read_to_string(repo_root().join(SMOKE_SCRIPT)).unwrap()
 }
 
+/// True if the smoke script defines a section (a function) `name`.
+fn has_section(script: &str, name: &str) -> bool {
+    script.contains(&format!("\n{name}() ("))
+}
+
 /// Every command line of a shell script, as a [`RunValue`] each: comments
 /// and blank lines skipped, `\`-continued lines joined.
 fn script_commands(script: &str) -> Vec<RunValue> {
@@ -493,11 +499,24 @@ fn workflow_names_existing_targets_and_tests() {
     for call in calls {
         for section in call.text.split_whitespace().skip(1) {
             assert!(
-                script.contains(&format!("\n{section}() (")),
+                has_section(&script, section),
                 "line {}: {SMOKE_SCRIPT} has no section {section:?}",
                 call.line
             );
         }
+    }
+    // So does the script's own no-argument list.
+    let defaults = script
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("sections=("))
+        .find(|l| !l.contains('$'))
+        .and_then(|l| l.strip_suffix(')'))
+        .expect("the script has a default section list");
+    for section in defaults.split_whitespace() {
+        assert!(
+            has_section(&script, section),
+            "{SMOKE_SCRIPT}'s default list names no section {section:?}"
+        );
     }
 }
 
