@@ -178,8 +178,8 @@ fn run_mix(server: &LeafServer) -> f64 {
 }
 
 /// Heap vs mapped: the same mix through `LeafServer::query`, first over
-/// the live heap table, then over the attached (still-mapped, OnAccess)
-/// table — which stays mapped because nothing polls hydration.
+/// the live heap table, then over the attached table — a planned image,
+/// which the leaf keeps serving in place.
 fn heap_vs_mapped(rows: usize, reps: usize, assert_ratio: bool, json: &mut BenchJson) {
     println!("\n-- in-place mapped scans vs heap scans ({rows} rows) --\n");
     let mut rig = LeafRig::new("e17m");
@@ -199,11 +199,10 @@ fn heap_vs_mapped(rows: usize, reps: usize, assert_ratio: bool, json: &mut Bench
         .map(|(_, q)| server.query(q).expect("heap query"))
         .collect();
 
-    // Attach with parked hydration: queries scan the mapped bytes in
-    // place. The first pass pays verify-on-first-touch (CRC per block),
-    // later passes skip it — report both.
+    // Attach: queries scan the mapped bytes in place. The first pass
+    // pays verify-on-first-touch (CRC per block), later passes skip it —
+    // report both.
     rig.config.restore_mode = RestoreMode::TwoPhase;
-    rig.config.hydration = HydrationMode::OnAccess;
     server.shutdown_to_shm(0).expect("shutdown");
     drop(server);
     let (server, outcome) = LeafServer::start(rig.config.clone(), 0, None).expect("start");
@@ -259,10 +258,14 @@ fn heap_vs_mapped(rows: usize, reps: usize, assert_ratio: bool, json: &mut Bench
 /// Access-driven hydration under a live query mix: a hot table is
 /// queried (and hydrates first), a cold table is never touched — it
 /// must end the run fully mapped with zero bytes copied, and both
-/// tables' results must match `Eager` mode exactly.
+/// tables' results must match `Eager` mode exactly. Hydration is the
+/// crash path's: the leaf commits a checkpoint image and is killed, and
+/// its replacement attaches that image (a planned image is kept in
+/// place, never hydrated).
 fn lazy_hydration(rows_per_table: usize, json: &mut BenchJson) {
     println!("\n-- OnAccess hydration under a live mix ({rows_per_table} rows/table) --\n");
     let mut rig = LeafRig::new("e17h");
+    rig.config.checkpoint_enabled = true;
     let mut server = LeafServer::new(rig.config.clone()).expect("boot leaf");
     for (kind, seed) in [
         (WorkloadKind::Requests, 7001),
@@ -290,13 +293,15 @@ fn lazy_hydration(rows_per_table: usize, json: &mut BenchJson) {
 
     rig.config.restore_mode = RestoreMode::TwoPhase;
     rig.config.hydration = HydrationMode::OnAccess;
-    server.shutdown_to_shm(0).expect("shutdown");
+    server.checkpoint_and_wait().expect("checkpoint");
+    server.crash();
     drop(server);
 
     let t = Instant::now();
     let (mut server, outcome) = LeafServer::start(rig.config.clone(), 0, None).expect("start");
     let attach_secs = t.elapsed().as_secs_f64();
     assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+    assert!(server.is_hydrating());
     let total_blocks = server.hydration_pending();
     let cold = server.store().map().get("error_logs").expect("cold table");
     let cold_blocks = cold.blocks().len();
@@ -347,10 +352,12 @@ fn lazy_hydration(rows_per_table: usize, json: &mut BenchJson) {
     // Eager control: the classic phase-two restore of the same image
     // must agree on every result.
     rig.config.hydration = HydrationMode::Eager;
-    server.shutdown_to_shm(0).expect("shutdown");
+    server.checkpoint_and_wait().expect("checkpoint");
+    server.crash();
     drop(server);
     let (mut server, outcome) = LeafServer::start(rig.config.clone(), 0, None).expect("start");
-    assert!(outcome.is_memory());
+    assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+    assert!(server.is_hydrating());
     server.finish_hydration().expect("finish");
     assert_eq!(
         server.query(&cold_query).expect("eager cold"),

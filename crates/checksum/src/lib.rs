@@ -140,6 +140,17 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
+    /// Resume a checksum already finished: a hasher whose state is the
+    /// one that produced `crc`, so feeding it more bytes yields the CRC of
+    /// the original input followed by them. This is how a row block
+    /// column's frame CRC is derived from its seal-time footer CRC without
+    /// reading the payload again.
+    pub fn resume(crc: u32) -> Self {
+        Crc32 {
+            state: crc ^ 0xFFFF_FFFF,
+        }
+    }
+
     /// Feed bytes into the hasher.
     pub fn update(&mut self, bytes: &[u8]) {
         self.state = advance(self.state, bytes);
@@ -188,6 +199,17 @@ mod tests {
         h.update(&data[..5]);
         h.update(&data[5..]);
         assert_eq!(h.finish(), crc32(data));
+    }
+
+    #[test]
+    fn resume_continues_a_finished_checksum() {
+        let buf = random_bytes(0x0BAD_5EED, 4096 + 13);
+        for split in [0, 1, 8, 63, 64, 65, 1000, 4096, buf.len()] {
+            let mut h = Crc32::resume(crc32(&buf[..split]));
+            h.update(&buf[split..]);
+            assert_eq!(h.finish(), crc32_scalar(&buf), "split at {split}");
+        }
+        assert_eq!(Crc32::resume(crc32(b"")).finish(), 0);
     }
 
     /// Seeded splitmix64 byte stream for the differential tests.

@@ -22,7 +22,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scuba_columnstore::Row;
-use scuba_leaf::{LeafConfig, LeafPhase, LeafServer, RestoreMode, TieringMode, WriterCompat};
+use scuba_leaf::{
+    LeafConfig, LeafPhase, LeafServer, RecoveryOutcome, RestoreMode, TieringMode, WriterCompat,
+};
 use scuba_query::Query;
 use scuba_shmem::{ShmNamespace, ShmSegment};
 
@@ -604,31 +606,35 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         };
         server = new_server;
 
-        // Two-phase waves come back serving over mapped segments. Check
-        // query fidelity *mid-hydration* (the zero-copy read path), then
-        // drive hydration to completion like a serving event loop would.
-        if server.is_hydrating() {
+        // Two-phase waves come back serving over mapped segments: a
+        // checkpoint image (crash waves) while it hydrates, a planned one
+        // for good. Check query fidelity over the mapped bytes (the
+        // zero-copy read path), then drive any hydration to completion
+        // like a serving event loop would.
+        if matches!(outcome, RecoveryOutcome::MemoryAttached(_)) {
+            let stage = if server.is_hydrating() {
+                "mid-hydration"
+            } else {
+                "kept-image"
+            };
             let mapped = server
                 .query(&Query::new("data", 0, i64::MAX))
-                .map_err(|e| err(wave, "mid-hydration query", e))?;
+                .map_err(|e| err(wave, "mapped query", e))?;
             if mapped.rows_matched as usize != durable_data {
                 return Err(err(
                     wave,
-                    "mid-hydration query mismatch",
-                    format!("matched {} != durable {durable_data}", mapped.rows_matched),
+                    "mapped query mismatch",
+                    format!(
+                        "{stage}: matched {} != durable {durable_data}",
+                        mapped.rows_matched
+                    ),
                 ));
             }
-            // Concurrent readers over the mapped (zero-copy) segments
-            // while background hydration is still running.
+            // Concurrent readers over the mapped (zero-copy) segments,
+            // while background hydration is still running if it is.
             if cfg.loadgen {
-                report.load_legs += load_burst(
-                    &server,
-                    wave,
-                    "mid-hydration",
-                    cfg.seed,
-                    durable_data,
-                    durable_aux,
-                )?;
+                report.load_legs +=
+                    load_burst(&server, wave, stage, cfg.seed, durable_data, durable_aux)?;
             }
             server
                 .finish_hydration()
@@ -765,13 +771,22 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
 
         // --- Invariant 3: nothing orphaned in /dev/shm. The new leaf's
         // checkpointer has not written an image yet at this point, so any
-        // checkpoint segment on either parity is a leak from the wave. ---
+        // checkpoint segment on either parity is a leak from the wave. A
+        // table segment is linked only while the leaf serves the planned
+        // image it kept: exactly the segments its kept images map. ---
         if ShmSegment::exists(&ns.metadata_name()) {
             return Err(err(wave, "orphan segment", ns.metadata_name()));
         }
+        let kept = server.store().image_segments();
         for i in 0..8 {
-            if ShmSegment::exists(&ns.table_segment_name(i)) {
-                return Err(err(wave, "orphan segment", ns.table_segment_name(i)));
+            let name = ns.table_segment_name(i);
+            if ShmSegment::exists(&name) != kept.contains(&name) {
+                let what = if kept.contains(&name) {
+                    "kept segment unlinked under its leaf"
+                } else {
+                    "orphan segment"
+                };
+                return Err(err(wave, what, name));
             }
             for parity in 0..2 {
                 if ShmSegment::exists(&ns.checkpoint_segment_name(parity, i)) {

@@ -486,6 +486,7 @@ mod tests {
     static COUNTER: AtomicU32 = AtomicU32::new(0);
 
     fn config(tag: &str) -> (LeafConfig, Guard) {
+        let faults = crate::hosted::tests::faults_lock();
         let id = COUNTER.fetch_add(1, Ordering::Relaxed);
         let prefix = format!("host{tag}{}", std::process::id());
         let dir =
@@ -496,6 +497,7 @@ mod tests {
             Guard {
                 ns: scuba_shmem::ShmNamespace::new(&prefix, id).unwrap(),
                 dir,
+                _faults: faults,
             },
         )
     }
@@ -503,6 +505,7 @@ mod tests {
     struct Guard {
         ns: scuba_shmem::ShmNamespace,
         dir: PathBuf,
+        _faults: crate::hosted::tests::FaultsLock,
     }
     impl Drop for Guard {
         fn drop(&mut self) {

@@ -371,6 +371,35 @@ pub(crate) mod tests {
 
     static COUNTER: AtomicU32 = AtomicU32::new(0);
 
+    std::thread_local! {
+        static FAULTS_HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    /// Serializes this crate's leaf-driving tests with its chaos soaks:
+    /// the failpoint registry is process-wide, so a fault a soak arms for
+    /// its own leaf would otherwise fire in a sibling test's leaf (and the
+    /// soak's deterministic wave trace would lose it). Re-entrant within a
+    /// thread, since a test may build two clusters; taken before
+    /// `scuba_obs::exclusive()`, in the soaks' order.
+    pub(crate) struct FaultsLock(Option<std::sync::MutexGuard<'static, ()>>);
+
+    pub(crate) fn faults_lock() -> FaultsLock {
+        if FAULTS_HELD.get() {
+            return FaultsLock(None);
+        }
+        let guard = scuba_faults::exclusive();
+        FAULTS_HELD.set(true);
+        FaultsLock(Some(guard))
+    }
+
+    impl Drop for FaultsLock {
+        fn drop(&mut self) {
+            if self.0.is_some() {
+                FAULTS_HELD.set(false);
+            }
+        }
+    }
+
     pub(crate) fn hosted(machines: usize, leaves: usize) -> (HostedCluster, Guard) {
         hosted_with(machines, leaves, AdmissionConfig::default())
     }
@@ -380,6 +409,7 @@ pub(crate) mod tests {
         leaves: usize,
         admission: AdmissionConfig,
     ) -> (HostedCluster, Guard) {
+        let faults = faults_lock();
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let prefix = format!("hc{}x{n}", std::process::id());
         let dir = std::env::temp_dir().join(format!("scuba_hc_{prefix}"));
@@ -402,6 +432,7 @@ pub(crate) mod tests {
                 prefix,
                 dir,
                 total: machines * leaves,
+                _faults: faults,
             },
         )
     }
@@ -410,6 +441,7 @@ pub(crate) mod tests {
         prefix: String,
         dir: std::path::PathBuf,
         total: usize,
+        _faults: FaultsLock,
     }
     impl Drop for Guard {
         fn drop(&mut self) {

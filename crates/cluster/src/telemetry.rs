@@ -413,6 +413,7 @@ mod tests {
     fn query_dashboard_matches_registry_dashboard_through_a_wave() {
         // Span-draining + registry-reading test: serialize with other
         // ring consumers (the sampler drains the process-global ring).
+        let _f = crate::hosted::tests::faults_lock();
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
         let (c, _g) = hosted(2, 2);
@@ -453,6 +454,7 @@ mod tests {
     fn one_query_reconstructs_a_rollover_trace() {
         // Consumes the span ring: serialize with other ring consumers and
         // widen the ring so parallel tests' spans can't evict ours.
+        let _f = crate::hosted::tests::faults_lock();
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
         scuba_obs::set_span_capacity(8192);
@@ -492,6 +494,7 @@ mod tests {
 
     #[test]
     fn exporter_sheds_and_never_blocks() {
+        let _f = crate::hosted::tests::faults_lock();
         let _x = scuba_obs::exclusive();
         scuba_obs::set_enabled(true);
         let (c, _g) = hosted(1, 2);

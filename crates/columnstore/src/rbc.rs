@@ -32,7 +32,7 @@ use crate::column::{ColumnData, ColumnValues};
 use crate::encoding::{bitpack, delta, dictionary, lz, shuffle, varint, CompressionCode};
 use crate::error::{Error, Result};
 use crate::types::ColumnType;
-use scuba_checksum::crc32;
+use scuba_checksum::{crc32, Crc32};
 
 /// "RBC\0" little-endian.
 pub const RBC_MAGIC: u32 = 0x0043_4252;
@@ -462,6 +462,21 @@ impl RowBlockColumn {
         self.verify_end_magic()
     }
 
+    /// CRC-32 of the whole buffer — what a frame around it records —
+    /// derived from the footer: the seal-time CRC of everything before the
+    /// footer, resumed over the footer's own 8 bytes. O(1): the payload is
+    /// not read, so a byte that changed after seal makes this disagree with
+    /// the bytes rather than vouch for them. Every constructor checked that
+    /// the footer closes the buffer, so it is found without a parse.
+    pub fn frame_crc(&self) -> u32 {
+        let buf = self.bytes();
+        let footer_bytes = &buf[buf.len() - FOOTER_SIZE..];
+        let sealed = u32::from_le_bytes(footer_bytes[..4].try_into().unwrap());
+        let mut crc = Crc32::resume(sealed);
+        crc.update(footer_bytes);
+        crc.finish()
+    }
+
     /// Check only the end-of-buffer magic (the last 4 bytes): an O(1)
     /// structural guard against truncation, without the O(n) CRC pass.
     fn verify_end_magic(&self) -> Result<()> {
@@ -769,7 +784,28 @@ mod tests {
         let adopted =
             RowBlockColumn::from_bytes(rbc.as_bytes().to_vec().into_boxed_slice()).unwrap();
         assert_eq!(adopted.decode().unwrap(), *data);
+        // The derived frame CRC is the one-shot CRC of the whole buffer,
+        // for every type and encoding this runs over, heap or mapped.
+        assert_eq!(rbc.frame_crc(), crc32(rbc.as_bytes()));
+        let backing: Arc<dyn AsRef<[u8]> + Send + Sync> = Arc::new(rbc.as_bytes().to_vec());
+        let mapped = RowBlockColumn::from_mapped(backing, 0, rbc.len_bytes()).unwrap();
+        assert_eq!(mapped.frame_crc(), crc32(rbc.as_bytes()));
         rbc
+    }
+
+    #[test]
+    fn frame_crc_does_not_bless_a_byte_changed_after_seal() {
+        let values: Vec<String> = (0..300).map(|i| format!("v{}", i % 7)).collect();
+        let rbc =
+            RowBlockColumn::encode(&ColumnData::from_values(ColumnValues::Str(values))).unwrap();
+        let sealed = rbc.frame_crc();
+        let mut bytes = rbc.as_bytes().to_vec();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        let flipped = RowBlockColumn::from_bytes_trusted(bytes.clone().into_boxed_slice()).unwrap();
+        // Still the seal-time CRC: it no longer matches the bytes.
+        assert_eq!(flipped.frame_crc(), sealed);
+        assert_ne!(flipped.frame_crc(), crc32(&bytes));
     }
 
     #[test]

@@ -41,12 +41,12 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use scuba_columnstore::{RowBlock, Schema};
-use scuba_restart::framing::{end_header_v2, TAG_UNIT_NAME};
+use scuba_restart::framing::{end_header_v2, FRAME_HEADER_V2, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
 use scuba_restart::{ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
 use scuba_shmem::{LeafMetadata, SegmentEntry, SegmentWriter, ShmNamespace, ShmResult, ShmSegment};
 
-use crate::image::{self, MANIFEST_VERSION};
+use crate::image::{self, Frontier, MANIFEST_VERSION};
 use crate::persist::LeafStore;
 
 /// Registry-entry flag marking a segment as part of the continuous
@@ -275,23 +275,18 @@ struct SegState {
     index: usize,
     name: String,
     segment: ShmSegment,
-    /// Sealed blocks currently persisted.
-    sealed_count: usize,
+    /// The sealed blocks persisted, where their frames end (the start of
+    /// the open/END tail) and where the manifest frame sits.
+    frontier: Frontier,
     /// How many of those sealed blocks were cold (checkpointed as refs).
     /// Demotion swaps a block *inside* the immutable sealed prefix, so a
     /// changed cold count forces a full rewrite.
     cold_count: usize,
     /// Rows (sealed + open) covered by the committed frames.
     rows: u64,
-    /// Offset where sealed-block frames end (start of the open/END tail).
-    sealed_end: usize,
-    /// Offset of the manifest frame header.
-    manifest_off: usize,
     /// Serialized manifest schema (payload minus the block-count word);
     /// any difference forces a full rewrite.
     schema_bytes: Vec<u8>,
-    /// Bytes in use through the END frame.
-    used: usize,
 }
 
 /// The background worker: owns the metadata handle, the per-table segment
@@ -398,19 +393,19 @@ impl Worker {
                 // counts mean nothing changed.
                 Some(st)
                     if st.rows == snap.rows
-                        && st.sealed_count == snap.sealed.len()
+                        && st.frontier.blocks == snap.sealed.len()
                         && st.cold_count == cold_count =>
                 {
                     Action::Skip
                 }
                 // The incremental path appends after the persisted prefix,
                 // so the *prefix* must be untouched: same schema and no
-                // demotion among the first `sealed_count` blocks (appended
+                // demotion among the first `frontier.blocks` blocks (appended
                 // blocks may be cold — `write_block` handles them).
                 Some(st)
                     if st.schema_bytes == schema_bytes
-                        && st.sealed_count <= snap.sealed.len()
-                        && snap.sealed[..st.sealed_count]
+                        && st.frontier.blocks <= snap.sealed.len()
+                        && snap.sealed[..st.frontier.blocks]
                             .iter()
                             .filter(|b| b.is_cold())
                             .count()
@@ -443,13 +438,14 @@ impl Worker {
                                 index,
                                 name,
                                 segment,
-                                sealed_count: 0,
+                                frontier: Frontier {
+                                    blocks: 0,
+                                    end: 0,
+                                    manifest_off: 0,
+                                },
                                 cold_count: 0,
                                 rows: 0,
-                                sealed_end: 0,
-                                manifest_off: 0,
                                 schema_bytes: Vec::new(),
-                                used: 0,
                             },
                         );
                     }
@@ -543,56 +539,45 @@ fn full_write(st: &mut SegState, snap: &TableSnapshot, schema_bytes: Vec<u8>) ->
     for block in &snap.sealed {
         image::write_block(block, &mut w)?;
     }
-    let sealed_end = w.position();
+    let end = w.position();
     if let Some(open) = &snap.open {
         image::write_block(open, &mut w)?;
     }
     w.write(&end_header_v2())?;
     let used = w.position();
     w.finish()?;
-    st.sealed_count = snap.sealed.len();
+    st.frontier = Frontier {
+        blocks: snap.sealed.len(),
+        end,
+        manifest_off,
+    };
     st.cold_count = snap.sealed.iter().filter(|b| b.is_cold()).count();
     st.rows = snap.rows;
-    st.sealed_end = sealed_end;
-    st.manifest_off = manifest_off;
     st.schema_bytes = schema_bytes;
-    st.used = used;
     Ok(used as u64)
 }
 
-/// Steady-state incremental update: append blocks sealed since the last
-/// cycle at the cached sealed frontier, rewrite the open-block tail + END
-/// behind them, and patch the manifest's block count in place (same
-/// payload length — the schema part is unchanged by precondition). The
+/// Steady-state incremental update through the one frontier appender
+/// ([`image::append_at_frontier`]): blocks sealed since the last cycle go
+/// at the cached sealed frontier, the open-block tail + END are rewritten
+/// behind them, and the manifest's block count is patched in place. The
 /// immutable prefix of sealed frames is never touched. Returns bytes
 /// written.
 fn incremental_write(st: &mut SegState, snap: &TableSnapshot) -> ShmResult<u64> {
-    let start = st.sealed_end;
-    let mut w = SegmentWriter::at(&mut st.segment, start);
-    for block in &snap.sealed[st.sealed_count..] {
-        image::write_block(block, &mut w)?;
-    }
-    let sealed_end = w.position();
-    if let Some(open) = &snap.open {
-        image::write_block(open, &mut w)?;
-    }
+    let mut w = SegmentWriter::at(&mut st.segment, st.frontier.end);
+    let (frontier, written) = image::append_at_frontier(
+        st.frontier,
+        &snap.sealed,
+        snap.open.as_ref(),
+        &snap.schema,
+        &mut w,
+    )?;
     w.write(&end_header_v2())?;
-    let used = w.position();
-    let tail_written = (used - start) as u64;
-
-    // Rewrite the manifest frame in place. The schema is unchanged (the
-    // precondition), so the frame keeps its length: only the block-count
-    // word and the frame CRC change.
-    let mut manifest = Vec::new();
-    image::write_manifest(block_count(snap), &snap.schema, &mut manifest)?;
-    w.write_at(st.manifest_off, &manifest)?;
     w.finish()?;
-    st.sealed_count = snap.sealed.len();
+    st.frontier = frontier;
     st.cold_count = snap.sealed.iter().filter(|b| b.is_cold()).count();
     st.rows = snap.rows;
-    st.sealed_end = sealed_end;
-    st.used = used;
-    Ok(tail_written + manifest.len() as u64)
+    Ok(written + FRAME_HEADER_V2 as u64)
 }
 
 #[cfg(test)]
@@ -601,6 +586,9 @@ mod tests {
     use scuba_columnstore::Row;
     use scuba_restart::{restore_from_shm, RestoreError};
     use std::sync::atomic::{AtomicU32, Ordering};
+
+    // Every test here runs cycles through `leaf::checkpoint::write`, which
+    // one of them arms process-wide: each holds `scuba_faults::exclusive()`.
 
     static COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -658,6 +646,7 @@ mod tests {
 
     #[test]
     fn checkpoint_image_restores_sealed_and_open_rows() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
@@ -681,6 +670,7 @@ mod tests {
 
     #[test]
     fn steady_state_cycles_are_incremental_and_skip_unchanged() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
@@ -722,6 +712,7 @@ mod tests {
 
     #[test]
     fn open_block_churn_rewrites_only_the_tail() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
@@ -744,6 +735,7 @@ mod tests {
 
     #[test]
     fn schema_change_forces_full_rewrite_and_restores() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
@@ -810,6 +802,7 @@ mod tests {
 
     #[test]
     fn teardown_unlinks_image_abandon_keeps_it() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
@@ -832,6 +825,7 @@ mod tests {
 
     #[test]
     fn dropped_table_leaves_registry_and_segment() {
+        let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();

@@ -37,8 +37,14 @@ pub const TAG_STRANGER: u16 = 0x7A7A;
 
 /// Append one legacy (pre-TLV) frame: `len u64 | crc u32 | payload`.
 fn frame_v1(out: &mut Vec<u8>, payload: &[u8]) {
+    frame_v1_crc(out, payload, crc32(payload));
+}
+
+/// [`frame_v1`] with the payload's CRC already in hand (a column's,
+/// derived from its footer).
+fn frame_v1_crc(out: &mut Vec<u8>, payload: &[u8], crc: u32) {
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -58,7 +64,7 @@ pub fn v1_unit_stream(table: &Table) -> Vec<u8> {
     for block in table.blocks() {
         frame_v1(&mut out, &prelude(block));
         for column in block.columns() {
-            frame_v1(&mut out, column.as_bytes());
+            frame_v1_crc(&mut out, column.as_bytes(), column.frame_crc());
         }
     }
     out.extend_from_slice(&END_SENTINEL_V1.to_le_bytes());
@@ -107,7 +113,12 @@ pub fn aged_v2_unit_stream(table: &Table, opts: &AgedImageOptions) -> Vec<u8> {
     for block in table.blocks() {
         frame_v2(&mut out, ChunkDesc::new(TAG_PRELUDE, 1), &prelude(block));
         for column in block.columns() {
-            frame_v2(&mut out, ChunkDesc::new(TAG_COLUMN, 1), column.as_bytes());
+            out.put_chunk_crc(
+                ChunkDesc::new(TAG_COLUMN, 1),
+                column.as_bytes(),
+                column.frame_crc(),
+            )
+            .expect("a heap buffer takes any frame");
         }
     }
     out.extend_from_slice(&end_header_v2());

@@ -11,14 +11,18 @@ pub enum RestoreMode {
     /// Classic Figure-7 restore: copy every chunk shm→heap before serving.
     Full,
     /// Two-phase zero-copy restore: *attach* segments read-only and serve
-    /// queries over the mapped bytes immediately, then *hydrate* tables to
-    /// heap in background workers, unlinking each segment when its last
-    /// mapped reference drops.
+    /// queries over the mapped bytes immediately. A planned image is then
+    /// kept: its blocks stay mapped for the life of the process and the
+    /// next planned shutdown appends only what is new to its segments. The
+    /// crash path's checkpoint image is *hydrated* to heap in background
+    /// workers instead, each segment unlinked when its last mapped
+    /// reference drops.
     TwoPhase,
 }
 
 /// When the background hydrator copies mapped blocks to heap after a
-/// [`RestoreMode::TwoPhase`] attach.
+/// [`RestoreMode::TwoPhase`] attach of a checkpoint image (a planned
+/// image is never hydrated).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HydrationMode {
     /// Copy every mapped block as fast as the pool allows (the classic

@@ -17,9 +17,19 @@
 //!
 //! The shutdown backup (`LeafStore::backup_extracted`) and the
 //! checkpointer write through the same two functions, so their images of
-//! the same blocks are byte-identical. The copying restore (heap chunks)
-//! and the zero-copy attach (windows into the mapping) read through the
-//! same walker, generic over [`Chunk`]. Decode is tag-driven: older chunk
+//! the same blocks are byte-identical. Both extend an image they already
+//! hold through **one appender** (`append_at_frontier`): the
+//! checkpointer's incremental cycle, and the shutdown of a leaf that kept
+//! serving the planned image it attached. A column chunk's frame CRC is
+//! the column's own, derived from its seal-time footer
+//! (`RowBlockColumn::frame_crc`): no writer reads a column payload to
+//! checksum it, and a byte that changed after seal fails the frame.
+//!
+//! The copying restore (heap chunks) and the zero-copy attach (windows
+//! into the mapping) read through the same walker, generic over
+//! [`Chunk`]; read from windows, a table also comes with its `Layout`
+//! in the mapping, which a kept image is extended by. Decode is
+//! tag-driven: older chunk
 //! versions are upgraded through the [`ShimRegistry`], unknown skippable
 //! chunks are ignored, and an unknown *required* chunk is a per-table
 //! incompatibility ([`PersistError::Incompatible`]) — the protocol skips
@@ -30,13 +40,14 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 use scuba_columnstore::{
     ColdRef, RowBlock, RowBlockColumn, RowBlockHeader, Schema, Table, ZoneMap,
 };
-use scuba_restart::framing::TAG_STORE_BASE;
+use scuba_restart::framing::{FRAME_HEADER_V2, TAG_STORE_BASE};
 use scuba_restart::migrate::{MigrateError, ShimRegistry};
 use scuba_restart::{ChunkDesc, ChunkSink, ChunkSource, MappedChunk, MappedChunkSource};
 use scuba_shmem::ShmError;
@@ -285,12 +296,76 @@ pub(crate) fn write_block(block: &RowBlock, sink: &mut dyn ChunkSink) -> Result<
         return Ok(());
     }
     for column in block.columns() {
-        sink.put_chunk(
+        sink.put_chunk_crc(
             ChunkDesc::new(TAG_COLUMN, COLUMN_VERSION),
             column.as_bytes(),
+            column.frame_crc(),
         )?;
     }
     Ok(())
+}
+
+/// Where a table image's sealed blocks end: what [`append_at_frontier`]
+/// needs to extend the image in place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frontier {
+    /// Sealed blocks the image holds.
+    pub(crate) blocks: usize,
+    /// Offset where their frames end: the next block's frame lands here.
+    pub(crate) end: usize,
+    /// Offset of the manifest frame's header.
+    pub(crate) manifest_off: usize,
+}
+
+/// The one frontier appender. Through `sink`, which stands at
+/// `frontier.end`, write the blocks sealed since (`sealed[frontier.blocks..]`),
+/// then `open` as an ordinary final block; then patch the manifest frame
+/// in place with the new block count. The schema must be the one the
+/// image was written with — the patched frame keeps its length, and the
+/// frames before the frontier are never touched. The caller writes END
+/// and trims. Returns the new frontier and the bytes written, END aside.
+pub(crate) fn append_at_frontier(
+    frontier: Frontier,
+    sealed: &[Arc<RowBlock>],
+    open: Option<&RowBlock>,
+    schema: &Schema,
+    sink: &mut dyn ChunkSink,
+) -> Result<(Frontier, u64), ShmError> {
+    debug_assert_eq!(sink.position(), frontier.end);
+    for block in &sealed[frontier.blocks..] {
+        write_block(block, sink)?;
+    }
+    let end = sink.position();
+    if let Some(open) = open {
+        write_block(open, sink)?;
+    }
+    let appended = sink.position() - frontier.end;
+    let mut manifest = Vec::new();
+    write_manifest(
+        sealed.len() as u64 + u64::from(open.is_some()),
+        schema,
+        &mut manifest,
+    )?;
+    sink.patch(frontier.manifest_off, &manifest)?;
+    let next = Frontier {
+        blocks: sealed.len(),
+        end,
+        manifest_off: frontier.manifest_off,
+    };
+    Ok((next, (appended + manifest.len()) as u64))
+}
+
+/// Where a table read from windows into a mapping sits in that mapping —
+/// what a store needs to keep serving the image and extend it later.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Layout {
+    /// The image's sealed frontier.
+    pub(crate) frontier: Frontier,
+    /// The manifest's schema snapshot as written: a table whose schema
+    /// still serializes to these bytes may have its manifest patched.
+    pub(crate) schema: Vec<u8>,
+    /// Each block's frames, first header to last payload byte.
+    pub(crate) blocks: Vec<Range<usize>>,
 }
 
 /// One chunk as [`read_table`] sees it: a heap copy (restore) or a window
@@ -306,6 +381,8 @@ pub(crate) trait Chunk {
     /// the first toucher (`RowBlockColumn::verify_checksum`, once per
     /// column).
     fn mapped_column(&self) -> Option<scuba_columnstore::Result<RowBlockColumn>>;
+    /// The payload's byte range in the mapping, for a window into one.
+    fn span(&self) -> Option<Range<usize>>;
 }
 
 impl Chunk for (ChunkDesc, Vec<u8>) {
@@ -318,6 +395,10 @@ impl Chunk for (ChunkDesc, Vec<u8>) {
     }
 
     fn mapped_column(&self) -> Option<scuba_columnstore::Result<RowBlockColumn>> {
+        None
+    }
+
+    fn span(&self) -> Option<Range<usize>> {
         None
     }
 }
@@ -337,6 +418,10 @@ impl Chunk for MappedChunk {
             self.offset,
             self.len,
         ))
+    }
+
+    fn span(&self) -> Option<Range<usize>> {
+        Some(self.offset..self.offset + self.len)
     }
 }
 
@@ -398,6 +483,9 @@ struct Walker<C: Chunks> {
     /// A chunk pulled but not yet consumed: the first one, or whatever a
     /// zone probe found instead of a zone map.
     pending: Option<C::Chunk>,
+    /// Where the last consumed chunk's payload ends in the mapping, while
+    /// every chunk so far was a window into one.
+    consumed_end: Option<usize>,
 }
 
 impl<C: Chunks> Walker<C> {
@@ -438,6 +526,7 @@ impl<C: Chunks> Walker<C> {
         } else {
             chunk.desc()
         };
+        self.consumed_end = chunk.span().map(|span| span.end);
         Ok((desc, chunk))
     }
 
@@ -460,6 +549,7 @@ impl<C: Chunks> Walker<C> {
     fn zones(&mut self) -> Result<Option<ZoneMap>, PersistError> {
         match self.next()? {
             Some(chunk) if !self.legacy && chunk.desc().tag == TAG_ZONES => {
+                self.consumed_end = chunk.span().map(|span| span.end);
                 let payload = payload(chunk.desc(), chunk)?;
                 ZoneMap::deserialize(&payload)
                     .map(Some)
@@ -477,51 +567,92 @@ impl<C: Chunks> Walker<C> {
 /// unit-name frame): the restore path hands in heap chunks, attach hands
 /// in windows into the mapping. Every error is the whole unit's; the
 /// protocol classifies it (per-table skip or whole-leaf fallback).
-pub(crate) fn read_table<C: Chunks>(unit: &str, mut chunks: C) -> Result<Table, PersistError> {
+///
+/// Read from windows into a current-format image, the table also comes
+/// with its [`Layout`] in the mapping.
+pub(crate) fn read_table<C: Chunks>(
+    unit: &str,
+    mut chunks: C,
+) -> Result<(Table, Option<Layout>), PersistError> {
     let first = chunks.pull()?;
     let mut w = Walker {
         legacy: first.as_ref().is_some_and(|c| c.desc().is_legacy()),
         pending: first,
         chunks,
+        consumed_end: None,
     };
     // The schema snapshot is advisory on read — blocks carry their own
     // schemas — but it must parse: it is the writer's view of the columns.
     let (desc, chunk) = w.expect(TAG_MANIFEST, "manifest")?;
-    let (n_blocks, _snapshot) = read_manifest(&payload(desc, chunk)?)?;
+    let manifest_at = frame_start(&chunk);
+    let current = !w.legacy && desc.version == MANIFEST_VERSION;
+    let manifest = payload(desc, chunk)?;
+    let (n_blocks, _snapshot) = read_manifest(&manifest)?;
+    let mut layout = manifest_at.filter(|_| current).map(|manifest_off| Layout {
+        frontier: Frontier {
+            blocks: n_blocks as usize,
+            end: w.consumed_end.unwrap_or_default(),
+            manifest_off,
+        },
+        schema: manifest[8..].to_vec(),
+        blocks: Vec::new(),
+    });
 
     let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20) as usize);
     let mut cold_maps = ColdMaps::new();
     for _ in 0..n_blocks {
         let (desc, chunk) = w.next_at(TAG_PRELUDE, "prelude")?;
-        if desc.tag == TAG_COLDREF {
-            // A cold block: its image stays in its fast-format file and is
-            // re-attached by mmap — never copied, on either restore path.
-            let cold_ref = read_coldref(&payload(desc, chunk)?)?;
-            let zones = w.zones()?;
-            blocks.push(attach_cold_block(cold_ref, zones, &mut cold_maps)?);
-            continue;
-        }
-        if desc.tag != TAG_PRELUDE {
-            return Err(framing(format!(
-                "expected prelude chunk, found tag {}",
-                desc.tag
-            )));
-        }
-        let (header, schema) = read_prelude(&payload(desc, chunk)?)?;
-        let zones = w.zones()?;
-        let mut columns = Vec::with_capacity(schema.len());
-        for _ in 0..schema.len() {
-            let (desc, chunk) = w.expect(TAG_COLUMN, "column")?;
-            columns.push(column(desc, chunk)?);
-        }
-        blocks.push(Arc::new(
-            RowBlock::from_parts(header, schema, columns)?.with_zones(zones),
-        ));
+        let block_at = frame_start(&chunk);
+        blocks.push(read_block(&mut w, desc, chunk, &mut cold_maps)?);
+        layout = layout.and_then(|mut l| {
+            l.blocks.push(block_at?..w.consumed_end?);
+            l.frontier.end = w.consumed_end?;
+            Some(l)
+        });
     }
     if w.next()?.is_some() {
         return Err(framing("trailing chunks after last block"));
     }
-    Ok(Table::from_blocks(unit, blocks, 0))
+    Ok((Table::from_blocks(unit, blocks, 0), layout))
+}
+
+/// Where a window's frame starts in its mapping: its header, before the
+/// payload.
+fn frame_start(chunk: &impl Chunk) -> Option<usize> {
+    chunk.span()?.start.checked_sub(FRAME_HEADER_V2)
+}
+
+/// Read the rest of one block whose first chunk — its prelude, or a cold
+/// block's reference — the walker just handed over.
+fn read_block<C: Chunks>(
+    w: &mut Walker<C>,
+    desc: ChunkDesc,
+    chunk: C::Chunk,
+    cold_maps: &mut ColdMaps,
+) -> Result<Arc<RowBlock>, PersistError> {
+    if desc.tag == TAG_COLDREF {
+        // A cold block: its image stays in its fast-format file and is
+        // re-attached by mmap — never copied, on either restore path.
+        let cold_ref = read_coldref(&payload(desc, chunk)?)?;
+        let zones = w.zones()?;
+        return attach_cold_block(cold_ref, zones, cold_maps);
+    }
+    if desc.tag != TAG_PRELUDE {
+        return Err(framing(format!(
+            "expected prelude chunk, found tag {}",
+            desc.tag
+        )));
+    }
+    let (header, schema) = read_prelude(&payload(desc, chunk)?)?;
+    let zones = w.zones()?;
+    let mut columns = Vec::with_capacity(schema.len());
+    for _ in 0..schema.len() {
+        let (desc, chunk) = w.expect(TAG_COLUMN, "column")?;
+        columns.push(column(desc, chunk)?);
+    }
+    Ok(Arc::new(
+        RowBlock::from_parts(header, schema, columns)?.with_zones(zones),
+    ))
 }
 
 /// Per-unit cache of cold-file mappings: all cold blocks of one table
@@ -574,7 +705,6 @@ mod tests {
     use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
     use scuba_restart::{attach_from_shm, restore_from_shm, RestoreError, SHM_LAYOUT_VERSION};
     use scuba_shmem::{crc32, LeafMetadata, ShmNamespace, ShmSegment};
-    use std::ops::Range;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -744,7 +874,7 @@ mod tests {
             done: false,
         };
         let table = read_table(&unit, &mut frames as &mut dyn ChunkSource);
-        let table = table.map_err(|e| e.to_string())?;
+        let (table, _) = table.map_err(|e| e.to_string())?;
         drain(|| frames.next_chunk()).map_err(|e| e.to_string())?;
         rows(&table)
     }
@@ -760,7 +890,7 @@ mod tests {
             done: false,
         };
         let table = read_table(&unit, &mut frames as &mut dyn MappedChunkSource);
-        let table = table.map_err(|e| e.to_string())?;
+        let (table, _) = table.map_err(|e| e.to_string())?;
         drain(|| frames.next_mapped_chunk()).map_err(|e| e.to_string())?;
         for block in table.blocks() {
             block.verify_columns().map_err(|e| e.to_string())?;

@@ -15,10 +15,13 @@
 //! * [`LeafServer::shutdown_to_shm`] — the clean-shutdown path: stop
 //!   accepting work, kill pending deletes, flush to disk, copy the column
 //!   store into shared memory one row block column at a time, commit the
-//!   valid bit, and go down (Figures 5(a)/5(c)/6).
+//!   valid bit, and go down (Figures 5(a)/5(c)/6). Tables still served
+//!   from an attached planned image only have their new blocks appended.
 //! * [`LeafServer::start`] — the startup path: attempt memory recovery;
 //!   any problem (no valid bit, version skew, torn data) falls back to
-//!   disk recovery, exactly as in Figures 5(b)/5(d)/7.
+//!   disk recovery, exactly as in Figures 5(b)/5(d)/7. Under
+//!   [`RestoreMode::TwoPhase`] a planned image is attached and kept in
+//!   place rather than copied back.
 
 pub mod checkpoint;
 pub mod compat;

@@ -10,29 +10,95 @@
 //! table back through [`image::read_table`]: heap copies on the copying
 //! path, windows into the mapping on attach. The stream format itself
 //! lives in [`crate::image`].
+//!
+//! A store that attached a planned image keeps serving it in place and
+//! keeps track of it (`KeptImage`): at the next backup a table that
+//! still starts with the blocks attached from its segment has only what
+//! is new appended there (`image::append_at_frontier`); every other
+//! table is written whole into a fresh segment.
 
-use scuba_columnstore::{LeafMap, Result as StoreResult, Row, Table};
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::{Arc, Weak};
+
+use scuba_columnstore::{LeafMap, Result as StoreResult, Row, RowBlock, Table};
+use scuba_restart::framing::FRAME_HEADER_V2;
 use scuba_restart::{ChunkSink, ChunkSource, MappedChunkSource, ShmPersistable};
+use scuba_shmem::SegmentView;
 
-use crate::image::{self, PersistError, MANIFEST_VERSION};
+use crate::image::{self, Layout, PersistError, MANIFEST_VERSION};
 
 /// The leaf's in-memory store: a [`LeafMap`] plus persistence plumbing.
 #[derive(Debug, Default)]
 pub struct LeafStore {
     map: LeafMap,
+    /// The image segments attached this life, by table.
+    kept: BTreeMap<String, KeptImage>,
+    /// Views of kept segments a running backup is extending: held until
+    /// the commit disarms them, so that the blocks freed as their tables
+    /// are written cannot unlink a name the new image lists.
+    committing: Vec<Arc<SegmentView>>,
+}
+
+/// A table's image segment, attached and served in place.
+#[derive(Debug)]
+struct KeptImage {
+    /// The segment; its blocks hold it, this does not.
+    view: Weak<SegmentView>,
+    /// Where the image's frames are, if it can be extended in place: a
+    /// current-format image whose END frame closes the segment.
+    layout: Option<Layout>,
+    /// The blocks attached from the image, oldest first, with the bytes
+    /// each one's frames occupy. A block is punched out of the segment
+    /// once it is gone from the table and nothing else holds it.
+    blocks: Vec<(Weak<RowBlock>, Range<usize>)>,
+}
+
+impl KeptImage {
+    /// Whether `table` may be extended in place: the image can be, the
+    /// table still starts with exactly the blocks attached from it, and
+    /// its schema is the one the manifest records.
+    fn heads(&self, table: &Table) -> bool {
+        let Some(layout) = &self.layout else {
+            return false;
+        };
+        let attached = &self.blocks;
+        attached.len() == layout.frontier.blocks
+            && table.blocks().len() >= attached.len()
+            && attached
+                .iter()
+                .zip(table.blocks())
+                .all(|((kept, _), block)| std::ptr::eq(kept.as_ptr(), Arc::as_ptr(block)))
+            && {
+                let mut schema = Vec::new();
+                table.schema_snapshot().serialize(&mut schema);
+                schema == layout.schema
+            }
+    }
+}
+
+/// One table crossing the restart protocol, with the image it came from
+/// or extends.
+#[derive(Debug)]
+pub struct TableUnit {
+    table: Table,
+    /// Attach: the segment the table's blocks are windows into. Backup:
+    /// the kept image the table is appended to, with its frontier.
+    image: Option<(Arc<SegmentView>, Option<Layout>)>,
 }
 
 impl LeafStore {
     /// An empty store.
     pub fn new() -> LeafStore {
-        LeafStore {
-            map: LeafMap::new(),
-        }
+        LeafStore::default()
     }
 
     /// Adopt a recovered leaf map (disk recovery path).
     pub fn from_map(map: LeafMap) -> LeafStore {
-        LeafStore { map }
+        LeafStore {
+            map,
+            ..LeafStore::default()
+        }
     }
 
     /// The underlying table map.
@@ -62,11 +128,73 @@ impl LeafStore {
         }
         Ok(())
     }
+
+    /// The segment names of the attached images that are still mapped.
+    pub fn image_segments(&self) -> Vec<String> {
+        self.kept
+            .values()
+            .filter_map(|k| k.view.upgrade().map(|v| v.name().to_owned()))
+            .collect()
+    }
+
+    /// Tables the next backup would extend in place.
+    #[cfg(test)]
+    pub(crate) fn appendable_tables(&self) -> Vec<String> {
+        self.kept
+            .iter()
+            .filter(|(name, k)| self.map.get(name).is_some_and(|t| k.heads(t)))
+            .map(|(name, _)| name.clone())
+            .collect()
+    }
+
+    /// Stop tracking the attached images: their blocks are about to be
+    /// hydrated to heap, and each segment goes when its last block does.
+    pub(crate) fn forget_images(&mut self) {
+        self.kept.clear();
+    }
+
+    /// `table` lost or replaced blocks of its attached image (expiry,
+    /// demotion, a per-table rebuild): it is rewritten whole at the next
+    /// backup, and the pages of every attached block nothing holds any
+    /// more go back to the OS. Returns the bytes punched.
+    pub(crate) fn reclaim(&mut self, table: &str) -> usize {
+        let Some(kept) = self.kept.get_mut(table) else {
+            return 0;
+        };
+        kept.layout = None;
+        let Some(view) = kept.view.upgrade() else {
+            // Every block is gone, and the segment with them.
+            self.kept.remove(table);
+            return 0;
+        };
+        let mut punched = 0;
+        kept.blocks.retain(|(block, range)| {
+            if block.strong_count() > 0 {
+                return true;
+            }
+            punched += view.punch_hole(range.start, range.len()).unwrap_or(0);
+            false
+        });
+        punched
+    }
+
+    /// Hand every attached segment name over before another writer
+    /// reuses the names (a simulated old-format shutdown): unlink each
+    /// name now — the mappings stay valid — and disarm its view, whose
+    /// last drop would otherwise unlink whatever then holds the name.
+    pub(crate) fn release_image_names(&mut self) {
+        for kept in std::mem::take(&mut self.kept).into_values() {
+            if let Some(view) = kept.view.upgrade() {
+                view.disarm();
+                let _ = scuba_shmem::ShmSegment::unlink(view.name());
+            }
+        }
+    }
 }
 
 impl ShmPersistable for LeafStore {
     type Error = PersistError;
-    type Unit = Table;
+    type Unit = TableUnit;
 
     fn unit_names(&self) -> Vec<String> {
         self.map.names().map(str::to_owned).collect()
@@ -95,25 +223,42 @@ impl ShmPersistable for LeafStore {
             .unwrap_or(0)
     }
 
-    fn extract_unit(&mut self, unit: &str) -> Result<Table, Self::Error> {
+    fn extract_unit(&mut self, unit: &str) -> Result<TableUnit, Self::Error> {
         // "delete table from heap" — the table leaves the map here, under
         // the coordinator; a worker thread serializes and frees it.
-        self.map
+        let table = self
+            .map
             .remove(unit)
-            .ok_or_else(|| PersistError::Framing(format!("unknown table {unit:?}")))
+            .ok_or_else(|| PersistError::Framing(format!("unknown table {unit:?}")))?;
+        let image = self
+            .kept
+            .remove(unit)
+            .filter(|kept| kept.heads(&table))
+            .and_then(|kept| Some((kept.view.upgrade()?, kept.layout)));
+        if let Some((view, _)) = &image {
+            self.committing.push(Arc::clone(view));
+        }
+        Ok(TableUnit { table, image })
     }
 
-    fn unit_heap_bytes(unit: &Table) -> usize {
-        unit.heap_bytes()
+    fn unit_heap_bytes(unit: &TableUnit) -> usize {
+        unit.table.heap_bytes()
     }
 
-    fn backup_extracted(table: Table, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
+    fn backup_extracted(unit: TableUnit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
         // Only sealed blocks are persisted: callers seal first, and any
         // unsealed remainder is dropped with the table, mirroring the
         // crash tolerance of §4.1.
+        let TableUnit { table, image } = unit;
         let blocks = table.blocks().to_vec();
-        image::write_manifest(blocks.len() as u64, &table.schema_snapshot(), sink)?;
+        let schema = table.schema_snapshot();
         drop(table);
+        if let Some((_, Some(layout))) = image {
+            // A kept image: only the blocks sealed since attach are new.
+            image::append_at_frontier(layout.frontier, &blocks, None, &schema, sink)?;
+            return Ok(());
+        }
+        image::write_manifest(blocks.len() as u64, &schema, sink)?;
         for block in blocks {
             image::write_block(&block, sink)?;
             // `block` is freed here unless a query snapshot still holds
@@ -123,18 +268,65 @@ impl ShmPersistable for LeafStore {
         Ok(())
     }
 
-    fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<Table, Self::Error> {
-        image::read_table(unit, source)
+    fn kept_segment(unit: &TableUnit) -> Option<(&str, usize)> {
+        match &unit.image {
+            Some((view, Some(layout))) => Some((view.name(), layout.frontier.end)),
+            _ => None,
+        }
     }
 
-    fn attach_unit(unit: &str, source: &mut dyn MappedChunkSource) -> Result<Table, Self::Error> {
+    fn mapped_segments(&self) -> Vec<String> {
+        self.image_segments()
+    }
+
+    fn commit_kept(&mut self) {
+        for view in self.committing.drain(..) {
+            view.disarm();
+        }
+    }
+
+    fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<TableUnit, Self::Error> {
+        let (table, _) = image::read_table(unit, source)?;
+        Ok(TableUnit { table, image: None })
+    }
+
+    fn attach_unit(
+        unit: &str,
+        source: &mut dyn MappedChunkSource,
+    ) -> Result<TableUnit, Self::Error> {
         // Zero-copy variant of `decode_unit`: metadata chunks are copied
         // to heap with their frame CRC verified; column chunks stay
         // mapped, their payload CRC deferred to the first toucher.
-        image::read_table(unit, source)
+        let view = source.segment().cloned();
+        let (table, layout) = image::read_table(unit, source)?;
+        let image = view.map(|view| {
+            // Extendable in place only if the END frame closes the
+            // segment: nothing the appender would write over.
+            let layout = layout.filter(|l| l.frontier.end + FRAME_HEADER_V2 == view.len());
+            (view, layout)
+        });
+        Ok(TableUnit { table, image })
     }
 
-    fn install_unit(&mut self, _unit: &str, table: Table) -> Result<(), Self::Error> {
+    fn install_unit(&mut self, _unit: &str, unit: TableUnit) -> Result<(), Self::Error> {
+        let TableUnit { table, image } = unit;
+        if let Some((view, layout)) = image {
+            let blocks = match &layout {
+                Some(l) => table
+                    .blocks()
+                    .iter()
+                    .zip(&l.blocks)
+                    .map(|(block, range)| (Arc::downgrade(block), range.clone()))
+                    .collect(),
+                None => Vec::new(),
+            };
+            let kept = KeptImage {
+                view: Arc::downgrade(&view),
+                layout,
+                blocks,
+            };
+            self.kept.insert(table.name().to_owned(), kept);
+        }
         self.map.insert(table);
         Ok(())
     }

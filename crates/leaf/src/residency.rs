@@ -139,10 +139,10 @@ impl ResidencyManager {
     /// True if `block` can be demoted: sealed (every block in
     /// `Table::blocks()` is), zone-mapped (demotion must not cost the
     /// pruning stats — they are what lets queries skip the cold tier
-    /// without faulting it in), and heap-resident (warm shm blocks
-    /// belong to the hydrator; cold blocks already left).
+    /// without faulting it in), and memory-resident: on heap, or warm in
+    /// an attached shm image (cold blocks already left).
     pub fn is_candidate(block: &RowBlock) -> bool {
-        Residency::of(block) == Residency::Hot && block.zones().is_some()
+        Residency::of(block) != Residency::Cold && block.zones().is_some()
     }
 
     /// Record a query touch on any sealed block (`&self`: called from
@@ -445,7 +445,7 @@ impl LeafServer {
         while resident(&self.store) > budget {
             match self.residency.evict_next() {
                 Some((table, block)) => {
-                    if self.demote_block(&table, &block).is_err() {
+                    if self.demote_block(&table, block).is_err() {
                         // A failing disk: leave the rest hot rather than
                         // spin. The next pass retries.
                         break;
@@ -466,20 +466,28 @@ impl LeafServer {
     }
 
     /// Demote one sealed block to the cold tier: append its image to the
-    /// table's fast-format file, map it back, and swap the heap block for
-    /// the disk-backed one. Any fault leaves the block hot (the appended
-    /// bytes, if any, are unreferenced and harmless).
-    fn demote_block(&mut self, table: &str, block: &Arc<RowBlock>) -> Result<(), String> {
-        let result = self.build_cold_block(table, block);
+    /// table's fast-format file, map it back, and swap the resident block
+    /// for the disk-backed one. Any fault leaves the block resident (the
+    /// appended bytes, if any, are unreferenced and harmless). A block of
+    /// an attached image is CRC-checked before its bytes are copied — a
+    /// failure condemns the attach like a failed query touch — and once it
+    /// is swapped out its pages in the image go back to the OS.
+    fn demote_block(&mut self, table: &str, block: Arc<RowBlock>) -> Result<(), String> {
+        if let Err(e) = block.verify_columns() {
+            return Err(self.condemn_mapped(&e));
+        }
+        let result = self.build_cold_block(table, &block);
         match result {
             Ok(cold) => {
                 let swapped = self
                     .store
                     .map_mut()
                     .get_mut(table)
-                    .is_some_and(|t| t.apply_block_patch(block, cold));
+                    .is_some_and(|t| t.apply_block_patch(&block, cold));
                 if swapped {
                     self.obs.add("leaf_demotions_total", 1);
+                    drop(block);
+                    self.store.reclaim(table);
                 }
                 Ok(())
             }

@@ -7,7 +7,7 @@ use scuba_columnstore::{Row, Value};
 use scuba_query::{AggSpec, LeafQueryResult, Query};
 use scuba_shmem::ShmNamespace;
 
-use crate::config::{LeafConfig, TieringMode};
+use crate::config::{LeafConfig, RestoreMode, TieringMode};
 use crate::ingest::{WAL_DIR, WAL_TAG_BATCH};
 use crate::server::LeafServer;
 
@@ -71,6 +71,25 @@ pub(crate) fn crash_config(tag: &str) -> (LeafConfig, PathBuf) {
     let (mut cfg, dir) = test_config(tag);
     cfg.checkpoint_enabled = true;
     (cfg, dir)
+}
+
+/// A two-phase leaf with the crash path on: after
+/// [`crash_to_checkpoint`], its next start attaches the checkpoint image
+/// and hydrates it — the one attach that still hydrates.
+pub(crate) fn hydrating_config(tag: &str) -> (LeafConfig, PathBuf) {
+    let (mut cfg, dir) = crash_config(tag);
+    cfg.restore_mode = RestoreMode::TwoPhase;
+    (cfg, dir)
+}
+
+/// Sync every row to disk, commit a checkpoint image of them, and crash:
+/// the next start recovers through that image with nothing to replay or
+/// reconcile. The first life's image is checkpoint parity 0, one segment
+/// per table in name order ([`ShmNamespace::checkpoint_segment_name`]).
+pub(crate) fn crash_to_checkpoint(server: &mut LeafServer) {
+    server.sync_disk().unwrap();
+    server.checkpoint_and_wait().unwrap();
+    server.crash();
 }
 
 /// Batch records (sync anchors not counted) in the leaf's WAL.

@@ -128,11 +128,21 @@ struct FramingSink<'a, 'seg> {
 
 impl ChunkSink for FramingSink<'_, '_> {
     fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
+        // Per-chunk CRC: the protocol verifies payload integrity itself
+        // rather than trusting every store to. A store that already holds
+        // a chunk's CRC (a row block column's, derived from its footer)
+        // hands it over through `put_chunk_crc` instead.
+        let (crc, crc_ns) = scuba_shmem::crc32_timed(chunk);
+        self.crc_ns += crc_ns;
+        self.put_chunk_crc(desc, chunk, crc)
+    }
+
+    fn put_chunk_crc(&mut self, desc: ChunkDesc, chunk: &[u8], crc: u32) -> Result<(), ShmError> {
         match scuba_faults::check("restart::backup::chunk") {
             Some(scuba_faults::Fault::ShortWrite(n)) => {
                 // Write a torn frame — full header, truncated payload — the
                 // shape a crash mid-memcpy leaves behind.
-                let header = encode_header_v2(desc, chunk.len() as u64, scuba_shmem::crc32(chunk));
+                let header = encode_header_v2(desc, chunk.len() as u64, crc);
                 self.writer.write(&header)?;
                 self.writer.write(&chunk[..n.min(chunk.len())])?;
                 return Err(ShmError::injected("restart::backup::chunk", "failpoint"));
@@ -142,11 +152,6 @@ impl ChunkSink for FramingSink<'_, '_> {
             }
             None => {}
         }
-        // Per-chunk CRC: the protocol verifies payload integrity itself
-        // rather than trusting every store to (the column store's RBC
-        // checksums are a second, inner layer for its own chunks).
-        let (crc, crc_ns) = scuba_shmem::crc32_timed(chunk);
-        self.crc_ns += crc_ns;
         let sw = Stopwatch::start();
         self.writer
             .write(&encode_header_v2(desc, chunk.len() as u64, crc))?;
@@ -161,6 +166,18 @@ impl ChunkSink for FramingSink<'_, '_> {
         self.tracker.sub_in_flight(consumed);
         self.tracker.add_shm(FRAME_HEADER_V2 + chunk.len());
         self.tracker.sample();
+        Ok(())
+    }
+
+    fn position(&self) -> usize {
+        self.writer.position()
+    }
+
+    fn patch(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ShmError> {
+        let sw = Stopwatch::start();
+        self.writer.write_at(offset, bytes)?;
+        self.write_ns += sw.elapsed_ns();
+        self.payload_bytes += bytes.len() as u64;
         Ok(())
     }
 }
@@ -197,9 +214,11 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
     let acc = RunAcc::new();
     let initial_footprint = store.heap_bytes();
     let tracker = FootprintTracker::new(initial_footprint);
-    let unit_names = store.unit_names();
     // Size the pool against the estimated payload: small leaves copy
-    // inline, where pool startup would dominate the copy.
+    // inline, where pool startup would dominate the copy. Walking the
+    // units for it is preparation, timed as such.
+    let sw = Stopwatch::start();
+    let unit_names = store.unit_names();
     let total_estimated: usize = unit_names.iter().map(|u| store.estimate_unit_size(u)).sum();
     let threads = options
         .threads_for_bytes(total_estimated)
@@ -207,7 +226,6 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
 
     // Stale state from a previous crashed attempt must not block us: the
     // metadata region is recreated from scratch (valid bit false).
-    let sw = Stopwatch::start();
     let _ = ShmSegment::unlink(&ns.metadata_name());
     let meta = LeafMetadata::create(ns, layout_version, CURRENT_IMAGE_MIN_READER);
     acc.add(Phase::Prepare, sw.elapsed_ns());
@@ -220,11 +238,12 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
     };
 
     let (mut chunks, mut bytes_copied) = (0usize, 0u64);
+    let mut names = SegmentNames::new(ns, store.mapped_segments());
     let result = fan_out(
         threads,
         |index| {
             let unit = unit_names.get(index)?;
-            let prepared = prepare_unit(store, ns, &mut meta, index, unit, &tracker, &acc);
+            let prepared = prepare_unit(store, &mut names, &mut meta, unit, &tracker, &acc);
             Some(prepared.map(|job| (unit.as_str(), job)))
         },
         |(unit, (data, heap, segment))| write_unit::<S>(unit, data, heap, segment, &tracker, &acc),
@@ -245,8 +264,11 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
                 "failpoint",
             )));
         }
-        // Commit point: everything is in shared memory and synced.
+        // Commit point: everything is in shared memory and synced. The
+        // image takes over the kept names first: a view that unlinked one
+        // after the commit would tear the image.
         let sw = Stopwatch::start();
+        store.commit_kept();
         meta.set_valid(true)?;
         acc.add(Phase::Commit, sw.elapsed_ns());
         Ok(())
@@ -274,18 +296,21 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
                 duration: start.elapsed(),
                 peak_footprint: tracker.peak(),
                 initial_footprint,
-                // Unit `i` went to segment `i`.
-                segment_names: (0..unit_names.len())
-                    .map(|i| ns.table_segment_name(i))
-                    .collect(),
+                segment_names: names.used,
                 threads,
                 phases,
             })
         }
         Err(e) => {
             // Leave nothing behind: an aborted backup must look exactly
-            // like "no shared memory state" to the next process.
-            ns.unlink_all(unit_names.len() + 1);
+            // like "no shared memory state" to the next process. That
+            // includes a kept segment: its half-extended image is not
+            // attachable, and the view that still maps it finds the name
+            // gone when it drops.
+            for name in &names.used {
+                let _ = ShmSegment::unlink(name);
+            }
+            ns.unlink_all(names.next + 1);
             finish_failed(&acc, &start, threads, unit_names.len());
             Err(e)
         }
@@ -313,14 +338,48 @@ fn finish_failed(acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
 /// An extracted unit, its heap bytes and its segment.
 type Extracted<S> = (<S as ShmPersistable>::Unit, usize, ShmSegment);
 
-/// Coordinator-side per-unit prologue: failpoint, estimate, segment
-/// create, metadata registration, extraction from the store. Returns the
-/// unit ready for [`write_unit`].
+/// The segment names of one backup: the kept segments the store extends,
+/// and fresh ones for everything else. A fresh unit takes the lowest
+/// table index whose name no live view of the store still maps.
+struct SegmentNames<'a> {
+    ns: &'a ShmNamespace,
+    /// Names the store's views still map (kept or not).
+    mapped: Vec<String>,
+    /// Next fresh index to try.
+    next: usize,
+    /// Every name this backup registered, in unit order.
+    used: Vec<String>,
+}
+
+impl<'a> SegmentNames<'a> {
+    fn new(ns: &'a ShmNamespace, mapped: Vec<String>) -> SegmentNames<'a> {
+        SegmentNames {
+            ns,
+            mapped,
+            next: 0,
+            used: Vec::new(),
+        }
+    }
+
+    fn fresh(&mut self) -> String {
+        loop {
+            let name = self.ns.table_segment_name(self.next);
+            self.next += 1;
+            if !self.mapped.contains(&name) {
+                return name;
+            }
+        }
+    }
+}
+
+/// Coordinator-side per-unit prologue: failpoint, estimate, extraction
+/// from the store, then the unit's segment — a fresh one created, or the
+/// kept one opened — registered in the metadata. Returns the unit ready
+/// for [`write_unit`].
 fn prepare_unit<S: ShmPersistable>(
     store: &mut S,
-    ns: &ShmNamespace,
+    names: &mut SegmentNames<'_>,
     meta: &mut LeafMetadata,
-    index: usize,
     unit: &str,
     tracker: &FootprintTracker,
     acc: &RunAcc,
@@ -332,17 +391,9 @@ fn prepare_unit<S: ShmPersistable>(
             "failpoint",
         )));
     }
-    // Figure 6: estimate size of table; create table segment; add the
-    // segment to the leaf metadata.
     let sw = Stopwatch::start();
     let estimate = store.estimate_unit_size(unit);
-    let seg_name = ns.table_segment_name(index);
-    let _ = ShmSegment::unlink(&seg_name); // clear stale
-    let segment = ShmSegment::create(&seg_name, estimate);
-    acc.add(Phase::Prepare, sw.elapsed_ns());
-    let segment = segment?;
-    let sw = Stopwatch::start();
-    meta.add_segment_invalidating(&seg_name, store.unit_format_version(unit), 0)?;
+    let format_version = store.unit_format_version(unit);
     acc.add(Phase::Prepare, sw.elapsed_ns());
     let sw = Stopwatch::start();
     let data = store.extract_unit(unit);
@@ -352,6 +403,25 @@ fn prepare_unit<S: ShmPersistable>(
     tracker.add_in_flight(heap);
     tracker.set_store_heap(store.heap_bytes());
     tracker.sample();
+    // Figure 6: create table segment (sized by the estimate); add the
+    // segment to the leaf metadata. A kept segment is opened instead: a
+    // handle of the backup's own, never the view its blocks borrow.
+    let sw = Stopwatch::start();
+    let (seg_name, segment) = match S::kept_segment(&data) {
+        Some((name, _)) => (name.to_owned(), ShmSegment::open(name)),
+        None => {
+            let name = names.fresh();
+            let _ = ShmSegment::unlink(&name); // clear stale
+            let segment = ShmSegment::create(&name, estimate);
+            (name, segment)
+        }
+    };
+    acc.add(Phase::Prepare, sw.elapsed_ns());
+    let segment = segment?;
+    names.used.push(seg_name.clone());
+    let sw = Stopwatch::start();
+    meta.add_segment_invalidating(&seg_name, format_version, 0)?;
+    acc.add(Phase::Prepare, sw.elapsed_ns());
     Ok((data, heap, segment))
 }
 
@@ -399,17 +469,25 @@ fn write_unit_inner<S: ShmPersistable>(
     acc: &RunAcc,
     stats: &mut UnitStats,
 ) -> Result<(usize, u64), BackupError<S::Error>> {
-    let mut writer = SegmentWriter::new(&mut segment);
-    // Unit name frame so restore knows which table this segment holds;
-    // CRC'd and TLV-framed like every other chunk.
-    let (name_crc, name_crc_ns) = scuba_shmem::crc32_timed(unit.as_bytes());
-    acc.add(Phase::Crc, name_crc_ns);
-    let sw = Stopwatch::start();
-    let name_desc = ChunkDesc::new(TAG_UNIT_NAME, 1);
-    writer.write(&encode_header_v2(name_desc, unit.len() as u64, name_crc))?;
-    writer.write(unit.as_bytes())?;
-    acc.add(Phase::ShmWrite, sw.elapsed_ns());
-    tracker.add_shm(FRAME_HEADER_V2 + unit.len());
+    // A kept image is extended at its END frame and must not end up
+    // shorter than its views map.
+    let (kept_at, floor) = match S::kept_segment(&data) {
+        Some((_, at)) => (Some(at), segment.len()),
+        None => (None, 0),
+    };
+    let mut writer = SegmentWriter::at(&mut segment, kept_at.unwrap_or(0));
+    if kept_at.is_none() {
+        // Unit name frame so restore knows which table this segment
+        // holds; CRC'd and TLV-framed like every other chunk.
+        let (name_crc, name_crc_ns) = scuba_shmem::crc32_timed(unit.as_bytes());
+        acc.add(Phase::Crc, name_crc_ns);
+        let sw = Stopwatch::start();
+        let name_desc = ChunkDesc::new(TAG_UNIT_NAME, 1);
+        writer.write(&encode_header_v2(name_desc, unit.len() as u64, name_crc))?;
+        writer.write(unit.as_bytes())?;
+        acc.add(Phase::ShmWrite, sw.elapsed_ns());
+        tracker.add_shm(FRAME_HEADER_V2 + unit.len());
+    }
 
     let mut sink = FramingSink {
         writer: &mut writer,
@@ -442,6 +520,15 @@ fn write_unit_inner<S: ShmPersistable>(
     let sw = Stopwatch::start();
     writer.write(&end_header_v2())?;
     tracker.add_shm(FRAME_HEADER_V2);
+    if writer.position() < floor {
+        return Err(BackupError::Shm(ShmError::Corrupt {
+            name: unit.to_owned(),
+            reason: format!(
+                "kept image would shrink from {floor} to {} bytes under its views",
+                writer.position()
+            ),
+        }));
+    }
     writer.finish()?; // trims to written, syncs
     drop(segment); // unmap and close inside the timed write
     acc.add(Phase::ShmWrite, sw.elapsed_ns());
@@ -801,5 +888,138 @@ mod tests {
             report.threads, 1,
             "small input must use the sequential path"
         );
+    }
+
+    /// A store whose one unit extends a live image in place: the segment a
+    /// previous backup wrote, from `at`, with `chunks`.
+    struct KeptStore {
+        segment: String,
+        at: usize,
+        chunks: Vec<Vec<u8>>,
+        committed: bool,
+    }
+
+    type KeptUnit = (String, usize, Vec<Vec<u8>>);
+
+    impl ShmPersistable for KeptStore {
+        type Error = testutil::ToyError;
+        type Unit = KeptUnit;
+
+        fn unit_names(&self) -> Vec<String> {
+            vec!["a".to_owned()]
+        }
+
+        fn estimate_unit_size(&self, _unit: &str) -> usize {
+            0
+        }
+
+        fn extract_unit(&mut self, _unit: &str) -> Result<KeptUnit, Self::Error> {
+            Ok((
+                self.segment.clone(),
+                self.at,
+                std::mem::take(&mut self.chunks),
+            ))
+        }
+
+        fn unit_heap_bytes(_unit: &KeptUnit) -> usize {
+            0
+        }
+
+        fn backup_extracted(unit: KeptUnit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
+            assert_eq!(
+                sink.position(),
+                unit.1,
+                "a kept unit is written from its offset"
+            );
+            for c in unit.2 {
+                sink.put_chunk(ChunkDesc::new(testutil::TAG_TOY, 1), &c)?;
+            }
+            Ok(())
+        }
+
+        fn kept_segment(unit: &KeptUnit) -> Option<(&str, usize)> {
+            Some((&unit.0, unit.1))
+        }
+
+        fn mapped_segments(&self) -> Vec<String> {
+            vec![self.segment.clone()]
+        }
+
+        fn commit_kept(&mut self) {
+            self.committed = true;
+        }
+
+        fn decode_unit(
+            _unit: &str,
+            _source: &mut dyn crate::traits::ChunkSource,
+        ) -> Result<KeptUnit, Self::Error> {
+            unreachable!("only backed up")
+        }
+
+        fn install_unit(&mut self, _unit: &str, _data: KeptUnit) -> Result<(), Self::Error> {
+            unreachable!("only backed up")
+        }
+
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn a_kept_unit_is_extended_in_place_and_never_shrunk() {
+        let ns = test_ns();
+        let _c = Cleanup(ns.clone());
+        let mut toy = ToyStore::with_units(&[("a", &[b"first", b"second"])]);
+        backup_to_shm(&mut toy, &ns, 2).unwrap();
+        let name = ns.table_segment_name(0);
+        let len = ShmSegment::open(&name).unwrap().len();
+        let end = len - FRAME_HEADER_V2;
+
+        // Extended at its END frame: the old frames stay, the new one
+        // follows, and the restore reads all three.
+        let mut kept = KeptStore {
+            segment: name.clone(),
+            at: end,
+            chunks: vec![b"third".to_vec()],
+            committed: false,
+        };
+        let report = backup_to_shm(&mut kept, &ns, 2).unwrap();
+        assert!(kept.committed);
+        assert_eq!(report.segment_names, std::slice::from_ref(&name));
+        assert_eq!(report.bytes_copied, 5);
+        assert_eq!(
+            ShmSegment::open(&name).unwrap().len(),
+            len + FRAME_HEADER_V2 + 5
+        );
+        let mut restored = ToyStore::default();
+        crate::restore_from_shm(&mut restored, &ns, 2).unwrap();
+        assert_eq!(
+            restored.units["a"],
+            [b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]
+        );
+
+        // Written from too early, the image would end short of what its
+        // views map: the backup refuses, and the segment keeps its length.
+        backup_to_shm(
+            &mut ToyStore::with_units(&[("a", &[b"first", b"second"])]),
+            &ns,
+            2,
+        )
+        .unwrap();
+        let mut short = KeptStore {
+            segment: name.clone(),
+            at: 0,
+            chunks: Vec::new(),
+            committed: false,
+        };
+        let held = ShmSegment::open(&name).unwrap();
+        let resident = held.resident_bytes().unwrap();
+        let err = backup_to_shm(&mut short, &ns, 2).unwrap_err();
+        assert!(err.to_string().contains("shrink"), "{err}");
+        assert!(!short.committed);
+        assert_eq!(held.resident_bytes().unwrap(), resident, "the file was cut");
+        // Nothing attachable is left behind.
+        assert!(!ShmSegment::exists(&ns.metadata_name()));
+        assert!(!ShmSegment::exists(&name));
     }
 }

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use scuba_shmem::{crc32, SegmentReader, SegmentWriter, ShmError};
+use scuba_shmem::{SegmentReader, SegmentWriter, ShmError};
 
 use crate::traits::{ChunkDesc, ChunkSink};
 
@@ -83,18 +83,43 @@ pub fn end_header_v2() -> [u8; FRAME_HEADER_V2] {
 /// installers write through this; the shutdown backup wraps the writer to
 /// time each step and to carry its failpoint.
 impl ChunkSink for SegmentWriter<'_> {
-    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
-        self.write(&encode_header_v2(desc, chunk.len() as u64, crc32(chunk)))?;
+    fn put_chunk_crc(&mut self, desc: ChunkDesc, chunk: &[u8], crc: u32) -> Result<(), ShmError> {
+        self.write(&encode_header_v2(desc, chunk.len() as u64, crc))?;
         self.write(chunk)
+    }
+
+    fn position(&self) -> usize {
+        SegmentWriter::position(self)
+    }
+
+    fn patch(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ShmError> {
+        self.write_at(offset, bytes)
     }
 }
 
 /// The same v2 frame appended to a heap buffer: a frame built aside to be
 /// patched into an image, or a unit stream assembled in memory.
 impl ChunkSink for Vec<u8> {
-    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
-        self.extend_from_slice(&encode_header_v2(desc, chunk.len() as u64, crc32(chunk)));
+    fn put_chunk_crc(&mut self, desc: ChunkDesc, chunk: &[u8], crc: u32) -> Result<(), ShmError> {
+        self.extend_from_slice(&encode_header_v2(desc, chunk.len() as u64, crc));
         self.extend_from_slice(chunk);
+        Ok(())
+    }
+
+    fn position(&self) -> usize {
+        self.len()
+    }
+
+    fn patch(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ShmError> {
+        let size = self.len();
+        self.get_mut(offset..offset + bytes.len())
+            .ok_or(ShmError::OutOfBounds {
+                name: "heap image".to_owned(),
+                offset,
+                len: bytes.len(),
+                size,
+            })?
+            .copy_from_slice(bytes);
         Ok(())
     }
 }

@@ -81,8 +81,8 @@ pub struct RestoreReport {
 /// payload was copied: the tables installed in the store serve queries
 /// straight out of the still-mapped segments, and `heap_bytes_copied`
 /// measures only the framing/metadata the store had to own (names,
-/// manifests, preludes). Hydration happens afterwards, outside the
-/// protocol, block by block.
+/// manifests, preludes). Whether the bytes are later hydrated to heap or
+/// kept in place is the store's business, outside the protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttachReport {
     /// Units (tables) attached.
@@ -394,8 +394,10 @@ fn claim_metadata(
 /// segment is unlinked at the end, so a crash mid-attach or mid-hydration
 /// sends the next start to disk recovery. Table segments are *not*
 /// unlinked here — each one is unlinked when the last reference to its
-/// view drops (normally: when hydration finishes and the last mapped
-/// block is swapped out).
+/// view drops: when hydration swaps out the last mapped block, or, for a
+/// store that keeps serving the image, when its blocks are gone — unless
+/// a later backup committed the kept segment into a new image
+/// ([`ShmPersistable::commit_kept`]).
 pub fn attach_from_shm<S: ShmPersistable>(
     store: &mut S,
     ns: &ShmNamespace,
@@ -531,10 +533,11 @@ fn attach_one_unit<S: ShmPersistable>(
     legacy: bool,
 ) -> Result<AttachOutcome<S::Unit>, String> {
     let name = view.name().to_owned();
-    let mut cursor = SharedCursor::new(view, name);
+    let mut cursor = SharedCursor::new(Arc::clone(&view) as _, name);
     let (unit, _) = read_unit_name(&mut cursor, legacy)?;
 
     let mut source = ViewSource {
+        view,
         cursor,
         legacy,
         done: false,
@@ -573,6 +576,7 @@ fn attach_one_unit<S: ShmPersistable>(
 /// [`MappedChunk::to_heap`] for metadata chunks or by the per-column
 /// checksum at hydration for payload chunks).
 struct ViewSource {
+    view: Arc<SegmentView>,
     cursor: SharedCursor,
     /// Image uses the legacy v1 framing.
     legacy: bool,
@@ -606,6 +610,10 @@ impl MappedChunkSource for ViewSource {
             len: len as usize,
             stored_crc,
         }))
+    }
+
+    fn segment(&self) -> Option<&Arc<SegmentView>> {
+        Some(&self.view)
     }
 }
 
@@ -726,9 +734,10 @@ fn read_unit_inner<S: ShmPersistable>(
     stats.bytes = payload_bytes;
     let data = result?;
 
-    // "delete the table shared memory segment".
-    drop(reader);
+    // "delete the table shared memory segment": unmap (inside the timed
+    // commit, as the backup's write unmaps inside its own) and unlink.
     let sw = Stopwatch::start();
+    drop(reader);
     ShmSegment::unlink(&seg_name).map_err(|e| e.to_string())?;
     acc.add(Phase::Commit, sw.elapsed_ns());
     tracker.sub_shm(seg_len);

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use scuba_shmem::{crc32, ShmError};
+use scuba_shmem::{crc32, SegmentView, ShmError};
 
 /// A chunk marked with this flag may be ignored by readers that do not
 /// recognize its tag — the writer guarantees the unit decodes correctly
@@ -86,9 +86,24 @@ impl ChunkDesc {
 /// heap immediately after — that ordering is what keeps the footprint
 /// flat.
 pub trait ChunkSink {
-    /// Append one chunk, framed with its descriptor, to the unit's
-    /// segment.
-    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError>;
+    /// Append one chunk, framed with its descriptor and `crc`, the CRC-32
+    /// of `chunk` — which a store that already holds it (a row block
+    /// column derives it from its seal-time footer) passes instead of
+    /// having every byte read again.
+    fn put_chunk_crc(&mut self, desc: ChunkDesc, chunk: &[u8], crc: u32) -> Result<(), ShmError>;
+
+    /// Append one chunk, framed with its descriptor and the CRC-32
+    /// computed over it.
+    fn put_chunk(&mut self, desc: ChunkDesc, chunk: &[u8]) -> Result<(), ShmError> {
+        self.put_chunk_crc(desc, chunk, crc32(chunk))
+    }
+
+    /// Offset in the unit's image where the next frame lands.
+    fn position(&self) -> usize;
+
+    /// Overwrite bytes the image already holds, in place: how an image
+    /// extended at its end gets its manifest's new block count.
+    fn patch(&mut self, offset: usize, bytes: &[u8]) -> Result<(), ShmError>;
 }
 
 /// Yields chunks during restore, in the order they were written.
@@ -150,6 +165,14 @@ impl MappedChunk {
 pub trait MappedChunkSource {
     /// The next chunk window, or `None` at end of unit.
     fn next_mapped_chunk(&mut self) -> Result<Option<MappedChunk>, ShmError>;
+
+    /// The attached segment the windows point into, for a store that keeps
+    /// serving it and extends it at the next backup
+    /// ([`ShmPersistable::kept_segment`]). `None` when the chunks are not
+    /// windows into a named segment.
+    fn segment(&self) -> Option<&Arc<SegmentView>> {
+        None
+    }
 }
 
 /// A store whose in-memory state can be persisted across process
@@ -186,8 +209,32 @@ pub trait ShmPersistable {
     /// heap memory as each chunk is handed off (Figure 6's inner loops:
     /// "copy data from heap to the table segment; delete row block column
     /// from heap"). Takes no `&self`, so workers may run it concurrently
-    /// for different units.
+    /// for different units. A kept unit ([`Self::kept_segment`]) writes
+    /// only the frames its live image lacks, from where that image's
+    /// frames end, and patches what it must.
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error>;
+
+    /// The live segment an extracted unit's image extends in place, if the
+    /// store kept one — an image it attached and still serves — with the
+    /// offset its appended frames start at (the image's END frame). The
+    /// backup writes such a unit through its own handle on that name, from
+    /// that offset, with no name frame, and never leaves the segment
+    /// shorter than it found it. `None` (the default): the unit is written
+    /// whole into a fresh segment.
+    fn kept_segment(_unit: &Self::Unit) -> Option<(&str, usize)> {
+        None
+    }
+
+    /// Names of segments the store still maps. A fresh unit segment never
+    /// takes one: their views own those names until the last drop.
+    fn mapped_segments(&self) -> Vec<String> {
+        Vec::new()
+    }
+
+    /// Every unit is written and synced and the valid bit is about to be
+    /// committed: the image now owns the kept segments' names, so the
+    /// store stops its views from unlinking them.
+    fn commit_kept(&mut self) {}
 
     /// Rebuild one unit by draining `source` (Figure 7's inner loops:
     /// "allocate memory in heap; copy data from table segment to heap").

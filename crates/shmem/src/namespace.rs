@@ -77,6 +77,38 @@ impl ShmNamespace {
         )
     }
 
+    /// Whether `name` is one of this leaf's planned-image table segments
+    /// (not a checkpoint segment, not the metadata).
+    pub fn is_table_segment(&self, name: &str) -> bool {
+        let stem = format!("/{}_leaf{}_t", self.prefix, self.leaf_id);
+        name.strip_prefix(&stem)
+            .is_some_and(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
+    }
+
+    /// Unlink every planned-image table segment name — layers 2 and 3 of
+    /// [`Self::unlink_all`], leaving the metadata and the checkpoint
+    /// segments alone. A start that recovers through a checkpoint image
+    /// uses it to drop what a dead kept leaf still had linked. Returns how
+    /// many names were removed.
+    pub fn unlink_table_segments(&self, max_tables: usize) -> usize {
+        let mut removed = 0;
+        // Layer 2: contiguous sweep from 0.
+        let mut index = 0;
+        while ShmSegment::exists(&self.table_segment_name(index)) {
+            if ShmSegment::unlink(&self.table_segment_name(index)).unwrap_or(false) {
+                removed += 1;
+            }
+            index += 1;
+        }
+        // Layer 3: capped fallback beyond the contiguous run.
+        for i in index..max_tables {
+            if ShmSegment::unlink(&self.table_segment_name(i)).unwrap_or(false) {
+                removed += 1;
+            }
+        }
+        removed
+    }
+
     /// Unlink the metadata segment and every table segment this leaf may
     /// have left behind. Used on fallback-to-disk ("frees any shared
     /// memory in use", §4.3) and by tests. Returns how many names were
@@ -107,20 +139,7 @@ impl ShmNamespace {
         if ShmSegment::unlink(&self.metadata_name()).unwrap_or(false) {
             removed += 1;
         }
-        // Layer 2: contiguous sweep from 0.
-        let mut index = 0;
-        while ShmSegment::exists(&self.table_segment_name(index)) {
-            if ShmSegment::unlink(&self.table_segment_name(index)).unwrap_or(false) {
-                removed += 1;
-            }
-            index += 1;
-        }
-        // Layer 3: capped fallback beyond the contiguous run.
-        for i in index..max_tables {
-            if ShmSegment::unlink(&self.table_segment_name(i)).unwrap_or(false) {
-                removed += 1;
-            }
-        }
+        removed += self.unlink_table_segments(max_tables);
         // Checkpoint segments, both parities: same contiguous walk plus
         // capped fallback as the table names. (Layer 1 already caught any
         // that were listed in the registry.)
@@ -158,6 +177,30 @@ mod tests {
         // Two processes computing independently agree — the rendezvous.
         let again = ShmNamespace::new("prod", 3).unwrap();
         assert_eq!(ns.metadata_name(), again.metadata_name());
+    }
+
+    #[test]
+    fn table_segment_names_are_recognized() {
+        let ns = ShmNamespace::new("prod", 3).unwrap();
+        assert!(ns.is_table_segment(&ns.table_segment_name(0)));
+        assert!(ns.is_table_segment(&ns.table_segment_name(17)));
+        assert!(!ns.is_table_segment(&ns.checkpoint_segment_name(1, 0)));
+        assert!(!ns.is_table_segment(&ns.metadata_name()));
+        assert!(!ns.is_table_segment("/prod_leaf3_t"));
+        assert!(!ns.is_table_segment(&ShmNamespace::new("prod", 33).unwrap().table_segment_name(0)));
+    }
+
+    #[test]
+    fn table_sweep_leaves_metadata_and_checkpoints() {
+        let ns = ShmNamespace::new(&format!("swptab{}", std::process::id()), 5).unwrap();
+        let _m = ShmSegment::create(&ns.metadata_name(), 16).unwrap();
+        let _k = ShmSegment::create(&ns.checkpoint_segment_name(0, 0), 16).unwrap();
+        let _t0 = ShmSegment::create(&ns.table_segment_name(0), 16).unwrap();
+        let _t3 = ShmSegment::create(&ns.table_segment_name(3), 16).unwrap();
+        assert_eq!(ns.unlink_table_segments(4), 2);
+        assert!(ShmSegment::exists(&ns.metadata_name()));
+        assert!(ShmSegment::exists(&ns.checkpoint_segment_name(0, 0)));
+        assert_eq!(ns.unlink_all(4), 2);
     }
 
     #[test]

@@ -322,8 +322,10 @@ impl ShmSegment {
     /// (`fallocate(FALLOC_FL_PUNCH_HOLE)`, supported on tmpfs). The
     /// restore path punches out each row block column after copying it to
     /// heap, which is what keeps the total memory footprint flat (§4.4);
-    /// reading the punched range again yields zeros.
-    pub fn punch_hole(&mut self, offset: usize, len: usize) -> ShmResult<()> {
+    /// a kept leaf punches the range of a block it expired or demoted.
+    /// Reading the punched range again yields zeros. It goes through the
+    /// descriptor, so a read-only mapping of the same file may punch too.
+    pub fn punch_hole(&self, offset: usize, len: usize) -> ShmResult<()> {
         if len == 0 {
             return Ok(());
         }
@@ -595,7 +597,7 @@ mod tests {
     fn punch_hole_bounds_checked() {
         let name = unique_name("punchb");
         let _c = Cleanup(name.clone());
-        let mut seg = ShmSegment::create(&name, 4096).unwrap();
+        let seg = ShmSegment::create(&name, 4096).unwrap();
         assert!(seg.punch_hole(0, 8192).is_err());
         seg.punch_hole(0, 0).unwrap(); // zero-length is a no-op
     }

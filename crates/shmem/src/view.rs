@@ -14,17 +14,26 @@
 //! sweep already removed the name is harmless — the mapping itself stays
 //! valid until `munmap`.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::ShmResult;
 use crate::segment::ShmSegment;
 
+/// Page size the hole punching rounds to.
+const PAGE: usize = 4096;
+
 /// A read-only mapping of one shared-memory segment, shared behind an
 /// `Arc` by everything that borrows its bytes. When the last clone drops,
-/// the segment name is unlinked so the kernel can reclaim the pages.
+/// the segment name is unlinked so the kernel can reclaim the pages —
+/// unless the view was [disarmed](SegmentView::disarm): a leaf that kept
+/// serving an attached image and then committed it again hands the name
+/// to that new image, which the next process attaches.
 #[derive(Debug)]
 pub struct SegmentView {
     segment: ShmSegment,
+    /// Whether the last drop unlinks the name.
+    armed: AtomicBool,
 }
 
 impl SegmentView {
@@ -35,7 +44,10 @@ impl SegmentView {
         let mut segment = ShmSegment::open(name)?;
         segment.protect_readonly()?;
         scuba_obs::gauge!("shmem_views_live").inc();
-        Ok(Arc::new(SegmentView { segment }))
+        Ok(Arc::new(SegmentView {
+            segment,
+            armed: AtomicBool::new(true),
+        }))
     }
 
     /// The segment's shm name.
@@ -56,6 +68,32 @@ impl SegmentView {
     /// The mapped bytes.
     pub fn bytes(&self) -> &[u8] {
         self.segment.as_slice()
+    }
+
+    /// Hand the name over: the last drop no longer unlinks it. Called only
+    /// once a committed image that lists the name owns it.
+    pub fn disarm(&self) {
+        self.armed.store(false, Ordering::Release);
+    }
+
+    /// Whether the last drop will unlink the name.
+    fn is_armed(&self) -> bool {
+        self.armed.load(Ordering::Acquire)
+    }
+
+    /// Give back the pages wholly inside `[offset, offset + len)`: the
+    /// range is rounded inward to page boundaries, so bytes outside it —
+    /// frames and blocks still served — are never zeroed. Only for a range
+    /// nothing borrows any more (a block that was expired or demoted and
+    /// dropped). Returns the bytes punched.
+    pub fn punch_hole(&self, offset: usize, len: usize) -> ShmResult<usize> {
+        let start = offset.div_ceil(PAGE) * PAGE;
+        let end = (offset + len) / PAGE * PAGE;
+        if end <= start {
+            return Ok(0);
+        }
+        self.segment.punch_hole(start, end - start)?;
+        Ok(end - start)
     }
 }
 
@@ -83,7 +121,9 @@ impl SegmentView {
 impl Drop for SegmentView {
     fn drop(&mut self) {
         scuba_obs::gauge!("shmem_views_live").dec();
-        self.release();
+        if self.is_armed() {
+            self.release();
+        }
     }
 }
 
@@ -140,6 +180,42 @@ mod tests {
         let mut view = Arc::try_unwrap(view).expect("sole owner");
         assert!(!view.release(), "must not count an unlink it did not do");
         drop(view); // and the real drop after it must not error
+    }
+
+    #[test]
+    fn disarmed_view_leaves_the_name_to_its_image() {
+        let name = format!("/scuba-view-disarm-{}", std::process::id());
+        drop(make_segment(&name, b"kept image"));
+        let view = SegmentView::attach(&name).unwrap();
+        assert!(view.is_armed());
+        view.disarm();
+        drop(view);
+        assert!(ShmSegment::exists(&name), "a disarmed view unlinked");
+        assert!(ShmSegment::unlink(&name).unwrap());
+    }
+
+    #[test]
+    fn punch_hole_frees_only_whole_pages_inside_the_range() {
+        let name = format!("/scuba-view-punch-{}", std::process::id());
+        drop(make_segment(&name, &vec![9u8; 8 * PAGE]));
+        let view = SegmentView::attach(&name).unwrap();
+        let file = ShmSegment::open(&name).unwrap();
+        let full = file.resident_bytes().unwrap();
+        // Pages 2..6, reached from a range that starts and ends mid-page.
+        assert_eq!(view.punch_hole(PAGE + 100, 5 * PAGE).unwrap(), 4 * PAGE);
+        assert_eq!(file.resident_bytes().unwrap(), full - 4 * PAGE);
+        let bytes = view.bytes();
+        assert!(
+            bytes[..2 * PAGE].iter().all(|&b| b == 9),
+            "bytes before the range zeroed"
+        );
+        assert!(bytes[2 * PAGE..6 * PAGE].iter().all(|&b| b == 0));
+        assert!(
+            bytes[6 * PAGE..].iter().all(|&b| b == 9),
+            "bytes after the range zeroed"
+        );
+        // A range inside one page punches nothing.
+        assert_eq!(view.punch_hole(7 * PAGE + 1, 100).unwrap(), 0);
     }
 
     #[test]
