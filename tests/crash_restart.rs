@@ -9,6 +9,11 @@
 //! anchored WAL records make it safe. The child *creates* its leaf after
 //! the fork (the checkpointer's worker thread would not survive one), and
 //! no destructor, flush, or cleanup runs in it — a genuine kill -9.
+//!
+//! The tests run one at a time (`scuba_faults::exclusive()`): a fork
+//! copies only the forking thread, so a process-wide lock that a sibling
+//! test's thread held at that instant (the metrics registry) would stay
+//! locked in the child forever.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -21,18 +26,22 @@ use scuba_restart::wal::{list_segments, segment_path};
 use scuba_shmem::{ShmNamespace, ShmSegment};
 
 /// Wait for the child to signal readiness, kill it cold, and reap it.
+/// The child is killed and reaped even when it never gets ready, so a
+/// stuck child cannot outlive the test (and hold the harness's output
+/// open) after the assert fails.
 fn kill_when_ready(child: i32, ready: &Path) {
     let deadline = Instant::now() + Duration::from_secs(30);
-    while !ready.exists() {
-        assert!(Instant::now() < deadline, "child never became ready");
+    while !ready.exists() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
+    let became_ready = ready.exists();
     unsafe {
         assert_eq!(libc::kill(child, libc::SIGKILL), 0, "kill failed");
     }
     let mut status = 0;
     let waited = unsafe { libc::waitpid(child, &mut status, 0) };
     assert_eq!(waited, child, "waitpid failed");
+    assert!(became_ready, "child never became ready");
     assert!(
         libc::WIFSIGNALED(status),
         "child exited instead of dying by signal (status {status})"
@@ -106,6 +115,7 @@ fn child_serve_and_wait(cfg: LeafConfig, ready: &Path) -> ! {
 
 #[test]
 fn sigkill_mid_ingest_recovers_fast_from_checkpoint_and_wal() {
+    let _x = scuba_faults::exclusive();
     let prefix = format!("crashfast{}", std::process::id());
     let dir = std::env::temp_dir().join(format!("scuba_{prefix}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -152,6 +162,7 @@ fn sigkill_mid_ingest_recovers_fast_from_checkpoint_and_wal() {
 
 #[test]
 fn sigkill_with_torn_wal_tail_replays_valid_prefix() {
+    let _x = scuba_faults::exclusive();
     let prefix = format!("crashtorn{}", std::process::id());
     let dir = std::env::temp_dir().join(format!("scuba_{prefix}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -204,6 +215,7 @@ fn sigkill_with_torn_wal_tail_replays_valid_prefix() {
 /// the last `sync_disk`, not the whole `.rows` file.
 #[test]
 fn reconcile_scan_stays_bounded_after_segment_drop() {
+    let _x = scuba_faults::exclusive();
     scuba_obs::set_enabled(true);
     let prefix = format!("crashanchor{}", std::process::id());
     let dir = std::env::temp_dir().join(format!("scuba_{prefix}"));
