@@ -10,10 +10,10 @@
 use crate::column::ColumnData;
 use crate::error::{Error, Result};
 use crate::rbc::RowBlockColumn;
-use crate::row::Row;
+use crate::row::{Row, RowCells};
 use crate::rowblock::{RowBlock, RowBlockHeader};
 use crate::schema::Schema;
-use crate::types::ColumnType;
+use crate::types::{ColumnType, Value};
 use crate::{MAX_BLOCK_BYTES, MAX_ROWS_PER_BLOCK, TIME_COLUMN};
 
 thread_local! {
@@ -31,6 +31,9 @@ pub struct RowBlockBuilder {
     min_time: i64,
     max_time: i64,
     created_at: i64,
+    /// Scratch for a push: the column index of each cell of the row
+    /// being pushed (see [`Self::grow`]).
+    slots: Vec<usize>,
 }
 
 impl RowBlockBuilder {
@@ -47,6 +50,7 @@ impl RowBlockBuilder {
             min_time: i64::MAX,
             max_time: i64::MIN,
             created_at,
+            slots: Vec::new(),
         }
     }
 
@@ -82,42 +86,72 @@ impl RowBlockBuilder {
 
     /// Append one row. Fails with [`Error::BlockFull`] when the caps are
     /// hit — the caller (the table) seals this block and starts a new one.
+    /// The same push as [`Self::push_cells`], over clones of the row's
+    /// values.
     pub fn push_row(&mut self, row: &Row) -> Result<()> {
+        self.grow(row.columns())?;
+        self.fill(
+            row.time(),
+            row.heap_size(),
+            row.columns().map(|(_, v)| v.clone()),
+        );
+        Ok(())
+    }
+
+    /// Append one row given as cells, moving their values into the
+    /// columns: how log replay appends the cells it decodes, without a
+    /// [`Row`].
+    pub fn push_cells(&mut self, cells: &mut RowCells<'_>) -> Result<()> {
+        self.grow(cells.columns())?;
+        self.fill(cells.time(), cells.heap_size(), cells.drain_values());
+        Ok(())
+    }
+
+    /// The first half of a push: check the caps, then add any new column
+    /// to the schema, back-filling nulls for the rows already buffered,
+    /// and note each cell's column in `slots`. Growing the schema before
+    /// any fill leaves the builder consistent when a later cell's type
+    /// conflicts.
+    fn grow<'v>(&mut self, columns: impl Iterator<Item = (&'v str, &'v Value)>) -> Result<()> {
         if self.is_full() {
             return Err(Error::BlockFull);
         }
-        row.validate()?;
-        // Grow schema first so failures leave the builder consistent.
-        for (name, value) in row.columns() {
-            let ty = value.column_type().expect("validated above");
+        self.slots.clear();
+        for (name, value) in columns {
+            let ty = value
+                .column_type()
+                .expect("rows and cells never hold a null");
             let idx = self.schema.add_column(name, ty)?;
             if idx == self.columns.len() {
-                // New column: back-fill nulls for rows already buffered.
                 let mut col = ColumnData::new(ty);
                 for _ in 0..self.row_count {
                     col.push_null();
                 }
                 self.columns.push(col);
             }
+            self.slots.push(idx);
         }
-        // Now fill every known column for this row.
-        self.columns[0].push(crate::types::Value::Int(row.time()))?;
-        for idx in 1..self.columns.len() {
-            let (name, _) = self.schema.column(idx).unwrap();
-            match row.get(name) {
-                Some(v) => {
-                    // Index-based access to dodge the borrow of `name`.
-                    let v = v.clone();
-                    self.columns[idx].push(v)?
-                }
-                None => self.columns[idx].push_null(),
-            }
+        Ok(())
+    }
+
+    /// The second half: push the time and each value into the column
+    /// [`Self::grow`] noted for it, then a null into every column the row
+    /// lacks.
+    fn fill(&mut self, time: i64, raw_bytes: usize, values: impl Iterator<Item = Value>) {
+        let typed = "grow matched every cell's type to its column";
+        self.columns[0].push(Value::Int(time)).expect(typed);
+        for (&idx, value) in self.slots.iter().zip(values) {
+            self.columns[idx].push(value).expect(typed);
         }
         self.row_count += 1;
-        self.raw_bytes += row.heap_size();
-        self.min_time = self.min_time.min(row.time());
-        self.max_time = self.max_time.max(row.time());
-        Ok(())
+        for col in &mut self.columns[1..] {
+            if col.len() < self.row_count {
+                col.push_null();
+            }
+        }
+        self.raw_bytes += raw_bytes;
+        self.min_time = self.min_time.min(time);
+        self.max_time = self.max_time.max(time);
     }
 
     /// Seal the builder into an immutable, encoded [`RowBlock`].
@@ -166,7 +200,6 @@ impl RowBlockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Value;
 
     #[test]
     fn time_column_always_first() {
@@ -230,6 +263,46 @@ mod tests {
         b.push_row(&Row::at(3).with("x", 6i64)).unwrap();
         let block = b.finish().unwrap();
         assert_eq!(block.row_count(), 2);
+    }
+
+    /// Cells set the way a log reader sets them — a `time` cell, a name
+    /// set twice, a null — build the block their `Row` builds.
+    #[test]
+    fn push_cells_builds_what_push_row_builds() {
+        let (mut by_cells, mut by_rows) = (RowBlockBuilder::new(0), RowBlockBuilder::new(0));
+        let sets: [&[(&str, Value)]; 3] = [
+            &[
+                ("a", Value::Int(1)),
+                ("time", Value::Int(40)),
+                ("a", Value::from("x")),
+            ],
+            &[
+                ("b", Value::Double(2.5)),
+                ("gone", Value::Int(3)),
+                ("gone", Value::Null),
+            ],
+            &[("a", Value::from("y")), ("s", Value::set(["q", "p"]))],
+        ];
+        for (i, cells) in sets.iter().enumerate() {
+            let (mut c, mut row) = (RowCells::default(), Row::at(i as i64));
+            c.reset(i as i64);
+            for (name, value) in cells.iter() {
+                c.set(name, value.clone());
+                row.set(name, value.clone());
+            }
+            by_cells.push_cells(&mut c).unwrap();
+            by_rows.push_row(&row).unwrap();
+        }
+        assert_eq!(by_cells.raw_bytes(), by_rows.raw_bytes());
+        let block = by_cells.finish().unwrap();
+        assert_eq!(block, by_rows.finish().unwrap());
+        assert_eq!(
+            block.header().max_time,
+            40,
+            "a time cell sets the timestamp"
+        );
+        assert_eq!(block.cell(0, "a").unwrap(), Value::from("x"));
+        assert!(block.schema().index_of("gone").is_none());
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use column::ColumnData;
 pub use error::{Error, Result};
 pub use leafmap::LeafMap;
 pub use rbc::{ColumnBytes, RowBlockColumn};
-pub use row::Row;
+pub use row::{Row, RowCells};
 pub use rowblock::{ColdRef, RowBlock, RowBlockHeader};
 pub use scan::ColumnView;
 pub use schema::Schema;

@@ -4,7 +4,8 @@
 //! (§2.1). Rows are the unit the tailers batch and send to leaf servers;
 //! the leaf turns batches of rows into columnar row blocks.
 
-use crate::error::{Error, Result};
+use std::borrow::Borrow;
+
 use crate::types::Value;
 use crate::TIME_COLUMN;
 
@@ -46,24 +47,15 @@ impl Row {
         self
     }
 
-    /// Attach a named value in place.
+    /// Attach a named value in place: see [`set_cell`] for the rules.
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
-        let value = value.into();
-        if name == TIME_COLUMN {
-            if let Value::Int(t) = value {
-                self.time = t;
-            }
-            return;
-        }
-        if value.is_null() {
-            self.columns.retain(|(n, _)| n != name);
-            return;
-        }
-        if let Some(slot) = self.columns.iter_mut().find(|(n, _)| n == name) {
-            slot.1 = value;
-        } else {
-            self.columns.push((name.to_owned(), value));
-        }
+        set_cell(
+            &mut self.time,
+            &mut self.columns,
+            name,
+            value.into(),
+            || name.to_owned(),
+        );
     }
 
     /// The row's event timestamp (unix seconds).
@@ -92,27 +84,88 @@ impl Row {
     /// Approximate in-memory size of the row, used for the 1 GB
     /// pre-compression block cap and batch sizing.
     pub fn heap_size(&self) -> usize {
-        8 + self
-            .columns
-            .iter()
-            .map(|(n, v)| n.len() + v.heap_size())
-            .sum::<usize>()
+        heap_size(&self.columns)
+    }
+}
+
+/// A row whose column names borrow from the bytes it was decoded from:
+/// what a log reader hands the builder ([`crate::RowBlockBuilder::push_cells`])
+/// without building a [`Row`]. [`Self::set`] applies [`Row::set`]'s rules,
+/// so a `RowCells` and a `Row` fed the same cells hold the same columns.
+#[derive(Debug, Clone, Default)]
+pub struct RowCells<'a> {
+    time: i64,
+    columns: Vec<(&'a str, Value)>,
+}
+
+impl<'a> RowCells<'a> {
+    /// Empty the cells for the next row, at timestamp `time`; the column
+    /// buffer is kept for reuse.
+    pub fn reset(&mut self, time: i64) {
+        self.time = time;
+        self.columns.clear();
     }
 
-    /// Validate that the row can be stored: every value must have a
-    /// concrete type (nulls were already dropped by `set`).
-    pub fn validate(&self) -> Result<()> {
-        for (name, v) in &self.columns {
-            if v.column_type().is_none() {
-                return Err(Error::TypeMismatch {
-                    column: name.clone(),
-                    expected: "a concrete type",
-                    found: v.type_name(),
-                });
-            }
-        }
-        Ok(())
+    /// Attach a named value: see [`set_cell`] for the rules.
+    pub fn set(&mut self, name: &'a str, value: Value) {
+        set_cell(&mut self.time, &mut self.columns, name, value, || name);
     }
+
+    /// The row's event timestamp.
+    pub fn time(&self) -> i64 {
+        self.time
+    }
+
+    /// The non-time columns, in first-set order.
+    pub fn columns(&self) -> impl Iterator<Item = (&'a str, &Value)> + '_ {
+        self.columns.iter().map(|(n, v)| (*n, v))
+    }
+
+    /// [`Row::heap_size`] of the same row.
+    pub fn heap_size(&self) -> usize {
+        heap_size(&self.columns)
+    }
+
+    /// Move the values out, in [`Self::columns`] order, leaving no columns.
+    pub(crate) fn drain_values(&mut self) -> impl Iterator<Item = Value> + '_ {
+        self.columns.drain(..).map(|(_, v)| v)
+    }
+}
+
+/// The one definition of how a named value lands in a row, for [`Row`]
+/// and [`RowCells`] alike: a `time` cell overrides the timestamp (a
+/// non-integer one is dropped), a null removes the column, and a name set
+/// twice keeps its first position and its last value. `owned` makes the
+/// stored name when the column is new.
+fn set_cell<N: Borrow<str>>(
+    time: &mut i64,
+    columns: &mut Vec<(N, Value)>,
+    name: &str,
+    value: Value,
+    owned: impl FnOnce() -> N,
+) {
+    if name == TIME_COLUMN {
+        if let Value::Int(t) = value {
+            *time = t;
+        }
+        return;
+    }
+    if value.is_null() {
+        columns.retain(|(n, _)| n.borrow() != name);
+        return;
+    }
+    if let Some(slot) = columns.iter_mut().find(|(n, _)| n.borrow() == name) {
+        slot.1 = value;
+    } else {
+        columns.push((owned(), value));
+    }
+}
+
+fn heap_size<N: Borrow<str>>(columns: &[(N, Value)]) -> usize {
+    8 + columns
+        .iter()
+        .map(|(n, v)| n.borrow().len() + v.heap_size())
+        .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -166,14 +219,5 @@ mod tests {
         assert_ne!(a, d); // different time
         let e = Row::at(1).with("x", 2i64).with("y", "s");
         assert_ne!(a, e); // different value
-    }
-
-    #[test]
-    fn validate_accepts_typed_rows() {
-        Row::at(5)
-            .with("s", "str")
-            .with("d", 1.5f64)
-            .validate()
-            .unwrap();
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::builder::RowBlockBuilder;
 use crate::error::Result;
-use crate::row::Row;
+use crate::row::{Row, RowCells};
 use crate::rowblock::RowBlock;
 use crate::schema::Schema;
 
@@ -86,10 +86,21 @@ impl Table {
     /// Append one row; seals the current block and starts a new one when a
     /// cap is reached. `now` stamps a freshly-started block.
     pub fn append(&mut self, row: &Row, now: i64) -> Result<()> {
+        self.open_builder(now)?.push_row(row)
+    }
+
+    /// [`Self::append`] for a row given as cells, whose values move into
+    /// the builder ([`RowBlockBuilder::push_cells`]).
+    pub fn append_cells(&mut self, cells: &mut RowCells<'_>, now: i64) -> Result<()> {
+        self.open_builder(now)?.push_cells(cells)
+    }
+
+    /// The builder, after sealing it if it is full.
+    fn open_builder(&mut self, now: i64) -> Result<&mut RowBlockBuilder> {
         if self.builder.is_full() {
             self.seal(now)?;
         }
-        self.builder.push_row(row)
+        Ok(&mut self.builder)
     }
 
     /// Seal the in-progress builder into a row block (no-op when empty).

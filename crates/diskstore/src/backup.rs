@@ -18,10 +18,10 @@ use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use scuba_columnstore::{LeafMap, Row, Table};
+use scuba_columnstore::{LeafMap, Row, RowCells, Table};
 
 use crate::error::{DiskError, DiskResult};
-use crate::rowformat::{read_record, skip_record, write_record, ReadOutcome, SkipOutcome};
+use crate::rowformat::{read_cells, skip_record, write_record, ReadOutcome};
 use crate::throttle::Throttle;
 
 /// File extension for row-format table logs.
@@ -283,14 +283,16 @@ impl DiskBackup {
             stats.read_duration += read_start.elapsed();
 
             // Phase 2: translate to the in-memory format ("takes 2.5-3
-            // hours") — parse records, push rows through the builder.
+            // hours") — parse records, push their cells through the
+            // builder.
             let translate_start = Instant::now();
             let mut t = Table::new(table, now);
+            let mut cells = RowCells::default();
             let mut pos = 0usize;
             loop {
-                match read_record(&bytes, &mut pos) {
-                    ReadOutcome::Record(row) => {
-                        t.append(&row, now)?;
+                match read_cells(&bytes, &mut pos, &mut cells) {
+                    ReadOutcome::Record(()) => {
+                        t.append_cells(&mut cells, now)?;
                         stats.rows += 1;
                     }
                     ReadOutcome::End => break,
@@ -366,7 +368,7 @@ impl DiskBackup {
             .map_err(|e| DiskError::io(&path, e))?;
         let mut pos = 0usize;
         let mut valid_len = start;
-        while let SkipOutcome::Skipped = skip_record(&bytes, &mut pos) {
+        while let ReadOutcome::Record(()) = skip_record(&bytes, &mut pos) {
             rows += 1;
             valid_len = start + pos as u64;
         }

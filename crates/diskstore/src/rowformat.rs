@@ -3,7 +3,25 @@
 //! Deliberately row-major: Scuba's disk backup logs incoming row batches,
 //! and recovery has to parse every record and push it back through the
 //! columnar builder — that *translation* is what makes disk recovery take
-//! "2.5-3 hours" against "20-25 minutes" of raw reading (§1).
+//! "2.5-3 hours" against "20-25 minutes" of raw reading (§1). The crash
+//! path's WAL batches carry the same records.
+//!
+//! # Reading
+//!
+//! One walk checks a record: its frame (length cap, bounds, CRC), then
+//! its payload field by field, handing each cell to a sink as a slice of
+//! the input. Its three entry points differ only in the sink, so they
+//! accept and reject exactly the same bytes:
+//!
+//! * [`read_cells`] fills a [`RowCells`] whose names borrow from the
+//!   input, for [`scuba_columnstore::Table::append_cells`] to move into
+//!   the builder — what disk recovery and WAL replay translate through;
+//! * [`read_record`] builds an owned [`Row`];
+//! * [`skip_record`] keeps nothing: coverage scans count records with it.
+//!
+//! A record's cells land by [`Row::set`]'s rules whichever sink takes
+//! them: a `time` cell sets the timestamp, a name written twice keeps its
+//! last value, and a string set is sorted and deduplicated.
 //!
 //! # Record layout
 //!
@@ -18,7 +36,7 @@
 //! ```
 
 use scuba_checksum::crc32;
-use scuba_columnstore::{ColumnType, Row, Value};
+use scuba_columnstore::{ColumnType, Row, RowCells, Value};
 
 /// Maximum sane record size; larger length prefixes are treated as
 /// corruption (a torn length field could otherwise ask for gigabytes).
@@ -73,11 +91,13 @@ pub fn write_record(row: &Row, out: &mut Vec<u8>) {
     out.extend_from_slice(&payload);
 }
 
-/// Outcome of reading one record.
+/// Outcome of reading one record. `T` is what a record yields: a [`Row`]
+/// from [`read_record`], nothing from [`read_cells`] (the cells went into
+/// the caller's [`RowCells`]) and [`skip_record`].
 #[derive(Debug, PartialEq)]
-pub enum ReadOutcome {
+pub enum ReadOutcome<T = Row> {
     /// A full record parsed; cursor advanced past it.
-    Record(Row),
+    Record(T),
     /// Clean end of input (no bytes left).
     End,
     /// Truncated or corrupt data at the tail; carries the reason. Callers
@@ -85,13 +105,103 @@ pub enum ReadOutcome {
     Torn(String),
 }
 
-/// Read one record from `buf` at `*pos`, advancing `*pos` on success.
+/// Read one record from `buf` at `*pos` as a [`Row`], advancing `*pos` on
+/// success.
 pub fn read_record(buf: &[u8], pos: &mut usize) -> ReadOutcome {
+    let mut row = Row::at(0);
+    match walk_record(buf, pos, &mut row) {
+        ReadOutcome::Record(()) => ReadOutcome::Record(row),
+        ReadOutcome::End => ReadOutcome::End,
+        ReadOutcome::Torn(why) => ReadOutcome::Torn(why),
+    }
+}
+
+/// Read one record from `buf` at `*pos` into `cells`, advancing `*pos` on
+/// success: the names stay borrowed from `buf`, and only values are
+/// allocated. Accepts exactly what [`read_record`] accepts, and `cells`
+/// then holds that row's columns; after a torn one, whatever the walk read
+/// before the tear.
+pub fn read_cells<'a>(buf: &'a [u8], pos: &mut usize, cells: &mut RowCells<'a>) -> ReadOutcome<()> {
+    walk_record(buf, pos, cells)
+}
+
+/// Validate one record at `*pos` and advance past it, allocating nothing
+/// for a valid one. Accepts exactly what [`read_record`] accepts, so the
+/// records a coverage scan counts are the ones recovery will read.
+pub fn skip_record(buf: &[u8], pos: &mut usize) -> ReadOutcome<()> {
+    walk_record(buf, pos, &mut ())
+}
+
+/// One cell of a record payload, borrowed from it.
+#[derive(Clone, Copy)]
+enum Cell<'a> {
+    Int(i64),
+    Double(f64),
+    Str(&'a str),
+    /// `count` elements, each `u32 length | UTF-8 bytes`, already checked.
+    StrSet(usize, &'a [u8]),
+}
+
+impl Cell<'_> {
+    fn into_value(self) -> Value {
+        match self {
+            Cell::Int(v) => Value::Int(v),
+            Cell::Double(v) => Value::Double(v),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::StrSet(count, items) => {
+                let mut items = Cursor { buf: items, pos: 0 };
+                Value::set((0..count).map(|_| {
+                    items
+                        .str("set element")
+                        .expect("the walk checked each element")
+                }))
+            }
+        }
+    }
+}
+
+/// What the payload walk hands a record's timestamp and cells to.
+trait CellSink<'a> {
+    fn time(&mut self, time: i64);
+    fn cell(&mut self, name: &'a str, cell: Cell<'a>);
+}
+
+/// No sink: [`skip_record`].
+impl CellSink<'_> for () {
+    fn time(&mut self, _: i64) {}
+    fn cell(&mut self, _: &str, _: Cell<'_>) {}
+}
+
+impl CellSink<'_> for Row {
+    fn time(&mut self, time: i64) {
+        *self = Row::at(time);
+    }
+    fn cell(&mut self, name: &str, cell: Cell<'_>) {
+        self.set(name, cell.into_value());
+    }
+}
+
+impl<'a> CellSink<'a> for RowCells<'a> {
+    fn time(&mut self, time: i64) {
+        self.reset(time);
+    }
+    fn cell(&mut self, name: &'a str, cell: Cell<'a>) {
+        self.set(name, cell.into_value());
+    }
+}
+
+/// Check the frame of the record at `*pos` (length cap, bounds, CRC), walk
+/// its payload into `sink`, and advance `*pos` past it.
+fn walk_record<'a>(
+    buf: &'a [u8],
+    pos: &mut usize,
+    sink: &mut impl CellSink<'a>,
+) -> ReadOutcome<()> {
     let p = *pos;
     if p == buf.len() {
         return ReadOutcome::End;
     }
-    if p + 8 > buf.len() {
+    if buf.len().saturating_sub(p) < 8 {
         return ReadOutcome::Torn("record header truncated".to_owned());
     }
     let len = u32::from_le_bytes(buf[p..p + 4].try_into().unwrap()) as usize;
@@ -99,165 +209,92 @@ pub fn read_record(buf: &[u8], pos: &mut usize) -> ReadOutcome {
     if len > MAX_RECORD {
         return ReadOutcome::Torn(format!("record length {len} exceeds cap"));
     }
-    if p + 8 + len > buf.len() {
+    if buf.len() - p - 8 < len {
         return ReadOutcome::Torn("record payload truncated".to_owned());
     }
     let payload = &buf[p + 8..p + 8 + len];
     if crc32(payload) != stored_crc {
         return ReadOutcome::Torn("record checksum mismatch".to_owned());
     }
-    match parse_payload(payload) {
-        Ok(row) => {
+    match walk_payload(payload, sink) {
+        Ok(()) => {
             *pos = p + 8 + len;
-            ReadOutcome::Record(row)
+            ReadOutcome::Record(())
         }
         Err(reason) => ReadOutcome::Torn(reason),
     }
 }
 
-/// Outcome of skipping one record without materializing it.
-#[derive(Debug, PartialEq)]
-pub enum SkipOutcome {
-    /// A full, valid record was skipped; cursor advanced past it.
-    Skipped,
-    /// Clean end of input.
-    End,
-    /// Truncated or corrupt data at the tail.
-    Torn,
-}
-
-/// Validate one record at `*pos` and advance past it, without allocating a
-/// [`Row`]. Accepts and rejects *exactly* the same byte streams as
-/// [`read_record`] — recovery-time coverage scans use this to count the
-/// valid record prefix of a backup file cheaply (no per-row `String`
-/// allocations), and the count must agree with what a later
-/// [`read_record`] pass would recover.
-pub fn skip_record(buf: &[u8], pos: &mut usize) -> SkipOutcome {
-    let p = *pos;
-    if p == buf.len() {
-        return SkipOutcome::End;
-    }
-    if p + 8 > buf.len() {
-        return SkipOutcome::Torn;
-    }
-    let len = u32::from_le_bytes(buf[p..p + 4].try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(buf[p + 4..p + 8].try_into().unwrap());
-    if len > MAX_RECORD {
-        return SkipOutcome::Torn;
-    }
-    if p + 8 + len > buf.len() {
-        return SkipOutcome::Torn;
-    }
-    let payload = &buf[p + 8..p + 8 + len];
-    if crc32(payload) != stored_crc {
-        return SkipOutcome::Torn;
-    }
-    if validate_payload(payload).is_err() {
-        return SkipOutcome::Torn;
-    }
-    *pos = p + 8 + len;
-    SkipOutcome::Skipped
-}
-
-/// Structural walk of a record payload with no allocation. Must apply the
-/// identical checks, in the identical order, as [`parse_payload`].
-fn validate_payload(payload: &[u8]) -> Result<(), ()> {
-    let take = |p: &mut usize, n: usize| -> Result<&[u8], ()> {
-        if *p + n > payload.len() {
-            return Err(());
-        }
-        let s = &payload[*p..*p + n];
-        *p += n;
-        Ok(s)
+/// The one structural walk of a record payload: every check any reader
+/// applies, in one order, handing each cell to `sink` as it is checked.
+fn walk_payload<'a>(payload: &'a [u8], sink: &mut impl CellSink<'a>) -> Result<(), String> {
+    let mut c = Cursor {
+        buf: payload,
+        pos: 0,
     };
-    let mut p = 0usize;
-    take(&mut p, 8)?; // time
-    let ncols = u16::from_le_bytes(take(&mut p, 2)?.try_into().unwrap()) as usize;
+    sink.time(i64::from_le_bytes(c.array()?));
+    let ncols = u16::from_le_bytes(c.array()?);
     for _ in 0..ncols {
-        let name_len = u16::from_le_bytes(take(&mut p, 2)?.try_into().unwrap()) as usize;
-        std::str::from_utf8(take(&mut p, name_len)?).map_err(|_| ())?;
-        let code = take(&mut p, 1)?[0];
-        let ty = ColumnType::from_code(code).ok_or(())?;
-        match ty {
-            ColumnType::Int64 | ColumnType::Double => {
-                take(&mut p, 8)?;
-            }
-            ColumnType::Str => {
-                let len = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
-                std::str::from_utf8(take(&mut p, len)?).map_err(|_| ())?;
-            }
+        let name_len = usize::from(u16::from_le_bytes(c.array()?));
+        let name = utf8(c.take(name_len)?, "column name")?;
+        let [code] = c.array()?;
+        let ty = ColumnType::from_code(code).ok_or_else(|| format!("bad type code {code}"))?;
+        let cell = match ty {
+            ColumnType::Int64 => Cell::Int(i64::from_le_bytes(c.array()?)),
+            ColumnType::Double => Cell::Double(f64::from_le_bytes(c.array()?)),
+            ColumnType::Str => Cell::Str(c.str("string value")?),
             ColumnType::StrSet => {
-                let count = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
+                let count = c.u32_len()?;
                 if count > payload.len() {
-                    return Err(());
+                    return Err("set element count exceeds payload".to_owned());
                 }
+                let start = c.pos;
                 for _ in 0..count {
-                    let len = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
-                    std::str::from_utf8(take(&mut p, len)?).map_err(|_| ())?;
+                    c.str("set element")?;
                 }
+                Cell::StrSet(count, &payload[start..c.pos])
             }
-        }
+        };
+        sink.cell(name, cell);
     }
-    if p != payload.len() {
-        return Err(());
+    if c.pos != payload.len() {
+        return Err("trailing bytes in record payload".to_owned());
     }
     Ok(())
 }
 
-fn parse_payload(payload: &[u8]) -> Result<Row, String> {
-    let take = |p: &mut usize, n: usize| -> Result<&[u8], String> {
-        if *p + n > payload.len() {
+/// Bounds-checked reads off a record payload.
+struct Cursor<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        if self.buf.len() - self.pos < n {
             return Err("payload truncated".to_owned());
         }
-        let s = &payload[*p..*p + n];
-        *p += n;
-        Ok(s)
-    };
-    let mut p = 0usize;
-    let time = i64::from_le_bytes(take(&mut p, 8)?.try_into().unwrap());
-    let ncols = u16::from_le_bytes(take(&mut p, 2)?.try_into().unwrap()) as usize;
-    let mut row = Row::at(time);
-    for _ in 0..ncols {
-        let name_len = u16::from_le_bytes(take(&mut p, 2)?.try_into().unwrap()) as usize;
-        let name = std::str::from_utf8(take(&mut p, name_len)?)
-            .map_err(|_| "column name is not UTF-8".to_owned())?
-            .to_owned();
-        let code = take(&mut p, 1)?[0];
-        let ty = ColumnType::from_code(code).ok_or_else(|| format!("bad type code {code}"))?;
-        let value = match ty {
-            ColumnType::Int64 => {
-                Value::Int(i64::from_le_bytes(take(&mut p, 8)?.try_into().unwrap()))
-            }
-            ColumnType::Double => {
-                Value::Double(f64::from_le_bytes(take(&mut p, 8)?.try_into().unwrap()))
-            }
-            ColumnType::Str => {
-                let len = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
-                let s = std::str::from_utf8(take(&mut p, len)?)
-                    .map_err(|_| "string value is not UTF-8".to_owned())?;
-                Value::Str(s.to_owned())
-            }
-            ColumnType::StrSet => {
-                let count = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
-                if count > payload.len() {
-                    return Err("set element count exceeds payload".to_owned());
-                }
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let len = u32::from_le_bytes(take(&mut p, 4)?.try_into().unwrap()) as usize;
-                    let s = std::str::from_utf8(take(&mut p, len)?)
-                        .map_err(|_| "set element is not UTF-8".to_owned())?;
-                    items.push(s.to_owned());
-                }
-                Value::set(items)
-            }
-        };
-        row.set(&name, value);
+        self.pos += n;
+        Ok(&self.buf[self.pos - n..self.pos])
     }
-    if p != payload.len() {
-        return Err("trailing bytes in record payload".to_owned());
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
     }
-    Ok(row)
+
+    /// A `u32 length | UTF-8 bytes` string; `what` names it in the error.
+    fn str(&mut self, what: &str) -> Result<&'a str, String> {
+        let len = self.u32_len()?;
+        utf8(self.take(len)?, what)
+    }
+
+    fn u32_len(&mut self) -> Result<usize, String> {
+        Ok(u32::from_le_bytes(self.array()?) as usize)
+    }
+}
+
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str, String> {
+    std::str::from_utf8(bytes).map_err(|_| format!("{what} is not UTF-8"))
 }
 
 #[cfg(test)]
@@ -269,6 +306,94 @@ mod tests {
             .with("endpoint", "/api/feed")
             .with("status", 200i64)
             .with("latency_ms", 12.75f64)
+    }
+
+    /// [`read_cells`] with its cells gathered into a [`Row`], so its result
+    /// compares with [`read_record`]'s.
+    fn read_via_cells(buf: &[u8], pos: &mut usize) -> ReadOutcome {
+        let mut cells = RowCells::default();
+        match read_cells(buf, pos, &mut cells) {
+            ReadOutcome::Record(()) => {
+                let mut row = Row::at(cells.time());
+                for (name, value) in cells.columns() {
+                    row.set(name, value.clone());
+                }
+                ReadOutcome::Record(row)
+            }
+            ReadOutcome::End => ReadOutcome::End,
+            ReadOutcome::Torn(why) => ReadOutcome::Torn(why),
+        }
+    }
+
+    /// Read `buf` record by record through every entry point at once: they
+    /// must agree on every outcome and every cursor, [`read_cells`] must
+    /// hold [`read_record`]'s row, and an end or a tear must leave the
+    /// cursor where the record began. Returns the rows, how it ended, and
+    /// the final cursor.
+    fn read_all_agreeing(buf: &[u8], what: &str) -> (Vec<Row>, ReadOutcome, usize) {
+        let (mut rp, mut cp, mut sp) = (0usize, 0usize, 0usize);
+        let mut rows = Vec::new();
+        loop {
+            let before = rp;
+            let r = read_record(buf, &mut rp);
+            let c = read_via_cells(buf, &mut cp);
+            let s = skip_record(buf, &mut sp);
+            assert_eq!(
+                r,
+                c,
+                "{what}: read_cells diverged after {} rows",
+                rows.len()
+            );
+            let same = matches!(
+                (&r, &s),
+                (ReadOutcome::Record(_), ReadOutcome::Record(()))
+                    | (ReadOutcome::End, ReadOutcome::End)
+                    | (ReadOutcome::Torn(_), ReadOutcome::Torn(_))
+            );
+            assert!(same, "{what}: read={r:?} skip={s:?}");
+            assert_eq!((rp, rp), (cp, sp), "{what}: cursor divergence");
+            match r {
+                ReadOutcome::Record(row) => rows.push(row),
+                end => {
+                    assert_eq!(rp, before, "{what}: cursor moved on {end:?}");
+                    return (rows, end, rp);
+                }
+            }
+        }
+    }
+
+    /// One record framed by hand: `payload` with its length and CRC.
+    fn frame(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// A payload no [`Row`] writes: an unsorted `StrSet` with a repeated
+    /// element, a `time` cell, and a name set twice with two types.
+    fn hand_built_payload() -> Vec<u8> {
+        let mut p = 10i64.to_le_bytes().to_vec();
+        p.extend_from_slice(&4u16.to_le_bytes());
+        let name = |p: &mut Vec<u8>, n: &str, ty: ColumnType| {
+            p.extend_from_slice(&(n.len() as u16).to_le_bytes());
+            p.extend_from_slice(n.as_bytes());
+            p.push(ty.code());
+        };
+        name(&mut p, "tags", ColumnType::StrSet);
+        p.extend_from_slice(&3u32.to_le_bytes());
+        for item in ["zeta", "alpha", "zeta"] {
+            p.extend_from_slice(&(item.len() as u32).to_le_bytes());
+            p.extend_from_slice(item.as_bytes());
+        }
+        name(&mut p, "dup", ColumnType::Int64);
+        p.extend_from_slice(&7i64.to_le_bytes());
+        name(&mut p, "time", ColumnType::Int64);
+        p.extend_from_slice(&99i64.to_le_bytes());
+        name(&mut p, "dup", ColumnType::Str);
+        p.extend_from_slice(&4u32.to_le_bytes());
+        p.extend_from_slice(b"last");
+        p
     }
 
     #[test]
@@ -283,6 +408,8 @@ mod tests {
         }
         assert_eq!(pos, buf.len());
         assert_eq!(read_record(&buf, &mut pos), ReadOutcome::End);
+        let (rows, end, pos) = read_all_agreeing(&buf, "round trip");
+        assert_eq!((rows, end, pos), (vec![row], ReadOutcome::End, buf.len()));
     }
 
     #[test]
@@ -304,25 +431,25 @@ mod tests {
             }
         }
         assert_eq!(back, rows);
+        assert_eq!(read_all_agreeing(&buf, "stream").0, rows);
     }
 
+    /// Every truncation point inside a record tears it, at every entry
+    /// point, without moving the cursor.
     #[test]
     fn torn_tail_detected_not_panicking() {
         let mut buf = Vec::new();
         write_record(&sample_row(), &mut buf);
-        let full = buf.len();
-        // Every truncation point inside the record must yield Torn (or End
-        // at exactly 0... no: 0 length means header truncated unless empty).
-        for cut in 1..full {
-            let mut pos = 0;
-            match read_record(&buf[..cut], &mut pos) {
-                ReadOutcome::Torn(_) => {}
-                other => panic!("cut={cut}: expected Torn, got {other:?}"),
-            }
+        for cut in 1..buf.len() {
+            let (rows, end, pos) = read_all_agreeing(&buf[..cut], &format!("cut={cut}"));
+            assert!(rows.is_empty(), "cut={cut}: {rows:?}");
+            assert!(matches!(end, ReadOutcome::Torn(_)), "cut={cut}: {end:?}");
             assert_eq!(pos, 0, "cursor must not advance on torn record");
         }
     }
 
+    /// Every single-bit flip past the length word fails the CRC at every
+    /// entry point.
     #[test]
     fn bit_flip_detected_by_crc() {
         let mut buf = Vec::new();
@@ -330,9 +457,9 @@ mod tests {
         for i in 8..buf.len() {
             let mut copy = buf.clone();
             copy[i] ^= 0x01;
-            let mut pos = 0;
+            let (rows, end, pos) = read_all_agreeing(&copy, &format!("flip@{i}"));
             assert!(
-                matches!(read_record(&copy, &mut pos), ReadOutcome::Torn(_)),
+                rows.is_empty() && matches!(end, ReadOutcome::Torn(_)) && pos == 0,
                 "flip at {i} undetected"
             );
         }
@@ -342,12 +469,12 @@ mod tests {
     fn absurd_length_rejected() {
         let mut buf = vec![0xFF, 0xFF, 0xFF, 0x7F]; // ~2 GB length
         buf.extend_from_slice(&[0u8; 12]);
-        let mut pos = 0;
-        assert!(matches!(read_record(&buf, &mut pos), ReadOutcome::Torn(_)));
+        let (rows, end, pos) = read_all_agreeing(&buf, "absurd length");
+        assert!(rows.is_empty() && matches!(end, ReadOutcome::Torn(_)) && pos == 0);
     }
 
-    /// skip_record must agree with read_record on every input this suite
-    /// can construct: valid streams, every truncation cut, every bit flip.
+    /// The entry points agree on every input this suite can construct:
+    /// valid streams, every truncation cut, every bit flip.
     #[test]
     fn skip_agrees_with_read_everywhere() {
         let mut buf = Vec::new();
@@ -362,59 +489,63 @@ mod tests {
         for r in &rows {
             write_record(r, &mut buf);
         }
-        // Valid stream: same record boundaries, same count.
-        let (mut rp, mut sp) = (0usize, 0usize);
-        let mut skipped = 0;
-        loop {
-            let r = read_record(&buf, &mut rp);
-            let s = skip_record(&buf, &mut sp);
-            match (&r, &s) {
-                (ReadOutcome::Record(_), SkipOutcome::Skipped) => skipped += 1,
-                (ReadOutcome::End, SkipOutcome::End) => break,
-                other => panic!("diverged after {skipped} records: {other:?}"),
-            }
-            assert_eq!(rp, sp, "cursor divergence after record {skipped}");
-        }
-        assert_eq!(skipped, rows.len());
-        // Every truncation cut and every bit flip must tear identically.
+        let (back, end, pos) = read_all_agreeing(&buf, "valid");
+        assert_eq!((back, end, pos), (rows, ReadOutcome::End, buf.len()));
         for cut in 0..buf.len() {
-            let (mut rp, mut sp) = (0usize, 0usize);
-            loop {
-                let r = read_record(&buf[..cut], &mut rp);
-                let s = skip_record(&buf[..cut], &mut sp);
-                let same = matches!(
-                    (&r, &s),
-                    (ReadOutcome::Record(_), SkipOutcome::Skipped)
-                        | (ReadOutcome::End, SkipOutcome::End)
-                        | (ReadOutcome::Torn(_), SkipOutcome::Torn)
-                );
-                assert!(same, "cut={cut}: read={r:?} skip={s:?}");
-                assert_eq!(rp, sp, "cut={cut}: cursor divergence");
-                if !matches!(r, ReadOutcome::Record(_)) {
-                    break;
-                }
-            }
+            read_all_agreeing(&buf[..cut], &format!("cut={cut}"));
         }
         for i in (0..buf.len()).step_by(7) {
             let mut copy = buf.clone();
             copy[i] ^= 0x10;
-            let (mut rp, mut sp) = (0usize, 0usize);
-            loop {
-                let r = read_record(&copy, &mut rp);
-                let s = skip_record(&copy, &mut sp);
-                let same = matches!(
-                    (&r, &s),
-                    (ReadOutcome::Record(_), SkipOutcome::Skipped)
-                        | (ReadOutcome::End, SkipOutcome::End)
-                        | (ReadOutcome::Torn(_), SkipOutcome::Torn)
-                );
-                assert!(same, "flip@{i}: read={r:?} skip={s:?}");
-                assert_eq!(rp, sp, "flip@{i}: cursor divergence");
-                if !matches!(r, ReadOutcome::Record(_)) {
-                    break;
+            read_all_agreeing(&copy, &format!("flip@{i}"));
+        }
+    }
+
+    /// The structural walk under inputs whose frame is valid: each cut
+    /// and each bit flip of a payload, reframed with a fresh length and
+    /// CRC so only the walk can reject it. No entry point may panic, and
+    /// each must reject or give `read_record`'s cells.
+    #[test]
+    fn reframed_cuts_and_flips_reach_the_walk_and_agree() {
+        let mut payloads = vec![hand_built_payload()];
+        for row in [
+            sample_row(),
+            Row::at(3).with("tags", Value::set(["b", "a"])),
+        ] {
+            let mut buf = Vec::new();
+            write_record(&row, &mut buf);
+            payloads.push(buf[8..].to_vec());
+        }
+        for payload in &payloads {
+            for cut in 0..payload.len() {
+                read_all_agreeing(&frame(&payload[..cut]), &format!("reframed cut={cut}"));
+            }
+            for i in 0..payload.len() {
+                for bit in 0..8 {
+                    let mut copy = payload.clone();
+                    copy[i] ^= 1 << bit;
+                    read_all_agreeing(&frame(&copy), &format!("reframed flip@{i}.{bit}"));
                 }
             }
         }
+    }
+
+    /// What a hand-built record means: `Row::set`'s rules, cell by cell.
+    #[test]
+    fn hand_built_record_reads_as_row_set_would_build_it() {
+        let buf = frame(&hand_built_payload());
+        let (rows, end, pos) = read_all_agreeing(&buf, "hand-built");
+        assert_eq!((end, pos), (ReadOutcome::End, buf.len()));
+        let expected = Row::at(99)
+            .with("tags", Value::set(["alpha", "zeta"]))
+            .with("dup", "last");
+        assert_eq!(rows, vec![expected]);
+        let names: Vec<&str> = rows[0].columns().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            ["tags", "dup"],
+            "a name set twice keeps its first position"
+        );
     }
 
     #[test]
@@ -430,5 +561,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        assert_eq!(read_all_agreeing(&buf, "empty").0, vec![row]);
     }
 }

@@ -3,10 +3,12 @@
 //! the bookkeeping that keeps both in step with the store.
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use scuba_columnstore::Row;
-use scuba_diskstore::{rowformat, DiskBackup};
-use scuba_restart::wal::SegmentedContents;
+use scuba_columnstore::{Row, RowCells, Table};
+use scuba_diskstore::rowformat::{self, ReadOutcome};
+use scuba_diskstore::DiskBackup;
+use scuba_restart::wal::{SegmentedContents, WalLayout};
 use scuba_restart::{read_segments, SegmentedWal, WalError};
 use scuba_shmem::ShmNamespace;
 
@@ -46,7 +48,7 @@ pub(crate) struct BatchHeader<'a> {
     /// Rows in the batch.
     pub(crate) n_rows: u64,
     /// The batch's rowformat records, still encoded.
-    rows: &'a [u8],
+    pub(crate) rows: &'a [u8],
 }
 
 /// Encode one ingest batch as a WAL record payload:
@@ -176,24 +178,37 @@ fn read_batch_header(payload: &[u8]) -> Result<BatchHeader<'_>, String> {
     })
 }
 
-/// Decode a batch's rows.
-pub(crate) fn decode_batch_rows(batch: &BatchHeader<'_>) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::with_capacity((batch.n_rows as usize).min(1 << 20));
+/// Decode a batch's records straight into `table`'s builder (`now` stamps
+/// any block the append starts). The batch must hold exactly its `n_rows`
+/// records: fewer, a torn one, or bytes after the last are a structural
+/// error, and so is a row the table rejects. The caller answers any error
+/// with a disk fallback, so rows appended before it never serve.
+pub(crate) fn append_batch(
+    batch: &BatchHeader<'_>,
+    table: &mut Table,
+    now: i64,
+) -> Result<(), String> {
+    let mut cells = RowCells::default();
     let mut pos = 0;
-    while (rows.len() as u64) < batch.n_rows {
-        match rowformat::read_record(batch.rows, &mut pos) {
-            rowformat::ReadOutcome::Record(row) => rows.push(row),
-            rowformat::ReadOutcome::End => {
-                return Err(format!(
-                    "wal record short: {} of {} rows",
-                    rows.len(),
-                    batch.n_rows
-                ))
+    for i in 0..batch.n_rows {
+        match rowformat::read_cells(batch.rows, &mut pos, &mut cells) {
+            ReadOutcome::Record(()) => table
+                .append_cells(&mut cells, now)
+                .map_err(|e| format!("wal record row {i}: {e}"))?,
+            ReadOutcome::End => {
+                return Err(format!("wal record short: {i} of {} rows", batch.n_rows))
             }
-            rowformat::ReadOutcome::Torn(why) => return Err(format!("wal record torn: {why}")),
+            ReadOutcome::Torn(why) => return Err(format!("wal record torn: {why}")),
         }
     }
-    Ok(rows)
+    if pos != batch.rows.len() {
+        return Err(format!(
+            "wal record has {} bytes after its {} rows",
+            batch.rows.len() - pos,
+            batch.n_rows
+        ));
+    }
+    Ok(())
 }
 
 /// The crash path of one leaf: the per-leaf write-ahead log covering
@@ -215,6 +230,9 @@ pub(crate) struct CrashPath {
     /// crash degrades to the disk path rather than replaying a log with
     /// holes. Ingest never fails because of the WAL.
     wal: Option<SegmentedWal>,
+    /// Where the segments' valid records ended when recovery read the log:
+    /// the writer resumes there instead of reading the log again.
+    read_layout: Option<WalLayout>,
     /// Payload of the last sync-coverage anchor written to the WAL. Every
     /// rotation re-appends it as the new segment's first record, so the
     /// reconcile scan stays bounded after the segment that first held it
@@ -252,6 +270,7 @@ impl CrashPath {
             legacy_wal: config.disk_root.join(LEGACY_WAL_FILE),
             obs,
             wal: None,
+            read_layout: None,
             last_sync_anchor: None,
             checkpointer: None,
             committed_sealed: 0,
@@ -270,15 +289,22 @@ impl CrashPath {
 
     /// Start the crash path: spawn the checkpoint worker on `parity` and
     /// open the WAL (clearing it when the log predates the state we now
-    /// hold, e.g. after a disk recovery). Any WAL problem poisons the path
-    /// instead of failing the server.
-    pub(crate) fn open(&mut self, parity: u32, clear_wal: bool, store: &LeafStore) {
+    /// hold, e.g. after a disk recovery). A log [`Self::read_log`] read
+    /// reopens where that read found its valid records end, without a
+    /// second read. Any WAL problem poisons the path instead of failing
+    /// the server. Returns how long opening the writer took.
+    pub(crate) fn open(&mut self, parity: u32, clear_wal: bool, store: &LeafStore) -> Duration {
         debug_assert!(self.enabled);
         self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
-        match self
+        let started = Instant::now();
+        let opened = self
             .adopt_legacy_wal()
-            .and_then(|()| SegmentedWal::open(&self.wal_dir))
-        {
+            .and_then(|()| match self.read_layout.take() {
+                Some(layout) => SegmentedWal::reopen(&self.wal_dir, &layout),
+                None => SegmentedWal::open(&self.wal_dir),
+            });
+        let took = started.elapsed();
+        match opened {
             Ok(wal) => {
                 self.wal = Some(wal);
                 if clear_wal {
@@ -288,6 +314,7 @@ impl CrashPath {
             }
             Err(e) => self.poison(format!("open: {e}")),
         }
+        took
     }
 
     /// Move a previous binary's single-file log into the segment directory
@@ -296,10 +323,14 @@ impl CrashPath {
         scuba_restart::wal::adopt_single_file(&self.wal_dir, &self.legacy_wal)
     }
 
-    /// Every record the dead process logged, for replay.
-    pub(crate) fn read_log(&self) -> Result<SegmentedContents, WalError> {
-        self.adopt_legacy_wal()
-            .and_then(|()| read_segments(&self.wal_dir))
+    /// Every record the dead process logged, for replay. Remembers where
+    /// each segment's valid records end, for [`Self::open`].
+    pub(crate) fn read_log(&mut self) -> Result<SegmentedContents, WalError> {
+        let contents = self
+            .adopt_legacy_wal()
+            .and_then(|()| read_segments(&self.wal_dir))?;
+        self.read_layout = Some(contents.layout());
+        Ok(contents)
     }
 
     /// Drop every WAL record: the image (or the disk state a recovery just
@@ -636,6 +667,73 @@ mod tests {
     use crate::testkit::*;
     use scuba_columnstore::table::RetentionLimits;
     use scuba_shmem::LeafMetadata;
+
+    /// A batch payload's rows as `read_record` reads them, appended with
+    /// `Table::append`: the row-by-row reference for [`append_batch`].
+    fn append_batch_by_rows(payload: &[u8]) -> Result<Table, String> {
+        let WalRecord::Batch(batch) = decode_wal_record(payload)? else {
+            return Err("not a batch".to_owned());
+        };
+        let mut table = Table::new(batch.table, 0);
+        let mut pos = 0;
+        for _ in 0..batch.n_rows {
+            match rowformat::read_record(batch.rows, &mut pos) {
+                ReadOutcome::Record(row) => table.append(&row, 0).map_err(|e| e.to_string())?,
+                other => return Err(format!("{other:?}")),
+            }
+        }
+        if pos != batch.rows.len() {
+            return Err("trailing bytes".to_owned());
+        }
+        Ok(table)
+    }
+
+    /// Flip-and-cut over a whole WAL batch payload: no cut and no
+    /// single-bit flip panics, and each is rejected or decodes into the
+    /// table `read_record`'s rows build.
+    #[test]
+    fn batch_payload_cuts_and_flips_reject_or_match_read_record() {
+        let rows: Vec<Row> = (0..6i64)
+            .map(|i| Row::at(i).with("seq", i).with("s", format!("v{i}")))
+            .collect();
+        let mut recs = records(&rows);
+        recs.extend(hand_built_record(9, 6));
+        let payload = batch_payload("t", 0, 7, &recs);
+        let agree = |p: &[u8], what: &str| -> bool {
+            let by_cells = decode_wal_record(p).and_then(|record| match record {
+                WalRecord::Batch(batch) => {
+                    let mut table = Table::new(batch.table, 0);
+                    append_batch(&batch, &mut table, 0).map(|()| table)
+                }
+                WalRecord::SyncAnchor(_) => Err("not a batch".to_owned()),
+            });
+            match (by_cells, append_batch_by_rows(p)) {
+                (Ok(got), Ok(want)) => {
+                    assert_same_table(&got, &want);
+                    true
+                }
+                (Err(_), Err(_)) => false,
+                (got, want) => panic!("{what}: cells {:?} vs rows {:?}", got.err(), want.err()),
+            }
+        };
+        assert!(agree(&payload, "intact"));
+        for cut in 0..payload.len() {
+            assert!(
+                !agree(&payload[..cut], &format!("cut={cut}")),
+                "cut={cut} accepted"
+            );
+        }
+        let mut accepted = 0;
+        for i in 0..payload.len() {
+            for bit in 0..8 {
+                let mut copy = payload.clone();
+                copy[i] ^= 1 << bit;
+                accepted += usize::from(agree(&copy, &format!("flip@{i}.{bit}")));
+            }
+        }
+        // Flips in `start_rows`, and some in the table name, still decode.
+        assert!(accepted >= 64, "{accepted}");
+    }
 
     /// Take a checkpoint and let the worker commit it, but never drain the
     /// outcome: the state a crash finds between the worker's commit and

@@ -3,10 +3,12 @@
 //! memory restore or attach, WAL replay and reconcile, disk rebuilds.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use scuba_columnstore::{Row, Table};
 use scuba_diskstore::Throttle;
+use scuba_obs::{Phase, PhaseAcc, PhaseBreakdown};
+use scuba_restart::wal::SegmentedContents;
 use scuba_restart::{
     attach_from_shm, fan_out, resolve_copy_threads, restore_from_shm_with, CopyOptions,
     LeafRestoreState, RestoreError, SHM_LAYOUT_VERSION,
@@ -16,7 +18,7 @@ use scuba_shmem::{LeafMetadata, ShmNamespace};
 use crate::checkpoint::{SEG_FLAG_CHECKPOINT, STALE_SWEEP};
 use crate::config::{LeafConfig, RestoreMode};
 use crate::error::LeafResult;
-use crate::ingest::{decode_batch_rows, decode_wal_record, BatchHeader, WalRecord};
+use crate::ingest::{append_batch, decode_wal_record, BatchHeader, WalRecord};
 use crate::persist::LeafStore;
 use crate::server::{phase_failpoint, LeafPhase, LeafServer, RecoveryOutcome};
 
@@ -163,14 +165,18 @@ impl LeafServer {
         disk_throttle: Option<&Throttle>,
     ) -> LeafResult<(LeafServer, RecoveryOutcome)> {
         scuba_obs::counter!("restarts_started").inc();
+        if scuba_obs::enabled() {
+            // Only a start that replays the WAL publishes a crash split.
+            scuba_obs::clear_breakdown("crash");
+        }
         let started = Instant::now();
         let recovered = LeafServer::new_core(config).and_then(|mut server| {
             let plan = plan(&server.probe());
-            let outcome = server.recover(&plan, now, disk_throttle)?;
-            Ok((server, outcome))
+            let (outcome, crash) = server.recover(&plan, now, disk_throttle)?;
+            Ok((server, outcome, crash))
         });
         match recovered {
-            Ok((server, outcome)) => {
+            Ok((server, outcome, crash)) => {
                 if scuba_obs::enabled() {
                     scuba_obs::counter!("restarts_completed").inc();
                     server.obs.add("leaf_recoveries_total", 1);
@@ -180,7 +186,7 @@ impl LeafServer {
                     server
                         .obs
                         .set_ns("leaf_time_to_first_query_ns", started.elapsed());
-                    server.emit_restore_spans(&outcome);
+                    server.emit_restore_spans(&outcome, crash);
                 }
                 Ok((server, outcome))
             }
@@ -208,13 +214,16 @@ impl LeafServer {
     }
 
     /// Carry out `plan` through the Figure 5(b) state machine, taking its
-    /// exception edge to disk when the memory attempt fails.
+    /// exception edge to disk when the memory attempt fails. Returns the
+    /// outcome and, if the start replayed the WAL, its crash breakdown
+    /// (WAL read, apply, reconcile, writer reopen), marked incomplete when
+    /// the start fell back to disk.
     fn recover(
         &mut self,
         plan: &Plan,
         now: i64,
         throttle: Option<&Throttle>,
-    ) -> LeafResult<RecoveryOutcome> {
+    ) -> LeafResult<(RecoveryOutcome, Option<PhaseBreakdown>)> {
         if plan.sweep {
             sweep_image(&self.ns);
         }
@@ -222,10 +231,11 @@ impl LeafServer {
             self.ns.unlink_table_segments(STALE_SWEEP);
         }
         let mut state = LeafRestoreState::Init;
+        let mut crash = None;
         let memory = match plan.source {
             Source::Memory(mode) => {
                 state = state.transition(LeafRestoreState::MemoryRecovery)?;
-                self.recover_from_memory(mode, plan.replay, now, throttle)?
+                self.recover_from_memory(mode, plan.replay, now, throttle, &mut crash)?
             }
             Source::Disk(reason) => Err(reason.to_owned()),
         };
@@ -243,7 +253,11 @@ impl LeafServer {
             // them at its snapshot and unlinks them when it commits. Replay
             // is idempotent, so keeping them until then is safe. After a
             // disk recovery the log predates the rebuilt state: clear it.
-            self.crash.open(parity, !outcome.is_memory(), &self.store);
+            let took = self.crash.open(parity, !outcome.is_memory(), &self.store);
+            self.crash_phase(crash.as_mut(), Phase::WalReopen, "leaf_wal_reopen_ns", took);
+        }
+        if let Some(report) = crash.as_mut() {
+            report.complete = outcome.is_memory();
         }
         // Stamps blocks if the attached image is condemned later.
         self.hydrate_now = now;
@@ -264,7 +278,7 @@ impl LeafServer {
             // the rest of its life and extends it at the next shutdown.
             _ => self.set_phase(LeafPhase::Alive),
         }
-        Ok(outcome)
+        Ok((outcome, crash))
     }
 
     /// Whether every segment the attach mapped is a planned image's table
@@ -275,15 +289,16 @@ impl LeafServer {
     }
 
     /// Restore or attach the shared-memory image through `mode`, bring
-    /// back from disk the tables it skipped, and replay the WAL tail.
-    /// `Ok(Err(reason))` condemns the memory recovery to the disk path;
-    /// `Err` fails the start.
+    /// back from disk the tables it skipped, and replay the WAL tail,
+    /// timing the replay into `crash`. `Ok(Err(reason))` condemns the
+    /// memory recovery to the disk path; `Err` fails the start.
     fn recover_from_memory(
         &mut self,
         mode: RestoreMode,
         replay: Replay,
         now: i64,
         throttle: Option<&Throttle>,
+        crash: &mut Option<PhaseBreakdown>,
     ) -> LeafResult<Result<RecoveryOutcome, String>> {
         self.set_phase(LeafPhase::MemoryRecovery);
         phase_failpoint("leaf::phase::memory_recovery")?;
@@ -330,13 +345,13 @@ impl LeafServer {
         // memory recovery (§4.3 conservatism) and the leaf rebuilds from
         // disk.
         let from_checkpoint = replay == Replay::CheckpointTail;
-        let crash_sync = self.replay_wal_tail(now).and_then(|hints| {
+        let crash_sync = self.replay_wal_tail(now, crash).and_then(|hints| {
             // Reconcile on any crash-shaped recovery: a warm checkpoint
             // image, or replayed records (which can exist even when the
             // image probe failed). A planned restore has neither —
             // shutdown already synced everything.
             if from_checkpoint || self.wal_replayed_records() > 0 {
-                self.reconcile_disk_coverage(&hints)
+                self.reconcile_disk_coverage(&hints, crash)
             } else {
                 Ok(())
             }
@@ -419,7 +434,10 @@ impl LeafServer {
     /// after a two-phase attach, or `read`/`translate` spans for the
     /// disk path. Their per-leaf sum reproduces the `RestartReport`
     /// restore total (±5% — the trace-reconstruction acceptance check).
-    fn emit_restore_spans(&self, outcome: &RecoveryOutcome) {
+    /// A start that replayed the WAL adds its `op=crash` split (WAL read,
+    /// apply, reconcile, writer reopen) as spans and publishes it as the
+    /// `RestartReport`'s crash breakdown.
+    fn emit_restore_spans(&self, outcome: &RecoveryOutcome, crash: Option<PhaseBreakdown>) {
         match outcome {
             RecoveryOutcome::Memory(r) => {
                 for &(phase, d) in &r.phases.phases {
@@ -438,6 +456,12 @@ impl LeafServer {
                     stats.translate_duration,
                 );
             }
+        }
+        if let Some(report) = crash {
+            for &(phase, took) in &report.phases {
+                self.emit_restart_span("restart.phase", "crash", phase.name(), took);
+            }
+            scuba_obs::publish_breakdown(report);
         }
     }
 
@@ -480,6 +504,7 @@ impl LeafServer {
     fn reconcile_disk_coverage(
         &mut self,
         hints: &BTreeMap<String, (u64, u64)>,
+        crash: &mut Option<PhaseBreakdown>,
     ) -> Result<(), String> {
         let started = Instant::now();
         let names: Vec<String> = self.store.map().names().map(str::to_owned).collect();
@@ -528,8 +553,12 @@ impl LeafServer {
             "leaf_crash_reconcile_scanned_bytes",
             scanned.min(i64::MAX as u64) as i64,
         );
-        self.obs
-            .set_ns("leaf_crash_reconcile_ns", started.elapsed());
+        self.crash_phase(
+            crash.as_mut(),
+            Phase::Reconcile,
+            "leaf_crash_reconcile_ns",
+            started.elapsed(),
+        );
         Ok(())
     }
 
@@ -544,15 +573,49 @@ impl LeafServer {
     /// image/log mismatch is an `Err`, answered by the caller with a full
     /// disk fallback.
     ///
-    /// Returns the *last* sync anchor's per-table `(rows, bytes)` disk
-    /// coverage (empty if the log holds none) — the scan hints for
-    /// [`Self::reconcile_disk_coverage`].
-    fn replay_wal_tail(&mut self, now: i64) -> Result<BTreeMap<String, (u64, u64)>, String> {
+    /// Starts `crash`, the start's crash breakdown, with the read and
+    /// apply phases — also when the replay fails, so a disk fallback
+    /// still shows how far it got. Returns the *last* sync anchor's
+    /// per-table `(rows, bytes)` disk coverage (empty if the log holds
+    /// none) — the scan hints for [`Self::reconcile_disk_coverage`].
+    fn replay_wal_tail(
+        &mut self,
+        now: i64,
+        crash: &mut Option<PhaseBreakdown>,
+    ) -> Result<BTreeMap<String, (u64, u64)>, String> {
         let started = Instant::now();
-        let contents = self
-            .crash
-            .read_log()
-            .map_err(|e| format!("wal unreadable: {e}"))?;
+        let contents = self.crash.read_log();
+        let read = started.elapsed();
+        let report = crash.insert(PhaseBreakdown {
+            complete: false,
+            ..PhaseBreakdown::from_acc("crash", &PhaseAcc::new(), &[])
+        });
+        self.crash_phase(Some(&mut *report), Phase::WalRead, "leaf_wal_read_ns", read);
+        let contents = contents.map_err(|e| format!("wal unreadable: {e}"))?;
+        report.bytes = contents.len_bytes();
+        let hints = self.apply_wal_log(&contents, report, now);
+        let replay = started.elapsed();
+        self.crash_phase(
+            Some(report),
+            Phase::WalApply,
+            "leaf_wal_apply_ns",
+            replay - read,
+        );
+        let hints = hints?;
+        self.obs.set_ns("leaf_wal_replay_ns", replay);
+        self.emit_restart_span("restart.wal_replay", "restore", "wal_replay", replay);
+        Ok(hints)
+    }
+
+    /// The apply half of [`Self::replay_wal_tail`]: group the log's
+    /// batches by table and apply each group through the copy pool,
+    /// recording the units and pool width in `report`.
+    fn apply_wal_log(
+        &mut self,
+        contents: &SegmentedContents,
+        report: &mut PhaseBreakdown,
+        now: i64,
+    ) -> Result<BTreeMap<String, (u64, u64)>, String> {
         if contents.torn() {
             scuba_obs::counter!("leaf_wal_torn_tails_total").inc();
         }
@@ -572,16 +635,14 @@ impl LeafServer {
                 }
             }
         }
-        if groups.is_empty() {
-            self.crash.replayed(0, anchor);
-            return Ok(hints);
-        }
-        let threads = resolve_copy_threads(self.config.copy_threads).min(groups.len());
+        report.units = groups.len();
+        report.threads =
+            resolve_copy_threads(self.config.copy_threads).clamp(1, groups.len().max(1));
         let mut tables = self.store.map_mut().take_tables();
         let mut groups = groups.into_iter();
         let mut applied = 0;
         fan_out(
-            threads,
+            report.threads,
             |_| {
                 let (name, batches) = groups.next()?;
                 let table = tables.remove(name).unwrap_or_else(|| Table::new(name, now));
@@ -600,22 +661,32 @@ impl LeafServer {
         }
         self.crash.replayed(applied, anchor);
         scuba_obs::counter!("leaf_wal_replayed_records_total").add(applied as u64);
-        self.obs.set_ns("leaf_wal_replay_ns", started.elapsed());
-        self.emit_restart_span(
-            "restart.wal_replay",
-            "restore",
-            "wal_replay",
-            started.elapsed(),
-        );
         Ok(hints)
+    }
+
+    /// Set one crash-replay phase's gauge and add the phase to this
+    /// start's crash breakdown, if it replayed.
+    fn crash_phase(
+        &self,
+        report: Option<&mut PhaseBreakdown>,
+        phase: Phase,
+        gauge: &'static str,
+        took: Duration,
+    ) {
+        self.obs.set_ns(gauge, took);
+        if let Some(report) = report {
+            report.phases.push((phase, took));
+            report.total += took;
+        }
     }
 }
 
 /// Decode and apply one table's WAL records onto its restored state.
 /// The `start_rows` anchor makes this idempotent: a record the image
 /// already covers is skipped from its header (its rows are never
-/// decoded), a record that lines up exactly is decoded and appended,
-/// and anything else means image and log disagree — fail the replay.
+/// decoded), a record that lines up exactly is decoded straight into the
+/// table's builder, and anything else means image and log disagree —
+/// fail the replay.
 fn apply_wal_batches(
     table: &mut Table,
     batches: &[BatchHeader<'_>],
@@ -634,9 +705,7 @@ fn apply_wal_batches(
                 batch.start_rows
             ));
         }
-        for row in decode_batch_rows(batch)? {
-            table.append(&row, now).map_err(|e| e.to_string())?;
-        }
+        append_batch(batch, table, now)?;
         applied += 1;
     }
     Ok(applied)
@@ -647,7 +716,7 @@ mod tests {
     use super::*;
     use crate::ingest::{LEGACY_WAL_FILE, WAL_DIR};
     use crate::testkit::*;
-    use scuba_columnstore::Row;
+    use scuba_columnstore::{Row, Value};
 
     #[test]
     fn crash_recovers_from_disk() {
@@ -905,6 +974,250 @@ mod tests {
         // No orphaned checkpoint segments either way.
         let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
         ns.unlink_all(16);
+    }
+
+    /// The differential: a crash start's replay, which decodes WAL records
+    /// straight into the builders through the copy pool, builds the tables
+    /// `Table::append` builds from `read_record`'s rows — cell for cell and
+    /// block for block. Covered: a column first seen mid-batch, columns
+    /// absent from some rows, a batch past a block boundary, and
+    /// hand-built records with an unsorted duplicated set, a `time` cell
+    /// and a name set twice.
+    #[test]
+    fn cell_replay_matches_row_replay() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckcells");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 100);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        let mixed: Vec<Row> = (0..200i64)
+            .map(|i| {
+                let mut r = Row::at(i).with("seq", i);
+                if i % 3 != 0 {
+                    r.set("sev", if i % 2 == 0 { "info" } else { "warn" });
+                }
+                if i >= 50 {
+                    r.set("late", i as f64 * 0.5);
+                }
+                if i % 5 == 0 {
+                    r.set("tags", Value::set([format!("t{}", i % 4), "x".to_owned()]));
+                }
+                r
+            })
+            .collect();
+        s.add_rows("mixed", &mixed[..120], 0).unwrap();
+        s.add_rows("mixed", &mixed[120..], 0).unwrap();
+        let wide = scuba_columnstore::MAX_ROWS_PER_BLOCK as i64 + 300;
+        s.add_rows("wide", &seq_rows(0, wide), 0).unwrap();
+        s.crash();
+        drop(s);
+        let hand = [hand_built_record(300, 200), hand_built_record(301, 201)].concat();
+        append_to_wal(&cfg, &[batch_payload("mixed", 200, 2, &hand)]);
+
+        // The reference: every batch the log holds, as `read_record` rows
+        // through `Table::append`.
+        let log = scuba_restart::read_segments(&cfg.disk_root.join(WAL_DIR)).unwrap();
+        let mut want: BTreeMap<String, Table> = BTreeMap::new();
+        for record in log.records() {
+            let WalRecord::Batch(batch) = decode_wal_record(record).unwrap() else {
+                continue;
+            };
+            let table = want
+                .entry(batch.table.to_owned())
+                .or_insert_with(|| Table::new(batch.table, 0));
+            let mut pos = 0;
+            for _ in 0..batch.n_rows {
+                match scuba_diskstore::rowformat::read_record(batch.rows, &mut pos) {
+                    scuba_diskstore::rowformat::ReadOutcome::Record(row) => {
+                        table.append(&row, 0).unwrap()
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+            assert_eq!(pos, batch.rows.len());
+        }
+        assert_eq!(want.keys().collect::<Vec<_>>(), ["mixed", "wide"]);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s2.recovered_from_checkpoint());
+        for (name, want) in &want {
+            assert_same_table(s2.store().map().get(name).unwrap(), want);
+        }
+        let wide = s2.store().map().get("wide").unwrap();
+        assert_eq!(
+            wide.blocks().len(),
+            1,
+            "the replay crossed one block boundary"
+        );
+        let tail = want["mixed"]
+            .unsealed_snapshot()
+            .unwrap()
+            .unwrap()
+            .decode_rows()
+            .unwrap();
+        assert_eq!(
+            tail[200..],
+            [200, 201].map(|seq| Row::at(seq + 100)
+                .with("seq", seq)
+                .with("tags", Value::set(["zeta", "alpha"])))
+        );
+    }
+
+    /// A crash start's replay split — WAL read, apply, disk reconcile and
+    /// writer reopen — shows in its gauges, as `op=crash` spans in the
+    /// span ring, and as the `RestartReport`'s crash breakdown. A replay
+    /// that fails still publishes how far it got, marked incomplete, and
+    /// a later start that does not replay leaves no crash breakdown.
+    #[test]
+    fn crash_start_reports_its_replay_split() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let _o = scuba_obs::exclusive();
+        let was_enabled = scuba_obs::enabled();
+        scuba_obs::set_enabled(true);
+        let (cfg, dir) = crash_config("cksplit");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 300);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        s.add_rows("logs", &seq_rows(300, 50), 0).unwrap();
+        s.crash();
+        drop(s);
+
+        let leaf = format!("{}:{}", cfg.shm_prefix, cfg.leaf_id);
+        let (mut s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        let (report, spans) = (
+            scuba_obs::RestartReport::capture(),
+            scuba_obs::recent_spans(),
+        );
+        let gauges: Vec<Option<i64>> = [
+            "leaf_wal_replay_ns",
+            "leaf_wal_read_ns",
+            "leaf_wal_apply_ns",
+            "leaf_crash_reconcile_ns",
+            "leaf_wal_reopen_ns",
+        ]
+        .iter()
+        .map(|gauge| scuba_obs::gauge_value(&scuba_obs::labeled_name(gauge, &[("leaf", &leaf)])))
+        .collect();
+        // A batch past its row count fails the next replay.
+        let rows: Vec<Row> = (350..353).map(Row::at).collect();
+        s2.checkpoint_and_wait().unwrap();
+        s2.crash();
+        drop(s2);
+        append_to_wal(&cfg, &[batch_payload("logs", 350, 2, &records(&rows))]);
+        let (s3, failed) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        let failed_report = scuba_obs::RestartReport::capture();
+        drop(s3);
+        let mut no_memory = cfg;
+        no_memory.shm_recovery_enabled = false;
+        let (_s4, disk) = LeafServer::start(no_memory, 0, None).unwrap();
+        let last_report = scuba_obs::RestartReport::capture();
+        scuba_obs::set_enabled(was_enabled);
+
+        assert!(outcome.is_memory(), "{outcome:?}");
+        let leaf = leaf.as_str();
+        let split = ["wal_read", "wal_apply", "reconcile", "wal_reopen"];
+        let report = report.crash.expect("no crash breakdown published");
+        let names: Vec<&str> = report.phases.iter().map(|(p, _)| p.name()).collect();
+        assert_eq!(names, split);
+        assert!(report.complete);
+        assert_eq!((report.units, report.threads), (1, 1));
+        assert_eq!(report.total, report.phase_sum());
+        let traced: Vec<&str> = spans
+            .iter()
+            .filter(|r| {
+                r.name == "restart.phase"
+                    && r.attr("op") == Some("crash")
+                    && r.attr("leaf") == Some(leaf)
+            })
+            .filter_map(|r| r.attr("phase"))
+            .collect();
+        assert_eq!(traced, split);
+        assert!(
+            gauges.iter().all(|ns| ns.is_some_and(|ns| ns > 0)),
+            "{gauges:?}"
+        );
+
+        assert!(!failed.is_memory(), "{failed:?}");
+        let failed_report = failed_report
+            .crash
+            .expect("a failed replay published nothing");
+        let names: Vec<&str> = failed_report.phases.iter().map(|(p, _)| p.name()).collect();
+        assert_eq!(names, ["wal_read", "wal_apply", "wal_reopen"]);
+        assert!(!failed_report.complete);
+
+        assert!(!disk.is_memory(), "{disk:?}");
+        assert_eq!(
+            last_report.crash, None,
+            "a start that did not replay kept the last crash breakdown"
+        );
+    }
+
+    /// A CRC-valid batch holding more rows than its header says is a
+    /// structural error: the replay must not apply it short, so the start
+    /// falls back to disk.
+    #[test]
+    fn wal_batch_with_rows_past_its_count_falls_back_to_disk() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("cktrailing");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 300);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        s.crash();
+        drop(s);
+        let rows: Vec<Row> = (300..303).map(Row::at).collect();
+        append_to_wal(&cfg, &[batch_payload("logs", 300, 2, &records(&rows))]);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        match &outcome {
+            RecoveryOutcome::Disk { reason, .. } => {
+                assert!(reason.contains("bytes after its 2 rows"), "{reason}");
+            }
+            other => panic!("a batch was replayed short: {other:?}"),
+        }
+        assert_eq!(s2.total_rows(), 300, "disk fidelity is the synced prefix");
+    }
+
+    /// A type conflict in the middle of a batch fails the replay like any
+    /// other bad record: the start recovers every synced row from disk.
+    #[test]
+    fn mid_batch_type_conflict_falls_back_to_disk() {
+        // Replays the log: keep sibling tests' one-shot WAL faults out.
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = crash_config("ckconflict");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 300);
+        s.checkpoint_and_wait().unwrap();
+        let synced: Vec<Row> = (300..330).map(|i| Row::at(i).with("code", i % 7)).collect();
+        s.add_rows("logs", &synced, 0).unwrap();
+        s.sync_disk().unwrap();
+        s.crash();
+        drop(s);
+        let rows = [
+            Row::at(330).with("code", 1i64),
+            Row::at(331).with("code", "not an int"),
+            Row::at(332).with("code", 2i64),
+        ];
+        append_to_wal(&cfg, &[batch_payload("logs", 330, 3, &records(&rows))]);
+
+        let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        match &outcome {
+            RecoveryOutcome::Disk { reason, .. } => {
+                assert!(reason.contains("row 1"), "{reason}");
+            }
+            other => panic!("a conflicting batch was replayed: {other:?}"),
+        }
+        assert_eq!(s2.total_rows(), 330, "disk fidelity is the synced prefix");
     }
 
     /// REVIEW (high): rows that came back through WAL replay must reach

@@ -101,6 +101,94 @@ pub(crate) fn wal_batches(cfg: &LeafConfig) -> usize {
         .count()
 }
 
+/// A WAL batch payload written by hand: `n_rows` in the header, then
+/// `records` (rowformat records, framed) as they are.
+pub(crate) fn batch_payload(table: &str, start_rows: u64, n_rows: u32, records: &[u8]) -> Vec<u8> {
+    let mut p = vec![WAL_TAG_BATCH];
+    p.extend_from_slice(&(table.len() as u16).to_le_bytes());
+    p.extend_from_slice(table.as_bytes());
+    p.extend_from_slice(&start_rows.to_le_bytes());
+    p.extend_from_slice(&n_rows.to_le_bytes());
+    p.extend_from_slice(records);
+    p
+}
+
+/// `rows` as framed rowformat records.
+pub(crate) fn records(rows: &[Row]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for row in rows {
+        scuba_diskstore::rowformat::write_record(row, &mut out);
+    }
+    out
+}
+
+/// A CRC-valid record no `Row` writes: at `time` 5, an unsorted `tags`
+/// set with a repeated element, a `time` cell of `time`, and `seq` set
+/// twice (first a string, then `seq`). It reads as
+/// `Row::at(time).with("tags", {"alpha","zeta"}).with("seq", seq)`.
+pub(crate) fn hand_built_record(time: i64, seq: i64) -> Vec<u8> {
+    use scuba_columnstore::ColumnType;
+    let mut p = 5i64.to_le_bytes().to_vec();
+    p.extend_from_slice(&4u16.to_le_bytes());
+    let name = |p: &mut Vec<u8>, n: &str, ty: ColumnType| {
+        p.extend_from_slice(&(n.len() as u16).to_le_bytes());
+        p.extend_from_slice(n.as_bytes());
+        p.push(ty.code());
+    };
+    name(&mut p, "tags", ColumnType::StrSet);
+    p.extend_from_slice(&3u32.to_le_bytes());
+    for item in ["zeta", "alpha", "zeta"] {
+        p.extend_from_slice(&(item.len() as u32).to_le_bytes());
+        p.extend_from_slice(item.as_bytes());
+    }
+    name(&mut p, "seq", ColumnType::Str);
+    p.extend_from_slice(&5u32.to_le_bytes());
+    p.extend_from_slice(b"first");
+    name(&mut p, "time", ColumnType::Int64);
+    p.extend_from_slice(&time.to_le_bytes());
+    name(&mut p, "seq", ColumnType::Int64);
+    p.extend_from_slice(&seq.to_le_bytes());
+    let mut out = (p.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&scuba_shmem::crc32(&p).to_le_bytes());
+    out.extend_from_slice(&p);
+    out
+}
+
+/// Append raw payloads to a crashed leaf's WAL, as its live segment's
+/// next records.
+pub(crate) fn append_to_wal(cfg: &LeafConfig, payloads: &[Vec<u8>]) {
+    let mut wal = scuba_restart::SegmentedWal::open(cfg.disk_root.join(WAL_DIR)).unwrap();
+    for p in payloads {
+        wal.append(p).unwrap();
+    }
+    wal.sync().unwrap();
+}
+
+/// Tables equal block for block (same boundaries, same encoded bytes)
+/// and in their unsealed rows.
+pub(crate) fn assert_same_table(got: &scuba_columnstore::Table, want: &scuba_columnstore::Table) {
+    let name = want.name();
+    assert_eq!(
+        got.blocks().len(),
+        want.blocks().len(),
+        "{name}: block count"
+    );
+    for (i, (g, w)) in got.blocks().iter().zip(want.blocks()).enumerate() {
+        assert_eq!(g.row_count(), w.row_count(), "{name}: block {i} boundary");
+        assert_eq!(
+            g.decode_rows().unwrap(),
+            w.decode_rows().unwrap(),
+            "{name}: block {i} cells"
+        );
+        assert_eq!(**g, **w, "{name}: block {i} bytes");
+    }
+    assert_eq!(
+        got.unsealed_snapshot().unwrap(),
+        want.unsealed_snapshot().unwrap(),
+        "{name}: unsealed rows"
+    );
+}
+
 /// Chop `bytes` off the end of a file: a torn write.
 pub(crate) fn tear(path: &std::path::Path, bytes: u64) {
     let len = std::fs::metadata(path).unwrap().len();

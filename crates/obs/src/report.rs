@@ -2,7 +2,9 @@
 //!
 //! The backup path decomposes into prepare → extract → encode → CRC →
 //! shm-write → commit; restore mirrors it as open → CRC → heap-copy →
-//! decode → install → commit. `PhaseAcc` collects nanoseconds per phase
+//! decode → install → commit. A crash start that replays the WAL adds a
+//! third breakdown: WAL read → apply → disk reconcile → writer reopen.
+//! `PhaseAcc` collects nanoseconds per phase
 //! (atomic, so parallel copy workers can add concurrently), and
 //! `PhaseBreakdown` is the frozen result stashed after every run —
 //! including failed ones, so partial timings survive for diagnosis.
@@ -40,10 +42,18 @@ pub enum Phase {
     Decode,
     /// Restore: installing decoded units into the store.
     Install,
+    /// Crash replay: reading the WAL segments and checking their frames.
+    WalRead,
+    /// Crash replay: decoding WAL batches into the tables' builders.
+    WalApply,
+    /// Crash replay: making the disk backup cover the replayed rows.
+    Reconcile,
+    /// Crash replay: reopening the WAL writer at the valid length read.
+    WalReopen,
 }
 
 /// Total number of [`Phase`] variants (array-acc size).
-const PHASE_COUNT: usize = 10;
+const PHASE_COUNT: usize = 14;
 
 /// Backup phases in report order.
 pub const BACKUP_PHASES: [Phase; 6] = [
@@ -79,6 +89,10 @@ impl Phase {
             Phase::HeapCopy => "heap_copy",
             Phase::Decode => "decode",
             Phase::Install => "install",
+            Phase::WalRead => "wal_read",
+            Phase::WalApply => "wal_apply",
+            Phase::Reconcile => "reconcile",
+            Phase::WalReopen => "wal_reopen",
         }
     }
 
@@ -94,6 +108,10 @@ impl Phase {
             Phase::HeapCopy => 7,
             Phase::Decode => 8,
             Phase::Install => 9,
+            Phase::WalRead => 10,
+            Phase::WalApply => 11,
+            Phase::Reconcile => 12,
+            Phase::WalReopen => 13,
         }
     }
 }
@@ -144,7 +162,7 @@ pub struct TableSample {
 /// The frozen Figure-5-style result of one backup or restore run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseBreakdown {
-    /// `"backup"` or `"restore"`.
+    /// `"backup"`, `"restore"` or `"crash"`.
     pub op: &'static str,
     /// Phase durations in report order.
     pub phases: Vec<(Phase, Duration)>,
@@ -219,6 +237,8 @@ pub struct RestartReport {
     pub backup: Option<PhaseBreakdown>,
     /// Restore-side breakdown, if a restore ran.
     pub restore: Option<PhaseBreakdown>,
+    /// Crash-replay breakdown, if a start replayed the WAL.
+    pub crash: Option<PhaseBreakdown>,
 }
 
 impl RestartReport {
@@ -227,6 +247,7 @@ impl RestartReport {
         RestartReport {
             backup: last_backup_breakdown(),
             restore: last_restore_breakdown(),
+            crash: last_breakdown("crash"),
         }
     }
 }
@@ -288,16 +309,12 @@ fn write_breakdown(f: &mut fmt::Formatter<'_>, b: &PhaseBreakdown) -> fmt::Resul
 impl fmt::Display for RestartReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "restart report (Figure 5 phase breakdown):")?;
-        match (&self.backup, &self.restore) {
-            (None, None) => writeln!(f, "  (no backup or restore recorded)")?,
-            (b, r) => {
-                if let Some(b) = b {
-                    write_breakdown(f, b)?;
-                }
-                if let Some(r) = r {
-                    write_breakdown(f, r)?;
-                }
-            }
+        let recorded = [&self.backup, &self.restore, &self.crash];
+        if recorded.iter().all(|b| b.is_none()) {
+            writeln!(f, "  (no backup or restore recorded)")?;
+        }
+        for b in recorded.into_iter().flatten() {
+            write_breakdown(f, b)?;
         }
         Ok(())
     }
@@ -305,13 +322,21 @@ impl fmt::Display for RestartReport {
 
 static LAST_BACKUP: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
 static LAST_RESTORE: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
+static LAST_CRASH: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
 
 fn last_slot(op: &str) -> &'static Mutex<Option<PhaseBreakdown>> {
-    if op == "restore" {
-        &LAST_RESTORE
-    } else {
-        &LAST_BACKUP
+    match op {
+        "restore" => &LAST_RESTORE,
+        "crash" => &LAST_CRASH,
+        _ => &LAST_BACKUP,
     }
+}
+
+fn last_breakdown(op: &str) -> Option<PhaseBreakdown> {
+    last_slot(op)
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .clone()
 }
 
 /// Stash a finished breakdown as the process-wide "last run" for its op and
@@ -329,20 +354,20 @@ pub fn publish_breakdown(breakdown: PhaseBreakdown) {
     *slot.lock().unwrap_or_else(|p| p.into_inner()) = Some(breakdown);
 }
 
+/// Forget the last breakdown published for `op`, so a run that publishes
+/// none does not leave an earlier run's breakdown standing as its own.
+pub fn clear_breakdown(op: &str) {
+    *last_slot(op).lock().unwrap_or_else(|p| p.into_inner()) = None;
+}
+
 /// The most recent backup breakdown published in this process.
 pub fn last_backup_breakdown() -> Option<PhaseBreakdown> {
-    LAST_BACKUP
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
+    last_breakdown("backup")
 }
 
 /// The most recent restore breakdown published in this process.
 pub fn last_restore_breakdown() -> Option<PhaseBreakdown> {
-    LAST_RESTORE
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
+    last_breakdown("restore")
 }
 
 #[cfg(test)]
@@ -381,13 +406,38 @@ mod tests {
     fn report_renders_phases_and_tables() {
         let report = RestartReport {
             backup: Some(sample_breakdown()),
-            restore: None,
+            ..RestartReport::default()
         };
         let text = format!("{report}");
         assert!(text.contains("extract"), "{text}");
         assert!(text.contains("shm_write"), "{text}");
         assert!(text.contains("table t"), "{text}");
         assert!(!text.contains("INCOMPLETE"), "{text}");
+    }
+
+    #[test]
+    fn report_renders_the_crash_split() {
+        let crash = PhaseBreakdown {
+            op: "crash",
+            phases: vec![
+                (Phase::WalRead, Duration::from_millis(17)),
+                (Phase::WalApply, Duration::from_millis(120)),
+                (Phase::Reconcile, Duration::from_millis(9)),
+                (Phase::WalReopen, Duration::from_micros(40)),
+            ],
+            ..PhaseBreakdown::from_acc("crash", &PhaseAcc::new(), &[])
+        };
+        let text = format!(
+            "{}",
+            RestartReport {
+                crash: Some(crash),
+                ..RestartReport::default()
+            }
+        );
+        for phase in ["wal_read", "wal_apply", "reconcile", "wal_reopen"] {
+            assert!(text.contains(phase), "{text}");
+        }
+        assert!(!text.contains("no backup or restore"), "{text}");
     }
 
     #[test]

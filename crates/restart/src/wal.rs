@@ -211,6 +211,17 @@ fn read_file(path: &Path) -> Result<LogFile, WalError> {
     Ok(out)
 }
 
+/// Read the log at `path` for a writer about to resume it: the length of
+/// its valid prefix. An armed replay fault must not wedge the writer: the
+/// log counts as unreadable, and the writer starts it afresh.
+fn resumable_len(path: &Path) -> Result<u64, WalError> {
+    match replay_failpoint().and_then(|()| read_file(path)) {
+        Ok(c) => Ok(c.valid_len),
+        Err(WalError::Injected { .. }) => Ok(0),
+        Err(e) => Err(e),
+    }
+}
+
 fn write_header(file: &mut File) -> Result<u64, WalError> {
     file.write_all(&WAL_MAGIC.to_le_bytes())?;
     file.write_all(&WAL_VERSION.to_le_bytes())?;
@@ -235,23 +246,25 @@ impl WalWriter {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let contents = match replay_failpoint().and_then(|()| read_file(&path)) {
-            Ok(c) => c,
-            // An armed replay fault must not wedge the writer: treat the
-            // log as unreadable and start fresh.
-            Err(WalError::Injected { .. }) => LogFile::default(),
-            Err(e) => return Err(e),
-        };
+        let valid_len = resumable_len(&path)?;
+        WalWriter::resume(path, valid_len)
+    }
+
+    /// Open (or create) the log at `path` to append after its first
+    /// `valid_len` bytes, which a read already checked: the rest is a torn
+    /// tail and is cut off. Below a header's length the file is rewritten
+    /// from scratch. Reads nothing.
+    fn resume(path: PathBuf, valid_len: u64) -> Result<WalWriter, WalError> {
         let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let len = if contents.valid_len >= WAL_HEADER {
+        let len = if valid_len >= WAL_HEADER {
             // Valid header: keep the good prefix, drop the torn tail.
-            file.set_len(contents.valid_len)?;
-            contents.valid_len
+            file.set_len(valid_len)?;
+            valid_len
         } else {
             // Empty, torn-header, or foreign file: rewrite from scratch.
             file.set_len(0)?;
@@ -376,20 +389,47 @@ fn remove_segment(dir: &Path, seq: u64) -> Result<(), WalError> {
 /// A segment directory read back whole, in sequence order.
 #[derive(Debug, Default)]
 pub struct SegmentedContents {
-    segments: Vec<LogFile>,
+    segments: Vec<(u64, LogFile)>,
 }
 
 impl SegmentedContents {
     /// Every valid record payload, segment by segment, append order.
     pub fn records(&self) -> impl Iterator<Item = &[u8]> {
-        self.segments.iter().flat_map(LogFile::records)
+        self.segments.iter().flat_map(|(_, f)| f.records())
     }
 
     /// Whether the last segment ended in a torn record (replay stops there
     /// either way; this is reporting, not an error).
     pub fn torn(&self) -> bool {
-        self.segments.last().is_some_and(|f| f.torn)
+        self.segments.last().is_some_and(|(_, f)| f.torn)
     }
+
+    /// Bytes read, across every segment.
+    pub fn len_bytes(&self) -> u64 {
+        self.segments
+            .iter()
+            .map(|(_, f)| f.bytes.len() as u64)
+            .sum()
+    }
+
+    /// Where each segment's valid records end: what
+    /// [`SegmentedWal::reopen`] needs to resume the log unread.
+    pub fn layout(&self) -> WalLayout {
+        WalLayout {
+            segments: self
+                .segments
+                .iter()
+                .map(|(seq, f)| (*seq, f.bytes.len() as u64, f.valid_len))
+                .collect(),
+        }
+    }
+}
+
+/// Each segment of a log as one read found it: `(seq, file length, valid
+/// length)`, ascending. Small enough to keep after the records are gone.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WalLayout {
+    segments: Vec<(u64, u64, u64)>,
 }
 
 /// Read every segment in `dir`. A torn record ends replay only in the last
@@ -405,7 +445,7 @@ pub fn read_segments(dir: &Path) -> Result<SegmentedContents, WalError> {
         if file.torn && i + 1 < seqs.len() {
             return Err(WalError::Gap { seq });
         }
-        out.segments.push(file);
+        out.segments.push((seq, file));
     }
     Ok(out)
 }
@@ -436,22 +476,39 @@ pub struct SegmentedWal {
 
 impl SegmentedWal {
     /// Open (or create) the segment directory. The highest segment becomes
-    /// the live one, its torn tail (if any) truncated by
+    /// the live one, its torn tail (if any) truncated as by
     /// [`WalWriter::open`]; an empty directory starts at segment 0.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SegmentedWal, WalError> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let mut seqs = list_segments(&dir)?;
-        let live_seq = seqs.pop().unwrap_or(0);
-        let mut closed = Vec::with_capacity(seqs.len());
-        for seq in seqs {
-            closed.push((seq, std::fs::metadata(segment_path(&dir, seq))?.len()));
+        let seqs = list_segments(&dir)?;
+        let mut segments = Vec::with_capacity(seqs.len());
+        for (i, &seq) in seqs.iter().enumerate() {
+            let path = segment_path(&dir, seq);
+            let len = std::fs::metadata(&path)?.len();
+            let valid_len = if i + 1 == seqs.len() {
+                resumable_len(&path)?
+            } else {
+                len
+            };
+            segments.push((seq, len, valid_len));
         }
+        SegmentedWal::reopen(dir, &WalLayout { segments })
+    }
+
+    /// [`Self::open`] from what [`read_segments`] already found in `dir`:
+    /// the live segment resumes at the valid length that read checked, so
+    /// a start that replayed the log never reads it again. The directory
+    /// must not have changed since the read.
+    pub fn reopen(dir: impl Into<PathBuf>, layout: &WalLayout) -> Result<SegmentedWal, WalError> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let (&(live_seq, _, valid_len), closed) =
+            layout.segments.split_last().unwrap_or((&(0, 0, 0), &[]));
         Ok(SegmentedWal {
-            live: WalWriter::open(segment_path(&dir, live_seq))?,
+            live: WalWriter::resume(segment_path(&dir, live_seq), valid_len)?,
             dir,
             live_seq,
-            closed,
+            closed: closed.iter().map(|&(seq, len, _)| (seq, len)).collect(),
             unsynced: Vec::new(),
             dir_dirty: true,
             unlinking: None,
@@ -761,6 +818,59 @@ mod tests {
         assert_eq!(w.len_bytes(), WAL_HEADER);
         assert!(all_records(&dir).is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Reopening from a read's layout is `open` without the second read:
+    /// same segments, same lengths, the torn tail cut, appends after the
+    /// last valid record.
+    #[test]
+    fn reopen_from_the_read_layout_matches_open() {
+        let _x = scuba_faults::exclusive(); // keep the one-shot replay fault in its test
+        let dir = tmp_dir("reopen");
+        let mut w = SegmentedWal::open(&dir).unwrap();
+        w.append(b"first").unwrap();
+        w.rotate().unwrap();
+        w.append(b"second").unwrap();
+        w.append(b"third").unwrap();
+        drop(w);
+        let live = segment_path(&dir, 1);
+        let len = std::fs::metadata(&live).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&live)
+            .unwrap()
+            .set_len(len - 2)
+            .unwrap();
+
+        let contents = read_segments(&dir).unwrap();
+        assert!(contents.torn());
+        let layout = contents.layout();
+        let opened_len = SegmentedWal::open(&dir).unwrap().len_bytes();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&live)
+            .unwrap()
+            .set_len(len - 2)
+            .unwrap();
+        let mut w = SegmentedWal::reopen(&dir, &layout).unwrap();
+        assert_eq!(w.seqs(), vec![0, 1]);
+        assert_eq!(w.len_bytes(), opened_len);
+        w.append(b"fourth").unwrap();
+        drop(w);
+        assert_eq!(
+            all_records(&dir),
+            vec![b"first".to_vec(), b"second".to_vec(), b"fourth".to_vec()]
+        );
+        assert!(!read_segments(&dir).unwrap().torn());
+
+        // An empty directory's layout reopens as a fresh segment 0.
+        let empty = tmp_dir("reopen_empty");
+        let layout = read_segments(&empty).unwrap().layout();
+        let w = SegmentedWal::reopen(&empty, &layout).unwrap();
+        assert_eq!((w.seqs(), w.len_bytes()), (vec![0], WAL_HEADER));
+        drop(w);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&empty);
     }
 
     #[test]

@@ -12,11 +12,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The crash-wave chaos soak and the E16 crash-recovery smoke (which also
-# publishes crash numbers into BENCH_restart.json). The test job runs this
-# after tier-1, once per copy-pool width.
+# The crash-wave chaos soak, the replay differential (WAL records decoded
+# straight into the builders must build what row-by-row appends build,
+# through replay's fan_out at this width) and the E16 crash-recovery smoke
+# (which also publishes crash numbers into BENCH_restart.json). The test
+# job runs this after tier-1, once per copy-pool width.
 crash() (
     SCUBA_CHAOS_CRASH_WAVES=40 cargo test --release --test chaos chaos_soak_with_crash_waves -- --nocapture
+    cargo test --release -p scuba-leaf cell_replay_matches_row_replay -- --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )
 
