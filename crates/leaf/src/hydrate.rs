@@ -211,8 +211,8 @@ impl Hydrator {
 }
 
 impl LeafServer {
-    /// A query is about to scan `blocks`: CRC-verify, in every mapped one,
-    /// the columns the query reads (`columns`,
+    /// A query is about to scan `block`: if it is mapped, CRC-verify the
+    /// columns the query reads (`columns`,
     /// [`scuba_query::Query::columns_read`]) — and only those — and, while
     /// hydrating, promote the block to the head of the hydration queue.
     /// Each column's verify-once latch makes this first-touch-only and
@@ -222,44 +222,40 @@ impl LeafServer {
     /// hydration worker's whole-block [`hydrate_block`] (or a demotion,
     /// or a disk reconcile) checks them before the copy — so every byte is
     /// checked once before anyone trusts it. A verification failure here
-    /// poisons the attach — the caller fails the query, every later query
-    /// fails the same way, and the next poll/finish falls back to disk.
+    /// poisons the attach: the caller fails the query, every later query
+    /// fails at its start, and the next poll/finish falls back to disk.
     pub(crate) fn touch_mapped(
         &self,
-        blocks: &[Arc<RowBlock>],
+        block: &Arc<RowBlock>,
         columns: &[&str],
     ) -> Result<(), String> {
-        if let Some(reason) = self.mapped_poison.lock().unwrap().clone() {
-            return Err(reason);
+        // First touch only — read off the latches, so a repeat query
+        // takes no lock at all: heap blocks and columns someone already
+        // verified (the block hence already promoted, or with a worker)
+        // skip. Cold blocks have their own first touch and per-table
+        // fallback in the residency manager; only a hydrating leaf checks
+        // them here too.
+        let cold_elsewhere = block.is_cold() && self.hydrator.is_none();
+        if !block.is_mapped() || cold_elsewhere || block.columns_verified(columns) {
+            return Ok(());
         }
-        for block in blocks {
-            // First touch only — read off the latches, so a repeat query
-            // takes no lock at all: heap blocks and columns someone already
-            // verified (the block hence already promoted, or with a
-            // worker) skip. Cold blocks have their own first touch and
-            // per-table fallback in the residency manager; only a
-            // hydrating leaf checks them here too.
-            let cold_elsewhere = block.is_cold() && self.hydrator.is_none();
-            if !block.is_mapped() || cold_elsewhere || block.columns_verified(columns) {
-                continue;
-            }
-            if let Err(e) = block.verify_columns_for(columns) {
-                return Err(self.condemn_mapped(&e));
-            }
-            if let Some(h) = &self.hydrator {
-                h.promote(block);
-            }
+        if let Err(e) = block.verify_columns_for(columns) {
+            return Err(self.condemn_mapped(&e));
+        }
+        if let Some(h) = &self.hydrator {
+            h.promote(block);
         }
         Ok(())
     }
 
     /// Record that a mapped block failed its deferred CRC (at a query
-    /// touch, or before a demotion copies it) — the first failure sticks —
-    /// and return the reason.
+    /// touch, or before a demotion copies it) — the first failure sticks,
+    /// and fails every later query — and return this failure's reason.
     pub(crate) fn condemn_mapped(&self, error: &dyn std::fmt::Display) -> String {
         let reason = format!("corrupt mapped block: {error}");
         let mut poison = self.mapped_poison.lock().unwrap();
-        poison.get_or_insert(reason).clone()
+        poison.get_or_insert_with(|| reason.clone());
+        reason
     }
 
     /// Begin phase two after an attach that mapped bytes: the leaf serves
@@ -820,14 +816,18 @@ mod tests {
         // originals, but the copies are not the parked `Arc`s, so nothing
         // is promoted and no worker races these assertions.
         let copies: Vec<Arc<RowBlock>> = blocks.iter().map(|b| Arc::new((**b).clone())).collect();
-        s2.touch_mapped(&copies, &Query::new("logs", 0, 1000).columns_read())
-            .unwrap();
+        let touch = |columns: &[&str]| {
+            for b in &copies {
+                s2.touch_mapped(b, columns).unwrap();
+            }
+        };
+        touch(&Query::new("logs", 0, 1000).columns_read());
         for b in &blocks {
             assert!(verified(b, "time"));
             assert!(!verified(b, "sev") && !verified(b, "code"));
         }
         // A query over another column pays for that column only.
-        s2.touch_mapped(&copies, &["time", "sev"]).unwrap();
+        touch(&["time", "sev"]);
         for b in &blocks {
             assert!(verified(b, "sev") && !verified(b, "code"));
         }

@@ -33,6 +33,7 @@ mod ingest;
 pub mod persist;
 mod recover;
 pub mod residency;
+mod scan;
 pub mod server;
 
 pub use checkpoint::{CheckpointOutcome, CheckpointStats, Checkpointer, SEG_FLAG_CHECKPOINT};

@@ -528,7 +528,7 @@ impl LeafServer {
 mod tests {
     use super::*;
     use crate::testkit::*;
-    use scuba_columnstore::{ColdRef, Row, Table, Value};
+    use scuba_columnstore::{Row, Table, Value};
     use scuba_query::{AggSpec, GroupKey, Query};
 
     fn store_with_blocks(table: &str, blocks: usize, rows_per_block: i64) -> LeafMap {
@@ -925,42 +925,6 @@ mod tests {
         s.poll_tiering().unwrap();
         assert!(s.cold_blocks() > 0, "retry after fault never demoted");
         assert_eq!(s.query(&q).unwrap().rows_matched, 2000);
-    }
-
-    /// A tiered leaf with some cold blocks, one of them stomped mid-image
-    /// on disk (the mapping is MAP_SHARED, so the running leaf sees the
-    /// rot) — which lands in the fat `msg` column. Returns the stomped
-    /// block's cold ref.
-    fn leaf_with_corrupt_cold_msg(tag: &str) -> (LeafServer, Cleanup, ColdRef) {
-        let (cfg, dir) = tiered_config(tag, 8 * 1024);
-        let mut s = LeafServer::new(cfg).unwrap();
-        let cleanup = Cleanup(s.namespace().clone(), dir);
-        fill_wide(&mut s, 2, 1000);
-        let other: Vec<Row> = (0..100).map(Row::at).collect();
-        s.add_rows("other", &other, 0).unwrap();
-        s.sync_disk().unwrap();
-        s.poll_tiering().unwrap();
-        let cr = s
-            .store()
-            .map()
-            .get("logs")
-            .unwrap()
-            .blocks()
-            .iter()
-            .find_map(|b| b.cold_ref().cloned())
-            .expect("a cold block");
-        {
-            use std::io::{Seek, SeekFrom, Write};
-            let mut f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&cr.path)
-                .unwrap();
-            f.seek(SeekFrom::Start(cr.offset + cr.len / 2)).unwrap();
-            f.write_all(&[0xFF; 16]).unwrap();
-            f.sync_all().unwrap();
-        }
-        assert_eq!(corrupt_column_of(&s, "logs"), "msg");
-        (s, cleanup, cr)
     }
 
     /// Column-granular first touch on the cold tier: queries that do not

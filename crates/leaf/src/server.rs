@@ -3,8 +3,8 @@
 //!
 //! [`LeafServer`] owns the stages; each lives in its own module:
 //! recovery at start in `recover`, the crash path in `ingest`, phase-two
-//! hydration in `hydrate`, and the tiering glue beside
-//! [`crate::residency::ResidencyManager`]. Ingest, queries, expiry and the
+//! hydration in `hydrate`, the query path in `scan`, and the tiering glue
+//! beside [`crate::residency::ResidencyManager`]. Ingest, expiry and the
 //! planned shutdown stay here.
 
 use std::time::{Duration, Instant};
@@ -12,7 +12,6 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::Row;
 use scuba_diskstore::{ColdStore, DiskBackup, RecoveryStats, Throttle};
 use scuba_obs::PhaseBreakdown;
-use scuba_query::{execute_planned, LeafQueryResult, Query};
 use scuba_restart::{
     backup_to_shm_with, AttachReport, BackupReport, CopyOptions, LeafBackupState, RestoreReport,
     TableBackupState, SHM_LAYOUT_VERSION,
@@ -505,61 +504,6 @@ impl LeafServer {
         Ok(())
     }
 
-    /// Execute a query against this leaf's fraction of the table, on the
-    /// vectorized scan path (in-place over mapped blocks — no hydration
-    /// forced). The columns the query reads are CRC-verified in each
-    /// touched mapped block first (first touch only) and, on a
-    /// `Hydrating` leaf, the block jumps the hydration queue; a
-    /// verification failure fails the query and condemns the attach at the
-    /// next [`Self::poll_hydration`].
-    pub fn query(&self, query: &Query) -> LeafResult<LeafQueryResult> {
-        let latency = scuba_obs::Stopwatch::start();
-        if !self.phase.accepts_queries() {
-            return Err(self.unavailable("query"));
-        }
-        let Some(t) = self.store.map().get(&query.table) else {
-            return Ok(LeafQueryResult::empty());
-        };
-        // Plan once: planning snapshots (re-encodes) the open block, and
-        // both first-touch passes must see the very blocks the scan reads.
-        let plan = scuba_query::plan_scan(t, query).map_err(|e| LeafError::Query(e.to_string()))?;
-        let columns = query.columns_read();
-        self.touch_mapped(&plan.blocks, &columns)
-            .map_err(|reason| LeafError::Query(format!("mapped scan condemned: {reason}")))?;
-        if self.config.tiering == TieringMode::Sieve {
-            // Residency touches mirror `touch_mapped`: the blocks the scan
-            // will visit (post zone-map pruning) get their SIEVE visited
-            // bit; cold blocks get first-touch CRC verification of the
-            // columns the query reads, and a failure fails the query — the
-            // poison is acted on (per-table disk fallback) at the next
-            // tiering poll.
-            for block in &plan.blocks {
-                if block.is_cold() {
-                    self.residency
-                        .touch_cold(&query.table, block, &columns)
-                        .map_err(|reason| {
-                            LeafError::Query(format!("cold scan condemned: {reason}"))
-                        })?;
-                } else {
-                    self.residency.record_touch(block);
-                }
-            }
-        }
-        let scan = Instant::now();
-        let (result, counts) = execute_planned(&plan, query)?;
-        if scuba_obs::enabled() {
-            scuba_obs::histogram!("query_scan_ns")
-                .observe(scan.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-            scuba_obs::counter!("query_rows_scanned_total").add(result.rows_scanned);
-            scuba_obs::counter!("query_values_decoded_total").add(counts.values_decoded);
-            scuba_obs::counter!("query_values_gathered_total").add(counts.values_gathered);
-            scuba_obs::counter!("query_blocks_zonemap_pruned_total")
-                .add(result.blocks_zonemap_pruned);
-            scuba_obs::histogram!("leaf_query_latency_ns").observe(latency.elapsed_ns());
-        }
-        Ok(result)
-    }
-
     /// Apply retention limits (blocked during shutdown: Figure 5(c) kills
     /// deletes at Prepare).
     pub fn expire(&mut self, now: i64) -> LeafResult<usize> {
@@ -819,7 +763,7 @@ mod tests {
     use crate::testkit::*;
     use scuba_columnstore::table::RetentionLimits;
     use scuba_columnstore::Value;
-    use scuba_query::{AggSpec, GroupKey};
+    use scuba_query::{AggSpec, GroupKey, Query};
     use std::sync::Arc;
 
     #[test]

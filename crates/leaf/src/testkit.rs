@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use scuba_columnstore::{Row, Value};
+use scuba_columnstore::{ColdRef, Row, Value};
 use scuba_query::{AggSpec, LeafQueryResult, Query};
 use scuba_shmem::ShmNamespace;
 
@@ -250,4 +250,40 @@ pub(crate) fn fill_wide(server: &mut LeafServer, batches: usize, rows_per: i64) 
             .collect();
         server.add_rows("logs", &batch, 0).unwrap();
     }
+}
+
+/// A tiered leaf with some cold blocks, one of them stomped mid-image
+/// on disk (the mapping is MAP_SHARED, so the running leaf sees the
+/// rot) — which lands in the fat `msg` column. Returns the stomped
+/// block's cold ref.
+pub(crate) fn leaf_with_corrupt_cold_msg(tag: &str) -> (LeafServer, Cleanup, ColdRef) {
+    let (cfg, dir) = tiered_config(tag, 8 * 1024);
+    let mut s = LeafServer::new(cfg).unwrap();
+    let cleanup = Cleanup(s.namespace().clone(), dir);
+    fill_wide(&mut s, 2, 1000);
+    let other: Vec<Row> = (0..100).map(Row::at).collect();
+    s.add_rows("other", &other, 0).unwrap();
+    s.sync_disk().unwrap();
+    s.poll_tiering().unwrap();
+    let cr = s
+        .store()
+        .map()
+        .get("logs")
+        .unwrap()
+        .blocks()
+        .iter()
+        .find_map(|b| b.cold_ref().cloned())
+        .expect("a cold block");
+    {
+        use std::io::{Seek, SeekFrom, Write};
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&cr.path)
+            .unwrap();
+        f.seek(SeekFrom::Start(cr.offset + cr.len / 2)).unwrap();
+        f.write_all(&[0xFF; 16]).unwrap();
+        f.sync_all().unwrap();
+    }
+    assert_eq!(corrupt_column_of(&s, "logs"), "msg");
+    (s, cleanup, cr)
 }

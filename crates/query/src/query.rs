@@ -48,6 +48,13 @@ impl std::fmt::Display for GroupKey {
     }
 }
 
+/// The start of the `width`-second bucket holding `t`: `t` floored to a
+/// multiple of `width`, or `i64::MIN` where that multiple lies below it.
+/// Both executors bucket through this one function.
+pub(crate) fn bucket_start(t: i64, width: i64) -> i64 {
+    t.checked_sub(t.rem_euclid(width)).unwrap_or(i64::MIN)
+}
+
 /// An aggregation query against one table: time range, filters, optional
 /// group-by, and a list of aggregates — the shape of a Scuba dashboard
 /// panel.
@@ -64,8 +71,9 @@ pub struct Query {
     pub filters: Vec<Filter>,
     /// Optional group-by column.
     pub group_by: Option<String>,
-    /// Optional time-series bucketing: rows group by
-    /// `time - time.rem_euclid(bucket_secs)` in addition to `group_by`.
+    /// Optional time-series bucketing: rows group by `time` floored to a
+    /// multiple of `bucket_secs` (saturating at `i64::MIN`), in addition
+    /// to `group_by`.
     pub bucket_secs: Option<i64>,
     /// Aggregates to compute (at least one).
     pub aggregates: Vec<AggSpec>,
