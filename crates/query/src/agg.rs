@@ -215,6 +215,20 @@ impl AggState {
         }
     }
 
+    /// [`Self::merge`], taking `other` by value: a Distinct set moves its
+    /// values into the larger of the two sets instead of cloning them.
+    pub fn merge_owned(&mut self, other: AggState) {
+        match (self, other) {
+            (AggState::Distinct(a), AggState::Distinct(mut b)) => {
+                if b.len() > a.len() {
+                    std::mem::swap(a, &mut b);
+                }
+                a.append(&mut b);
+            }
+            (a, b) => a.merge(&b),
+        }
+    }
+
     /// Final value for output. Empty Min/Max/Avg yield `Value::Null`.
     pub fn finish(&self) -> Value {
         match self {
@@ -388,6 +402,36 @@ mod tests {
         b.update(&Value::Int(3));
         a.merge(&b);
         assert_eq!(a.finish(), Value::Int(3));
+    }
+
+    #[test]
+    fn owned_merge_equals_borrowed_merge() {
+        let specs = [
+            AggSpec::Count,
+            AggSpec::Sum("c".into()),
+            AggSpec::Min("c".into()),
+            AggSpec::Max("c".into()),
+            AggSpec::Avg("c".into()),
+            AggSpec::p99("c"),
+            AggSpec::CountDistinct("c".into()),
+        ];
+        // Either side the larger: the distinct merge keeps the larger set.
+        for (left_len, right_len) in [(40, 7), (7, 40), (0, 9), (9, 0)] {
+            for spec in &specs {
+                let (mut a, mut b) = (spec.new_state(), spec.new_state());
+                for i in 0..left_len {
+                    a.update(&Value::Double(i as f64 * 0.3 - 2.0));
+                }
+                for i in 0..right_len {
+                    b.update(&Value::from(format!("v{}", i % 5)));
+                    b.update(&Value::Double(i as f64 * 0.7));
+                }
+                let mut borrowed = a.clone();
+                borrowed.merge(&b);
+                a.merge_owned(b);
+                assert_eq!(a, borrowed, "{spec:?} {left_len}/{right_len}");
+            }
+        }
     }
 
     #[test]
