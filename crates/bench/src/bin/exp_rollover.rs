@@ -100,7 +100,6 @@ fn main() {
             wal_bytes: 0,
             wal_replay_ns: 0,
             crash_fast_recoveries: 0,
-            on_access_blocks: 0,
             cold_blocks: 0,
             cold_bytes: 0,
             demotions: 0,

@@ -1,12 +1,12 @@
-//! E17 — Vectorized in-place scans + access-driven lazy hydration.
+//! E17 — Vectorized in-place scans over mapped blocks.
 //!
-//! PR 7's scan engine claims: (1) columnar filter kernels beat the
-//! row-wise oracle ≥2x on a filter-heavy mix, (2) scanning mapped
-//! (shm-resident) blocks in place is within 1.3x of scanning heap
-//! blocks — so a hydrating leaf serves queries at nearly full speed —
-//! and (3) under `HydrationMode::OnAccess` a cold table that no query
-//! touches is never copied at all, while its results stay identical to
-//! `Eager` mode.
+//! The scan engine claims: (1) columnar filter kernels beat the row-wise
+//! oracle ≥2x on a filter-heavy mix, (2) scanning mapped (shm-resident)
+//! blocks in place is within 1.3x of scanning heap blocks — so a leaf
+//! serves a kept image, or a hydrating one, at nearly full speed — and
+//! (3) after a planned restart that keeps its image, a cold table that no
+//! query touches is never copied at all, while every result stays
+//! identical to the heap leaf's.
 //!
 //! ```sh
 //! cargo run --release -p scuba-bench --bin exp_scan
@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use scuba::columnstore::Table;
 use scuba::ingest::{WorkloadKind, WorkloadSpec};
-use scuba::leaf::{HydrationMode, LeafServer, RecoveryOutcome, RestoreMode};
+use scuba::leaf::{LeafServer, RecoveryOutcome, RestoreMode};
 use scuba::query::{execute, execute_vectorized, plan_scan, AggSpec, CmpOp, Filter, Query};
 use scuba_bench::{fmt_bytes, fmt_dur, header, BenchJson, LeafRig};
 
@@ -255,17 +255,13 @@ fn heap_vs_mapped(rows: usize, reps: usize, assert_ratio: bool, json: &mut Bench
     }
 }
 
-/// Access-driven hydration under a live query mix: a hot table is
-/// queried (and hydrates first), a cold table is never touched — it
-/// must end the run fully mapped with zero bytes copied, and both
-/// tables' results must match `Eager` mode exactly. Hydration is the
-/// crash path's: the leaf commits a checkpoint image and is killed, and
-/// its replacement attaches that image (a planned image is kept in
-/// place, never hydrated).
-fn lazy_hydration(rows_per_table: usize, json: &mut BenchJson) {
-    println!("\n-- OnAccess hydration under a live mix ({rows_per_table} rows/table) --\n");
-    let mut rig = LeafRig::new("e17h");
-    rig.config.checkpoint_enabled = true;
+/// A planned image kept in place under a live query mix: the hot table is
+/// queried from the mapped bytes, a cold table is never touched — it must
+/// end the run fully mapped with zero bytes copied — and both tables'
+/// results must equal the heap leaf's before the restart.
+fn kept_image(rows_per_table: usize, json: &mut BenchJson) {
+    println!("\n-- a kept planned image under a live mix ({rows_per_table} rows/table) --\n");
+    let mut rig = LeafRig::new("e17k");
     let mut server = LeafServer::new(rig.config.clone()).expect("boot leaf");
     for (kind, seed) in [
         (WorkloadKind::Requests, 7001),
@@ -292,102 +288,80 @@ fn lazy_hydration(rows_per_table: usize, json: &mut BenchJson) {
         .collect();
 
     rig.config.restore_mode = RestoreMode::TwoPhase;
-    rig.config.hydration = HydrationMode::OnAccess;
-    server.checkpoint_and_wait().expect("checkpoint");
-    server.crash();
+    server.shutdown_to_shm(0).expect("shutdown");
     drop(server);
 
     let t = Instant::now();
     let (mut server, outcome) = LeafServer::start(rig.config.clone(), 0, None).expect("start");
     let attach_secs = t.elapsed().as_secs_f64();
     assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-    assert!(server.is_hydrating());
-    let total_blocks = server.hydration_pending();
+    assert!(
+        !server.is_hydrating(),
+        "a planned image is kept, not hydrated"
+    );
     let cold = server.store().map().get("error_logs").expect("cold table");
     let cold_blocks = cold.blocks().len();
     let cold_mapped_before = cold.mapped_bytes();
     assert!(cold_mapped_before > 0);
 
-    // Time to first query: the hot mix answers from mapped bytes
-    // immediately; nothing has hydrated yet.
+    // Time to first query: the hot mix answers from mapped bytes at once.
     let t = Instant::now();
     let first = server.query(&query_mix()[0].1).expect("first hot query");
     let ttfq_secs = t.elapsed().as_secs_f64();
     assert_eq!(first, expected_hot[0]);
 
-    // Live mix: keep querying the hot table while polling. Touched
-    // blocks jump the hydration queue; cold blocks stay parked.
+    // Live mix: a few passes over the hot table, polling between them as
+    // a serving loop would. Every answer is the heap leaf's.
     let t = Instant::now();
-    while server.hydration_pending() > cold_blocks {
-        for (_, q) in query_mix() {
-            server.query(&q).expect("hot query");
+    for _ in 0..3 {
+        for (expected, (label, q)) in expected_hot.iter().zip(query_mix()) {
+            let got = server.query(&q).expect("hot query");
+            assert_eq!(got, *expected, "kept image diverged on {label:?}");
         }
-        server.poll_hydration().expect("poll");
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert_eq!(server.poll_hydration().expect("poll"), 0);
     }
-    let hot_hydrated_secs = t.elapsed().as_secs_f64();
+    let mix_secs = t.elapsed().as_secs_f64();
 
-    // The cold table was never queried: every block is still mapped,
-    // zero bytes were copied to heap on its behalf.
-    let cold = server.store().map().get("error_logs").expect("cold table");
-    let copied = cold_mapped_before - cold.mapped_bytes();
-    assert!(
-        cold.blocks().iter().all(|b| b.is_mapped()),
-        "cold blocks must still be mapped"
-    );
-    assert_eq!(copied, 0, "cold table must end the run with 0 bytes copied");
-    assert_eq!(server.hydration_pending(), cold_blocks);
-
-    // Served in place, the cold results are identical anyway...
-    let cold_result = server.query(&cold_query).expect("cold mapped query");
-    assert_eq!(cold_result, expected_cold);
-    // ...and stay identical after full hydration drains the queue.
-    server.finish_hydration().expect("finish");
-    assert_eq!(server.shm_resident(), 0);
-    assert_eq!(
-        server.query(&cold_query).expect("cold heap query"),
-        expected_cold
-    );
-
-    // Eager control: the classic phase-two restore of the same image
-    // must agree on every result.
-    rig.config.hydration = HydrationMode::Eager;
-    server.checkpoint_and_wait().expect("checkpoint");
-    server.crash();
-    drop(server);
-    let (mut server, outcome) = LeafServer::start(rig.config.clone(), 0, None).expect("start");
-    assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-    assert!(server.is_hydrating());
-    server.finish_hydration().expect("finish");
-    assert_eq!(
-        server.query(&cold_query).expect("eager cold"),
-        expected_cold
-    );
-    for (expected, (label, q)) in expected_hot.iter().zip(query_mix()) {
-        assert_eq!(
-            server.query(&q).expect("eager hot"),
-            *expected,
-            "Eager diverged on {label:?}"
+    // The cold table was never queried: every block is still mapped, zero
+    // bytes were copied to heap on its behalf ...
+    let cold_copied = |server: &LeafServer| {
+        let cold = server.store().map().get("error_logs").expect("cold table");
+        assert!(
+            cold.blocks().iter().all(|b| b.is_mapped()),
+            "cold blocks must still be mapped"
         );
-    }
+        cold_mapped_before - cold.mapped_bytes()
+    };
+    let copied = cold_copied(&server);
+    assert_eq!(copied, 0, "cold table must end the run with 0 bytes copied");
+    // ... and it answers identically in place, also once the leaf has
+    // been told to finish hydrating, which copies nothing.
+    assert_eq!(
+        server.query(&cold_query).expect("cold mapped query"),
+        expected_cold
+    );
+    server.finish_hydration().expect("finish");
+    assert_eq!(cold_copied(&server), 0);
+    assert_eq!(
+        server.query(&cold_query).expect("cold mapped query"),
+        expected_cold
+    );
 
     println!(
-        "  attach {} | first query {} | hot hydrated {} | cold blocks {}/{} still mapped ({})",
+        "  attach {} | first query {} | live mix x3 {} | cold blocks {cold_blocks} still mapped ({})",
         fmt_dur(attach_secs),
         fmt_dur(ttfq_secs),
-        fmt_dur(hot_hydrated_secs),
-        cold_blocks,
-        total_blocks,
+        fmt_dur(mix_secs),
         fmt_bytes(cold_mapped_before as u64),
     );
-    println!("  cold table copied 0 bytes; OnAccess == Eager on every result: ok");
+    println!("  cold table copied 0 bytes; kept image == heap on every result: ok");
     json.push(
-        "e17_lazy_hydration",
+        "e17_kept_image",
         &[
             ("rows", (2 * rows_per_table) as f64),
             ("attach_secs", attach_secs),
             ("first_query_secs", ttfq_secs),
-            ("hot_hydrated_secs", hot_hydrated_secs),
+            ("live_mix_secs", mix_secs),
             ("cold_mapped_bytes", cold_mapped_before as f64),
             ("cold_copied_bytes", copied as f64),
         ],
@@ -400,13 +374,10 @@ fn main() {
     // CI smoke: small scale, correctness asserts only (the timing ratios
     // are asserted in the full run, where the scale makes them stable).
     if std::env::args().any(|a| a == "--scan-only") {
-        header(
-            "E17",
-            "vectorized scan + lazy hydration smoke (--scan-only)",
-        );
+        header("E17", "vectorized scan + kept-image smoke (--scan-only)");
         let (row, vec) = scan_kernels(30_000, 2, false, &mut json);
         heap_vs_mapped(30_000, 2, false, &mut json);
-        lazy_hydration(30_000, &mut json);
+        kept_image(30_000, &mut json);
         println!(
             "\n  smoke mix: row-wise {} vs vectorized {}; scan paths healthy: ok",
             fmt_dur(row),
@@ -418,10 +389,10 @@ fn main() {
 
     header(
         "E17",
-        "vectorized in-place scans over mapped blocks + lazy hydration",
+        "vectorized in-place scans over mapped blocks + a kept image",
     );
     scan_kernels(600_000, 5, true, &mut json);
     heap_vs_mapped(600_000, 5, true, &mut json);
-    lazy_hydration(300_000, &mut json);
+    kept_image(300_000, &mut json);
     json.write();
 }

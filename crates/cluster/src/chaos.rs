@@ -22,8 +22,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scuba_columnstore::Row;
+use scuba_leaf::compat::{self, OldWriter};
 use scuba_leaf::{
-    LeafConfig, LeafPhase, LeafServer, RecoveryOutcome, RestoreMode, TieringMode, WriterCompat,
+    LeafConfig, LeafError, LeafPhase, LeafServer, RecoveryOutcome, RestoreMode, TieringMode,
 };
 use scuba_query::Query;
 use scuba_shmem::{ShmNamespace, ShmSegment};
@@ -222,11 +223,12 @@ pub struct ChaosConfig {
     /// (attach + background hydration) and even waves with the classic
     /// full restore, so one soak stands faults on both paths.
     pub two_phase: bool,
-    /// When true, the seeded script also varies the *writer*: each wave's
-    /// outgoing leaf shuts down as the current binary, the pre-refactor v1
-    /// binary, or an early-TLV v2 binary — so faults and both restore
-    /// modes are stood on cross-version images, not just same-version
-    /// ones.
+    /// When true, the seeded script also varies the *writer*: each planned
+    /// wave's outgoing leaf shuts down as the current binary, the
+    /// pre-refactor v1 binary, or an early-TLV v2 binary (its committed
+    /// image rewritten by [`compat::rewrite_as_old_writer`]) — so faults
+    /// and both restore modes are stood on cross-version images, not just
+    /// same-version ones.
     pub mixed_writers: bool,
     /// When true, the leaf runs with the continuous-checkpoint + WAL
     /// crash path enabled and *even* waves die by mid-ingest kill
@@ -252,11 +254,13 @@ pub struct ChaosConfig {
     pub loadgen: bool,
 }
 
-/// Writer label drawn for a wave (stable across runs for a given seed).
-const WRITERS: &[(WriterCompat, &str)] = &[
-    (WriterCompat::Current, "current"),
-    (WriterCompat::LegacyV1, "legacy-v1"),
-    (WriterCompat::AgedV2, "aged-v2"),
+/// Writer drawn for a wave (stable across runs for a given seed): the
+/// current binary, or an old one whose layout the committed image is
+/// rewritten into.
+const WRITERS: &[(Option<OldWriter>, &str)] = &[
+    (None, "current"),
+    (Some(OldWriter::LegacyV1), "legacy-v1"),
+    (Some(OldWriter::AgedV2), "aged-v2"),
 ];
 
 /// What one wave did.
@@ -482,7 +486,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         } else {
             WRITERS[0]
         };
-        server.set_writer_compat(writer);
 
         // --- Take the wave down: mid-ingest kill (even crash waves) or a
         // planned rollover with one scripted fault armed. ---
@@ -557,9 +560,27 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
             }
 
             // --- One rollover under fire. A failed shutdown is a kill,
-            // as in the hosted cluster: a crashed old process.
-            if server.shutdown_to_shm(0).is_err() {
-                server.crash();
+            // as in the hosted cluster: a crashed old process. A death at
+            // the exit phase still committed the image.
+            let committed = match server.shutdown_to_shm(0) {
+                Ok(_) => true,
+                Err(e) => {
+                    server.crash();
+                    matches!(
+                        e,
+                        LeafError::Injected {
+                            site: "leaf::phase::exit"
+                        }
+                    )
+                }
+            };
+            // An old binary shuts down by the same protocol and leaves its
+            // own layout. The rewrite runs with the script paused, so the
+            // fault wounds only the shutdown and the restart it was armed
+            // for.
+            if let Some(old) = writer.filter(|_| committed) {
+                scuba_faults::paused(|| compat::rewrite_as_old_writer(&ns, old))
+                    .map_err(|e| err(wave, "old-writer rewrite", e))?;
             }
         }
         // The leaf is down: the metric-fed dashboard must show the dip.

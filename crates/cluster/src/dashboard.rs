@@ -45,10 +45,6 @@ pub struct DashboardRow {
     /// Cumulative fast crash recoveries across the fleet
     /// (`leaf_crash_fast_recoveries_total`).
     pub crash_fast_recoveries: u64,
-    /// Lazy-hydration overlay, summed across leaves: mapped blocks parked
-    /// until a query touches them (`leaf_hydration_on_access_blocks`).
-    /// Zero under eager hydration.
-    pub on_access_blocks: i64,
     /// Tiered-storage overlay: row blocks demoted to the disk fast-format
     /// cold tier across the fleet (`leaf_cold_blocks`). Zero with tiering
     /// off.
@@ -252,7 +248,6 @@ impl DashboardFeed {
         let mut wal_bytes = 0i64;
         let mut wal_replay_ns = 0i64;
         let mut crash_fast_recoveries = 0u64;
-        let mut on_access_blocks = 0i64;
         let mut cold_blocks = 0i64;
         let mut cold_bytes = 0i64;
         let mut demotions = 0u64;
@@ -264,7 +259,6 @@ impl DashboardFeed {
             queue_depth += leaf_gauge(crate::admission::QUEUE_DEPTH_GAUGE, key);
             shed += leaf_counter(crate::admission::SHED_COUNTER, key);
             checkpoint_lag_blocks += leaf_gauge("leaf_checkpoint_lag_blocks", key);
-            on_access_blocks += leaf_gauge("leaf_hydration_on_access_blocks", key);
             wal_bytes += leaf_gauge("leaf_wal_bytes", key);
             wal_replay_ns = wal_replay_ns.max(leaf_gauge("leaf_wal_replay_ns", key));
             crash_fast_recoveries += leaf_counter("leaf_crash_fast_recoveries_total", key);
@@ -310,7 +304,6 @@ impl DashboardFeed {
             wal_bytes,
             wal_replay_ns,
             crash_fast_recoveries,
-            on_access_blocks,
             cold_blocks,
             cold_bytes,
             demotions,
@@ -339,7 +332,6 @@ mod tests {
             wal_bytes: 0,
             wal_replay_ns: 0,
             crash_fast_recoveries: 0,
-            on_access_blocks: 0,
             cold_blocks: 0,
             cold_bytes: 0,
             demotions: 0,

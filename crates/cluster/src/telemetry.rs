@@ -260,7 +260,6 @@ impl QueryDashboardFeed {
         let recoveries = metric_by_leaf(cluster, ts, "counter", "leaf_recoveries_total");
         let phase = metric_by_leaf(cluster, ts, "gauge", "leaf_phase");
         let lag = metric_by_leaf(cluster, ts, "gauge", "leaf_checkpoint_lag_blocks");
-        let on_access = metric_by_leaf(cluster, ts, "gauge", "leaf_hydration_on_access_blocks");
         let wal = metric_by_leaf(cluster, ts, "gauge", "leaf_wal_bytes");
         let replay = metric_by_leaf(cluster, ts, "gauge", "leaf_wal_replay_ns");
         let crash = metric_by_leaf(cluster, ts, "counter", "leaf_crash_fast_recoveries_total");
@@ -285,7 +284,6 @@ impl QueryDashboardFeed {
             wal_bytes: 0,
             wal_replay_ns: 0,
             crash_fast_recoveries: 0,
-            on_access_blocks: 0,
             cold_blocks: 0,
             cold_bytes: 0,
             demotions: 0,
@@ -298,7 +296,6 @@ impl QueryDashboardFeed {
         let mut answering = 0usize;
         for (i, key) in self.keys.iter().enumerate() {
             row.checkpoint_lag_blocks += lag.get(key).copied().unwrap_or(0);
-            row.on_access_blocks += on_access.get(key).copied().unwrap_or(0);
             row.wal_bytes += wal.get(key).copied().unwrap_or(0);
             row.wal_replay_ns = row.wal_replay_ns.max(replay.get(key).copied().unwrap_or(0));
             row.crash_fast_recoveries += crash.get(key).copied().unwrap_or(0).max(0) as u64;
@@ -397,7 +394,6 @@ mod tests {
             d.crash_fast_recoveries as i64,
             "crash_fast_recoveries",
         );
-        close(q.on_access_blocks, d.on_access_blocks, "on_access_blocks");
         close(q.cold_blocks, d.cold_blocks, "cold_blocks");
         close(q.cold_bytes, d.cold_bytes, "cold_bytes");
         close(q.demotions as i64, d.demotions as i64, "demotions");

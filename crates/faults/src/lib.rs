@@ -45,7 +45,7 @@
 //! code path to reach into it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Duration;
 
@@ -108,6 +108,9 @@ const ON: u8 = 2;
 /// and `ON` whenever it is not. The disabled-path cost of [`check`] is
 /// exactly one relaxed load of this flag.
 static ARMED: AtomicU8 = AtomicU8::new(UNINIT);
+
+/// How many [`paused`] sections are running; armed sites pass while any is.
+static PAUSED: AtomicUsize = AtomicUsize::new(0);
 
 /// What an armed site tells its caller to do. Only the effects the caller
 /// must act on are returned; `delay`/`panic`/`abort` are executed inside
@@ -299,7 +302,7 @@ pub fn check(site: &str) -> Option<Fault> {
 #[cold]
 fn check_slow(site: &str) -> Option<Fault> {
     ensure_init();
-    if ARMED.load(Ordering::Relaxed) != ON {
+    if ARMED.load(Ordering::Relaxed) != ON || PAUSED.load(Ordering::SeqCst) > 0 {
         return None;
     }
     let effect = {
@@ -409,6 +412,23 @@ pub fn any_armed() -> bool {
     ARMED.load(Ordering::SeqCst) == ON
 }
 
+/// Run `f` with every armed site passing silently: no hit counted,
+/// nothing fired, every plan left as it was. For a harness step that sits
+/// between a script's arming and the code it wounds (the chaos soak
+/// rewriting a committed image in an old writer's layout) and must not
+/// spend the script. Process-wide, like the registry: hold [`exclusive`].
+pub fn paused<T>(f: impl FnOnce() -> T) -> T {
+    struct Resume;
+    impl Drop for Resume {
+        fn drop(&mut self) {
+            PAUSED.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    PAUSED.fetch_add(1, Ordering::SeqCst);
+    let _resume = Resume;
+    f()
+}
+
 /// RAII guard from [`guard`], disarming its site on drop (including on
 /// test panic).
 #[derive(Debug)]
@@ -468,6 +488,16 @@ mod tests {
         }
         assert_eq!(hits("t::always"), 5);
         assert_eq!(triggered("t::always"), 5);
+    }
+
+    #[test]
+    fn a_paused_site_passes_and_keeps_its_plan() {
+        let _x = exclusive();
+        clear_all();
+        let _g = guard("t::paused", "error@1").unwrap();
+        assert_eq!(paused(|| check("t::paused")), None);
+        assert_eq!(hits("t::paused"), 0);
+        assert_eq!(check("t::paused"), Some(Fault::Error));
     }
 
     #[test]

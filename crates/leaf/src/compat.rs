@@ -1,9 +1,10 @@
-//! Simulated **old-writer** shared-memory images.
+//! Simulated **old-writer** shared-memory images: test support, not a
+//! shutdown path.
 //!
 //! The self-describing layout's whole point is that a *new* binary can
 //! read an image a *pre-upgrade* binary left behind. To prove that
-//! continuously — in unit tests, golden fixtures, chaos waves, and
-//! rollover drills — this module reimplements the two older writers:
+//! continuously — in unit tests, golden fixtures and chaos waves — this
+//! module reimplements the two older writers:
 //!
 //! * [`install_legacy_v1_image`] — the pre-refactor format end to end:
 //!   legacy v1 metadata region (one global layout version, no per-table
@@ -14,6 +15,10 @@
 //!   them) and, optionally, stranger chunks the current binary has never
 //!   heard of — skippable ones it must ignore, required ones that force
 //!   the per-table disk fallback.
+//!
+//! [`rewrite_as_old_writer`] stands a pre-upgrade binary's whole clean
+//! shutdown: the current protocol runs, then its committed image is
+//! rewritten in an old layout.
 //!
 //! Both writers produce images whose *table contents* come from real
 //! [`Table`]s, so restored results can be compared cell for cell against
@@ -26,10 +31,11 @@
 use scuba_columnstore::Table;
 use scuba_restart::framing::{end_header_v2, END_SENTINEL_V1, TAG_UNIT_NAME};
 use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
-use scuba_restart::{ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
+use scuba_restart::{restore_from_shm, ChunkDesc, ChunkSink, SHM_LAYOUT_VERSION};
 use scuba_shmem::{crc32, LeafMetadata, SegmentWriter, ShmError, ShmNamespace, ShmSegment};
 
 use crate::image::{prelude, TAG_COLUMN, TAG_MANIFEST, TAG_PRELUDE};
+use crate::persist::LeafStore;
 
 /// A chunk tag no store in this workspace has ever defined — the
 /// "written by a future/forked binary" stranger used by aged images.
@@ -173,6 +179,42 @@ pub fn install_aged_v2_image_mixed(
         .map(|t| aged_v2_unit_stream(t, &opts_for(t.name())))
         .collect();
     install_units(ns, meta, &streams)
+}
+
+/// A pre-upgrade writer binary, by the image its clean shutdown leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OldWriter {
+    /// The pre-refactor writer: [`install_legacy_v1_image`].
+    LegacyV1,
+    /// An early TLV writer that leaves a skippable stranger chunk in every
+    /// unit: [`install_aged_v2_image`].
+    AgedV2,
+}
+
+/// Turn the committed image a current clean shutdown left under `ns` into
+/// the one `writer` would have left of the same tables: copy the image
+/// back (which consumes it), then install its tables in the old layout.
+/// Returns the old image's segment bytes. On an error nothing restorable
+/// is left under `ns`, as after a failed shutdown.
+pub fn rewrite_as_old_writer(ns: &ShmNamespace, writer: OldWriter) -> Result<usize, String> {
+    let mut store = LeafStore::new();
+    let report = restore_from_shm(&mut store, ns, SHM_LAYOUT_VERSION).map_err(|e| e.to_string())?;
+    if !report.skipped.is_empty() {
+        return Err(format!("current image skipped {:?}", report.skipped));
+    }
+    let tables: Vec<Table> = store.map_mut().take_tables().into_values().collect();
+    match writer {
+        OldWriter::LegacyV1 => install_legacy_v1_image(ns, &tables),
+        OldWriter::AgedV2 => install_aged_v2_image(
+            ns,
+            &tables,
+            &AgedImageOptions {
+                skippable_stranger: true,
+                required_stranger: false,
+            },
+        ),
+    }
+    .map_err(|e| e.to_string())
 }
 
 /// Write each unit stream into a freshly created table segment, register

@@ -20,39 +20,6 @@ pub enum RestoreMode {
     TwoPhase,
 }
 
-/// When the background hydrator copies mapped blocks to heap after a
-/// [`RestoreMode::TwoPhase`] attach of a checkpoint image (a planned
-/// image is never hydrated).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HydrationMode {
-    /// Copy every mapped block as fast as the pool allows (the classic
-    /// phase two). Time to *full* recovery is minimized.
-    Eager,
-    /// Access-driven: blocks start parked and hydrate only after a query
-    /// touches them (query-touched blocks jump the queue). Cold tables
-    /// may never be copied at all — queries serve them from the mapped
-    /// bytes indefinitely, CRC-verified on first touch.
-    /// [`crate::LeafServer::finish_hydration`] releases everything.
-    OnAccess,
-}
-
-/// Which shared-memory image format [`crate::LeafServer::shutdown_to_shm`]
-/// writes. Anything but `Current` simulates an *older* writer binary, so
-/// upgrade waves (chaos, rollover) can prove that an old image restores
-/// under the current reader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriterCompat {
-    /// The current self-describing TLV layout.
-    Current,
-    /// The pre-refactor bare-framed layout (metadata layout version 1,
-    /// positional chunks, manifest without a schema snapshot).
-    LegacyV1,
-    /// An early TLV writer: v2 framing but v1-versioned manifests (no
-    /// schema snapshot — the reader's shim upgrades them) plus an unknown
-    /// skippable chunk the reader must ignore.
-    AgedV2,
-}
-
 /// Whether (and how) the leaf demotes sealed blocks to the disk
 /// fast-format cold tier when `memory_budget_bytes` is exceeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,13 +60,6 @@ pub struct LeafConfig {
     /// ([`RestoreMode::Full`]) or attach-then-hydrate
     /// ([`RestoreMode::TwoPhase`]).
     pub restore_mode: RestoreMode,
-    /// Under [`RestoreMode::TwoPhase`], whether hydration is eager or
-    /// access-driven.
-    pub hydration: HydrationMode,
-    /// Which image format shutdown writes — [`WriterCompat::Current`] in
-    /// production; the older formats simulate a pre-upgrade binary for
-    /// mixed-version restart waves.
-    pub writer_compat: WriterCompat,
     /// Whether the continuous checkpointer + WAL crash-restart path is on.
     /// Off by default: the paper's planned-shutdown-only protocol is the
     /// baseline, and the crash path is the opt-in extension.
@@ -136,8 +96,6 @@ impl LeafConfig {
             shm_recovery_enabled: true,
             copy_threads: 0,
             restore_mode: RestoreMode::Full,
-            hydration: HydrationMode::Eager,
-            writer_compat: WriterCompat::Current,
             checkpoint_enabled: false,
             checkpoint_interval_rows: 0,
             trace_id: 0,

@@ -1,20 +1,20 @@
 //! Phase two of a two-phase restore of a *checkpoint* image (DESIGN §11):
 //! after the crash path's attach the leaf serves over the mapped segments
-//! while a worker pool copies every mapped block to heap; the server
-//! applies the copies under its own `&mut`. A planned image is not
-//! hydrated: the leaf keeps serving it in place (`recover`), and
-//! [`LeafServer::finish_hydration`] / [`LeafServer::poll_hydration`]
-//! return at once there. Both kinds of mapped block share the first-touch
-//! check here ([`LeafServer::touch_mapped`]) and its poison.
+//! while the copy pool (`scuba_restart::fan_out`) copies every mapped
+//! block to heap; the server applies the copies under its own `&mut`. A
+//! planned image is not hydrated: the leaf keeps serving it in place
+//! (`recover`), and [`LeafServer::finish_hydration`] /
+//! [`LeafServer::poll_hydration`] return at once there. Both kinds of
+//! mapped block share the first-touch check here
+//! ([`LeafServer::touch_mapped`]) and its poison.
 
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
 
 use scuba_columnstore::RowBlock;
-use scuba_restart::resolve_copy_threads;
+use scuba_restart::{fan_out, resolve_copy_threads};
 
-use crate::config::HydrationMode;
 use crate::error::LeafResult;
 use crate::persist::LeafStore;
 use crate::server::{phase_failpoint, LeafPhase, LeafServer};
@@ -40,212 +40,96 @@ pub(crate) fn hydrate_block(block: &RowBlock) -> Result<RowBlock, String> {
     Ok(block.to_heap())
 }
 
-/// One block awaiting hydration.
-type HydrationJob = (String, Arc<RowBlock>);
-
-/// Shared hydration work queue. Jobs sit in one of two lists: `ready`
-/// (workers may take them) and `parked` (waiting for a query to touch
-/// them — [`HydrationMode::OnAccess`] starts everything here). A query
-/// touch promotes a block parked → front of ready, so the scan's working
-/// set hydrates first; [`LeafServer::finish_hydration`] releases the
-/// rest.
-#[derive(Debug)]
-struct QueueState {
-    ready: std::collections::VecDeque<HydrationJob>,
-    parked: Vec<HydrationJob>,
-    closed: bool,
-}
-
-#[derive(Debug)]
-struct HydrationQueue {
-    state: std::sync::Mutex<QueueState>,
-    cond: std::sync::Condvar,
-}
-
-impl HydrationQueue {
-    fn new(jobs: Vec<HydrationJob>, mode: HydrationMode) -> HydrationQueue {
-        let state = match mode {
-            HydrationMode::Eager => QueueState {
-                ready: jobs.into(),
-                parked: Vec::new(),
-                closed: false,
-            },
-            HydrationMode::OnAccess => QueueState {
-                ready: std::collections::VecDeque::new(),
-                parked: jobs,
-                closed: false,
-            },
-        };
-        HydrationQueue {
-            state: std::sync::Mutex::new(state),
-            cond: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Worker side: next ready job. Blocks while jobs are parked; `None`
-    /// once the queue is closed or drained (nothing ready *or* parked).
-    fn pop(&self) -> Option<HydrationJob> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return None;
-            }
-            if let Some(job) = st.ready.pop_front() {
-                return Some(job);
-            }
-            if st.parked.is_empty() {
-                return None;
-            }
-            st = self.cond.wait(st).unwrap();
-        }
-    }
-
-    /// Query side: a scan touched `block` — if it is still parked, move
-    /// it to the front of the ready list so it hydrates next.
-    fn promote(&self, block: &Arc<RowBlock>) {
-        let mut st = self.state.lock().unwrap();
-        if let Some(i) = st.parked.iter().position(|(_, b)| Arc::ptr_eq(b, block)) {
-            let job = st.parked.swap_remove(i);
-            st.ready.push_front(job);
-            self.cond.notify_one();
-        }
-    }
-
-    /// Release every parked job to the workers (finish_hydration).
-    fn release_all(&self) {
-        let mut st = self.state.lock().unwrap();
-        let parked = std::mem::take(&mut st.parked);
-        st.ready.extend(parked);
-        self.cond.notify_all();
-    }
-
-    /// Wake every worker and make further pops return `None` (fallback /
-    /// crash teardown — without this, workers blocked on parked jobs
-    /// would never join and their mapped segment refs would leak).
-    fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.cond.notify_all();
-    }
-
-    /// Blocks still waiting for a query to touch them.
-    fn parked_len(&self) -> usize {
-        self.state.lock().unwrap().parked.len()
-    }
-}
-
-/// Background worker pool converting mapped blocks to heap after an
-/// attach. Results stream back over a channel; the server applies them
-/// under its own `&mut` (the workers never touch the store).
+/// Phase two in the background: one thread runs the copy pool over a
+/// snapshot of the mapped blocks, and results stream back over a channel;
+/// the server applies them under its own `&mut` (the workers never touch
+/// the store).
 #[derive(Debug)]
 pub(crate) struct Hydrator {
-    /// Result stream from the workers. Mutex-wrapped so the server stays
+    /// Result stream from the pool. Mutex-wrapped so the server stays
     /// `Sync` (concurrent readers share `&LeafServer`); only the server's
     /// own `&mut` polls ever take the lock.
     rx: std::sync::Mutex<mpsc::Receiver<HydratedBlock>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    /// Blocks handed to workers whose results have not been applied yet.
+    /// The thread running the pool.
+    pool: thread::JoinHandle<()>,
+    /// Blocks snapshotted for the pool whose results have not been
+    /// applied yet.
     pending: usize,
     /// When phase two began — the `restart.hydration` span's base.
     started: Instant,
-    /// The shared work queue (query touches promote through it).
-    queue: Arc<HydrationQueue>,
 }
 
 impl Hydrator {
     /// Snapshot every mapped block and fan the copy work out over the
-    /// resolved copy-thread count.
-    fn spawn(store: &LeafStore, copy_threads: usize, mode: HydrationMode) -> Hydrator {
-        let mut jobs: Vec<HydrationJob> = Vec::new();
+    /// resolved copy-thread count, on a thread of its own.
+    fn spawn(store: &LeafStore, copy_threads: usize) -> Hydrator {
+        let mut jobs: Vec<(String, Arc<RowBlock>)> = Vec::new();
         for table in store.map().iter() {
             for block in table.mapped_blocks() {
                 jobs.push((table.name().to_owned(), block));
             }
         }
         let pending = jobs.len();
-        let threads = resolve_copy_threads(copy_threads).min(pending.max(1));
-        let queue = Arc::new(HydrationQueue::new(jobs, mode));
+        let threads = resolve_copy_threads(copy_threads).min(pending);
         let (tx, rx) = mpsc::channel();
-        let workers = (0..threads)
-            .map(|_| {
-                let tx = tx.clone();
-                let queue = Arc::clone(&queue);
-                thread::spawn(move || {
-                    while let Some((table, old)) = queue.pop() {
-                        let new = hydrate_block(&old);
-                        if tx.send(HydratedBlock { table, old, new }).is_err() {
-                            return; // server gone (crash/fallback); stop
-                        }
-                    }
-                })
-            })
-            .collect();
+        let pool = thread::spawn(move || {
+            let mut jobs = jobs.into_iter();
+            // A failed send means the server stopped listening (fallback,
+            // crash): dispatch stops, and the blocks never handed out drop
+            // with `jobs`.
+            let _ = fan_out(
+                threads,
+                |_| jobs.next().map(Ok),
+                |(table, old)| {
+                    let new = hydrate_block(&old);
+                    Ok(HydratedBlock { table, old, new })
+                },
+                drop,
+                |msg| tx.send(msg).map_err(drop),
+            );
+        });
         Hydrator {
             rx: std::sync::Mutex::new(rx),
-            workers,
+            pool,
             pending,
             started: Instant::now(),
-            queue,
         }
     }
 
-    /// A query had to verify something in `block`: hydrate it next.
-    fn promote(&self, block: &Arc<RowBlock>) {
-        self.queue.promote(block);
-    }
-
-    /// Blocks still waiting for a query to touch them.
-    pub(crate) fn parked(&self) -> usize {
-        self.queue.parked_len()
-    }
-
-    /// Stop the pool: wake workers blocked on parked jobs, drop the
-    /// receiver so any send fails, and join them. Their mapped references
-    /// drop with them.
+    /// Stop the pool: drop the receiver so the next send fails, and join
+    /// the pool's thread. Every mapped reference it held drops with it.
     fn stop(self) {
-        self.queue.close();
         drop(self.rx);
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        let _ = self.pool.join();
     }
 }
 
 impl LeafServer {
     /// A query is about to scan `block`: if it is mapped, CRC-verify the
     /// columns the query reads (`columns`,
-    /// [`scuba_query::Query::columns_read`]) — and only those — and, while
-    /// hydrating, promote the block to the head of the hydration queue.
-    /// Each column's verify-once latch makes this first-touch-only and
-    /// shares the pass with whoever copies the block: whoever reaches a
-    /// column first pays, the other side reads the outcome. The columns
+    /// [`scuba_query::Query::columns_read`]) — and only those. Each
+    /// column's verify-once latch makes this first-touch-only and shares
+    /// the pass with whoever copies the block: whoever reaches a column
+    /// first pays, the other side reads the outcome. The columns
     /// the query does not read stay unverified, and unread, until a
     /// hydration worker's whole-block [`hydrate_block`] (or a demotion,
     /// or a disk reconcile) checks them before the copy — so every byte is
     /// checked once before anyone trusts it. A verification failure here
     /// poisons the attach: the caller fails the query, every later query
     /// fails at its start, and the next poll/finish falls back to disk.
-    pub(crate) fn touch_mapped(
-        &self,
-        block: &Arc<RowBlock>,
-        columns: &[&str],
-    ) -> Result<(), String> {
+    pub(crate) fn touch_mapped(&self, block: &RowBlock, columns: &[&str]) -> Result<(), String> {
         // First touch only — read off the latches, so a repeat query
         // takes no lock at all: heap blocks and columns someone already
-        // verified (the block hence already promoted, or with a worker)
-        // skip. Cold blocks have their own first touch and per-table
-        // fallback in the residency manager; only a hydrating leaf checks
-        // them here too.
+        // verified skip. Cold blocks have their own first touch and
+        // per-table fallback in the residency manager; only a hydrating
+        // leaf checks them here too.
         let cold_elsewhere = block.is_cold() && self.hydrator.is_none();
         if !block.is_mapped() || cold_elsewhere || block.columns_verified(columns) {
             return Ok(());
         }
-        if let Err(e) = block.verify_columns_for(columns) {
-            return Err(self.condemn_mapped(&e));
-        }
-        if let Some(h) = &self.hydrator {
-            h.promote(block);
-        }
-        Ok(())
+        block
+            .verify_columns_for(columns)
+            .map_err(|e| self.condemn_mapped(&e))
     }
 
     /// Record that a mapped block failed its deferred CRC (at a query
@@ -263,11 +147,7 @@ impl LeafServer {
     pub(crate) fn start_hydration(&mut self) -> LeafResult<()> {
         self.set_phase(LeafPhase::Hydrating);
         phase_failpoint("leaf::phase::hydrating")?;
-        self.hydrator = Some(Hydrator::spawn(
-            &self.store,
-            self.config.copy_threads,
-            self.config.hydration,
-        ));
+        self.hydrator = Some(Hydrator::spawn(&self.store, self.config.copy_threads));
         self.publish_memory_gauges();
         Ok(())
     }
@@ -285,8 +165,7 @@ impl LeafServer {
         self.hydrator.is_some()
     }
 
-    /// Blocks handed to hydration workers whose results have not been
-    /// applied yet.
+    /// Mapped blocks whose heap copies have not been applied yet.
     pub fn hydration_pending(&self) -> usize {
         self.hydrator.as_ref().map_or(0, |h| h.pending)
     }
@@ -308,10 +187,8 @@ impl LeafServer {
     }
 
     /// Block until hydration is complete (or has fallen back to disk).
-    /// The leaf is `Alive` with zero shm-resident bytes afterwards. Under
-    /// [`HydrationMode::OnAccess`] this first releases every parked block
-    /// to the workers — the "drain the lazy leaf" operation. A leaf that
-    /// keeps its planned image has nothing to wait for (see
+    /// The leaf is `Alive` with zero shm-resident bytes afterwards. A leaf
+    /// that keeps its planned image has nothing to wait for (see
     /// [`Self::poll_hydration`]).
     pub fn finish_hydration(&mut self) -> LeafResult<()> {
         self.drain_hydration(true).map(drop)
@@ -326,9 +203,6 @@ impl LeafServer {
             self.fall_back_from_hydration(reason)?;
             return Ok(0);
         }
-        if let Some(h) = self.hydrator.as_ref().filter(|_| wait) {
-            h.queue.release_all();
-        }
         while let Some(h) = self.hydrator.as_ref() {
             let received = {
                 let rx = h.rx.lock().unwrap();
@@ -341,7 +215,8 @@ impl LeafServer {
             match received {
                 Ok(msg) => self.apply_hydrated(msg)?,
                 Err(mpsc::TryRecvError::Empty) => break,
-                // A worker died (panic) with results outstanding.
+                // The pool died (a worker panicked) with results
+                // outstanding.
                 Err(mpsc::TryRecvError::Disconnected) => self.fall_back_from_hydration(
                     "hydration workers exited with blocks outstanding".to_owned(),
                 )?,
@@ -414,7 +289,6 @@ mod tests {
     use crate::testkit::*;
     use scuba_columnstore::Row;
     use scuba_query::{AggSpec, Query};
-    use std::time::Duration;
 
     #[test]
     fn two_phase_attach_serves_identical_results_before_hydration() {
@@ -507,14 +381,13 @@ mod tests {
         assert!(!ShmSegment::exists(&seg_name));
     }
 
-    /// Corrupt a payload byte deep in the shut-down leaf's first table
-    /// segment: the middle of the largest column chunk's RBC *data region*
-    /// (found by walking the TLV frames, offsets read from the RBC
-    /// header), so only the deferred payload CRC can tell.
-    fn corrupt_fattest_column_chunk(cfg: &LeafConfig) {
+    /// Corrupt a payload byte deep in an image's table segment `seg`: the
+    /// middle of the largest column chunk's RBC *data region* (found by
+    /// walking the TLV frames, offsets read from the RBC header), so only
+    /// the deferred payload CRC can tell.
+    fn corrupt_fattest_column_chunk(seg: &str) {
         use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
-        let ns = scuba_shmem::ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
-        let mut seg = scuba_shmem::ShmSegment::open(&ns.checkpoint_segment_name(0, 0)).unwrap();
+        let mut seg = scuba_shmem::ShmSegment::open(seg).unwrap();
         let buf = seg.as_mut_slice();
         let mut pos = 0usize;
         let mut fattest = (0usize, 0usize);
@@ -536,6 +409,30 @@ mod tests {
         rbc[(data_off + footer_off) / 2] ^= 0xFF;
     }
 
+    /// The first table segment of a checkpoint image
+    /// ([`crash_to_checkpoint`]'s).
+    fn first_checkpoint_segment(cfg: &LeafConfig) -> String {
+        let ns = scuba_shmem::ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
+        ns.checkpoint_segment_name(0, 0)
+    }
+
+    /// Shut a leaf holding 800 rows of `logs` down, and corrupt the
+    /// planned image it left: its successor attaches and keeps the image,
+    /// and no hydration worker races the first-touch latches.
+    fn kept_leaf_with_a_corrupt_column(tag: &str) -> (LeafServer, Cleanup) {
+        let (cfg, dir) = kept_config(tag);
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let cleanup = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 800);
+        let summary = s.shutdown_to_shm(0).unwrap();
+        drop(s);
+        corrupt_fattest_column_chunk(&table_segment(&summary, "logs"));
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        assert!(!s.is_hydrating());
+        (s, cleanup)
+    }
+
     #[test]
     fn hydration_crc_mismatch_falls_back_to_disk() {
         let _x = scuba_faults::exclusive();
@@ -548,7 +445,7 @@ mod tests {
 
         // Attach's structural checks cannot see this; the deferred CRC at
         // hydration must.
-        corrupt_fattest_column_chunk(&cfg);
+        corrupt_fattest_column_chunk(&first_checkpoint_segment(&cfg));
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(
@@ -670,15 +567,14 @@ mod tests {
         assert!(!s2.is_hydrating());
     }
 
-    /// Tentpole acceptance: under OnAccess, a cold (never-queried) table
-    /// keeps every byte mapped — zero copies — while results stay
-    /// identical to the eager path, and query-touched blocks jump the
-    /// hydration queue.
+    /// A kept planned image is served in place: a table no query touches
+    /// stays mapped and copies nothing, the touched one answers from the
+    /// mapped bytes, and both answer exactly as before the restart —
+    /// through `finish_hydration` too, which has nothing to do.
     #[test]
-    fn on_access_hydrates_only_what_queries_touch() {
+    fn a_kept_image_never_hydrates_an_untouched_table() {
         let _x = scuba_faults::exclusive();
-        let (mut cfg, dir) = hydrating_config("lazyhyd");
-        cfg.hydration = HydrationMode::OnAccess;
+        let (cfg, dir) = kept_config("keptcold");
         let mut s = LeafServer::new(cfg.clone()).unwrap();
         let _c = Cleanup(s.namespace().clone(), dir);
         fill(&mut s, 600); // "logs": the hot table
@@ -690,46 +586,46 @@ mod tests {
         let q_cold = Query::new("archive", 0, 1000).aggregates(vec![AggSpec::Sum("v".into())]);
         let want_hot = result_fingerprint(&s.query(&q_hot).unwrap());
         let want_cold = result_fingerprint(&s.query(&q_cold).unwrap());
-        crash_to_checkpoint(&mut s);
+        s.shutdown_to_shm(0).unwrap();
         drop(s);
 
         let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
-        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-        assert_eq!(s2.phase(), LeafPhase::Hydrating);
-        let total_blocks = s2.hydration_pending();
-        let cold_blocks = s2.store().map().get("archive").unwrap().blocks().len();
-        assert!(total_blocks > cold_blocks);
+        let rep = match outcome {
+            RecoveryOutcome::MemoryAttached(rep) => rep,
+            other => panic!("expected attach, got {other:?}"),
+        };
+        assert!(
+            rep.heap_bytes_copied < 1024,
+            "attach copied column bytes: {}",
+            rep.heap_bytes_copied
+        );
+        assert_eq!(s2.phase(), LeafPhase::Alive);
+        assert_eq!(s2.hydration_pending(), 0);
+        let archive_mapped = |s: &LeafServer| {
+            s.store()
+                .map()
+                .get("archive")
+                .unwrap()
+                .blocks()
+                .iter()
+                .all(|b| b.columns().iter().all(|c| c.is_mapped()))
+        };
 
-        // Nothing hydrates until a query touches it: everything parked.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(s2.poll_hydration().unwrap(), total_blocks);
-
-        // Query the hot table: identical answer, served from mapped
-        // bytes, and exactly its blocks released to the workers.
+        // Query the hot table: identical answer, from the mapped bytes.
         assert_eq!(result_fingerprint(&s2.query(&q_hot).unwrap()), want_hot);
-        loop {
-            let pending = s2.poll_hydration().unwrap();
-            if pending <= cold_blocks {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        // The cold table was never copied: every byte still mapped.
-        assert!(s2
-            .store()
-            .map()
-            .get("archive")
-            .unwrap()
-            .blocks()
-            .iter()
-            .all(|b| b.columns().iter().all(|c| c.is_mapped())));
-        assert!(s2.shm_resident() > 0);
+        assert_eq!(s2.poll_hydration().unwrap(), 0);
+        // The cold table was never copied: every byte still mapped ...
+        assert!(archive_mapped(&s2));
+        let mapped = s2.store().map().mapped_bytes();
+        assert!(mapped > 0);
         // ... and still answers identically, in place.
         assert_eq!(result_fingerprint(&s2.query(&q_cold).unwrap()), want_cold);
 
-        // Draining releases the parked remainder.
+        // Finishing copies nothing either.
         s2.finish_hydration().unwrap();
         assert_eq!(s2.phase(), LeafPhase::Alive);
+        assert!(archive_mapped(&s2));
+        assert_eq!(s2.store().map().mapped_bytes(), mapped);
         assert_eq!(s2.shm_resident(), 0);
         assert_eq!(result_fingerprint(&s2.query(&q_cold).unwrap()), want_cold);
         assert_eq!(s2.total_rows(), 1000);
@@ -743,18 +639,7 @@ mod tests {
     #[test]
     fn query_over_corrupt_mapped_block_fails_then_falls_back() {
         let _x = scuba_faults::exclusive();
-        let (mut cfg, dir) = hydrating_config("lazycrc");
-        cfg.hydration = HydrationMode::OnAccess; // workers stay parked: no racing hydrator
-        let mut s = LeafServer::new(cfg.clone()).unwrap();
-        let _c = Cleanup(s.namespace().clone(), dir);
-        fill(&mut s, 800);
-        crash_to_checkpoint(&mut s);
-        drop(s);
-
-        corrupt_fattest_column_chunk(&cfg);
-
-        let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
-        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        let (mut s2, _c) = kept_leaf_with_a_corrupt_column("lazycrc");
         let bad = corrupt_column_of(&s2, "logs");
         assert_ne!(bad, "time", "the fixture is meant to spare the time column");
         let good = if bad == "sev" { "code" } else { "sev" };
@@ -784,37 +669,30 @@ mod tests {
     }
 
     /// The touch contract: a query pays the deferred CRC of the columns it
-    /// reads, the hydrator worker pays for the rest before it copies, and
-    /// nobody pays twice — each column's latch is read through the
-    /// original or any clone.
+    /// reads, the copy ([`hydrate_block`], a hydration worker's or a
+    /// demotion's) pays for the rest before it copies, and nobody pays
+    /// twice — each column's latch is read through the original or any
+    /// clone.
     #[test]
     fn query_touch_pays_the_crc_the_hydrator_would_have() {
         let _x = scuba_faults::exclusive();
-        let (mut cfg, dir) = hydrating_config("latchonce");
-        cfg.hydration = HydrationMode::OnAccess; // workers parked until the touch
+        let (cfg, dir) = kept_config("latchonce");
         let mut s = LeafServer::new(cfg.clone()).unwrap();
         let _c = Cleanup(s.namespace().clone(), dir);
         fill(&mut s, 800);
-        crash_to_checkpoint(&mut s);
-        drop(s);
-
-        let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
-        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        let (mut s2, _) = kept_restart(s, &cfg, 0);
         let blocks: Vec<Arc<RowBlock>> = s2.store().map().get("logs").unwrap().blocks().to_vec();
         // Fresh clones, so what we see is the shared latch, not a cache.
         let verified = |b: &RowBlock, name: &str| b.column(name).unwrap().clone().is_verified();
         assert!(blocks.iter().all(|b| b.is_mapped()));
-        // Attach deferred every footer CRC, and parked every block.
+        // Attach deferred every footer CRC.
         for b in &blocks {
             assert!(["time", "sev", "code"].iter().all(|c| !verified(b, c)));
         }
-        let parked = || s2.hydrator.as_ref().unwrap().queue.parked_len();
-        assert_eq!(parked(), blocks.len());
 
         // What a count(*) touches: `time` and nothing else. Touch copies
-        // of the blocks — the columns share their latches with the
-        // originals, but the copies are not the parked `Arc`s, so nothing
-        // is promoted and no worker races these assertions.
+        // of the blocks: the columns share their latches with the
+        // originals.
         let copies: Vec<Arc<RowBlock>> = blocks.iter().map(|b| Arc::new((**b).clone())).collect();
         let touch = |columns: &[&str]| {
             for b in &copies {
@@ -831,16 +709,12 @@ mod tests {
         for b in &blocks {
             assert!(verified(b, "sev") && !verified(b, "code"));
         }
-        assert_eq!(parked(), blocks.len());
 
-        // A real query promotes each block it had to verify something in
-        // — once: finishing below would apply a block queued twice twice,
-        // and trip the pending count.
+        // A real query pays for what is left, and a repeat finds it paid.
         let sum_code = Query::new("logs", 0, 1000).aggregates(vec![AggSpec::Sum("code".into())]);
         assert_eq!(s2.query(&sum_code).unwrap().rows_matched, 800);
-        assert_eq!(parked(), 0);
         assert_eq!(s2.query(&sum_code).unwrap().rows_matched, 800);
-        // The worker finds every check paid, and copies.
+        // The copy finds every check paid, and copies.
         for b in &blocks {
             assert!(["time", "sev", "code"].iter().all(|c| verified(b, c)));
             assert!(!hydrate_block(b).unwrap().is_mapped());
@@ -859,7 +733,6 @@ mod tests {
         let (mut cfg, dir) = tiered_config("planonce", 0);
         cfg.restore_mode = RestoreMode::TwoPhase;
         cfg.checkpoint_enabled = true;
-        cfg.hydration = HydrationMode::OnAccess;
         let mut s = LeafServer::new(cfg.clone()).unwrap();
         let _c = Cleanup(s.namespace().clone(), dir);
         fill(&mut s, 600);
@@ -869,7 +742,8 @@ mod tests {
         let (mut s2, _) = LeafServer::start(cfg, 0, None).unwrap();
         let tail: Vec<Row> = (600..650).map(|i| Row::at(i).with("sev", "late")).collect();
         s2.add_rows("logs", &tail, 0).unwrap();
-        // All three consumers are live: hydrating, tiering, unsealed rows.
+        // All three consumers are live: hydrating (the pool's copies wait
+        // for a poll to apply them), tiering, unsealed rows.
         assert!(s2.is_hydrating());
         assert!(s2.store().map().get("logs").unwrap().unsealed_rows() > 0);
         let before = scuba_columnstore::RowBlockBuilder::snapshots_on_thread();
@@ -885,22 +759,13 @@ mod tests {
     }
 
     /// A corrupt mapped column condemns itself once: the query touch, the
-    /// hydrator worker and the disk-reconcile decode all report the same
-    /// latched error, and the fallback is the usual one.
+    /// copy a hydration worker would make and the disk-reconcile decode
+    /// all report the same latched error, and the fallback is the usual
+    /// one.
     #[test]
     fn corrupt_mapped_column_reports_one_sticky_error_to_every_toucher() {
         let _x = scuba_faults::exclusive();
-        let (mut cfg, dir) = hydrating_config("latchbad");
-        cfg.hydration = HydrationMode::OnAccess;
-        let mut s = LeafServer::new(cfg.clone()).unwrap();
-        let _c = Cleanup(s.namespace().clone(), dir);
-        fill(&mut s, 800);
-        crash_to_checkpoint(&mut s);
-        drop(s);
-        corrupt_fattest_column_chunk(&cfg);
-
-        let (mut s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
-        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        let (mut s2, _c) = kept_leaf_with_a_corrupt_column("latchbad");
         let bad = corrupt_column_of(&s2, "logs");
         let q = Query::new("logs", 0, 1000).aggregates(vec![AggSpec::CountDistinct(bad)]);
         let from_query = s2.query(&q).unwrap_err().to_string();
@@ -926,5 +791,61 @@ mod tests {
         assert_eq!(s2.poll_hydration().unwrap(), 0);
         assert!(s2.hydration_fallback_reason().unwrap().contains("checksum"));
         assert_eq!(s2.query(&q).unwrap().rows_matched, 800);
+    }
+
+    /// Stopping a hydration in progress — a crash, or the fallback a
+    /// query's poison forces — joins the pool: no worker and no queued
+    /// result still holds a mapped block, so once the store lets go the
+    /// checkpoint image's segment is unlinked.
+    #[test]
+    fn stopping_a_hydration_joins_the_pool_and_unlinks_the_image() {
+        let _x = scuba_faults::exclusive();
+        use scuba_shmem::ShmSegment;
+        for fallback in [false, true] {
+            let (cfg, dir) = hydrating_config("hydstop");
+            let mut s = LeafServer::new(cfg.clone()).unwrap();
+            let _c = Cleanup(s.namespace().clone(), dir);
+            for epoch in 0..4i64 {
+                let rows: Vec<Row> = (0..100)
+                    .map(|i| Row::at(epoch * 100 + i).with("code", i % 7))
+                    .collect();
+                s.add_rows("logs", &rows, 0).unwrap();
+                s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+            }
+            crash_to_checkpoint(&mut s);
+            drop(s);
+            let seg = first_checkpoint_segment(&cfg);
+            if fallback {
+                corrupt_fattest_column_chunk(&seg);
+            }
+
+            let (mut s2, _) = LeafServer::start(cfg, 0, None).unwrap();
+            assert!(s2.is_hydrating());
+            let blocks: Vec<std::sync::Weak<RowBlock>> = s2
+                .store()
+                .map()
+                .get("logs")
+                .unwrap()
+                .blocks()
+                .iter()
+                .map(Arc::downgrade)
+                .collect();
+            if fallback {
+                let bad = corrupt_column_of(&s2, "logs");
+                let q = Query::new("logs", 0, 1000).aggregates(vec![AggSpec::CountDistinct(bad)]);
+                assert!(s2.query(&q).is_err());
+                assert_eq!(s2.poll_hydration().unwrap(), 0);
+                assert!(s2.hydration_fallback_reason().is_some());
+                assert_eq!(s2.total_rows(), 400);
+            } else {
+                s2.crash();
+            }
+            assert!(!s2.is_hydrating());
+            assert!(
+                blocks.iter().all(|b| b.strong_count() == 0),
+                "a mapped block outlived the pool (fallback: {fallback})"
+            );
+            assert!(!ShmSegment::exists(&seg), "fallback: {fallback}");
+        }
     }
 }

@@ -37,7 +37,7 @@ mod scan;
 pub mod server;
 
 pub use checkpoint::{CheckpointOutcome, CheckpointStats, Checkpointer, SEG_FLAG_CHECKPOINT};
-pub use config::{HydrationMode, LeafConfig, RestoreMode, TieringMode, WriterCompat};
+pub use config::{LeafConfig, RestoreMode, TieringMode};
 pub use error::{LeafError, LeafResult};
 pub use persist::LeafStore;
 pub use residency::{Residency, ResidencyManager};

@@ -177,19 +177,6 @@ impl LeafStore {
         });
         punched
     }
-
-    /// Hand every attached segment name over before another writer
-    /// reuses the names (a simulated old-format shutdown): unlink each
-    /// name now — the mappings stay valid — and disarm its view, whose
-    /// last drop would otherwise unlink whatever then holds the name.
-    pub(crate) fn release_image_names(&mut self) {
-        for kept in std::mem::take(&mut self.kept).into_values() {
-            if let Some(view) = kept.view.upgrade() {
-                view.disarm();
-                let _ = scuba_shmem::ShmSegment::unlink(view.name());
-            }
-        }
-    }
 }
 
 impl ShmPersistable for LeafStore {

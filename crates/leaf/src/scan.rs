@@ -57,10 +57,9 @@ impl LeafServer {
     /// partials merge in block order, so the answer is the same at any
     /// width: the copy pool's, at least two blocks per worker. First touch
     /// CRC-verifies, in a mapped or cold block, the columns the query
-    /// reads, and promotes a mapped block on a `Hydrating` leaf to the
-    /// head of the hydration queue. A verification failure fails the
-    /// query — with the lowest failing block's error — and condemns the
-    /// attach (or the cold table) at the next poll.
+    /// reads. A verification failure fails the query — with the lowest
+    /// failing block's error — and condemns the attach (or the cold table)
+    /// at the next poll.
     pub fn query(&self, query: &Query) -> LeafResult<LeafQueryResult> {
         self.query_at(query, None).map(|(result, _)| result)
     }

@@ -7,19 +7,17 @@
 //! beside [`crate::residency::ResidencyManager`]. Ingest, expiry and the
 //! planned shutdown stay here.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use scuba_columnstore::Row;
 use scuba_diskstore::{ColdStore, DiskBackup, RecoveryStats, Throttle};
-use scuba_obs::PhaseBreakdown;
 use scuba_restart::{
     backup_to_shm_with, AttachReport, BackupReport, CopyOptions, LeafBackupState, RestoreReport,
     TableBackupState, SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::ShmNamespace;
 
-use crate::compat;
-use crate::config::{LeafConfig, TieringMode, WriterCompat};
+use crate::config::{LeafConfig, TieringMode};
 use crate::error::{LeafError, LeafResult};
 use crate::hydrate::Hydrator;
 use crate::ingest::CrashPath;
@@ -316,9 +314,6 @@ impl LeafServer {
             "leaf_hydration_pending_blocks",
             self.hydration_pending() as i64,
         );
-        let parked = self.hydrator.as_ref().map_or(0, Hydrator::parked);
-        self.obs
-            .set("leaf_hydration_on_access_blocks", parked as i64);
     }
 
     /// Stamp every restart span this leaf emits from now on with `id`
@@ -372,13 +367,6 @@ impl LeafServer {
     /// through shared memory).
     pub fn skipped_units(&self) -> &[String] {
         &self.skipped_units
-    }
-
-    /// Override which image format the next [`Self::shutdown_to_shm`]
-    /// writes — how upgrade drills turn a running leaf into a simulated
-    /// pre-upgrade binary right before its wave.
-    pub fn set_writer_compat(&mut self, compat: WriterCompat) {
-        self.config.writer_compat = compat;
     }
 
     /// Current phase.
@@ -631,16 +619,13 @@ impl LeafServer {
         for (_, st) in &mut table_states {
             *st = st.transition(TableBackupState::CopyToShm)?;
         }
-        let backup = match self.config.writer_compat {
-            WriterCompat::Current => backup_to_shm_with(
-                &mut self.store,
-                &self.ns,
-                SHM_LAYOUT_VERSION,
-                CopyOptions::with_threads(self.config.copy_threads),
-            )
-            .map_err(|e| LeafError::Backup(e.to_string()))?,
-            compat => self.backup_as_old_writer(compat)?,
-        };
+        let backup = backup_to_shm_with(
+            &mut self.store,
+            &self.ns,
+            SHM_LAYOUT_VERSION,
+            CopyOptions::with_threads(self.config.copy_threads),
+        )
+        .map_err(|e| LeafError::Backup(e.to_string()))?;
         for &(phase, d) in &backup.phases.phases {
             self.emit_restart_span("restart.phase", "backup", phase.name(), d);
         }
@@ -665,70 +650,6 @@ impl LeafServer {
             sealed_rows,
             disk_synced_bytes,
             backup,
-        })
-    }
-
-    /// Shutdown copy step for a simulated pre-upgrade writer binary:
-    /// drain the store's tables and install an old-format image via
-    /// [`crate::compat`], so the *next* start — under the current binary —
-    /// has to prove a cross-version memory restore.
-    fn backup_as_old_writer(&mut self, compat: WriterCompat) -> LeafResult<BackupReport> {
-        let start = Instant::now();
-        let initial_footprint = self.store.map().heap_bytes();
-        // The old writer reuses the table segment names from 0: no view of
-        // a kept image may unlink one of them later.
-        self.store.release_image_names();
-        let tables: Vec<_> = self.store.map_mut().take_tables().into_values().collect();
-        let bytes_copied = match compat {
-            WriterCompat::LegacyV1 => compat::install_legacy_v1_image(&self.ns, &tables),
-            WriterCompat::AgedV2 => compat::install_aged_v2_image(
-                &self.ns,
-                &tables,
-                &compat::AgedImageOptions {
-                    skippable_stranger: true,
-                    required_stranger: false,
-                },
-            ),
-            WriterCompat::Current => unreachable!("Current is handled by the normal backup path"),
-        }
-        .map_err(|e| LeafError::Backup(e.to_string()))?;
-        scuba_obs::counter!("leaf_old_writer_backups").inc();
-
-        // One manifest per table, one prelude per block, one chunk per
-        // column — same accounting as the real writer.
-        let chunks: usize = tables
-            .iter()
-            .map(|t| {
-                1 + t
-                    .blocks()
-                    .iter()
-                    .map(|b| 1 + b.columns().len())
-                    .sum::<usize>()
-            })
-            .sum();
-        let duration = start.elapsed();
-        Ok(BackupReport {
-            units: tables.len(),
-            chunks,
-            bytes_copied: bytes_copied as u64,
-            duration,
-            peak_footprint: initial_footprint + bytes_copied,
-            initial_footprint,
-            segment_names: (0..tables.len())
-                .map(|i| self.ns.table_segment_name(i))
-                .collect(),
-            threads: 1,
-            phases: PhaseBreakdown {
-                op: "backup",
-                phases: Vec::new(),
-                total: duration,
-                bytes: bytes_copied as u64,
-                chunks: chunks as u64,
-                units: tables.len(),
-                threads: 1,
-                complete: true,
-                tables: Vec::new(),
-            },
         })
     }
 
@@ -893,12 +814,6 @@ mod tests {
 
     // ---- a leaf that keeps the planned image it attached ----
 
-    fn kept_config(tag: &str) -> (LeafConfig, std::path::PathBuf) {
-        let (mut cfg, dir) = test_config(tag);
-        cfg.restore_mode = crate::config::RestoreMode::TwoPhase;
-        (cfg, dir)
-    }
-
     /// Rows `from..from + n` of `table`: a time, a severity and a code.
     fn rows_at(from: i64, n: i64) -> Vec<Row> {
         (from..from + n)
@@ -927,30 +842,6 @@ mod tests {
         out
     }
 
-    /// Shut `s` down and start its successor, which must attach the image
-    /// and keep it: serving, not hydrating, every sealed block mapped.
-    fn kept_restart(s: LeafServer, cfg: &LeafConfig, now: i64) -> (LeafServer, ShutdownSummary) {
-        let mut s = s;
-        let summary = s.shutdown_to_shm(now).unwrap();
-        drop(s);
-        let (s, outcome) = LeafServer::start(cfg.clone(), now, None).unwrap();
-        assert!(
-            matches!(outcome, RecoveryOutcome::MemoryAttached(_)),
-            "{outcome:?}"
-        );
-        assert_eq!(s.phase(), LeafPhase::Alive);
-        assert!(!s.is_hydrating());
-        assert_eq!(s.shm_resident(), 0);
-        for table in s.store().map().iter() {
-            assert!(
-                table.blocks().iter().all(|b| b.is_mapped()),
-                "{}",
-                table.name()
-            );
-        }
-        (s, summary)
-    }
-
     /// Payload bytes and frame count of a v2 frame stream.
     fn frames(stream: &[u8]) -> (u64, u64) {
         use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2};
@@ -966,16 +857,6 @@ mod tests {
 
     fn segment_len(name: &str) -> usize {
         scuba_shmem::ShmSegment::open(name).unwrap().len()
-    }
-
-    /// The segment a shutdown wrote `table` to.
-    fn table_segment(summary: &ShutdownSummary, table: &str) -> String {
-        let at = summary
-            .table_states
-            .iter()
-            .position(|(name, _)| name == table)
-            .unwrap();
-        summary.backup.segment_names[at].clone()
     }
 
     #[test]
@@ -1349,9 +1230,10 @@ mod tests {
         s.add_rows("metrics", &rows_at(0, 100), 0).unwrap();
         let (mut s, _) = kept_restart(s, &cfg, 0);
         let held = Arc::clone(&s.store().map().get("logs").unwrap().blocks()[0]);
-        s.set_writer_compat(WriterCompat::LegacyV1);
+        let ns = s.namespace().clone();
         s.shutdown_to_shm(0).unwrap();
         drop(s);
+        crate::compat::rewrite_as_old_writer(&ns, crate::compat::OldWriter::LegacyV1).unwrap();
         // The old image reuses the names the kept views mapped; the last
         // of those views going must not unlink them.
         drop(held);

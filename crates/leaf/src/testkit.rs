@@ -9,7 +9,7 @@ use scuba_shmem::ShmNamespace;
 
 use crate::config::{LeafConfig, RestoreMode, TieringMode};
 use crate::ingest::{WAL_DIR, WAL_TAG_BATCH};
-use crate::server::LeafServer;
+use crate::server::{LeafPhase, LeafServer, RecoveryOutcome, ShutdownSummary};
 
 static COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -80,6 +80,52 @@ pub(crate) fn hydrating_config(tag: &str) -> (LeafConfig, PathBuf) {
     let (mut cfg, dir) = crash_config(tag);
     cfg.restore_mode = RestoreMode::TwoPhase;
     (cfg, dir)
+}
+
+/// A two-phase leaf without the crash path: after a planned shutdown, its
+/// next start attaches the image and keeps it.
+pub(crate) fn kept_config(tag: &str) -> (LeafConfig, PathBuf) {
+    let (mut cfg, dir) = test_config(tag);
+    cfg.restore_mode = RestoreMode::TwoPhase;
+    (cfg, dir)
+}
+
+/// Shut `s` down and start its successor, which must attach the image
+/// and keep it: serving, not hydrating, every sealed block mapped.
+pub(crate) fn kept_restart(
+    s: LeafServer,
+    cfg: &LeafConfig,
+    now: i64,
+) -> (LeafServer, ShutdownSummary) {
+    let mut s = s;
+    let summary = s.shutdown_to_shm(now).unwrap();
+    drop(s);
+    let (s, outcome) = LeafServer::start(cfg.clone(), now, None).unwrap();
+    assert!(
+        matches!(outcome, RecoveryOutcome::MemoryAttached(_)),
+        "{outcome:?}"
+    );
+    assert_eq!(s.phase(), LeafPhase::Alive);
+    assert!(!s.is_hydrating());
+    assert_eq!(s.shm_resident(), 0);
+    for table in s.store().map().iter() {
+        assert!(
+            table.blocks().iter().all(|b| b.is_mapped()),
+            "{}",
+            table.name()
+        );
+    }
+    (s, summary)
+}
+
+/// The segment a shutdown wrote `table` to.
+pub(crate) fn table_segment(summary: &ShutdownSummary, table: &str) -> String {
+    let at = summary
+        .table_states
+        .iter()
+        .position(|(name, _)| name == table)
+        .unwrap();
+    summary.backup.segment_names[at].clone()
 }
 
 /// Sync every row to disk, commit a checkpoint image of them, and crash:

@@ -106,7 +106,6 @@ fn paper_scale_simulation() {
             wal_bytes: 0,
             wal_replay_ns: 0,
             crash_fast_recoveries: 0,
-            on_access_blocks: 0,
             cold_blocks: 0,
             cold_bytes: 0,
             demotions: 0,

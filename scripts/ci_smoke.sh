@@ -37,9 +37,11 @@ observability() (
 )
 
 # Layout-evolution gate: the checked-in pre-refactor (v1) images must keep
-# restoring byte-identically under the current binary, simulated
-# old-writer images must memory-restore in both restore modes, and a
-# mixed-writer chaos soak stands faults on cross-version images. The
+# restoring byte-identically under the current binary, a committed image
+# rewritten in each old writer's layout (`leaf::compat`, test support)
+# must memory-restore in both restore modes, and a mixed-writer chaos
+# soak stands faults on cross-version images — the backup protocol's
+# own faults included, since every wave shuts down through it. The
 # attach smoke also publishes BENCH_restart.json for trend tracking.
 format_compat() (
     export SCUBA_CHAOS_WAVES=30
@@ -53,11 +55,11 @@ format_compat() (
 # Vectorized-scan gate: the columnar kernels must stay differentially
 # equal to the row-wise oracle (groups, counts, pruning stats) across
 # encodings x null patterns x heap/mapped backing, and the leaf's
-# hydration tests must hold under both Eager and OnAccess semantics. The
-# E17 smoke then drives the full path — kernels, in-place mapped scans,
-# lazy hydration with an untouched cold table — end to end (its lazy
-# section runs both hydration modes and asserts their results
-# identical). The differential suite runs again in release at 2000 cases
+# hydration and first-touch tests must hold: a checkpoint image hydrated
+# through the copy pool, a kept planned image served in place. The E17
+# smoke then drives the full path — kernels, in-place mapped scans, a
+# kept image whose untouched cold table copies 0 bytes — end to end,
+# asserting every result equal to the heap leaf's. The differential suite runs again in release at 2000 cases
 # (whole results, f64 bit patterns included — release is where float
 # codegen could differ), and the query bench runs each series once so the
 # production-executor bench cannot rot. A leaf scans a query's blocks on

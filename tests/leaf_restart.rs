@@ -241,27 +241,23 @@ fn footprint_stays_flat_through_backup() {
 /// tentpole acceptance for the self-describing layout.
 #[test]
 fn old_writer_image_restores_under_current_binary() {
-    use scuba::leaf::{RestoreMode, WriterCompat};
-    for (writer, tag) in [
-        (WriterCompat::LegacyV1, "owv1"),
-        (WriterCompat::AgedV2, "owv2"),
-    ] {
+    use scuba::leaf::compat::{rewrite_as_old_writer, OldWriter};
+    use scuba::leaf::RestoreMode;
+    for (writer, tag) in [(OldWriter::LegacyV1, "owv1"), (OldWriter::AgedV2, "owv2")] {
         for (mode, mtag) in [(RestoreMode::Full, "f"), (RestoreMode::TwoPhase, "t")] {
             let (mut cfg, _g) = config(&format!("{tag}{mtag}"));
-            cfg.writer_compat = writer;
             let mut server = LeafServer::new(cfg.clone()).unwrap();
             load_workloads(&mut server, 5_000);
             let before = fingerprint(&server);
 
             // The "old binary" shuts down, leaving an old-format image.
             server.shutdown_to_shm(1_800_000_000).unwrap();
+            rewrite_as_old_writer(server.namespace(), writer).unwrap();
             drop(server);
 
             // The "new binary" starts: current reader, current config.
-            let mut new_cfg = cfg.clone();
-            new_cfg.writer_compat = WriterCompat::Current;
-            new_cfg.restore_mode = mode;
-            let (server, outcome) = LeafServer::start(new_cfg, 1_800_000_000, None).unwrap();
+            cfg.restore_mode = mode;
+            let (server, outcome) = LeafServer::start(cfg, 1_800_000_000, None).unwrap();
             assert!(outcome.is_memory(), "{tag}/{mtag}: {outcome:?}");
             assert!(server.skipped_units().is_empty(), "{tag}/{mtag}");
             assert_eq!(fingerprint(&server), before, "{tag}/{mtag}");
@@ -274,18 +270,16 @@ fn schema_evolves_forward_after_old_image_restore() {
     // Restore a pre-refactor image (no schema snapshot at all), then add
     // rows carrying a column the old writer never knew. Old rows must
     // read as null for it; the new column must filter and aggregate.
-    use scuba::leaf::WriterCompat;
-    let (mut cfg, _g) = config("evo");
-    cfg.writer_compat = WriterCompat::LegacyV1;
+    use scuba::leaf::compat::{rewrite_as_old_writer, OldWriter};
+    let (cfg, _g) = config("evo");
     let mut server = LeafServer::new(cfg.clone()).unwrap();
     let rows: Vec<Row> = (0..1_000).map(|i| Row::at(i).with("old_col", i)).collect();
     server.add_rows("t", &rows, 0).unwrap();
     server.shutdown_to_shm(1_000).unwrap();
+    rewrite_as_old_writer(server.namespace(), OldWriter::LegacyV1).unwrap();
     drop(server);
 
-    let mut new_cfg = cfg;
-    new_cfg.writer_compat = WriterCompat::Current;
-    let (mut server, outcome) = LeafServer::start(new_cfg, 1_000, None).unwrap();
+    let (mut server, outcome) = LeafServer::start(cfg, 1_000, None).unwrap();
     assert!(outcome.is_memory());
 
     let newer: Vec<Row> = (1_000..1_500)
