@@ -135,15 +135,6 @@ const INJECTIONS: &[Injection] = &[
         companion: None,
     },
     Injection {
-        // Kill-during-hydration: fires after a two-phase attach has
-        // consumed the valid bit, so the supervisor's retry must land on
-        // disk recovery with zero segment orphans. Unreachable (a clean
-        // wave) when the wave rolled with the full-restore mode.
-        site: "leaf::phase::hydrating",
-        plan: "error@1",
-        companion: None,
-    },
-    Injection {
         site: "leaf::phase::disk_recovery",
         plan: "error@1",
         companion: Some(("restart::backup::unit", "error@1")),
@@ -615,11 +606,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
             };
             leaf_cfg.memory_budget_bytes = usize::from(tiered_wave);
         }
+        // What the armed sites fired before a retry's reset cleared it.
+        let mut fired_before: Vec<u64> = vec![0; armed_sites.len()];
         let (new_server, outcome) = match LeafServer::start(leaf_cfg.clone(), 0, None) {
             Ok(pair) => pair,
             Err(_) => {
                 // The replacement was wounded at a recovery phase; the
                 // supervisor starts another, now past the one-shot fault.
+                fired_before = armed_sites
+                    .iter()
+                    .map(|site| scuba_faults::triggered(site))
+                    .collect();
                 scuba_faults::clear_all();
                 LeafServer::start(leaf_cfg.clone(), 0, None)
                     .map_err(|e| err(wave, "clean restart failed", e))?
@@ -627,17 +624,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         };
         server = new_server;
 
-        // Two-phase waves come back serving over mapped segments: a
-        // checkpoint image (crash waves) while it hydrates, a planned one
-        // for good. Check query fidelity over the mapped bytes (the
-        // zero-copy read path), then drive any hydration to completion
-        // like a serving event loop would.
+        // Two-phase waves come back serving the mapped segments of the
+        // image they attached, planned or checkpoint, for good. Check
+        // query fidelity over the mapped bytes (the zero-copy read path),
+        // then poll for a poisoned attach like a serving event loop would.
         if matches!(outcome, RecoveryOutcome::MemoryAttached(_)) {
-            let stage = if server.is_hydrating() {
-                "mid-hydration"
-            } else {
-                "kept-image"
-            };
+            let stage = "kept-image";
             let mapped = server
                 .query(&Query::new("data", 0, i64::MAX))
                 .map_err(|e| err(wave, "mapped query", e))?;
@@ -651,8 +643,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
                     ),
                 ));
             }
-            // Concurrent readers over the mapped (zero-copy) segments,
-            // while background hydration is still running if it is.
+            // Concurrent readers over the mapped (zero-copy) segments.
             if cfg.loadgen {
                 report.load_legs +=
                     load_burst(&server, wave, stage, cfg.seed, durable_data, durable_aux)?;
@@ -693,8 +684,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
 
         // --- Bookkeeping, then disarm. ---
         let mut fired = false;
-        for site in armed_sites {
-            let t = scuba_faults::triggered(site);
+        for (site, before) in armed_sites.into_iter().zip(fired_before) {
+            let t = before + scuba_faults::triggered(site);
             if t > 0 {
                 fired = true;
                 *report.fired_by_site.entry(site.to_owned()).or_insert(0) += t;
@@ -791,10 +782,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         }
 
         // --- Invariant 3: nothing orphaned in /dev/shm. The new leaf's
-        // checkpointer has not written an image yet at this point, so any
-        // checkpoint segment on either parity is a leak from the wave. A
-        // table segment is linked only while the leaf serves the planned
-        // image it kept: exactly the segments its kept images map. ---
+        // checkpointer has not committed yet at this point, so no metadata
+        // region may exist. A table segment is linked only while one of
+        // the leaf's images holds it: exactly its image segments. No
+        // segment carries an older binary's checkpoint name. ---
         if ShmSegment::exists(&ns.metadata_name()) {
             return Err(err(wave, "orphan segment", ns.metadata_name()));
         }
@@ -971,6 +962,27 @@ mod tests {
         assert_eq!(a.fired_by_site, b.fired_by_site);
         assert_eq!(a.final_rows, b.final_rows);
         let _ = std::fs::remove_dir_all(&cfg_b.disk_root);
+    }
+
+    /// A wound at `leaf::phase::memory_recovery` fails the replacement's
+    /// first start, and the supervisor's retry resets the registry: the
+    /// wave must still record that its site fired.
+    #[test]
+    fn a_wave_whose_first_start_fails_records_that_its_site_fired() {
+        let cfg = soak_config("fired", 30, 3);
+        let report = run_chaos(&cfg).unwrap();
+        let _ = std::fs::remove_dir_all(&cfg.disk_root);
+        let wounded: Vec<&WaveRecord> = report
+            .records
+            .iter()
+            .filter(|r| r.site == "leaf::phase::memory_recovery")
+            .collect();
+        assert!(!wounded.is_empty(), "the script drew no such wave");
+        assert!(wounded.iter().all(|r| r.fired), "{wounded:?}");
+        assert_eq!(
+            report.fired_by_site.get("leaf::phase::memory_recovery"),
+            Some(&(wounded.len() as u64))
+        );
     }
 
     #[test]

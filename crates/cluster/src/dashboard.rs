@@ -26,11 +26,6 @@ pub struct DashboardRow {
     pub rolling: usize,
     /// Leaves already on the new version.
     pub new_version: usize,
-    /// Of the `new_version` leaves, how many are answering queries over
-    /// attached shared memory while background hydration still runs (the
-    /// two-phase restore's serving-but-not-done window). Informational
-    /// overlay — these leaves count as new/answering in the partition.
-    pub hydrating: usize,
     /// Query availability at this instant (fraction of leaves answering).
     pub availability: f64,
     /// Crash-path overlay, summed across leaves: sealed row blocks not
@@ -184,11 +179,6 @@ fn accepting(key: &str) -> Option<bool> {
     scuba_obs::gauge_value(&name).map(|v| v > 0)
 }
 
-fn is_hydrating(key: &str) -> bool {
-    let name = scuba_obs::labeled_name("leaf_phase", &[("leaf", key)]);
-    scuba_obs::gauge_value(&name) == Some(i64::from(scuba_leaf::LeafPhase::Hydrating.index()))
-}
-
 fn leaf_gauge(name: &str, key: &str) -> i64 {
     let name = scuba_obs::labeled_name(name, &[("leaf", key)]);
     scuba_obs::gauge_value(&name).unwrap_or(0)
@@ -242,7 +232,6 @@ impl DashboardFeed {
         let mut old_version = 0;
         let mut rolling = 0;
         let mut new_version = 0;
-        let mut hydrating = 0;
         let mut answering = 0;
         let mut checkpoint_lag_blocks = 0i64;
         let mut wal_bytes = 0i64;
@@ -282,9 +271,6 @@ impl DashboardFeed {
                 rolling += 1;
             } else if recovered {
                 new_version += 1;
-                if scuba_obs::enabled() && is_hydrating(key) {
-                    hydrating += 1;
-                }
             } else {
                 old_version += 1;
             }
@@ -294,7 +280,6 @@ impl DashboardFeed {
             old_version,
             rolling,
             new_version,
-            hydrating,
             availability: if total == 0 {
                 1.0
             } else {
@@ -326,7 +311,6 @@ mod tests {
             old_version: old,
             rolling,
             new_version: new,
-            hydrating: 0,
             availability: avail,
             checkpoint_lag_blocks: 0,
             wal_bytes: 0,

@@ -59,9 +59,7 @@ impl HostStatus {
 
     fn publish(&self, server: &LeafServer) {
         let phase = match server.phase() {
-            // A hydrating leaf serves adds and queries over its attached
-            // segments — for placement it is alive.
-            LeafPhase::Alive | LeafPhase::Hydrating => PHASE_ALIVE,
+            LeafPhase::Alive => PHASE_ALIVE,
             LeafPhase::MemoryRecovery => PHASE_MEMORY_RECOVERY,
             LeafPhase::DiskRecovery => PHASE_DISK_RECOVERY,
             LeafPhase::Preparing | LeafPhase::CopyingToShm => PHASE_SHUTTING_DOWN,

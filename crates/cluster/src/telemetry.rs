@@ -258,7 +258,6 @@ impl QueryDashboardFeed {
         let ts = self.snapshot(cluster, exporter);
         let accepting = metric_by_leaf(cluster, ts, "gauge", "leaf_accepting_queries");
         let recoveries = metric_by_leaf(cluster, ts, "counter", "leaf_recoveries_total");
-        let phase = metric_by_leaf(cluster, ts, "gauge", "leaf_phase");
         let lag = metric_by_leaf(cluster, ts, "gauge", "leaf_checkpoint_lag_blocks");
         let wal = metric_by_leaf(cluster, ts, "gauge", "leaf_wal_bytes");
         let replay = metric_by_leaf(cluster, ts, "gauge", "leaf_wal_replay_ns");
@@ -271,14 +270,12 @@ impl QueryDashboardFeed {
         let queue_depth = metric_by_leaf(cluster, ts, "gauge", crate::admission::QUEUE_DEPTH_GAUGE);
         let shed = metric_by_leaf(cluster, ts, "counter", crate::admission::SHED_COUNTER);
 
-        let hydrating_index = i64::from(scuba_leaf::LeafPhase::Hydrating.index());
         let total = self.keys.len();
         let mut row = DashboardRow {
             elapsed,
             old_version: 0,
             rolling: 0,
             new_version: 0,
-            hydrating: 0,
             availability: 1.0,
             checkpoint_lag_blocks: 0,
             wal_bytes: 0,
@@ -319,9 +316,6 @@ impl QueryDashboardFeed {
                 row.rolling += 1;
             } else if recovered {
                 row.new_version += 1;
-                if phase.get(key) == Some(&hydrating_index) {
-                    row.hydrating += 1;
-                }
             } else {
                 row.old_version += 1;
             }
@@ -381,8 +375,8 @@ mod tests {
 
     fn assert_rows_agree(q: &DashboardRow, d: &DashboardRow) {
         assert_eq!(
-            (q.old_version, q.rolling, q.new_version, q.hydrating),
-            (d.old_version, d.rolling, d.new_version, d.hydrating),
+            (q.old_version, q.rolling, q.new_version),
+            (d.old_version, d.rolling, d.new_version),
             "fleet partition"
         );
         assert_eq!(q.availability, d.availability, "availability");

@@ -236,14 +236,14 @@ impl RowBlock {
             .sum()
     }
 
-    /// True if any column is backed by a shared mapping (an attached,
-    /// not-yet-hydrated block).
+    /// True if any column is backed by a shared mapping (an attached
+    /// block, or a cold one).
     pub fn is_mapped(&self) -> bool {
         self.columns.iter().any(|c| c.is_mapped())
     }
 
-    /// Copy every mapped column to heap (identity for heap blocks). The
-    /// hydration worker calls this after [`Self::verify_columns`]. Clears
+    /// Copy every mapped column to heap (identity for heap blocks). A
+    /// promotion calls this after [`Self::verify_columns`]. Clears
     /// the cold ref: a heap copy is no longer served from the cold tier.
     pub fn to_heap(&self) -> RowBlock {
         RowBlock {
@@ -258,7 +258,7 @@ impl RowBlock {
     /// Check, in place and without copying, the footer CRC of every
     /// column whose construction deferred it — the mapped ones; heap
     /// columns were checked when adopted. Everyone about to copy or
-    /// persist a cold or shm-backed block calls this (hydrator, promotion,
+    /// persist a cold or shm-backed block calls this (promotion, demotion,
     /// disk reconcile); a query checks only what it reads
     /// ([`Self::verify_columns_for`]). Each column's verify-once latch
     /// ([`RowBlockColumn::verify_checksum`]) makes the first toucher pay

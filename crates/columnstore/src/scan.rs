@@ -200,7 +200,8 @@ impl DictIds<'_> {
 impl<'a> ColumnView<'a> {
     /// Build a view over `column`'s buffer. Works identically for heap and
     /// mapped backings; the caller is responsible for checksum policy
-    /// (mapped columns defer CRC to first touch, see the leaf's hydrator).
+    /// (mapped columns defer CRC to first touch, see the leaf's
+    /// `touch_mapped`).
     pub fn build(column: &'a RowBlockColumn) -> Result<ColumnView<'a>> {
         let buf = column.as_bytes();
         let h = column.parse_header()?;

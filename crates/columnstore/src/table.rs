@@ -183,7 +183,7 @@ impl Table {
     /// builder estimate, excluding column bytes resident in shared
     /// mappings (Warm) or on the cold tier (Cold) — those are accounted
     /// by [`Self::mapped_bytes`] and [`Self::cold_bytes`] so the gauges
-    /// never double-count during hydration or demotion.
+    /// never double-count during a demotion or a promotion.
     pub fn heap_bytes(&self) -> usize {
         self.encoded_bytes()
             .saturating_sub(self.mapped_bytes())
@@ -192,9 +192,8 @@ impl Table {
     }
 
     /// Column bytes served out of shared-memory mappings (the Warm
-    /// residency state) — nonzero only while the table is
-    /// attached-but-not-fully-hydrated. Cold (disk fast-format) blocks
-    /// are excluded; see [`Self::cold_bytes`].
+    /// residency state): the attached image a leaf keeps. Cold (disk
+    /// fast-format) blocks are excluded; see [`Self::cold_bytes`].
     pub fn mapped_bytes(&self) -> usize {
         self.blocks
             .iter()

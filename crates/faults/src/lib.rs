@@ -95,7 +95,6 @@ pub const KNOWN_SITES: &[&str] = &[
     "leaf::phase::copying",
     "leaf::phase::exit",
     "leaf::phase::memory_recovery",
-    "leaf::phase::hydrating",
     "leaf::phase::disk_recovery",
 ];
 

@@ -316,7 +316,7 @@ mod tests {
             fingerprints(&restored),
             vec![("events".to_owned(), 200), ("metrics".to_owned(), 200)]
         );
-        // Mapped until hydration.
+        // Kept mapped.
         assert!(restored.map().mapped_bytes() > 0);
     }
 

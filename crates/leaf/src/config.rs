@@ -11,12 +11,10 @@ pub enum RestoreMode {
     /// Classic Figure-7 restore: copy every chunk shm→heap before serving.
     Full,
     /// Two-phase zero-copy restore: *attach* segments read-only and serve
-    /// queries over the mapped bytes immediately. A planned image is then
-    /// kept: its blocks stay mapped for the life of the process and the
-    /// next planned shutdown appends only what is new to its segments. The
-    /// crash path's checkpoint image is *hydrated* to heap in background
-    /// workers instead, each segment unlinked when its last mapped
-    /// reference drops.
+    /// queries over the mapped bytes immediately. The image — planned or
+    /// checkpoint — is then kept: its blocks stay mapped for the life of
+    /// the process, and the next commit appends only what is new to its
+    /// segments.
     TwoPhase,
 }
 
@@ -57,7 +55,7 @@ pub struct LeafConfig {
     /// (min(cores, 4)); the `SCUBA_COPY_THREADS` env var overrides both.
     pub copy_threads: usize,
     /// How to bring a valid shared-memory image back: copy-everything
-    /// ([`RestoreMode::Full`]) or attach-then-hydrate
+    /// ([`RestoreMode::Full`]) or attach-and-keep
     /// ([`RestoreMode::TwoPhase`]).
     pub restore_mode: RestoreMode,
     /// Whether the continuous checkpointer + WAL crash-restart path is on.
@@ -69,8 +67,8 @@ pub struct LeafConfig {
     /// checkpoint_and_wait`]); tests and chaos use explicit mode for
     /// determinism.
     pub checkpoint_interval_rows: usize,
-    /// Restart trace id stamped on every backup/restore/WAL-replay/
-    /// hydration span this leaf emits, letting one telemetry query
+    /// Restart trace id stamped on every backup/restore/WAL-replay span
+    /// this leaf emits, letting one telemetry query
     /// reconstruct a fleet rollover as a per-leaf timeline. 0 means
     /// "untraced" — spans fall back to the process-wide
     /// `scuba_obs::current_trace_id()`.

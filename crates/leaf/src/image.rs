@@ -17,10 +17,9 @@
 //!
 //! The shutdown backup (`LeafStore::backup_extracted`) and the
 //! checkpointer write through the same two functions, so their images of
-//! the same blocks are byte-identical. Both extend an image they already
-//! hold through **one appender** (`append_at_frontier`): the
-//! checkpointer's incremental cycle, and the shutdown of a leaf that kept
-//! serving the planned image it attached. A column chunk's frame CRC is
+//! the same blocks are byte-identical. Both extend the one image a leaf
+//! holds — the segment it attached, or one an earlier commit wrote —
+//! through **one appender** (`append_at_frontier`). A column chunk's frame CRC is
 //! the column's own, derived from its seal-time footer
 //! (`RowBlockColumn::frame_crc`): no writer reads a column payload to
 //! checksum it, and a byte that changed after seal fails the frame.
@@ -317,24 +316,38 @@ pub(crate) struct Frontier {
     pub(crate) manifest_off: usize,
 }
 
+/// Write `blocks` one after another, returning the bytes each one's
+/// frames occupy.
+pub(crate) fn write_blocks(
+    blocks: &[Arc<RowBlock>],
+    sink: &mut dyn ChunkSink,
+) -> Result<Vec<Range<usize>>, ShmError> {
+    let mut ranges = Vec::with_capacity(blocks.len());
+    for block in blocks {
+        let start = sink.position();
+        write_block(block, sink)?;
+        ranges.push(start..sink.position());
+    }
+    Ok(ranges)
+}
+
 /// The one frontier appender. Through `sink`, which stands at
 /// `frontier.end`, write the blocks sealed since (`sealed[frontier.blocks..]`),
 /// then `open` as an ordinary final block; then patch the manifest frame
 /// in place with the new block count. The schema must be the one the
 /// image was written with — the patched frame keeps its length, and the
 /// frames before the frontier are never touched. The caller writes END
-/// and trims. Returns the new frontier and the bytes written, END aside.
+/// and trims. Returns the new frontier, the bytes each appended sealed
+/// block's frames occupy, and the bytes written, END aside.
 pub(crate) fn append_at_frontier(
     frontier: Frontier,
     sealed: &[Arc<RowBlock>],
     open: Option<&RowBlock>,
     schema: &Schema,
     sink: &mut dyn ChunkSink,
-) -> Result<(Frontier, u64), ShmError> {
+) -> Result<(Frontier, Vec<Range<usize>>, u64), ShmError> {
     debug_assert_eq!(sink.position(), frontier.end);
-    for block in &sealed[frontier.blocks..] {
-        write_block(block, sink)?;
-    }
+    let ranges = write_blocks(&sealed[frontier.blocks..], sink)?;
     let end = sink.position();
     if let Some(open) = open {
         write_block(open, sink)?;
@@ -352,7 +365,7 @@ pub(crate) fn append_at_frontier(
         end,
         manifest_off: frontier.manifest_off,
     };
-    Ok((next, (appended + manifest.len()) as u64))
+    Ok((next, ranges, (appended + manifest.len()) as u64))
 }
 
 /// Where a table read from windows into a mapping sits in that mapping —

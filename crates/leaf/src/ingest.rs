@@ -10,7 +10,7 @@ use scuba_diskstore::rowformat::{self, ReadOutcome};
 use scuba_diskstore::DiskBackup;
 use scuba_restart::wal::{SegmentedContents, WalLayout};
 use scuba_restart::{read_segments, SegmentedWal, WalError};
-use scuba_shmem::ShmNamespace;
+use scuba_shmem::{ShmNamespace, ShmSegment};
 
 use crate::checkpoint::{
     snapshot_tables, CheckpointJob, CheckpointOutcome, CheckpointStats, Checkpointer,
@@ -213,9 +213,9 @@ pub(crate) fn append_batch(
 
 /// The crash path of one leaf: the per-leaf write-ahead log covering
 /// post-checkpoint ingest, the background checkpoint worker keeping the
-/// warm image, and the counters that tie the two to the store. Switched on
-/// by [`LeafConfig::checkpoint_enabled`]; off, every method is a no-op and
-/// a crash recovers from disk, as in the paper.
+/// image committed, and the counters that tie the two to the store.
+/// Switched on by [`LeafConfig::checkpoint_enabled`]; off, every method is
+/// a no-op and a crash recovers from disk, as in the paper.
 #[derive(Debug)]
 pub(crate) struct CrashPath {
     enabled: bool,
@@ -226,9 +226,9 @@ pub(crate) struct CrashPath {
     legacy_wal: PathBuf,
     obs: LeafMetrics,
     /// The log. Present iff the path is on, open and healthy; a write
-    /// error *poisons* it (set to `None`, checkpointer torn down) so a
-    /// crash degrades to the disk path rather than replaying a log with
-    /// holes. Ingest never fails because of the WAL.
+    /// error *poisons* it (set to `None`, image invalidated) so a crash
+    /// degrades to the disk path rather than replaying a log with holes.
+    /// Ingest never fails because of the WAL.
     wal: Option<SegmentedWal>,
     /// Where the segments' valid records ended when recovery read the log:
     /// the writer resumes there instead of reading the log again.
@@ -260,7 +260,7 @@ pub(crate) struct CrashPath {
 impl CrashPath {
     /// The crash path `config` asks for, not yet open: recovery must read
     /// the WAL and probe the old image *before* the writer truncates torn
-    /// tails or the checkpointer picks a parity.
+    /// tails or the checkpointer commits over the image.
     pub(crate) fn new(config: &LeafConfig, ns: ShmNamespace, obs: LeafMetrics) -> CrashPath {
         CrashPath {
             enabled: config.checkpoint_enabled,
@@ -287,15 +287,15 @@ impl CrashPath {
         self.enabled
     }
 
-    /// Start the crash path: spawn the checkpoint worker on `parity` and
-    /// open the WAL (clearing it when the log predates the state we now
-    /// hold, e.g. after a disk recovery). A log [`Self::read_log`] read
-    /// reopens where that read found its valid records end, without a
-    /// second read. Any WAL problem poisons the path instead of failing
-    /// the server. Returns how long opening the writer took.
-    pub(crate) fn open(&mut self, parity: u32, clear_wal: bool, store: &LeafStore) -> Duration {
+    /// Start the crash path: spawn the checkpoint worker and open the WAL
+    /// (clearing it when the log predates the state we now hold, e.g.
+    /// after a disk recovery). A log [`Self::read_log`] read reopens where
+    /// that read found its valid records end, without a second read. Any
+    /// WAL problem poisons the path instead of failing the server. Returns
+    /// how long opening the writer took.
+    pub(crate) fn open(&mut self, clear_wal: bool, store: &mut LeafStore) -> Duration {
         debug_assert!(self.enabled);
-        self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
+        self.checkpointer = Some(Checkpointer::spawn(self.ns.clone()));
         let started = Instant::now();
         let opened = self
             .adopt_legacy_wal()
@@ -308,11 +308,11 @@ impl CrashPath {
             Ok(wal) => {
                 self.wal = Some(wal);
                 if clear_wal {
-                    self.clear();
+                    self.clear(store);
                 }
                 self.publish_gauges(store);
             }
-            Err(e) => self.poison(format!("open: {e}")),
+            Err(e) => self.poison(store, format!("open: {e}")),
         }
         took
     }
@@ -336,27 +336,28 @@ impl CrashPath {
     /// Drop every WAL record: the image (or the disk state a recovery just
     /// rebuilt) holds them all. The carried sync anchor goes too — the
     /// disk log it describes may have been rewritten.
-    fn clear(&mut self) {
+    fn clear(&mut self, store: &mut LeafStore) {
         self.last_sync_anchor = None;
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.clear() {
-                self.poison(format!("clear: {e}"));
+                self.poison(store, format!("clear: {e}"));
             }
         }
     }
 
     /// The log can no longer promise to cover every post-checkpoint batch
     /// (a WAL write failed, or memory and the disk log fell out of step),
-    /// so a warm image + this log would silently drop rows. Drop the log
-    /// *and* the checkpoint image — the next crash recovers from disk with
-    /// exact durable fidelity.
-    pub(crate) fn poison(&mut self, reason: String) {
+    /// so the image + this log would silently drop rows. Drop the log, stop
+    /// the checkpointer and invalidate the image — the next crash recovers
+    /// from disk with exact durable fidelity.
+    pub(crate) fn poison(&mut self, store: &mut LeafStore, reason: String) {
         if !self.enabled {
             return;
         }
         self.wal = None;
         self.last_sync_anchor = None;
-        self.retire_image();
+        self.stop(store);
+        self.invalidate(store);
         scuba_obs::counter!("leaf_wal_poisoned_total").inc();
         self.obs.set("leaf_wal_bytes", 0);
         self.obs.add("leaf_wal_poisoned", 1);
@@ -381,14 +382,14 @@ impl CrashPath {
     /// Snapshot the store, cut the WAL at the same instant, and hand the
     /// worker a checkpoint job. False if the crash path is down (disabled
     /// or poisoned) or the worker died.
-    pub(crate) fn request(&mut self, store: &LeafStore) -> bool {
+    pub(crate) fn request(&mut self, store: &mut LeafStore) -> bool {
         if self.wal.is_none() || self.checkpointer.is_none() {
             return false; // poisoned: a log with holes must not pair with an image
         }
-        let Ok(tables) = snapshot_tables(store) else {
+        let Ok(tables) = snapshot_tables(store, &self.ns) else {
             return false;
         };
-        let Some(covered_seq) = self.rotate() else {
+        let Some(covered_seq) = self.rotate(store) else {
             return false;
         };
         let ok = self.checkpointer.as_ref().is_some_and(|ck| {
@@ -408,7 +409,7 @@ impl CrashPath {
     /// return its seq. Runs on the ingest thread, so no batch can land
     /// between the snapshot just taken and the cut. A failure poisons the
     /// crash path.
-    fn rotate(&mut self) -> Option<u64> {
+    fn rotate(&mut self, store: &mut LeafStore) -> Option<u64> {
         let wal = self.wal.as_mut()?;
         let rotated = wal.rotate().and_then(|seq| {
             if let Some(anchor) = &self.last_sync_anchor {
@@ -419,47 +420,82 @@ impl CrashPath {
         match rotated {
             Ok(seq) => Some(seq),
             Err(e) => {
-                self.poison(format!("rotate: {e}"));
+                self.poison(store, format!("rotate: {e}"));
                 None
             }
         }
     }
 
-    /// Fold one completed cycle into the crash path: remember coverage for
-    /// the lag gauge and unlink the WAL segments the image now covers.
+    /// Fold one completed cycle into the store and the crash path: advance
+    /// the tables' image records, remember coverage for the lag gauge, and
+    /// unlink the WAL segments the image now covers.
     pub(crate) fn apply_outcome(
         &mut self,
         outcome: CheckpointOutcome,
-        store: &LeafStore,
+        store: &mut LeafStore,
     ) -> Result<CheckpointStats, String> {
         self.checkpoint_inflight = false;
         match outcome.result {
             Ok(stats) => {
+                store.commit_checkpoint(outcome.tables);
                 self.committed_sealed = stats.sealed_blocks;
                 if let Some(wal) = self.wal.as_mut() {
                     if let Err(e) = wal.drop_below(outcome.covered_seq) {
-                        self.poison(format!("unlink covered segments: {e}"));
+                        self.poison(store, format!("unlink covered segments: {e}"));
                     }
                 }
                 self.publish_gauges(store);
                 Ok(stats)
             }
             Err(reason) => {
-                // The worker already invalidated the image and will
-                // rebuild from scratch next cycle; until then a crash
-                // falls back to disk. The segments stay: a later commit
-                // covers them.
+                // The image's valid bit is false until a later cycle
+                // commits; until then a crash falls back to disk. The WAL
+                // segments stay: a later commit covers them.
                 self.publish_gauges(store);
                 Err(reason)
             }
         }
     }
 
+    /// Wait for the cycle in flight, if any, and apply it.
+    fn settle(&mut self, store: &mut LeafStore) {
+        if !self.checkpoint_inflight {
+            return;
+        }
+        match self.checkpointer.as_ref().and_then(|ck| ck.wait_done()) {
+            Some(outcome) => drop(self.apply_outcome(outcome, store)),
+            None => self.checkpoint_inflight = false,
+        }
+    }
+
+    /// Stop the checkpointer, applying the cycle it was on. A planned
+    /// shutdown does this before its backup, so the backup and the
+    /// checkpointer never write the metadata region together.
+    pub(crate) fn stop(&mut self, store: &mut LeafStore) {
+        if let Some(outcome) = self.checkpointer.take().and_then(Checkpointer::stop) {
+            let _ = self.apply_outcome(outcome, store);
+        }
+        self.checkpoint_inflight = false;
+    }
+
+    /// Take the image away from a crash start: unlink the metadata region,
+    /// so a crash until the next commit recovers from disk. The segments
+    /// stay with their records, which no commit lists now; the next cycle
+    /// commits a fresh region over them.
+    pub(crate) fn invalidate(&mut self, store: &mut LeafStore) {
+        if !self.enabled {
+            return;
+        }
+        self.settle(store);
+        let _ = ShmSegment::unlink(&self.ns.metadata_name());
+        store.unlist_images();
+    }
+
     /// Auto-trigger: apply a finished cycle on the first batch after it
     /// lands (unlinking its covered segments then, not an interval later),
     /// and request a checkpoint when enough rows landed since the last one
     /// and the worker is idle.
-    fn maybe_auto_checkpoint(&mut self, store: &LeafStore) {
+    fn maybe_auto_checkpoint(&mut self, store: &mut LeafStore) {
         if self.checkpoint_inflight {
             while let Some(outcome) = self.checkpointer.as_ref().and_then(|ck| ck.try_done()) {
                 let _ = self.apply_outcome(outcome, store);
@@ -475,23 +511,17 @@ impl CrashPath {
         self.request(store);
     }
 
-    /// The store is about to change (or just changed) in a way the
-    /// incremental writer cannot track — disk fallback mid-life, expiry.
-    /// Tear the image down (same parity respawn) and drop the stale WAL;
-    /// the next cycle rebuilds from scratch, and until then a crash goes
-    /// to disk.
-    pub(crate) fn reset(&mut self, store: &LeafStore) {
+    /// The store just changed in a way the WAL's row anchors cannot follow
+    /// — expiry, a disk rebuild of the whole leaf or of one table.
+    /// Invalidate the image and drop the stale WAL; the next cycle commits
+    /// the image again, and until then a crash goes to disk.
+    pub(crate) fn reset(&mut self, store: &mut LeafStore) {
         if !self.enabled {
             return;
         }
-        if let Some(ck) = self.checkpointer.take() {
-            let parity = ck.parity();
-            ck.teardown();
-            self.checkpointer = Some(Checkpointer::spawn(self.ns.clone(), parity));
-        }
-        self.checkpoint_inflight = false;
+        self.invalidate(store);
         self.committed_sealed = 0;
-        self.clear();
+        self.clear(store);
         self.publish_gauges(store);
     }
 
@@ -499,14 +529,20 @@ impl CrashPath {
     /// count before it) and run the auto-checkpoint trigger. WAL problems
     /// never fail ingest: they poison the crash path, degrading the next
     /// crash to the disk path.
-    pub(crate) fn append(&mut self, store: &LeafStore, table: &str, start_rows: u64, rows: &[Row]) {
+    pub(crate) fn append(
+        &mut self,
+        store: &mut LeafStore,
+        table: &str,
+        start_rows: u64,
+        rows: &[Row],
+    ) {
         if !self.enabled || rows.is_empty() {
             return;
         }
         self.rows_since_checkpoint += rows.len();
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append(&encode_wal_batch(table, start_rows, rows)) {
-                self.poison(format!("append: {e}"));
+                self.poison(store, format!("append: {e}"));
             }
         }
         self.maybe_auto_checkpoint(store);
@@ -516,10 +552,10 @@ impl CrashPath {
     /// After the disk backup synced: fsync the WAL on the same cadence, so
     /// its records become durable against machine failure with the backup
     /// they shadow, then anchor the coverage just synced.
-    pub(crate) fn sync(&mut self, store: &LeafStore, disk: &DiskBackup) {
+    pub(crate) fn sync(&mut self, store: &mut LeafStore, disk: &DiskBackup) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.sync() {
-                self.poison(format!("fsync: {e}"));
+                self.poison(store, format!("fsync: {e}"));
             }
         }
         self.append_sync_anchor(store, disk);
@@ -529,7 +565,7 @@ impl CrashPath {
     /// anchor is advisory (it bounds the reconcile scan); failing to
     /// write it is a WAL append failure like any other and poisons the
     /// crash path.
-    fn append_sync_anchor(&mut self, store: &LeafStore, disk: &DiskBackup) {
+    fn append_sync_anchor(&mut self, store: &mut LeafStore, disk: &DiskBackup) {
         if self.wal.is_none() {
             return;
         }
@@ -547,34 +583,22 @@ impl CrashPath {
         let payload = encode_sync_anchor(&entries);
         match self.wal.as_mut().unwrap().append(&payload) {
             Ok(()) => self.last_sync_anchor = Some(payload),
-            Err(e) => self.poison(format!("append anchor: {e}")),
+            Err(e) => self.poison(store, format!("append anchor: {e}")),
         }
-    }
-
-    /// A planned shutdown supersedes the crash path: stop the checkpointer
-    /// and unlink its image, so the backup and the checkpointer never write
-    /// the metadata region together.
-    pub(crate) fn retire_image(&mut self) {
-        if let Some(ck) = self.checkpointer.take() {
-            ck.teardown();
-        }
-        self.checkpoint_inflight = false;
     }
 
     /// The shutdown backup's valid bit is committed and its image covers
     /// every row: drop the log.
-    pub(crate) fn retire_log(&mut self) {
-        self.clear();
+    pub(crate) fn retire_log(&mut self, store: &mut LeafStore) {
+        self.clear(store);
         self.wal = None;
     }
 
-    /// A crash: *abandon* the checkpointer — never tear it down, so the
-    /// dying process can't unlink the very image its replacement is about
-    /// to attach — and close the WAL's fds without clearing it.
-    pub(crate) fn abandon(&mut self) {
-        if let Some(ck) = self.checkpointer.take() {
-            ck.abandon();
-        }
+    /// A crash: stop the checkpointer once the cycle it is on is applied,
+    /// so every segment a commit lists has its views disarmed, and close
+    /// the WAL's fds without clearing it.
+    pub(crate) fn abandon(&mut self, store: &mut LeafStore) {
+        self.stop(store);
         self.wal = None;
     }
 
@@ -609,18 +633,8 @@ impl LeafServer {
             return Err(self.unavailable("checkpoint"));
         }
         // Settle any in-flight auto cycle first so ours is next.
-        if self.crash.checkpoint_inflight {
-            match self
-                .crash
-                .checkpointer
-                .as_ref()
-                .and_then(|ck| ck.wait_done())
-            {
-                Some(outcome) => drop(self.crash.apply_outcome(outcome, &self.store)),
-                None => self.crash.checkpoint_inflight = false,
-            }
-        }
-        if !self.crash.request(&self.store) {
+        self.crash.settle(&mut self.store);
+        if !self.crash.request(&mut self.store) {
             return Err(self.unavailable("checkpoint (crash path disabled or poisoned)"));
         }
         let Some(outcome) = self
@@ -632,7 +646,7 @@ impl LeafServer {
             return Err(self.unavailable("checkpoint (worker died)"));
         };
         self.crash
-            .apply_outcome(outcome, &self.store)
+            .apply_outcome(outcome, &mut self.store)
             .map_err(LeafError::Backup)
     }
 
@@ -739,7 +753,7 @@ mod tests {
     /// outcome: the state a crash finds between the worker's commit and
     /// the server's unlink of the covered segments.
     fn commit_without_draining(s: &mut LeafServer) {
-        assert!(s.crash.request(&s.store));
+        assert!(s.crash.request(&mut s.store));
         let outcome = s.crash.checkpointer.as_ref().unwrap().wait_done().unwrap();
         assert!(outcome.result.is_ok(), "{:?}", outcome.result);
     }
@@ -769,7 +783,7 @@ mod tests {
             // A busy leaf notices a finished cycle only on a later batch,
             // after more rows have landed behind the cut.
             if let Some(outcome) = finished.take() {
-                commits += usize::from(s.crash.apply_outcome(outcome, &s.store).is_ok());
+                commits += usize::from(s.crash.apply_outcome(outcome, &mut s.store).is_ok());
             }
             if s.crash.checkpoint_inflight {
                 finished = s.crash.checkpointer.as_ref().unwrap().wait_done();
@@ -1002,8 +1016,8 @@ mod tests {
     }
 
     /// Steady-state serving with auto-checkpointing: the image trails by
-    /// at most the interval, the crash recovers everything up to the last
-    /// WAL record, and repeated crashes flip the image parity.
+    /// at most the interval, and every crash recovers everything up to the
+    /// last WAL record.
     #[test]
     fn auto_checkpoint_and_repeated_crashes() {
         // Replays the log: keep sibling tests' one-shot WAL faults out.
@@ -1033,8 +1047,8 @@ mod tests {
     }
 
     /// Clean shutdown still wins over the crash path: the checkpointer is
-    /// torn down, the planned backup image restores, and no checkpoint
-    /// segment or WAL byte is left behind.
+    /// stopped, the backup commits a planned image over the segment the
+    /// checkpoint committed, and no WAL byte is left behind.
     #[test]
     fn clean_shutdown_supersedes_checkpoint_image() {
         // Replays the log: keep sibling tests' one-shot WAL faults out.
@@ -1059,18 +1073,186 @@ mod tests {
             "WAL not cleared by the clean shutdown"
         );
         let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
-        for parity in 0..2u32 {
-            for index in 0..8 {
-                assert!(
-                    !scuba_shmem::ShmSegment::exists(&ns.checkpoint_segment_name(parity, index)),
-                    "orphan checkpoint segment k{parity}_{index}"
-                );
-            }
-        }
+        let image = LeafMetadata::open(&ns).unwrap().read().unwrap();
+        assert!(image.valid);
+        assert_eq!(image.segment_names(), [ns.table_segment_name(0)]);
+        assert!(image
+            .segments
+            .iter()
+            .all(|e| e.flags & SEG_FLAG_CHECKPOINT == 0));
         let (s2, outcome) = LeafServer::start(cfg, 0, None).unwrap();
         assert!(outcome.is_memory());
         assert!(!s2.recovered_from_checkpoint());
         assert_eq!(s2.total_rows(), 300);
+    }
+
+    /// The segments of the committed checkpoint image.
+    fn listed_segments(s: &LeafServer) -> Vec<String> {
+        let meta = LeafMetadata::open(s.namespace()).unwrap().read().unwrap();
+        assert!(meta.valid);
+        meta.segment_names()
+    }
+
+    /// A crash start copies no block to heap: it keeps the image it
+    /// attached. The next checkpoint writes only what is new — the block
+    /// sealed since and the open tail, behind the frontier, plus the
+    /// manifest patch and END — skips the table that did not change, and
+    /// the next crash start attaches the same segments.
+    #[test]
+    fn a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it() {
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = kept_crash_config("ckkeep");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for b in 0..3 {
+            s.add_rows("logs", &seq_rows(b * 100, 100), 0).unwrap();
+            s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+        }
+        s.add_rows("quiet", &seq_rows(0, 50), 0).unwrap();
+        crash_to_checkpoint(&mut s);
+        drop(s);
+
+        let (mut s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        let RecoveryOutcome::MemoryAttached(report) = &outcome else {
+            panic!("expected attach, got {outcome:?}");
+        };
+        assert!(report.heap_bytes_copied < 1024, "{report:?}");
+        assert_eq!(
+            s.store().map().heap_bytes(),
+            report.heap_bytes_copied as usize
+        );
+        let segments = s.store().image_segments();
+        assert_eq!(segments.len(), 2);
+
+        s.add_rows("logs", &seq_rows(300, 100), 0).unwrap();
+        s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+        s.add_rows("logs", &seq_rows(400, 30), 0).unwrap();
+        let table = s.store().map().get("logs").unwrap();
+        let mut new = Vec::new();
+        crate::image::write_block(table.blocks().last().unwrap(), &mut new).unwrap();
+        let open = table.unsealed_snapshot().unwrap().unwrap();
+        crate::image::write_block(&open, &mut new).unwrap();
+        let mut manifest = Vec::new();
+        crate::image::write_manifest(5, &table.schema_snapshot(), &mut manifest).unwrap();
+        let stats = s.checkpoint_and_wait().unwrap();
+        assert_eq!((stats.skipped, stats.full_rewrites), (1, 0));
+        assert_eq!(
+            stats.bytes_written as usize,
+            new.len() + manifest.len() + scuba_restart::framing::FRAME_HEADER_V2
+        );
+        assert_eq!(s.store().image_segments(), segments);
+        assert_eq!(listed_segments(&s), segments);
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        assert!(s.recovered_from_checkpoint());
+        assert_eq!(s.store().image_segments(), segments);
+        assert_eq!(count_and_seq_sum(&s, "logs"), exact_prefix(430));
+        assert_eq!(count_and_seq_sum(&s, "quiet"), exact_prefix(50));
+    }
+
+    /// A commit lists the segments a crash start attached (extended in
+    /// place) and one it wrote whole (a new table); `crash()` right after
+    /// it leaves every one linked, and the next start attaches them all.
+    #[test]
+    fn a_crash_after_a_checkpoint_commit_leaves_every_listed_segment_linked() {
+        use scuba_shmem::ShmSegment;
+        let _x = scuba_faults::exclusive();
+        let (cfg, dir) = kept_crash_config("cklinked");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        s.add_rows("a", &seq_rows(0, 200), 0).unwrap();
+        s.add_rows("b", &seq_rows(0, 100), 0).unwrap();
+        crash_to_checkpoint(&mut s);
+        drop(s);
+
+        let (mut s, _) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        s.add_rows("a", &seq_rows(200, 20), 0).unwrap();
+        s.add_rows("c", &seq_rows(0, 10), 0).unwrap();
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        let listed = listed_segments(&s);
+        assert_eq!(listed.len(), 3);
+        s.crash();
+        for name in &listed {
+            assert!(ShmSegment::exists(name), "{name} unlinked by the crash");
+        }
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
+        assert!(s.recovered_from_checkpoint());
+        assert_eq!(s.store().image_segments(), listed);
+        for (table, rows) in [("a", 220), ("b", 100), ("c", 10)] {
+            assert_eq!(count_and_seq_sum(&s, table), exact_prefix(rows), "{table}");
+        }
+    }
+
+    /// Blocks leave a committed image — by expiry, or by demotion — and
+    /// the leaf crashes at once. Expiry invalidates the image before it
+    /// punches anything, so the start recovers the rewritten disk log;
+    /// demotion defers the punch, so the start attaches the committed image
+    /// whole. Either way it recovers exactly the durable rows.
+    #[test]
+    fn expiry_or_demotion_after_a_commit_then_a_crash_recovers_exactly_the_durable_rows() {
+        // Blocks of many pages each: unique strings defeat the dictionary.
+        const BLOCK: i64 = 3000;
+        let rows = |first: i64| -> Vec<Row> {
+            (first..first + BLOCK)
+                .map(|i| {
+                    let msg = format!("m-{i:06}-{:07}", i * 2654435761 % 9999991);
+                    Row::at(i).with("seq", i).with("msg", msg)
+                })
+                .collect()
+        };
+        let _x = scuba_faults::exclusive();
+        for demote in [false, true] {
+            let (mut cfg, dir) = kept_crash_config("ckleave");
+            cfg.retention = RetentionLimits {
+                max_age_secs: Some(5000),
+                max_bytes: None,
+            };
+            if demote {
+                cfg.tiering = crate::config::TieringMode::Sieve;
+            }
+            let mut s = LeafServer::new(cfg.clone()).unwrap();
+            let _c = Cleanup(s.namespace().clone(), dir);
+            for b in 0..3 {
+                s.add_rows("logs", &rows(b * BLOCK), 0).unwrap();
+                s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+            }
+            crash_to_checkpoint(&mut s);
+            drop(s);
+
+            // A commit of this life lists the attached segment.
+            let (mut s, _) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+            s.checkpoint_and_wait().unwrap();
+            let segment = s.store().image_segments().pop().unwrap();
+            let resident = || {
+                let seg = scuba_shmem::ShmSegment::open(&segment).unwrap();
+                seg.resident_bytes().unwrap()
+            };
+            let before = resident();
+            let want = if demote {
+                s.config.memory_budget_bytes = 1;
+                s.poll_tiering().unwrap();
+                assert!(s.cold_blocks() > 0, "nothing demoted");
+                assert_eq!(resident(), before, "a listed block was punched");
+                exact_prefix(3 * BLOCK as u64)
+            } else {
+                // Now 9000: the first block's times are past the limit.
+                assert_eq!(s.expire(9000).unwrap(), 1);
+                assert!(resident() < before, "the expired block was not punched");
+                (2 * BLOCK as u64, (BLOCK..3 * BLOCK).sum::<i64>() as f64)
+            };
+            s.crash();
+            drop(s);
+
+            let (s, outcome) = LeafServer::start(cfg, 9000, None).unwrap();
+            assert_eq!(outcome.is_memory(), demote, "{outcome:?}");
+            assert_eq!(count_and_seq_sum(&s, "logs"), want, "demote: {demote}");
+        }
     }
 
     /// Expiry invalidates the crash path (the image's immutable prefix

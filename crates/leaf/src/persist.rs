@@ -11,70 +11,124 @@
 //! path, windows into the mapping on attach. The stream format itself
 //! lives in [`crate::image`].
 //!
-//! A store that attached a planned image keeps serving it in place and
-//! keeps track of it (`KeptImage`): at the next backup a table that
-//! still starts with the blocks attached from its segment has only what
-//! is new appended there (`image::append_at_frontier`); every other
-//! table is written whole into a fresh segment.
+//! Each table's image in shared memory has one record here
+//! (`TableImage`): the segment a start attached or a commit wrote, how far
+//! its frames reach, and the blocks it holds. Two commits advance it — a
+//! checkpoint cycle's ([`LeafStore::commit_checkpoint`]) and the shutdown
+//! backup's (`commit_kept`). A table that still starts with the blocks its
+//! segment holds has only what is new appended there
+//! (`image::append_at_frontier`); every other table is written whole into
+//! a fresh segment, and the segment it left is retired once a commit no
+//! longer lists it.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Weak};
 
-use scuba_columnstore::{LeafMap, Result as StoreResult, Row, RowBlock, Table};
+use scuba_columnstore::{LeafMap, Result as StoreResult, Row, RowBlock, Schema, Table};
 use scuba_restart::framing::FRAME_HEADER_V2;
 use scuba_restart::{ChunkSink, ChunkSource, MappedChunkSource, ShmPersistable};
-use scuba_shmem::SegmentView;
+use scuba_shmem::{SegmentView, ShmNamespace, ShmSegment};
 
-use crate::image::{self, Layout, PersistError, MANIFEST_VERSION};
+use crate::checkpoint::{TableSnapshot, TableWrite, Write};
+use crate::image::{self, Frontier, Layout, PersistError, MANIFEST_VERSION};
 
 /// The leaf's in-memory store: a [`LeafMap`] plus persistence plumbing.
 #[derive(Debug, Default)]
 pub struct LeafStore {
     map: LeafMap,
-    /// The image segments attached this life, by table.
-    kept: BTreeMap<String, KeptImage>,
-    /// Views of kept segments a running backup is extending: held until
-    /// the commit disarms them, so that the blocks freed as their tables
-    /// are written cannot unlink a name the new image lists.
+    /// Each table's image in shared memory, by table.
+    images: BTreeMap<String, TableImage>,
+    /// Views of segments a running backup is extending: held until the
+    /// commit disarms them, so that the blocks freed as their tables are
+    /// written cannot unlink a name the new image lists.
     committing: Vec<Arc<SegmentView>>,
+    /// Images a running backup does not carry: retired at its commit.
+    retiring: Vec<TableImage>,
 }
 
-/// A table's image segment, attached and served in place.
+/// One table's image: the segment holding it, how far its frames reach,
+/// and the blocks it holds. While the record lives its segment stays
+/// linked: a view it holds is unlinked only by [`TableImage::retire`].
 #[derive(Debug)]
-struct KeptImage {
-    /// The segment; its blocks hold it, this does not.
-    view: Weak<SegmentView>,
-    /// Where the image's frames are, if it can be extended in place: a
-    /// current-format image whose END frame closes the segment.
-    layout: Option<Layout>,
-    /// The blocks attached from the image, oldest first, with the bytes
-    /// each one's frames occupy. A block is punched out of the segment
-    /// once it is gone from the table and nothing else holds it.
+pub(crate) struct TableImage {
+    /// The segment's name.
+    name: String,
+    /// The view this process serves the segment through, if it attached
+    /// it; no view for a segment a checkpoint wrote from heap blocks.
+    view: Option<Arc<SegmentView>>,
+    /// Where the sealed frames end, if the image can be extended in place:
+    /// a current-format image whose END frame closed the segment.
+    frontier: Option<Frontier>,
+    /// The manifest's schema snapshot as written: a table whose schema
+    /// still serializes to these bytes may have its manifest patched.
+    schema: Vec<u8>,
+    /// The sealed blocks the image holds, oldest first, with the bytes
+    /// each one's frames occupy. A block gone from its table and held by
+    /// nothing else has its pages punched out of a viewed segment.
     blocks: Vec<(Weak<RowBlock>, Range<usize>)>,
+    /// Rows the segment's frames hold, open block included: a checkpoint
+    /// skips a table that still has exactly these.
+    rows: u64,
+    /// A committed image, or a cycle in flight, may list the segment: none
+    /// of its bytes may be punched, and its name may not be unlinked.
+    listed: bool,
 }
 
-impl KeptImage {
-    /// Whether `table` may be extended in place: the image can be, the
-    /// table still starts with exactly the blocks attached from it, and
-    /// its schema is the one the manifest records.
-    fn heads(&self, table: &Table) -> bool {
-        let Some(layout) = &self.layout else {
+impl TableImage {
+    /// Whether a table holding `blocks`, with the manifest schema `schema`
+    /// (serialized), may extend this image in place: the image can be
+    /// extended, the table still starts with exactly the blocks it holds,
+    /// and the schema is the one its manifest records.
+    fn extends(&self, blocks: &[Arc<RowBlock>], schema: &[u8]) -> bool {
+        let Some(frontier) = self.frontier else {
             return false;
         };
-        let attached = &self.blocks;
-        attached.len() == layout.frontier.blocks
-            && table.blocks().len() >= attached.len()
-            && attached
+        self.blocks.len() == frontier.blocks
+            && blocks.len() >= self.blocks.len()
+            && self
+                .blocks
                 .iter()
-                .zip(table.blocks())
+                .zip(blocks)
                 .all(|((kept, _), block)| std::ptr::eq(kept.as_ptr(), Arc::as_ptr(block)))
-            && {
-                let mut schema = Vec::new();
-                table.schema_snapshot().serialize(&mut schema);
-                schema == layout.schema
-            }
+            && schema == self.schema
     }
+
+    /// Give back the pages of every block of a viewed segment that nothing
+    /// holds any more. Returns the bytes punched.
+    fn punch_dropped(&mut self) -> usize {
+        let Some(view) = &self.view else {
+            return 0;
+        };
+        let mut punched = 0;
+        self.blocks.retain(|(block, range)| {
+            if block.strong_count() > 0 {
+                return true;
+            }
+            punched += view.punch_hole(range.start, range.len()).unwrap_or(0);
+            false
+        });
+        punched
+    }
+
+    /// No commit lists the segment any more: give back what nothing reads
+    /// and unlink the name. Blocks still served from a view keep reading
+    /// its mapping, and the disarmed view never unlinks the name again — a
+    /// later image may reuse it.
+    fn retire(mut self) {
+        self.punch_dropped();
+        if let Some(view) = &self.view {
+            view.disarm();
+        }
+        let _ = ShmSegment::unlink(&self.name);
+    }
+}
+
+/// The serialized form of a manifest schema.
+fn schema_bytes(schema: &Schema) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(schema.serialized_size());
+    schema.serialize(&mut bytes);
+    bytes
 }
 
 /// One table crossing the restart protocol, with the image it came from
@@ -82,9 +136,12 @@ impl KeptImage {
 #[derive(Debug)]
 pub struct TableUnit {
     table: Table,
-    /// Attach: the segment the table's blocks are windows into. Backup:
-    /// the kept image the table is appended to, with its frontier.
-    image: Option<(Arc<SegmentView>, Option<Layout>)>,
+    /// Attach: the segment the table's blocks are windows into, with its
+    /// layout if it can be extended in place.
+    attached: Option<(Arc<SegmentView>, Option<Layout>)>,
+    /// Backup: the image the table is appended to — its segment, its
+    /// frontier, and the length a view of it maps (0 for none).
+    kept: Option<(String, Frontier, usize)>,
 }
 
 impl LeafStore {
@@ -129,53 +186,146 @@ impl LeafStore {
         Ok(())
     }
 
-    /// The segment names of the attached images that are still mapped.
+    /// The segment names of the tables' images: every one is linked.
     pub fn image_segments(&self) -> Vec<String> {
-        self.kept
-            .values()
-            .filter_map(|k| k.view.upgrade().map(|v| v.name().to_owned()))
-            .collect()
+        self.images.values().map(|i| i.name.clone()).collect()
     }
 
     /// Tables the next backup would extend in place.
     #[cfg(test)]
     pub(crate) fn appendable_tables(&self) -> Vec<String> {
-        self.kept
+        self.images
             .iter()
-            .filter(|(name, k)| self.map.get(name).is_some_and(|t| k.heads(t)))
+            .filter(|(name, image)| {
+                self.map
+                    .get(name)
+                    .is_some_and(|t| image.extends(t.blocks(), &schema_bytes(&t.schema_snapshot())))
+            })
             .map(|(name, _)| name.clone())
             .collect()
     }
 
-    /// Stop tracking the attached images: their blocks are about to be
-    /// hydrated to heap, and each segment goes when its last block does.
-    pub(crate) fn forget_images(&mut self) {
-        self.kept.clear();
+    /// `table` lost or replaced blocks of its image (expiry, demotion, a
+    /// per-table rebuild): the next commit writes it whole. Unless a commit
+    /// may list the segment, the pages of every block nothing holds any
+    /// more go back to the OS now, and a segment no block reads is retired;
+    /// otherwise both wait for the commit that no longer lists it. Returns
+    /// the bytes punched.
+    pub(crate) fn reclaim(&mut self, table: &str) -> usize {
+        let Some(image) = self.images.get_mut(table) else {
+            return 0;
+        };
+        image.frontier = None;
+        if image.listed {
+            return 0;
+        }
+        let punched = image.punch_dropped();
+        if image
+            .view
+            .as_ref()
+            .is_some_and(|v| Arc::strong_count(v) == 1)
+        {
+            let image = self.images.remove(table).expect("present");
+            image.retire();
+        }
+        punched
     }
 
-    /// `table` lost or replaced blocks of its attached image (expiry,
-    /// demotion, a per-table rebuild): it is rewritten whole at the next
-    /// backup, and the pages of every attached block nothing holds any
-    /// more go back to the OS. Returns the bytes punched.
-    pub(crate) fn reclaim(&mut self, table: &str) -> usize {
-        let Some(kept) = self.kept.get_mut(table) else {
-            return 0;
-        };
-        kept.layout = None;
-        let Some(view) = kept.view.upgrade() else {
-            // Every block is gone, and the segment with them.
-            self.kept.remove(table);
-            return 0;
-        };
-        let mut punched = 0;
-        kept.blocks.retain(|(block, range)| {
-            if block.strong_count() > 0 {
-                return true;
+    /// Point each of `tables` at its image segment and say how the cycle
+    /// writes it there: skipped when the segment already holds its rows,
+    /// appended at the frontier when the table extends the image, else
+    /// whole into a fresh table-segment name — never one an image holds, so
+    /// never one this process maps. The segments a cycle extends may be
+    /// listed from now on: their views are disarmed.
+    pub(crate) fn target_images(&mut self, ns: &ShmNamespace, tables: &mut [TableSnapshot]) {
+        let mut taken = self.image_segments();
+        let mut next = 0;
+        for snap in tables {
+            let schema = schema_bytes(&snap.schema);
+            let image = self
+                .images
+                .get_mut(&snap.name)
+                .filter(|image| image.extends(&snap.sealed, &schema));
+            let Some(image) = image else {
+                let name = loop {
+                    let name = ns.table_segment_name(next);
+                    next += 1;
+                    if !taken.contains(&name) {
+                        break name;
+                    }
+                };
+                taken.push(name.clone());
+                snap.segment = name;
+                snap.write = Write::Whole;
+                continue;
+            };
+            let frontier = image.frontier.expect("extends");
+            let unchanged = image.rows == snap.rows && frontier.blocks == snap.sealed.len();
+            snap.segment = image.name.clone();
+            snap.write = if unchanged {
+                Write::Skip(frontier)
+            } else {
+                Write::Append(frontier)
+            };
+            image.listed = true;
+            if let Some(view) = &image.view {
+                view.disarm();
             }
-            punched += view.punch_hole(range.start, range.len()).unwrap_or(0);
-            false
-        });
-        punched
+        }
+    }
+
+    /// A checkpoint cycle committed `writes`: advance each table's record
+    /// to what its segment now holds, and retire the records of segments
+    /// the committed image no longer lists.
+    pub(crate) fn commit_checkpoint(&mut self, writes: Vec<TableWrite>) {
+        let mut images = BTreeMap::new();
+        for w in writes {
+            let old = self.images.remove(&w.table);
+            let image = if w.whole {
+                if let Some(old) = old {
+                    old.retire();
+                }
+                TableImage {
+                    name: w.segment,
+                    view: None,
+                    frontier: Some(w.frontier),
+                    schema: w.schema,
+                    blocks: w.blocks,
+                    rows: w.rows,
+                    listed: true,
+                }
+            } else {
+                // Appended or skipped: the record the cycle extended, unless
+                // the store was rebuilt under the cycle.
+                let Some(mut image) = old else {
+                    continue;
+                };
+                image.frontier = image.frontier.map(|_| w.frontier);
+                image.blocks.extend(w.blocks);
+                image.rows = w.rows;
+                image
+            };
+            images.insert(w.table, image);
+        }
+        for (_, stale) in std::mem::replace(&mut self.images, images) {
+            stale.retire();
+        }
+    }
+
+    /// The image was invalidated: no commit lists any segment until the
+    /// next one.
+    pub(crate) fn unlist_images(&mut self) {
+        for image in self.images.values_mut() {
+            image.listed = false;
+        }
+    }
+
+    /// The store is abandoned for a disk rebuild after its image was
+    /// invalidated: retire every image.
+    pub(crate) fn retire_images(self) {
+        for (_, image) in self.images {
+            image.retire();
+        }
     }
 }
 
@@ -217,15 +367,26 @@ impl ShmPersistable for LeafStore {
             .map
             .remove(unit)
             .ok_or_else(|| PersistError::Framing(format!("unknown table {unit:?}")))?;
-        let image = self
-            .kept
-            .remove(unit)
-            .filter(|kept| kept.heads(&table))
-            .and_then(|kept| Some((kept.view.upgrade()?, kept.layout)));
-        if let Some((view, _)) = &image {
-            self.committing.push(Arc::clone(view));
+        let mut kept = None;
+        if let Some(image) = self.images.remove(unit) {
+            let schema = schema_bytes(&table.schema_snapshot());
+            match image
+                .frontier
+                .filter(|_| image.extends(table.blocks(), &schema))
+            {
+                Some(frontier) => {
+                    let floor = image.view.as_ref().map_or(0, |view| view.len());
+                    kept = Some((image.name, frontier, floor));
+                    self.committing.extend(image.view);
+                }
+                None => self.retiring.push(image),
+            }
         }
-        Ok(TableUnit { table, image })
+        Ok(TableUnit {
+            table,
+            attached: None,
+            kept,
+        })
     }
 
     fn unit_heap_bytes(unit: &TableUnit) -> usize {
@@ -236,13 +397,14 @@ impl ShmPersistable for LeafStore {
         // Only sealed blocks are persisted: callers seal first, and any
         // unsealed remainder is dropped with the table, mirroring the
         // crash tolerance of §4.1.
-        let TableUnit { table, image } = unit;
+        let TableUnit { table, kept, .. } = unit;
         let blocks = table.blocks().to_vec();
         let schema = table.schema_snapshot();
         drop(table);
-        if let Some((_, Some(layout))) = image {
-            // A kept image: only the blocks sealed since attach are new.
-            image::append_at_frontier(layout.frontier, &blocks, None, &schema, sink)?;
+        if let Some((_, frontier, _)) = kept {
+            // A kept image: only the blocks sealed since it was committed
+            // or attached are new.
+            image::append_at_frontier(frontier, &blocks, None, &schema, sink)?;
             return Ok(());
         }
         image::write_manifest(blocks.len() as u64, &schema, sink)?;
@@ -255,11 +417,9 @@ impl ShmPersistable for LeafStore {
         Ok(())
     }
 
-    fn kept_segment(unit: &TableUnit) -> Option<(&str, usize)> {
-        match &unit.image {
-            Some((view, Some(layout))) => Some((view.name(), layout.frontier.end)),
-            _ => None,
-        }
+    fn kept_segment(unit: &TableUnit) -> Option<(&str, usize, usize)> {
+        let (name, frontier, floor) = unit.kept.as_ref()?;
+        Some((name, frontier.end, *floor))
     }
 
     fn mapped_segments(&self) -> Vec<String> {
@@ -270,11 +430,26 @@ impl ShmPersistable for LeafStore {
         for view in self.committing.drain(..) {
             view.disarm();
         }
+        // The images of tables written whole, or gone from the store. This
+        // life allocates no name after its backup, so a segment no commit
+        // ever listed may go with its last block, as a view unlinks it.
+        let stale = std::mem::take(&mut self.images).into_values();
+        for mut image in self.retiring.drain(..).chain(stale) {
+            if image.view.as_ref().is_some_and(|view| view.is_armed()) {
+                image.punch_dropped();
+            } else {
+                image.retire();
+            }
+        }
     }
 
     fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<TableUnit, Self::Error> {
         let (table, _) = image::read_table(unit, source)?;
-        Ok(TableUnit { table, image: None })
+        Ok(TableUnit {
+            table,
+            attached: None,
+            kept: None,
+        })
     }
 
     fn attach_unit(
@@ -286,33 +461,46 @@ impl ShmPersistable for LeafStore {
         // mapped, their payload CRC deferred to the first toucher.
         let view = source.segment().cloned();
         let (table, layout) = image::read_table(unit, source)?;
-        let image = view.map(|view| {
+        let attached = view.map(|view| {
             // Extendable in place only if the END frame closes the
             // segment: nothing the appender would write over.
             let layout = layout.filter(|l| l.frontier.end + FRAME_HEADER_V2 == view.len());
             (view, layout)
         });
-        Ok(TableUnit { table, image })
+        Ok(TableUnit {
+            table,
+            attached,
+            kept: None,
+        })
     }
 
     fn install_unit(&mut self, _unit: &str, unit: TableUnit) -> Result<(), Self::Error> {
-        let TableUnit { table, image } = unit;
-        if let Some((view, layout)) = image {
-            let blocks = match &layout {
-                Some(l) => table
-                    .blocks()
-                    .iter()
-                    .zip(&l.blocks)
-                    .map(|(block, range)| (Arc::downgrade(block), range.clone()))
-                    .collect(),
-                None => Vec::new(),
+        let TableUnit {
+            table, attached, ..
+        } = unit;
+        if let Some((view, layout)) = attached {
+            let (frontier, schema, blocks) = match layout {
+                Some(l) => {
+                    let blocks = table
+                        .blocks()
+                        .iter()
+                        .zip(l.blocks)
+                        .map(|(block, range)| (Arc::downgrade(block), range))
+                        .collect();
+                    (Some(l.frontier), l.schema, blocks)
+                }
+                None => (None, Vec::new(), Vec::new()),
             };
-            let kept = KeptImage {
-                view: Arc::downgrade(&view),
-                layout,
+            let image = TableImage {
+                name: view.name().to_owned(),
+                view: Some(view),
+                frontier,
+                schema,
                 blocks,
+                rows: table.row_count() as u64,
+                listed: false,
             };
-            self.kept.insert(table.name().to_owned(), kept);
+            self.images.insert(table.name().to_owned(), image);
         }
         self.map.insert(table);
         Ok(())

@@ -15,12 +15,15 @@ use scuba_restart::{
 };
 use scuba_shmem::{LeafMetadata, ShmNamespace};
 
-use crate::checkpoint::{SEG_FLAG_CHECKPOINT, STALE_SWEEP};
+use crate::checkpoint::SEG_FLAG_CHECKPOINT;
 use crate::config::{LeafConfig, RestoreMode};
 use crate::error::LeafResult;
 use crate::ingest::{append_batch, decode_wal_record, BatchHeader, WalRecord};
 use crate::persist::LeafStore;
 use crate::server::{phase_failpoint, LeafPhase, LeafServer, RecoveryOutcome};
+
+/// How far back a sweep looks for a predecessor's segment names.
+const STALE_SWEEP: usize = 64;
 
 /// What the metadata region holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,8 +33,8 @@ pub(crate) enum Image {
     Absent,
     /// A planned-shutdown image (`valid: false` also: unreadable).
     Planned { valid: bool },
-    /// A checkpoint image under the names of `parity`.
-    Checkpoint { parity: u32, valid: bool },
+    /// A checkpoint image: a crash start replays the WAL on top of it.
+    Checkpoint { valid: bool },
 }
 
 /// The recovery inputs, all read before recovery claims the image.
@@ -68,29 +71,13 @@ pub(crate) struct Plan {
     /// Unlink the predecessor's image first, so no later start can attach
     /// rows a disk recovery dropped.
     pub(crate) sweep: bool,
-    /// Unlink the planned image's table segments first: the start
-    /// recovers through a checkpoint image, and a dead leaf that kept its
-    /// planned image may have left those linked.
-    pub(crate) sweep_tables: bool,
-    /// The new checkpointer's parity (`None`: crash path off).
-    pub(crate) parity: Option<u32>,
     pub(crate) replay: Replay,
-}
-
-/// A new life's checkpoint parity: the other one from any checkpoint
-/// image found, so views a dying predecessor still holds can never unlink
-/// the new image.
-pub(crate) fn next_parity(image: Image) -> u32 {
-    match image {
-        Image::Checkpoint { parity, .. } => 1 - parity,
-        _ => 0,
-    }
 }
 
 /// Decide how to recover, from the probe alone: no I/O.
 pub(crate) fn plan(probe: &Probe) -> Plan {
     let memory = probe.shm_recovery_enabled;
-    let valid_checkpoint = matches!(probe.image, Image::Checkpoint { valid: true, .. });
+    let valid_checkpoint = probe.image == Image::Checkpoint { valid: true };
     Plan {
         source: if memory {
             Source::Memory(probe.restore_mode)
@@ -98,10 +85,6 @@ pub(crate) fn plan(probe: &Probe) -> Plan {
             Source::Disk("memory recovery disabled")
         },
         sweep: !memory,
-        sweep_tables: memory
-            && probe.checkpoint_enabled
-            && matches!(probe.image, Image::Checkpoint { .. }),
-        parity: probe.checkpoint_enabled.then(|| next_parity(probe.image)),
         replay: match (memory && probe.checkpoint_enabled, valid_checkpoint) {
             (false, _) => Replay::No,
             (true, false) => Replay::Tail,
@@ -118,33 +101,21 @@ pub(crate) fn probe_image(ns: &ShmNamespace) -> Image {
     let Ok(contents) = meta.read() else {
         return Image::Planned { valid: false };
     };
-    // Checkpoint segment names are `…_k{parity}_{index}`; matching on the
-    // index-0 stem covers every index.
-    let stem = |parity: u32| {
-        let n = ns.checkpoint_segment_name(parity, 0);
-        n[..n.len() - 1].to_owned()
-    };
-    let (stem0, stem1) = (stem(0), stem(1));
-    let mut image_parity = None;
-    for entry in &contents.segments {
-        if entry.flags & SEG_FLAG_CHECKPOINT == 0 {
-            continue;
-        }
-        if entry.name.starts_with(&stem0) {
-            image_parity = Some(0);
-        } else if entry.name.starts_with(&stem1) {
-            image_parity = Some(1);
-        }
-    }
     let valid = contents.valid;
-    match image_parity {
-        Some(parity) => Image::Checkpoint { parity, valid },
-        None => Image::Planned { valid },
+    if contents
+        .segments
+        .iter()
+        .any(|entry| entry.flags & SEG_FLAG_CHECKPOINT != 0)
+    {
+        Image::Checkpoint { valid }
+    } else {
+        Image::Planned { valid }
     }
 }
 
-/// Unlink a predecessor's image, either parity, and its metadata: how a
-/// first boot and a disk recovery with memory recovery disabled abandon it.
+/// Unlink a predecessor's image — its segments under every name, older
+/// binaries' checkpoint names too — and its metadata: how a first boot and
+/// a disk recovery with memory recovery disabled abandon it.
 pub(crate) fn sweep_image(ns: &ShmNamespace) {
     ns.unlink_all(STALE_SWEEP);
 }
@@ -227,9 +198,6 @@ impl LeafServer {
         if plan.sweep {
             sweep_image(&self.ns);
         }
-        if plan.sweep_tables {
-            self.ns.unlink_table_segments(STALE_SWEEP);
-        }
         let mut state = LeafRestoreState::Init;
         let mut crash = None;
         let memory = match plan.source {
@@ -247,13 +215,13 @@ impl LeafServer {
             }
         };
         state.transition(LeafRestoreState::Alive)?;
-        if let Some(parity) = plan.parity {
+        if self.crash.enabled() {
             // After a memory recovery the replayed rows are still in the
             // log's segments; the first checkpoint of this life rotates past
             // them at its snapshot and unlinks them when it commits. Replay
             // is idempotent, so keeping them until then is safe. After a
             // disk recovery the log predates the rebuilt state: clear it.
-            let took = self.crash.open(parity, !outcome.is_memory(), &self.store);
+            let took = self.crash.open(!outcome.is_memory(), &mut self.store);
             self.crash_phase(crash.as_mut(), Phase::WalReopen, "leaf_wal_reopen_ns", took);
         }
         if let Some(report) = crash.as_mut() {
@@ -261,31 +229,11 @@ impl LeafServer {
         }
         // Stamps blocks if the attached image is condemned later.
         self.hydrate_now = now;
-        match outcome {
-            // The disk rebuild already left the leaf `Alive`.
-            RecoveryOutcome::Disk { .. } => {}
-            // A checkpoint image is hydrated: the checkpointer rewrites
-            // those segments, so the leaf cannot keep serving them.
-            RecoveryOutcome::MemoryAttached(_) if !self.attached_planned_image() => {
-                self.store.forget_images();
-                if self.store.map().mapped_bytes() > 0 {
-                    self.start_hydration()?;
-                } else {
-                    self.set_phase(LeafPhase::Alive);
-                }
-            }
-            // A planned image is kept: the leaf serves it in place for
-            // the rest of its life and extends it at the next shutdown.
-            _ => self.set_phase(LeafPhase::Alive),
-        }
+        // Whatever image the leaf attached — planned or checkpoint — it
+        // keeps and serves in place for the rest of its life, and extends
+        // at its next commit.
+        self.set_phase(LeafPhase::Alive);
         Ok((outcome, crash))
-    }
-
-    /// Whether every segment the attach mapped is a planned image's table
-    /// segment (not a checkpoint segment).
-    fn attached_planned_image(&self) -> bool {
-        let names = self.store.image_segments();
-        names.iter().all(|name| self.ns.is_table_segment(name))
     }
 
     /// Restore or attach the shared-memory image through `mode`, bring
@@ -365,21 +313,23 @@ impl LeafServer {
         Ok(Ok(outcome))
     }
 
-    /// The whole-leaf disk executor: drop whatever the store holds (a
-    /// partial restore, a condemned attach — dropping the last mapped
-    /// references unlinks their segments) and rebuild every table from the
-    /// disk backup. Leaves the leaf `Alive`.
+    /// The whole-leaf disk executor: invalidate the image, drop whatever
+    /// the store holds (a partial restore, a condemned attach) and unlink
+    /// its images' segments, and rebuild every table from the disk backup.
+    /// Leaves the leaf `Alive`.
     pub(crate) fn rebuild_from_disk(
         &mut self,
         now: i64,
         throttle: Option<&Throttle>,
         reason: String,
     ) -> LeafResult<RecoveryOutcome> {
-        self.store = LeafStore::new();
+        // No commit may list what the abandoned store's images hold.
+        self.crash.invalidate(&mut self.store);
+        std::mem::take(&mut self.store).retire_images();
         self.set_phase(LeafPhase::DiskRecovery);
         phase_failpoint("leaf::phase::disk_recovery")?;
         // Writers may hold buffered appends from the life being abandoned
-        // (mid-life hydration fallback, a partial reconcile): drop them so
+        // (a mid-life fallback, a partial reconcile): drop them so
         // they can't flush stale bytes into the logs recovery is about to
         // rebuild the store from.
         self.disk.discard_buffered();
@@ -1364,72 +1314,85 @@ mod tests {
         assert_eq!(s3.total_rows(), 300);
     }
 
-    /// A kept leaf that dies leaves its planned table segments linked,
-    /// with no metadata naming them; a start that recovers through the
-    /// checkpoint image instead unlinks them (DESIGN §13, row 4).
+    /// An older binary kept its checkpoint image under `_k{parity}_{i}`
+    /// names. The start finds them in the registry, attaches and keeps the
+    /// image, and the next cycle extends it under the same name; a sweep
+    /// still unlinks such names.
     #[test]
-    fn a_checkpoint_start_unlinks_the_planned_segments_a_dead_kept_leaf_left() {
+    fn an_older_binarys_checkpoint_image_attaches_and_is_extended_in_place() {
         use scuba_shmem::ShmSegment;
         let _x = scuba_faults::exclusive();
-        let (cfg, dir) = hydrating_config("sweeptables");
+        let (cfg, dir) = kept_crash_config("oldnames");
         let mut s = LeafServer::new(cfg.clone()).unwrap();
         let _c = Cleanup(s.namespace().clone(), dir);
-        fill(&mut s, 300);
+        s.add_rows("logs", &seq_rows(0, 300), 0).unwrap();
         crash_to_checkpoint(&mut s);
         drop(s);
+        // Move the image to the name the older binary gave it.
         let ns = ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id).unwrap();
-        for i in [0, 3] {
-            drop(ShmSegment::create(&ns.table_segment_name(i), 4096).unwrap());
-        }
+        let (new_name, old_name) = (ns.table_segment_name(0), ns.checkpoint_segment_name(1, 0));
+        let bytes = ShmSegment::open(&new_name).unwrap().as_slice().to_vec();
+        ShmSegment::unlink(&new_name).unwrap();
+        let mut old = ShmSegment::create(&old_name, bytes.len()).unwrap();
+        old.as_mut_slice().copy_from_slice(&bytes);
+        drop(old);
+        let mut meta = LeafMetadata::open(&ns).unwrap();
+        let mut entries = meta.read().unwrap().segments;
+        entries[0].name = old_name.clone();
+        meta.set_valid(false).unwrap();
+        meta.replace_segments(entries).unwrap();
+        meta.set_valid(true).unwrap();
+        drop(meta);
 
-        let (mut s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        let (mut s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
         assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
-        assert!(s.is_hydrating(), "a checkpoint image is hydrated");
-        for i in [0, 3] {
-            assert!(!ShmSegment::exists(&ns.table_segment_name(i)));
-        }
-        s.finish_hydration().unwrap();
-        assert_eq!(s.total_rows(), 300);
+        assert!(s.recovered_from_checkpoint());
+        assert_eq!(s.store().image_segments(), std::slice::from_ref(&old_name));
+        s.add_rows("logs", &seq_rows(300, 50), 0).unwrap();
+        let stats = s.checkpoint_and_wait().unwrap();
+        assert_eq!(stats.full_rewrites, 0, "the old image was not extended");
+        assert_eq!(s.store().image_segments(), std::slice::from_ref(&old_name));
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert_eq!(count_and_seq_sum(&s, "logs"), exact_prefix(350));
+        drop(s);
+        ns.unlink_all(16);
+        assert!(!ShmSegment::exists(&old_name));
     }
 
     /// (memory recovery enabled, crash path enabled, image) → (memory
-    /// source?, sweep, sweep planned table segments, new parity, replay).
-    type Decision = (bool, bool, Image, bool, bool, bool, Option<u32>, Replay);
+    /// source?, sweep, replay).
+    type Decision = (bool, bool, Image, bool, bool, Replay);
 
     /// The DESIGN §13 decision table, written out by hand.
     #[rustfmt::skip]
-    const DECISIONS: [Decision; 28] = {
+    const DECISIONS: [Decision; 20] = {
         use Image::{Absent, Checkpoint, Planned};
         use Replay::{CheckpointTail, No, Tail};
         [
-            (true, true, Absent, true, false, false, Some(0), Tail),
-            (true, true, Planned { valid: true }, true, false, false, Some(0), Tail),
-            (true, true, Planned { valid: false }, true, false, false, Some(0), Tail),
-            (true, true, Checkpoint { parity: 0, valid: true }, true, false, true, Some(1), CheckpointTail),
-            (true, true, Checkpoint { parity: 0, valid: false }, true, false, true, Some(1), Tail),
-            (true, true, Checkpoint { parity: 1, valid: true }, true, false, true, Some(0), CheckpointTail),
-            (true, true, Checkpoint { parity: 1, valid: false }, true, false, true, Some(0), Tail),
-            (true, false, Absent, true, false, false, None, No),
-            (true, false, Planned { valid: true }, true, false, false, None, No),
-            (true, false, Planned { valid: false }, true, false, false, None, No),
-            (true, false, Checkpoint { parity: 0, valid: true }, true, false, false, None, No),
-            (true, false, Checkpoint { parity: 0, valid: false }, true, false, false, None, No),
-            (true, false, Checkpoint { parity: 1, valid: true }, true, false, false, None, No),
-            (true, false, Checkpoint { parity: 1, valid: false }, true, false, false, None, No),
-            (false, true, Absent, false, true, false, Some(0), No),
-            (false, true, Planned { valid: true }, false, true, false, Some(0), No),
-            (false, true, Planned { valid: false }, false, true, false, Some(0), No),
-            (false, true, Checkpoint { parity: 0, valid: true }, false, true, false, Some(1), No),
-            (false, true, Checkpoint { parity: 0, valid: false }, false, true, false, Some(1), No),
-            (false, true, Checkpoint { parity: 1, valid: true }, false, true, false, Some(0), No),
-            (false, true, Checkpoint { parity: 1, valid: false }, false, true, false, Some(0), No),
-            (false, false, Absent, false, true, false, None, No),
-            (false, false, Planned { valid: true }, false, true, false, None, No),
-            (false, false, Planned { valid: false }, false, true, false, None, No),
-            (false, false, Checkpoint { parity: 0, valid: true }, false, true, false, None, No),
-            (false, false, Checkpoint { parity: 0, valid: false }, false, true, false, None, No),
-            (false, false, Checkpoint { parity: 1, valid: true }, false, true, false, None, No),
-            (false, false, Checkpoint { parity: 1, valid: false }, false, true, false, None, No),
+            (true, true, Absent, true, false, Tail),
+            (true, true, Planned { valid: true }, true, false, Tail),
+            (true, true, Planned { valid: false }, true, false, Tail),
+            (true, true, Checkpoint { valid: true }, true, false, CheckpointTail),
+            (true, true, Checkpoint { valid: false }, true, false, Tail),
+            (true, false, Absent, true, false, No),
+            (true, false, Planned { valid: true }, true, false, No),
+            (true, false, Planned { valid: false }, true, false, No),
+            (true, false, Checkpoint { valid: true }, true, false, No),
+            (true, false, Checkpoint { valid: false }, true, false, No),
+            (false, true, Absent, false, true, No),
+            (false, true, Planned { valid: true }, false, true, No),
+            (false, true, Planned { valid: false }, false, true, No),
+            (false, true, Checkpoint { valid: true }, false, true, No),
+            (false, true, Checkpoint { valid: false }, false, true, No),
+            (false, false, Absent, false, true, No),
+            (false, false, Planned { valid: true }, false, true, No),
+            (false, false, Planned { valid: false }, false, true, No),
+            (false, false, Checkpoint { valid: true }, false, true, No),
+            (false, false, Checkpoint { valid: false }, false, true, No),
         ]
     };
 
@@ -1440,22 +1403,8 @@ mod tests {
             Image::Absent,
             Image::Planned { valid: true },
             Image::Planned { valid: false },
-            Image::Checkpoint {
-                parity: 0,
-                valid: true,
-            },
-            Image::Checkpoint {
-                parity: 0,
-                valid: false,
-            },
-            Image::Checkpoint {
-                parity: 1,
-                valid: true,
-            },
-            Image::Checkpoint {
-                parity: 1,
-                valid: false,
-            },
+            Image::Checkpoint { valid: true },
+            Image::Checkpoint { valid: false },
         ];
         let mut probes = 0;
         for shm_recovery_enabled in [true, false] {
@@ -1467,7 +1416,7 @@ mod tests {
                         .filter(|r| (r.0, r.1, r.2) == key)
                         .collect();
                     assert_eq!(rows.len(), 1, "table rows for {key:?}");
-                    let &(_, _, _, memory, sweep, sweep_tables, parity, replay) = rows[0];
+                    let &(_, _, _, memory, sweep, replay) = rows[0];
                     for restore_mode in [RestoreMode::Full, RestoreMode::TwoPhase] {
                         let probe = Probe {
                             shm_recovery_enabled,
@@ -1483,8 +1432,6 @@ mod tests {
                         let want = Plan {
                             source,
                             sweep,
-                            sweep_tables,
-                            parity,
                             replay,
                         };
                         assert_eq!(plan(&probe), want, "{probe:?}");

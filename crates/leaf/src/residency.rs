@@ -50,7 +50,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub enum Residency {
     /// Heap-resident: columns are owned `Box<[u8]>` buffers.
     Hot,
-    /// Served from a shared-memory mapping (attached, not yet hydrated).
+    /// Served from a shared-memory mapping (an attached image, kept).
     Warm,
     /// Served from a disk fast-format mmap (demoted by tiering).
     Cold,
@@ -372,7 +372,7 @@ impl LeafServer {
         let _ = reason; // recorded via the fault counter; detail stays in the query error
         self.recover_tables_from_disk(&[table.to_owned()], now, None)?;
         self.residency.sync(self.store.map());
-        self.crash.reset(&self.store);
+        self.crash.reset(&mut self.store);
         Ok(())
     }
 

@@ -401,7 +401,6 @@ mod tests {
             matches!(outcome, RecoveryOutcome::MemoryAttached(_)),
             "{outcome:?}"
         );
-        assert!(!s.is_hydrating(), "a planned image is kept, not hydrated");
         (s, cleanup)
     }
 
@@ -424,7 +423,7 @@ mod tests {
                 assert_eq!(&err, want, "blocks {bad:?} at width {width}");
                 assert!(s.mapped_poison.lock().unwrap().is_some());
                 assert!(s.query_at(&Query::new("t", 0, 10), Some(width)).is_err());
-                assert_eq!(s.poll_hydration().unwrap(), 0);
+                s.poll_hydration().unwrap();
                 let reason = s.hydration_fallback_reason().expect("fallback recorded");
                 assert!(reason.contains("checksum"), "{reason}");
                 assert_eq!(s.query_at(&q, Some(width)).unwrap().0.rows_matched, 1000);

@@ -2,8 +2,9 @@
 //! fast restart (or disk recovery).
 //!
 //! [`LeafServer`] owns the stages; each lives in its own module:
-//! recovery at start in `recover`, the crash path in `ingest`, phase-two
-//! hydration in `hydrate`, the query path in `scan`, and the tiering glue
+//! recovery at start in `recover`, the crash path in `ingest`, the
+//! first-touch checks of mapped blocks in `hydrate`, the query path in
+//! `scan`, and the tiering glue
 //! beside [`crate::residency::ResidencyManager`]. Ingest, expiry and the
 //! planned shutdown stay here.
 
@@ -19,10 +20,9 @@ use scuba_shmem::ShmNamespace;
 
 use crate::config::{LeafConfig, TieringMode};
 use crate::error::{LeafError, LeafResult};
-use crate::hydrate::Hydrator;
 use crate::ingest::CrashPath;
 use crate::persist::LeafStore;
-use crate::recover::{next_parity, probe_image, sweep_image};
+use crate::recover::sweep_image;
 use crate::residency::ResidencyManager;
 
 pub use crate::ingest::WAL_DIR;
@@ -51,11 +51,6 @@ pub enum LeafPhase {
     MemoryRecovery,
     /// Rebuilding from disk (adds and queries allowed; results partial).
     DiskRecovery,
-    /// Attached to a checkpoint image and serving; background workers
-    /// are copying mapped tables to heap. Adds and queries allowed —
-    /// ingest lands in fresh heap row blocks, queries read borrowed shm
-    /// bytes. (A kept planned image is `Alive` at once.)
-    Hydrating,
     /// Process gone.
     Down,
 }
@@ -69,19 +64,14 @@ impl LeafPhase {
             LeafPhase::CopyingToShm => "COPY_TO_SHM",
             LeafPhase::MemoryRecovery => "MEMORY_RECOVERY",
             LeafPhase::DiskRecovery => "DISK_RECOVERY",
-            LeafPhase::Hydrating => "HYDRATING",
             LeafPhase::Down => "DOWN",
         }
     }
 
     /// May rows be added? (§4.3: disk recovery accepts adds, memory
-    /// recovery does not. Hydration does: the attach already installed
-    /// every table, and new rows go to fresh heap builders.)
+    /// recovery does not.)
     pub fn accepts_adds(self) -> bool {
-        matches!(
-            self,
-            LeafPhase::Alive | LeafPhase::DiskRecovery | LeafPhase::Hydrating
-        )
+        matches!(self, LeafPhase::Alive | LeafPhase::DiskRecovery)
     }
 
     /// May queries run? (Same admission rule as adds.)
@@ -89,8 +79,7 @@ impl LeafPhase {
         self.accepts_adds()
     }
 
-    /// Stable ordinal for the `leaf_phase` gauge (0 = ALIVE … 5 = DOWN,
-    /// 6 = HYDRATING).
+    /// Stable ordinal for the `leaf_phase` gauge (0 = ALIVE … 5 = DOWN).
     pub fn index(self) -> u8 {
         match self {
             LeafPhase::Alive => 0,
@@ -99,7 +88,6 @@ impl LeafPhase {
             LeafPhase::MemoryRecovery => 3,
             LeafPhase::DiskRecovery => 4,
             LeafPhase::Down => 5,
-            LeafPhase::Hydrating => 6,
         }
     }
 }
@@ -110,12 +98,8 @@ pub enum RecoveryOutcome {
     /// Shared-memory restore succeeded (everything copied to heap).
     Memory(RestoreReport),
     /// Shared-memory *attach* succeeded ([`crate::RestoreMode::TwoPhase`]):
-    /// the leaf is serving over mapped segments. A planned image is kept
-    /// in place, and the leaf is at full speed from here. A checkpoint
-    /// image hydrates in background: the report's duration is then the
-    /// time to first query, not to full recovery — drive
-    /// [`LeafServer::poll_hydration`] / [`LeafServer::finish_hydration`]
-    /// to complete it.
+    /// the leaf serves the mapped segments in place — a planned image and
+    /// a checkpoint image alike — and is at full speed from here.
     MemoryAttached(AttachReport),
     /// Fell back to (or was configured for) disk recovery; carries the
     /// reason and the disk recovery stats.
@@ -195,17 +179,15 @@ pub struct LeafServer {
     pub(crate) ns: ShmNamespace,
     phase: LeafPhase,
     pub(crate) obs: LeafMetrics,
-    /// Background hydration pool, present only while `Hydrating`.
-    pub(crate) hydrator: Option<Hydrator>,
     /// The `now` the leaf started with; stamps blocks if an attached
     /// image is condemned and the leaf falls back to disk recovery.
     pub(crate) hydrate_now: i64,
-    /// Why hydration fell back to disk, if it did.
+    /// Why the leaf fell back from its attached image to disk, if it did.
     pub(crate) hydration_fallback: Option<String>,
     /// First deferred-CRC failure a query found in a mapped block, if
     /// any. Queries take `&self`, so they can only *record* it; the next
-    /// poll/finish of hydration (or a shutdown) turns it into the disk
-    /// fallback.
+    /// `poll_hydration`/`finish_hydration` (or a shutdown) turns it into
+    /// the disk fallback.
     pub(crate) mapped_poison: std::sync::Mutex<Option<String>>,
     /// Units the last memory recovery skipped as format-incompatible and
     /// recovered from disk instead (per-table fallback).
@@ -231,20 +213,13 @@ impl LeafServer {
     /// Create an empty leaf (first boot; no recovery attempted).
     pub fn new(config: LeafConfig) -> LeafResult<LeafServer> {
         let mut server = LeafServer::new_core(config)?;
-        // Probe the parity first: a dying predecessor may still hold
-        // unlink-on-last-drop views over its image's parity, so the new
-        // checkpointer must take the other one.
-        let parity = server
-            .crash
-            .enabled()
-            .then(|| next_parity(probe_image(&server.ns)));
         // First boot abandons any predecessor state, whatever the crash
         // path: a *valid* stale image — checkpoint or planned — left
         // linked would let a crash of this life send the next start()
         // back to the abandoned life's rows.
         sweep_image(&server.ns);
-        if let Some(parity) = parity {
-            server.crash.open(parity, true, &server.store);
+        if server.crash.enabled() {
+            server.crash.open(true, &mut server.store);
         }
         Ok(server)
     }
@@ -263,7 +238,6 @@ impl LeafServer {
             ns,
             phase: LeafPhase::Alive,
             obs,
-            hydrator: None,
             hydrate_now: 0,
             hydration_fallback: None,
             mapped_poison: std::sync::Mutex::new(None),
@@ -310,10 +284,6 @@ impl LeafServer {
         self.obs.set("leaf_shm_bytes", self.shm_resident() as i64);
         self.obs.set("leaf_cold_bytes", map.cold_bytes() as i64);
         self.obs.set("leaf_cold_blocks", map.cold_blocks() as i64);
-        self.obs.set(
-            "leaf_hydration_pending_blocks",
-            self.hydration_pending() as i64,
-        );
     }
 
     /// Stamp every restart span this leaf emits from now on with `id`
@@ -409,42 +379,29 @@ impl LeafServer {
         &self.config
     }
 
-    /// The resident set: heap bytes plus the column bytes a kept planned
-    /// image serves in place — everything this leaf holds in memory for
-    /// good. Bytes still awaiting hydration are *not* counted here — they
-    /// are reported separately by [`LeafServer::shm_resident`], so a
-    /// hydrating leaf never double-counts a byte that exists in both
-    /// places mid-swap.
+    /// The resident set: heap bytes plus the column bytes of the image
+    /// this leaf attached and serves in place — everything it holds in
+    /// memory for good.
     pub fn memory_used(&self) -> usize {
         use scuba_restart::ShmPersistable;
-        let kept = if self.hydrator.is_some() {
-            0
-        } else {
-            self.store.map().mapped_bytes()
-        };
-        self.store.heap_bytes() + kept
+        self.store.heap_bytes() + self.store.map().mapped_bytes()
     }
 
-    /// Bytes resident in attached shared-memory segments still awaiting
-    /// hydration. Zero except during `Hydrating`: a kept image's bytes are
-    /// resident for good and count in [`LeafServer::memory_used`].
+    /// Bytes resident in shared memory that still await a copy to heap:
+    /// always 0, since a leaf serves every image it attaches in place
+    /// (their bytes count in [`LeafServer::memory_used`]).
     pub fn shm_resident(&self) -> usize {
-        if self.hydrator.is_some() {
-            self.store.map().mapped_bytes()
-        } else {
-            0
-        }
+        0
     }
 
     /// Free memory, as reported to tailers for two-random-choice placement
     /// (§2: the tailer "asks them both for their current state and how
-    /// much free memory they have"). Both heap- and shm-resident bytes
-    /// count against capacity: the mapped pages are this leaf's to keep.
+    /// much free memory they have"). Heap and mapped bytes both count
+    /// against capacity: the mapped pages are this leaf's to keep.
     pub fn free_memory(&self) -> usize {
         self.config
             .memory_capacity
             .saturating_sub(self.memory_used())
-            .saturating_sub(self.shm_resident())
     }
 
     /// Total rows held.
@@ -479,10 +436,11 @@ impl LeafServer {
             // prefix correspondence the crash path reconciles against is
             // broken mid-file, not at a suffix. Degrade the next crash to
             // the disk path rather than let a reconcile duplicate rows.
-            self.crash.poison(format!("disk append: {e}"));
+            self.crash
+                .poison(&mut self.store, format!("disk append: {e}"));
             return Err(e.into());
         }
-        self.crash.append(&self.store, table, start_rows, rows);
+        self.crash.append(&mut self.store, table, start_rows, rows);
         // Tiering piggybacks on ingest the way checkpoints do: the write
         // path is the one place every leaf visits on a steady cadence.
         self.run_tiering(now)?;
@@ -523,15 +481,18 @@ impl LeafServer {
                 // undo that. Degrade the crash path instead: with the log
                 // out of step, no future crash may reconcile against it.
                 scuba_obs::counter!("leaf_expiry_rewrite_failures_total").inc();
-                self.crash
-                    .poison(format!("expiry rewrite of {name:?}: {reason}"));
+                self.crash.poison(
+                    &mut self.store,
+                    format!("expiry rewrite of {name:?}: {reason}"),
+                );
             }
         }
         if dropped > 0 {
-            // Expiry removed blocks the incremental writer thought were
-            // the image's immutable prefix, and shrank row counts under
-            // the WAL's start anchors. Rebuild the crash path.
-            self.crash.reset(&self.store);
+            // Expiry removed blocks of the committed image and shrank row
+            // counts under the WAL's start anchors: invalidate the image,
+            // which frees its expired pages to be punched, and start the
+            // crash path over.
+            self.crash.reset(&mut self.store);
         }
         if self.config.tiering == TieringMode::Sieve && !shrunk.is_empty() {
             // Expiry drops the oldest blocks first — exactly the ones most
@@ -541,8 +502,8 @@ impl LeafServer {
             self.shed_cold_files(&shrunk);
             self.residency.sync(self.store.map());
         }
-        // A kept image that lost its oldest blocks is rewritten at the
-        // next shutdown; their pages go back to tmpfs now that the ring
+        // An image that lost its oldest blocks is written whole at the
+        // next commit; their pages go back to tmpfs now that the ring
         // and the crash path hold them no more.
         for name in &shrunk {
             self.store.reclaim(name);
@@ -557,7 +518,7 @@ impl LeafServer {
     /// only the bytes written after this point.
     pub fn sync_disk(&mut self) -> LeafResult<u64> {
         let bytes = self.disk.sync()?;
-        self.crash.sync(&self.store, &self.disk);
+        self.crash.sync(&mut self.store, &self.disk);
         Ok(bytes)
     }
 
@@ -566,9 +527,10 @@ impl LeafServer {
     /// Walks the leaf through `Alive → CopyToShm → Exit` and every table
     /// through `Alive → Prepare → CopyToShm → Done`: stop accepting work,
     /// seal unsealed rows, flush the disk backup, copy everything into
-    /// shared memory, commit the valid bit. A table still served from the
-    /// planned image this leaf attached is not copied: only its blocks
-    /// sealed since are appended to its segment. On success the server is
+    /// shared memory, commit the valid bit. A table that still starts with
+    /// the blocks of its image — attached at start, or committed by a
+    /// checkpoint — is not copied: only its blocks sealed since are
+    /// appended to its segment. On success the server is
     /// `Down` and holds no data; the replacement process recovers it with
     /// [`LeafServer::start`].
     pub fn shutdown_to_shm(&mut self, now: i64) -> LeafResult<ShutdownSummary> {
@@ -578,7 +540,7 @@ impl LeafServer {
         // A kept image a query found corrupt must not be carried into the
         // next one: rebuild from disk first, and write that whole.
         if let Some(reason) = self.mapped_poison.get_mut().unwrap().take() {
-            self.fall_back_from_hydration(reason)?;
+            self.fall_back_to_disk(reason)?;
         }
         let mut leaf_state = LeafBackupState::Alive;
 
@@ -608,9 +570,11 @@ impl LeafServer {
         self.residency.clear();
         let disk_synced_bytes = self.sync_disk()?;
 
-        // Up to this point any prepare failure still leaves the warm
-        // checkpoint image for the replacement to crash-recover from.
-        self.crash.retire_image();
+        // The crash path gives way to the backup, which extends the same
+        // segments. Up to the backup's own invalid window, a failure still
+        // leaves the committed checkpoint image for the replacement to
+        // crash-recover from.
+        self.crash.stop(&mut self.store);
 
         // COPY TO SHM (Figures 5(a) and 6).
         leaf_state = leaf_state.transition(LeafBackupState::CopyToShm)?;
@@ -635,7 +599,7 @@ impl LeafServer {
 
         // The backup's valid bit is committed: the image covers every
         // row, so the WAL is obsolete. Drop it before exit.
-        self.crash.retire_log();
+        self.crash.retire_log(&mut self.store);
 
         // EXIT. A fault here stands on the narrowest ledge: the valid bit
         // is already committed, so a death is a *successful* shutdown and
@@ -656,21 +620,18 @@ impl LeafServer {
     /// Crash the leaf: drop everything without copying to shared memory.
     /// With the crash path off, the next start finds no valid bit and
     /// recovers from disk — the paper's §4 crash behaviour. With it on,
-    /// the continuous checkpoint image and the WAL survive the death, and
-    /// the next start replays the tail on top of the warm image.
+    /// the committed checkpoint image and the WAL survive the death, and
+    /// the next start replays the tail on top of the image.
     pub fn crash(&mut self) {
-        // Ordering matters: the checkpointer must be *abandoned* before
-        // anything else drops. (Checkpoint segments are plain
-        // `ShmSegment`s, which never unlink on drop; the hazard is a
-        // teardown-style exit.)
-        self.crash.abandon();
+        // Ordering matters: the checkpointer's last cycle is applied
+        // before the store drops, so every segment a commit lists has its
+        // views disarmed and outlives them. Views no commit listed unlink
+        // their segments as the store drops.
+        self.crash.abandon(&mut self.store);
         // A SIGKILL loses the disk backup's userspace buffer too: drop it
         // unflushed so the crash's durability is exactly the synced
         // prefix, not whatever the allocator felt like flushing.
         self.disk.discard_buffered();
-        // A crash mid-hydration abandons the workers; their mapped
-        // references (and the store's) drop, unlinking the segments.
-        self.stop_hydration();
         self.residency.clear();
         self.store = LeafStore::new();
         self.set_phase(LeafPhase::Down);
@@ -1165,7 +1126,7 @@ mod tests {
                 assert!(matches!(outcome, RecoveryOutcome::MemoryAttached(_)));
                 let err = s.query(&q).unwrap_err().to_string();
                 assert!(err.contains("checksum"), "{err}");
-                assert_eq!(s.poll_hydration().unwrap(), 0);
+                s.poll_hydration().unwrap();
                 assert!(s.hydration_fallback_reason().unwrap().contains("checksum"));
             }
             assert_eq!(result_fingerprint(&s.query(&q).unwrap()), want, "{mode:?}");
@@ -1190,7 +1151,7 @@ mod tests {
         assert_eq!(s.shm_resident(), 0);
         assert_eq!(s.free_memory(), (8 << 20) - heap);
         s.finish_hydration().unwrap();
-        assert_eq!(s.poll_hydration().unwrap(), 0);
+        s.poll_hydration().unwrap();
         assert_eq!(
             s.store().map().mapped_bytes(),
             mapped,

@@ -75,8 +75,8 @@ pub(crate) fn crash_config(tag: &str) -> (LeafConfig, PathBuf) {
 
 /// A two-phase leaf with the crash path on: after
 /// [`crash_to_checkpoint`], its next start attaches the checkpoint image
-/// and hydrates it — the one attach that still hydrates.
-pub(crate) fn hydrating_config(tag: &str) -> (LeafConfig, PathBuf) {
+/// and keeps it, as a planned start does.
+pub(crate) fn kept_crash_config(tag: &str) -> (LeafConfig, PathBuf) {
     let (mut cfg, dir) = crash_config(tag);
     cfg.restore_mode = RestoreMode::TwoPhase;
     (cfg, dir)
@@ -91,7 +91,7 @@ pub(crate) fn kept_config(tag: &str) -> (LeafConfig, PathBuf) {
 }
 
 /// Shut `s` down and start its successor, which must attach the image
-/// and keep it: serving, not hydrating, every sealed block mapped.
+/// and keep it: serving, every sealed block mapped.
 pub(crate) fn kept_restart(
     s: LeafServer,
     cfg: &LeafConfig,
@@ -106,7 +106,6 @@ pub(crate) fn kept_restart(
         "{outcome:?}"
     );
     assert_eq!(s.phase(), LeafPhase::Alive);
-    assert!(!s.is_hydrating());
     assert_eq!(s.shm_resident(), 0);
     for table in s.store().map().iter() {
         assert!(
@@ -130,8 +129,8 @@ pub(crate) fn table_segment(summary: &ShutdownSummary, table: &str) -> String {
 
 /// Sync every row to disk, commit a checkpoint image of them, and crash:
 /// the next start recovers through that image with nothing to replay or
-/// reconcile. The first life's image is checkpoint parity 0, one segment
-/// per table in name order ([`ShmNamespace::checkpoint_segment_name`]).
+/// reconcile. A first life's image is one table segment per table, in
+/// name order from [`ShmNamespace::table_segment_name`] 0.
 pub(crate) fn crash_to_checkpoint(server: &mut LeafServer) {
     server.sync_disk().unwrap();
     server.checkpoint_and_wait().unwrap();

@@ -408,7 +408,7 @@ fn prepare_unit<S: ShmPersistable>(
     // handle of the backup's own, never the view its blocks borrow.
     let sw = Stopwatch::start();
     let (seg_name, segment) = match S::kept_segment(&data) {
-        Some((name, _)) => (name.to_owned(), ShmSegment::open(name)),
+        Some((name, _, _)) => (name.to_owned(), ShmSegment::open(name)),
         None => {
             let name = names.fresh();
             let _ = ShmSegment::unlink(&name); // clear stale
@@ -469,10 +469,10 @@ fn write_unit_inner<S: ShmPersistable>(
     acc: &RunAcc,
     stats: &mut UnitStats,
 ) -> Result<(usize, u64), BackupError<S::Error>> {
-    // A kept image is extended at its END frame and must not end up
-    // shorter than its views map.
+    // A kept image is extended where its sealed frames end and must not
+    // end up shorter than its views map.
     let (kept_at, floor) = match S::kept_segment(&data) {
-        Some((_, at)) => (Some(at), segment.len()),
+        Some((_, at, floor)) => (Some(at), floor),
         None => (None, 0),
     };
     let mut writer = SegmentWriter::at(&mut segment, kept_at.unwrap_or(0));
@@ -891,15 +891,17 @@ mod tests {
     }
 
     /// A store whose one unit extends a live image in place: the segment a
-    /// previous backup wrote, from `at`, with `chunks`.
+    /// previous backup wrote, from `at`, with `chunks`, under a view of
+    /// `floor` bytes.
     struct KeptStore {
         segment: String,
         at: usize,
+        floor: usize,
         chunks: Vec<Vec<u8>>,
         committed: bool,
     }
 
-    type KeptUnit = (String, usize, Vec<Vec<u8>>);
+    type KeptUnit = (String, usize, Vec<Vec<u8>>, usize);
 
     impl ShmPersistable for KeptStore {
         type Error = testutil::ToyError;
@@ -918,6 +920,7 @@ mod tests {
                 self.segment.clone(),
                 self.at,
                 std::mem::take(&mut self.chunks),
+                self.floor,
             ))
         }
 
@@ -937,8 +940,8 @@ mod tests {
             Ok(())
         }
 
-        fn kept_segment(unit: &KeptUnit) -> Option<(&str, usize)> {
-            Some((&unit.0, unit.1))
+        fn kept_segment(unit: &KeptUnit) -> Option<(&str, usize, usize)> {
+            Some((&unit.0, unit.1, unit.3))
         }
 
         fn mapped_segments(&self) -> Vec<String> {
@@ -980,6 +983,7 @@ mod tests {
         let mut kept = KeptStore {
             segment: name.clone(),
             at: end,
+            floor: len,
             chunks: vec![b"third".to_vec()],
             committed: false,
         };
@@ -1009,6 +1013,7 @@ mod tests {
         let mut short = KeptStore {
             segment: name.clone(),
             at: 0,
+            floor: len,
             chunks: Vec::new(),
             committed: false,
         };

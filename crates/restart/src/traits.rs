@@ -215,18 +215,19 @@ pub trait ShmPersistable {
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error>;
 
     /// The live segment an extracted unit's image extends in place, if the
-    /// store kept one — an image it attached and still serves — with the
-    /// offset its appended frames start at (the image's END frame). The
-    /// backup writes such a unit through its own handle on that name, from
-    /// that offset, with no name frame, and never leaves the segment
-    /// shorter than it found it. `None` (the default): the unit is written
-    /// whole into a fresh segment.
-    fn kept_segment(_unit: &Self::Unit) -> Option<(&str, usize)> {
+    /// store kept one — an image it attached, or one an earlier commit
+    /// wrote — with the offset its appended frames start at (where the
+    /// image's sealed frames end) and the length the store's views of it
+    /// map (0 for none). The backup writes such a unit through its own
+    /// handle on that name, from that offset, with no name frame, and
+    /// never leaves the segment shorter than its views map. `None` (the
+    /// default): the unit is written whole into a fresh segment.
+    fn kept_segment(_unit: &Self::Unit) -> Option<(&str, usize, usize)> {
         None
     }
 
-    /// Names of segments the store still maps. A fresh unit segment never
-    /// takes one: their views own those names until the last drop.
+    /// Names of segments the store's images hold. A fresh unit segment
+    /// never takes one.
     fn mapped_segments(&self) -> Vec<String> {
         Vec::new()
     }

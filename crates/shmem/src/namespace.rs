@@ -60,13 +60,12 @@ impl ShmNamespace {
         format!("/{}_leaf{}_t{}", self.prefix, self.leaf_id, index)
     }
 
-    /// Name of a *checkpoint* segment: the continuously-maintained warm
-    /// image a live leaf writes during normal serving (the crash-restart
-    /// extension of the planned-shutdown image). `parity` (0 or 1)
-    /// alternates across process generations so a recovering process —
-    /// whose attach still holds the predecessor's checkpoint segments via
-    /// unlink-on-last-drop views — can build its own warm image under
-    /// names the dying views will never unlink.
+    /// Name of a checkpoint segment as older binaries named them: a
+    /// second, parity-alternating image (`parity` 0 or 1) beside the
+    /// table segments. This binary writes every image under
+    /// [`Self::table_segment_name`]; the old names still attach, since
+    /// names come from the registry, and [`Self::unlink_all`] still sweeps
+    /// them.
     pub fn checkpoint_segment_name(&self, parity: u32, index: usize) -> String {
         format!(
             "/{}_leaf{}_k{}_{}",
@@ -77,20 +76,10 @@ impl ShmNamespace {
         )
     }
 
-    /// Whether `name` is one of this leaf's planned-image table segments
-    /// (not a checkpoint segment, not the metadata).
-    pub fn is_table_segment(&self, name: &str) -> bool {
-        let stem = format!("/{}_leaf{}_t", self.prefix, self.leaf_id);
-        name.strip_prefix(&stem)
-            .is_some_and(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
-    }
-
-    /// Unlink every planned-image table segment name — layers 2 and 3 of
-    /// [`Self::unlink_all`], leaving the metadata and the checkpoint
-    /// segments alone. A start that recovers through a checkpoint image
-    /// uses it to drop what a dead kept leaf still had linked. Returns how
-    /// many names were removed.
-    pub fn unlink_table_segments(&self, max_tables: usize) -> usize {
+    /// Unlink every table segment name — layers 2 and 3 of
+    /// [`Self::unlink_all`], leaving the metadata and older binaries'
+    /// checkpoint segments alone. Returns how many names were removed.
+    fn unlink_table_segments(&self, max_tables: usize) -> usize {
         let mut removed = 0;
         // Layer 2: contiguous sweep from 0.
         let mut index = 0;
@@ -140,9 +129,9 @@ impl ShmNamespace {
             removed += 1;
         }
         removed += self.unlink_table_segments(max_tables);
-        // Checkpoint segments, both parities: same contiguous walk plus
-        // capped fallback as the table names. (Layer 1 already caught any
-        // that were listed in the registry.)
+        // Older binaries' checkpoint segments, both parities: same
+        // contiguous walk plus capped fallback as the table names. (Layer
+        // 1 already caught any that were listed in the registry.)
         for parity in 0..2u32 {
             let mut index = 0;
             while ShmSegment::exists(&self.checkpoint_segment_name(parity, index)) {
@@ -177,17 +166,6 @@ mod tests {
         // Two processes computing independently agree — the rendezvous.
         let again = ShmNamespace::new("prod", 3).unwrap();
         assert_eq!(ns.metadata_name(), again.metadata_name());
-    }
-
-    #[test]
-    fn table_segment_names_are_recognized() {
-        let ns = ShmNamespace::new("prod", 3).unwrap();
-        assert!(ns.is_table_segment(&ns.table_segment_name(0)));
-        assert!(ns.is_table_segment(&ns.table_segment_name(17)));
-        assert!(!ns.is_table_segment(&ns.checkpoint_segment_name(1, 0)));
-        assert!(!ns.is_table_segment(&ns.metadata_name()));
-        assert!(!ns.is_table_segment("/prod_leaf3_t"));
-        assert!(!ns.is_table_segment(&ShmNamespace::new("prod", 33).unwrap().table_segment_name(0)));
     }
 
     #[test]

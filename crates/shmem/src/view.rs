@@ -3,7 +3,7 @@
 //! The zero-copy attach path (§6 future work: "keep the data in shared
 //! memory at all times") installs table columns that point straight into a
 //! mapped segment instead of copying them to heap. The mapping must then
-//! outlive every such pointer — table blocks, query snapshots, hydration
+//! outlive every such pointer — table blocks, query snapshots, scan
 //! workers — and the segment name must be removed exactly when the last
 //! one goes away. [`SegmentView`] encodes that protocol: it is always held
 //! behind an `Arc`, and its `Drop` unlinks the segment name.
@@ -77,7 +77,7 @@ impl SegmentView {
     }
 
     /// Whether the last drop will unlink the name.
-    fn is_armed(&self) -> bool {
+    pub fn is_armed(&self) -> bool {
         self.armed.load(Ordering::Acquire)
     }
 

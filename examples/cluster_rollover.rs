@@ -100,7 +100,6 @@ fn paper_scale_simulation() {
             old_version: s.old,
             rolling: s.rolling,
             new_version: s.new,
-            hydrating: 0,
             availability: s.availability,
             checkpoint_lag_blocks: 0,
             wal_bytes: 0,

@@ -14,12 +14,19 @@ cd "$(dirname "$0")/.."
 
 # The crash-wave chaos soak, the replay differential (WAL records decoded
 # straight into the builders must build what row-by-row appends build,
-# through replay's fan_out at this width) and the E16 crash-recovery smoke
-# (which also publishes crash numbers into BENCH_restart.json). The test
+# through replay's fan_out at this width), the one-image tests (a crash
+# start keeps its image and the next checkpoint extends it; a crash right
+# after a commit leaves every listed segment linked; expiry or demotion
+# right after a commit, then a crash, recovers exactly the durable rows)
+# and the E16 crash-recovery smoke (which asserts a crash attach copies
+# nothing and publishes crash numbers into BENCH_restart.json). The test
 # job runs this after tier-1, once per copy-pool width.
 crash() (
     SCUBA_CHAOS_CRASH_WAVES=40 cargo test --release --test chaos chaos_soak_with_crash_waves -- --nocapture
     cargo test --release -p scuba-leaf cell_replay_matches_row_replay -- --nocapture
+    cargo test --release -p scuba-leaf --lib -- a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it \
+        a_crash_after_a_checkpoint_commit_leaves_every_listed_segment_linked \
+        expiry_or_demotion_after_a_commit_then_a_crash_recovers_exactly_the_durable_rows --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )
 
@@ -55,8 +62,10 @@ format_compat() (
 # Vectorized-scan gate: the columnar kernels must stay differentially
 # equal to the row-wise oracle (groups, counts, pruning stats) across
 # encodings x null patterns x heap/mapped backing, and the leaf's
-# hydration and first-touch tests must hold: a checkpoint image hydrated
-# through the copy pool, a kept planned image served in place. The E17
+# kept-image and first-touch tests (`hydrat` selects the `hydrate` module
+# and the `*_hydration` tests) must hold: a crash image and a planned
+# image alike served in place, a corrupt mapped column failing the query
+# that reads it and falling back at the next poll. The E17
 # smoke then drives the full path — kernels, in-place mapped scans, a
 # kept image whose untouched cold table copies 0 bytes — end to end,
 # asserting every result equal to the heap leaf's. The differential suite runs again in release at 2000 cases

@@ -236,17 +236,17 @@ fn golden_v2_table() -> Table {
 /// because the backup empties the store.
 fn checkpoint_and_backup_streams(store: &mut LeafStore, tag: &str) -> (Vec<u8>, Vec<u8>) {
     let (_, ck_guard) = config(&format!("{tag}c"));
-    let ck = Checkpointer::spawn(ck_guard.ns.clone(), 0);
+    let ck = Checkpointer::spawn(ck_guard.ns.clone());
     assert!(ck.request(CheckpointJob {
-        tables: snapshot_tables(store).unwrap(),
+        tables: snapshot_tables(store, &ck_guard.ns).unwrap(),
         covered_seq: 1,
     }));
     ck.wait_done().unwrap().result.unwrap();
-    let checkpoint = ShmSegment::open(&ck_guard.ns.checkpoint_segment_name(0, 0))
+    let checkpoint = ShmSegment::open(&ck_guard.ns.table_segment_name(0))
         .unwrap()
         .as_slice()
         .to_vec();
-    ck.teardown();
+    drop(ck);
 
     let (_, bk_guard) = config(&format!("{tag}b"));
     backup_to_shm(store, &bk_guard.ns, SHM_LAYOUT_VERSION).unwrap();

@@ -103,9 +103,10 @@ fn sigkill_mid_backup_forces_disk_recovery_with_full_fidelity() {
 /// place, after it ingested and synced more rows. The dead leaf's table
 /// segments are still linked — nothing ran to unlink them — but no
 /// metadata names them any more: the next start must not attach them,
-/// must come back with every synced row, and must leave no planned table
-/// segment behind. With the crash path on, the dead leaf also committed a
-/// checkpoint image, which the next start recovers through instead.
+/// must come back with every synced row, and must leave no table segment
+/// behind. With the crash path on, the dead leaf's checkpoint extended
+/// the same segment and committed it: the next start attaches that image
+/// and keeps it, copying nothing.
 #[test]
 fn sigkill_of_a_kept_leaf_leaves_nothing_attachable_or_linked() {
     let _x = scuba_faults::exclusive();
@@ -140,7 +141,7 @@ fn sigkill_of_a_kept_leaf_leaves_nothing_attachable_or_linked() {
                     .collect();
                 let (mut s, outcome) = LeafServer::start(cfg.clone(), 0, None).ok()?;
                 let attached =
-                    matches!(outcome, RecoveryOutcome::MemoryAttached(_)) && !s.is_hydrating();
+                    matches!(outcome, RecoveryOutcome::MemoryAttached(_)) && s.shm_resident() == 0;
                 s.add_rows("data", &more, 0).ok()?;
                 s.sync_disk().ok()?;
                 if checkpoint {
@@ -176,23 +177,41 @@ fn sigkill_of_a_kept_leaf_leaves_nothing_attachable_or_linked() {
         assert!(ShmSegment::exists(&ns.table_segment_name(0)));
 
         let (mut recovered, outcome) = LeafServer::start(cfg, 0, None).unwrap();
-        if checkpoint {
-            // The checkpoint image, hydrated — never the planned one.
-            assert!(recovered.is_hydrating(), "{outcome:?}");
+        let kept = if checkpoint {
+            // The checkpoint image over the same segment, kept in place.
+            assert!(
+                matches!(outcome, RecoveryOutcome::MemoryAttached(_)),
+                "{outcome:?}"
+            );
+            assert!(recovered.recovered_from_checkpoint());
+            assert_eq!(recovered.shm_resident(), 0);
+            assert!(recovered
+                .store()
+                .map()
+                .get("data")
+                .unwrap()
+                .blocks()
+                .iter()
+                .all(|b| b.is_mapped()));
             recovered.finish_hydration().unwrap();
+            vec![ns.table_segment_name(0)]
         } else {
             assert!(
                 matches!(outcome, RecoveryOutcome::Disk { .. }),
                 "{outcome:?}"
             );
-        }
+            Vec::new()
+        };
+        assert_eq!(recovered.store().image_segments(), kept);
         assert_eq!(recovered.total_rows(), ROWS as usize + 100);
         let r = recovered.query(&Query::new("data", 0, i64::MAX)).unwrap();
         assert_eq!(r.rows_matched, ROWS as u64 + 100);
         for i in 0..8 {
-            assert!(
-                !ShmSegment::exists(&ns.table_segment_name(i)),
-                "planned table segment {i} left linked (checkpoint={checkpoint})"
+            let name = ns.table_segment_name(i);
+            assert_eq!(
+                ShmSegment::exists(&name),
+                kept.contains(&name),
+                "table segment {i} (checkpoint={checkpoint})"
             );
         }
         drop(recovered);
