@@ -10,7 +10,7 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use scuba::columnstore::scan::{sel_all, sel_retain_ids, DictMask};
+use scuba::columnstore::scan::{sel_all, sel_retain_ids, DictMask, IntCodes};
 use scuba::columnstore::{ColumnView, Table};
 use scuba::query::{execute, execute_vectorized, merge_partials, AggSpec, CmpOp, Filter, Query};
 use scuba_bench::request_rows;
@@ -104,9 +104,32 @@ fn bench_decode(c: &mut Criterion) {
     let mut group = c.benchmark_group("decode");
     group.throughput(Throughput::Elements(rows as u64));
     group.sample_size(20);
-    // Delta chain: decoded in full at build.
+    // Delta chain (`time`): decoded in full on first read.
     group.bench_function("int_delta", |b| {
-        b.iter(|| ColumnView::build(black_box(column("status"))).unwrap())
+        b.iter(|| {
+            let view = ColumnView::build(black_box(column("time"))).unwrap();
+            let ColumnView::Int64 { ints, .. } = &view else {
+                unreachable!("time is an integer column")
+            };
+            black_box(ints.values().unwrap().len())
+        })
+    });
+    // Integer dictionary (`status`, four values): filtered on its packed
+    // ids, nothing decoded.
+    group.bench_function("int_dict_filter", |b| {
+        b.iter(|| {
+            let view = ColumnView::build(black_box(column("status"))).unwrap();
+            let ColumnView::Int64 { presence, ints } = &view else {
+                unreachable!("status is an integer column")
+            };
+            let IntCodes::Dict { entries, ids } = ints.codes() else {
+                unreachable!("four status values make a dictionary")
+            };
+            let mask = DictMask::build(entries, |&v| v == 500);
+            let mut sel = sel_all(rows);
+            sel_retain_ids(&mut sel, presence.as_ref(), ids, &mask).unwrap();
+            black_box(sel)
+        })
     });
     group.bench_function("double_full", |b| {
         b.iter(|| {

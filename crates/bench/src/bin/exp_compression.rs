@@ -63,6 +63,7 @@ fn main() {
             for (flag, label) in [
                 (CompressionCode::DICTIONARY, "dict"),
                 (CompressionCode::DELTA, "delta"),
+                (CompressionCode::FOR, "for"),
                 (CompressionCode::BITPACK, "bitpack"),
                 (CompressionCode::SHUFFLE, "shuffle"),
                 (CompressionCode::LZ, "lz"),

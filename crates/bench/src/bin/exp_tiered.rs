@@ -3,7 +3,7 @@
 //! PR 9's tentpole claims: (1) a leaf under `memory_budget_bytes` keeps
 //! serving a dataset ≥4x its budget with query results identical to an
 //! untiered leaf over the same rows, (2) the budget is a hard ceiling —
-//! asserted from the `leaf_heap_bytes` + `leaf_shm_bytes` obs gauges
+//! asserted from the `leaf_heap_bytes` obs gauge (heap plus mapped bytes)
 //! after every ingest batch, never from internal accounting alone — and
 //! (3) a shutdown/restart re-attaches BOTH tiers without copying cold
 //! data: the cold tier comes back by mmap with 0 bytes copied.
@@ -73,9 +73,9 @@ fn leaf_gauge(name: &str, key: &str) -> i64 {
     scuba::obs::gauge_value(&scuba::obs::labeled_name(name, &[("leaf", key)])).unwrap_or(0)
 }
 
-/// Resident bytes as the *dashboards* see them: the heap + shm gauges.
+/// Resident bytes as the *dashboards* see them: the heap gauge.
 fn gauge_resident(key: &str) -> i64 {
-    leaf_gauge("leaf_heap_bytes", key) + leaf_gauge("leaf_shm_bytes", key)
+    leaf_gauge("leaf_heap_bytes", key)
 }
 
 /// A deterministic pool of request-log rows, grown on demand. The
@@ -116,7 +116,7 @@ fn fill_to(
 ) -> usize {
     let mut batch_no = 0usize;
     loop {
-        let resident = server.memory_used() + server.shm_resident();
+        let resident = server.memory_used();
         if resident + server.cold_bytes() >= target_bytes {
             return batch_no;
         }
@@ -179,7 +179,7 @@ fn main() {
     let total_rows = tiered.total_rows();
     assert_eq!(reference.total_rows(), total_rows);
 
-    let resident = tiered.memory_used() + tiered.shm_resident();
+    let resident = tiered.memory_used();
     let cold_bytes = tiered.cold_bytes();
     let cold_blocks = tiered.cold_blocks();
     let volume = resident + cold_bytes;
@@ -240,7 +240,7 @@ fn main() {
     // Copy-free proof: ≥4x the budget lives cold, so if any of it had
     // been copied into heap or shm the resident gauges (which the budget
     // also bounds post-restart) could not stay under budget.
-    let resident_after = restored.memory_used() + restored.shm_resident();
+    let resident_after = restored.memory_used();
     let cold_copied = resident_after.saturating_sub(resident);
     assert!(
         resident_after <= budget,

@@ -986,6 +986,21 @@ mod tests {
     }
 
     #[test]
+    fn a_tiered_crash_soak_leaves_no_cold_file_behind() {
+        // Seed 3 of the tiered crash soak at its own scale: the third wave
+        // once found `tail.cold` on disk for a table holding no cold block.
+        let mut cfg = soak_config("orphan", 3, 3);
+        cfg.rows_per_wave = 120;
+        cfg.copy_threads = 4;
+        cfg.crash_waves = true;
+        cfg.tiering = true;
+        cfg.loadgen = true;
+        let report = run_chaos(&cfg).unwrap_or_else(|violation| panic!("{violation}"));
+        let _ = std::fs::remove_dir_all(&cfg.disk_root);
+        assert_eq!(report.waves, 3);
+    }
+
+    #[test]
     fn short_soak_outcomes_survive_parallel_copy() {
         // One-shot `@N` triggers fire on global hit counters and the
         // protocol outcome (abort → cleanup → disk fallback) does not

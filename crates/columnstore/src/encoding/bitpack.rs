@@ -173,6 +173,11 @@ impl<'a> Packed<'a> {
         self.count
     }
 
+    /// Bits per value.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
     /// True if the stream holds no value.
     pub fn is_empty(&self) -> bool {
         self.count == 0

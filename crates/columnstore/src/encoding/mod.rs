@@ -6,8 +6,10 @@
 //! [`crate::rbc`] module composes them into per-type pipelines and records
 //! which were applied in the column header's compression code:
 //!
-//! * `Int64` columns: zig-zag **delta** encoding, then **bit packing** of
-//!   the deltas, then [`lz`] over the packed bytes.
+//! * `Int64` columns: per block, the cheapest of zig-zag **delta**
+//!   encoding, a **frame of reference** (`v - min`) or an integer
+//!   **dictionary** ([`intcode`]), then **bit packing** of the codes, then
+//!   [`lz`] over the packed bytes.
 //! * `Double` columns: byte **shuffle** (transpose), then [`lz`].
 //! * `Str` columns: **dictionary** encoding, with bit-packed indexes and an
 //!   [`lz`]-compressed dictionary blob.
@@ -18,6 +20,7 @@
 pub mod bitpack;
 pub mod delta;
 pub mod dictionary;
+pub mod intcode;
 pub mod lz;
 pub mod shuffle;
 pub mod varint;
@@ -40,9 +43,12 @@ impl CompressionCode {
     pub const SHUFFLE: u32 = 1 << 4;
     /// Var-int encoding was applied.
     pub const VARINT: u32 = 1 << 5;
+    /// Frame-of-reference coding (`v - min`) was applied. Column version
+    /// 2 only.
+    pub const FOR: u32 = 1 << 6;
 
     /// Mask of all known flags; anything outside is an unknown code.
-    pub const KNOWN_MASK: u32 = (1 << 6) - 1;
+    pub const KNOWN_MASK: u32 = (1 << 7) - 1;
 
     /// True if `flag` is set.
     pub fn has(self, flag: u32) -> bool {

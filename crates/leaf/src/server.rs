@@ -272,8 +272,8 @@ impl LeafServer {
         self.publish_memory_gauges();
     }
 
-    /// Publish the heap/shm/cold split (satellite of §4.4 accounting: a
-    /// byte is heap-resident, shm-resident, or disk-cold — never counted
+    /// Publish the resident/cold split (§4.4 accounting: a byte is
+    /// resident — heap or a mapped image — or disk-cold, never counted
     /// twice).
     pub(crate) fn publish_memory_gauges(&self) {
         if !scuba_obs::enabled() {
@@ -281,7 +281,6 @@ impl LeafServer {
         }
         let map = self.store.map();
         self.obs.set("leaf_heap_bytes", self.memory_used() as i64);
-        self.obs.set("leaf_shm_bytes", self.shm_resident() as i64);
         self.obs.set("leaf_cold_bytes", map.cold_bytes() as i64);
         self.obs.set("leaf_cold_blocks", map.cold_blocks() as i64);
     }

@@ -74,10 +74,16 @@ format_compat() (
 # production-executor bench cannot rot. A leaf scans a query's blocks on
 # several threads and merges them in block order: its whole answer, and a
 # corrupt block's error, must be the same at widths 1, 2, 3 and 8.
+# Integer columns in each stored form (delta, frame of reference,
+# dictionary) answer like the oracle on heap, mapped and cold blocks at
+# those widths, and their parsers survive every byte flip and cut.
 scan_kernels() (
     cargo test -q -p scuba-columnstore
     cargo test -q -p scuba-query
     PROPTEST_CASES=2000 cargo test --release -q -p scuba-query --test differential
+    cargo test --release -q -p scuba-query --test int_codes
+    cargo test --release -q -p scuba-columnstore --lib -- int_forms \
+        an_int_dictionary_id_past_its_entries_is_corrupt double_lanes_lz_cannot_shrink
     cargo test --release -q -p scuba-leaf --lib -- an_answer_is_the_same_at_every_width \
         fails_the_query_alike_at_every_width scan_width_gives_each_worker_two_blocks
     cargo test --release -q -p scuba-restart --lib -- fan_out a_panicking_job_panics_the_run
@@ -101,7 +107,8 @@ self_telemetry() (
 # Tiered-storage gate: SIEVE residency (unit + property tests), the leaf's
 # demotion/promotion/fault paths, the golden fast-format fixtures (byte
 # stability + byte-identical cold queries), the tiered chaos soak (budget
-# invariant, orphan sweep, crash waves with a cold tier), and the E19
+# invariant, orphan sweep, crash waves with a cold tier) and the seed
+# that once left a cold file no block read, and the E19
 # smoke — a leaf serving 4x its budget with identical results and a
 # copy-free cold re-attach.
 tiered_storage() (
@@ -110,6 +117,7 @@ tiered_storage() (
     cargo test --release -p scuba-leaf -- residency tier cold budget_never --nocapture
     cargo test --release --test format_compat fastformat -- --nocapture
     cargo test --release --test chaos chaos_soak_with_tiering -- --nocapture
+    cargo test --release -q -p scuba-cluster --lib a_tiered_crash_soak_leaves_no_cold_file_behind
     cargo run --release -p scuba-bench --bin exp_tiered -- --smoke
 )
 

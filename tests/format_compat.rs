@@ -6,10 +6,14 @@
 //! results identical to a live server holding the same rows — the CI
 //! `format-compat` gate. `tests/fixtures/golden_v2_*.bin` pins the current
 //! writer: the shutdown backup and the checkpointer must both reproduce it.
+//! `tests/fixtures/golden_v3_*.bin` pins it on a table whose integer
+//! columns take the random-access forms — one frame-of-reference column,
+//! one integer dictionary — and must restore to the same answers.
 //!
 //! Regenerate after an *intentional* fixture change with
 //! `SCUBA_REGEN_FIXTURES=1 cargo test --test format_compat`.
 
+use scuba::columnstore::encoding::CompressionCode;
 use scuba::columnstore::{Row, RowBlock, Table, Value};
 use scuba::diskstore::{ColdMap, ColdStore};
 use scuba::leaf::checkpoint::{snapshot_tables, CheckpointJob};
@@ -18,8 +22,9 @@ use scuba::leaf::{
     TieringMode,
 };
 use scuba::query::{AggSpec, CmpOp, Filter, Query};
+use scuba::restart::migrate::CURRENT_IMAGE_MIN_READER;
 use scuba::restart::{backup_to_shm, SHM_LAYOUT_VERSION};
-use scuba::shmem::{ShmNamespace, ShmSegment};
+use scuba::shmem::{LeafMetadata, SegmentWriter, ShmNamespace, ShmSegment};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -299,6 +304,143 @@ fn backup_and_checkpoint_agree_on_a_demoted_block() {
     store.map_mut().insert(table);
     let (checkpoint, backup) = checkpoint_and_backup_streams(&mut store, "v2d");
     assert_eq!(checkpoint, backup);
+}
+
+/// The golden v3 table's rows: `status` (four values: an integer
+/// dictionary), `latency_us` (scattered over a thousand values: a frame
+/// of reference), `seq` (a delta chain) and an `endpoint` string.
+fn golden_v3_rows() -> Vec<Row> {
+    (0..600i64)
+        .map(|i| {
+            Row::at(FIXTURE_EPOCH + i)
+                .with("status", [200i64, 200, 200, 404, 500][(i * 7 % 5) as usize])
+                .with("latency_us", 50 + (i * 7919) % 1000)
+                .with("seq", i)
+                .with("endpoint", ["/feed", "/search", "/ads"][(i % 3) as usize])
+        })
+        .collect()
+}
+
+/// The golden v3 table: [`golden_v3_rows`] sealed as two blocks.
+fn golden_v3_table() -> Table {
+    let mut t = Table::new("golden_ints", FIXTURE_EPOCH);
+    for (i, row) in golden_v3_rows().iter().enumerate() {
+        if i == 300 {
+            t.seal(FIXTURE_EPOCH + 300).unwrap();
+        }
+        t.append(row, FIXTURE_EPOCH).unwrap();
+    }
+    t.seal(FIXTURE_EPOCH + 600).unwrap();
+    for block in t.blocks() {
+        let code = |c: &str| block.column(c).unwrap().compression().unwrap();
+        assert!(code("status").has(CompressionCode::DICTIONARY));
+        assert!(code("latency_us").has(CompressionCode::FOR));
+        assert!(code("seq").has(CompressionCode::DELTA));
+    }
+    t
+}
+
+fn golden_v3_path() -> PathBuf {
+    fixtures_dir().join("golden_v3_golden_ints.bin")
+}
+
+/// Queries over every integer form of the golden v3 table.
+fn golden_v3_fingerprint(server: &LeafServer) -> Vec<QueryResult> {
+    let all = || Query::new("golden_ints", FIXTURE_EPOCH - 1, FIXTURE_EPOCH + 601);
+    let mut out = Vec::new();
+    for (label, q) in [
+        (
+            "status-500",
+            all()
+                .filter(Filter::new("status", CmpOp::Eq, 500i64))
+                .aggregates(vec![AggSpec::Count, AggSpec::Avg("latency_us".into())]),
+        ),
+        (
+            "by-status",
+            all().group_by("status").aggregates(vec![
+                AggSpec::Count,
+                AggSpec::Sum("latency_us".into()),
+                AggSpec::Max("seq".into()),
+            ]),
+        ),
+        (
+            "slow",
+            all()
+                .filter(Filter::new("latency_us", CmpOp::Ge, 800.5f64))
+                .group_by("endpoint")
+                .aggregates(vec![
+                    AggSpec::Count,
+                    AggSpec::p99("latency_us"),
+                    AggSpec::CountDistinct("status".into()),
+                ]),
+        ),
+    ] {
+        let r = server.query(&q).unwrap();
+        let mut groups: Vec<(String, Vec<Value>)> = r
+            .groups
+            .iter()
+            .map(|(k, sts)| (format!("{k}"), sts.iter().map(|s| s.finish()).collect()))
+            .collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        out.push((label.to_owned(), r.rows_matched, groups));
+    }
+    out
+}
+
+#[test]
+fn golden_v3_backup_and_checkpoint_write_the_fixture_bytes() {
+    let mut store = LeafStore::new();
+    store.map_mut().insert(golden_v3_table());
+    let (checkpoint, backup) = checkpoint_and_backup_streams(&mut store, "v3");
+    if std::env::var_os("SCUBA_REGEN_FIXTURES").is_some() {
+        std::fs::create_dir_all(fixtures_dir()).unwrap();
+        std::fs::write(golden_v3_path(), &backup).unwrap();
+    }
+    let golden = std::fs::read(golden_v3_path()).unwrap_or_else(|e| {
+        panic!("missing fixture ({e}); regenerate with SCUBA_REGEN_FIXTURES=1")
+    });
+    assert_eq!(backup, golden, "shutdown backup diverges from the fixture");
+    assert_eq!(checkpoint, golden, "checkpoint diverges from the fixture");
+}
+
+#[test]
+fn golden_v3_image_restores_and_answers_identically() {
+    if std::env::var_os("SCUBA_REGEN_FIXTURES").is_some() {
+        return; // the fixture is being rewritten by the sibling test
+    }
+    let (ref_cfg, _rg) = config("v3ref");
+    let mut reference = LeafServer::new(ref_cfg).unwrap();
+    reference
+        .add_rows("golden_ints", &golden_v3_rows(), FIXTURE_EPOCH)
+        .unwrap();
+    let expected = golden_v3_fingerprint(&reference);
+    assert!(expected.iter().all(|(_, n, _)| *n > 0));
+
+    // The checked-in unit stream, installed verbatim as a committed image
+    // of the current layout, through both restore modes.
+    let stream = std::fs::read(golden_v3_path()).expect("fixture present");
+    for (mode, tag) in [
+        (RestoreMode::Full, "v3full"),
+        (RestoreMode::TwoPhase, "v3two"),
+    ] {
+        let (mut cfg, g) = config(tag);
+        cfg.restore_mode = mode;
+        let name = g.ns.table_segment_name(0);
+        let mut meta =
+            LeafMetadata::create(&g.ns, SHM_LAYOUT_VERSION, CURRENT_IMAGE_MIN_READER).unwrap();
+        let mut seg = ShmSegment::create(&name, 0).unwrap();
+        let mut w = SegmentWriter::new(&mut seg);
+        w.write(&stream).unwrap();
+        w.finish().unwrap();
+        drop(seg);
+        meta.add_segment_invalidating(&name, 1, 0).unwrap();
+        meta.set_valid(true).unwrap();
+        drop(meta);
+
+        let (server, outcome) = LeafServer::start(cfg, FIXTURE_EPOCH + 601, None).unwrap();
+        assert!(outcome.is_memory(), "{tag}: {outcome:?}");
+        assert_eq!(golden_v3_fingerprint(&server), expected, "{tag}");
+    }
 }
 
 fn cold_fixture_path(table: &str) -> PathBuf {
