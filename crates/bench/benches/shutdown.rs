@@ -8,6 +8,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use scuba::leaf::ImageJob;
 use scuba::restart::{backup_to_shm, restore_from_shm, SHM_LAYOUT_VERSION};
 use scuba::shmem::{SegmentWriter, ShmNamespace, ShmSegment};
 use scuba_bench::{build_leaf, LeafRig};
@@ -58,7 +59,7 @@ fn bench_protocol_round_trip(c: &mut Criterion) {
                 let ns = ShmNamespace::new(&rig.config.shm_prefix, rig.config.leaf_id).unwrap();
                 // Drive the protocol directly over the leaf's store.
                 let store = server.store_mut_for_bench();
-                backup_to_shm(store, &ns, SHM_LAYOUT_VERSION).unwrap();
+                backup_to_shm(&mut ImageJob::drain(store), &ns, SHM_LAYOUT_VERSION).unwrap();
                 restore_from_shm(store, &ns, SHM_LAYOUT_VERSION).unwrap();
                 (rig, server)
             },

@@ -312,6 +312,42 @@ fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, usize, usize) {
     (attach_secs, full_secs, disk_secs, replayed, total)
 }
 
+/// A checkpoint cycle publishes its Figure-5 breakdown as op `checkpoint`:
+/// on one whole-image cycle its phases must sum to within 5 % of its
+/// measured total, as the planned backup's do. With a worker pool (a
+/// `SCUBA_COPY_THREADS` pin) the phase sum counts CPU time across workers
+/// and legitimately exceeds the wall time, so only a width-1 cycle is
+/// checked.
+fn checkpoint_breakdown_check(rows: usize) {
+    scuba::obs::set_enabled(true);
+    let mut rig = LeafRig::new("e16b");
+    rig.config.checkpoint_enabled = true;
+    let mut server = build_leaf(&rig, rows);
+    server.checkpoint_and_wait().expect("checkpoint");
+    let b = scuba::obs::last_checkpoint_breakdown()
+        .expect("a committed checkpoint publishes its breakdown");
+    assert_eq!(b.op, "checkpoint");
+    assert!(b.complete && b.bytes > 0, "{b:?}");
+    let sum = b.phase_sum().as_secs_f64();
+    let total = b.total.as_secs_f64();
+    println!(
+        "  checkpoint breakdown: {} unit(s), {} thread(s), phase sum {:.3} ms of {:.3} ms",
+        b.units,
+        b.threads,
+        sum * 1e3,
+        total * 1e3
+    );
+    if b.threads == 1 {
+        assert!(
+            sum >= total * 0.95 && sum <= total * 1.05,
+            "checkpoint phase sum {:.3} ms strays >5% from total {:.3} ms",
+            sum * 1e3,
+            total * 1e3
+        );
+        println!("  checkpoint phase sum within 5% of its total: ok");
+    }
+}
+
 /// E16 — crash restarts: continuous checkpoint + WAL tail replay vs the
 /// disk path, across sizes. When `assert_speedup` is set the default
 /// scale must show the warm attach ≥10x faster than disk recovery.
@@ -375,6 +411,7 @@ fn main() {
             fmt_dur(disk),
         );
         println!("  crash fast path healthy: ok");
+        checkpoint_breakdown_check(1_000_000);
         json.push(
             "e16_crash_smoke",
             &[

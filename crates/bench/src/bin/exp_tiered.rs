@@ -104,34 +104,68 @@ impl RowPool {
     }
 }
 
-/// Ingest batches into `server` until its total data volume (resident +
+/// Ingest batches into `tiered` until its total data volume (resident +
 /// cold) reaches `target_bytes`, asserting the budget gauge ceiling
-/// after every batch. Returns the number of batches ingested.
+/// after every batch, and the same batches into `reference` in lock step.
+/// A leaf over budget with its ring dry seals its open block early, so
+/// block boundaries — and with them the per-block sums a query folds —
+/// would differ: the reference is sealed wherever the tiered leaf was.
+/// Returns the number of batches ingested, of such early seals, and the
+/// seconds the tiered leaf's ingest took.
 fn fill_to(
-    server: &mut LeafServer,
+    tiered: &mut LeafServer,
+    reference: &mut LeafServer,
     pool: &mut RowPool,
     target_bytes: usize,
     budget: usize,
     rows_per_batch: usize,
-) -> usize {
-    let mut batch_no = 0usize;
+) -> (usize, usize, f64) {
+    let (mut batch_no, mut early_seals, mut secs) = (0usize, 0usize, 0.0f64);
     loop {
-        let resident = server.memory_used();
-        if resident + server.cold_bytes() >= target_bytes {
-            return batch_no;
+        let resident = tiered.memory_used();
+        if resident + tiered.cold_bytes() >= target_bytes {
+            return (batch_no, early_seals, secs);
         }
         assert!(batch_no < 4096, "workload never reached the target volume");
         let rows = pool.batch(batch_no, rows_per_batch);
         let at = rows[0].time();
-        server.add_rows("requests", rows, at).expect("add rows");
+        let t = Instant::now();
+        tiered.add_rows("requests", rows, at).expect("add rows");
+        secs += t.elapsed().as_secs_f64();
+        reference.add_rows("requests", rows, at).expect("add rows");
+        early_seals += usize::from(seal_like(reference, tiered, at));
         batch_no += 1;
         // The ceiling, from the same gauges the dashboards read.
-        let seen = gauge_resident(server.obs_key());
+        let seen = gauge_resident(tiered.obs_key());
         assert!(
             seen as usize <= budget,
             "budget gauge ceiling broken after batch {batch_no}: {seen} > {budget}"
         );
     }
+}
+
+/// Seal `reference` if `tiered` sealed its open block early. Returns
+/// whether it did.
+fn seal_like(reference: &mut LeafServer, tiered: &LeafServer, now: i64) -> bool {
+    let open = |s: &LeafServer| {
+        s.store()
+            .map()
+            .get("requests")
+            .map_or(0, |t| t.unsealed_rows())
+    };
+    if open(reference) == open(tiered) {
+        return false;
+    }
+    assert_eq!(
+        open(tiered),
+        0,
+        "the tiered leaf holds rows the reference sealed"
+    );
+    reference
+        .store_mut_for_bench()
+        .seal_all(now)
+        .expect("seal reference");
+    true
 }
 
 fn main() {
@@ -165,17 +199,17 @@ fn main() {
     let mut tiered = LeafServer::new(rig.config.clone()).expect("boot tiered");
 
     let mut pool = RowPool::new();
-    let t = Instant::now();
-    let batches = fill_to(&mut tiered, &mut pool, target, budget, rows_per_batch);
-    let tiered_ingest_secs = t.elapsed().as_secs_f64();
+    let (batches, mut early_seals, tiered_ingest_secs) = fill_to(
+        &mut tiered,
+        &mut reference,
+        &mut pool,
+        target,
+        budget,
+        rows_per_batch,
+    );
     tiered.poll_tiering().expect("tiering pass");
-
-    // Mirror the exact same batches into the reference leaf.
-    for no in 0..batches {
-        let rows = pool.batch(no, rows_per_batch);
-        let at = rows[0].time();
-        reference.add_rows("requests", rows, at).expect("add rows");
-    }
+    let last_at = pool.batch(batches - 1, rows_per_batch)[0].time();
+    early_seals += usize::from(seal_like(&mut reference, &tiered, last_at));
     let total_rows = tiered.total_rows();
     assert_eq!(reference.total_rows(), total_rows);
 
@@ -184,7 +218,8 @@ fn main() {
     let cold_blocks = tiered.cold_blocks();
     let volume = resident + cold_bytes;
     println!(
-        "\n  {} rows | data volume {} = {:.1}x budget | resident {} | cold {} in {} blocks",
+        "\n  {} rows | data volume {} = {:.1}x budget | resident {} | cold {} in {} blocks \
+         | reference sealed early {early_seals}x with it",
         total_rows,
         fmt_bytes(volume as u64),
         volume as f64 / budget as f64,

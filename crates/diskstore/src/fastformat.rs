@@ -573,39 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_write_failpoint_leaves_no_bytes() {
-        let dir = tmpdir("cold_fp_write");
-        let store = ColdStore::open(&dir).unwrap();
-        let t = sample_table("t", 10);
-        let _x = scuba_faults::exclusive();
-        let err = {
-            let _g = scuba_faults::guard("diskstore::fastformat::write", "error").unwrap();
-            store.append_block("t", &t.blocks()[0], None)
-        };
-        assert!(matches!(err, Err(DiskError::Io { .. })));
-        assert!(store.tables().unwrap().is_empty(), "no torn cold file");
-        let ok = store.append_block("t", &t.blocks()[0], None);
-        assert!(ok.is_ok(), "recovers once the fault clears");
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cold_mmap_failpoint_is_an_error() {
-        let dir = tmpdir("cold_fp_mmap");
-        let store = ColdStore::open(&dir).unwrap();
-        let t = sample_table("t", 10);
-        let r = store.append_block("t", &t.blocks()[0], None).unwrap();
-        let _x = scuba_faults::exclusive();
-        let err = {
-            let _g = scuba_faults::guard("diskstore::fastformat::mmap", "error").unwrap();
-            store.map(&r.path)
-        };
-        assert!(matches!(err, Err(DiskError::Io { .. })));
-        assert!(store.map(&r.path).is_ok());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn cold_throttle_paces_demotion() {
         let dir = tmpdir("cold_throttle");
         let store = ColdStore::open(&dir).unwrap();

@@ -1,12 +1,13 @@
 //! Failpoint-driven tests for the disk backup layer: partial writes, sync
-//! failures, and torn records. Isolated in their own binary so armed sites
-//! cannot wound unrelated unit tests; each test takes
-//! `scuba_faults::exclusive()` to serialize with the others.
+//! failures, torn records, and the cold tier's write and mmap sites.
+//! Isolated in their own binary so armed sites cannot wound unrelated unit
+//! tests; each test takes `scuba_faults::exclusive()` to serialize with the
+//! others.
 
 use std::path::PathBuf;
 
-use scuba_columnstore::Row;
-use scuba_diskstore::{DiskBackup, DiskError};
+use scuba_columnstore::{Row, Table};
+use scuba_diskstore::{ColdStore, DiskBackup, DiskError};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("scuba_dfault_{tag}_{}", std::process::id()));
@@ -96,5 +97,48 @@ fn torn_record_failpoint_is_detected_by_recovery() {
     let (map, stats) = b.recover(0, None).unwrap();
     assert_eq!(stats.torn_tails, 1);
     assert_eq!(map.get("t").unwrap().row_count(), 30);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn sealed_table(name: &str, rows: i64) -> Table {
+    let mut t = Table::new(name, 0);
+    for i in 0..rows {
+        t.append(&Row::at(i).with("v", i).with("s", format!("x{}", i % 9)), 0)
+            .unwrap();
+    }
+    t.seal(0).unwrap();
+    t
+}
+
+#[test]
+fn cold_write_failpoint_leaves_no_bytes() {
+    let dir = tmpdir("cold_fp_write");
+    let store = ColdStore::open(&dir).unwrap();
+    let t = sealed_table("t", 10);
+    let _x = scuba_faults::exclusive();
+    let err = {
+        let _g = scuba_faults::guard("diskstore::fastformat::write", "error").unwrap();
+        store.append_block("t", &t.blocks()[0], None)
+    };
+    assert!(matches!(err, Err(DiskError::Io { .. })));
+    assert!(store.tables().unwrap().is_empty(), "no torn cold file");
+    let ok = store.append_block("t", &t.blocks()[0], None);
+    assert!(ok.is_ok(), "recovers once the fault clears");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn cold_mmap_failpoint_is_an_error() {
+    let dir = tmpdir("cold_fp_mmap");
+    let store = ColdStore::open(&dir).unwrap();
+    let t = sealed_table("t", 10);
+    let r = store.append_block("t", &t.blocks()[0], None).unwrap();
+    let _x = scuba_faults::exclusive();
+    let err = {
+        let _g = scuba_faults::guard("diskstore::fastformat::mmap", "error").unwrap();
+        store.map(&r.path)
+    };
+    assert!(matches!(err, Err(DiskError::Io { .. })));
+    assert!(store.map(&r.path).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }

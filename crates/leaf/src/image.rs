@@ -1,8 +1,8 @@
 //! The leaf's unit-stream format, and the only code that knows it: the
 //! chunk tags and their payload versions, the payload codecs (manifest,
 //! prelude, zone map, cold-block reference), the shim registry, **one
-//! writer** ([`write_manifest`] + [`write_block`]) and **one reader**
-//! ([`read_table`]).
+//! writer** ([`write_table`], over [`write_manifest`] + [`write_block`])
+//! and **one reader** ([`read_table`]).
 //!
 //! After the protocol's unit-name frame, a table's stream follows the
 //! paper's Figure 3, one chunk per row block column, each the
@@ -15,12 +15,12 @@
 //!             column ...         one per schema column (warm blocks only)
 //! ```
 //!
-//! The shutdown backup (`LeafStore::backup_extracted`) and the
-//! checkpointer write through the same two functions, so their images of
+//! The shutdown backup and the checkpointer are one job type
+//! (`persist::ImageJob`) writing through `write_table`, so their images of
 //! the same blocks are byte-identical. Both extend the one image a leaf
-//! holds — the segment it attached, or one an earlier commit wrote —
-//! through **one appender** (`append_at_frontier`). A column chunk's frame CRC is
-//! the column's own, derived from its seal-time footer
+//! holds — the segment it attached, or one an earlier commit wrote — from
+//! its sealed frontier, through the same function. A column chunk's frame
+//! CRC is the column's own, derived from its seal-time footer
 //! (`RowBlockColumn::frame_crc`): no writer reads a column payload to
 //! checksum it, and a byte that changed after seal fails the frame.
 //!
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use scuba_columnstore::{
     ColdRef, RowBlock, RowBlockColumn, RowBlockHeader, Schema, Table, ZoneMap,
@@ -304,8 +304,8 @@ pub(crate) fn write_block(block: &RowBlock, sink: &mut dyn ChunkSink) -> Result<
     Ok(())
 }
 
-/// Where a table image's sealed blocks end: what [`append_at_frontier`]
-/// needs to extend the image in place.
+/// Where a table image's sealed blocks end: what [`write_table`] needs to
+/// extend the image in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Frontier {
     /// Sealed blocks the image holds.
@@ -316,56 +316,58 @@ pub(crate) struct Frontier {
     pub(crate) manifest_off: usize,
 }
 
-/// Write `blocks` one after another, returning the bytes each one's
-/// frames occupy.
-pub(crate) fn write_blocks(
-    blocks: &[Arc<RowBlock>],
-    sink: &mut dyn ChunkSink,
-) -> Result<Vec<Range<usize>>, ShmError> {
-    let mut ranges = Vec::with_capacity(blocks.len());
-    for block in blocks {
-        let start = sink.position();
-        write_block(block, sink)?;
-        ranges.push(start..sink.position());
-    }
-    Ok(ranges)
-}
+/// Sealed blocks, each with the bytes its frames occupy in a segment.
+pub(crate) type BlockFrames = Vec<(Weak<RowBlock>, Range<usize>)>;
 
-/// The one frontier appender. Through `sink`, which stands at
-/// `frontier.end`, write the blocks sealed since (`sealed[frontier.blocks..]`),
-/// then `open` as an ordinary final block; then patch the manifest frame
-/// in place with the new block count. The schema must be the one the
-/// image was written with — the patched frame keeps its length, and the
-/// frames before the frontier are never touched. The caller writes END
-/// and trims. Returns the new frontier, the bytes each appended sealed
-/// block's frames occupy, and the bytes written, END aside.
-pub(crate) fn append_at_frontier(
-    frontier: Frontier,
-    sealed: &[Arc<RowBlock>],
+/// The one table writer. Through `sink`, write a table's frames: whole
+/// (`at: None`: the manifest, then every sealed block), or behind an
+/// image's sealed frontier (`at: Some`, the sink standing at its end: the
+/// blocks sealed since, then the manifest frame patched in place with the
+/// new block count — the schema must be the one the image was written
+/// with, so the frame keeps its length, and no frame before the frontier
+/// is touched). Then `open` as an ordinary final block. The caller writes
+/// END and trims. Each sealed block is dropped once written, so a block
+/// nothing else holds is freed as it goes (Figure 6: "delete row block
+/// from heap"). Returns the new frontier and each written sealed block
+/// with the bytes its frames occupy.
+pub(crate) fn write_table(
+    at: Option<Frontier>,
+    sealed: Vec<Arc<RowBlock>>,
     open: Option<&RowBlock>,
     schema: &Schema,
     sink: &mut dyn ChunkSink,
-) -> Result<(Frontier, Vec<Range<usize>>, u64), ShmError> {
-    debug_assert_eq!(sink.position(), frontier.end);
-    let ranges = write_blocks(&sealed[frontier.blocks..], sink)?;
+) -> Result<(Frontier, BlockFrames), ShmError> {
+    let count = sealed.len();
+    let manifest_blocks = count as u64 + u64::from(open.is_some());
+    let (skip, manifest_off) = match at {
+        Some(frontier) => (frontier.blocks, frontier.manifest_off),
+        None => {
+            let off = sink.position();
+            write_manifest(manifest_blocks, schema, sink)?;
+            (0, off)
+        }
+    };
+    let mut blocks = Vec::with_capacity(count - skip);
+    for block in sealed.into_iter().skip(skip) {
+        let from = sink.position();
+        write_block(&block, sink)?;
+        blocks.push((Arc::downgrade(&block), from..sink.position()));
+    }
     let end = sink.position();
     if let Some(open) = open {
         write_block(open, sink)?;
     }
-    let appended = sink.position() - frontier.end;
-    let mut manifest = Vec::new();
-    write_manifest(
-        sealed.len() as u64 + u64::from(open.is_some()),
-        schema,
-        &mut manifest,
-    )?;
-    sink.patch(frontier.manifest_off, &manifest)?;
-    let next = Frontier {
-        blocks: sealed.len(),
+    if at.is_some() {
+        let mut manifest = Vec::new();
+        write_manifest(manifest_blocks, schema, &mut manifest)?;
+        sink.patch(manifest_off, &manifest)?;
+    }
+    let frontier = Frontier {
+        blocks: count,
         end,
-        manifest_off: frontier.manifest_off,
+        manifest_off,
     };
-    Ok((next, ranges, (appended + manifest.len()) as u64))
+    Ok((frontier, blocks))
 }
 
 /// Where a table read from windows into a mapping sits in that mapping —

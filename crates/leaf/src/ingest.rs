@@ -12,12 +12,10 @@ use scuba_restart::wal::{SegmentedContents, WalLayout};
 use scuba_restart::{read_segments, SegmentedWal, WalError};
 use scuba_shmem::{ShmNamespace, ShmSegment};
 
-use crate::checkpoint::{
-    snapshot_tables, CheckpointJob, CheckpointOutcome, CheckpointStats, Checkpointer,
-};
+use crate::checkpoint::{CheckpointOutcome, CheckpointStats, Checkpointer};
 use crate::config::LeafConfig;
 use crate::error::{LeafError, LeafResult};
-use crate::persist::LeafStore;
+use crate::persist::{ImageJob, LeafStore};
 use crate::server::{LeafMetrics, LeafServer};
 
 /// WAL segment directory inside `disk_root`. The disk backup only reads
@@ -246,8 +244,6 @@ pub(crate) struct CrashPath {
     committed_sealed: usize,
     /// Rows ingested since the last checkpoint request (auto-trigger).
     rows_since_checkpoint: usize,
-    /// Whether a checkpoint request is in flight on the worker.
-    checkpoint_inflight: bool,
     /// WAL records applied by the last recovery's replay.
     wal_replayed_records: usize,
     /// True when the last recovery came back through a *checkpoint*
@@ -275,7 +271,6 @@ impl CrashPath {
             checkpointer: None,
             committed_sealed: 0,
             rows_since_checkpoint: 0,
-            checkpoint_inflight: false,
             wal_replayed_records: 0,
             recovered_from_checkpoint: false,
             wal_poison_reason: None,
@@ -295,7 +290,7 @@ impl CrashPath {
     /// how long opening the writer took.
     pub(crate) fn open(&mut self, clear_wal: bool, store: &mut LeafStore) -> Duration {
         debug_assert!(self.enabled);
-        self.checkpointer = Some(Checkpointer::spawn(self.ns.clone()));
+        self.checkpointer = Some(Checkpointer::new(self.ns.clone()));
         let started = Instant::now();
         let opened = self
             .adopt_legacy_wal()
@@ -381,25 +376,25 @@ impl CrashPath {
 
     /// Snapshot the store, cut the WAL at the same instant, and hand the
     /// worker a checkpoint job. False if the crash path is down (disabled
-    /// or poisoned) or the worker died.
+    /// or poisoned), a cycle is in flight, or no cycle could start.
     pub(crate) fn request(&mut self, store: &mut LeafStore) -> bool {
-        if self.wal.is_none() || self.checkpointer.is_none() {
-            return false; // poisoned: a log with holes must not pair with an image
+        let idle = self.checkpointer.as_ref().is_some_and(|ck| !ck.in_flight());
+        if self.wal.is_none() || !idle {
+            // Poisoned (a log with holes must not pair with an image), or
+            // a cycle is still copying the previous snapshot.
+            return false;
         }
-        let Ok(tables) = snapshot_tables(store, &self.ns) else {
+        let Ok(job) = ImageJob::snapshot(store) else {
             return false;
         };
         let Some(covered_seq) = self.rotate(store) else {
             return false;
         };
-        let ok = self.checkpointer.as_ref().is_some_and(|ck| {
-            ck.request(CheckpointJob {
-                tables,
-                covered_seq,
-            })
-        });
+        let ok = self
+            .checkpointer
+            .as_mut()
+            .is_some_and(|ck| ck.request(job, covered_seq));
         if ok {
-            self.checkpoint_inflight = true;
             self.rows_since_checkpoint = 0;
         }
         ok
@@ -427,17 +422,22 @@ impl CrashPath {
     }
 
     /// Fold one completed cycle into the store and the crash path: advance
-    /// the tables' image records, remember coverage for the lag gauge, and
-    /// unlink the WAL segments the image now covers.
+    /// the tables' image records, publish the cycle's phases as op
+    /// `checkpoint` `restart.phase` spans, remember coverage for the lag
+    /// gauge, and unlink the WAL segments the image now covers.
     pub(crate) fn apply_outcome(
         &mut self,
         outcome: CheckpointOutcome,
         store: &mut LeafStore,
     ) -> Result<CheckpointStats, String> {
-        self.checkpoint_inflight = false;
         match outcome.result {
             Ok(stats) => {
-                store.commit_checkpoint(outcome.tables);
+                store.commit_image(outcome.tables);
+                let trace_id = scuba_obs::current_trace_id();
+                for (phase, d) in outcome.phases {
+                    self.obs
+                        .span("restart.phase", "checkpoint", phase.name(), d, trace_id);
+                }
                 self.committed_sealed = stats.sealed_blocks;
                 if let Some(wal) = self.wal.as_mut() {
                     if let Err(e) = wal.drop_below(outcome.covered_seq) {
@@ -448,9 +448,9 @@ impl CrashPath {
                 Ok(stats)
             }
             Err(reason) => {
-                // The image's valid bit is false until a later cycle
-                // commits; until then a crash falls back to disk. The WAL
-                // segments stay: a later commit covers them.
+                // No image is valid until a later cycle commits; until
+                // then a crash falls back to disk. The WAL segments stay:
+                // a later commit covers them.
                 self.publish_gauges(store);
                 Err(reason)
             }
@@ -459,12 +459,8 @@ impl CrashPath {
 
     /// Wait for the cycle in flight, if any, and apply it.
     fn settle(&mut self, store: &mut LeafStore) {
-        if !self.checkpoint_inflight {
-            return;
-        }
-        match self.checkpointer.as_ref().and_then(|ck| ck.wait_done()) {
-            Some(outcome) => drop(self.apply_outcome(outcome, store)),
-            None => self.checkpoint_inflight = false,
+        if let Some(outcome) = self.checkpointer.as_mut().and_then(Checkpointer::wait_done) {
+            let _ = self.apply_outcome(outcome, store);
         }
     }
 
@@ -472,10 +468,8 @@ impl CrashPath {
     /// shutdown does this before its backup, so the backup and the
     /// checkpointer never write the metadata region together.
     pub(crate) fn stop(&mut self, store: &mut LeafStore) {
-        if let Some(outcome) = self.checkpointer.take().and_then(Checkpointer::stop) {
-            let _ = self.apply_outcome(outcome, store);
-        }
-        self.checkpoint_inflight = false;
+        self.settle(store);
+        self.checkpointer = None;
     }
 
     /// Take the image away from a crash start: unlink the metadata region,
@@ -496,19 +490,15 @@ impl CrashPath {
     /// and request a checkpoint when enough rows landed since the last one
     /// and the worker is idle.
     fn maybe_auto_checkpoint(&mut self, store: &mut LeafStore) {
-        if self.checkpoint_inflight {
-            while let Some(outcome) = self.checkpointer.as_ref().and_then(|ck| ck.try_done()) {
-                let _ = self.apply_outcome(outcome, store);
-            }
+        if let Some(outcome) = self.checkpointer.as_mut().and_then(Checkpointer::try_done) {
+            let _ = self.apply_outcome(outcome, store);
         }
         let interval = self.interval_rows;
-        if interval == 0 || self.rows_since_checkpoint < interval {
-            return;
+        if interval != 0 && self.rows_since_checkpoint >= interval {
+            // A cycle still copying the previous snapshot refuses this
+            // one; the next batch tries again.
+            self.request(store);
         }
-        if self.checkpoint_inflight {
-            return; // still copying the previous snapshot; try after
-        }
-        self.request(store);
     }
 
     /// The store just changed in a way the WAL's row anchors cannot follow
@@ -640,8 +630,8 @@ impl LeafServer {
         let Some(outcome) = self
             .crash
             .checkpointer
-            .as_ref()
-            .and_then(|ck| ck.wait_done())
+            .as_mut()
+            .and_then(Checkpointer::wait_done)
         else {
             return Err(self.unavailable("checkpoint (worker died)"));
         };
@@ -754,7 +744,7 @@ mod tests {
     /// the server's unlink of the covered segments.
     fn commit_without_draining(s: &mut LeafServer) {
         assert!(s.crash.request(&mut s.store));
-        let outcome = s.crash.checkpointer.as_ref().unwrap().wait_done().unwrap();
+        let outcome = s.crash.checkpointer.as_mut().unwrap().wait_done().unwrap();
         assert!(outcome.result.is_ok(), "{:?}", outcome.result);
     }
 
@@ -785,9 +775,7 @@ mod tests {
             if let Some(outcome) = finished.take() {
                 commits += usize::from(s.crash.apply_outcome(outcome, &mut s.store).is_ok());
             }
-            if s.crash.checkpoint_inflight {
-                finished = s.crash.checkpointer.as_ref().unwrap().wait_done();
-            }
+            finished = s.crash.checkpointer.as_mut().unwrap().wait_done();
         }
         // The last finished cycle, if any, is never drained: no batch
         // came after it.
@@ -1100,6 +1088,7 @@ mod tests {
     /// the next crash start attaches the same segments.
     #[test]
     fn a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it() {
+        use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2};
         let _x = scuba_faults::exclusive();
         let (cfg, dir) = kept_crash_config("ckkeep");
         let mut s = LeafServer::new(cfg.clone()).unwrap();
@@ -1136,10 +1125,14 @@ mod tests {
         crate::image::write_manifest(5, &table.schema_snapshot(), &mut manifest).unwrap();
         let stats = s.checkpoint_and_wait().unwrap();
         assert_eq!((stats.skipped, stats.full_rewrites), (1, 0));
-        assert_eq!(
-            stats.bytes_written as usize,
-            new.len() + manifest.len() + scuba_restart::framing::FRAME_HEADER_V2
-        );
+        // The new frames' payloads, plus the whole patched manifest frame.
+        let (mut pos, mut payload) = (0, 0);
+        while pos < new.len() {
+            let (_, len, _) = decode_header_v2(&new[pos..pos + FRAME_HEADER_V2]);
+            pos += FRAME_HEADER_V2 + len as usize;
+            payload += len;
+        }
+        assert_eq!(stats.bytes_written, payload + manifest.len() as u64);
         assert_eq!(s.store().image_segments(), segments);
         assert_eq!(listed_segments(&s), segments);
         s.crash();

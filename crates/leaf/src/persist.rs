@@ -1,61 +1,55 @@
-//! [`LeafStore`]: the leaf's in-memory state, wired into the restart
-//! protocol via [`ShmPersistable`].
+//! [`LeafStore`]: the leaf's in-memory state, restored through
+//! [`ShmPersistable`] — and [`ImageJob`], the one write half, which the
+//! planned shutdown and a checkpoint cycle alike hand to the backup
+//! envelope (`scuba_restart::backup_to_shm_with`).
 //!
-//! Backup streams each table through [`image::write_manifest`] and
-//! [`image::write_block`] — a table manifest, then per row block a small
-//! prelude followed by **one chunk per row block column** — freeing heap
-//! as blocks are emitted ("delete row block column from heap ... delete
-//! row block from heap ... delete table from heap", Figure 6), so the
-//! combined footprint stays flat (§4.4). Restore and attach both read a
-//! table back through [`image::read_table`]: heap copies on the copying
-//! path, windows into the mapping on attach. The stream format itself
-//! lives in [`crate::image`].
+//! A job's unit is a table snapshot ([`TableSnapshot`]): its sealed
+//! blocks, its open block, and where its image goes. The shutdown drains
+//! the store into its job, so each block is freed as it is written
+//! (Figure 6: "delete row block from heap") and the footprint stays flat
+//! (§4.4); a checkpoint clones `Arc`s. Both write through
+//! [`image::write_table`]; restore and attach read through
+//! [`image::read_table`].
 //!
 //! Each table's image in shared memory has one record here
 //! (`TableImage`): the segment a start attached or a commit wrote, how far
-//! its frames reach, and the blocks it holds. Two commits advance it — a
-//! checkpoint cycle's ([`LeafStore::commit_checkpoint`]) and the shutdown
-//! backup's (`commit_kept`). A table that still starts with the blocks its
-//! segment holds has only what is new appended there
-//! (`image::append_at_frontier`); every other table is written whole into
-//! a fresh segment, and the segment it left is retired once a commit no
-//! longer lists it.
+//! its frames reach, and the blocks it holds. One decision points a job's
+//! tables at their images (`ImageJob::new`): unchanged, extended in
+//! place, or written whole into a fresh segment. One fold advances the
+//! records once the job commits ([`LeafStore::commit_image`]), retiring
+//! each segment a commit no longer lists.
 
 use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use scuba_columnstore::{LeafMap, Result as StoreResult, Row, RowBlock, Schema, Table};
 use scuba_restart::framing::FRAME_HEADER_V2;
-use scuba_restart::{ChunkSink, ChunkSource, MappedChunkSource, ShmPersistable};
-use scuba_shmem::{SegmentView, ShmNamespace, ShmSegment};
+use scuba_restart::{
+    ChunkSink, ChunkSource, MappedChunkSource, ShmBackup, ShmPersistable, UnitTarget,
+};
+use scuba_shmem::{SegmentView, ShmError, ShmSegment};
 
-use crate::checkpoint::{TableSnapshot, TableWrite, Write};
-use crate::image::{self, Frontier, Layout, PersistError, MANIFEST_VERSION};
+use crate::checkpoint::{CheckpointStats, SEG_FLAG_CHECKPOINT};
+use crate::image::{self, BlockFrames, Frontier, Layout, PersistError, MANIFEST_VERSION};
 
-/// The leaf's in-memory store: a [`LeafMap`] plus persistence plumbing.
+/// The leaf's in-memory store: a [`LeafMap`] plus the records of its
+/// tables' images.
 #[derive(Debug, Default)]
 pub struct LeafStore {
     map: LeafMap,
     /// Each table's image in shared memory, by table.
     images: BTreeMap<String, TableImage>,
-    /// Views of segments a running backup is extending: held until the
-    /// commit disarms them, so that the blocks freed as their tables are
-    /// written cannot unlink a name the new image lists.
-    committing: Vec<Arc<SegmentView>>,
-    /// Images a running backup does not carry: retired at its commit.
-    retiring: Vec<TableImage>,
 }
 
 /// One table's image: the segment holding it, how far its frames reach,
 /// and the blocks it holds. While the record lives its segment stays
 /// linked: a view it holds is unlinked only by [`TableImage::retire`].
 #[derive(Debug)]
-pub(crate) struct TableImage {
+pub struct TableImage {
     /// The segment's name.
     name: String,
     /// The view this process serves the segment through, if it attached
-    /// it; no view for a segment a checkpoint wrote from heap blocks.
+    /// it; no view for a segment a commit wrote from heap blocks.
     view: Option<Arc<SegmentView>>,
     /// Where the sealed frames end, if the image can be extended in place:
     /// a current-format image whose END frame closed the segment.
@@ -66,11 +60,11 @@ pub(crate) struct TableImage {
     /// The sealed blocks the image holds, oldest first, with the bytes
     /// each one's frames occupy. A block gone from its table and held by
     /// nothing else has its pages punched out of a viewed segment.
-    blocks: Vec<(Weak<RowBlock>, Range<usize>)>,
-    /// Rows the segment's frames hold, open block included: a checkpoint
-    /// skips a table that still has exactly these.
+    blocks: BlockFrames,
+    /// Rows the segment's frames hold, open block included: a job leaves
+    /// a table that still has exactly these as it is.
     rows: u64,
-    /// A committed image, or a cycle in flight, may list the segment: none
+    /// A committed image, or a job in flight, may list the segment: none
     /// of its bytes may be punched, and its name may not be unlinked.
     listed: bool,
 }
@@ -122,6 +116,20 @@ impl TableImage {
         }
         let _ = ShmSegment::unlink(&self.name);
     }
+
+    /// The record of an image a job wrote into segment `name`, holding
+    /// `rows` behind `frontier`: listed, served from no view of its own.
+    fn written(name: String, frontier: Frontier, rows: u64) -> TableImage {
+        TableImage {
+            name,
+            view: None,
+            frontier: Some(frontier),
+            schema: Vec::new(),
+            blocks: Vec::new(),
+            rows,
+            listed: true,
+        }
+    }
 }
 
 /// The serialized form of a manifest schema.
@@ -131,17 +139,156 @@ fn schema_bytes(schema: &Schema) -> Vec<u8> {
     bytes
 }
 
-/// One table crossing the restart protocol, with the image it came from
-/// or extends.
+/// One table crossing the restore: the table, and the segment its blocks
+/// are windows into (attach), with its layout if it can be extended in
+/// place.
 #[derive(Debug)]
 pub struct TableUnit {
     table: Table,
-    /// Attach: the segment the table's blocks are windows into, with its
-    /// layout if it can be extended in place.
     attached: Option<(Arc<SegmentView>, Option<Layout>)>,
-    /// Backup: the image the table is appended to — its segment, its
-    /// frontier, and the length a view of it maps (0 for none).
-    kept: Option<(String, Frontier, usize)>,
+}
+
+/// One table of an [`ImageJob`]: its sealed blocks (`Arc`-shared with
+/// nothing, when drained; with the live table, when cloned), a one-off
+/// snapshot of its open block, and where its image goes.
+#[derive(Debug)]
+pub struct TableSnapshot {
+    /// Table name (the unit name frame).
+    name: String,
+    /// Sealed, immutable blocks in order.
+    sealed: Vec<Arc<RowBlock>>,
+    /// Snapshot of the in-progress builder, if it holds any rows.
+    open: Option<RowBlock>,
+    /// Rows the snapshot holds (the open block's included).
+    rows: u64,
+    /// Union schema across sealed and open blocks (the manifest schema).
+    schema: Schema,
+    /// Heap the snapshot frees as it is written (0 when cloned).
+    heap: usize,
+    /// Where the envelope puts it.
+    target: UnitTarget,
+    /// The sealed frontier of the image it extends, if it does.
+    frontier: Option<Frontier>,
+}
+
+/// One image write through the backup envelope: every table of the store,
+/// each pointed at its image (`ImageJob::new`). A planned
+/// shutdown drains the store into its job; a checkpoint cycle clones it.
+/// Once the envelope commits, its `written` records are what
+/// [`LeafStore::commit_image`] folds back.
+#[derive(Debug)]
+pub struct ImageJob {
+    tables: BTreeMap<String, TableSnapshot>,
+    /// Names the store's images hold: a fresh segment never takes one.
+    mapped: Vec<String>,
+    /// A checkpoint cycle's image: flagged registry entries, op
+    /// `checkpoint`, and the cycle's own failpoint.
+    checkpoint: bool,
+    /// Heap of the tables not yet extracted.
+    heap: usize,
+    /// What a checkpoint cycle over the job does, bytes aside.
+    pub(crate) stats: CheckpointStats,
+    /// Each table's image record once the job commits.
+    pub(crate) written: Vec<(String, TableImage)>,
+}
+
+impl ImageJob {
+    /// The planned shutdown's job: every table leaves the store ("delete
+    /// table from heap"), its sealed blocks owned by the job alone so each
+    /// is freed as it is written. Unsealed rows are not persisted: callers
+    /// seal first, mirroring the crash tolerance of §4.1.
+    pub fn drain(store: &mut LeafStore) -> ImageJob {
+        let map = std::mem::take(&mut store.map);
+        ImageJob::new(&map, &mut store.images, false)
+            .expect("a drained job snapshots no open block")
+    }
+
+    /// A checkpoint cycle's job: every table of the live store, its sealed
+    /// blocks `Arc`-shared (no copy) and its open block snapshotted. Runs
+    /// on the serving thread.
+    pub fn snapshot(store: &mut LeafStore) -> StoreResult<ImageJob> {
+        ImageJob::new(&store.map, &mut store.images, true)
+    }
+
+    /// A job over the tables of `map` — a checkpoint's with their open
+    /// blocks — each pointed at its record in `images`: left as it is when
+    /// the segment already holds its rows, appended at the frontier when
+    /// the table extends the image, else written whole into a fresh
+    /// segment (the envelope names it). The segments a job keeps may be
+    /// listed from now on: their views are disarmed, so a block freed as
+    /// it is written cannot unlink a name the new image lists.
+    fn new(
+        map: &LeafMap,
+        images: &mut BTreeMap<String, TableImage>,
+        checkpoint: bool,
+    ) -> StoreResult<ImageJob> {
+        let mut job = ImageJob {
+            tables: BTreeMap::new(),
+            mapped: images.values().map(|i| i.name.clone()).collect(),
+            checkpoint,
+            heap: 0,
+            stats: CheckpointStats {
+                tables: map.len(),
+                ..CheckpointStats::default()
+            },
+            written: Vec::new(),
+        };
+        for t in map.iter() {
+            let open = checkpoint
+                .then(|| t.unsealed_snapshot())
+                .transpose()?
+                .flatten();
+            // The manifest schema is the union with the open block's (the
+            // first-seen type wins, as in `Table::schema_snapshot`).
+            let mut schema = t.schema_snapshot();
+            for (name, ty) in open.iter().flat_map(|block| block.schema().iter()) {
+                let _ = schema.add_column(name, ty);
+            }
+            let mut snap = TableSnapshot {
+                name: t.name().to_owned(),
+                sealed: t.blocks().to_vec(),
+                rows: (t.row_count() - if checkpoint { 0 } else { t.unsealed_rows() }) as u64,
+                heap: if checkpoint { 0 } else { t.heap_bytes() },
+                open,
+                schema,
+                target: UnitTarget::Fresh,
+                frontier: None,
+            };
+            job.heap += snap.heap;
+            job.stats.sealed_blocks += snap.sealed.len();
+            job.stats.rows += snap.rows;
+            let schema = schema_bytes(&snap.schema);
+            match images
+                .get_mut(&snap.name)
+                .filter(|image| image.extends(&snap.sealed, &schema))
+            {
+                Some(image) => {
+                    let frontier = image.frontier.expect("extends");
+                    let unchanged = image.rows == snap.rows && frontier.blocks == snap.sealed.len();
+                    snap.target = if unchanged {
+                        job.stats.skipped += 1;
+                        let kept = TableImage::written(image.name.clone(), frontier, snap.rows);
+                        job.written.push((snap.name.clone(), kept));
+                        UnitTarget::Unchanged(image.name.clone())
+                    } else {
+                        snap.frontier = Some(frontier);
+                        UnitTarget::Extend {
+                            name: image.name.clone(),
+                            at: frontier.end,
+                            floor: image.view.as_ref().map_or(0, |view| view.len()),
+                        }
+                    };
+                    image.listed = true;
+                    if let Some(view) = &image.view {
+                        view.disarm();
+                    }
+                }
+                None => job.stats.full_rewrites += 1,
+            }
+            job.tables.insert(snap.name.clone(), snap);
+        }
+        Ok(job)
+    }
 }
 
 impl LeafStore {
@@ -231,81 +378,26 @@ impl LeafStore {
         punched
     }
 
-    /// Point each of `tables` at its image segment and say how the cycle
-    /// writes it there: skipped when the segment already holds its rows,
-    /// appended at the frontier when the table extends the image, else
-    /// whole into a fresh table-segment name — never one an image holds, so
-    /// never one this process maps. The segments a cycle extends may be
-    /// listed from now on: their views are disarmed.
-    pub(crate) fn target_images(&mut self, ns: &ShmNamespace, tables: &mut [TableSnapshot]) {
-        let mut taken = self.image_segments();
-        let mut next = 0;
-        for snap in tables {
-            let schema = schema_bytes(&snap.schema);
-            let image = self
-                .images
-                .get_mut(&snap.name)
-                .filter(|image| image.extends(&snap.sealed, &schema));
-            let Some(image) = image else {
-                let name = loop {
-                    let name = ns.table_segment_name(next);
-                    next += 1;
-                    if !taken.contains(&name) {
-                        break name;
-                    }
-                };
-                taken.push(name.clone());
-                snap.segment = name;
-                snap.write = Write::Whole;
-                continue;
-            };
-            let frontier = image.frontier.expect("extends");
-            let unchanged = image.rows == snap.rows && frontier.blocks == snap.sealed.len();
-            snap.segment = image.name.clone();
-            snap.write = if unchanged {
-                Write::Skip(frontier)
-            } else {
-                Write::Append(frontier)
-            };
-            image.listed = true;
-            if let Some(view) = &image.view {
-                view.disarm();
-            }
-        }
-    }
-
-    /// A checkpoint cycle committed `writes`: advance each table's record
-    /// to what its segment now holds, and retire the records of segments
-    /// the committed image no longer lists.
-    pub(crate) fn commit_checkpoint(&mut self, writes: Vec<TableWrite>) {
+    /// A job committed `writes`: each table's record advances to what its
+    /// segment now holds — the record the job extended (same segment), or
+    /// the one it wrote whole, which retires the old — and the records of
+    /// segments the committed image no longer lists are retired.
+    pub(crate) fn commit_image(&mut self, writes: Vec<(String, TableImage)>) {
         let mut images = BTreeMap::new();
-        for w in writes {
-            let old = self.images.remove(&w.table);
-            let image = if w.whole {
-                if let Some(old) = old {
-                    old.retire();
+        for (table, written) in writes {
+            let image = match self.images.remove(&table) {
+                Some(mut kept) if kept.name == written.name => {
+                    kept.frontier = kept.frontier.and(written.frontier);
+                    kept.blocks.extend(written.blocks);
+                    kept.rows = written.rows;
+                    kept
                 }
-                TableImage {
-                    name: w.segment,
-                    view: None,
-                    frontier: Some(w.frontier),
-                    schema: w.schema,
-                    blocks: w.blocks,
-                    rows: w.rows,
-                    listed: true,
+                old => {
+                    old.into_iter().for_each(TableImage::retire);
+                    written
                 }
-            } else {
-                // Appended or skipped: the record the cycle extended, unless
-                // the store was rebuilt under the cycle.
-                let Some(mut image) = old else {
-                    continue;
-                };
-                image.frontier = image.frontier.map(|_| w.frontier);
-                image.blocks.extend(w.blocks);
-                image.rows = w.rows;
-                image
             };
-            images.insert(w.table, image);
+            images.insert(table, image);
         }
         for (_, stale) in std::mem::replace(&mut self.images, images) {
             stale.retire();
@@ -329,126 +421,96 @@ impl LeafStore {
     }
 }
 
-impl ShmPersistable for LeafStore {
+impl ShmBackup for ImageJob {
     type Error = PersistError;
-    type Unit = TableUnit;
+    type Unit = TableSnapshot;
+    type Written = (String, TableImage);
 
     fn unit_names(&self) -> Vec<String> {
-        self.map.names().map(str::to_owned).collect()
+        self.tables.keys().cloned().collect()
     }
 
     fn estimate_unit_size(&self, unit: &str) -> usize {
-        // Figure 6: "estimate size of table". Encoded bytes plus framing
-        // slack (prelude + zone chunk per block); the writer grows the
-        // segment if this is low. Cold blocks contribute only their small
-        // reference chunk (covered by the per-block slack), not their
-        // image bytes — those stay on disk.
-        self.map
-            .get(unit)
-            .map(|t| {
-                let zone_bytes: usize = t
-                    .blocks()
-                    .iter()
-                    .filter_map(|b| b.zones())
-                    .map(|z| z.serialized_size())
-                    .sum();
-                t.encoded_bytes().saturating_sub(t.cold_bytes())
-                    + t.blocks().len() * 256
-                    + zone_bytes
-                    + 1024
-            })
-            .unwrap_or(0)
+        // Encoded bytes plus framing slack (prelude + zone chunk per
+        // block); the writer grows the segment if this is low. A cold
+        // block contributes only its small reference chunk (covered by the
+        // slack), not its image bytes — those stay on disk.
+        let Some(t) = self.tables.get(unit) else {
+            return 0;
+        };
+        let block = |b: &Arc<RowBlock>| {
+            let warm = if b.is_cold() { 0 } else { b.image_bytes() };
+            warm + 256 + b.zones().map_or(0, |z| z.serialized_size())
+        };
+        t.sealed.iter().map(block).sum::<usize>() + 1024
     }
 
-    fn extract_unit(&mut self, unit: &str) -> Result<TableUnit, Self::Error> {
-        // "delete table from heap" — the table leaves the map here, under
-        // the coordinator; a worker thread serializes and frees it.
-        let table = self
-            .map
+    fn extract_unit(&mut self, unit: &str) -> Result<TableSnapshot, PersistError> {
+        let snap = self
+            .tables
             .remove(unit)
             .ok_or_else(|| PersistError::Framing(format!("unknown table {unit:?}")))?;
-        let mut kept = None;
-        if let Some(image) = self.images.remove(unit) {
-            let schema = schema_bytes(&table.schema_snapshot());
-            match image
-                .frontier
-                .filter(|_| image.extends(table.blocks(), &schema))
-            {
-                Some(frontier) => {
-                    let floor = image.view.as_ref().map_or(0, |view| view.len());
-                    kept = Some((image.name, frontier, floor));
-                    self.committing.extend(image.view);
-                }
-                None => self.retiring.push(image),
-            }
-        }
-        Ok(TableUnit {
-            table,
-            attached: None,
-            kept,
-        })
+        self.heap -= snap.heap;
+        Ok(snap)
     }
 
-    fn unit_heap_bytes(unit: &TableUnit) -> usize {
-        unit.table.heap_bytes()
+    fn backup_extracted(
+        t: TableSnapshot,
+        sink: &mut dyn ChunkSink,
+    ) -> Result<(String, TableImage), PersistError> {
+        let (frontier, blocks) =
+            image::write_table(t.frontier, t.sealed, t.open.as_ref(), &t.schema, sink)?;
+        let image = TableImage {
+            schema: schema_bytes(&t.schema),
+            blocks,
+            ..TableImage::written(String::new(), frontier, t.rows)
+        };
+        Ok((t.name, image))
     }
 
-    fn backup_extracted(unit: TableUnit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
-        // Only sealed blocks are persisted: callers seal first, and any
-        // unsealed remainder is dropped with the table, mirroring the
-        // crash tolerance of §4.1.
-        let TableUnit { table, kept, .. } = unit;
-        let blocks = table.blocks().to_vec();
-        let schema = table.schema_snapshot();
-        drop(table);
-        if let Some((_, frontier, _)) = kept {
-            // A kept image: only the blocks sealed since it was committed
-            // or attached are new.
-            image::append_at_frontier(frontier, &blocks, None, &schema, sink)?;
-            return Ok(());
+    fn unit_target(unit: &TableSnapshot) -> &UnitTarget {
+        &unit.target
+    }
+
+    fn mapped_segments(&self) -> Vec<String> {
+        self.mapped.clone()
+    }
+
+    fn commit(&mut self, written: Vec<(String, (String, TableImage))>) -> Result<(), PersistError> {
+        // A checkpoint cycle's own site, inside the invalid window: dying
+        // anywhere here costs only the fast path, never fidelity.
+        if self.checkpoint && scuba_faults::check("leaf::checkpoint::write").is_some() {
+            return Err(ShmError::injected("leaf::checkpoint::write", "failpoint").into());
         }
-        image::write_manifest(blocks.len() as u64, &schema, sink)?;
-        for block in blocks {
-            image::write_block(&block, sink)?;
-            // `block` is freed here unless a query snapshot still holds
-            // it: "delete row block column from heap; delete row block
-            // from heap".
+        for (segment, (table, mut image)) in written {
+            image.name = segment;
+            self.written.push((table, image));
         }
         Ok(())
     }
 
-    fn kept_segment(unit: &TableUnit) -> Option<(&str, usize, usize)> {
-        let (name, frontier, floor) = unit.kept.as_ref()?;
-        Some((name, frontier.end, *floor))
+    fn unit_format_version(&self, _unit: &str) -> u32 {
+        MANIFEST_VERSION as u32
     }
 
-    fn mapped_segments(&self) -> Vec<String> {
-        self.image_segments()
+    fn checkpoint_flags(&self) -> Option<u32> {
+        self.checkpoint.then_some(SEG_FLAG_CHECKPOINT)
     }
 
-    fn commit_kept(&mut self) {
-        for view in self.committing.drain(..) {
-            view.disarm();
-        }
-        // The images of tables written whole, or gone from the store. This
-        // life allocates no name after its backup, so a segment no commit
-        // ever listed may go with its last block, as a view unlinks it.
-        let stale = std::mem::take(&mut self.images).into_values();
-        for mut image in self.retiring.drain(..).chain(stale) {
-            if image.view.as_ref().is_some_and(|view| view.is_armed()) {
-                image.punch_dropped();
-            } else {
-                image.retire();
-            }
-        }
+    fn heap_bytes(&self) -> usize {
+        self.heap
     }
+}
+
+impl ShmPersistable for LeafStore {
+    type Error = PersistError;
+    type Unit = TableUnit;
 
     fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<TableUnit, Self::Error> {
         let (table, _) = image::read_table(unit, source)?;
         Ok(TableUnit {
             table,
             attached: None,
-            kept: None,
         })
     }
 
@@ -467,17 +529,11 @@ impl ShmPersistable for LeafStore {
             let layout = layout.filter(|l| l.frontier.end + FRAME_HEADER_V2 == view.len());
             (view, layout)
         });
-        Ok(TableUnit {
-            table,
-            attached,
-            kept: None,
-        })
+        Ok(TableUnit { table, attached })
     }
 
     fn install_unit(&mut self, _unit: &str, unit: TableUnit) -> Result<(), Self::Error> {
-        let TableUnit {
-            table, attached, ..
-        } = unit;
+        let TableUnit { table, attached } = unit;
         if let Some((view, layout)) = attached {
             let (frontier, schema, blocks) = match layout {
                 Some(l) => {
@@ -506,10 +562,6 @@ impl ShmPersistable for LeafStore {
         Ok(())
     }
 
-    fn unit_format_version(&self, _unit: &str) -> u32 {
-        MANIFEST_VERSION as u32
-    }
-
     fn error_is_incompatible(e: &Self::Error) -> bool {
         matches!(e, PersistError::Incompatible(_))
     }
@@ -525,12 +577,25 @@ mod tests {
     use crate::image::{TAG_COLDREF, TAG_ZONES, ZONES_VERSION};
     use scuba_columnstore::{RowBlock, RowBlockColumn};
     use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2, TAG_END};
-    use scuba_restart::{backup_to_shm, restore_from_shm};
+    use scuba_restart::{restore_from_shm, BackupError, BackupReport};
     use scuba_shmem::ShmNamespace;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
     const V: u32 = scuba_restart::SHM_LAYOUT_VERSION;
+
+    /// The planned shutdown's write: drain the store into a job, back it
+    /// up, and fold the commit back.
+    fn backup_to_shm(
+        store: &mut LeafStore,
+        ns: &ShmNamespace,
+        version: u32,
+    ) -> Result<BackupReport, BackupError<PersistError>> {
+        let mut job = ImageJob::drain(store);
+        let report = scuba_restart::backup_to_shm(&mut job, ns, version)?;
+        store.commit_image(job.written);
+        Ok(report)
+    }
 
     static COUNTER: AtomicU32 = AtomicU32::new(0);
 
@@ -930,9 +995,10 @@ mod tests {
 
     #[test]
     fn estimate_covers_actual_size() {
-        let store = populated_store();
-        for name in store.unit_names() {
-            let est = store.estimate_unit_size(&name);
+        let mut store = populated_store();
+        let job = ImageJob::snapshot(&mut store).unwrap();
+        for name in job.unit_names() {
+            let est = job.estimate_unit_size(&name);
             let actual = store.map().get(&name).unwrap().encoded_bytes();
             assert!(est >= actual, "{name}: estimate {est} < actual {actual}");
         }

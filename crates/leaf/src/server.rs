@@ -21,7 +21,7 @@ use scuba_shmem::ShmNamespace;
 use crate::config::{LeafConfig, TieringMode};
 use crate::error::{LeafError, LeafResult};
 use crate::ingest::CrashPath;
-use crate::persist::LeafStore;
+use crate::persist::{ImageJob, LeafStore};
 use crate::recover::sweep_image;
 use crate::residency::ResidencyManager;
 
@@ -168,6 +168,35 @@ impl LeafMetrics {
     pub(crate) fn set_ns(&self, name: &str, elapsed: Duration) {
         self.set(name, elapsed.as_nanos().min(i64::MAX as u128) as i64);
     }
+
+    /// Emit one explicit-duration span `name` for this leaf's `op` and
+    /// `phase` under `trace_id`, when observability is on. Restart spans
+    /// are taken from the restart reports, so the telemetry table stores
+    /// exactly the numbers the Figure-5 breakdown prints.
+    pub(crate) fn span(
+        &self,
+        name: &'static str,
+        op: &str,
+        phase: &str,
+        duration: Duration,
+        trace_id: u64,
+    ) {
+        if !scuba_obs::enabled() {
+            return;
+        }
+        scuba_obs::emit_span(scuba_obs::SpanRecord {
+            name,
+            attrs: vec![
+                ("leaf", self.0.clone()),
+                ("op", op.to_owned()),
+                ("phase", phase.to_owned()),
+            ],
+            duration,
+            bytes: 0,
+            outcome: "ok",
+            trace_id,
+        });
+    }
 }
 
 /// One Scuba leaf server.
@@ -302,11 +331,8 @@ impl LeafServer {
         }
     }
 
-    /// Emit one restart-timeline span, tagged with this leaf and the
-    /// active trace id, when observability is on. These are
-    /// explicit-duration records taken from the restart reports, so the
-    /// telemetry table stores exactly the numbers the Figure-5 breakdown
-    /// prints.
+    /// Emit one restart-timeline span for this leaf under the active
+    /// trace id ([`LeafMetrics::span`]).
     pub(crate) fn emit_restart_span(
         &self,
         name: &'static str,
@@ -314,21 +340,8 @@ impl LeafServer {
         phase: &str,
         duration: Duration,
     ) {
-        if !scuba_obs::enabled() {
-            return;
-        }
-        scuba_obs::emit_span(scuba_obs::SpanRecord {
-            name,
-            attrs: vec![
-                ("leaf", self.obs.0.clone()),
-                ("op", op.to_owned()),
-                ("phase", phase.to_owned()),
-            ],
-            duration,
-            bytes: 0,
-            outcome: "ok",
-            trace_id: self.span_trace_id(),
-        });
+        self.obs
+            .span(name, op, phase, duration, self.span_trace_id());
     }
 
     /// Units the last memory recovery skipped as format-incompatible and
@@ -582,13 +595,21 @@ impl LeafServer {
         for (_, st) in &mut table_states {
             *st = st.transition(TableBackupState::CopyToShm)?;
         }
+        let mut job = ImageJob::drain(&mut self.store);
         let backup = backup_to_shm_with(
-            &mut self.store,
+            &mut job,
             &self.ns,
             SHM_LAYOUT_VERSION,
             CopyOptions::with_threads(self.config.copy_threads),
         )
-        .map_err(|e| LeafError::Backup(e.to_string()))?;
+        .map_err(|e| {
+            // The envelope unlinked what it created; the live segments it
+            // extended go now: a failed shutdown leaves nothing to attach
+            // and nothing linked.
+            sweep_image(&self.ns);
+            LeafError::Backup(e.to_string())
+        })?;
+        self.store.commit_image(job.written);
         for &(phase, d) in &backup.phases.phases {
             self.emit_restart_span("restart.phase", "backup", phase.name(), d);
         }
@@ -879,14 +900,14 @@ mod tests {
             let schema = s.store().map().get(table).unwrap().schema_snapshot();
             (scuba_restart::framing::FRAME_HEADER_V2 + 8 + schema.serialized_size()) as u64
         };
-        let manifests = manifest_frame(&s, "logs") + manifest_frame(&s, "metrics");
+        let logs_manifest = manifest_frame(&s, "logs");
         let logs_seg = table_segment(&first, "logs");
         let metrics_seg = table_segment(&first, "metrics");
         let (logs_len, metrics_len) = (segment_len(&logs_seg), segment_len(&metrics_seg));
 
-        // Nothing new: only the manifests are rewritten, in place.
+        // Nothing new: both tables are left as they are.
         let (mut s, quiet) = kept_restart(s, &cfg, 0);
-        assert_eq!(quiet.backup.bytes_copied, manifests);
+        assert_eq!(quiet.backup.bytes_copied, 0);
         assert_eq!(segment_len(&logs_seg), logs_len);
         assert_eq!(segment_len(&metrics_seg), metrics_len);
         assert_eq!(table_segment(&quiet, "logs"), logs_seg);
@@ -901,13 +922,13 @@ mod tests {
         crate::image::write_block(new_block, &mut appended).unwrap();
         let (payload, _) = frames(&appended);
         let (_s, busy) = kept_restart(s, &cfg, 1);
-        assert_eq!(busy.backup.bytes_copied, payload + manifests);
+        assert_eq!(busy.backup.bytes_copied, payload + logs_manifest);
         assert_eq!(segment_len(&logs_seg), logs_len + appended.len());
         assert_eq!(segment_len(&metrics_seg), metrics_len);
     }
 
     #[test]
-    fn an_expired_table_is_rewritten_and_its_old_segment_goes_with_its_last_block() {
+    fn an_expired_table_is_rewritten_and_its_old_segment_goes_at_the_commit() {
         use scuba_shmem::ShmSegment;
         let (mut cfg, dir) = kept_config("keptexp");
         cfg.retention = RetentionLimits {
@@ -962,12 +983,11 @@ mod tests {
             table_segment(&second, "steady"),
             table_segment(&first, "steady")
         );
-        // The surviving block still reads from the old segment, which stays
-        // linked exactly until that last block goes.
-        assert!(ShmSegment::exists(&old_logs));
+        // The commit no longer lists the old segment: its name goes at
+        // once, while the surviving block still reads from its mapping.
+        assert!(!ShmSegment::exists(&old_logs));
         assert_eq!(survivor.decode_rows().unwrap().len(), 4000);
         drop(survivor);
-        assert!(!ShmSegment::exists(&old_logs));
         assert_eq!(
             s.query(&Query::new("logs", 0, 1000)).unwrap().rows_matched,
             4000

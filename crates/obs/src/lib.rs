@@ -36,8 +36,9 @@ pub use metrics::{
     MetricSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use report::{
-    clear_breakdown, last_backup_breakdown, last_restore_breakdown, publish_breakdown, Phase,
-    PhaseAcc, PhaseBreakdown, RestartReport, TableSample, BACKUP_PHASES, RESTORE_PHASES,
+    clear_breakdown, last_backup_breakdown, last_checkpoint_breakdown, last_restore_breakdown,
+    publish_breakdown, Phase, PhaseAcc, PhaseBreakdown, RestartReport, TableSample, BACKUP_PHASES,
+    RESTORE_PHASES,
 };
 pub use sink::{json_snapshot, prometheus_text, prometheus_text_for, promlint};
 pub use span::{

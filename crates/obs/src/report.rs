@@ -162,7 +162,7 @@ pub struct TableSample {
 /// The frozen Figure-5-style result of one backup or restore run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseBreakdown {
-    /// `"backup"`, `"restore"` or `"crash"`.
+    /// `"backup"`, `"checkpoint"`, `"restore"` or `"crash"`.
     pub op: &'static str,
     /// Phase durations in report order.
     pub phases: Vec<(Phase, Duration)>,
@@ -323,11 +323,13 @@ impl fmt::Display for RestartReport {
 static LAST_BACKUP: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
 static LAST_RESTORE: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
 static LAST_CRASH: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
+static LAST_CHECKPOINT: Mutex<Option<PhaseBreakdown>> = Mutex::new(None);
 
 fn last_slot(op: &str) -> &'static Mutex<Option<PhaseBreakdown>> {
     match op {
         "restore" => &LAST_RESTORE,
         "crash" => &LAST_CRASH,
+        "checkpoint" => &LAST_CHECKPOINT,
         _ => &LAST_BACKUP,
     }
 }
@@ -368,6 +370,12 @@ pub fn last_backup_breakdown() -> Option<PhaseBreakdown> {
 /// The most recent restore breakdown published in this process.
 pub fn last_restore_breakdown() -> Option<PhaseBreakdown> {
     last_breakdown("restore")
+}
+
+/// The most recent checkpoint cycle's breakdown published in this process
+/// (op `checkpoint`: the backup phases of the cycle's image write).
+pub fn last_checkpoint_breakdown() -> Option<PhaseBreakdown> {
+    last_breakdown("checkpoint")
 }
 
 #[cfg(test)]

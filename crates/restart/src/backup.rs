@@ -1,4 +1,4 @@
-//! The shutdown procedure — Figure 6, literally:
+//! The one image writer. The shutdown procedure — Figure 6, literally:
 //!
 //! ```text
 //! create shared memory segment for leaf metadata
@@ -17,18 +17,21 @@
 //! set valid bit to true
 //! ```
 //!
-//! The inner loops live in the store's
-//! [`ShmPersistable::backup_extracted`]; this module owns the
-//! metadata/valid-bit envelope, per-unit segments, chunk framing, and
-//! footprint accounting.
+//! A planned shutdown and a checkpoint cycle both write through this
+//! envelope ([`ShmBackup`] jobs): it owns the metadata/valid-bit window,
+//! per-unit segments and their registry, chunk framing, footprint
+//! accounting and the commit; the job's [`ShmBackup::backup_extracted`]
+//! runs the inner loops, whole or behind a live image's frontier
+//! ([`UnitTarget`]).
 //!
 //! The per-table loop runs through [`crate::copy::fan_out`]: the
-//! coordinator walks units in order — failpoint, estimate, create segment,
-//! register it in the metadata, extract the unit from the store — and a
-//! worker serializes and syncs each one. At one worker that is the loop
-//! above, inline. The valid bit is committed exactly once, by the
-//! coordinator, after every unit is written; any failure (first unit in
-//! order wins) skips the commit and runs the same cleanup at every width.
+//! coordinator walks units in order — failpoint, estimate, extract, create
+//! or open the segment, register it — and a worker serializes and syncs
+//! each one. At one worker that is the loop above, inline. The valid bit
+//! is committed once, by the coordinator, after every unit is written.
+//! Any failure (first unit in order wins) skips the commit and unlinks the
+//! metadata region and the segments the run created; the live segments it
+//! extended stay linked for the store that serves them.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -41,7 +44,7 @@ use crate::framing::{encode_header_v2, end_header_v2, FRAME_HEADER_V2, TAG_UNIT_
 use crate::migrate::CURRENT_IMAGE_MIN_READER;
 use crate::phases::{RunAcc, UnitStats};
 use crate::state::{LeafBackupState, StateError};
-use crate::traits::{ChunkDesc, ChunkSink, ShmPersistable};
+use crate::traits::{ChunkDesc, ChunkSink, ShmBackup, UnitTarget};
 
 /// What the backup did, for logs and the experiments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,7 +188,7 @@ impl ChunkSink for FramingSink<'_, '_> {
 /// Persist `store` into the shared memory named by `ns`, committing with
 /// the valid bit, with default copy options (auto thread count). See
 /// [`backup_to_shm_with`].
-pub fn backup_to_shm<S: ShmPersistable>(
+pub fn backup_to_shm<S: ShmBackup>(
     store: &mut S,
     ns: &ShmNamespace,
     layout_version: u32,
@@ -194,11 +197,11 @@ pub fn backup_to_shm<S: ShmPersistable>(
 }
 
 /// Persist `store` into the shared memory named by `ns`, committing with
-/// the valid bit. On success the store is empty and the next process can
+/// the valid bit. On success the job is empty and the next process can
 /// recover everything with [`crate::restore_from_shm`]; on failure the
-/// shared memory is cleaned up and the valid bit stays false, so the next
-/// process will fall back to disk recovery.
-pub fn backup_to_shm_with<S: ShmPersistable>(
+/// metadata region and the segments this run created are unlinked, so the
+/// next process falls back to disk recovery.
+pub fn backup_to_shm_with<S: ShmBackup>(
     store: &mut S,
     ns: &ShmNamespace,
     layout_version: u32,
@@ -210,7 +213,11 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
         .map_err(BackupError::State)?;
 
     let start = Instant::now();
-    scuba_obs::counter!("backups_started").inc();
+    let flags = store.checkpoint_flags();
+    let op = flags.map_or("backup", |_| "checkpoint");
+    if flags.is_none() {
+        scuba_obs::counter!("backups_started").inc();
+    }
     let acc = RunAcc::new();
     let initial_footprint = store.heap_bytes();
     let tracker = FootprintTracker::new(initial_footprint);
@@ -232,26 +239,29 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
     let mut meta = match meta {
         Ok(m) => m,
         Err(e) => {
-            finish_failed(&acc, &start, threads, unit_names.len());
+            finish_failed(op, &acc, &start, threads, unit_names.len());
             return Err(e.into());
         }
     };
 
     let (mut chunks, mut bytes_copied) = (0usize, 0u64);
+    let mut written = Vec::with_capacity(unit_names.len());
     let mut names = SegmentNames::new(ns, store.mapped_segments());
     let result = fan_out(
         threads,
         |index| {
             let unit = unit_names.get(index)?;
-            let prepared = prepare_unit(store, &mut names, &mut meta, unit, &tracker, &acc);
+            let flags = flags.unwrap_or(0);
+            let prepared = prepare_unit(store, &mut names, &mut meta, unit, flags, &tracker, &acc);
             Some(prepared.map(|job| (unit.as_str(), job)))
         },
-        |(unit, (data, heap, segment))| write_unit::<S>(unit, data, heap, segment, &tracker, &acc),
+        |(unit, job)| write_unit::<S>(unit, job, &tracker, &acc),
         // Dropping an unwritten unit frees its heap.
-        |(_, (_, heap, _))| tracker.sub_in_flight(heap),
-        |(c, b)| {
+        |(_, (_, heap, _, _))| tracker.sub_in_flight(heap),
+        |(c, b, w)| {
             chunks += c;
             bytes_copied += b;
+            written.extend(w);
             Ok(())
         },
     )
@@ -265,10 +275,11 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
             )));
         }
         // Commit point: everything is in shared memory and synced. The
-        // image takes over the kept names first: a view that unlinked one
-        // after the commit would tear the image.
+        // job takes what its units left first.
         let sw = Stopwatch::start();
-        store.commit_kept();
+        store
+            .commit(std::mem::take(&mut written))
+            .map_err(BackupError::Store)?;
         meta.set_valid(true)?;
         acc.add(Phase::Commit, sw.elapsed_ns());
         Ok(())
@@ -279,14 +290,16 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
                 .transition(LeafBackupState::Exit)
                 .map_err(BackupError::State)?;
             debug_assert_eq!(leaf_state, LeafBackupState::Exit);
-            let mut phases = acc.snapshot("backup", &BACKUP_PHASES);
+            let mut phases = acc.snapshot(op, &BACKUP_PHASES);
             phases.total = start.elapsed();
             phases.bytes = bytes_copied;
             phases.chunks = chunks as u64;
             phases.units = unit_names.len();
             phases.threads = threads;
             if scuba_obs::enabled() {
-                scuba_obs::counter!("backups_completed").inc();
+                if flags.is_none() {
+                    scuba_obs::counter!("backups_completed").inc();
+                }
                 scuba_obs::publish_breakdown(phases.clone());
             }
             Ok(BackupReport {
@@ -302,30 +315,30 @@ pub fn backup_to_shm_with<S: ShmPersistable>(
             })
         }
         Err(e) => {
-            // Leave nothing behind: an aborted backup must look exactly
-            // like "no shared memory state" to the next process. That
-            // includes a kept segment: its half-extended image is not
-            // attachable, and the view that still maps it finds the name
-            // gone when it drops.
-            for name in &names.used {
+            // An aborted run leaves no attachable image: the metadata
+            // region goes, with every segment the run created. The live
+            // segments it extended stay for the store that serves them.
+            for name in &names.created {
                 let _ = ShmSegment::unlink(name);
             }
-            ns.unlink_all(names.next + 1);
-            finish_failed(&acc, &start, threads, unit_names.len());
+            let _ = ShmSegment::unlink(&ns.metadata_name());
+            finish_failed(op, &acc, &start, threads, unit_names.len());
             Err(e)
         }
     }
 }
 
-/// Publish the partial breakdown of a failed backup — per-table timings
-/// up to the failure point survive in the "last backup" slot so failed
+/// Publish the partial breakdown of a failed run — per-table timings up
+/// to the failure point survive in the "last run" slot of its op so failed
 /// restarts stay diagnosable.
-fn finish_failed(acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
+fn finish_failed(op: &'static str, acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
     if !scuba_obs::enabled() {
         return;
     }
-    scuba_obs::counter!("backups_failed").inc();
-    let mut phases = acc.snapshot("backup", &BACKUP_PHASES);
+    if op == "backup" {
+        scuba_obs::counter!("backups_failed").inc();
+    }
+    let mut phases = acc.snapshot(op, &BACKUP_PHASES);
     phases.total = start.elapsed();
     phases.threads = threads;
     phases.units = units;
@@ -335,20 +348,26 @@ fn finish_failed(acc: &RunAcc, start: &Instant, threads: usize, units: usize) {
     scuba_obs::publish_breakdown(phases);
 }
 
-/// An extracted unit, its heap bytes and its segment.
-type Extracted<S> = (<S as ShmPersistable>::Unit, usize, ShmSegment);
+/// An extracted unit, its heap bytes, its segment's name, and the segment
+/// to write it into (none for an unchanged unit).
+type Extracted<S> = (<S as ShmBackup>::Unit, usize, String, Option<ShmSegment>);
 
-/// The segment names of one backup: the kept segments the store extends,
-/// and fresh ones for everything else. A fresh unit takes the lowest
-/// table index whose name no live view of the store still maps.
+/// A written unit's chunks and payload bytes, and what it left.
+type UnitResult<S> = (usize, u64, Option<(String, <S as ShmBackup>::Written)>);
+
+/// The segment names of one run: the live segments the job extends or
+/// keeps, and fresh ones for everything else. A fresh unit takes the
+/// lowest table index whose name no image of the store holds.
 struct SegmentNames<'a> {
     ns: &'a ShmNamespace,
-    /// Names the store's views still map (kept or not).
+    /// Names the store's images hold.
     mapped: Vec<String>,
     /// Next fresh index to try.
     next: usize,
-    /// Every name this backup registered, in unit order.
+    /// Every name this run registered, in unit order.
     used: Vec<String>,
+    /// The fresh names this run created.
+    created: Vec<String>,
 }
 
 impl<'a> SegmentNames<'a> {
@@ -358,6 +377,7 @@ impl<'a> SegmentNames<'a> {
             mapped,
             next: 0,
             used: Vec::new(),
+            created: Vec::new(),
         }
     }
 
@@ -366,6 +386,7 @@ impl<'a> SegmentNames<'a> {
             let name = self.ns.table_segment_name(self.next);
             self.next += 1;
             if !self.mapped.contains(&name) {
+                self.created.push(name.clone());
                 return name;
             }
         }
@@ -373,14 +394,15 @@ impl<'a> SegmentNames<'a> {
 }
 
 /// Coordinator-side per-unit prologue: failpoint, estimate, extraction
-/// from the store, then the unit's segment — a fresh one created, or the
-/// kept one opened — registered in the metadata. Returns the unit ready
-/// for [`write_unit`].
-fn prepare_unit<S: ShmPersistable>(
+/// from the job, then the unit's segment — a fresh one created, a live one
+/// opened, or an unchanged one left alone — registered in the metadata.
+/// Returns the unit ready for [`write_unit`].
+fn prepare_unit<S: ShmBackup>(
     store: &mut S,
     names: &mut SegmentNames<'_>,
     meta: &mut LeafMetadata,
     unit: &str,
+    flags: u32,
     tracker: &FootprintTracker,
     acc: &RunAcc,
 ) -> Result<Extracted<S>, BackupError<S::Error>> {
@@ -395,52 +417,59 @@ fn prepare_unit<S: ShmPersistable>(
     let estimate = store.estimate_unit_size(unit);
     let format_version = store.unit_format_version(unit);
     acc.add(Phase::Prepare, sw.elapsed_ns());
+    // The unit's heap is what its extraction took out of the job's.
+    let held = store.heap_bytes();
     let sw = Stopwatch::start();
     let data = store.extract_unit(unit);
     acc.add(Phase::Extract, sw.elapsed_ns());
     let data = data.map_err(BackupError::Store)?;
-    let heap = S::unit_heap_bytes(&data);
+    let store_heap = store.heap_bytes();
+    let heap = held.saturating_sub(store_heap);
     tracker.add_in_flight(heap);
-    tracker.set_store_heap(store.heap_bytes());
+    tracker.set_store_heap(store_heap);
     tracker.sample();
     // Figure 6: create table segment (sized by the estimate); add the
-    // segment to the leaf metadata. A kept segment is opened instead: a
-    // handle of the backup's own, never the view its blocks borrow.
+    // segment to the leaf metadata. A live segment is opened instead: a
+    // handle of the run's own, never the view its blocks borrow.
     let sw = Stopwatch::start();
-    let (seg_name, segment) = match S::kept_segment(&data) {
-        Some((name, _, _)) => (name.to_owned(), ShmSegment::open(name)),
-        None => {
+    let (name, segment) = match S::unit_target(&data) {
+        UnitTarget::Fresh => {
             let name = names.fresh();
             let _ = ShmSegment::unlink(&name); // clear stale
-            let segment = ShmSegment::create(&name, estimate);
+            let segment = ShmSegment::create(&name, estimate).map(Some);
             (name, segment)
         }
+        UnitTarget::Extend { name, .. } => (name.clone(), ShmSegment::open(name).map(Some)),
+        UnitTarget::Unchanged(name) => (name.clone(), Ok(None)),
     };
     acc.add(Phase::Prepare, sw.elapsed_ns());
     let segment = segment?;
-    names.used.push(seg_name.clone());
+    names.used.push(name.clone());
     let sw = Stopwatch::start();
-    meta.add_segment_invalidating(&seg_name, format_version, 0)?;
+    meta.add_segment_invalidating(&name, format_version, flags)?;
     acc.add(Phase::Prepare, sw.elapsed_ns());
-    Ok((data, heap, segment))
+    Ok((data, heap, name, segment))
 }
 
 /// Serialize one extracted unit into its segment: name frame, chunk
 /// frames, end sentinel written through the descriptor, then trim + sync.
-/// Runs on a worker thread, or inline at one worker.
+/// Runs on a worker thread, or inline at one worker. An unchanged unit is
+/// only dropped.
 ///
 /// Wraps [`write_unit_inner`] so a `backup.table` span and a
 /// [`TableSample`] are flushed on *every* exit, including mid-copy
 /// errors — partial chunk/byte counts and the duration up to the failure
 /// point survive into the run's breakdown.
-fn write_unit<S: ShmPersistable>(
+fn write_unit<S: ShmBackup>(
     unit: &str,
-    data: S::Unit,
-    heap_bytes: usize,
-    segment: ShmSegment,
+    (data, heap_bytes, name, segment): Extracted<S>,
     tracker: &FootprintTracker,
     acc: &RunAcc,
-) -> Result<(usize, u64), BackupError<S::Error>> {
+) -> Result<UnitResult<S>, BackupError<S::Error>> {
+    let Some(segment) = segment else {
+        tracker.sub_in_flight(heap_bytes); // `data` is freed here
+        return Ok((0, 0, None));
+    };
     let mut span = scuba_obs::span!("backup.table", table = unit);
     let mut stats = UnitStats::default();
     let result = write_unit_inner::<S>(unit, data, heap_bytes, segment, tracker, acc, &mut stats);
@@ -457,10 +486,11 @@ fn write_unit<S: ShmPersistable>(
             span.ok();
         }
     }
-    result
+    let (chunks, bytes, written) = result?;
+    Ok((chunks, bytes, Some((name, written))))
 }
 
-fn write_unit_inner<S: ShmPersistable>(
+fn write_unit_inner<S: ShmBackup>(
     unit: &str,
     data: S::Unit,
     heap_bytes: usize,
@@ -468,12 +498,12 @@ fn write_unit_inner<S: ShmPersistable>(
     tracker: &FootprintTracker,
     acc: &RunAcc,
     stats: &mut UnitStats,
-) -> Result<(usize, u64), BackupError<S::Error>> {
-    // A kept image is extended where its sealed frames end and must not
+) -> Result<(usize, u64, S::Written), BackupError<S::Error>> {
+    // A live image is extended where its sealed frames end and must not
     // end up shorter than its views map.
-    let (kept_at, floor) = match S::kept_segment(&data) {
-        Some((_, at, floor)) => (Some(at), floor),
-        None => (None, 0),
+    let (kept_at, floor) = match S::unit_target(&data) {
+        UnitTarget::Extend { at, floor, .. } => (Some(*at), *floor),
+        _ => (None, 0),
     };
     let mut writer = SegmentWriter::at(&mut segment, kept_at.unwrap_or(0));
     if kept_at.is_none() {
@@ -515,7 +545,7 @@ fn write_unit_inner<S: ShmPersistable>(
     // The unit's data is dropped by now; release whatever
     // in-flight heap the chunk loop did not already account for.
     tracker.sub_in_flight(leftover);
-    result?;
+    let written = result?;
 
     let sw = Stopwatch::start();
     writer.write(&end_header_v2())?;
@@ -533,14 +563,14 @@ fn write_unit_inner<S: ShmPersistable>(
     drop(segment); // unmap and close inside the timed write
     acc.add(Phase::ShmWrite, sw.elapsed_ns());
     tracker.sample();
-    Ok((chunks, payload_bytes))
+    Ok((chunks, payload_bytes, written))
 }
 
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
     use crate::framing::TAG_STORE_BASE;
-    use crate::traits::ChunkSource;
+    use crate::traits::{ChunkSource, ShmPersistable};
     use std::collections::BTreeMap;
 
     /// The toy store's single chunk tag: an opaque byte buffer.
@@ -618,9 +648,10 @@ pub(crate) mod testutil {
         }
     }
 
-    impl ShmPersistable for ToyStore {
+    impl ShmBackup for ToyStore {
         type Error = ToyError;
         type Unit = Vec<Vec<u8>>;
+        type Written = ();
 
         fn unit_names(&self) -> Vec<String> {
             self.units.keys().cloned().collect()
@@ -642,10 +673,6 @@ pub(crate) mod testutil {
                 .ok_or_else(|| ToyError(format!("unknown unit {unit}")))
         }
 
-        fn unit_heap_bytes(unit: &Self::Unit) -> usize {
-            unit.iter().map(Vec::len).sum()
-        }
-
         fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
             for c in data {
                 sink.put_chunk(ChunkDesc::new(TAG_TOY, 1), &c)?;
@@ -653,6 +680,15 @@ pub(crate) mod testutil {
             }
             Ok(())
         }
+
+        fn heap_bytes(&self) -> usize {
+            self.units.values().flatten().map(Vec::len).sum()
+        }
+    }
+
+    impl ShmPersistable for ToyStore {
+        type Error = ToyError;
+        type Unit = Vec<Vec<u8>>;
 
         fn decode_unit(
             _unit: &str,
@@ -688,11 +724,7 @@ pub(crate) mod testutil {
         }
 
         fn heap_bytes(&self) -> usize {
-            self.units
-                .values()
-                .flat_map(|cs| cs.iter())
-                .map(|c| c.len())
-                .sum()
+            self.units.values().flatten().map(Vec::len).sum()
         }
     }
 }
@@ -901,11 +933,12 @@ mod tests {
         committed: bool,
     }
 
-    type KeptUnit = (String, usize, Vec<Vec<u8>>, usize);
+    type KeptUnit = (UnitTarget, Vec<Vec<u8>>);
 
-    impl ShmPersistable for KeptStore {
+    impl ShmBackup for KeptStore {
         type Error = testutil::ToyError;
         type Unit = KeptUnit;
+        type Written = ();
 
         fn unit_names(&self) -> Vec<String> {
             vec!["a".to_owned()]
@@ -916,51 +949,40 @@ mod tests {
         }
 
         fn extract_unit(&mut self, _unit: &str) -> Result<KeptUnit, Self::Error> {
-            Ok((
-                self.segment.clone(),
-                self.at,
-                std::mem::take(&mut self.chunks),
-                self.floor,
-            ))
-        }
-
-        fn unit_heap_bytes(_unit: &KeptUnit) -> usize {
-            0
+            let target = UnitTarget::Extend {
+                name: self.segment.clone(),
+                at: self.at,
+                floor: self.floor,
+            };
+            Ok((target, std::mem::take(&mut self.chunks)))
         }
 
         fn backup_extracted(unit: KeptUnit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error> {
+            let UnitTarget::Extend { at, .. } = unit.0 else {
+                unreachable!("every unit is kept")
+            };
             assert_eq!(
                 sink.position(),
-                unit.1,
+                at,
                 "a kept unit is written from its offset"
             );
-            for c in unit.2 {
+            for c in unit.1 {
                 sink.put_chunk(ChunkDesc::new(testutil::TAG_TOY, 1), &c)?;
             }
             Ok(())
         }
 
-        fn kept_segment(unit: &KeptUnit) -> Option<(&str, usize, usize)> {
-            Some((&unit.0, unit.1, unit.3))
+        fn unit_target(unit: &KeptUnit) -> &UnitTarget {
+            &unit.0
         }
 
         fn mapped_segments(&self) -> Vec<String> {
             vec![self.segment.clone()]
         }
 
-        fn commit_kept(&mut self) {
+        fn commit(&mut self, _written: Vec<(String, ())>) -> Result<(), Self::Error> {
             self.committed = true;
-        }
-
-        fn decode_unit(
-            _unit: &str,
-            _source: &mut dyn crate::traits::ChunkSource,
-        ) -> Result<KeptUnit, Self::Error> {
-            unreachable!("only backed up")
-        }
-
-        fn install_unit(&mut self, _unit: &str, _data: KeptUnit) -> Result<(), Self::Error> {
-            unreachable!("only backed up")
+            Ok(())
         }
 
         fn heap_bytes(&self) -> usize {
@@ -1023,8 +1045,9 @@ mod tests {
         assert!(err.to_string().contains("shrink"), "{err}");
         assert!(!short.committed);
         assert_eq!(held.resident_bytes().unwrap(), resident, "the file was cut");
-        // Nothing attachable is left behind.
+        // Nothing attachable is left behind, and the live segment the
+        // store still serves from stays linked.
         assert!(!ShmSegment::exists(&ns.metadata_name()));
-        assert!(!ShmSegment::exists(&name));
+        assert!(ShmSegment::exists(&name));
     }
 }

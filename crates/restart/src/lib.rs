@@ -10,15 +10,17 @@
 //! memory state from the old server process to the new process."
 //!
 //! The library is generic over the store being persisted via
-//! [`ShmPersistable`] — the paper notes the technique "can be applied to
-//! the in-memory state of any database". The pieces:
+//! [`ShmBackup`] (the job a backup writes) and [`ShmPersistable`] (the
+//! store a restore reads into) — the paper notes the technique "can be
+//! applied to the in-memory state of any database". The pieces:
 //!
 //! * [`state`] — the four state machines of Figure 5 (leaf/table ×
 //!   backup/restore), with transitions enforced at runtime.
-//! * [`backup`] — the Figure 6 shutdown procedure: create the metadata
-//!   region with the valid bit false, stream each unit into its own
-//!   segment **chunk by chunk, freeing heap as it goes**, then commit by
-//!   setting the valid bit.
+//! * [`backup`] — the one image writer, the Figure 6 shutdown procedure:
+//!   create the metadata region with the valid bit false, stream each unit
+//!   into its own segment **chunk by chunk, freeing heap as it goes**,
+//!   then commit by setting the valid bit. Continuous checkpoints write
+//!   through it too.
 //! * [`restore`] — the Figure 7 startup procedure: check the valid bit
 //!   (fall back to disk recovery if unset, corrupt, or version-skewed),
 //!   clear it, copy each unit back to heap chunk by chunk while punching
@@ -58,8 +60,8 @@ pub use state::{
     LeafBackupState, LeafRestoreState, StateError, TableBackupState, TableRestoreState,
 };
 pub use traits::{
-    ChunkDesc, ChunkSink, ChunkSource, MappedChunk, MappedChunkSource, ShmPersistable,
-    FLAG_SKIPPABLE,
+    ChunkDesc, ChunkSink, ChunkSource, MappedChunk, MappedChunkSource, ShmBackup, ShmPersistable,
+    UnitTarget, FLAG_SKIPPABLE,
 };
 pub use wal::{read_segments, read_wal, SegmentedWal, WalContents, WalError, WalWriter};
 

@@ -396,8 +396,8 @@ fn claim_metadata(
 /// unlinked here — each one is unlinked when the last reference to its
 /// view drops: when hydration swaps out the last mapped block, or, for a
 /// store that keeps serving the image, when its blocks are gone — unless
-/// a later backup committed the kept segment into a new image
-/// ([`ShmPersistable::commit_kept`]).
+/// a later backup listed the kept segment in a new image
+/// ([`crate::UnitTarget::Extend`]).
 pub fn attach_from_shm<S: ShmPersistable>(
     store: &mut S,
     ns: &ShmNamespace,

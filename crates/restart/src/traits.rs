@@ -1,5 +1,6 @@
-//! The [`ShmPersistable`] abstraction: what a store must provide for the
-//! restart protocol to preserve it across processes.
+//! The two halves of a store the restart protocol preserves across
+//! processes: [`ShmBackup`], a job the backup envelope writes, and
+//! [`ShmPersistable`], a store the restore reads back into.
 //!
 //! The paper's procedures (Figures 6–7) walk tables → row blocks → row
 //! block columns, moving **one row block column at a time** so the memory
@@ -9,13 +10,13 @@
 //! protocol owns segment naming, framing, the valid-bit commit, and
 //! footprint bookkeeping; the store owns its own serialization.
 //!
-//! The interface is split so the copy loops can be parallelized across
-//! units: taking a unit *out of the store* ([`ShmPersistable::extract_unit`],
-//! [`ShmPersistable::install_unit`]) happens under the coordinator, which
-//! owns `&mut self`; turning an owned unit into chunks and back
-//! ([`ShmPersistable::backup_extracted`], [`ShmPersistable::decode_unit`])
-//! needs no store access at all, so worker threads can run those steps for
-//! different units concurrently.
+//! Each half is split so the copy loops can be parallelized across units:
+//! taking a unit out of the job ([`ShmBackup::extract_unit`]) or putting
+//! one into the store ([`ShmPersistable::install_unit`]) happens under the
+//! coordinator, which owns `&mut self`; turning an owned unit into chunks
+//! and back ([`ShmBackup::backup_extracted`],
+//! [`ShmPersistable::decode_unit`]) needs no `self` at all, so worker
+//! threads can run those steps for different units concurrently.
 
 use std::sync::Arc;
 
@@ -168,22 +169,43 @@ pub trait MappedChunkSource {
 
     /// The attached segment the windows point into, for a store that keeps
     /// serving it and extends it at the next backup
-    /// ([`ShmPersistable::kept_segment`]). `None` when the chunks are not
+    /// ([`UnitTarget::Extend`]). `None` when the chunks are not
     /// windows into a named segment.
     fn segment(&self) -> Option<&Arc<SegmentView>> {
         None
     }
 }
 
-/// A store whose in-memory state can be persisted across process
-/// lifetimes by the restart protocol.
-pub trait ShmPersistable {
-    /// Store-level serialization error.
-    type Error: std::error::Error + From<ShmError> + Send + Sync + 'static;
+/// Where the backup envelope puts one extracted unit
+/// ([`ShmBackup::unit_target`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UnitTarget {
+    /// A fresh segment, the unit written whole.
+    Fresh,
+    /// The live segment `name`, extended in place from `at` (where its
+    /// image's sealed frames end) with no name frame, and never left
+    /// shorter than the `floor` bytes the store's views of it map.
+    Extend {
+        name: String,
+        at: usize,
+        floor: usize,
+    },
+    /// The live segment named, which already holds the unit: listed as it
+    /// is, nothing written.
+    Unchanged(String),
+}
 
-    /// One extracted unit, owned by value (Scuba: a table). `Send` so a
-    /// worker thread can serialize or decode it away from the store.
+/// The backup half of a store: a job the backup envelope
+/// ([`crate::backup_to_shm_with`]) writes into shared memory under the
+/// valid bit, serializing its own units.
+pub trait ShmBackup {
+    /// Serialization error.
+    type Error: std::error::Error + From<ShmError> + Send + Sync + 'static;
+    /// One extracted unit, owned by value (Scuba: a table), which a worker
+    /// thread serializes away from the job.
     type Unit: Send + 'static;
+    /// What writing one unit leaves, handed back at the commit.
+    type Written: Send;
 
     /// Names of the units to persist, in persist order (Scuba: table
     /// names). Captured once at the start of backup.
@@ -194,48 +216,69 @@ pub trait ShmPersistable {
     /// if the estimate was low and trims it afterwards.
     fn estimate_unit_size(&self, unit: &str) -> usize;
 
-    /// Take `unit` out of the store by value (Figure 6: "delete table
-    /// from heap" — the table leaves the map here; its blocks are freed
-    /// chunk by chunk in [`ShmPersistable::backup_extracted`]). After this
-    /// returns, [`ShmPersistable::heap_bytes`] no longer counts the unit.
+    /// Take `unit` out of the job by value (Figure 6: "delete table from
+    /// heap" — its blocks are freed chunk by chunk in
+    /// [`ShmBackup::backup_extracted`]). The heap bytes
+    /// [`ShmBackup::heap_bytes`] drops by are the unit's, in flight until
+    /// it is written: the §4.4 footprint accounting.
     fn extract_unit(&mut self, unit: &str) -> Result<Self::Unit, Self::Error>;
 
-    /// Heap bytes held by an extracted unit. Used by the protocol to keep
-    /// the §4.4 footprint accounting exact while units are in flight
-    /// between extraction and serialization.
-    fn unit_heap_bytes(unit: &Self::Unit) -> usize;
-
     /// Stream an extracted unit into `sink` chunk by chunk, freeing its
-    /// heap memory as each chunk is handed off (Figure 6's inner loops:
-    /// "copy data from heap to the table segment; delete row block column
-    /// from heap"). Takes no `&self`, so workers may run it concurrently
-    /// for different units. A kept unit ([`Self::kept_segment`]) writes
-    /// only the frames its live image lacks, from where that image's
-    /// frames end, and patches what it must.
-    fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), Self::Error>;
+    /// heap as each chunk is handed off (Figure 6's inner loops). Takes no
+    /// `&self`, so workers may run it for different units at once. An
+    /// [`UnitTarget::Extend`] unit writes only the frames its live image
+    /// lacks and patches what it must; an [`UnitTarget::Unchanged`] one
+    /// is never written.
+    fn backup_extracted(
+        data: Self::Unit,
+        sink: &mut dyn ChunkSink,
+    ) -> Result<Self::Written, Self::Error>;
 
-    /// The live segment an extracted unit's image extends in place, if the
-    /// store kept one — an image it attached, or one an earlier commit
-    /// wrote — with the offset its appended frames start at (where the
-    /// image's sealed frames end) and the length the store's views of it
-    /// map (0 for none). The backup writes such a unit through its own
-    /// handle on that name, from that offset, with no name frame, and
-    /// never leaves the segment shorter than its views map. `None` (the
-    /// default): the unit is written whole into a fresh segment.
-    fn kept_segment(_unit: &Self::Unit) -> Option<(&str, usize, usize)> {
-        None
+    /// Where an extracted unit goes. The default: a fresh segment.
+    fn unit_target(_unit: &Self::Unit) -> &UnitTarget {
+        static FRESH: UnitTarget = UnitTarget::Fresh;
+        &FRESH
     }
 
-    /// Names of segments the store's images hold. A fresh unit segment
-    /// never takes one.
+    /// Names of live segments the store's images hold. A fresh unit
+    /// segment never takes one.
     fn mapped_segments(&self) -> Vec<String> {
         Vec::new()
     }
 
-    /// Every unit is written and synced and the valid bit is about to be
-    /// committed: the image now owns the kept segments' names, so the
-    /// store stops its views from unlinking them.
-    fn commit_kept(&mut self) {}
+    /// Every unit is written and synced, the valid bit about to be set:
+    /// what each written unit left, with its segment's name, in no
+    /// particular order. An error fails the backup.
+    fn commit(&mut self, _written: Vec<(String, Self::Written)>) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Format version of the unit's chunk stream, recorded per segment in
+    /// the metadata registry so readers judge compatibility per table.
+    fn unit_format_version(&self, _unit: &str) -> u32 {
+        1
+    }
+
+    /// `Some(flags)`: the image is a checkpoint's — its registry entries
+    /// carry `flags`, its breakdown is published as op `checkpoint`, and
+    /// the `backups_*` counters do not count it.
+    fn checkpoint_flags(&self) -> Option<u32> {
+        None
+    }
+
+    /// Current heap footprint in bytes, excluding extracted units. Sampled
+    /// to record the peak combined footprint, so it should be O(1).
+    fn heap_bytes(&self) -> usize;
+}
+
+/// The restore half of a store: what [`crate::restore_from_shm`] and
+/// [`crate::attach_from_shm`] read its in-memory state back into.
+pub trait ShmPersistable {
+    /// Store-level deserialization error.
+    type Error: std::error::Error + From<ShmError> + Send + Sync + 'static;
+    /// One decoded unit, owned by value (Scuba: a table), which a worker
+    /// thread decodes away from the store.
+    type Unit: Send + 'static;
 
     /// Rebuild one unit by draining `source` (Figure 7's inner loops:
     /// "allocate memory in heap; copy data from table segment to heap").
@@ -272,14 +315,6 @@ pub trait ShmPersistable {
     /// restore path, run under the coordinator's `&mut self`).
     fn install_unit(&mut self, unit: &str, data: Self::Unit) -> Result<(), Self::Error>;
 
-    /// Format version of the unit's chunk stream, recorded per table in
-    /// the metadata descriptor registry so readers can judge
-    /// compatibility table by table. Bump when the unit's serialization
-    /// changes shape.
-    fn unit_format_version(&self, _unit: &str) -> u32 {
-        1
-    }
-
     /// Classify a decode/install error: `true` means the unit's format is
     /// one this store cannot (and will never, for this image) understand —
     /// the protocol skips just that unit and reports it for per-table disk
@@ -290,8 +325,8 @@ pub trait ShmPersistable {
         false
     }
 
-    /// Current heap footprint in bytes, excluding extracted units. Sampled
-    /// by the protocol to record the peak combined footprint, so it should
-    /// be O(1) (a maintained counter, not a walk).
+    /// Current heap footprint in bytes. Sampled by the restore to record
+    /// the peak combined footprint, so it should be O(1) (a maintained
+    /// counter, not a walk).
     fn heap_bytes(&self) -> usize;
 }

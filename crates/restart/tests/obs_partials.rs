@@ -22,7 +22,7 @@ use std::time::Duration;
 use scuba_restart::framing::TAG_STORE_BASE;
 use scuba_restart::{
     backup_to_shm_with, restore_from_shm_with, ChunkDesc, ChunkSink, ChunkSource, CopyOptions,
-    ShmPersistable, SHM_LAYOUT_VERSION,
+    ShmBackup, ShmPersistable, SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{ShmError, ShmNamespace};
 
@@ -79,10 +79,11 @@ impl From<ShmError> for ObsError {
     }
 }
 
-impl ShmPersistable for ObsStore {
+impl ShmBackup for ObsStore {
     type Error = ObsError;
     /// The unit's chunks, and whether backing it up fails after the first.
     type Unit = (Vec<Vec<u8>>, bool);
+    type Written = ();
     fn unit_names(&self) -> Vec<String> {
         self.units.keys().cloned().collect()
     }
@@ -99,9 +100,6 @@ impl ShmPersistable for ObsStore {
             .ok_or_else(|| ObsError(format!("unknown unit {unit}")))?;
         Ok((chunks, self.wound_backup && unit == WOUNDED))
     }
-    fn unit_heap_bytes(unit: &Self::Unit) -> usize {
-        unit.0.iter().map(Vec::len).sum()
-    }
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), ObsError> {
         let (chunks, wounded) = data;
         for (i, c) in chunks.iter().enumerate() {
@@ -112,6 +110,19 @@ impl ShmPersistable for ObsStore {
         }
         Ok(())
     }
+    fn heap_bytes(&self) -> usize {
+        self.units
+            .values()
+            .flat_map(|cs| cs.iter())
+            .map(Vec::len)
+            .sum()
+    }
+}
+
+impl ShmPersistable for ObsStore {
+    type Error = ObsError;
+    /// The unit's chunks, and whether backing it up fails after the first.
+    type Unit = (Vec<Vec<u8>>, bool);
     fn decode_unit(unit: &str, source: &mut dyn ChunkSource) -> Result<Self::Unit, ObsError> {
         let mut chunks = Vec::new();
         while let Some((_desc, c)) = source.next_chunk()? {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use scuba_restart::framing::TAG_STORE_BASE;
 use scuba_restart::{
     backup_to_shm_with, restore_from_shm_with, BackupError, ChunkDesc, ChunkSink, ChunkSource,
-    CopyOptions, RestoreError, ShmPersistable, SHM_LAYOUT_VERSION,
+    CopyOptions, RestoreError, ShmBackup, ShmPersistable, SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{ShmError, ShmNamespace, ShmSegment};
 
@@ -51,9 +51,10 @@ impl From<ShmError> for ParError {
     }
 }
 
-impl ShmPersistable for ParStore {
+impl ShmBackup for ParStore {
     type Error = ParError;
     type Unit = Vec<Vec<u8>>;
+    type Written = ();
     fn unit_names(&self) -> Vec<String> {
         self.units.keys().cloned().collect()
     }
@@ -68,15 +69,20 @@ impl ShmPersistable for ParStore {
             .remove(unit)
             .ok_or_else(|| ParError(format!("unknown unit {unit}")))
     }
-    fn unit_heap_bytes(unit: &Self::Unit) -> usize {
-        unit.iter().map(Vec::len).sum()
-    }
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), ParError> {
         for c in data {
             sink.put_chunk(ChunkDesc::new(TAG_STORE_BASE, 1), &c)?;
         }
         Ok(())
     }
+    fn heap_bytes(&self) -> usize {
+        self.units.values().flatten().map(Vec::len).sum()
+    }
+}
+
+impl ShmPersistable for ParStore {
+    type Error = ParError;
+    type Unit = Vec<Vec<u8>>;
     fn decode_unit(_unit: &str, source: &mut dyn ChunkSource) -> Result<Self::Unit, ParError> {
         let mut chunks = Vec::new();
         while let Some((_desc, c)) = source.next_chunk()? {

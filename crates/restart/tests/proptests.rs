@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use scuba_restart::framing::TAG_STORE_BASE;
 use scuba_restart::{
     backup_to_shm, backup_to_shm_with, restore_from_shm, restore_from_shm_with, ChunkDesc,
-    ChunkSink, ChunkSource, CopyOptions, RestoreError, ShmPersistable, SHM_LAYOUT_VERSION,
+    ChunkSink, ChunkSource, CopyOptions, RestoreError, ShmBackup, ShmPersistable,
+    SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{ShmError, ShmNamespace, ShmSegment};
 
@@ -36,9 +37,10 @@ impl From<ShmError> for PropError {
     }
 }
 
-impl ShmPersistable for PropStore {
+impl ShmBackup for PropStore {
     type Error = PropError;
     type Unit = Vec<Vec<u8>>;
+    type Written = ();
     fn unit_names(&self) -> Vec<String> {
         self.units.keys().cloned().collect()
     }
@@ -51,15 +53,20 @@ impl ShmPersistable for PropStore {
     fn extract_unit(&mut self, unit: &str) -> Result<Self::Unit, PropError> {
         Ok(self.units.remove(unit).unwrap_or_default())
     }
-    fn unit_heap_bytes(unit: &Self::Unit) -> usize {
-        unit.iter().map(Vec::len).sum()
-    }
     fn backup_extracted(data: Self::Unit, sink: &mut dyn ChunkSink) -> Result<(), PropError> {
         for chunk in data {
             sink.put_chunk(ChunkDesc::new(TAG_STORE_BASE, 1), &chunk)?;
         }
         Ok(())
     }
+    fn heap_bytes(&self) -> usize {
+        self.units.values().flatten().map(Vec::len).sum()
+    }
+}
+
+impl ShmPersistable for PropStore {
+    type Error = PropError;
+    type Unit = Vec<Vec<u8>>;
     fn decode_unit(_unit: &str, source: &mut dyn ChunkSource) -> Result<Self::Unit, PropError> {
         let mut chunks = Vec::new();
         while let Some((_desc, c)) = source.next_chunk()? {

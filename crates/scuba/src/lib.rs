@@ -72,6 +72,6 @@ pub mod prelude {
     pub use scuba_ingest::{Scribe, Tailer, TailerConfig, WorkloadKind, WorkloadSpec};
     pub use scuba_leaf::{LeafConfig, LeafServer, RecoveryOutcome};
     pub use scuba_query::{parse_query, AggSpec, CmpOp, Filter, Query};
-    pub use scuba_restart::{backup_to_shm, restore_from_shm, ShmPersistable};
+    pub use scuba_restart::{backup_to_shm, restore_from_shm, ShmBackup, ShmPersistable};
     pub use scuba_shmem::{ShmNamespace, ShmSegment};
 }

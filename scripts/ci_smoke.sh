@@ -17,16 +17,20 @@ cd "$(dirname "$0")/.."
 # through replay's fan_out at this width), the one-image tests (a crash
 # start keeps its image and the next checkpoint extends it; a crash right
 # after a commit leaves every listed segment linked; expiry or demotion
-# right after a commit, then a crash, recovers exactly the durable rows)
-# and the E16 crash-recovery smoke (which asserts a crash attach copies
-# nothing and publishes crash numbers into BENCH_restart.json). The test
-# job runs this after tier-1, once per copy-pool width.
+# right after a commit, then a crash, recovers exactly the durable rows),
+# the checkpoint-fault test (a cycle wounded at each of the backup
+# envelope's sites keeps serving and keeps its segments linked) and the
+# E16 crash-recovery smoke (which asserts a crash attach copies nothing,
+# checks the checkpoint breakdown's phase sum against its total, and
+# publishes crash numbers into BENCH_restart.json). The test job runs this
+# after tier-1, once per copy-pool width.
 crash() (
     SCUBA_CHAOS_CRASH_WAVES=40 cargo test --release --test chaos chaos_soak_with_crash_waves -- --nocapture
     cargo test --release -p scuba-leaf cell_replay_matches_row_replay -- --nocapture
     cargo test --release -p scuba-leaf --lib -- a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it \
         a_crash_after_a_checkpoint_commit_leaves_every_listed_segment_linked \
         expiry_or_demotion_after_a_commit_then_a_crash_recovers_exactly_the_durable_rows --nocapture
+    cargo test --release -p scuba-leaf --test checkpoint_faults a_wounded_checkpoint_keeps_serving_and_keeps_its_segments -- --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )
 

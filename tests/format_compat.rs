@@ -16,10 +16,9 @@
 use scuba::columnstore::encoding::CompressionCode;
 use scuba::columnstore::{Row, RowBlock, Table, Value};
 use scuba::diskstore::{ColdMap, ColdStore};
-use scuba::leaf::checkpoint::{snapshot_tables, CheckpointJob};
 use scuba::leaf::{
-    compat, Checkpointer, LeafConfig, LeafServer, LeafStore, RecoveryOutcome, RestoreMode,
-    TieringMode,
+    compat, Checkpointer, ImageJob, LeafConfig, LeafServer, LeafStore, RecoveryOutcome,
+    RestoreMode, TieringMode,
 };
 use scuba::query::{AggSpec, CmpOp, Filter, Query};
 use scuba::restart::migrate::CURRENT_IMAGE_MIN_READER;
@@ -241,11 +240,8 @@ fn golden_v2_table() -> Table {
 /// because the backup empties the store.
 fn checkpoint_and_backup_streams(store: &mut LeafStore, tag: &str) -> (Vec<u8>, Vec<u8>) {
     let (_, ck_guard) = config(&format!("{tag}c"));
-    let ck = Checkpointer::spawn(ck_guard.ns.clone());
-    assert!(ck.request(CheckpointJob {
-        tables: snapshot_tables(store, &ck_guard.ns).unwrap(),
-        covered_seq: 1,
-    }));
+    let mut ck = Checkpointer::new(ck_guard.ns.clone());
+    assert!(ck.request(ImageJob::snapshot(store).unwrap(), 1));
     ck.wait_done().unwrap().result.unwrap();
     let checkpoint = ShmSegment::open(&ck_guard.ns.table_segment_name(0))
         .unwrap()
@@ -254,7 +250,12 @@ fn checkpoint_and_backup_streams(store: &mut LeafStore, tag: &str) -> (Vec<u8>, 
     drop(ck);
 
     let (_, bk_guard) = config(&format!("{tag}b"));
-    backup_to_shm(store, &bk_guard.ns, SHM_LAYOUT_VERSION).unwrap();
+    backup_to_shm(
+        &mut ImageJob::drain(store),
+        &bk_guard.ns,
+        SHM_LAYOUT_VERSION,
+    )
+    .unwrap();
     let backup = ShmSegment::open(&bk_guard.ns.table_segment_name(0))
         .unwrap()
         .as_slice()
