@@ -15,7 +15,9 @@ use scuba::cluster::{leaf_restart_secs, simulate_single_machine, RecoveryPath, S
 use scuba::columnstore::Row;
 use scuba::leaf::{LeafServer, RecoveryOutcome, RestoreMode};
 use scuba::query::Query;
-use scuba_bench::{build_leaf, fmt_bytes, fmt_dur, header, row, table_header, BenchJson, LeafRig};
+use scuba_bench::{
+    build_leaf, fmt_bytes, fmt_dur, header, request_rows, row, table_header, BenchJson, LeafRig,
+};
 
 /// Rows of the instrumented single-thread restart whose phase sums are
 /// checked against its totals.
@@ -239,15 +241,16 @@ fn ttfq_sweep(assert_speedup: bool, json: &mut BenchJson) {
 ///
 /// Every fast trial rebuilds its warm state — checkpoint, then a fresh
 /// post-checkpoint WAL tail, then `crash()` — so the attach and full
-/// numbers are minima over `trials`. Returns
-/// (attach, full, disk, replayed-records, total-rows).
-fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, usize, usize) {
+/// numbers are minima over `trials`. Each start must replay at most
+/// [`replay_bound`] records. Returns (attach, full, disk,
+/// (replayed-records, bound), total-rows).
+fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, (usize, usize), usize) {
     let mut rig = LeafRig::new("e16");
     rig.config.checkpoint_enabled = true;
     let server = build_leaf(&rig, rows);
     let mut total = server.total_rows();
     let tail_n = (rows / 20).max(100);
-    let mut replayed = 0usize;
+    let mut replayed = (0usize, 0usize);
 
     let mut measure = |rig: &mut LeafRig,
                        server: &mut Option<LeafServer>,
@@ -269,8 +272,17 @@ fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, usize, usize) {
             outcome.is_memory() && restarted.recovered_from_checkpoint(),
             "expected warm-image crash recovery, got {outcome:?}"
         );
-        replayed = restarted.wal_replayed_records();
-        assert!(replayed > 0, "the WAL tail must have been replayed");
+        replayed = (
+            restarted.wal_replayed_records(),
+            replay_bound(&restarted, tail_n),
+        );
+        assert!(replayed.0 > 0, "the WAL tail must have been replayed");
+        assert!(
+            replayed.0 <= replayed.1,
+            "replayed {} records, more than one open block per table plus the in-flight batch ({})",
+            replayed.0,
+            replayed.1
+        );
         if matches!(outcome, RecoveryOutcome::MemoryAttached(_)) {
             assert_kept(&restarted);
         }
@@ -312,6 +324,17 @@ fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, usize, usize) {
     (attach_secs, full_secs, disk_secs, replayed, total)
 }
 
+/// The records a crash start may replay: each table's open block in
+/// batches of `batch` rows (one more where the image ends inside a
+/// record), plus the batch in flight at the crash.
+fn replay_bound(s: &LeafServer, batch: usize) -> usize {
+    let open = s.store().map().iter().map(|t| t.unsealed_rows());
+    open.filter(|&rows| rows > 0)
+        .map(|rows| rows.div_ceil(batch) + 1)
+        .sum::<usize>()
+        + 1
+}
+
 /// A checkpoint cycle publishes its Figure-5 breakdown as op `checkpoint`:
 /// on one whole-image cycle its phases must sum to within 5 % of its
 /// measured total, as the planned backup's do. With a worker pool (a
@@ -322,7 +345,14 @@ fn checkpoint_breakdown_check(rows: usize) {
     scuba::obs::set_enabled(true);
     let mut rig = LeafRig::new("e16b");
     rig.config.checkpoint_enabled = true;
-    let mut server = build_leaf(&rig, rows);
+    // Straight into the store, past `add_rows`: no seal starts a cycle of
+    // its own, so the checkpoint below writes the whole image.
+    let mut server = LeafServer::new(rig.config.clone()).expect("boot leaf");
+    let store = server.store_mut_for_bench();
+    store
+        .append_rows("requests", &request_rows(rows, 202), 0)
+        .expect("add rows");
+    store.seal_all(0).expect("seal tables");
     server.checkpoint_and_wait().expect("checkpoint");
     let b = scuba::obs::last_checkpoint_breakdown()
         .expect("a committed checkpoint publishes its breakdown");
@@ -360,7 +390,7 @@ fn crash_sweep(assert_speedup: bool, json: &mut BenchJson) {
     );
     let mut default_ratio = 0.0f64;
     for rows in [100_000usize, 300_000, 1_000_000] {
-        let (attach, full, disk, replayed, total) = crash_once(rows, 3);
+        let (attach, full, disk, (replayed, _), total) = crash_once(rows, 3);
         let ratio = disk / attach;
         if rows == 1_000_000 {
             default_ratio = ratio;
@@ -403,12 +433,15 @@ fn main() {
     // CI smoke: exercise only the crash-recovery paths, quickly.
     if std::env::args().any(|a| a == "--crash") {
         header("E16", "crash-path fast restart smoke (--crash)");
-        let (attach, full, disk, replayed, total) = crash_once(30_000, 1);
+        let (attach, full, disk, (replayed, bound), total) = crash_once(30_000, 1);
         println!(
             "\n  rows {total} | attach+wal {} | full+wal {} | disk {} | replayed {replayed} records",
             fmt_dur(attach),
             fmt_dur(full),
             fmt_dur(disk),
+        );
+        println!(
+            "  replayed {replayed} <= {bound} (one open block per table + the in-flight batch): ok"
         );
         println!("  crash fast path healthy: ok");
         checkpoint_breakdown_check(1_000_000);

@@ -124,9 +124,8 @@ impl Table {
     }
 
     /// Encode the in-progress builder into a row block without sealing it
-    /// (`None` when no rows are buffered). The live checkpointer persists
-    /// open-block state through this: the builder keeps accumulating, and
-    /// the snapshot is a self-contained block image of the rows so far.
+    /// (`None` when no rows are buffered): the builder keeps accumulating,
+    /// and the snapshot is a self-contained block image of the rows so far.
     pub fn unsealed_snapshot(&self) -> Result<Option<RowBlock>> {
         if self.builder.is_empty() {
             return Ok(None);

@@ -1,7 +1,8 @@
 //! Continuous checkpointing: keep the leaf's shared-memory image current
 //! *during normal serving*, so a crash recovers by attaching it and
 //! replaying the WAL tail instead of taking the paper's hours-long disk
-//! path.
+//! path. A seal starts a cycle, and the image holds sealed blocks only:
+//! the checkpointer is not the tail, which stays in the WAL.
 //!
 //! The paper writes the image only at planned shutdown and refuses to
 //! trust it after a crash (§4.3). A checkpoint cycle writes the same image
@@ -13,7 +14,8 @@
 //! were absent. There is no third state, and only bytes a commit lists are
 //! trusted.
 //!
-//! What differs from a shutdown is the job's: its registry entries carry
+//! A cycle's job has the shutdown's shape. What differs is set by the
+//! job: its registry entries carry
 //! [`SEG_FLAG_CHECKPOINT`] (a start that attaches them replays the WAL on
 //! top), its breakdown is published as op `checkpoint`, it frees no heap
 //! (its blocks are `Arc`-shared with the live store), and it runs at
@@ -205,7 +207,7 @@ mod tests {
     /// Run one cycle, then fold its commit into the store's records as the
     /// serving thread does.
     fn run(ck: &mut Checkpointer, store: &mut LeafStore, covered_seq: u64) -> CheckpointOutcome {
-        assert!(ck.request(ImageJob::snapshot(store).unwrap(), covered_seq));
+        assert!(ck.request(ImageJob::snapshot(store), covered_seq));
         let mut outcome = ck.wait_done().expect("worker alive");
         assert_eq!(outcome.covered_seq, covered_seq);
         if outcome.result.is_ok() {
@@ -229,27 +231,35 @@ mod tests {
         (fresh, rows)
     }
 
+    /// A cycle's image holds the sealed blocks only: the open ones are
+    /// the WAL's. Once they seal, the next cycle holds every row.
     #[test]
-    fn checkpoint_image_restores_sealed_and_open_rows() {
+    fn checkpoint_image_restores_sealed_rows_only() {
         let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
         ingest(&mut store, "logs", 0, 500);
         store.seal_all(0).unwrap();
-        ingest(&mut store, "logs", 500, 37); // open rows, never sealed
+        ingest(&mut store, "logs", 500, 37); // open rows
         ingest(&mut store, "metrics", 0, 80);
 
         let mut ck = Checkpointer::new(ns.clone());
         let stats = checkpoint(&mut ck, &mut store, 1);
         assert_eq!(stats.tables, 2);
-        assert_eq!(stats.rows, 617);
+        assert_eq!(stats.rows, 500);
         assert_eq!(stats.full_rewrites, 2);
         // One table segment per table, in name order.
         assert_eq!(
             store.image_segments(),
             [ns.table_segment_name(0), ns.table_segment_name(1)]
         );
+
+        store.seal_all(0).unwrap();
+        let sealed = checkpoint(&mut ck, &mut store, 2);
+        // `logs` is extended; `metrics` gains its first schema, so its
+        // manifest is written whole.
+        assert_eq!((sealed.rows, sealed.full_rewrites), (617, 1));
         drop(ck); // the image survives its worker
 
         let (fresh, rows) = restore_rows(&ns);
@@ -265,8 +275,8 @@ mod tests {
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
         ingest(&mut store, "logs", 0, 2000);
-        store.seal_all(0).unwrap();
         ingest(&mut store, "quiet", 0, 50);
+        store.seal_all(0).unwrap();
 
         let mut ck = Checkpointer::new(ns.clone());
         let first = checkpoint(&mut ck, &mut store, 1);
@@ -303,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn open_block_churn_rewrites_only_the_tail() {
+    fn open_block_churn_writes_nothing() {
         let _x = scuba_faults::exclusive();
         let ns = test_ns();
         let _c = Cleanup(ns.clone());
@@ -314,15 +324,16 @@ mod tests {
         let mut ck = Checkpointer::new(ns.clone());
         let first = checkpoint(&mut ck, &mut store, 1);
 
-        // Open-block-only growth: no new sealed blocks, tail rewrite.
+        // Open-block-only growth: no new sealed block, nothing to write.
         ingest(&mut store, "logs", 1000, 10);
         let tail = checkpoint(&mut ck, &mut store, 2);
-        assert_eq!(tail.full_rewrites, 0);
-        assert!(tail.bytes_written < first.bytes_written / 2);
+        assert_eq!((tail.skipped, tail.full_rewrites), (1, 0));
+        assert_eq!(tail.bytes_written, 0);
+        assert!(first.bytes_written > 0);
         drop(ck);
 
         let (_, rows) = restore_rows(&ns);
-        assert_eq!(rows, 1010);
+        assert_eq!(rows, 1000);
     }
 
     #[test]
@@ -373,6 +384,7 @@ mod tests {
         // now takes the disk path instead of a torn image.
         scuba_faults::configure("leaf::checkpoint::write", "error@1").unwrap();
         ingest(&mut store, "logs", 200, 10);
+        seal(&mut store, "logs");
         let outcome = run(&mut ck, &mut store, 2);
         assert!(outcome.result.is_err());
         scuba_faults::clear_all();
@@ -396,6 +408,7 @@ mod tests {
         let _c = Cleanup(ns.clone());
         let mut store = LeafStore::new();
         ingest(&mut store, "logs", 0, 50);
+        store.seal_all(0).unwrap();
 
         let mut ck = Checkpointer::new(ns.clone());
         checkpoint(&mut ck, &mut store, 1);
@@ -415,6 +428,7 @@ mod tests {
         let mut store = LeafStore::new();
         ingest(&mut store, "a", 0, 30);
         ingest(&mut store, "b", 0, 30);
+        store.seal_all(0).unwrap();
 
         let mut ck = Checkpointer::new(ns.clone());
         checkpoint(&mut ck, &mut store, 1);

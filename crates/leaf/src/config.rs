@@ -62,10 +62,11 @@ pub struct LeafConfig {
     /// Off by default: the paper's planned-shutdown-only protocol is the
     /// baseline, and the crash path is the opt-in extension.
     pub checkpoint_enabled: bool,
-    /// Auto-checkpoint after this many rows have landed since the last
-    /// checkpoint. 0 means explicit-only ([`crate::LeafServer::
-    /// checkpoint_and_wait`]); tests and chaos use explicit mode for
-    /// determinism.
+    /// The crash path's lag cap. A checkpoint cycle starts whenever a row
+    /// block seals, and the WAL holds each table's open block; once the
+    /// log holds more than this many rows behind the oldest open block,
+    /// that block is sealed early (and a cycle starts), so a slow table
+    /// cannot hold the log back. 0 means no cap.
     pub checkpoint_interval_rows: usize,
     /// Restart trace id stamped on every backup/restore/WAL-replay span
     /// this leaf emits, letting one telemetry query

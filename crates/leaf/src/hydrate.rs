@@ -90,7 +90,7 @@ impl LeafServer {
         self.rebuild_from_disk(self.hydrate_now, None, reason)?;
         // The store was rebuilt under the WAL's row anchors: start the
         // crash path over from this state.
-        self.crash.reset(&mut self.store);
+        self.crash.reset(&mut self.store, self.hydrate_now);
         Ok(())
     }
 }

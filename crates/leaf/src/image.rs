@@ -17,12 +17,13 @@
 //!
 //! The shutdown backup and the checkpointer are one job type
 //! (`persist::ImageJob`) writing through `write_table`, so their images of
-//! the same blocks are byte-identical. Both extend the one image a leaf
-//! holds — the segment it attached, or one an earlier commit wrote — from
-//! its sealed frontier, through the same function. A column chunk's frame
-//! CRC is the column's own, derived from its seal-time footer
-//! (`RowBlockColumn::frame_crc`): no writer reads a column payload to
-//! checksum it, and a byte that changed after seal fails the frame.
+//! the same blocks are byte-identical. An image holds sealed blocks only:
+//! both extend the one image a leaf holds — the segment it attached, or
+//! one an earlier commit wrote — from its sealed frontier, through the
+//! same function. A column chunk's frame CRC is the column's own, derived
+//! from its seal-time footer (`RowBlockColumn::frame_crc`): no writer
+//! reads a column payload to checksum it, and a byte that changed after
+//! seal fails the frame.
 //!
 //! The copying restore (heap chunks) and the zero-copy attach (windows
 //! into the mapping) read through the same walker, generic over
@@ -325,25 +326,23 @@ pub(crate) type BlockFrames = Vec<(Weak<RowBlock>, Range<usize>)>;
 /// blocks sealed since, then the manifest frame patched in place with the
 /// new block count — the schema must be the one the image was written
 /// with, so the frame keeps its length, and no frame before the frontier
-/// is touched). Then `open` as an ordinary final block. The caller writes
-/// END and trims. Each sealed block is dropped once written, so a block
-/// nothing else holds is freed as it goes (Figure 6: "delete row block
-/// from heap"). Returns the new frontier and each written sealed block
-/// with the bytes its frames occupy.
+/// is touched). An image holds sealed blocks only. The caller writes END
+/// and trims. Each block is dropped once written, so a block nothing else
+/// holds is freed as it goes (Figure 6: "delete row block from heap").
+/// Returns the new frontier and each written block with the bytes its
+/// frames occupy.
 pub(crate) fn write_table(
     at: Option<Frontier>,
     sealed: Vec<Arc<RowBlock>>,
-    open: Option<&RowBlock>,
     schema: &Schema,
     sink: &mut dyn ChunkSink,
 ) -> Result<(Frontier, BlockFrames), ShmError> {
     let count = sealed.len();
-    let manifest_blocks = count as u64 + u64::from(open.is_some());
     let (skip, manifest_off) = match at {
         Some(frontier) => (frontier.blocks, frontier.manifest_off),
         None => {
             let off = sink.position();
-            write_manifest(manifest_blocks, schema, sink)?;
+            write_manifest(count as u64, schema, sink)?;
             (0, off)
         }
     };
@@ -354,12 +353,9 @@ pub(crate) fn write_table(
         blocks.push((Arc::downgrade(&block), from..sink.position()));
     }
     let end = sink.position();
-    if let Some(open) = open {
-        write_block(open, sink)?;
-    }
     if at.is_some() {
         let mut manifest = Vec::new();
-        write_manifest(manifest_blocks, schema, &mut manifest)?;
+        write_manifest(count as u64, schema, &mut manifest)?;
         sink.patch(manifest_off, &manifest)?;
     }
     let frontier = Frontier {

@@ -1,7 +1,10 @@
 //! The ingest side of the crash path (DESIGN §13): the WAL record codec,
 //! and [`CrashPath`] — the one owner of the log, the checkpoint worker and
-//! the bookkeeping that keeps both in step with the store.
+//! the bookkeeping that keeps both in step with the store. The image holds
+//! sealed blocks and the log each table's open block: a seal starts a
+//! cycle, whose commit drops the segments below the oldest open block.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -177,12 +180,14 @@ fn read_batch_header(payload: &[u8]) -> Result<BatchHeader<'_>, String> {
 }
 
 /// Decode a batch's records straight into `table`'s builder (`now` stamps
-/// any block the append starts). The batch must hold exactly its `n_rows`
-/// records: fewer, a torn one, or bytes after the last are a structural
-/// error, and so is a row the table rejects. The caller answers any error
-/// with a disk fallback, so rows appended before it never serve.
+/// any block the append starts), all but the first `skip`, which the image
+/// already holds. The batch must hold exactly its `n_rows` records: fewer,
+/// a torn one, or bytes after the last are a structural error, and so is
+/// a row the table rejects. The caller answers any error with a disk
+/// fallback, so rows appended before it never serve.
 pub(crate) fn append_batch(
     batch: &BatchHeader<'_>,
+    skip: u64,
     table: &mut Table,
     now: i64,
 ) -> Result<(), String> {
@@ -190,6 +195,7 @@ pub(crate) fn append_batch(
     let mut pos = 0;
     for i in 0..batch.n_rows {
         match rowformat::read_cells(batch.rows, &mut pos, &mut cells) {
+            ReadOutcome::Record(()) if i < skip => {}
             ReadOutcome::Record(()) => table
                 .append_cells(&mut cells, now)
                 .map_err(|e| format!("wal record row {i}: {e}"))?,
@@ -209,16 +215,16 @@ pub(crate) fn append_batch(
     Ok(())
 }
 
-/// The crash path of one leaf: the per-leaf write-ahead log covering
-/// post-checkpoint ingest, the background checkpoint worker keeping the
-/// image committed, and the counters that tie the two to the store.
-/// Switched on by [`LeafConfig::checkpoint_enabled`]; off, every method is
-/// a no-op and a crash recovers from disk, as in the paper.
+/// The crash path of one leaf: the per-leaf write-ahead log covering the
+/// open blocks, the background checkpoint worker committing sealed ones,
+/// and the bookkeeping that ties the two to the store. Switched on by
+/// [`LeafConfig::checkpoint_enabled`]; off, every method is a no-op.
 #[derive(Debug)]
 pub(crate) struct CrashPath {
     enabled: bool,
-    /// Auto-checkpoint after this many rows (0: explicit only).
-    interval_rows: usize,
+    /// The lag cap: rows the log may hold behind the oldest open block
+    /// before that block is sealed (0: no cap).
+    lag_cap: usize,
     ns: ShmNamespace,
     wal_dir: PathBuf,
     legacy_wal: PathBuf,
@@ -242,8 +248,13 @@ pub(crate) struct CrashPath {
     /// Sealed blocks covered by the last committed checkpoint (feeds the
     /// `leaf_checkpoint_lag_blocks` gauge).
     committed_sealed: usize,
-    /// Rows ingested since the last checkpoint request (auto-trigger).
-    rows_since_checkpoint: usize,
+    /// Per table, where its open block starts in the log: `logged` at its
+    /// first row, and that row's segment (read only while it holds rows).
+    open_since: BTreeMap<String, (u64, u64)>,
+    /// Rows logged in this life.
+    logged: u64,
+    /// A seal asked for a cycle that has not started yet.
+    cycle_wanted: bool,
     /// WAL records applied by the last recovery's replay.
     wal_replayed_records: usize,
     /// True when the last recovery came back through a *checkpoint*
@@ -260,7 +271,7 @@ impl CrashPath {
     pub(crate) fn new(config: &LeafConfig, ns: ShmNamespace, obs: LeafMetrics) -> CrashPath {
         CrashPath {
             enabled: config.checkpoint_enabled,
-            interval_rows: config.checkpoint_interval_rows,
+            lag_cap: config.checkpoint_interval_rows,
             ns,
             wal_dir: config.disk_root.join(WAL_DIR),
             legacy_wal: config.disk_root.join(LEGACY_WAL_FILE),
@@ -270,7 +281,9 @@ impl CrashPath {
             last_sync_anchor: None,
             checkpointer: None,
             committed_sealed: 0,
-            rows_since_checkpoint: 0,
+            open_since: BTreeMap::new(),
+            logged: 0,
+            cycle_wanted: false,
             wal_replayed_records: 0,
             recovered_from_checkpoint: false,
             wal_poison_reason: None,
@@ -288,7 +301,7 @@ impl CrashPath {
     /// that read found its valid records end, without a second read. Any
     /// WAL problem poisons the path instead of failing the server. Returns
     /// how long opening the writer took.
-    pub(crate) fn open(&mut self, clear_wal: bool, store: &mut LeafStore) -> Duration {
+    pub(crate) fn open(&mut self, clear_wal: bool, store: &mut LeafStore, now: i64) -> Duration {
         debug_assert!(self.enabled);
         self.checkpointer = Some(Checkpointer::new(self.ns.clone()));
         let started = Instant::now();
@@ -303,7 +316,7 @@ impl CrashPath {
             Ok(wal) => {
                 self.wal = Some(wal);
                 if clear_wal {
-                    self.clear(store);
+                    self.clear(store, now);
                 }
                 self.publish_gauges(store);
             }
@@ -328,11 +341,15 @@ impl CrashPath {
         Ok(contents)
     }
 
-    /// Drop every WAL record: the image (or the disk state a recovery just
-    /// rebuilt) holds them all. The carried sync anchor goes too — the
-    /// disk log it describes may have been rewritten.
-    fn clear(&mut self, store: &mut LeafStore) {
+    /// Seal every open block, then drop every WAL record: the next cycle
+    /// commits the blocks (without the seal, it would leave their rows in
+    /// neither the image nor the log). The carried sync anchor goes too —
+    /// the disk log it describes may have been rewritten.
+    fn clear(&mut self, store: &mut LeafStore, now: i64) {
         self.last_sync_anchor = None;
+        if let Err(e) = store.seal_all(now) {
+            return self.poison(store, format!("seal: {e}"));
+        }
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.clear() {
                 self.poison(store, format!("clear: {e}"));
@@ -374,9 +391,11 @@ impl CrashPath {
         self.obs.set("leaf_wal_bytes", self.wal_bytes() as i64);
     }
 
-    /// Snapshot the store, cut the WAL at the same instant, and hand the
-    /// worker a checkpoint job. False if the crash path is down (disabled
-    /// or poisoned), a cycle is in flight, or no cycle could start.
+    /// Snapshot the store's sealed blocks, rotate the WAL at the same
+    /// instant, and hand the worker a job whose commit drops the segments
+    /// below the oldest open block (all it closed, with none open). False
+    /// if the crash path is down (disabled or poisoned), a cycle is in
+    /// flight, or no cycle could start.
     pub(crate) fn request(&mut self, store: &mut LeafStore) -> bool {
         let idle = self.checkpointer.as_ref().is_some_and(|ck| !ck.in_flight());
         if self.wal.is_none() || !idle {
@@ -384,20 +403,27 @@ impl CrashPath {
             // a cycle is still copying the previous snapshot.
             return false;
         }
-        let Ok(job) = ImageJob::snapshot(store) else {
+        let job = ImageJob::snapshot(store);
+        let Some(rotated) = self.rotate(store) else {
             return false;
         };
-        let Some(covered_seq) = self.rotate(store) else {
-            return false;
-        };
+        let cut = self.oldest_open(store).map_or(rotated, |(_, (_, seq))| seq);
         let ok = self
             .checkpointer
             .as_mut()
-            .is_some_and(|ck| ck.request(job, covered_seq));
-        if ok {
-            self.rows_since_checkpoint = 0;
-        }
+            .is_some_and(|ck| ck.request(job, cut));
+        self.cycle_wanted &= !ok;
         ok
+    }
+
+    /// The table whose open block started longest ago, with its
+    /// `open_since` — the log's start, `(0, 0)`, for a block no logged
+    /// batch opened. Its segment is the lowest any open block starts in.
+    fn oldest_open(&self, store: &LeafStore) -> Option<(String, (u64, u64))> {
+        let open = store.map().iter().filter(|t| t.unsealed_rows() > 0);
+        let since = |name| self.open_since.get(name).copied().unwrap_or_default();
+        let oldest = open.min_by_key(|t| since(t.name()))?;
+        Some((oldest.name().to_owned(), since(oldest.name())))
     }
 
     /// Start a new WAL segment, carrying the last sync anchor into it, and
@@ -485,57 +511,74 @@ impl CrashPath {
         store.unlist_images();
     }
 
-    /// Auto-trigger: apply a finished cycle on the first batch after it
-    /// lands (unlinking its covered segments then, not an interval later),
-    /// and request a checkpoint when enough rows landed since the last one
-    /// and the worker is idle.
-    fn maybe_auto_checkpoint(&mut self, store: &mut LeafStore) {
-        if let Some(outcome) = self.checkpointer.as_mut().and_then(Checkpointer::try_done) {
-            let _ = self.apply_outcome(outcome, store);
-        }
-        let interval = self.interval_rows;
-        if interval != 0 && self.rows_since_checkpoint >= interval {
-            // A cycle still copying the previous snapshot refuses this
-            // one; the next batch tries again.
-            self.request(store);
-        }
-    }
-
     /// The store just changed in a way the WAL's row anchors cannot follow
     /// — expiry, a disk rebuild of the whole leaf or of one table.
-    /// Invalidate the image and drop the stale WAL; the next cycle commits
-    /// the image again, and until then a crash goes to disk.
-    pub(crate) fn reset(&mut self, store: &mut LeafStore) {
+    /// Invalidate the image, seal the open blocks and drop the stale WAL;
+    /// the next cycle commits the image again, and until then a crash goes
+    /// to disk.
+    pub(crate) fn reset(&mut self, store: &mut LeafStore, now: i64) {
         if !self.enabled {
             return;
         }
         self.invalidate(store);
         self.committed_sealed = 0;
-        self.clear(store);
+        self.clear(store, now);
         self.publish_gauges(store);
     }
 
-    /// Log a batch the store just applied (`start_rows`: the table's row
-    /// count before it) and run the auto-checkpoint trigger. WAL problems
-    /// never fail ingest: they poison the crash path, degrading the next
-    /// crash to the disk path.
+    /// Log a batch the store just applied (`start`: the table's row and
+    /// sealed block counts before it) and run the trigger: a batch that
+    /// sealed a block asks for a cycle. WAL problems never fail ingest:
+    /// they poison the crash path, degrading the next crash to the disk
+    /// path.
     pub(crate) fn append(
         &mut self,
         store: &mut LeafStore,
         table: &str,
-        start_rows: u64,
+        (start_rows, blocks): (u64, usize),
         rows: &[Row],
+        now: i64,
     ) {
         if !self.enabled || rows.is_empty() {
             return;
         }
-        self.rows_since_checkpoint += rows.len();
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append(&encode_wal_batch(table, start_rows, rows)) {
                 self.poison(store, format!("append: {e}"));
             }
         }
-        self.maybe_auto_checkpoint(store);
+        let t = store.map().get(table).expect("the batch was applied");
+        if let Some(wal) = self.wal.as_ref() {
+            if (t.row_count() - t.unsealed_rows()) as u64 >= start_rows {
+                // The table's open block starts in this batch.
+                let since = (self.logged, wal.live_seq());
+                self.open_since.insert(table.to_owned(), since);
+            }
+        }
+        self.logged += rows.len() as u64;
+        self.cycle_wanted |= t.blocks().len() > blocks;
+        // The lag cap: seal the oldest open block once the log holds more
+        // than `lag_cap` rows behind it, so a commit can drop what it pins.
+        let capped = (self.lag_cap != 0).then(|| self.oldest_open(store));
+        if let Some((name, _)) = capped
+            .flatten()
+            .filter(|(_, (mark, _))| self.logged - mark > self.lag_cap as u64)
+        {
+            self.cycle_wanted = true;
+            if let Err(e) = store.map_mut().get_mut(&name).expect("open").seal(now) {
+                self.poison(store, format!("seal {name:?}: {e}"));
+            }
+        }
+        // Apply a finished cycle on the first batch after it lands
+        // (unlinking its covered segments then, not a seal later), and
+        // start the cycle a seal asks for: a worker still copying the last
+        // one refuses it, and the next batch tries again.
+        if let Some(outcome) = self.checkpointer.as_mut().and_then(Checkpointer::try_done) {
+            let _ = self.apply_outcome(outcome, store);
+        }
+        if self.cycle_wanted {
+            self.request(store);
+        }
         self.publish_gauges(store);
     }
 
@@ -580,7 +623,7 @@ impl CrashPath {
     /// The shutdown backup's valid bit is committed and its image covers
     /// every row: drop the log.
     pub(crate) fn retire_log(&mut self, store: &mut LeafStore) {
-        self.clear(store);
+        self.clear(store, 0); // the backup drained the store: nothing to seal
         self.wal = None;
     }
 
@@ -593,10 +636,18 @@ impl CrashPath {
     }
 
     /// Record what the recovery's WAL replay did: the records it applied,
-    /// and the last sync anchor it read (carried into the next rotation).
-    pub(crate) fn replayed(&mut self, records: usize, anchor: Option<Vec<u8>>) {
+    /// the last sync anchor it read (carried into the next rotation), and
+    /// where each replayed table's open block starts: `(0, segment of its
+    /// first applied record)`, so the replayed rows never trip the lag cap.
+    pub(crate) fn replayed(
+        &mut self,
+        records: usize,
+        anchor: Option<Vec<u8>>,
+        open_since: BTreeMap<String, (u64, u64)>,
+    ) {
         self.wal_replayed_records = records;
         self.last_sync_anchor = anchor;
+        self.open_since = open_since;
     }
 
     /// The recovery came back through a checkpoint image: the crash-fast
@@ -615,15 +666,16 @@ impl CrashPath {
 }
 
 impl LeafServer {
-    /// Take a checkpoint now and wait for it to commit. The synchronous
-    /// variant the chaos harness and tests drive; production leaves it to
-    /// `checkpoint_interval_rows`.
+    /// Make the image cover every row now: seal every open block, as a
+    /// shutdown does, and wait for a checkpoint to commit, which empties
+    /// the log. Under ingest each seal starts a cycle on its own.
     pub fn checkpoint_and_wait(&mut self) -> LeafResult<CheckpointStats> {
         if !self.phase().accepts_adds() {
             return Err(self.unavailable("checkpoint"));
         }
-        // Settle any in-flight auto cycle first so ours is next.
+        // Settle any in-flight cycle first so ours is next.
         self.crash.settle(&mut self.store);
+        self.store.seal_all(self.tier_now)?;
         if !self.crash.request(&mut self.store) {
             return Err(self.unavailable("checkpoint (crash path disabled or poisoned)"));
         }
@@ -707,7 +759,7 @@ mod tests {
             let by_cells = decode_wal_record(p).and_then(|record| match record {
                 WalRecord::Batch(batch) => {
                     let mut table = Table::new(batch.table, 0);
-                    append_batch(&batch, &mut table, 0).map(|()| table)
+                    append_batch(&batch, 0, &mut table, 0).map(|()| table)
                 }
                 WalRecord::SyncAnchor(_) => Err("not a batch".to_owned()),
             });
@@ -739,17 +791,117 @@ mod tests {
         assert!(accepted >= 64, "{accepted}");
     }
 
-    /// Take a checkpoint and let the worker commit it, but never drain the
-    /// outcome: the state a crash finds between the worker's commit and
-    /// the server's unlink of the covered segments.
+    /// Seal every open block and take a checkpoint, as
+    /// `checkpoint_and_wait` does, and let the worker commit it, but never
+    /// drain the outcome: the state a crash finds between the worker's
+    /// commit and the server's unlink of the covered segments.
     fn commit_without_draining(s: &mut LeafServer) {
+        s.store.seal_all(0).unwrap();
         assert!(s.crash.request(&mut s.store));
         let outcome = s.crash.checkpointer.as_mut().unwrap().wait_done().unwrap();
         assert!(outcome.result.is_ok(), "{:?}", outcome.result);
     }
 
-    /// Under continuous ingest the log holds about one checkpoint interval,
-    /// not everything since the last quiet moment: each committed cycle
+    /// Let every cycle the seals asked for start and commit, as the next
+    /// batches would.
+    fn settle_cycles(s: &mut LeafServer) {
+        s.crash.settle(&mut s.store);
+        if s.crash.cycle_wanted {
+            assert!(s.crash.request(&mut s.store));
+        }
+        s.crash.settle(&mut s.store);
+    }
+
+    /// The seal is the trigger: with no explicit checkpoint, each sealed
+    /// block reaches the image, and a crash replays only the records that
+    /// hold each table's open block — none that the replay would seal.
+    #[test]
+    fn a_crash_replays_at_most_one_open_block_per_table() {
+        const BATCH: i64 = 1000;
+        const BLOCK: i64 = scuba_columnstore::MAX_ROWS_PER_BLOCK as i64;
+        let (cfg, dir) = crash_config("ckopenonly");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let tables = ["open_a", "open_b"];
+        // N = 2 full blocks plus k rows each.
+        let (blocks, k) = (2, 5_500);
+        let per_table = blocks * BLOCK + k;
+        for b in 0..2 * (per_table as u64).div_ceil(BATCH as u64) as i64 {
+            let t = (b % 2) as usize;
+            let first = b / 2 * BATCH;
+            let n = BATCH.min(per_table - first);
+            s.add_rows(tables[t], &seq_rows(first, n), 0).unwrap();
+        }
+        settle_cycles(&mut s);
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s.recovered_from_checkpoint());
+        let bound = tables.len() * ((k as u64).div_ceil(BATCH as u64) as usize + 1);
+        let replayed = s.wal_replayed_records();
+        assert!(
+            replayed <= bound,
+            "replayed {replayed} records, bound {bound}"
+        );
+        for table in tables {
+            assert_eq!(count_and_seq_sum(&s, table), exact_prefix(per_table as u64));
+            let t = s.store().map().get(table).unwrap();
+            assert_eq!(t.blocks().len(), blocks as usize, "{table}: replay sealed");
+        }
+    }
+
+    /// The lag cap: a slow table's open block pins the log's first segment
+    /// beside a busy table that seals and commits again and again. With
+    /// no cap the segment stays; once the log behind the slow block passes
+    /// `checkpoint_interval_rows`, the block is sealed, and the next commit
+    /// unlinks the segments below the busy table's open block.
+    #[test]
+    fn the_lag_cap_seals_a_slow_table_and_frees_the_log_behind_it() {
+        const CAP: usize = 100_000;
+        for cap in [0, CAP] {
+            let (mut cfg, dir) = crash_config("cklag");
+            cfg.checkpoint_interval_rows = cap;
+            let mut s = LeafServer::new(cfg.clone()).unwrap();
+            let _c = Cleanup(s.namespace().clone(), dir);
+            s.add_rows("slow", &seq_rows(0, 10), 0).unwrap();
+            let first = s.crash.wal.as_ref().unwrap().live_seq();
+            let mut sealed_at = None;
+            // Two busy seals: the second moves the busy block past the
+            // slow one's segment.
+            for b in 0..140 {
+                s.add_rows("busy", &seq_rows(b * 1000, 1000), 0).unwrap();
+                let slow = s.store().map().get("slow").unwrap();
+                if sealed_at.is_none() && slow.unsealed_rows() == 0 {
+                    sealed_at = Some(b);
+                }
+            }
+            settle_cycles(&mut s);
+            s.crash.wal.as_mut().unwrap().wait_unlinked().unwrap();
+            let kept = s.crash.wal.as_ref().unwrap().seqs();
+            if cap == 0 {
+                assert_eq!(sealed_at, None);
+                assert_eq!(kept[0], first, "the slow block's segment went");
+            } else {
+                // 10 + 1000 × 100 logged rows first exceed the cap.
+                assert_eq!(sealed_at, Some(99));
+                assert!(kept[0] > first, "{kept:?} still holds segment {first}");
+                let path = scuba_restart::wal::segment_path(&cfg.disk_root.join(WAL_DIR), first);
+                assert!(!path.exists(), "{path:?} was not unlinked");
+            }
+            s.crash();
+            drop(s);
+            let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+            assert!(outcome.is_memory(), "cap {cap}: {outcome:?}");
+            assert_eq!(count_and_seq_sum(&s, "slow"), exact_prefix(10));
+            assert_eq!(count_and_seq_sum(&s, "busy"), exact_prefix(140_000));
+        }
+    }
+
+    /// Under continuous ingest of blocks smaller than a seal, the lag cap
+    /// (`checkpoint_interval_rows`) bounds the log, not the last quiet
+    /// moment: it seals the oldest open block, and each committed cycle
     /// unlinks the segments below its cut, with no `checkpoint_and_wait`.
     #[test]
     fn wal_stays_bounded_under_continuous_ingest() {
@@ -1003,9 +1155,8 @@ mod tests {
         assert_eq!(s2.total_rows(), 100);
     }
 
-    /// Steady-state serving with auto-checkpointing: the image trails by
-    /// at most the interval, and every crash recovers everything up to the
-    /// last WAL record.
+    /// Steady-state serving with the lag cap sealing small blocks: every
+    /// crash recovers everything up to the last WAL record.
     #[test]
     fn auto_checkpoint_and_repeated_crashes() {
         // Replays the log: keep sibling tests' one-shot WAL faults out.
@@ -1083,9 +1234,9 @@ mod tests {
 
     /// A crash start copies no block to heap: it keeps the image it
     /// attached. The next checkpoint writes only what is new — the block
-    /// sealed since and the open tail, behind the frontier, plus the
-    /// manifest patch and END — skips the table that did not change, and
-    /// the next crash start attaches the same segments.
+    /// sealed since and the open rows it seals, behind the frontier, plus
+    /// the manifest patch and END — skips the table that did not change,
+    /// and the next crash start attaches the same segments.
     #[test]
     fn a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it() {
         use scuba_restart::framing::{decode_header_v2, FRAME_HEADER_V2};
@@ -1116,15 +1267,15 @@ mod tests {
         s.add_rows("logs", &seq_rows(300, 100), 0).unwrap();
         s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
         s.add_rows("logs", &seq_rows(400, 30), 0).unwrap();
-        let table = s.store().map().get("logs").unwrap();
-        let mut new = Vec::new();
-        crate::image::write_block(table.blocks().last().unwrap(), &mut new).unwrap();
-        let open = table.unsealed_snapshot().unwrap().unwrap();
-        crate::image::write_block(&open, &mut new).unwrap();
-        let mut manifest = Vec::new();
-        crate::image::write_manifest(5, &table.schema_snapshot(), &mut manifest).unwrap();
         let stats = s.checkpoint_and_wait().unwrap();
         assert_eq!((stats.skipped, stats.full_rewrites), (1, 0));
+        let table = s.store().map().get("logs").unwrap();
+        let mut new = Vec::new();
+        for block in &table.blocks()[3..] {
+            crate::image::write_block(block, &mut new).unwrap();
+        }
+        let mut manifest = Vec::new();
+        crate::image::write_manifest(5, &table.schema_snapshot(), &mut manifest).unwrap();
         // The new frames' payloads, plus the whole patched manifest frame.
         let (mut pos, mut payload) = (0, 0);
         while pos < new.len() {
@@ -1246,6 +1397,41 @@ mod tests {
             assert_eq!(outcome.is_memory(), demote, "{outcome:?}");
             assert_eq!(count_and_seq_sum(&s, "logs"), want, "demote: {demote}");
         }
+    }
+
+    /// Seal before clear: expiry clears the log while the open block holds
+    /// rows, so it seals them first. The next cycle (here after less than
+    /// a block of new ingest, as another table's seal would start it)
+    /// commits them, and a crash takes the fast path with every acked row.
+    #[test]
+    fn rows_open_at_an_expiry_reach_the_next_image() {
+        let (mut cfg, dir) = crash_config("ckexpireopen");
+        cfg.retention = RetentionLimits {
+            max_age_secs: Some(50),
+            max_bytes: None,
+        };
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let at = |first: i64, time: i64| -> Vec<Row> {
+            (first..first + 50)
+                .map(|i| Row::at(time).with("seq", i))
+                .collect()
+        };
+        s.add_rows("logs", &at(0, 0), 0).unwrap();
+        s.store.map_mut().get_mut("logs").unwrap().seal(0).unwrap();
+        s.add_rows("logs", &at(50, 1000), 0).unwrap(); // open at the expiry
+        assert_eq!(s.expire(1040).unwrap(), 1);
+        s.add_rows("logs", &at(100, 1000), 1040).unwrap();
+        assert!(s.crash.request(&mut s.store));
+        s.crash.settle(&mut s.store);
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 1040, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s.recovered_from_checkpoint());
+        let want = (100, (50..150).sum::<i64>() as f64);
+        assert_eq!(count_and_seq_sum(&s, "logs"), want);
     }
 
     /// Expiry invalidates the crash path (the image's immutable prefix

@@ -4,12 +4,12 @@
 //! envelope (`scuba_restart::backup_to_shm_with`).
 //!
 //! A job's unit is a table snapshot ([`TableSnapshot`]): its sealed
-//! blocks, its open block, and where its image goes. The shutdown drains
-//! the store into its job, so each block is freed as it is written
-//! (Figure 6: "delete row block from heap") and the footprint stays flat
-//! (§4.4); a checkpoint clones `Arc`s. Both write through
-//! [`image::write_table`]; restore and attach read through
-//! [`image::read_table`].
+//! blocks — never an open one, which a checkpoint leaves to the WAL — and
+//! where its image goes. The shutdown drains the store into its job, so
+//! each block is freed as it is written (Figure 6: "delete row block from
+//! heap") and the footprint stays flat (§4.4); a checkpoint clones `Arc`s.
+//! Both write through [`image::write_table`]; restore and attach read
+//! through [`image::read_table`].
 //!
 //! Each table's image in shared memory has one record here
 //! (`TableImage`): the segment a start attached or a commit wrote, how far
@@ -61,9 +61,6 @@ pub struct TableImage {
     /// each one's frames occupy. A block gone from its table and held by
     /// nothing else has its pages punched out of a viewed segment.
     blocks: BlockFrames,
-    /// Rows the segment's frames hold, open block included: a job leaves
-    /// a table that still has exactly these as it is.
-    rows: u64,
     /// A committed image, or a job in flight, may list the segment: none
     /// of its bytes may be punched, and its name may not be unlinked.
     listed: bool,
@@ -117,16 +114,15 @@ impl TableImage {
         let _ = ShmSegment::unlink(&self.name);
     }
 
-    /// The record of an image a job wrote into segment `name`, holding
-    /// `rows` behind `frontier`: listed, served from no view of its own.
-    fn written(name: String, frontier: Frontier, rows: u64) -> TableImage {
+    /// The record of an image a job wrote into segment `name`, up to
+    /// `frontier`: listed, served from no view of its own.
+    fn written(name: String, frontier: Frontier) -> TableImage {
         TableImage {
             name,
             view: None,
             frontier: Some(frontier),
             schema: Vec::new(),
             blocks: Vec::new(),
-            rows,
             listed: true,
         }
     }
@@ -149,19 +145,15 @@ pub struct TableUnit {
 }
 
 /// One table of an [`ImageJob`]: its sealed blocks (`Arc`-shared with
-/// nothing, when drained; with the live table, when cloned), a one-off
-/// snapshot of its open block, and where its image goes.
+/// nothing, when drained; with the live table, when cloned) and where its
+/// image goes.
 #[derive(Debug)]
 pub struct TableSnapshot {
     /// Table name (the unit name frame).
     name: String,
     /// Sealed, immutable blocks in order.
     sealed: Vec<Arc<RowBlock>>,
-    /// Snapshot of the in-progress builder, if it holds any rows.
-    open: Option<RowBlock>,
-    /// Rows the snapshot holds (the open block's included).
-    rows: u64,
-    /// Union schema across sealed and open blocks (the manifest schema).
+    /// Union schema across the sealed blocks (the manifest schema).
     schema: Schema,
     /// Heap the snapshot frees as it is written (0 when cloned).
     heap: usize,
@@ -200,28 +192,23 @@ impl ImageJob {
     pub fn drain(store: &mut LeafStore) -> ImageJob {
         let map = std::mem::take(&mut store.map);
         ImageJob::new(&map, &mut store.images, false)
-            .expect("a drained job snapshots no open block")
     }
 
-    /// A checkpoint cycle's job: every table of the live store, its sealed
-    /// blocks `Arc`-shared (no copy) and its open block snapshotted. Runs
-    /// on the serving thread.
-    pub fn snapshot(store: &mut LeafStore) -> StoreResult<ImageJob> {
+    /// A checkpoint cycle's job: the sealed blocks of every table of the
+    /// live store, `Arc`-shared (no copy). Each open block stays in the
+    /// WAL. Runs on the serving thread.
+    pub fn snapshot(store: &mut LeafStore) -> ImageJob {
         ImageJob::new(&store.map, &mut store.images, true)
     }
 
-    /// A job over the tables of `map` — a checkpoint's with their open
-    /// blocks — each pointed at its record in `images`: left as it is when
-    /// the segment already holds its rows, appended at the frontier when
-    /// the table extends the image, else written whole into a fresh
-    /// segment (the envelope names it). The segments a job keeps may be
-    /// listed from now on: their views are disarmed, so a block freed as
-    /// it is written cannot unlink a name the new image lists.
-    fn new(
-        map: &LeafMap,
-        images: &mut BTreeMap<String, TableImage>,
-        checkpoint: bool,
-    ) -> StoreResult<ImageJob> {
+    /// A job over the sealed blocks of `map`'s tables, each pointed at its
+    /// record in `images`: left as it is when the segment already holds
+    /// every block, appended at the frontier when the table extends the
+    /// image, else written whole into a fresh segment (the envelope names
+    /// it). The segments a job keeps may be listed from now on: their
+    /// views are disarmed, so a block freed as it is written cannot unlink
+    /// a name the new image lists.
+    fn new(map: &LeafMap, images: &mut BTreeMap<String, TableImage>, checkpoint: bool) -> ImageJob {
         let mut job = ImageJob {
             tables: BTreeMap::new(),
             mapped: images.values().map(|i| i.name.clone()).collect(),
@@ -234,29 +221,17 @@ impl ImageJob {
             written: Vec::new(),
         };
         for t in map.iter() {
-            let open = checkpoint
-                .then(|| t.unsealed_snapshot())
-                .transpose()?
-                .flatten();
-            // The manifest schema is the union with the open block's (the
-            // first-seen type wins, as in `Table::schema_snapshot`).
-            let mut schema = t.schema_snapshot();
-            for (name, ty) in open.iter().flat_map(|block| block.schema().iter()) {
-                let _ = schema.add_column(name, ty);
-            }
             let mut snap = TableSnapshot {
                 name: t.name().to_owned(),
                 sealed: t.blocks().to_vec(),
-                rows: (t.row_count() - if checkpoint { 0 } else { t.unsealed_rows() }) as u64,
                 heap: if checkpoint { 0 } else { t.heap_bytes() },
-                open,
-                schema,
+                schema: t.schema_snapshot(),
                 target: UnitTarget::Fresh,
                 frontier: None,
             };
             job.heap += snap.heap;
             job.stats.sealed_blocks += snap.sealed.len();
-            job.stats.rows += snap.rows;
+            job.stats.rows += (t.row_count() - t.unsealed_rows()) as u64;
             let schema = schema_bytes(&snap.schema);
             match images
                 .get_mut(&snap.name)
@@ -264,10 +239,9 @@ impl ImageJob {
             {
                 Some(image) => {
                     let frontier = image.frontier.expect("extends");
-                    let unchanged = image.rows == snap.rows && frontier.blocks == snap.sealed.len();
-                    snap.target = if unchanged {
+                    snap.target = if frontier.blocks == snap.sealed.len() {
                         job.stats.skipped += 1;
-                        let kept = TableImage::written(image.name.clone(), frontier, snap.rows);
+                        let kept = TableImage::written(image.name.clone(), frontier);
                         job.written.push((snap.name.clone(), kept));
                         UnitTarget::Unchanged(image.name.clone())
                     } else {
@@ -287,7 +261,7 @@ impl ImageJob {
             }
             job.tables.insert(snap.name.clone(), snap);
         }
-        Ok(job)
+        job
     }
 }
 
@@ -324,8 +298,8 @@ impl LeafStore {
         Ok(())
     }
 
-    /// Seal every table's in-progress builder (pre-shutdown and
-    /// pre-backup step: only sealed blocks are persisted to shm).
+    /// Seal every table's in-progress builder: only sealed blocks are
+    /// persisted to shm, by a shutdown and a checkpoint alike.
     pub fn seal_all(&mut self, now: i64) -> StoreResult<()> {
         for t in self.map.iter_mut() {
             t.seal(now)?;
@@ -389,7 +363,6 @@ impl LeafStore {
                 Some(mut kept) if kept.name == written.name => {
                     kept.frontier = kept.frontier.and(written.frontier);
                     kept.blocks.extend(written.blocks);
-                    kept.rows = written.rows;
                     kept
                 }
                 old => {
@@ -458,12 +431,11 @@ impl ShmBackup for ImageJob {
         t: TableSnapshot,
         sink: &mut dyn ChunkSink,
     ) -> Result<(String, TableImage), PersistError> {
-        let (frontier, blocks) =
-            image::write_table(t.frontier, t.sealed, t.open.as_ref(), &t.schema, sink)?;
+        let (frontier, blocks) = image::write_table(t.frontier, t.sealed, &t.schema, sink)?;
         let image = TableImage {
             schema: schema_bytes(&t.schema),
             blocks,
-            ..TableImage::written(String::new(), frontier, t.rows)
+            ..TableImage::written(String::new(), frontier)
         };
         Ok((t.name, image))
     }
@@ -553,7 +525,6 @@ impl ShmPersistable for LeafStore {
                 frontier,
                 schema,
                 blocks,
-                rows: table.row_count() as u64,
                 listed: false,
             };
             self.images.insert(table.name().to_owned(), image);
@@ -996,7 +967,7 @@ mod tests {
     #[test]
     fn estimate_covers_actual_size() {
         let mut store = populated_store();
-        let job = ImageJob::snapshot(&mut store).unwrap();
+        let job = ImageJob::snapshot(&mut store);
         for name in job.unit_names() {
             let est = job.estimate_unit_size(&name);
             let actual = store.map().get(&name).unwrap().encoded_bytes();

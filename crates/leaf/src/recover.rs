@@ -227,11 +227,11 @@ impl LeafServer {
         state.transition(LeafRestoreState::Alive)?;
         if self.crash.enabled() {
             // After a memory recovery the replayed rows are still in the
-            // log's segments; the first checkpoint of this life rotates past
-            // them at its snapshot and unlinks them when it commits. Replay
-            // is idempotent, so keeping them until then is safe. After a
-            // disk recovery the log predates the rebuilt state: clear it.
-            let took = self.crash.open(!outcome.is_memory(), &mut self.store);
+            // log's segments: they are each table's open block, and stay
+            // until a commit holds that block sealed. Replay is idempotent,
+            // so keeping them is safe. After a disk recovery the log
+            // predates the rebuilt state: seal what it rebuilt, and clear.
+            let took = self.crash.open(!outcome.is_memory(), &mut self.store, now);
             self.crash_phase(crash.as_mut(), Phase::WalReopen, "leaf_wal_reopen_ns", took);
         }
         if let Some(report) = crash.as_mut() {
@@ -367,9 +367,9 @@ impl LeafServer {
     }
 
     /// The per-table disk executor: rebuild just `names` from their disk
-    /// logs, in place of whatever the store held for them. The logs
-    /// rebuild them fully hot, so any cold file they left behind (missing
-    /// frames, stale coldrefs) is now an orphan — drop it.
+    /// logs, sealed (the WAL need not hold these rows), in place of what
+    /// the store held. The logs rebuild them fully hot, so any cold file
+    /// they left behind (missing frames, stale coldrefs) is an orphan.
     pub(crate) fn recover_tables_from_disk(
         &mut self,
         names: &[String],
@@ -382,7 +382,8 @@ impl LeafServer {
             self.store.reclaim(name);
             let _ = self.cold.remove_table(name);
         }
-        for (_, table) in map.take_tables() {
+        for (_, mut table) in map.take_tables() {
+            table.seal(now)?;
             self.store.map_mut().insert(table);
         }
         scuba_obs::counter!("leaf_tables_disk_recovered").add(names.len() as u64);
@@ -581,10 +582,12 @@ impl LeafServer {
         }
         let mut hints = BTreeMap::new();
         let mut anchor = None;
-        let mut groups: BTreeMap<&str, Vec<BatchHeader<'_>>> = BTreeMap::new();
-        for record in contents.records() {
+        let mut groups: BTreeMap<&str, Vec<(u64, BatchHeader<'_>)>> = BTreeMap::new();
+        for (seq, record) in contents.records() {
             match decode_wal_record(record)? {
-                WalRecord::Batch(batch) => groups.entry(batch.table).or_default().push(batch),
+                WalRecord::Batch(batch) => {
+                    groups.entry(batch.table).or_default().push((seq, batch))
+                }
                 WalRecord::SyncAnchor(entries) => {
                     // Later anchors supersede earlier ones entirely.
                     hints = entries
@@ -601,6 +604,7 @@ impl LeafServer {
         let mut tables = self.store.map_mut().take_tables();
         let mut groups = groups.into_iter();
         let mut applied = 0;
+        let mut open_since = BTreeMap::new();
         fan_out(
             report.threads,
             |_| {
@@ -610,8 +614,9 @@ impl LeafServer {
             },
             |(mut table, batches)| apply_wal_batches(&mut table, &batches, now).map(|n| (table, n)),
             drop,
-            |(table, n)| {
+            |(table, (n, first))| {
                 applied += n;
+                open_since.extend(first.map(|seq| (table.name().to_owned(), (0, seq))));
                 self.store.map_mut().insert(table);
                 Ok(())
             },
@@ -619,7 +624,7 @@ impl LeafServer {
         for (_, table) in tables {
             self.store.map_mut().insert(table);
         }
-        self.crash.replayed(applied, anchor);
+        self.crash.replayed(applied, anchor, open_since);
         scuba_obs::counter!("leaf_wal_replayed_records_total").add(applied as u64);
         Ok(hints)
     }
@@ -641,34 +646,36 @@ impl LeafServer {
     }
 }
 
-/// Decode and apply one table's WAL records onto its restored state.
-/// The `start_rows` anchor makes this idempotent: a record the image
-/// already covers is skipped from its header (its rows are never
-/// decoded), a record that lines up exactly is decoded straight into the
-/// table's builder, and anything else means image and log disagree —
-/// fail the replay.
+/// Decode and apply one table's WAL records (each with its segment's seq)
+/// onto its restored state. The `start_rows` anchor makes this idempotent:
+/// a record the image already covers is skipped from its header, a record
+/// the image ends inside (blocks seal at a row count) applies exactly its
+/// uncovered rows, and one that starts past the table's rows means image
+/// and log disagree — fail the replay. Returns the records applied and the
+/// segment of the first, where the open block starts.
 fn apply_wal_batches(
     table: &mut Table,
-    batches: &[BatchHeader<'_>],
+    batches: &[(u64, BatchHeader<'_>)],
     now: i64,
-) -> Result<usize, String> {
-    let mut applied = 0;
-    for batch in batches {
+) -> Result<(usize, Option<u64>), String> {
+    let (mut applied, mut first) = (0, None);
+    for (seq, batch) in batches {
         let rc = table.row_count() as u64;
         if rc >= batch.start_rows.saturating_add(batch.n_rows) {
             continue; // image already covers this batch
         }
-        if rc != batch.start_rows {
+        if rc < batch.start_rows {
             return Err(format!(
                 "wal gap on table {:?}: restored {rc} rows, record starts at {}",
                 table.name(),
                 batch.start_rows
             ));
         }
-        append_batch(batch, table, now)?;
+        append_batch(batch, rc - batch.start_rows, table, now)?;
+        first = first.or(Some(*seq));
         applied += 1;
     }
-    Ok(applied)
+    Ok((applied, first))
 }
 
 #[cfg(test)]
@@ -880,7 +887,7 @@ mod tests {
         let records: Vec<Vec<u8>> = scuba_restart::read_segments(&wal_dir)
             .unwrap()
             .records()
-            .map(<[u8]>::to_vec)
+            .map(|(_, record)| record.to_vec())
             .collect();
         std::fs::remove_dir_all(&wal_dir).unwrap();
         let mut single = scuba_restart::WalWriter::open(&legacy).unwrap();
@@ -981,7 +988,7 @@ mod tests {
         // through `Table::append`.
         let log = scuba_restart::read_segments(&cfg.disk_root.join(WAL_DIR)).unwrap();
         let mut want: BTreeMap<String, Table> = BTreeMap::new();
-        for record in log.records() {
+        for (_, record) in log.records() {
             let WalRecord::Batch(batch) = decode_wal_record(record).unwrap() else {
                 continue;
             };
@@ -1024,6 +1031,46 @@ mod tests {
             [200, 201].map(|seq| Row::at(seq + 100)
                 .with("seq", seq)
                 .with("tags", Value::set(["zeta", "alpha"])))
+        );
+    }
+
+    /// A block seals at a row count, not at a batch boundary, so an image
+    /// can end inside a record: the replay applies exactly the record's
+    /// uncovered tail, cell for cell. A record that starts past the rows
+    /// the table holds is still a gap, which sends the start to disk.
+    #[test]
+    fn a_record_the_image_ends_inside_applies_exactly_its_tail() {
+        let rows = seq_rows(0, 300);
+        let mut image = Table::new("t", 0);
+        for row in &rows[..150] {
+            image.append(row, 0).unwrap();
+        }
+        image.seal(0).unwrap();
+        let straddling = batch_payload("t", 100, 100, &records(&rows[100..200]));
+        let past = batch_payload("t", 250, 50, &records(&rows[250..]));
+        let batch = |payload| match decode_wal_record(payload).unwrap() {
+            WalRecord::Batch(batch) => (7, batch),
+            WalRecord::SyncAnchor(_) => unreachable!(),
+        };
+
+        let mut table = image.clone();
+        assert_eq!(
+            apply_wal_batches(&mut table, &[batch(&straddling)], 0),
+            Ok((1, Some(7)))
+        );
+        assert_eq!((table.blocks().len(), table.unsealed_rows()), (1, 50));
+        let mut want = image.clone();
+        for row in &rows[150..200] {
+            want.append(row, 0).unwrap();
+        }
+        assert_same_table(&table, &want);
+
+        let mut table = image;
+        let err = apply_wal_batches(&mut table, &[batch(&straddling), batch(&past)], 0);
+        let err = err.unwrap_err();
+        assert!(
+            err.contains("restored 200 rows, record starts at 250"),
+            "{err}"
         );
     }
 
@@ -1330,6 +1377,7 @@ mod tests {
     /// still unlinks such names.
     #[test]
     fn an_older_binarys_checkpoint_image_attaches_and_is_extended_in_place() {
+        use scuba_restart::migrate::CURRENT_IMAGE_MIN_READER;
         use scuba_shmem::ShmSegment;
         let _x = scuba_faults::exclusive();
         let (cfg, dir) = kept_crash_config("oldnames");
@@ -1346,11 +1394,12 @@ mod tests {
         let mut old = ShmSegment::create(&old_name, bytes.len()).unwrap();
         old.as_mut_slice().copy_from_slice(&bytes);
         drop(old);
-        let mut meta = LeafMetadata::open(&ns).unwrap();
-        let mut entries = meta.read().unwrap().segments;
-        entries[0].name = old_name.clone();
-        meta.set_valid(false).unwrap();
-        meta.replace_segments(entries).unwrap();
+        let entry = LeafMetadata::open(&ns).unwrap().read().unwrap().segments[0].clone();
+        ShmSegment::unlink(&ns.metadata_name()).unwrap();
+        let mut meta =
+            LeafMetadata::create(&ns, SHM_LAYOUT_VERSION, CURRENT_IMAGE_MIN_READER).unwrap();
+        meta.add_segment_invalidating(&old_name, entry.format_version, entry.flags)
+            .unwrap();
         meta.set_valid(true).unwrap();
         drop(meta);
 

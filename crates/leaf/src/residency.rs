@@ -353,7 +353,6 @@ impl LeafServer {
         if self.config.tiering != TieringMode::Sieve {
             return Ok(());
         }
-        self.tier_now = now;
         self.apply_promotions();
         if let Some((table, reason)) = self.residency.take_poison() {
             self.recover_cold_table(&table, now, reason)?;
@@ -372,7 +371,7 @@ impl LeafServer {
         let _ = reason; // recorded via the fault counter; detail stays in the query error
         self.recover_tables_from_disk(&[table.to_owned()], now, None)?;
         self.residency.sync(self.store.map());
-        self.crash.reset(&mut self.store);
+        self.crash.reset(&mut self.store, now);
         Ok(())
     }
 

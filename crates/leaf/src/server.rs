@@ -233,8 +233,8 @@ pub struct LeafServer {
     /// Optional pacing for cold-tier demotion writes (the §4.4 lesson:
     /// never let a background copy starve the serving path).
     pub(crate) cold_throttle: Option<Throttle>,
-    /// The most recent ingest `now`, stamping blocks rebuilt by a
-    /// residency-fault per-table disk fallback.
+    /// The most recent ingest `now`, stamping the blocks a checkpoint
+    /// seals and those a residency-fault per-table disk fallback rebuilds.
     pub(crate) tier_now: i64,
 }
 
@@ -248,7 +248,7 @@ impl LeafServer {
         // back to the abandoned life's rows.
         sweep_image(&server.ns);
         if server.crash.enabled() {
-            server.crash.open(true, &mut server.store);
+            server.crash.open(true, &mut server.store, 0);
         }
         Ok(server)
     }
@@ -441,7 +441,9 @@ impl LeafServer {
         if !self.phase.accepts_adds() {
             return Err(self.unavailable("add rows"));
         }
-        let start_rows = self.store.map().get(table).map_or(0, |t| t.row_count()) as u64;
+        self.tier_now = now;
+        let before = self.store.map().get(table);
+        let (start_rows, blocks) = before.map_or((0, 0), |t| (t.row_count(), t.blocks().len()));
         self.store.append_rows(table, rows, now)?;
         if let Err(e) = self.disk.append(table, rows) {
             // Memory now holds rows the disk log skipped: the memory↔disk
@@ -452,7 +454,8 @@ impl LeafServer {
                 .poison(&mut self.store, format!("disk append: {e}"));
             return Err(e.into());
         }
-        self.crash.append(&mut self.store, table, start_rows, rows);
+        let start = (start_rows as u64, blocks);
+        self.crash.append(&mut self.store, table, start, rows, now);
         // Tiering piggybacks on ingest the way checkpoints do: the write
         // path is the one place every leaf visits on a steady cadence.
         self.run_tiering(now)?;
@@ -504,7 +507,7 @@ impl LeafServer {
             // counts under the WAL's start anchors: invalidate the image,
             // which frees its expired pages to be punched, and start the
             // crash path over.
-            self.crash.reset(&mut self.store);
+            self.crash.reset(&mut self.store, now);
         }
         if self.config.tiering == TieringMode::Sieve && !shrunk.is_empty() {
             // Expiry drops the oldest blocks first — exactly the ones most

@@ -142,7 +142,7 @@ pub(crate) fn wal_batches(cfg: &LeafConfig) -> usize {
     scuba_restart::read_segments(&cfg.disk_root.join(WAL_DIR))
         .unwrap()
         .records()
-        .filter(|r| r.first() == Some(&WAL_TAG_BATCH))
+        .filter(|(_, r)| r.first() == Some(&WAL_TAG_BATCH))
         .count()
 }
 

@@ -393,9 +393,11 @@ pub struct SegmentedContents {
 }
 
 impl SegmentedContents {
-    /// Every valid record payload, segment by segment, append order.
-    pub fn records(&self) -> impl Iterator<Item = &[u8]> {
-        self.segments.iter().flat_map(|(_, f)| f.records())
+    /// Every valid record payload, segment by segment, append order, each
+    /// with the seq of the segment holding it.
+    pub fn records(&self) -> impl Iterator<Item = (u64, &[u8])> {
+        let segments = self.segments.iter();
+        segments.flat_map(|(seq, f)| f.records().map(move |record| (*seq, record)))
     }
 
     /// Whether the last segment ended in a torn record (replay stops there
@@ -585,6 +587,11 @@ impl SegmentedWal {
         self.wait_unlinked()
     }
 
+    /// The seq of the live segment, which the next record lands in.
+    pub fn live_seq(&self) -> u64 {
+        self.live_seq
+    }
+
     /// Bytes across the segments the log holds, headers included.
     pub fn len_bytes(&self) -> u64 {
         self.closed.iter().map(|&(_, len)| len).sum::<u64>() + self.live.len_bytes()
@@ -770,6 +777,7 @@ mod tests {
         read_segments(dir)
             .unwrap()
             .records()
+            .map(|(_, record)| record)
             .map(<[u8]>::to_vec)
             .collect()
     }

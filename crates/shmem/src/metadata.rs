@@ -390,31 +390,6 @@ impl LeafMetadata {
         Ok(())
     }
 
-    /// Replace the whole segment registry in one write (the incremental
-    /// checkpointer's registration path: segments are added, re-ordered, or
-    /// retired between checkpoint cycles, and the region must describe the
-    /// new set exactly). Same valid-bit semantics as
-    /// [`add_segment_invalidating`](Self::add_segment_invalidating): the
-    /// rewrite always encodes `valid = false` and is rejected outright on a
-    /// committed region, so callers must run it inside a
-    /// `set_valid(false)` … `set_valid(true)` window.
-    pub fn replace_segments(&mut self, segments: Vec<SegmentEntry>) -> ShmResult<()> {
-        let mut contents = self.read()?;
-        if contents.valid {
-            return Err(ShmError::Corrupt {
-                name: self.segment.name().to_owned(),
-                reason: "cannot replace segments while the valid bit is set".to_owned(),
-            });
-        }
-        contents.segments = segments;
-        contents.valid = false;
-        let bytes = encode(&contents);
-        self.segment.resize(bytes.len())?;
-        self.segment.as_mut_slice().copy_from_slice(&bytes);
-        self.segment.sync()?;
-        Ok(())
-    }
-
     /// Flip the valid bit. Setting it to `true` is the shutdown commit
     /// point; the region is synced before and the bit write is synced
     /// after, ordering the data before the commit. Works on either region
@@ -593,59 +568,6 @@ mod tests {
             );
             assert_eq!(c.segment_names(), vec!["/t0".to_owned(), "/t1".to_owned()]);
         }
-    }
-
-    #[test]
-    fn replace_segments_rewrites_registry_inside_invalid_window() {
-        let ns = ns();
-        let _c = Cleanup(ns.clone());
-        let mut meta = LeafMetadata::create(&ns, 2, 2).unwrap();
-        meta.add_segment_invalidating("/old_a", 2, 0).unwrap();
-        meta.add_segment_invalidating("/old_b", 2, 0).unwrap();
-        meta.set_valid(true).unwrap();
-
-        // Committed region: replacement is rejected, registry untouched.
-        assert!(meta
-            .replace_segments(vec![SegmentEntry {
-                name: "/new".into(),
-                format_version: 2,
-                flags: 0,
-            }])
-            .is_err());
-        assert!(meta.is_valid());
-        assert_eq!(
-            meta.read().unwrap().segment_names(),
-            vec!["/old_a".to_owned(), "/old_b".to_owned()]
-        );
-
-        // Inside the invalid window: the whole set is swapped, and the
-        // region stays uncommitted until set_valid(true).
-        meta.set_valid(false).unwrap();
-        meta.replace_segments(vec![
-            SegmentEntry {
-                name: "/new_a".into(),
-                format_version: 2,
-                flags: 0x100,
-            },
-            SegmentEntry {
-                name: "/new_b".into(),
-                format_version: 2,
-                flags: 0x100,
-            },
-        ])
-        .unwrap();
-        let c = meta.read().unwrap();
-        assert!(!c.valid);
-        assert_eq!(
-            c.segment_names(),
-            vec!["/new_a".to_owned(), "/new_b".to_owned()]
-        );
-        assert_eq!(c.segments[0].flags, 0x100);
-        meta.set_valid(true).unwrap();
-        drop(meta);
-        let reread = LeafMetadata::open(&ns).unwrap().read().unwrap();
-        assert!(reread.valid);
-        assert_eq!(reread.segments.len(), 2);
     }
 
     #[test]

@@ -18,10 +18,14 @@ cd "$(dirname "$0")/.."
 # start keeps its image and the next checkpoint extends it; a crash right
 # after a commit leaves every listed segment linked; expiry or demotion
 # right after a commit, then a crash, recovers exactly the durable rows),
-# the checkpoint-fault test (a cycle wounded at each of the backup
+# the open-block tests (a crash replays at most one open block per table;
+# a record the image ends inside applies exactly its tail; the lag cap
+# seals a slow table and frees the log behind it; rows open at an expiry
+# reach the next image), the checkpoint-fault test (a cycle wounded at each of the backup
 # envelope's sites keeps serving and keeps its segments linked) and the
-# E16 crash-recovery smoke (which asserts a crash attach copies nothing,
-# checks the checkpoint breakdown's phase sum against its total, and
+# E16 crash-recovery smoke (which asserts a crash attach copies nothing
+# and replays at most one open block per table, checks the checkpoint
+# breakdown's phase sum against its total, and
 # publishes crash numbers into BENCH_restart.json). The test job runs this
 # after tier-1, once per copy-pool width.
 crash() (
@@ -29,7 +33,11 @@ crash() (
     cargo test --release -p scuba-leaf cell_replay_matches_row_replay -- --nocapture
     cargo test --release -p scuba-leaf --lib -- a_crash_start_keeps_its_image_and_the_next_checkpoint_extends_it \
         a_crash_after_a_checkpoint_commit_leaves_every_listed_segment_linked \
-        expiry_or_demotion_after_a_commit_then_a_crash_recovers_exactly_the_durable_rows --nocapture
+        expiry_or_demotion_after_a_commit_then_a_crash_recovers_exactly_the_durable_rows \
+        a_crash_replays_at_most_one_open_block_per_table \
+        a_record_the_image_ends_inside_applies_exactly_its_tail \
+        the_lag_cap_seals_a_slow_table_and_frees_the_log_behind_it \
+        rows_open_at_an_expiry_reach_the_next_image --nocapture
     cargo test --release -p scuba-leaf --test checkpoint_faults a_wounded_checkpoint_keeps_serving_and_keeps_its_segments -- --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )

@@ -241,7 +241,7 @@ fn golden_v2_table() -> Table {
 fn checkpoint_and_backup_streams(store: &mut LeafStore, tag: &str) -> (Vec<u8>, Vec<u8>) {
     let (_, ck_guard) = config(&format!("{tag}c"));
     let mut ck = Checkpointer::new(ck_guard.ns.clone());
-    assert!(ck.request(ImageJob::snapshot(store).unwrap(), 1));
+    assert!(ck.request(ImageJob::snapshot(store), 1));
     ck.wait_done().unwrap().result.unwrap();
     let checkpoint = ShmSegment::open(&ck_guard.ns.table_segment_name(0))
         .unwrap()
