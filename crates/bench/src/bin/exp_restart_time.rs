@@ -13,8 +13,9 @@ use std::time::Instant;
 
 use scuba::cluster::{leaf_restart_secs, simulate_single_machine, RecoveryPath, SimConfig};
 use scuba::columnstore::Row;
-use scuba::leaf::{LeafServer, RecoveryOutcome, RestoreMode};
+use scuba::leaf::{CrashReads, LeafServer, RecoveryOutcome, RestoreMode};
 use scuba::query::Query;
+use scuba::restart::wal::WAL_HEADER;
 use scuba_bench::{
     build_leaf, fmt_bytes, fmt_dur, header, request_rows, row, table_header, BenchJson, LeafRig,
 };
@@ -240,17 +241,19 @@ fn ttfq_sweep(assert_speedup: bool, json: &mut BenchJson) {
 /// * disk recovery (what the paper's §4.3 conservatism always pays).
 ///
 /// Every fast trial rebuilds its warm state — checkpoint, then a fresh
-/// post-checkpoint WAL tail, then `crash()` — so the attach and full
-/// numbers are minima over `trials`. Each start must replay at most
-/// [`replay_bound`] records. Returns (attach, full, disk,
-/// (replayed-records, bound), total-rows).
-fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, (usize, usize), usize) {
+/// post-checkpoint WAL tail, then a sync and `crash()` — so the attach and
+/// full numbers are minima over `trials`. Each start must replay at most
+/// [`replay_bound`] records and read only what it replays
+/// ([`check_reads`]). Returns (attach, full, disk, (replayed-records,
+/// bound), total-rows, the last start's reads).
+fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, (usize, usize), usize, CrashReads) {
     let mut rig = LeafRig::new("e16");
     rig.config.checkpoint_enabled = true;
     let server = build_leaf(&rig, rows);
     let mut total = server.total_rows();
     let tail_n = (rows / 20).max(100);
     let mut replayed = (0usize, 0usize);
+    let mut reads = CrashReads::default();
 
     let mut measure = |rig: &mut LeafRig,
                        server: &mut Option<LeafServer>,
@@ -283,6 +286,8 @@ fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, (usize, usize), usi
             replayed.0,
             replayed.1
         );
+        reads = restarted.crash_reads();
+        check_reads(&reads, 1);
         if matches!(outcome, RecoveryOutcome::MemoryAttached(_)) {
             assert_kept(&restarted);
         }
@@ -321,7 +326,37 @@ fn crash_once(rows: usize, trials: usize) -> (f64, f64, f64, (usize, usize), usi
     );
     assert_eq!(s.total_rows(), total);
 
-    (attach_secs, full_secs, disk_secs, replayed, total)
+    (attach_secs, full_secs, disk_secs, replayed, total, reads)
+}
+
+/// A crash start reads only what it replays: every WAL byte it read is a
+/// segment header, a record it applied, the one record the image may end
+/// exactly at, or an anchor — at most one per segment, plus one per disk
+/// sync since the last commit (`syncs`).
+fn check_reads(reads: &CrashReads, syncs: usize) {
+    let accounted = reads.segments as u64 * WAL_HEADER
+        + reads.applied_bytes
+        + reads.covered_bytes
+        + reads.anchor_bytes;
+    assert_eq!(
+        reads.wal_bytes, accounted,
+        "the crash start read WAL bytes it neither replayed nor anchored: {reads:?}"
+    );
+    assert!(
+        reads.covered <= 1,
+        "the crash start read {} records the image already held: {reads:?}",
+        reads.covered
+    );
+    assert!(
+        reads.anchors <= reads.segments + syncs,
+        "{} anchors in {} segments after {syncs} sync(s): {reads:?}",
+        reads.anchors,
+        reads.segments
+    );
+    assert!(
+        reads.reconcile_scanned_bytes.is_some(),
+        "a crash start through the image reconciles: {reads:?}"
+    );
 }
 
 /// The records a crash start may replay: each table's open block in
@@ -390,7 +425,7 @@ fn crash_sweep(assert_speedup: bool, json: &mut BenchJson) {
     );
     let mut default_ratio = 0.0f64;
     for rows in [100_000usize, 300_000, 1_000_000] {
-        let (attach, full, disk, (replayed, _), total) = crash_once(rows, 3);
+        let (attach, full, disk, (replayed, _), total, _) = crash_once(rows, 3);
         let ratio = disk / attach;
         if rows == 1_000_000 {
             default_ratio = ratio;
@@ -433,7 +468,7 @@ fn main() {
     // CI smoke: exercise only the crash-recovery paths, quickly.
     if std::env::args().any(|a| a == "--crash") {
         header("E16", "crash-path fast restart smoke (--crash)");
-        let (attach, full, disk, (replayed, bound), total) = crash_once(30_000, 1);
+        let (attach, full, disk, (replayed, bound), total, reads) = crash_once(30_000, 1);
         println!(
             "\n  rows {total} | attach+wal {} | full+wal {} | disk {} | replayed {replayed} records",
             fmt_dur(attach),
@@ -443,6 +478,18 @@ fn main() {
         println!(
             "  replayed {replayed} <= {bound} (one open block per table + the in-flight batch): ok"
         );
+        println!(
+            "  WAL read {} B in {} segment(s): {} B replayed, {} B held by the image, \
+             {} anchor(s) in {} B; reconcile scanned {} B of disk log",
+            reads.wal_bytes,
+            reads.segments,
+            reads.applied_bytes,
+            reads.covered_bytes,
+            reads.anchors,
+            reads.anchor_bytes,
+            reads.reconcile_scanned_bytes.unwrap_or(0),
+        );
+        println!("  the crash start reads only what it replays: ok");
         println!("  crash fast path healthy: ok");
         checkpoint_breakdown_check(1_000_000);
         json.push(
@@ -453,6 +500,11 @@ fn main() {
                 ("full_replay_secs", full),
                 ("disk_recovery_secs", disk),
                 ("wal_records_replayed", replayed as f64),
+                ("wal_bytes_read", reads.wal_bytes as f64),
+                (
+                    "reconcile_scanned_bytes",
+                    reads.reconcile_scanned_bytes.unwrap_or(0) as f64,
+                ),
             ],
         );
         json.write();

@@ -20,6 +20,17 @@ thread_local! {
     static SNAPSHOTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
+/// Where a builder stood before a batch: what [`RowBlockBuilder::rollback`]
+/// returns it to.
+#[derive(Debug, Clone, Copy)]
+pub struct BuilderMark {
+    rows: usize,
+    columns: usize,
+    raw_bytes: usize,
+    min_time: i64,
+    max_time: i64,
+}
+
 /// Mutable accumulator for one in-progress row block.
 #[derive(Debug, Clone)]
 pub struct RowBlockBuilder {
@@ -116,22 +127,64 @@ impl RowBlockBuilder {
         if self.is_full() {
             return Err(Error::BlockFull);
         }
-        self.slots.clear();
+        let mut n = 0;
         for (name, value) in columns {
             let ty = value
                 .column_type()
                 .expect("rows and cells never hold a null");
-            let idx = self.schema.add_column(name, ty)?;
+            // Rows mostly repeat one shape: the previous row's slot for
+            // this cell is the column, unless the schema says otherwise.
+            let hint = self.slots.get(n).copied();
+            let idx = match hint {
+                Some(idx) if self.schema.column(idx) == Some((name, ty)) => idx,
+                _ => self.schema.add_column(name, ty)?,
+            };
             if idx == self.columns.len() {
-                let mut col = ColumnData::new(ty);
-                for _ in 0..self.row_count {
-                    col.push_null();
-                }
-                self.columns.push(col);
+                self.add_column_data(ty);
             }
-            self.slots.push(idx);
+            match self.slots.get_mut(n) {
+                Some(slot) => *slot = idx,
+                None => self.slots.push(idx),
+            }
+            n += 1;
         }
+        self.slots.truncate(n);
         Ok(())
+    }
+
+    /// The column data of a column the schema just gained, back-filled
+    /// with nulls for the rows already buffered.
+    fn add_column_data(&mut self, ty: ColumnType) {
+        let mut col = ColumnData::new(ty);
+        for _ in 0..self.row_count {
+            col.push_null();
+        }
+        self.columns.push(col);
+    }
+
+    /// Where the builder stands, for [`Self::rollback`].
+    pub fn mark(&self) -> BuilderMark {
+        BuilderMark {
+            rows: self.row_count,
+            columns: self.columns.len(),
+            raw_bytes: self.raw_bytes,
+            min_time: self.min_time,
+            max_time: self.max_time,
+        }
+    }
+
+    /// Undo every push since `mark`: drop the rows, and the columns they
+    /// added, as if the pushes never happened.
+    pub fn rollback(&mut self, mark: BuilderMark) {
+        self.schema.truncate(mark.columns);
+        self.columns.truncate(mark.columns);
+        for col in &mut self.columns {
+            col.truncate(mark.rows);
+        }
+        self.row_count = mark.rows;
+        self.raw_bytes = mark.raw_bytes;
+        self.min_time = mark.min_time;
+        self.max_time = mark.max_time;
     }
 
     /// The second half: push the time and each value into the column

@@ -182,6 +182,37 @@ impl ColumnData {
         Ok(())
     }
 
+    /// Keep the first `len` rows (no-op past the end). A bitmap left with
+    /// every row present goes, as if no null had been pushed.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        let present = match &mut self.presence {
+            None => len,
+            Some(bits) => {
+                let present = rank(bits, len);
+                bits.truncate(len.div_ceil(64));
+                if !len.is_multiple_of(64) {
+                    if let Some(last) = bits.last_mut() {
+                        *last &= (1u64 << (len % 64)) - 1;
+                    }
+                }
+                present
+            }
+        };
+        if present == len {
+            self.presence = None;
+        }
+        match &mut self.values {
+            ColumnValues::Int64(v) => v.truncate(present),
+            ColumnValues::Double(v) => v.truncate(present),
+            ColumnValues::Str(v) => v.truncate(present),
+            ColumnValues::StrSet(v) => v.truncate(present),
+        }
+        self.len = len;
+    }
+
     /// Append a null cell.
     pub fn push_null(&mut self) {
         let bits = self.presence.get_or_insert_with(|| {
@@ -265,6 +296,31 @@ fn rank(bits: &[u64], i: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Truncating to `n` rows leaves exactly the column the first `n`
+    /// pushes build, at every cut, bitmap included.
+    #[test]
+    fn truncate_matches_the_shorter_column() {
+        let cells: Vec<Value> = (0..150i64)
+            .map(|i| match i {
+                70 | 71 | 130 => Value::Null,
+                i => Value::Str(format!("s{i}")),
+            })
+            .collect();
+        let build = |n: usize| {
+            let mut c = ColumnData::new(ColumnType::Str);
+            for v in &cells[..n] {
+                c.push(v.clone()).unwrap();
+            }
+            c
+        };
+        let full = build(cells.len());
+        for n in 0..=cells.len() {
+            let mut cut = full.clone();
+            cut.truncate(n);
+            assert_eq!(cut, build(n), "truncate to {n}");
+        }
+    }
 
     #[test]
     fn push_and_get_fully_present() {

@@ -6,6 +6,7 @@
 //! into both the heap and shared-memory row block layouts.
 
 use crate::error::{Error, Result};
+use crate::row::Row;
 use crate::types::ColumnType;
 
 /// An ordered set of named, typed columns.
@@ -82,6 +83,51 @@ impl Schema {
         }
         self.columns.push((name.to_owned(), ty));
         Ok(self.columns.len() - 1)
+    }
+
+    /// Check that `rows` can all join a builder of this schema, without
+    /// changing it: every cell's type must match its column's here, or,
+    /// for a column this schema lacks, the type an earlier row gave it.
+    pub fn check_rows(&self, rows: &[Row]) -> Result<()> {
+        // Rows mostly repeat one shape: the previous row's cells, in
+        // order, settle most cells with one name compare.
+        let mut last: Vec<(&str, ColumnType)> = Vec::new();
+        let mut added: Vec<(&str, ColumnType)> = Vec::new();
+        for row in rows {
+            for (i, (name, value)) in row.columns().enumerate() {
+                let ty = value
+                    .column_type()
+                    .expect("rows and cells never hold a null");
+                let known = match last.get(i) {
+                    Some(&(n, t)) if n == name => Some(t),
+                    _ => self.type_of(name).or_else(|| {
+                        let found = added.iter().find(|(n, _)| *n == name);
+                        found.map(|&(_, t)| t)
+                    }),
+                };
+                match known {
+                    Some(expected) if expected != ty => {
+                        return Err(Error::TypeMismatch {
+                            column: name.to_owned(),
+                            expected: expected.name(),
+                            found: ty.name(),
+                        })
+                    }
+                    Some(_) => {}
+                    None => added.push((name, ty)),
+                }
+                match last.get_mut(i) {
+                    Some(slot) => *slot = (name, ty),
+                    None => last.push((name, ty)),
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Keep the first `len` columns.
+    pub fn truncate(&mut self, len: usize) {
+        self.columns.truncate(len);
     }
 
     /// Serialize into `out`. Format: u32 column count, then per column a

@@ -89,6 +89,33 @@ impl Table {
         self.open_builder(now)?.push_row(row)
     }
 
+    /// Append a batch whole or not at all: a row the open builder rejects
+    /// (a cell whose type conflicts with its column) undoes the rows of
+    /// the batch before it, so a rejected batch leaves the table as it
+    /// was. Where the batch fills the builder, the rows left are checked
+    /// among themselves ([`Schema::check_rows`]) before it seals, while
+    /// the batch can still be undone; past that no row can fail. A column
+    /// may change type at that seal, as row by row, but not at a later
+    /// seal inside the same batch.
+    pub fn append_batch(&mut self, rows: &[Row], now: i64) -> Result<()> {
+        let mark = self.builder.mark();
+        for (i, row) in rows.iter().enumerate() {
+            if self.builder.is_full() {
+                if let Err(e) = Schema::new().check_rows(&rows[i..]) {
+                    self.builder.rollback(mark);
+                    return Err(e);
+                }
+                self.seal(now)?;
+                return rows[i..].iter().try_for_each(|row| self.append(row, now));
+            }
+            if let Err(e) = self.builder.push_row(row) {
+                self.builder.rollback(mark);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// [`Self::append`] for a row given as cells, whose values move into
     /// the builder ([`RowBlockBuilder::push_cells`]).
     pub fn append_cells(&mut self, cells: &mut RowCells<'_>, now: i64) -> Result<()> {
@@ -388,6 +415,75 @@ mod tests {
         assert_eq!(t.blocks().len(), 1);
         assert_eq!(t.unsealed_rows(), 10);
         assert_eq!(t.row_count(), crate::MAX_ROWS_PER_BLOCK + 10);
+    }
+
+    /// Each block's schema and rows, the open builder's last.
+    fn contents(t: &Table) -> Vec<(Schema, Vec<Row>)> {
+        let open = t.unsealed_snapshot().unwrap();
+        let blocks = t.blocks().iter().map(|b| (**b).clone()).chain(open);
+        blocks
+            .map(|b| (b.schema().clone(), b.decode_rows().unwrap()))
+            .collect()
+    }
+
+    /// A batch appends exactly what row-by-row appends build — columns
+    /// that appear mid-batch, cells a row lacks, a seal inside the batch —
+    /// and a rejected batch leaves the table as it was.
+    #[test]
+    fn a_batch_appends_whole_or_not_at_all() {
+        let rows: Vec<Row> = (0..crate::MAX_ROWS_PER_BLOCK as i64 + 300)
+            .map(|i| match i % 3 {
+                0 => Row::at(i).with("v", i).with("s", format!("s{}", i % 7)),
+                1 => Row::at(i).with("s", "one").with("v", i),
+                _ => Row::at(i).with("d", i as f64 / 2.0),
+            })
+            .collect();
+        let (mut by_row, mut by_batch) = (Table::new("t", 0), Table::new("t", 0));
+        for chunk in rows.chunks(1000) {
+            for row in chunk {
+                by_row.append(row, 0).unwrap();
+            }
+            by_batch.append_batch(chunk, 0).unwrap();
+        }
+        assert_eq!(by_batch.blocks().len(), 1);
+        assert_eq!(contents(&by_batch), contents(&by_row));
+
+        let before = contents(&by_batch);
+        let bad = [
+            vec![Row::at(0).with("v", 1i64), Row::at(1).with("v", "one")],
+            vec![Row::at(0).with("new", 1i64), Row::at(1).with("new", 2.5)],
+            vec![Row::at(0).with("w", 1i64), Row::at(1).with("d", "half")],
+        ];
+        for batch in &bad {
+            let err = by_batch.append_batch(batch, 0).unwrap_err();
+            assert!(matches!(err, crate::Error::TypeMismatch { .. }), "{err:?}");
+            assert_eq!(contents(&by_batch), before, "{batch:?} left rows behind");
+        }
+    }
+
+    /// A rejected batch that would fill the open block leaves it open, as
+    /// it was: the rows after a seal inside a batch are checked among
+    /// themselves before the block seals. A column may change type across
+    /// that seal, as row by row.
+    #[test]
+    fn a_batch_across_a_seal_is_checked_before_the_seal() {
+        let mut t = Table::new("t", 0);
+        let fill: Vec<Row> = (0..crate::MAX_ROWS_PER_BLOCK as i64 - 1)
+            .map(|i| Row::at(i).with("v", i))
+            .collect();
+        t.append_batch(&fill, 0).unwrap();
+        let before = contents(&t);
+        let bad = [
+            Row::at(0).with("v", 1i64),
+            Row::at(1).with("w", "a string"),
+            Row::at(2).with("w", 2.5),
+        ];
+        assert!(t.append_batch(&bad, 0).is_err());
+        assert_eq!(contents(&t), before);
+        assert!(t.blocks().is_empty(), "a rejected batch sealed a block");
+        let across = [Row::at(0).with("v", 1i64), Row::at(1).with("v", "a string")];
+        t.append_batch(&across, 0).unwrap();
+        assert_eq!((t.blocks().len(), t.unsealed_rows()), (1, 1));
     }
 
     #[test]

@@ -221,6 +221,13 @@ impl DiskBackup {
         self.dirty_bytes
     }
 
+    /// True when no writer holds buffered bytes: every append so far has
+    /// reached its file (not necessarily the disk), so [`Self::file_len`]
+    /// counts it. Never flushes.
+    pub fn flushed(&self) -> bool {
+        self.writers.values().all(|w| w.buffer().is_empty())
+    }
+
     /// Tables present on disk.
     pub fn tables(&self) -> DiskResult<Vec<String>> {
         let mut names = Vec::new();
@@ -656,6 +663,25 @@ mod tests {
         // Rewriting to empty leaves a valid empty log.
         b.rewrite_table("t", &[]).unwrap();
         assert_eq!(b.coverage("t", None).unwrap().rows, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An append the writer buffers leaves the backup unflushed; a sync,
+    /// or an append past the buffer, reaches the file.
+    #[test]
+    fn flushed_tracks_buffered_bytes_without_flushing() {
+        let dir = tmpdir("flushed");
+        let mut b = DiskBackup::open(&dir).unwrap();
+        assert!(b.flushed());
+        b.append("t", &rows(10)).unwrap();
+        assert!(!b.flushed());
+        assert_eq!(b.file_len("t").unwrap(), 0, "asking flushed flushed");
+        b.sync().unwrap();
+        assert!(b.flushed());
+        let big = rows(5000);
+        b.append("t", &big).unwrap();
+        assert!(b.flushed(), "an append past the buffer is written through");
+        assert_eq!(b.coverage("t", None).unwrap().rows, 5010);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -47,6 +47,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// Environment variable parsed on first [`check`]/[`configure`] to arm
@@ -161,6 +162,8 @@ pub struct Plan {
 
 struct Site {
     plan: Plan,
+    /// The only thread whose checks see the site ([`configure_here`]).
+    thread: Option<ThreadId>,
     /// Times [`check`] reached this site while armed.
     hits: AtomicU64,
     /// Times the trigger fired.
@@ -272,6 +275,7 @@ fn new_site(plan: Plan) -> Site {
     };
     Site {
         plan,
+        thread: None,
         hits: AtomicU64::new(0),
         triggered: AtomicU64::new(0),
         rng: AtomicU64::new(seed),
@@ -307,6 +311,9 @@ fn check_slow(site: &str) -> Option<Fault> {
     let effect = {
         let reg = lock_read();
         let s = reg.get(site)?;
+        if s.thread.is_some_and(|t| t != std::thread::current().id()) {
+            return None;
+        }
         let hit = s.hits.fetch_add(1, Ordering::SeqCst) + 1;
         // Only armed sites reach this cold path, so the per-site obs
         // counters stay proportional to actual fault activity.
@@ -362,9 +369,26 @@ pub fn configure(site: &str, plan: &str) -> Result<(), String> {
 
 /// Arm `site` with an already-parsed [`Plan`].
 pub fn configure_plan(site: &str, plan: Plan) {
+    arm(site, new_site(plan));
+}
+
+/// [`configure`], for the calling thread only: a check on any other
+/// thread passes the site without counting a hit, so a test running
+/// beside this one can neither take nor spend the fault. For a site the
+/// wounded code reaches on the caller's thread.
+pub fn configure_here(site: &str, plan: &str) -> Result<(), String> {
+    let site_state = Site {
+        thread: Some(std::thread::current().id()),
+        ..new_site(parse_plan(plan)?)
+    };
+    arm(site, site_state);
+    Ok(())
+}
+
+fn arm(site: &str, state: Site) {
     ensure_init();
     let mut reg = lock_write();
-    reg.insert(site.to_owned(), new_site(plan));
+    reg.insert(site.to_owned(), state);
     ARMED.store(ON, Ordering::SeqCst);
 }
 

@@ -2,7 +2,8 @@
 //! and [`CrashPath`] — the one owner of the log, the checkpoint worker and
 //! the bookkeeping that keeps both in step with the store. The image holds
 //! sealed blocks and the log each table's open block: a seal starts a
-//! cycle, whose commit drops the segments below the oldest open block.
+//! segment and a cycle, whose commit drops the segments below the oldest
+//! open block. Every segment opens with a coverage anchor of the disk logs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -32,7 +33,7 @@ pub(crate) const LEGACY_WAL_FILE: &str = "leaf.wal";
 
 /// WAL payload tag: an ingest batch.
 pub(crate) const WAL_TAG_BATCH: u8 = 1;
-/// WAL payload tag: a sync-coverage anchor (see [`encode_sync_anchor`]).
+/// WAL payload tag: a coverage anchor (see [`encode_sync_anchor`]).
 const WAL_TAG_SYNC: u8 = 2;
 
 /// The header of one WAL batch record, read without decoding its rows:
@@ -69,11 +70,12 @@ fn encode_wal_batch(table: &str, start_rows: u64, rows: &[Row]) -> Vec<u8> {
     buf
 }
 
-/// Encode a sync-coverage anchor: after a successful full disk sync, each
-/// table's durable log provably holds its first `rows` in-memory rows in
-/// exactly the first `bytes` file bytes. Crash recovery uses the *last*
-/// anchor to bound the disk-coverage reconciliation scan to the file
-/// suffix written since. Payload:
+/// Encode a coverage anchor: each table's disk log holds its first `rows`
+/// in-memory rows in exactly the first `bytes` file bytes. Written after a
+/// disk sync and at every rotation that finds the disk writers flushed
+/// ([`disk_anchor`]). Crash recovery uses the *last* anchor to bound the
+/// disk-coverage reconciliation scan to the file suffix written since.
+/// Payload:
 /// `tag u8 | n u32 | per table: name_len u16 | name | rows u64 | bytes u64`.
 fn encode_sync_anchor(entries: &[(String, u64, u64)]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(5 + entries.len() * 40);
@@ -88,11 +90,49 @@ fn encode_sync_anchor(entries: &[(String, u64, u64)]) -> Vec<u8> {
     buf
 }
 
+/// The anchor of the disk logs as they stand: each table's rows and its
+/// log's length. `None` while a disk writer still holds buffered bytes
+/// (its file lacks rows memory holds; flushing here would change what a
+/// crash leaves on disk) or a length cannot be read.
+fn disk_anchor(store: &LeafStore, disk: &DiskBackup) -> Option<Vec<u8>> {
+    if !disk.flushed() {
+        return None;
+    }
+    let entries = store.map().iter().map(|t| {
+        let len = disk.file_len(t.name()).ok()?;
+        Some((t.name().to_owned(), t.row_count() as u64, len))
+    });
+    Some(encode_sync_anchor(&entries.collect::<Option<Vec<_>>>()?))
+}
+
+/// What the last crash start read: the WAL by record kind, and the disk
+/// log bytes its reconcile walked.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CrashReads {
+    /// Bytes of every WAL segment read, file headers included.
+    pub wal_bytes: u64,
+    /// WAL segments read.
+    pub segments: usize,
+    /// Framed bytes of the batch records the replay applied, whole or in
+    /// part.
+    pub applied_bytes: u64,
+    /// Batch records the image already held whole.
+    pub covered: usize,
+    /// Their framed bytes.
+    pub covered_bytes: u64,
+    /// Coverage anchors read.
+    pub anchors: usize,
+    /// Their framed bytes.
+    pub anchor_bytes: u64,
+    /// Disk log bytes the reconcile walked; `None` when none ran.
+    pub reconcile_scanned_bytes: Option<u64>,
+}
+
 /// A WAL payload, decoded as far as the main thread needs.
 pub(crate) enum WalRecord<'a> {
     /// An ingest batch to replay; its rows are decoded by the worker.
     Batch(BatchHeader<'a>),
-    /// A sync-coverage anchor: per-table `(rows, bytes)` disk coverage.
+    /// A coverage anchor: per-table `(rows, bytes)` disk coverage.
     SyncAnchor(Vec<(String, u64, u64)>),
 }
 
@@ -237,11 +277,11 @@ pub(crate) struct CrashPath {
     /// Where the segments' valid records ended when recovery read the log:
     /// the writer resumes there instead of reading the log again.
     read_layout: Option<WalLayout>,
-    /// Payload of the last sync-coverage anchor written to the WAL. Every
-    /// rotation re-appends it as the new segment's first record, so the
-    /// reconcile scan stays bounded after the segment that first held it
-    /// is unlinked.
-    last_sync_anchor: Option<Vec<u8>>,
+    /// Payload of the last coverage anchor written to the WAL. A rotation
+    /// that cannot anchor the disk logs afresh re-appends it as the new
+    /// segment's first record, so the reconcile scan stays bounded after
+    /// the segment that first held it is unlinked.
+    last_anchor: Option<Vec<u8>>,
     /// Background checkpoint worker, present iff the path is open and
     /// healthy.
     checkpointer: Option<Checkpointer>,
@@ -257,6 +297,8 @@ pub(crate) struct CrashPath {
     cycle_wanted: bool,
     /// WAL records applied by the last recovery's replay.
     wal_replayed_records: usize,
+    /// What the last crash start read.
+    reads: CrashReads,
     /// True when the last recovery came back through a *checkpoint*
     /// image (crash-fast path) rather than a planned-shutdown backup.
     recovered_from_checkpoint: bool,
@@ -278,13 +320,14 @@ impl CrashPath {
             obs,
             wal: None,
             read_layout: None,
-            last_sync_anchor: None,
+            last_anchor: None,
             checkpointer: None,
             committed_sealed: 0,
             open_since: BTreeMap::new(),
             logged: 0,
             cycle_wanted: false,
             wal_replayed_records: 0,
+            reads: CrashReads::default(),
             recovered_from_checkpoint: false,
             wal_poison_reason: None,
         }
@@ -332,21 +375,27 @@ impl CrashPath {
     }
 
     /// Every record the dead process logged, for replay. Remembers where
-    /// each segment's valid records end, for [`Self::open`].
+    /// each segment's valid records end, for [`Self::open`], and how much
+    /// it read.
     pub(crate) fn read_log(&mut self) -> Result<SegmentedContents, WalError> {
         let contents = self
             .adopt_legacy_wal()
             .and_then(|()| read_segments(&self.wal_dir))?;
         self.read_layout = Some(contents.layout());
+        self.reads = CrashReads {
+            wal_bytes: contents.len_bytes(),
+            segments: contents.segments(),
+            ..CrashReads::default()
+        };
         Ok(contents)
     }
 
     /// Seal every open block, then drop every WAL record: the next cycle
     /// commits the blocks (without the seal, it would leave their rows in
-    /// neither the image nor the log). The carried sync anchor goes too —
-    /// the disk log it describes may have been rewritten.
+    /// neither the image nor the log). The carried anchor goes too — the
+    /// disk log it describes may have been rewritten.
     fn clear(&mut self, store: &mut LeafStore, now: i64) {
-        self.last_sync_anchor = None;
+        self.last_anchor = None;
         if let Err(e) = store.seal_all(now) {
             return self.poison(store, format!("seal: {e}"));
         }
@@ -367,7 +416,7 @@ impl CrashPath {
             return;
         }
         self.wal = None;
-        self.last_sync_anchor = None;
+        self.last_anchor = None;
         self.stop(store);
         self.invalidate(store);
         scuba_obs::counter!("leaf_wal_poisoned_total").inc();
@@ -396,7 +445,7 @@ impl CrashPath {
     /// below the oldest open block (all it closed, with none open). False
     /// if the crash path is down (disabled or poisoned), a cycle is in
     /// flight, or no cycle could start.
-    pub(crate) fn request(&mut self, store: &mut LeafStore) -> bool {
+    pub(crate) fn request(&mut self, store: &mut LeafStore, disk: &DiskBackup) -> bool {
         let idle = self.checkpointer.as_ref().is_some_and(|ck| !ck.in_flight());
         if self.wal.is_none() || !idle {
             // Poisoned (a log with holes must not pair with an image), or
@@ -404,7 +453,7 @@ impl CrashPath {
             return false;
         }
         let job = ImageJob::snapshot(store);
-        let Some(rotated) = self.rotate(store) else {
+        let Some(rotated) = self.rotate(store, disk) else {
             return false;
         };
         let cut = self.oldest_open(store).map_or(rotated, |(_, (_, seq))| seq);
@@ -426,14 +475,18 @@ impl CrashPath {
         Some((oldest.name().to_owned(), since(oldest.name())))
     }
 
-    /// Start a new WAL segment, carrying the last sync anchor into it, and
-    /// return its seq. Runs on the ingest thread, so no batch can land
-    /// between the snapshot just taken and the cut. A failure poisons the
-    /// crash path.
-    fn rotate(&mut self, store: &mut LeafStore) -> Option<u64> {
+    /// Start a new WAL segment and return its seq. Its first record is a
+    /// coverage anchor: a fresh one when the disk writers hold no buffered
+    /// bytes, else the last one, carried. Runs on the ingest thread, so no
+    /// batch can land between a snapshot just taken and the cut. A failure
+    /// poisons the crash path.
+    fn rotate(&mut self, store: &mut LeafStore, disk: &DiskBackup) -> Option<u64> {
         let wal = self.wal.as_mut()?;
+        if let Some(fresh) = disk_anchor(store, disk) {
+            self.last_anchor = Some(fresh);
+        }
         let rotated = wal.rotate().and_then(|seq| {
-            if let Some(anchor) = &self.last_sync_anchor {
+            if let Some(anchor) = &self.last_anchor {
                 wal.append(anchor)?;
             }
             Ok(seq)
@@ -526,14 +579,17 @@ impl CrashPath {
         self.publish_gauges(store);
     }
 
-    /// Log a batch the store just applied (`start`: the table's row and
-    /// sealed block counts before it) and run the trigger: a batch that
-    /// sealed a block asks for a cycle. WAL problems never fail ingest:
-    /// they poison the crash path, degrading the next crash to the disk
-    /// path.
+    /// Log a batch the store and the disk backup just applied (`start`:
+    /// the table's row and sealed block counts before it) and run the
+    /// trigger: a batch that sealed a block starts a WAL segment before it
+    /// is logged, and asks for a cycle. The segment its open block starts
+    /// in then holds nothing the seal covers but this batch's sealed
+    /// prefix. WAL problems never fail ingest: they poison the crash path,
+    /// degrading the next crash to the disk path.
     pub(crate) fn append(
         &mut self,
         store: &mut LeafStore,
+        disk: &DiskBackup,
         table: &str,
         (start_rows, blocks): (u64, usize),
         rows: &[Row],
@@ -541,6 +597,13 @@ impl CrashPath {
     ) {
         if !self.enabled || rows.is_empty() {
             return;
+        }
+        let sealed = store
+            .map()
+            .get(table)
+            .is_some_and(|t| t.blocks().len() > blocks);
+        if sealed {
+            self.rotate(store, disk);
         }
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.append(&encode_wal_batch(table, start_rows, rows)) {
@@ -556,7 +619,7 @@ impl CrashPath {
             }
         }
         self.logged += rows.len() as u64;
-        self.cycle_wanted |= t.blocks().len() > blocks;
+        self.cycle_wanted |= sealed;
         // The lag cap: seal the oldest open block once the log holds more
         // than `lag_cap` rows behind it, so a commit can drop what it pins.
         let capped = (self.lag_cap != 0).then(|| self.oldest_open(store));
@@ -577,45 +640,29 @@ impl CrashPath {
             let _ = self.apply_outcome(outcome, store);
         }
         if self.cycle_wanted {
-            self.request(store);
+            self.request(store, disk);
         }
         self.publish_gauges(store);
     }
 
     /// After the disk backup synced: fsync the WAL on the same cadence, so
     /// its records become durable against machine failure with the backup
-    /// they shadow, then anchor the coverage just synced.
+    /// they shadow, then anchor the coverage just synced. The anchor is
+    /// advisory (it bounds the reconcile scan): with a length unreadable,
+    /// none is written, and the next recovery scans more, which is always
+    /// correct. Failing to write it poisons the crash path like any WAL
+    /// append.
     pub(crate) fn sync(&mut self, store: &mut LeafStore, disk: &DiskBackup) {
         if let Some(wal) = self.wal.as_mut() {
             if let Err(e) = wal.sync() {
                 self.poison(store, format!("fsync: {e}"));
             }
         }
-        self.append_sync_anchor(store, disk);
-    }
-
-    /// Record the just-synced per-table disk coverage in the WAL. The
-    /// anchor is advisory (it bounds the reconcile scan); failing to
-    /// write it is a WAL append failure like any other and poisons the
-    /// crash path.
-    fn append_sync_anchor(&mut self, store: &mut LeafStore, disk: &DiskBackup) {
-        if self.wal.is_none() {
+        let (Some(wal), Some(anchor)) = (self.wal.as_mut(), disk_anchor(store, disk)) else {
             return;
-        }
-        let mut entries: Vec<(String, u64, u64)> = Vec::new();
-        for table in store.map().iter() {
-            let len = match disk.file_len(table.name()) {
-                Ok(len) => len,
-                // Can't state the coverage: write no anchor (the next
-                // recovery falls back to a full scan, which is always
-                // correct).
-                Err(_) => return,
-            };
-            entries.push((table.name().to_owned(), table.row_count() as u64, len));
-        }
-        let payload = encode_sync_anchor(&entries);
-        match self.wal.as_mut().unwrap().append(&payload) {
-            Ok(()) => self.last_sync_anchor = Some(payload),
+        };
+        match wal.append(&anchor) {
+            Ok(()) => self.last_anchor = Some(anchor),
             Err(e) => self.poison(store, format!("append anchor: {e}")),
         }
     }
@@ -636,18 +683,26 @@ impl CrashPath {
     }
 
     /// Record what the recovery's WAL replay did: the records it applied,
-    /// the last sync anchor it read (carried into the next rotation), and
-    /// where each replayed table's open block starts: `(0, segment of its
-    /// first applied record)`, so the replayed rows never trip the lag cap.
+    /// what it read by kind, the last anchor it read (carried into the next
+    /// rotation), and where each replayed table's open block starts:
+    /// `(0, segment of its first applied record)`, so the replayed rows
+    /// never trip the lag cap.
     pub(crate) fn replayed(
         &mut self,
         records: usize,
+        reads: CrashReads,
         anchor: Option<Vec<u8>>,
         open_since: BTreeMap<String, (u64, u64)>,
     ) {
         self.wal_replayed_records = records;
-        self.last_sync_anchor = anchor;
+        self.reads = reads;
+        self.last_anchor = anchor;
         self.open_since = open_since;
+    }
+
+    /// Record the disk log bytes the recovery's reconcile walked.
+    pub(crate) fn reconciled(&mut self, scanned: u64) {
+        self.reads.reconcile_scanned_bytes = Some(scanned);
     }
 
     /// The recovery came back through a checkpoint image: the crash-fast
@@ -676,7 +731,7 @@ impl LeafServer {
         // Settle any in-flight cycle first so ours is next.
         self.crash.settle(&mut self.store);
         self.store.seal_all(self.tier_now)?;
-        if !self.crash.request(&mut self.store) {
+        if !self.crash.request(&mut self.store, &self.disk) {
             return Err(self.unavailable("checkpoint (crash path disabled or poisoned)"));
         }
         let Some(outcome) = self
@@ -695,6 +750,12 @@ impl LeafServer {
     /// WAL records applied by the last recovery's replay.
     pub fn wal_replayed_records(&self) -> usize {
         self.crash.wal_replayed_records
+    }
+
+    /// What the last crash start read from the WAL and the disk logs
+    /// (all zero when it replayed nothing).
+    pub fn crash_reads(&self) -> CrashReads {
+        self.crash.reads
     }
 
     /// True when the last recovery came back through a checkpoint image
@@ -797,7 +858,7 @@ mod tests {
     /// commit and the server's unlink of the covered segments.
     fn commit_without_draining(s: &mut LeafServer) {
         s.store.seal_all(0).unwrap();
-        assert!(s.crash.request(&mut s.store));
+        assert!(s.crash.request(&mut s.store, &s.disk));
         let outcome = s.crash.checkpointer.as_mut().unwrap().wait_done().unwrap();
         assert!(outcome.result.is_ok(), "{:?}", outcome.result);
     }
@@ -807,7 +868,7 @@ mod tests {
     fn settle_cycles(s: &mut LeafServer) {
         s.crash.settle(&mut s.store);
         if s.crash.cycle_wanted {
-            assert!(s.crash.request(&mut s.store));
+            assert!(s.crash.request(&mut s.store, &s.disk));
         }
         s.crash.settle(&mut s.store);
     }
@@ -849,6 +910,159 @@ mod tests {
             assert_eq!(count_and_seq_sum(&s, table), exact_prefix(per_table as u64));
             let t = s.store().map().get(table).unwrap();
             assert_eq!(t.blocks().len(), blocks as usize, "{table}: replay sealed");
+        }
+    }
+
+    /// A seal starts a segment: two tables seal on adjacent batches, as on
+    /// `ingest_crash`, and both cycles commit. The crash start then reads
+    /// only the records that hold the open blocks' rows — the sealing
+    /// batches among them — plus each segment's header and at most one
+    /// anchor per segment.
+    #[test]
+    fn a_seal_starts_a_segment_and_a_crash_start_reads_only_the_open_blocks() {
+        use scuba_restart::wal::{WAL_HEADER, WAL_RECORD_HEADER};
+        const BATCH: i64 = 1000;
+        const BLOCK: i64 = scuba_columnstore::MAX_ROWS_PER_BLOCK as i64;
+        let (cfg, dir) = crash_config("cksegseal");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let tables = ["seg_a", "seg_b"];
+        let per_table = BLOCK + 5_500;
+        let mut sent = Vec::new();
+        for b in 0..2 * (per_table as u64).div_ceil(BATCH as u64) as i64 {
+            let t = (b % 2) as usize;
+            let first = b / 2 * BATCH;
+            let rows = seq_rows(first, BATCH.min(per_table - first));
+            s.add_rows(tables[t], &rows, 0).unwrap();
+            sent.push((tables[t], first as u64, rows));
+        }
+        settle_cycles(&mut s);
+        assert!(!s.crash.cycle_wanted);
+        assert_eq!(listed_segments(&s).len(), 2, "both seals committed");
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert!(s.recovered_from_checkpoint());
+        let framed = |payload: Vec<u8>| (WAL_RECORD_HEADER + payload.len()) as u64;
+        let sealed_rows = |table: &str| {
+            let t = s.store().map().get(table).unwrap();
+            assert_eq!(t.blocks().len(), 1, "{table}");
+            (t.row_count() - t.unsealed_rows()) as u64
+        };
+        let open_records: u64 = sent
+            .iter()
+            .filter(|(table, first, rows)| first + rows.len() as u64 > sealed_rows(table))
+            .map(|(table, first, rows)| framed(encode_wal_batch(table, *first, rows)))
+            .sum();
+        let anchor = framed(encode_sync_anchor(
+            &tables.map(|t| (t.to_owned(), u64::MAX, u64::MAX)),
+        ));
+        let reads = s.crash_reads();
+        let bound = open_records + reads.segments as u64 * (WAL_HEADER + anchor);
+        assert!(
+            reads.wal_bytes <= bound,
+            "read {} bytes of WAL, bound {bound}: {reads:?}",
+            reads.wal_bytes
+        );
+        assert_eq!(reads.covered, 0, "{reads:?}");
+        assert!(reads.anchors <= reads.segments, "{reads:?}");
+        for table in tables {
+            assert_eq!(count_and_seq_sum(&s, table), exact_prefix(per_table as u64));
+        }
+    }
+
+    /// Every rotation anchors the disk logs afresh when it finds their
+    /// writers flushed: batches past the 64 KiB writer buffer are written
+    /// through, so the last anchor is `(rows, file length)` per table at
+    /// the last rotation, and the crash start's reconcile walks only the
+    /// bytes appended since. Small batches stay buffered: the rotation
+    /// carries the last anchor, and the crash — which loses the buffered
+    /// bytes — still recovers exactly the acked rows, in memory and on
+    /// disk.
+    #[test]
+    fn a_rotation_anchors_the_disk_logs_it_finds_flushed() {
+        let wide = |first: i64, n: i64| -> Vec<Row> {
+            (first..first + n)
+                .map(|i| Row::at(i).with("seq", i).with("msg", format!("{i:0>120}")))
+                .collect()
+        };
+        let tables = ["wide_a", "wide_b"];
+        let disk_state = |s: &LeafServer| -> Vec<(String, u64, u64)> {
+            tables
+                .iter()
+                .map(|&t| {
+                    let rows = s.store().map().get(t).unwrap().row_count() as u64;
+                    (t.to_owned(), rows, s.disk.file_len(t).unwrap())
+                })
+                .collect()
+        };
+        let last_anchor = |s: &LeafServer| {
+            let payload = s.crash.last_anchor.clone().expect("an anchor");
+            match decode_wal_record(&payload).unwrap() {
+                WalRecord::SyncAnchor(entries) => entries,
+                WalRecord::Batch(_) => unreachable!(),
+            }
+        };
+        let (cfg, dir) = crash_config("ckanchor");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        for t in tables {
+            s.add_rows(t, &wide(0, 1000), 0).unwrap();
+        }
+        assert!(s.disk.flushed(), "a batch past the buffer was buffered");
+        s.checkpoint_and_wait().unwrap();
+        let at_rotation = disk_state(&s);
+        assert_eq!(last_anchor(&s), at_rotation);
+        for t in tables {
+            s.add_rows(t, &wide(1000, 1000), 0).unwrap();
+        }
+        let appended: u64 = disk_state(&s)
+            .iter()
+            .zip(&at_rotation)
+            .map(|(now, then)| now.2 - then.2)
+            .sum();
+        s.crash();
+        drop(s);
+
+        let (mut s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        let scanned = s
+            .crash_reads()
+            .reconcile_scanned_bytes
+            .expect("a reconcile");
+        assert!(
+            scanned <= appended,
+            "the reconcile walked {scanned} bytes, {appended} appended since the anchor"
+        );
+        for t in tables {
+            assert_eq!(count_and_seq_sum(&s, t), exact_prefix(2000), "{t}");
+        }
+
+        let carried = last_anchor(&s);
+        s.add_rows(tables[0], &wide(2000, 10), 0).unwrap();
+        assert!(!s.disk.flushed());
+        s.checkpoint_and_wait().unwrap();
+        assert_eq!(last_anchor(&s), carried, "an unflushed rotation anchored");
+        s.add_rows(tables[0], &wide(2010, 10), 0).unwrap();
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert_eq!(count_and_seq_sum(&s, tables[0]), exact_prefix(2020));
+        assert_eq!(count_and_seq_sum(&s, tables[1]), exact_prefix(2000));
+        drop(s);
+        let backup = DiskBackup::open(&cfg.disk_root).unwrap();
+        for (t, rows) in [(tables[0], 2020), (tables[1], 2000)] {
+            let (map, _) = backup.recover_tables(&[t.to_owned()], 0, None).unwrap();
+            let got = LeafServer::materialize_rows_from(map.get(t).unwrap(), 0).unwrap();
+            assert_eq!(got.len(), rows as usize, "{t} on disk");
+            assert!(
+                got == wide(0, rows),
+                "{t}: the disk log is not the acked rows"
+            );
         }
     }
 
@@ -1132,7 +1346,12 @@ mod tests {
         s.sync_disk().unwrap();
         s.checkpoint_and_wait().unwrap();
 
-        scuba_faults::configure("restart::wal::append", "error@1").unwrap();
+        // Armed for this thread only, so a leaf ingesting beside this test
+        // can neither take the fault nor spend it.
+        scuba_faults::configure_here("restart::wal::append", "error@1").unwrap();
+        let elsewhere = std::thread::spawn(|| scuba_faults::check("restart::wal::append"));
+        assert_eq!(elsewhere.join().unwrap(), None);
+        assert_eq!(scuba_faults::hits("restart::wal::append"), 0);
         let rows: Vec<Row> = (100..150).map(Row::at).collect();
         s.add_rows("logs", &rows, 0).unwrap(); // ingest survives the fault
         scuba_faults::clear_all();
@@ -1422,7 +1641,7 @@ mod tests {
         s.add_rows("logs", &at(50, 1000), 0).unwrap(); // open at the expiry
         assert_eq!(s.expire(1040).unwrap(), 1);
         s.add_rows("logs", &at(100, 1000), 1040).unwrap();
-        assert!(s.crash.request(&mut s.store));
+        assert!(s.crash.request(&mut s.store, &s.disk));
         s.crash.settle(&mut s.store);
         s.crash();
         drop(s);

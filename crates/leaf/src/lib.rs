@@ -39,6 +39,7 @@ pub mod server;
 pub use checkpoint::{CheckpointOutcome, CheckpointStats, Checkpointer, SEG_FLAG_CHECKPOINT};
 pub use config::{LeafConfig, RestoreMode, TieringMode};
 pub use error::{LeafError, LeafResult};
+pub use ingest::CrashReads;
 pub use persist::{ImageJob, LeafStore};
 pub use residency::{Residency, ResidencyManager};
 pub use server::{LeafPhase, LeafServer, RecoveryOutcome, ShutdownSummary};

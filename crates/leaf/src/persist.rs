@@ -289,12 +289,16 @@ impl LeafStore {
         &mut self.map
     }
 
-    /// Append rows to a table, creating it if needed.
+    /// Append rows to a table, creating it if needed. The batch appends
+    /// whole or not at all ([`Table::append_batch`]): a rejected batch
+    /// changes nothing, not even a table it would have created.
     pub fn append_rows(&mut self, table: &str, rows: &[Row], now: i64) -> StoreResult<()> {
-        let t = self.map.get_or_create(table, now);
-        for row in rows {
-            t.append(row, now)?;
+        if let Some(t) = self.map.get_mut(table) {
+            return t.append_batch(rows, now);
         }
+        let mut t = Table::new(table, now);
+        t.append_batch(rows, now)?;
+        self.map.insert(t);
         Ok(())
     }
 

@@ -8,10 +8,10 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::{Row, Table};
 use scuba_diskstore::Throttle;
 use scuba_obs::{Phase, PhaseAcc, PhaseBreakdown};
-use scuba_restart::wal::SegmentedContents;
+use scuba_restart::wal::{SegmentedContents, WAL_RECORD_HEADER};
 use scuba_restart::{
-    attach_from_shm, fan_out, resolve_copy_threads, restore_from_shm_with, CopyOptions,
-    LeafRestoreState, RestoreError, SHM_LAYOUT_VERSION,
+    attach_from_shm, fan_out, fan_out_in_order, resolve_copy_threads, restore_from_shm_with,
+    CopyOptions, LeafRestoreState, RestoreError, SHM_LAYOUT_VERSION,
 };
 use scuba_shmem::{LeafMetadata, ShmNamespace};
 
@@ -457,9 +457,10 @@ impl LeafServer {
     /// exactly the rows now in memory: the crash discarded the backup's
     /// buffered tail, so WAL-replayed rows may exist only in memory and
     /// the volatile shm image. For each table, count the log's valid
-    /// record prefix (cheap when the WAL's last sync anchor bounds the
-    /// scan), truncate any torn tail, and re-append the uncovered row
-    /// suffix — all before the crash path reopens and anything can
+    /// record prefix from the WAL's last anchor on (the scans run per
+    /// table through the copy pool's [`fan_out_in_order`]), then, one
+    /// table at a time, truncate any torn tail and re-append the uncovered
+    /// row suffix — all before the crash path reopens and anything can
     /// unlink WAL segments. A log holding *more* rows than memory means
     /// image+WAL and disk disagree; condemn the memory recovery.
     fn reconcile_disk_coverage(
@@ -469,14 +470,26 @@ impl LeafServer {
     ) -> Result<(), String> {
         let started = Instant::now();
         let names: Vec<String> = self.store.map().names().map(str::to_owned).collect();
+        let threads = resolve_copy_threads(self.config.copy_threads).clamp(1, names.len().max(1));
+        let mut covered = Vec::with_capacity(names.len());
+        let disk = &self.disk;
+        fan_out_in_order(
+            threads,
+            |i| names.get(i).map(Ok),
+            |name| {
+                let cov = disk.coverage(name, hints.get(name).copied());
+                cov.map_err(|e| format!("disk coverage for {name:?}: {e}"))
+            },
+            drop,
+            |cov| {
+                covered.push(cov);
+                Ok(())
+            },
+        )?;
         let mut reappended = 0u64;
         let mut scanned = 0u64;
         let mut dirty = false;
-        for name in &names {
-            let cov = self
-                .disk
-                .coverage(name, hints.get(name).copied())
-                .map_err(|e| format!("disk coverage for {name:?}: {e}"))?;
+        for (name, cov) in names.iter().zip(covered) {
             scanned += cov.scanned_bytes;
             let table = self.store.map().get(name).expect("listed above");
             let memory_rows = table.row_count() as u64;
@@ -508,6 +521,7 @@ impl LeafServer {
                 .sync()
                 .map_err(|e| format!("syncing reconciled backup: {e}"))?;
         }
+        self.crash.reconciled(scanned);
         scuba_obs::counter!("leaf_crash_reconciled_rows_total").add(reappended);
         self.obs.add("leaf_crash_reconciled_rows_total", reappended);
         self.obs.set(
@@ -536,7 +550,7 @@ impl LeafServer {
     ///
     /// Starts `crash`, the start's crash breakdown, with the read and
     /// apply phases — also when the replay fails, so a disk fallback
-    /// still shows how far it got. Returns the *last* sync anchor's
+    /// still shows how far it got. Returns the *last* anchor's
     /// per-table `(rows, bytes)` disk coverage (empty if the log holds
     /// none) — the scan hints for [`Self::reconcile_disk_coverage`].
     fn replay_wal_tail(
@@ -582,10 +596,19 @@ impl LeafServer {
         }
         let mut hints = BTreeMap::new();
         let mut anchor = None;
+        let mut reads = self.crash_reads();
         let mut groups: BTreeMap<&str, Vec<(u64, BatchHeader<'_>)>> = BTreeMap::new();
         for (seq, record) in contents.records() {
+            let framed = (WAL_RECORD_HEADER + record.len()) as u64;
             match decode_wal_record(record)? {
                 WalRecord::Batch(batch) => {
+                    let held = self.store.map().get(batch.table).map(Table::row_count);
+                    if held.unwrap_or(0) as u64 >= batch.start_rows + batch.n_rows {
+                        reads.covered += 1;
+                        reads.covered_bytes += framed;
+                    } else {
+                        reads.applied_bytes += framed;
+                    }
                     groups.entry(batch.table).or_default().push((seq, batch))
                 }
                 WalRecord::SyncAnchor(entries) => {
@@ -595,6 +618,8 @@ impl LeafServer {
                         .map(|(name, rows, bytes)| (name, (rows, bytes)))
                         .collect();
                     anchor = Some(record.to_vec());
+                    reads.anchors += 1;
+                    reads.anchor_bytes += framed;
                 }
             }
         }
@@ -624,7 +649,7 @@ impl LeafServer {
         for (_, table) in tables {
             self.store.map_mut().insert(table);
         }
-        self.crash.replayed(applied, anchor, open_since);
+        self.crash.replayed(applied, reads, anchor, open_since);
         scuba_obs::counter!("leaf_wal_replayed_records_total").add(applied as u64);
         Ok(hints)
     }
@@ -926,7 +951,8 @@ mod tests {
         s.crash();
         drop(s);
 
-        scuba_faults::configure("restart::wal::replay", "error@1").unwrap();
+        // This thread's start only: a sibling's replay passes the site.
+        scuba_faults::configure_here("restart::wal::replay", "error@1").unwrap();
         let (s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
         scuba_faults::clear_all();
         match &outcome {
@@ -1225,6 +1251,43 @@ mod tests {
             other => panic!("a conflicting batch was replayed: {other:?}"),
         }
         assert_eq!(s2.total_rows(), 330, "disk fidelity is the synced prefix");
+    }
+
+    /// With the metadata region unlinked a crash start has no image to
+    /// attach, so it recovers from disk: it never reads the WAL — nor an
+    /// anchor in it — and never reconciles, so it publishes no
+    /// `leaf_crash_reconcile_*` figure.
+    #[test]
+    fn a_disk_start_never_reads_an_anchor() {
+        let (cfg, dir) = crash_config("cknoanchor");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 300);
+        s.sync_disk().unwrap();
+        s.checkpoint_and_wait().unwrap();
+        s.add_rows("logs", &seq_rows(300, 50), 0).unwrap();
+        s.sync_disk().unwrap();
+        s.crash();
+        drop(s);
+        scuba_shmem::ShmSegment::unlink(
+            &ShmNamespace::new(&cfg.shm_prefix, cfg.leaf_id)
+                .unwrap()
+                .metadata_name(),
+        )
+        .unwrap();
+
+        let (s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        assert!(!outcome.is_memory(), "{outcome:?}");
+        assert_eq!(s.total_rows(), 350);
+        assert_eq!(s.crash_reads(), crate::CrashReads::default());
+        let leaf = format!("{}:{}", cfg.shm_prefix, cfg.leaf_id);
+        for gauge in [
+            "leaf_crash_reconcile_ns",
+            "leaf_crash_reconcile_scanned_bytes",
+        ] {
+            let name = scuba_obs::labeled_name(gauge, &[("leaf", &leaf)]);
+            assert_eq!(scuba_obs::gauge_value(&name), None, "{gauge}");
+        }
     }
 
     /// REVIEW (high): rows that came back through WAL replay must reach

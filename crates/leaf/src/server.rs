@@ -455,7 +455,8 @@ impl LeafServer {
             return Err(e.into());
         }
         let start = (start_rows as u64, blocks);
-        self.crash.append(&mut self.store, table, start, rows, now);
+        self.crash
+            .append(&mut self.store, &self.disk, table, start, rows, now);
         // Tiering piggybacks on ingest the way checkpoints do: the write
         // path is the one place every leaf visits on a steady cadence.
         self.run_tiering(now)?;
@@ -528,7 +529,7 @@ impl LeafServer {
 
     /// Flush buffered disk appends and fsync (the WAL too: its records
     /// become durable against machine failure on the same cadence as the
-    /// backup they shadow). On success, a sync-coverage anchor lands in
+    /// backup they shadow). On success, a coverage anchor lands in
     /// the WAL so a crash recovery can verify disk coverage by scanning
     /// only the bytes written after this point.
     pub fn sync_disk(&mut self) -> LeafResult<u64> {
@@ -733,6 +734,60 @@ mod tests {
         assert!(s.shutdown_to_shm(0).is_err()); // double shutdown
                                                 // Clean up shm left by the successful shutdown.
         s.namespace().unlink_all(4);
+    }
+
+    /// A batch the store rejects changes nothing: memory, the disk log and
+    /// the WAL are as they were — not even the rows before the bad cell
+    /// are applied, nor a table the batch would have created — so no
+    /// anchor or image can claim rows the disk log lacks, and a memory
+    /// start and a disk start both serve exactly the accepted rows.
+    #[test]
+    fn a_rejected_batch_leaves_memory_disk_and_log_as_they_were() {
+        let (cfg, dir) = crash_config("rejected");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        fill(&mut s, 10);
+        let wal = s.wal_bytes();
+        let bad = [
+            Row::at(10).with("code", 1i64),
+            Row::at(11).with("code", 2i64),
+            Row::at(12).with("code", "three"),
+        ];
+        let err = s.add_rows("logs", &bad, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                LeafError::Store(scuba_columnstore::Error::TypeMismatch { .. })
+            ),
+            "{err:?}"
+        );
+        let fresh = [Row::at(0).with("x", 1i64), Row::at(1).with("x", "one")];
+        assert!(s.add_rows("fresh", &fresh, 0).is_err());
+        assert!(
+            s.store().map().get("fresh").is_none(),
+            "a rejected batch made a table"
+        );
+        assert_eq!(s.total_rows(), 10);
+        assert_eq!(s.wal_bytes(), wal, "a rejected batch reached the WAL");
+        s.sync_disk().unwrap();
+        let backup = DiskBackup::open(&cfg.disk_root).unwrap();
+        assert_eq!(backup.coverage("logs", None).unwrap().rows, 10);
+        assert_eq!(backup.tables().unwrap(), ["logs"]);
+        drop(backup);
+
+        s.checkpoint_and_wait().unwrap();
+        s.crash();
+        drop(s);
+        let (mut s, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        assert_eq!(s.total_rows(), 10);
+        s.crash();
+        drop(s);
+        let mut disk_only = cfg;
+        disk_only.shm_recovery_enabled = false;
+        let (s, outcome) = LeafServer::start(disk_only, 0, None).unwrap();
+        assert!(!outcome.is_memory(), "{outcome:?}");
+        assert_eq!(s.total_rows(), 10);
     }
 
     #[test]

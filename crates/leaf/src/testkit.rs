@@ -137,7 +137,7 @@ pub(crate) fn crash_to_checkpoint(server: &mut LeafServer) {
     server.crash();
 }
 
-/// Batch records (sync anchors not counted) in the leaf's WAL.
+/// Batch records (anchors not counted) in the leaf's WAL.
 pub(crate) fn wal_batches(cfg: &LeafConfig) -> usize {
     scuba_restart::read_segments(&cfg.disk_root.join(WAL_DIR))
         .unwrap()

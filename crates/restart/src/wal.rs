@@ -406,6 +406,11 @@ impl SegmentedContents {
         self.segments.last().is_some_and(|(_, f)| f.torn)
     }
 
+    /// Segments read.
+    pub fn segments(&self) -> usize {
+        self.segments.len()
+    }
+
     /// Bytes read, across every segment.
     pub fn len_bytes(&self) -> u64 {
         self.segments

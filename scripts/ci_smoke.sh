@@ -21,10 +21,15 @@ cd "$(dirname "$0")/.."
 # the open-block tests (a crash replays at most one open block per table;
 # a record the image ends inside applies exactly its tail; the lag cap
 # seals a slow table and frees the log behind it; rows open at an expiry
-# reach the next image), the checkpoint-fault test (a cycle wounded at each of the backup
+# reach the next image), the read-only-what-it-replays tests (a seal
+# starts a segment and a crash start reads only the open blocks; a
+# rotation anchors the disk logs it finds flushed; a disk start never
+# reads an anchor; a rejected batch leaves memory, disk and log as they
+# were), the checkpoint-fault test (a cycle wounded at each of the backup
 # envelope's sites keeps serving and keeps its segments linked) and the
-# E16 crash-recovery smoke (which asserts a crash attach copies nothing
-# and replays at most one open block per table, checks the checkpoint
+# E16 crash-recovery smoke (which asserts a crash attach copies nothing,
+# replays at most one open block per table and reads only what it
+# replays, prints the WAL and disk-log bytes it read, checks the checkpoint
 # breakdown's phase sum against its total, and
 # publishes crash numbers into BENCH_restart.json). The test job runs this
 # after tier-1, once per copy-pool width.
@@ -37,7 +42,11 @@ crash() (
         a_crash_replays_at_most_one_open_block_per_table \
         a_record_the_image_ends_inside_applies_exactly_its_tail \
         the_lag_cap_seals_a_slow_table_and_frees_the_log_behind_it \
-        rows_open_at_an_expiry_reach_the_next_image --nocapture
+        rows_open_at_an_expiry_reach_the_next_image \
+        a_seal_starts_a_segment_and_a_crash_start_reads_only_the_open_blocks \
+        a_rotation_anchors_the_disk_logs_it_finds_flushed \
+        a_disk_start_never_reads_an_anchor \
+        a_rejected_batch_leaves_memory_disk_and_log_as_they_were --nocapture
     cargo test --release -p scuba-leaf --test checkpoint_faults a_wounded_checkpoint_keeps_serving_and_keeps_its_segments -- --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )
