@@ -7,7 +7,9 @@
 //! speed — and
 //! (3) after a planned restart that keeps its image, a cold table that no
 //! query touches is never copied at all, while every result stays
-//! identical to the heap leaf's.
+//! identical to the heap leaf's, and (4) the open block — rows not yet
+//! sealed, which every query over an ingesting table reads — scans in
+//! place within 2x of the same rows sealed.
 //!
 //! ```sh
 //! cargo run --release -p scuba-bench --bin exp_scan
@@ -16,7 +18,7 @@
 
 use std::time::Instant;
 
-use scuba::columnstore::Table;
+use scuba::columnstore::{Row, Table};
 use scuba::ingest::{WorkloadKind, WorkloadSpec};
 use scuba::leaf::{LeafServer, RecoveryOutcome, RestoreMode};
 use scuba::query::{execute, execute_vectorized, plan_scan, AggSpec, CmpOp, Filter, Query};
@@ -63,7 +65,7 @@ fn scanned_bytes(table: &Table, query: &Query) -> u64 {
     let plan = plan_scan(table, query).expect("plan");
     let touched = query.columns_read();
     let mut bytes = 0u64;
-    for block in &plan.blocks {
+    for block in plan.blocks.iter().filter_map(|b| b.sealed()) {
         for name in &touched {
             if let Some(col) = block.column(name) {
                 bytes += col.len_bytes() as u64;
@@ -370,6 +372,86 @@ fn kept_image(rows_per_table: usize, json: &mut BenchJson) {
     );
 }
 
+/// Median seconds of `f` over `reps` runs.
+fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[reps / 2]
+}
+
+/// The open block against the same rows sealed: a filtered count and a
+/// group-by through `execute_vectorized`, planning included, at each row
+/// count — all in one open block, then sealed. Both answers must equal
+/// the row-wise oracle's, and the open block must scan within 2x of the
+/// sealed one.
+fn open_vs_sealed(sizes: &[usize], reps: usize, json: &mut BenchJson) {
+    println!("\n-- the open block in place vs the same rows sealed (median of {reps}) --\n");
+    let queries = [
+        (
+            "count where status == 500",
+            Query::new("requests", 0, i64::MAX)
+                .filter(Filter::new("status", CmpOp::Eq, 500i64))
+                .aggregates(vec![AggSpec::Count]),
+        ),
+        (
+            "count+avg(latency) by endpoint",
+            Query::new("requests", 0, i64::MAX)
+                .group_by("endpoint")
+                .aggregates(vec![AggSpec::Count, AggSpec::Avg("latency_ms".into())]),
+        ),
+    ];
+    println!(
+        "  {:>32} {:>7} {:>11} {:>11} {:>7}",
+        "query", "rows", "open", "sealed", "open/sealed"
+    );
+    let data: Vec<Row> =
+        WorkloadSpec::new(WorkloadKind::Requests, 4242).rows(*sizes.iter().max().unwrap_or(&0));
+    for &rows in sizes {
+        let mut open = Table::new("requests", 0);
+        open.append_batch(&data[..rows], 0).expect("append");
+        assert_eq!(open.unsealed_rows(), rows, "the rows fit one open block");
+        let mut sealed = open.clone();
+        sealed.seal(0).expect("seal");
+        for (label, query) in &queries {
+            let want = execute(&sealed, query).expect("row-wise");
+            assert_eq!(execute(&open, query).expect("row-wise open"), want);
+            assert_eq!(execute_vectorized(&open, query).expect("open"), want);
+            assert_eq!(execute_vectorized(&sealed, query).expect("sealed"), want);
+            let open_secs = median_secs(reps, || execute_vectorized(&open, query));
+            let sealed_secs = median_secs(reps, || execute_vectorized(&sealed, query));
+            let ratio = open_secs / sealed_secs;
+            println!(
+                "  {label:>32} {rows:>7} {:>8.1} µs {:>8.1} µs {ratio:>6.2}x",
+                open_secs * 1e6,
+                sealed_secs * 1e6,
+            );
+            json.push(
+                "e17_open_block",
+                &[
+                    ("rows", rows as f64),
+                    ("open_secs", open_secs),
+                    ("sealed_secs", sealed_secs),
+                ],
+            );
+            assert!(
+                ratio <= 2.0,
+                "{label:?} over {rows} open rows took {ratio:.2}x the sealed scan"
+            );
+        }
+    }
+    println!("\n  open block within 2x of sealed at every size: ok");
+}
+
+/// Open-block sizes `open_vs_sealed` measures: a young block, half of
+/// one, and one just short of the 65 536-row seal.
+const OPEN_SIZES: [usize; 3] = [8_192, 32_768, 65_000];
+
 fn main() {
     let mut json = BenchJson::new(&["e17_"]);
 
@@ -378,6 +460,7 @@ fn main() {
     if std::env::args().any(|a| a == "--scan-only") {
         header("E17", "vectorized scan + kept-image smoke (--scan-only)");
         let (row, vec) = scan_kernels(30_000, 2, false, &mut json);
+        open_vs_sealed(&OPEN_SIZES, 15, &mut json);
         heap_vs_mapped(30_000, 2, false, &mut json);
         kept_image(30_000, &mut json);
         println!(
@@ -394,6 +477,7 @@ fn main() {
         "vectorized in-place scans over mapped blocks + a kept image",
     );
     scan_kernels(600_000, 5, true, &mut json);
+    open_vs_sealed(&OPEN_SIZES, 31, &mut json);
     heap_vs_mapped(600_000, 5, true, &mut json);
     kept_image(300_000, &mut json);
     json.write();

@@ -5,11 +5,12 @@
 //! Rows may omit columns (§2.1), so each column carries a presence bitmap;
 //! the typed value vector stores only the present cells, densely.
 
+use crate::encoding::dictionary::StrDict;
 use crate::error::{Error, Result};
 use crate::types::{ColumnType, Value};
 
 /// Dense, typed storage for the present cells of a column.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub enum ColumnValues {
     /// 64-bit integers.
     Int64(Vec<i64>),
@@ -17,8 +18,30 @@ pub enum ColumnValues {
     Double(Vec<f64>),
     /// UTF-8 strings.
     Str(Vec<String>),
+    /// UTF-8 strings as a dictionary: how a column built cell by cell
+    /// ([`ColumnData::new`]) keeps them, one id per cell.
+    Dict(StrDict),
     /// String sets (normalized: sorted, deduplicated per row).
     StrSet(Vec<Vec<String>>),
+}
+
+/// Values are equal cell for cell: a string column is the same whether
+/// it holds its strings or a dictionary of them.
+impl PartialEq for ColumnValues {
+    fn eq(&self, other: &ColumnValues) -> bool {
+        use ColumnValues::*;
+        match (self, other) {
+            (Int64(a), Int64(b)) => a == b,
+            (Double(a), Double(b)) => a == b,
+            (Str(a), Str(b)) => a == b,
+            (Dict(a), Dict(b)) => a == b,
+            (Str(s), Dict(d)) | (Dict(d), Str(s)) => {
+                s.len() == d.len() && s.iter().enumerate().all(|(i, v)| v == d.get(i))
+            }
+            (StrSet(a), StrSet(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl ColumnValues {
@@ -28,6 +51,7 @@ impl ColumnValues {
             ColumnValues::Int64(v) => v.len(),
             ColumnValues::Double(v) => v.len(),
             ColumnValues::Str(v) => v.len(),
+            ColumnValues::Dict(d) => d.len(),
             ColumnValues::StrSet(v) => v.len(),
         }
     }
@@ -42,17 +66,29 @@ impl ColumnValues {
         match self {
             ColumnValues::Int64(_) => ColumnType::Int64,
             ColumnValues::Double(_) => ColumnType::Double,
-            ColumnValues::Str(_) => ColumnType::Str,
+            ColumnValues::Str(_) | ColumnValues::Dict(_) => ColumnType::Str,
             ColumnValues::StrSet(_) => ColumnType::StrSet,
         }
     }
 
+    /// Storage for a column built cell by cell: strings as a dictionary.
     fn empty_for(ty: ColumnType) -> ColumnValues {
         match ty {
             ColumnType::Int64 => ColumnValues::Int64(Vec::new()),
             ColumnType::Double => ColumnValues::Double(Vec::new()),
-            ColumnType::Str => ColumnValues::Str(Vec::new()),
+            ColumnType::Str => ColumnValues::Dict(StrDict::default()),
             ColumnType::StrSet => ColumnValues::StrSet(Vec::new()),
+        }
+    }
+
+    /// Present value `dense`, boxed.
+    fn value(&self, dense: usize) -> Value {
+        match self {
+            ColumnValues::Int64(v) => Value::Int(v[dense]),
+            ColumnValues::Double(v) => Value::Double(v[dense]),
+            ColumnValues::Str(v) => Value::Str(v[dense].clone()),
+            ColumnValues::Dict(d) => Value::Str(d.get(dense).to_owned()),
+            ColumnValues::StrSet(v) => Value::StrSet(v[dense].clone()),
         }
     }
 }
@@ -70,7 +106,8 @@ pub struct ColumnData {
 }
 
 impl ColumnData {
-    /// An empty column of the given type.
+    /// An empty column of the given type, to be built cell by cell (a
+    /// string column keeps a dictionary, see [`ColumnValues::Dict`]).
     pub fn new(ty: ColumnType) -> Self {
         ColumnData {
             len: 0,
@@ -154,15 +191,22 @@ impl ColumnData {
 
     /// Append a present value. Errors on type mismatch.
     pub fn push(&mut self, value: Value) -> Result<()> {
+        self.push_ref(&value)
+    }
+
+    /// [`Self::push`] of a borrowed value: a dictionary copies a string
+    /// only when it meets it first.
+    pub fn push_ref(&mut self, value: &Value) -> Result<()> {
         match (&mut self.values, value) {
             (_, Value::Null) => {
                 self.push_null();
                 return Ok(());
             }
-            (ColumnValues::Int64(v), Value::Int(x)) => v.push(x),
-            (ColumnValues::Double(v), Value::Double(x)) => v.push(x),
-            (ColumnValues::Str(v), Value::Str(x)) => v.push(x),
-            (ColumnValues::StrSet(v), Value::StrSet(x)) => v.push(x),
+            (ColumnValues::Int64(v), &Value::Int(x)) => v.push(x),
+            (ColumnValues::Double(v), &Value::Double(x)) => v.push(x),
+            (ColumnValues::Dict(d), Value::Str(x)) => d.push(x),
+            (ColumnValues::Str(v), Value::Str(x)) => v.push(x.clone()),
+            (ColumnValues::StrSet(v), Value::StrSet(x)) => v.push(x.clone()),
             (vals, other) => {
                 return Err(Error::TypeMismatch {
                     column: String::new(),
@@ -208,6 +252,7 @@ impl ColumnData {
             ColumnValues::Int64(v) => v.truncate(present),
             ColumnValues::Double(v) => v.truncate(present),
             ColumnValues::Str(v) => v.truncate(present),
+            ColumnValues::Dict(d) => d.truncate(present),
             ColumnValues::StrSet(v) => v.truncate(present),
         }
         self.len = len;
@@ -243,17 +288,29 @@ impl ColumnData {
                 rank(bits, row)
             }
         };
-        match &self.values {
-            ColumnValues::Int64(v) => Value::Int(v[dense_idx]),
-            ColumnValues::Double(v) => Value::Double(v[dense_idx]),
-            ColumnValues::Str(v) => Value::Str(v[dense_idx].clone()),
-            ColumnValues::StrSet(v) => Value::StrSet(v[dense_idx].clone()),
-        }
+        self.values.value(dense_idx)
     }
 
     /// Iterate every cell, nulls included, in row order.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        (0..self.len).map(move |i| self.get(i))
+        self.iter_from(0)
+    }
+
+    /// Iterate the cells of rows `from..`, nulls included, in row order:
+    /// one rank, then a running count of present cells.
+    pub fn iter_from(&self, from: usize) -> impl Iterator<Item = Value> + '_ {
+        let from = from.min(self.len);
+        let mut dense = self
+            .presence
+            .as_deref()
+            .map_or(from, |bits| rank(bits, from));
+        (from..self.len).map(move |row| match &self.presence {
+            Some(bits) if !get_bit(bits, row) => Value::Null,
+            _ => {
+                dense += 1;
+                self.values.value(dense - 1)
+            }
+        })
     }
 
     /// Approximate heap footprint of the decoded column.
@@ -263,6 +320,7 @@ impl ColumnData {
             ColumnValues::Int64(v) => v.len() * 8,
             ColumnValues::Double(v) => v.len() * 8,
             ColumnValues::Str(v) => v.iter().map(|s| s.len() + 24).sum(),
+            ColumnValues::Dict(d) => d.heap_size(),
             ColumnValues::StrSet(v) => v
                 .iter()
                 .map(|set| set.iter().map(|s| s.len() + 24).sum::<usize>() + 24)
@@ -282,7 +340,8 @@ fn get_bit(bits: &[u64], i: usize) -> bool {
     bits[i / 64] & (1u64 << (i % 64)) != 0
 }
 
-/// Number of set bits strictly before position `i`.
+/// Number of set bits strictly before position `i` (`i` may be the
+/// position just past the bitmap).
 fn rank(bits: &[u64], i: usize) -> usize {
     let word = i / 64;
     let mut count = 0usize;
@@ -290,7 +349,10 @@ fn rank(bits: &[u64], i: usize) -> usize {
         count += w.count_ones() as usize;
     }
     let mask = (1u64 << (i % 64)) - 1;
-    count + (bits[word] & mask).count_ones() as usize
+    count
+        + bits
+            .get(word)
+            .map_or(0, |w| (w & mask).count_ones() as usize)
 }
 
 #[cfg(test)]

@@ -256,16 +256,24 @@ impl RowBlockColumn {
                     code |= CompressionCode::LZ;
                 }
             }
-            ColumnValues::Str(values) => {
+            ColumnValues::Str(_) | ColumnValues::Dict(_) => {
                 code |= CompressionCode::DICTIONARY | CompressionCode::BITPACK;
-                let enc = dictionary::encode(values);
-                n_dict_items = enc.entries.len() as u64;
+                let built;
+                let (entries, ids) = match data.values() {
+                    ColumnValues::Dict(d) => (d.entries(), d.ids()),
+                    ColumnValues::Str(values) => {
+                        built = dictionary::encode(values);
+                        (&built.entries[..], &built.indexes[..])
+                    }
+                    _ => unreachable!("matched a string column"),
+                };
+                n_dict_items = entries.len() as u64;
                 let mut dict_blob = Vec::new();
-                dictionary::serialize_entries(&enc.entries, &mut dict_blob);
+                dictionary::serialize_entries(entries, &mut dict_blob);
                 if write_maybe_lz(&mut dict_region, &dict_blob) {
                     code |= CompressionCode::LZ;
                 }
-                let indexes: Vec<u64> = enc.indexes.iter().map(|&i| i as u64).collect();
+                let indexes: Vec<u64> = ids.iter().map(|&i| i as u64).collect();
                 let width = bitpack::width_for(&indexes);
                 data_region.push(width as u8);
                 let packed = bitpack::pack(&indexes, width);

@@ -21,6 +21,12 @@
 //!   neither row strings nor an id array are ever materialized,
 //! * string sets fall back to the full decode (no ordering to exploit).
 //!
+//! The block still filling is scanned where it lies
+//! ([`ColumnView::in_place`]): its integers and doubles are read from the
+//! builder's dense vectors, a string column from the builder's dictionary
+//! ids and entries, and a string set from its cells — nothing is encoded,
+//! decoded or copied but the presence bitmap.
+//!
 //! Uncompressed payload regions are read borrowed
 //! ([`crate::rbc::read_maybe_lz_cow`]), so a mapped column's packed words
 //! and byte lanes are scanned in place without copying the buffer to heap
@@ -33,7 +39,7 @@ use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::sync::Arc;
 
-use crate::column::ColumnData;
+use crate::column::{ColumnData, ColumnValues};
 use crate::encoding::bitpack::Packed;
 use crate::encoding::intcode::IntForm;
 use crate::encoding::{dictionary, shuffle, varint};
@@ -118,26 +124,37 @@ pub enum ColumnView<'a> {
     Dict {
         /// Null bitmap; `None` = fully present.
         presence: Option<Presence>,
-        /// One dictionary id per present row, still bit-packed.
+        /// One dictionary id per present row, still bit-packed (or the
+        /// builder's, in place).
         ids: DictIds<'a>,
         /// The dictionary, in first-occurrence order
         /// ([`dictionary::encode`]).
-        entries: Vec<String>,
+        entries: Cow<'a, [String]>,
     },
-    /// String sets: full decode fallback.
-    StrSet(ColumnData),
+    /// String sets: full decode fallback (the builder's cells, in place).
+    StrSet(Cow<'a, ColumnData>),
 }
 
 /// The present values of a double column as the writer shuffled them:
-/// byte `b` of value `i` sits at `bytes[b * count + i]`.
+/// byte `b` of value `i` sits at `bytes[b * count + i]` — or, in place,
+/// the builder's values, which every read takes as already decoded.
 #[derive(Debug, Clone)]
 pub struct DoubleLanes<'a> {
     bytes: Cow<'a, [u8]>,
     count: usize,
-    values: OnceCell<Vec<f64>>,
+    values: OnceCell<Cow<'a, [f64]>>,
 }
 
-impl DoubleLanes<'_> {
+impl<'a> DoubleLanes<'a> {
+    /// `values`, read where they lie.
+    fn in_place(values: &'a [f64]) -> DoubleLanes<'a> {
+        DoubleLanes {
+            bytes: Cow::Borrowed(&[]),
+            count: values.len(),
+            values: OnceCell::from(Cow::Borrowed(values)),
+        }
+    }
+
     /// Number of values.
     pub fn len(&self) -> usize {
         self.count
@@ -148,8 +165,9 @@ impl DoubleLanes<'_> {
         self.count == 0
     }
 
-    /// Value `dense`, gathered from its eight lanes. Panics if
-    /// `dense >= len()`.
+    /// Value `dense`, gathered from its eight lanes: for a column no one
+    /// decoded. Panics if `dense >= len()`, or if the values are in place
+    /// — they have no lanes, and [`Self::decoded`] holds them.
     #[inline]
     pub fn get(&self, dense: usize) -> f64 {
         assert!(dense < self.count, "double index out of range");
@@ -161,13 +179,15 @@ impl DoubleLanes<'_> {
     /// which tests every selected row, reads.
     pub fn values(&self) -> &[f64] {
         self.values.get_or_init(|| {
-            shuffle::unshuffle_f64(&self.bytes, self.count).expect("lane length checked at build")
+            let values = shuffle::unshuffle_f64(&self.bytes, self.count);
+            Cow::Owned(values.expect("lane length checked at build"))
         })
     }
 
-    /// The values, if [`Self::values`] already unshuffled them.
+    /// The values, if [`Self::values`] already unshuffled them or they
+    /// are in place.
     pub fn decoded(&self) -> Option<&[f64]> {
-        self.values.get().map(Vec::as_slice)
+        self.values.get().map(|v| &**v)
     }
 }
 
@@ -196,6 +216,9 @@ pub enum IntCodes<'a> {
         /// One id per value, still bit-packed.
         ids: DictIds<'a>,
     },
+    /// The builder's values, in place: every read takes them as already
+    /// decoded ([`IntValues::decoded`]).
+    InPlace,
 }
 
 /// The present values of an integer column, read in place where the
@@ -206,10 +229,19 @@ pub enum IntCodes<'a> {
 pub struct IntValues<'a> {
     codes: IntCodes<'a>,
     count: usize,
-    values: OnceCell<Vec<i64>>,
+    values: OnceCell<Cow<'a, [i64]>>,
 }
 
 impl<'a> IntValues<'a> {
+    /// `values`, read where they lie.
+    fn in_place(values: &'a [i64]) -> IntValues<'a> {
+        IntValues {
+            codes: IntCodes::InPlace,
+            count: values.len(),
+            values: OnceCell::from(Cow::Borrowed(values)),
+        }
+    }
+
     /// Parse the integer payload at `pos` of the data region `data` of
     /// the column `buf` with header `h`: the one parser
     /// [`RowBlockColumn::decode`] and [`ColumnView::build`] share. Checks
@@ -255,10 +287,7 @@ impl<'a> IntValues<'a> {
                     if entries.windows(2).any(|w| w[0] >= w[1]) {
                         return Err(Error::Corrupt("integer dictionary out of order"));
                     }
-                    let ids = DictIds {
-                        packed: Packed::new(packed, width, count)?,
-                        entries: entries.len(),
-                    };
+                    let ids = DictIds::packed(Packed::new(packed, width, count)?, entries.len());
                     IntCodes::Dict { entries, ids }
                 }
             }
@@ -299,7 +328,7 @@ impl<'a> IntValues<'a> {
             return Ok(values[dense]);
         }
         match &self.codes {
-            IntCodes::Delta { .. } => Ok(self.values()?[dense]),
+            IntCodes::Delta { .. } | IntCodes::InPlace => Ok(self.values()?[dense]),
             IntCodes::For { base, packed } => Ok(base.wrapping_add(packed.get(dense) as i64)),
             IntCodes::Dict { entries, ids } => Ok(entries[ids.get(dense)? as usize]),
         }
@@ -310,13 +339,14 @@ impl<'a> IntValues<'a> {
         if let Some(values) = self.values.get() {
             return Ok(values);
         }
-        let values = self.decode()?;
+        let values = Cow::Owned(self.decode()?);
         Ok(self.values.get_or_init(|| values))
     }
 
-    /// The values, if [`Self::values`] already decoded them.
+    /// The values, if [`Self::values`] already decoded them or they are
+    /// in place.
     pub fn decoded(&self) -> Option<&[i64]> {
-        self.values.get().map(Vec::as_slice)
+        self.values.get().map(|v| &**v)
     }
 
     /// Every value, decoded afresh.
@@ -340,43 +370,78 @@ impl<'a> IntValues<'a> {
             }
             IntCodes::Dict { entries, ids } => {
                 let mut bad = false;
-                ids.packed
-                    .for_each_in(0..self.count, |_, id| match entries.get(id as usize) {
-                        Some(&v) => out.push(v),
-                        None => bad = true,
-                    });
+                ids.for_each(|id| match entries.get(id as usize) {
+                    Some(&v) => out.push(v),
+                    None => bad = true,
+                });
                 if bad {
                     return Err(Error::Corrupt("dictionary index out of range"));
                 }
             }
+            IntCodes::InPlace => out.extend_from_slice(self.values()?),
         }
         Ok(out)
     }
 }
 
-/// Bit-packed dictionary ids. The ids are range-checked as they are
-/// read: every id a scan reads is checked against the entry count.
+/// Dictionary ids, bit-packed or the builder's in place. The ids are
+/// range-checked as they are read: every id a scan reads is checked
+/// against the entry count.
 #[derive(Debug, Clone)]
 pub struct DictIds<'a> {
-    packed: Packed<'a>,
+    ids: Ids<'a>,
     entries: usize,
 }
 
-impl DictIds<'_> {
+#[derive(Debug, Clone)]
+enum Ids<'a> {
+    Packed(Packed<'a>),
+    InPlace(Cow<'a, [u32]>),
+}
+
+impl<'a> DictIds<'a> {
+    fn packed(packed: Packed<'a>, entries: usize) -> DictIds<'a> {
+        DictIds {
+            ids: Ids::Packed(packed),
+            entries,
+        }
+    }
+
+    fn in_place(ids: Cow<'a, [u32]>, entries: usize) -> DictIds<'a> {
+        DictIds {
+            ids: Ids::InPlace(ids),
+            entries,
+        }
+    }
+
     /// Number of ids (present rows).
     pub fn len(&self) -> usize {
-        self.packed.len()
+        match &self.ids {
+            Ids::Packed(packed) => packed.len(),
+            Ids::InPlace(ids) => ids.len(),
+        }
     }
 
     /// True if the column holds no present value.
     pub fn is_empty(&self) -> bool {
-        self.packed.is_empty()
+        self.len() == 0
+    }
+
+    /// Visit every id in order, unchecked.
+    fn for_each(&self, mut f: impl FnMut(u64)) {
+        match &self.ids {
+            Ids::Packed(packed) => packed.for_each_in(0..packed.len(), |_, id| f(id)),
+            Ids::InPlace(ids) => ids.iter().for_each(|&id| f(id as u64)),
+        }
     }
 
     /// The id of present value `dense`. Panics if `dense >= len()`.
     #[inline]
     pub fn get(&self, dense: usize) -> Result<u32> {
-        let id = self.packed.get(dense);
+        let id = match &self.ids {
+            Ids::Packed(packed) => packed.get(dense),
+            Ids::InPlace(ids) => ids[dense] as u64,
+        };
         if id >= self.entries as u64 {
             return Err(Error::Corrupt("dictionary index out of range"));
         }
@@ -474,17 +539,47 @@ impl<'a> ColumnView<'a> {
                 })? as u32;
                 pos += 1;
                 let (packed, _p) = read_maybe_lz_cow(data, pos)?;
-                let ids = DictIds {
-                    packed: Packed::new(packed, width, present_count)?,
-                    entries: entries.len(),
-                };
+                let ids =
+                    DictIds::packed(Packed::new(packed, width, present_count)?, entries.len());
                 Ok(ColumnView::Dict {
                     presence,
                     ids,
-                    entries,
+                    entries: Cow::Owned(entries),
                 })
             }
-            ColumnType::StrSet => Ok(ColumnView::StrSet(column.decode()?)),
+            ColumnType::StrSet => Ok(ColumnView::StrSet(Cow::Owned(column.decode()?))),
+        }
+    }
+
+    /// A view over the cells of a column still being built, read where
+    /// they lie: the dense integers and doubles, a string dictionary's ids
+    /// and entries, a string set's cells. Only the presence bitmap is
+    /// copied (it gains its rank table).
+    pub fn in_place(data: &'a ColumnData) -> ColumnView<'a> {
+        let presence = data.presence().map(|bits| Presence::new(bits.to_vec()));
+        match data.values() {
+            ColumnValues::Int64(values) => ColumnView::Int64 {
+                presence,
+                ints: IntValues::in_place(values),
+            },
+            ColumnValues::Double(values) => ColumnView::Double {
+                presence,
+                lanes: DoubleLanes::in_place(values),
+            },
+            ColumnValues::Dict(dict) => ColumnView::Dict {
+                presence,
+                ids: DictIds::in_place(Cow::Borrowed(dict.ids()), dict.entries().len()),
+                entries: Cow::Borrowed(dict.entries()),
+            },
+            ColumnValues::Str(values) => {
+                let dict = dictionary::encode(values);
+                ColumnView::Dict {
+                    presence,
+                    ids: DictIds::in_place(Cow::Owned(dict.indexes), dict.entries.len()),
+                    entries: Cow::Owned(dict.entries),
+                }
+            }
+            ColumnValues::StrSet(_) => ColumnView::StrSet(Cow::Borrowed(data)),
         }
     }
 
@@ -511,13 +606,22 @@ impl<'a> ColumnView<'a> {
     /// How many values this view has decoded in full so far: integers
     /// and doubles once something asked for [`IntValues::values`] or
     /// [`DoubleLanes::values`] (any read of a delta chain does), string
-    /// sets (every row) at build, dictionary ids never.
+    /// sets (every row) at build, dictionary ids never. A view built
+    /// [`Self::in_place`] decodes nothing: its values are already the
+    /// builder's.
     pub fn values_decoded(&self) -> u64 {
+        fn owned<T: Clone>(values: &OnceCell<Cow<'_, [T]>>) -> u64 {
+            match values.get() {
+                Some(Cow::Owned(v)) => v.len() as u64,
+                _ => 0,
+            }
+        }
         match self {
-            ColumnView::Int64 { ints, .. } => ints.decoded().map_or(0, |v| v.len() as u64),
-            ColumnView::Double { lanes, .. } => lanes.decoded().map_or(0, |v| v.len() as u64),
+            ColumnView::Int64 { ints, .. } => owned(&ints.values),
+            ColumnView::Double { lanes, .. } => owned(&lanes.values),
             ColumnView::Dict { .. } => 0,
-            ColumnView::StrSet(data) => data.len() as u64,
+            ColumnView::StrSet(Cow::Owned(data)) => data.len() as u64,
+            ColumnView::StrSet(Cow::Borrowed(_)) => 0,
         }
     }
 
@@ -531,9 +635,9 @@ impl<'a> ColumnView<'a> {
                 None => Value::Null,
                 Some(i) => Value::Int(ints.get(i)?),
             },
-            ColumnView::Double { presence, lanes } => {
-                dense(presence).map_or(Value::Null, |i| Value::Double(lanes.get(i)))
-            }
+            ColumnView::Double { presence, lanes } => dense(presence).map_or(Value::Null, |i| {
+                Value::Double(lanes.decoded().map_or_else(|| lanes.get(i), |v| v[i]))
+            }),
             ColumnView::Dict {
                 presence,
                 ids,
@@ -703,28 +807,32 @@ pub fn sel_retain_ids(
     ids: &DictIds<'_>,
     mask: &DictMask,
 ) -> Result<()> {
-    let bad = if ids.packed.width() <= 8 {
-        // 1 = match, 2 = past the dictionary: one table load per id, no
-        // shift by the id.
-        let mut lut = [2u8; 256];
-        for (id, t) in lut.iter_mut().enumerate().take(ids.entries) {
-            *t = mask.matches(id as u64) as u8;
+    let (entries, mut bad) = (ids.entries as u64, false);
+    match &ids.ids {
+        Ids::Packed(packed) if packed.width() <= 8 => {
+            // 1 = match, 2 = past the dictionary: one table load per id,
+            // no shift by the id.
+            let mut lut = [2u8; 256];
+            for (id, t) in lut.iter_mut().enumerate().take(ids.entries) {
+                *t = mask.matches(id as u64) as u8;
+            }
+            let mut flags = 0u8;
+            sel_retain_packed(sel, presence, packed, |id| {
+                let t = lut[id as usize & 255];
+                flags |= t;
+                t & 1 != 0
+            });
+            bad = flags & 2 != 0;
         }
-        let mut flags = 0u8;
-        sel_retain_packed(sel, presence, &ids.packed, |id| {
-            let t = lut[id as usize & 255];
-            flags |= t;
-            t & 1 != 0
-        });
-        flags & 2 != 0
-    } else {
-        let (entries, mut bad) = (ids.entries as u64, false);
-        sel_retain_packed(sel, presence, &ids.packed, |id| {
+        Ids::Packed(packed) => sel_retain_packed(sel, presence, packed, |id| {
             bad |= id >= entries;
             mask.matches(id)
-        });
-        bad
-    };
+        }),
+        Ids::InPlace(in_place) => sel_retain(sel, presence, in_place, |id| {
+            bad |= id as u64 >= entries;
+            mask.matches(id as u64)
+        }),
+    }
     if bad {
         return Err(Error::Corrupt("dictionary index out of range"));
     }
@@ -861,6 +969,10 @@ mod tests {
     use crate::TIME_COLUMN as TIME;
 
     fn mixed_block() -> crate::rowblock::RowBlock {
+        mixed_builder().finish().unwrap()
+    }
+
+    fn mixed_builder() -> RowBlockBuilder {
         let mut b = RowBlockBuilder::new(0);
         for i in 0..200i64 {
             let mut row = Row::at(1000 + i);
@@ -881,7 +993,7 @@ mod tests {
             }
             b.push_row(&row).unwrap();
         }
-        b.finish().unwrap()
+        b
     }
 
     #[test]
@@ -898,6 +1010,21 @@ mod tests {
                     "column {name} row {row}"
                 );
             }
+        }
+    }
+
+    /// A view built in place reads the builder's cells, nulls included,
+    /// and decodes nothing.
+    #[test]
+    fn in_place_views_agree_with_the_builders_cells() {
+        let b = mixed_builder();
+        for (name, _) in b.schema().iter() {
+            let data = b.column(name).unwrap();
+            let view = ColumnView::in_place(data);
+            for row in 0..b.row_count() {
+                assert_eq!(view.value(row).unwrap(), data.get(row), "{name} row {row}");
+            }
+            assert_eq!(view.values_decoded(), 0, "{name}");
         }
     }
 
@@ -1040,8 +1167,7 @@ mod tests {
                 panic!("a string column views as a dictionary");
             };
             let mut unpacked = Vec::new();
-            ids.packed
-                .for_each_in(0..ids.len(), |_, id| unpacked.push(id));
+            ids.for_each(|id| unpacked.push(id));
             let data = col.decode().unwrap();
             let mut dense = 0;
             for row in 0..block.row_count() {
@@ -1097,7 +1223,7 @@ mod tests {
             // Without nulls: full and half-full words take the run path,
             // a word below `RUN_MIN` rows the per-row one.
             let no_nulls = DictIds {
-                packed: ids.packed.clone(),
+                ids: ids.ids.clone(),
                 entries: entries.len(),
             };
             let mut sel = sel_all(ids.len());
@@ -1109,7 +1235,7 @@ mod tests {
             sel_for_each(&sel, |r| got.push(r));
             let want: Vec<usize> = (0..ids.len())
                 .filter(|&d| before[d / 64] >> (d % 64) & 1 != 0)
-                .filter(|&d| mask.matches(ids.packed.get(d)))
+                .filter(|&d| mask.matches(ids.get(d).unwrap() as u64))
                 .collect();
             assert_eq!(got, want);
         }
@@ -1124,7 +1250,7 @@ mod tests {
         };
         // Pretend the dictionary lost its last entry: id 2 is now past it.
         let short = DictIds {
-            packed: ids.packed.clone(),
+            ids: ids.ids.clone(),
             entries: 2,
         };
         let mask = DictMask::build(&["k0".to_owned(), "k1".to_owned()], |_| true);

@@ -150,14 +150,10 @@ impl Table {
         self.builder.row_count()
     }
 
-    /// Encode the in-progress builder into a row block without sealing it
-    /// (`None` when no rows are buffered): the builder keeps accumulating,
-    /// and the snapshot is a self-contained block image of the rows so far.
-    pub fn unsealed_snapshot(&self) -> Result<Option<RowBlock>> {
-        if self.builder.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(self.builder.snapshot()?))
+    /// The open block: the builder of the rows not yet sealed (`None`
+    /// when none are buffered). Queries read it where it lies.
+    pub fn open_block(&self) -> Option<&RowBlockBuilder> {
+        (!self.builder.is_empty()).then_some(&self.builder)
     }
 
     /// Total rows, sealed + buffered.
@@ -165,23 +161,21 @@ impl Table {
         self.blocks.iter().map(|b| b.row_count()).sum::<usize>() + self.builder.row_count()
     }
 
-    /// Blocks whose time range intersects `[from, to)`, including a
-    /// snapshot of unsealed rows if they qualify — this is the §2.1
+    /// Sealed blocks whose time range intersects `[from, to)` — the §2.1
     /// min/max-timestamp pruning that lets queries skip cold blocks.
-    pub fn blocks_in_range(&self, from: i64, to: i64) -> Result<Vec<Arc<RowBlock>>> {
-        let mut out: Vec<Arc<RowBlock>> = self
-            .blocks
+    pub fn blocks_in_range(&self, from: i64, to: i64) -> Vec<Arc<RowBlock>> {
+        self.blocks
             .iter()
             .filter(|b| b.overlaps_time(from, to))
             .cloned()
-            .collect();
-        if !self.builder.is_empty()
-            && self.builder.min_time() < to
-            && self.builder.max_time() >= from
-        {
-            out.push(Arc::new(self.builder.snapshot()?));
-        }
-        Ok(out)
+            .collect()
+    }
+
+    /// The open block, if it holds a row in `[from, to)` by its time
+    /// bounds.
+    pub fn open_in_range(&self, from: i64, to: i64) -> Option<&RowBlockBuilder> {
+        self.open_block()
+            .filter(|b| b.min_time() < to && b.max_time() >= from)
     }
 
     /// The table-level schema snapshot: the union of every sealed block's
@@ -339,11 +333,12 @@ mod tests {
     #[test]
     fn range_query_sees_unsealed_rows() {
         let t = filled_table(10); // times 0..9, unsealed
-        let blocks = t.blocks_in_range(0, 100).unwrap();
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].row_count(), 10);
-        // Disjoint range prunes everything.
-        assert!(t.blocks_in_range(100, 200).unwrap().is_empty());
+        assert!(t.blocks_in_range(0, 100).is_empty());
+        assert_eq!(t.open_in_range(0, 100).unwrap().row_count(), 10);
+        assert_eq!(t.open_in_range(9, 10).unwrap().row_count(), 10);
+        // Disjoint ranges prune it.
+        assert!(t.open_in_range(100, 200).is_none());
+        assert!(t.open_in_range(-5, 0).is_none());
     }
 
     #[test]
@@ -356,7 +351,7 @@ mod tests {
             t.seal(0).unwrap();
         }
         assert_eq!(t.blocks().len(), 5);
-        let hits = t.blocks_in_range(2000, 3000).unwrap();
+        let hits = t.blocks_in_range(2000, 3000);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].header().min_time, 2000);
     }
@@ -419,11 +414,12 @@ mod tests {
 
     /// Each block's schema and rows, the open builder's last.
     fn contents(t: &Table) -> Vec<(Schema, Vec<Row>)> {
-        let open = t.unsealed_snapshot().unwrap();
-        let blocks = t.blocks().iter().map(|b| (**b).clone()).chain(open);
-        blocks
-            .map(|b| (b.schema().clone(), b.decode_rows().unwrap()))
-            .collect()
+        let sealed = t
+            .blocks()
+            .iter()
+            .map(|b| (b.schema().clone(), b.decode_rows().unwrap()));
+        let open = t.open_block().map(|b| (b.schema().clone(), b.rows_from(0)));
+        sealed.chain(open).collect()
     }
 
     /// A batch appends exactly what row-by-row appends build — columns

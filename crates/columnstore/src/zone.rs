@@ -11,7 +11,6 @@
 use crate::column::{ColumnData, ColumnValues};
 use crate::encoding::varint;
 use crate::error::{Error, Result};
-use crate::schema::Schema;
 
 /// Statistics for one column of one block.
 ///
@@ -29,6 +28,60 @@ pub enum ZoneStats {
     Str { min: String, max: String },
 }
 
+/// A zone map of `(column, statistics)` entries, in schema order.
+impl FromIterator<(String, ZoneStats)> for ZoneMap {
+    fn from_iter<I: IntoIterator<Item = (String, ZoneStats)>>(entries: I) -> ZoneMap {
+        ZoneMap {
+            entries: entries.into_iter().collect(),
+        }
+    }
+}
+
+impl ZoneStats {
+    /// The statistics of one column's cells, `None` for a string-set
+    /// column with present values. A string dictionary's entries are its
+    /// distinct values, so its bounds are read off them, not off the rows.
+    pub fn of(data: &ColumnData) -> Option<ZoneStats> {
+        let str_bounds = |mut values: std::slice::Iter<'_, String>| {
+            let first = values.next().expect("a present cell");
+            let (min, max) = values.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            ZoneStats::Str {
+                min: min.clone(),
+                max: max.clone(),
+            }
+        };
+        match data.values() {
+            _ if data.present_count() == 0 => Some(ZoneStats::AllNull),
+            ColumnValues::Int64(v) => {
+                let min = *v.iter().min().unwrap();
+                let max = *v.iter().max().unwrap();
+                Some(ZoneStats::Int { min, max })
+            }
+            ColumnValues::Double(v) => {
+                // NaN cells match no comparison, so statistics over the
+                // non-NaN values are exactly the prunable range; a block
+                // of only NaNs is as unmatchable as a block of nulls.
+                let mut bounds: Option<(f64, f64)> = None;
+                for &x in v.iter().filter(|x| !x.is_nan()) {
+                    bounds = Some(match bounds {
+                        None => (x, x),
+                        Some((lo, hi)) => (lo.min(x), hi.max(x)),
+                    });
+                }
+                Some(match bounds {
+                    None => ZoneStats::AllNull,
+                    Some((min, max)) => ZoneStats::Double { min, max },
+                })
+            }
+            ColumnValues::Str(v) => Some(str_bounds(v.iter())),
+            ColumnValues::Dict(d) => Some(str_bounds(d.entries().iter())),
+            // No ordering worth exploiting for sets; Contains-style
+            // membership pruning is left to a future filter index.
+            ColumnValues::StrSet(_) => None,
+        }
+    }
+}
+
 const KIND_ALL_NULL: u8 = 0;
 const KIND_INT: u8 = 1;
 const KIND_DOUBLE: u8 = 2;
@@ -43,52 +96,6 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// Compute zone statistics from a block's decoded columns (the builder
-    /// calls this at seal time, before encoding). `columns` must parallel
-    /// `schema` in order and length.
-    pub fn compute(schema: &Schema, columns: &[ColumnData]) -> ZoneMap {
-        let mut entries = Vec::new();
-        for (i, (name, _)) in schema.iter().enumerate() {
-            let data = &columns[i];
-            let stats = match data.values() {
-                _ if data.present_count() == 0 => Some(ZoneStats::AllNull),
-                ColumnValues::Int64(v) => {
-                    let min = *v.iter().min().unwrap();
-                    let max = *v.iter().max().unwrap();
-                    Some(ZoneStats::Int { min, max })
-                }
-                ColumnValues::Double(v) => {
-                    // NaN cells match no comparison, so statistics over the
-                    // non-NaN values are exactly the prunable range; a block
-                    // of only NaNs is as unmatchable as a block of nulls.
-                    let mut bounds: Option<(f64, f64)> = None;
-                    for &x in v.iter().filter(|x| !x.is_nan()) {
-                        bounds = Some(match bounds {
-                            None => (x, x),
-                            Some((lo, hi)) => (lo.min(x), hi.max(x)),
-                        });
-                    }
-                    Some(match bounds {
-                        None => ZoneStats::AllNull,
-                        Some((min, max)) => ZoneStats::Double { min, max },
-                    })
-                }
-                ColumnValues::Str(v) => {
-                    let min = v.iter().min().unwrap().clone();
-                    let max = v.iter().max().unwrap().clone();
-                    Some(ZoneStats::Str { min, max })
-                }
-                // No ordering worth exploiting for sets; Contains-style
-                // membership pruning is left to a future filter index.
-                ColumnValues::StrSet(_) => None,
-            };
-            if let Some(stats) = stats {
-                entries.push((name.to_owned(), stats));
-            }
-        }
-        ZoneMap { entries }
-    }
-
     /// Statistics for `column`, if recorded.
     pub fn get(&self, column: &str) -> Option<&ZoneStats> {
         self.entries

@@ -102,7 +102,7 @@ mod tests {
     use crate::server::{LeafPhase, RecoveryOutcome};
     use crate::testkit::*;
     use scuba_columnstore::Row;
-    use scuba_query::{AggSpec, Query};
+    use scuba_query::{AggSpec, CmpOp, Filter, Query};
     use std::sync::Arc;
 
     /// Whether every column of every block of `table` is a window into
@@ -519,13 +519,15 @@ mod tests {
         assert_eq!(s2.total_rows(), 800);
     }
 
-    /// Plan once per query: planning snapshots (clones and re-encodes) the
-    /// open block, so the mapped-block touch, the tiering touch and the
-    /// scan share one plan instead of making three.
+    /// A query over the open block encodes nothing: the scan reads the
+    /// builder where it lies, beside mapped blocks under tiering. The open
+    /// block adds one view per column it holds and the dictionary ids its
+    /// group key reads, and not one value decoded: its integers and
+    /// doubles are the builder's, and a string column is never decoded.
     #[test]
-    fn query_encodes_the_open_block_once() {
+    fn a_query_reads_the_open_block_in_place() {
         let _x = scuba_faults::exclusive();
-        let (mut cfg, dir) = tiered_config("planonce", 0);
+        let (mut cfg, dir) = tiered_config("openview", 0);
         cfg.restore_mode = RestoreMode::TwoPhase;
         cfg.checkpoint_enabled = true;
         let mut s = LeafServer::new(cfg.clone()).unwrap();
@@ -535,20 +537,40 @@ mod tests {
         drop(s);
 
         let (mut s2, _) = LeafServer::start(cfg, 0, None).unwrap();
-        let tail: Vec<Row> = (600..650).map(|i| Row::at(i).with("sev", "late")).collect();
+        let q = Query::new("logs", 0, 1000)
+            .bucket_secs(100)
+            .filter(Filter::new("code", CmpOp::Ge, 1i64))
+            .filter(Filter::new("sev", CmpOp::Ne, "debug"))
+            .group_by("sev")
+            .aggregates(vec![
+                AggSpec::Count,
+                AggSpec::Sum("code".into()),
+                AggSpec::Avg("lat".into()),
+            ]);
+        let (sealed, sealed_counts) = s2.query_at(&q, Some(1)).unwrap();
+        let tail: Vec<Row> = (600..650)
+            .map(|i| {
+                Row::at(i)
+                    .with("sev", "late")
+                    .with("code", i % 7)
+                    .with("lat", i as f64 / 3.0)
+            })
+            .collect();
         s2.add_rows("logs", &tail, 0).unwrap();
-        // All three consumers are live: mapped blocks, tiering, unsealed
-        // rows.
-        assert!(s2.store().map().get("logs").unwrap().blocks()[0].is_mapped());
-        assert!(s2.store().map().get("logs").unwrap().unsealed_rows() > 0);
-        let before = scuba_columnstore::RowBlockBuilder::snapshots_on_thread();
-        let r = s2
-            .query(&Query::new("logs", 0, 1000).group_by("sev"))
-            .unwrap();
-        assert_eq!(r.rows_matched, 650);
+        let t = s2.store().map().get("logs").unwrap();
+        assert!(t.blocks().iter().all(|b| b.is_mapped()));
+        assert_eq!(t.unsealed_rows(), 50);
+
+        let (r, counts) = s2.query_at(&q, Some(1)).unwrap();
+        let open_rows = r.rows_matched - sealed.rows_matched;
+        assert_eq!(open_rows, 50 - 50 / 7);
+        assert_eq!(r.blocks_scanned, sealed.blocks_scanned + 1);
+        assert_eq!(counts.values_decoded, sealed_counts.values_decoded);
+        // time, code, sev, lat.
+        assert_eq!(counts.views_built, sealed_counts.views_built + 4);
         assert_eq!(
-            scuba_columnstore::RowBlockBuilder::snapshots_on_thread() - before,
-            1
+            counts.values_gathered,
+            sealed_counts.values_gathered + open_rows
         );
         s2.finish_hydration().unwrap();
     }

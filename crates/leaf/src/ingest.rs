@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::{Row, RowCells, Table};
 use scuba_diskstore::rowformat::{self, ReadOutcome};
 use scuba_diskstore::DiskBackup;
+use scuba_obs::PhaseBreakdown;
 use scuba_restart::wal::{SegmentedContents, WalLayout};
 use scuba_restart::{read_segments, SegmentedWal, WalError};
 use scuba_shmem::{ShmNamespace, ShmSegment};
@@ -299,6 +300,10 @@ pub(crate) struct CrashPath {
     wal_replayed_records: usize,
     /// What the last crash start read.
     reads: CrashReads,
+    /// The WAL split the last crash start timed (and published as the
+    /// `RestartReport`'s crash breakdown with metrics on): `None` when it
+    /// replayed nothing.
+    pub(crate) breakdown: Option<PhaseBreakdown>,
     /// True when the last recovery came back through a *checkpoint*
     /// image (crash-fast path) rather than a planned-shutdown backup.
     recovered_from_checkpoint: bool,
@@ -328,6 +333,7 @@ impl CrashPath {
             cycle_wanted: false,
             wal_replayed_records: 0,
             reads: CrashReads::default(),
+            breakdown: None,
             recovered_from_checkpoint: false,
             wal_poison_reason: None,
         }
@@ -440,11 +446,14 @@ impl CrashPath {
         self.obs.set("leaf_wal_bytes", self.wal_bytes() as i64);
     }
 
-    /// Snapshot the store's sealed blocks, rotate the WAL at the same
-    /// instant, and hand the worker a job whose commit drops the segments
-    /// below the oldest open block (all it closed, with none open). False
-    /// if the crash path is down (disabled or poisoned), a cycle is in
-    /// flight, or no cycle could start.
+    /// Snapshot the store's sealed blocks and hand the worker a job whose
+    /// commit drops the segments below the cut: the segment the oldest
+    /// open block starts in, or, with none open, a segment the WAL rotates
+    /// to at the same instant. An open block pins the cut whatever this
+    /// does, so a seal rotates once — in [`Self::append`] — and leaves no
+    /// segment holding only its anchor. False if the crash path is down
+    /// (disabled or poisoned), a cycle is in flight, or no cycle could
+    /// start.
     pub(crate) fn request(&mut self, store: &mut LeafStore, disk: &DiskBackup) -> bool {
         let idle = self.checkpointer.as_ref().is_some_and(|ck| !ck.in_flight());
         if self.wal.is_none() || !idle {
@@ -453,10 +462,13 @@ impl CrashPath {
             return false;
         }
         let job = ImageJob::snapshot(store);
-        let Some(rotated) = self.rotate(store, disk) else {
-            return false;
+        let cut = match self.oldest_open(store) {
+            Some((_, (_, seq))) => seq,
+            None => match self.rotate(store, disk) {
+                Some(rotated) => rotated,
+                None => return false,
+            },
         };
-        let cut = self.oldest_open(store).map_or(rotated, |(_, (_, seq))| seq);
         let ok = self
             .checkpointer
             .as_mut()
@@ -758,6 +770,13 @@ impl LeafServer {
         self.crash.reads
     }
 
+    /// The crash split — WAL read, apply, reconcile, writer reopen — of
+    /// this leaf's start (`None` if it replayed nothing), metrics on or
+    /// off: this leaf's own, whatever other leaves in the process publish.
+    pub fn crash_breakdown(&self) -> Option<&PhaseBreakdown> {
+        self.crash.breakdown.as_ref()
+    }
+
     /// True when the last recovery came back through a checkpoint image
     /// (the crash-fast path) rather than a planned-shutdown backup.
     pub fn recovered_from_checkpoint(&self) -> bool {
@@ -968,6 +987,50 @@ mod tests {
         );
         assert_eq!(reads.covered, 0, "{reads:?}");
         assert!(reads.anchors <= reads.segments, "{reads:?}");
+        for table in tables {
+            assert_eq!(count_and_seq_sum(&s, table), exact_prefix(per_table as u64));
+        }
+    }
+
+    /// One rotation per seal: two tables seal on adjacent batches, as on
+    /// `ingest_crash`, and both cycles commit. The seal starts a segment
+    /// and the cycle it asks for rotates no further — an open block pins
+    /// the cut — so no segment holds only its anchor, and a crash recovers
+    /// exactly the acked rows.
+    #[test]
+    fn a_seal_rotates_once() {
+        const BATCH: i64 = 1000;
+        const BLOCK: i64 = scuba_columnstore::MAX_ROWS_PER_BLOCK as i64;
+        let (cfg, dir) = crash_config("ckrotonce");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        let tables = ["once_a", "once_b"];
+        let per_table = BLOCK + 5_500;
+        for b in 0..2 * (per_table as u64).div_ceil(BATCH as u64) as i64 {
+            let first = b / 2 * BATCH;
+            let rows = seq_rows(first, BATCH.min(per_table - first));
+            s.add_rows(tables[(b % 2) as usize], &rows, 0).unwrap();
+        }
+        settle_cycles(&mut s);
+        assert!(!s.crash.cycle_wanted);
+        assert_eq!(listed_segments(&s).len(), 2, "both seals committed");
+        let wal = s.crash.wal.as_mut().unwrap();
+        wal.wait_unlinked().unwrap();
+        let mut batches: BTreeMap<u64, usize> = wal.seqs().into_iter().map(|q| (q, 0)).collect();
+        for (seq, record) in read_segments(&s.crash.wal_dir).unwrap().records() {
+            if let WalRecord::Batch(_) = decode_wal_record(record).unwrap() {
+                *batches.get_mut(&seq).expect("a listed segment") += 1;
+            }
+        }
+        assert!(
+            batches.values().all(|&n| n > 0),
+            "a segment holds only its anchor: batches per segment {batches:?}"
+        );
+        s.crash();
+        drop(s);
+
+        let (s, outcome) = LeafServer::start(cfg, 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
         for table in tables {
             assert_eq!(count_and_seq_sum(&s, table), exact_prefix(per_table as u64));
         }

@@ -659,7 +659,7 @@ mod tests {
         assert_eq!(t.blocks().len(), 5);
         assert_eq!(t.row_count(), 250);
         // Pruning metadata survived.
-        assert_eq!(t.blocks_in_range(200, 300).unwrap().len(), 1);
+        assert_eq!(t.blocks_in_range(200, 300).len(), 1);
     }
 
     #[test]

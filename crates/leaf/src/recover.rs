@@ -144,6 +144,7 @@ impl LeafServer {
         let recovered = LeafServer::new_core(config).and_then(|mut server| {
             let plan = plan(&server.probe());
             let (outcome, crash) = server.recover(&plan, now, disk_throttle)?;
+            server.crash.breakdown.clone_from(&crash);
             Ok((server, outcome, crash))
         });
         match recovered {
@@ -427,8 +428,8 @@ impl LeafServer {
     }
 
     /// Decode a table's in-memory rows from index `from` onward, in
-    /// ingest order (sealed blocks oldest-first, then the unsealed
-    /// builder) — exactly the disk log's append order. Mapped
+    /// ingest order (sealed blocks oldest-first, then the open block's,
+    /// read off its builder) — exactly the disk log's append order. Mapped
     /// (shm-backed) blocks are checksum-verified before decoding: bytes
     /// that never passed the deferred CRC must not be persisted.
     pub(crate) fn materialize_rows_from(table: &Table, from: usize) -> Result<Vec<Row>, String> {
@@ -443,12 +444,8 @@ impl LeafServer {
             }
             base += n;
         }
-        if let Some(snap) = table.unsealed_snapshot().map_err(|e| e.to_string())? {
-            let rows = snap.decode_rows().map_err(|e| e.to_string())?;
-            let skip = from.saturating_sub(base);
-            if skip < rows.len() {
-                out.extend_from_slice(&rows[skip..]);
-            }
+        if let Some(open) = table.open_block() {
+            out.extend(open.rows_from(from.saturating_sub(base)));
         }
         Ok(out)
     }
@@ -1046,14 +1043,9 @@ mod tests {
             1,
             "the replay crossed one block boundary"
         );
-        let tail = want["mixed"]
-            .unsealed_snapshot()
-            .unwrap()
-            .unwrap()
-            .decode_rows()
-            .unwrap();
+        let tail = want["mixed"].open_block().unwrap().rows_from(200);
         assert_eq!(
-            tail[200..],
+            tail,
             [200, 201].map(|seq| Row::at(seq + 100)
                 .with("seq", seq)
                 .with("tags", Value::set(["zeta", "alpha"])))
@@ -1102,9 +1094,11 @@ mod tests {
 
     /// A crash start's replay split — WAL read, apply, disk reconcile and
     /// writer reopen — shows in its gauges, as `op=crash` spans in the
-    /// span ring, and as the `RestartReport`'s crash breakdown. A replay
-    /// that fails still publishes how far it got, marked incomplete, and
-    /// a later start that does not replay leaves no crash breakdown.
+    /// span ring, and as the crash breakdown the leaf keeps (and publishes
+    /// to the process's `RestartReport`). A replay that fails still keeps
+    /// how far it got, marked incomplete, and a start that does not replay
+    /// keeps no crash breakdown. Each leaf's own breakdown is read, so a
+    /// crash start in a test running beside this one cannot stand in.
     #[test]
     fn crash_start_reports_its_replay_split() {
         // Replays the log: keep sibling tests' one-shot WAL faults out.
@@ -1124,10 +1118,7 @@ mod tests {
 
         let leaf = format!("{}:{}", cfg.shm_prefix, cfg.leaf_id);
         let (mut s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
-        let (report, spans) = (
-            scuba_obs::RestartReport::capture(),
-            scuba_obs::recent_spans(),
-        );
+        let (report, spans) = (s2.crash_breakdown().cloned(), scuba_obs::recent_spans());
         let gauges: Vec<Option<i64>> = [
             "leaf_wal_replay_ns",
             "leaf_wal_read_ns",
@@ -1145,18 +1136,18 @@ mod tests {
         drop(s2);
         append_to_wal(&cfg, &[batch_payload("logs", 350, 2, &records(&rows))]);
         let (s3, failed) = LeafServer::start(cfg.clone(), 0, None).unwrap();
-        let failed_report = scuba_obs::RestartReport::capture();
+        let failed_report = s3.crash_breakdown().cloned();
         drop(s3);
         let mut no_memory = cfg;
         no_memory.shm_recovery_enabled = false;
-        let (_s4, disk) = LeafServer::start(no_memory, 0, None).unwrap();
-        let last_report = scuba_obs::RestartReport::capture();
+        let (s4, disk) = LeafServer::start(no_memory, 0, None).unwrap();
+        let last_report = s4.crash_breakdown().cloned();
         scuba_obs::set_enabled(was_enabled);
 
         assert!(outcome.is_memory(), "{outcome:?}");
         let leaf = leaf.as_str();
         let split = ["wal_read", "wal_apply", "reconcile", "wal_reopen"];
-        let report = report.crash.expect("no crash breakdown published");
+        let report = report.expect("no crash breakdown kept");
         let names: Vec<&str> = report.phases.iter().map(|(p, _)| p.name()).collect();
         assert_eq!(names, split);
         assert!(report.complete);
@@ -1178,17 +1169,67 @@ mod tests {
         );
 
         assert!(!failed.is_memory(), "{failed:?}");
-        let failed_report = failed_report
-            .crash
-            .expect("a failed replay published nothing");
+        let failed_report = failed_report.expect("a failed replay kept nothing");
         let names: Vec<&str> = failed_report.phases.iter().map(|(p, _)| p.name()).collect();
         assert_eq!(names, ["wal_read", "wal_apply", "wal_reopen"]);
         assert!(!failed_report.complete);
 
         assert!(!disk.is_memory(), "{disk:?}");
         assert_eq!(
-            last_report.crash, None,
-            "a start that did not replay kept the last crash breakdown"
+            last_report, None,
+            "a start that did not replay kept a breakdown"
+        );
+    }
+
+    /// The reconcile re-appends the disk log's uncovered rows off the open
+    /// block's builder, from inside the block: after a crash loses the
+    /// log's buffered batch, the log holds again exactly the rows memory
+    /// holds — nulls, and a column that appears mid-block, included.
+    #[test]
+    fn a_reappended_tail_is_the_rows_memory_holds() {
+        let rows = |first: i64, n: i64| -> Vec<Row> {
+            (first..first + n)
+                .map(|i| {
+                    let mut row = Row::at(i).with("seq", i);
+                    if i % 3 != 0 {
+                        row.set("s", format!("v{}", i % 5));
+                    }
+                    if i >= 150 {
+                        row.set("late", i as f64 / 4.0);
+                    }
+                    row
+                })
+                .collect()
+        };
+        let disk_rows = |cfg: &LeafConfig| {
+            let backup = scuba_diskstore::DiskBackup::open(&cfg.disk_root).unwrap();
+            let (map, _) = backup.recover_tables(&["t".to_owned()], 0, None).unwrap();
+            LeafServer::materialize_rows_from(map.get("t").unwrap(), 0).unwrap()
+        };
+        let (cfg, dir) = crash_config("cktail");
+        let mut s = LeafServer::new(cfg.clone()).unwrap();
+        let _c = Cleanup(s.namespace().clone(), dir);
+        s.add_rows("t", &rows(0, 100), 0).unwrap();
+        s.checkpoint_and_wait().unwrap();
+        s.add_rows("t", &rows(100, 30), 0).unwrap();
+        s.sync_disk().unwrap();
+        s.add_rows("t", &rows(130, 70), 0).unwrap();
+        s.crash();
+        drop(s);
+        assert!(
+            disk_rows(&cfg) == rows(0, 130),
+            "the crash kept the buffered batch"
+        );
+
+        let (s2, outcome) = LeafServer::start(cfg.clone(), 0, None).unwrap();
+        assert!(outcome.is_memory(), "{outcome:?}");
+        let t = s2.store().map().get("t").unwrap();
+        assert_eq!((t.row_count(), t.unsealed_rows()), (200, 100));
+        assert!(LeafServer::materialize_rows_from(t, 0).unwrap() == rows(0, 200));
+        drop(s2);
+        assert!(
+            disk_rows(&cfg) == rows(0, 200),
+            "the log is not the rows memory holds"
         );
     }
 

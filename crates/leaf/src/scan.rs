@@ -6,7 +6,9 @@
 //! pool's other callers (copy-out, copy-back restore, WAL replay): each
 //! job runs its block's first-touch checks ([`LeafServer::touch_mapped`],
 //! the residency manager's cold touch) and then
-//! [`scuba_query::scan_block`]. The partials merge in block order
+//! [`scuba_query::scan_block`]. The plan borrows each table's open block,
+//! which the scan reads where it lies: the query holds `&self`, so no
+//! batch can append to it meanwhile. The partials merge in block order
 //! ([`PartialMerge`]), so an answer — f64 bits, pruning counters and
 //! [`ScanCounts`] included — is the same at every width, and a failing
 //! query reports the lowest failing block's error, as the inline case
@@ -14,11 +16,9 @@
 //! pool runs only a few blocks ahead of the lowest unmerged one, so a
 //! query holds a few blocks' groups at a time, not one per planned block.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use scuba_columnstore::RowBlock;
-use scuba_query::{scan_block, LeafQueryResult, PartialMerge, Query, ScanCounts};
+use scuba_query::{scan_block, LeafQueryResult, PartialMerge, PlannedBlock, Query, ScanCounts};
 use scuba_restart::{fan_out_in_order, resolve_copy_threads_pinned};
 
 use crate::config::TieringMode;
@@ -78,8 +78,7 @@ impl LeafServer {
         let Some(t) = self.store.map().get(&query.table) else {
             return Ok((LeafQueryResult::empty(), ScanCounts::default()));
         };
-        // Plan once: planning snapshots (re-encodes) the open block, and
-        // every block's first touch must see the very block its scan reads.
+        // Every block's first touch must see the very block its scan reads.
         let plan = scuba_query::plan_scan(t, query).map_err(|e| LeafError::Query(e.to_string()))?;
         if let Some(reason) = self
             .mapped_poison
@@ -133,9 +132,19 @@ impl LeafServer {
     /// A query is about to scan `block`: its first-touch checks. A mapped
     /// block verifies the columns the query reads ([`Self::touch_mapped`]);
     /// under tiering, a cold block does too and counts the touch toward
-    /// promotion, and any other block gets its SIEVE visited bit. A cold
-    /// failure poisons its table, acted on at the next tiering poll.
-    fn first_touch(&self, table: &str, block: &Arc<RowBlock>, columns: &[&str]) -> LeafResult<()> {
+    /// promotion, and any other sealed block gets its SIEVE visited bit.
+    /// The open block has none of these: nothing mapped, nothing cold, no
+    /// SIEVE entry. A cold failure poisons its table, acted on at the next
+    /// tiering poll.
+    fn first_touch(
+        &self,
+        table: &str,
+        block: &PlannedBlock<'_>,
+        columns: &[&str],
+    ) -> LeafResult<()> {
+        let Some(block) = block.sealed() else {
+            return Ok(());
+        };
         self.touch_mapped(block, columns)
             .map_err(|reason| LeafError::Query(format!("mapped scan condemned: {reason}")))?;
         if self.config.tiering == TieringMode::Sieve {
@@ -159,9 +168,11 @@ mod tests {
     use crate::server::RecoveryOutcome;
     use crate::testkit::*;
     use scuba_columnstore::{
-        ColumnData, ColumnType, Row, RowBlockColumn, RowBlockHeader, Schema, Table, TIME_COLUMN,
+        ColumnData, ColumnType, Row, RowBlock, RowBlockColumn, RowBlockHeader, Schema, Table,
+        TIME_COLUMN,
     };
     use scuba_query::{AggSpec, AggState, CmpOp, Filter};
+    use std::sync::Arc;
 
     /// Explicit widths, so the tests hold whatever `SCUBA_COPY_THREADS`
     /// says.

@@ -14,10 +14,12 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use scuba_columnstore::{ColumnData, Result as StoreResult, RowBlock, Table, Value, TIME_COLUMN};
+use std::borrow::Cow;
+
+use scuba_columnstore::{ColumnData, Result as StoreResult, Table, Value, TIME_COLUMN};
 
 use crate::agg::AggState;
-use crate::plan::ScanPlan;
+use crate::plan::{PlannedBlock, ScanPlan};
 use crate::query::{bucket_start, GroupKey, Query};
 use crate::vectorized::ScanCounts;
 
@@ -130,8 +132,13 @@ pub fn execute(table: &Table, query: &Query) -> StoreResult<LeafQueryResult> {
     Ok(merge.finish().0)
 }
 
-/// Fold one block's rows, one at a time, into fresh states.
-fn fold_block(block: &RowBlock, query: &Query, touched: &[&str]) -> StoreResult<BlockPartial> {
+/// Fold one block's rows, one at a time, into fresh states. The open
+/// block's cells are the builder's own, read through [`ColumnData::get`].
+fn fold_block(
+    block: &PlannedBlock<'_>,
+    query: &Query,
+    touched: &[&str],
+) -> StoreResult<BlockPartial> {
     let rows = block.row_count();
     let mut partial = BlockPartial {
         rows_scanned: rows as u64,
@@ -141,14 +148,13 @@ fn fold_block(block: &RowBlock, query: &Query, touched: &[&str]) -> StoreResult<
         return Ok(partial);
     }
     let time_col = block
-        .decode_column(TIME_COLUMN)
-        .transpose()?
+        .cells(TIME_COLUMN)?
         .expect("every block has a time column");
     // Decode touched columns once per block; missing columns read as
     // all-null.
-    let mut cols: Vec<(&str, Option<ColumnData>)> = Vec::with_capacity(touched.len());
+    let mut cols: Vec<(&str, Option<Cow<'_, ColumnData>>)> = Vec::with_capacity(touched.len());
     for &name in touched {
-        cols.push((name, block.decode_column(name).transpose()?));
+        cols.push((name, block.cells(name)?));
     }
     let cell = |name: &str, row: usize| -> Value {
         if name == TIME_COLUMN {

@@ -36,6 +36,6 @@ pub use expr::{CmpOp, Filter};
 pub use histogram::LogHistogram;
 pub use parse::{parse_query, ParseError};
 pub use partial::{merge_partials, MergedResult};
-pub use plan::{plan_scan, ScanPlan};
+pub use plan::{plan_scan, PlannedBlock, ScanPlan};
 pub use query::{GroupKey, Query};
 pub use vectorized::{execute_vectorized, scan_block, ScanCounts};

@@ -10,46 +10,105 @@
 //! statistics *prove* no row can satisfy some filter (filters conjoin, so
 //! one impossible filter kills the block). Blocks without zone maps (disk
 //! recovery, legacy images) simply scan.
+//!
+//! A plan borrows the table: besides the sealed blocks it may hold the
+//! table's open block, the builder itself ([`PlannedBlock::Open`]), which
+//! the scan reads where it lies. The open block never counts as
+//! time-pruned, and its zone test reads, for the filter's column only,
+//! the statistics its seal would record ([`RowBlockBuilder::zone`]).
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use scuba_columnstore::{ColumnType, Result as StoreResult, RowBlock, Table, Value, ZoneStats};
+use scuba_columnstore::{
+    ColumnData, ColumnType, ColumnView, Result as StoreResult, RowBlock, RowBlockBuilder, Schema,
+    Table, Value, ZoneStats,
+};
 
 use crate::expr::{CmpOp, Filter};
 use crate::query::Query;
 
 /// The blocks a query will scan, plus pruning accounting.
 #[derive(Debug)]
-pub struct ScanPlan {
-    /// Surviving blocks (may include the unsealed-rows snapshot).
-    pub blocks: Vec<Arc<RowBlock>>,
+pub struct ScanPlan<'t> {
+    /// Surviving blocks, sealed ones oldest first, then the open block.
+    pub blocks: Vec<PlannedBlock<'t>>,
     /// Sealed blocks skipped by the min/max-timestamp test.
     pub blocks_pruned: u64,
     /// Blocks skipped by zone-map statistics on filter columns.
     pub blocks_zonemap_pruned: u64,
 }
 
+/// One block a plan scans.
+#[derive(Debug, Clone)]
+pub enum PlannedBlock<'t> {
+    /// A sealed row block.
+    Sealed(Arc<RowBlock>),
+    /// The table's open block: rows `[0, n)` of its builder, `n` its row
+    /// count while the plan borrows it.
+    Open(&'t RowBlockBuilder),
+}
+
+impl PlannedBlock<'_> {
+    /// The sealed block, if this is one.
+    pub fn sealed(&self) -> Option<&Arc<RowBlock>> {
+        match self {
+            PlannedBlock::Sealed(block) => Some(block),
+            PlannedBlock::Open(_) => None,
+        }
+    }
+
+    /// Rows in the block.
+    pub fn row_count(&self) -> usize {
+        match self {
+            PlannedBlock::Sealed(block) => block.row_count(),
+            PlannedBlock::Open(open) => open.row_count(),
+        }
+    }
+
+    /// A scan view of column `name` (`None` when the block lacks it): over
+    /// the encoded buffer of a sealed block, in place over the builder's
+    /// cells of the open one.
+    pub fn view(&self, name: &str) -> StoreResult<Option<ColumnView<'_>>> {
+        match self {
+            PlannedBlock::Sealed(block) => block.column(name).map(ColumnView::build).transpose(),
+            PlannedBlock::Open(open) => Ok(open.column(name).map(ColumnView::in_place)),
+        }
+    }
+
+    /// Column `name`'s cells (`None` when the block lacks it): decoded
+    /// from a sealed block, the builder's own for the open one.
+    pub fn cells(&self, name: &str) -> StoreResult<Option<Cow<'_, ColumnData>>> {
+        Ok(match self {
+            PlannedBlock::Sealed(block) => block.decode_column(name).transpose()?.map(Cow::Owned),
+            PlannedBlock::Open(open) => open.column(name).map(Cow::Borrowed),
+        })
+    }
+
+    /// True if `filter` provably matches no row of the block: for the
+    /// open block, exactly what its seal's zone map would decide.
+    pub fn prunes(&self, filter: &Filter) -> bool {
+        match self {
+            PlannedBlock::Sealed(block) => filter_prunes_block(block, filter),
+            PlannedBlock::Open(open) => prunes(open.schema(), filter, || {
+                open.zone(&filter.column).map(Cow::Owned)
+            }),
+        }
+    }
+}
+
 /// Select the blocks `query` must scan over `table`.
-pub fn plan_scan(table: &Table, query: &Query) -> StoreResult<ScanPlan> {
-    let total_sealed = table.blocks().len() as u64;
-    let candidates = table.blocks_in_range(query.time_from, query.time_to)?;
-    // One pass over the sealed list re-running the same overlap test
-    // `blocks_in_range` applied — O(blocks), replacing the old
-    // O(blocks²) Arc::ptr_eq cross-scan. The snapshot block
-    // `blocks_in_range` may append is not a sealed block and never counts
-    // as time-pruned.
-    let sealed_in_range = table
-        .blocks()
-        .iter()
-        .filter(|b| b.overlaps_time(query.time_from, query.time_to))
-        .count() as u64;
+pub fn plan_scan<'t>(table: &'t Table, query: &Query) -> StoreResult<ScanPlan<'t>> {
+    let (from, to) = (query.time_from, query.time_to);
+    let sealed = table.blocks_in_range(from, to);
     let mut plan = ScanPlan {
-        blocks: Vec::with_capacity(candidates.len()),
-        blocks_pruned: total_sealed.saturating_sub(sealed_in_range),
+        blocks: Vec::with_capacity(sealed.len() + 1),
+        blocks_pruned: (table.blocks().len() - sealed.len()) as u64,
         blocks_zonemap_pruned: 0,
     };
-    for block in candidates {
-        if query.filters.iter().any(|f| filter_prunes_block(&block, f)) {
+    let open = table.open_in_range(from, to).map(PlannedBlock::Open);
+    for block in sealed.into_iter().map(PlannedBlock::Sealed).chain(open) {
+        if query.filters.iter().any(|f| block.prunes(f)) {
             plan.blocks_zonemap_pruned += 1;
         } else {
             plan.blocks.push(block);
@@ -60,20 +119,35 @@ pub fn plan_scan(table: &Table, query: &Query) -> StoreResult<ScanPlan> {
 
 /// True if `filter` provably matches no row of `block`.
 pub fn filter_prunes_block(block: &RowBlock, filter: &Filter) -> bool {
+    prunes(block.schema(), filter, || {
+        block
+            .zones()
+            .and_then(|z| z.get(&filter.column))
+            .map(Cow::Borrowed)
+    })
+}
+
+/// True if `filter` provably matches no row of a block of `schema` whose
+/// filter column has the statistics `stats` returns.
+fn prunes<'z>(
+    schema: &Schema,
+    filter: &Filter,
+    stats: impl FnOnce() -> Option<Cow<'z, ZoneStats>>,
+) -> bool {
     // A column the block lacks reads as all-null, and nulls never match.
-    let Some(idx) = block.schema().index_of(&filter.column) else {
+    let Some(idx) = schema.index_of(&filter.column) else {
         return true;
     };
-    let col_ty = block.schema().column(idx).expect("index from schema").1;
+    let col_ty = schema.column(idx).expect("index from schema").1;
     // Statically impossible (cell type, literal type, op) combinations.
     if !type_can_match(col_ty, &filter.literal, filter.op) {
         return true;
     }
     // Range pruning needs statistics.
-    let Some(stats) = block.zones().and_then(|z| z.get(&filter.column)) else {
+    let Some(stats) = stats() else {
         return false;
     };
-    match stats {
+    match &*stats {
         ZoneStats::AllNull => true,
         // Same-type comparisons only: widening an i64 zone bound to f64
         // (or vice versa) rounds for |v| > 2^53, so cross-type numeric

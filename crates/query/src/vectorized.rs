@@ -48,14 +48,12 @@ use scuba_columnstore::scan::{
     self, sel_all, sel_clear, sel_count, sel_for_each, sel_for_each_dense, sel_for_each_present,
     sel_is_empty, DictIds, DictMask, IntCodes, IntValues, Presence,
 };
-use scuba_columnstore::{
-    ColumnType, ColumnView, Result as StoreResult, RowBlock, Table, Value, TIME_COLUMN,
-};
+use scuba_columnstore::{ColumnType, ColumnView, Result as StoreResult, Table, Value, TIME_COLUMN};
 
 use crate::agg::{AggSpec, AggState, DistinctValue};
 use crate::exec::{BlockPartial, LeafQueryResult, PartialMerge};
 use crate::expr::{cmp_ord, CmpOp, Filter};
-use crate::plan::ScanPlan;
+use crate::plan::{PlannedBlock, ScanPlan};
 use crate::query::{bucket_start, GroupKey, Query};
 
 /// What one query's scan read, exactly.
@@ -67,12 +65,16 @@ pub struct ScanCounts {
     /// Values decoded in full: every value of a delta-coded integer column
     /// anything reads, of a double column a filter tests, of an integer
     /// time column a bucket or range test reads, of a string-set column's
-    /// rows.
+    /// rows. The open block decodes nothing: its integers, doubles and
+    /// string sets are the builder's own cells, read in place, and its
+    /// string columns are dictionary ids, which no view ever decodes.
     pub values_decoded: u64,
     /// Values read one at a time at selected rows: doubles an aggregate
     /// gathers from their byte lanes, frame-of-reference or dictionary
     /// integers an aggregate or group key reads, dictionary ids a group key
-    /// or a distinct count reads. Filters over packed codes count nothing.
+    /// or a distinct count reads — the open block's included. Filters over
+    /// packed codes count nothing, nor do reads of the open block's
+    /// integers and doubles, which are already a dense array.
     pub values_gathered: u64,
 }
 
@@ -107,8 +109,13 @@ fn execute_planned(plan: &ScanPlan, query: &Query) -> StoreResult<(LeafQueryResu
 /// Scan one planned block of `query` into its [`BlockPartial`]: the unit
 /// of a leaf query, which the leaf runs on as many threads as it likes
 /// and merges with [`PartialMerge`] in block order. `columns` is
-/// [`Query::columns_read`], computed once per query.
-pub fn scan_block(block: &RowBlock, query: &Query, columns: &[&str]) -> StoreResult<BlockPartial> {
+/// [`Query::columns_read`], computed once per query. The open block is
+/// scanned where it lies, through the same kernels.
+pub fn scan_block(
+    block: &PlannedBlock<'_>,
+    query: &Query,
+    columns: &[&str],
+) -> StoreResult<BlockPartial> {
     debug_assert_eq!(columns, query.columns_read());
     let views = BlockViews::new(block, columns);
     let mut fold = Fold::new(query);
@@ -122,14 +129,14 @@ pub fn scan_block(block: &RowBlock, query: &Query, columns: &[&str]) -> StoreRes
 
 /// The scan views of one block's columns, each built on first use.
 struct BlockViews<'a> {
-    block: &'a RowBlock,
+    block: &'a PlannedBlock<'a>,
     /// [`Query::columns_read`]: every name the scan can ask for.
     names: &'a [&'a str],
     cells: Vec<OnceCell<Option<ColumnView<'a>>>>,
 }
 
 impl<'a> BlockViews<'a> {
-    fn new(block: &'a RowBlock, names: &'a [&'a str]) -> Self {
+    fn new(block: &'a PlannedBlock<'a>, names: &'a [&'a str]) -> Self {
         BlockViews {
             block,
             names,
@@ -148,10 +155,7 @@ impl<'a> BlockViews<'a> {
         if let Some(view) = self.cells[i].get() {
             return Ok(view.as_ref());
         }
-        let built = match self.block.column(name) {
-            None => None,
-            Some(col) => Some(ColumnView::build(col)?),
-        };
+        let built = self.block.view(name)?;
         Ok(self.cells[i].get_or_init(|| built).as_ref())
     }
 
@@ -168,8 +172,14 @@ impl<'a> BlockViews<'a> {
 /// Planning already trusts the header to drop blocks outside the range;
 /// this is the same trust for blocks inside it. The header's bounds cover
 /// real timestamps only — a null one reads as `i64::MIN` — so the time
-/// column must hold no null (its presence flag, one byte).
-fn header_answers_range(block: &RowBlock, from: i64, to: i64) -> StoreResult<bool> {
+/// column must hold no null (its presence flag, one byte). The open
+/// block's bounds are its builder's, whose time column is always fully
+/// present.
+fn header_answers_range(block: &PlannedBlock<'_>, from: i64, to: i64) -> StoreResult<bool> {
+    let block = match block {
+        PlannedBlock::Open(open) => return Ok(open.min_time() >= from && open.max_time() < to),
+        PlannedBlock::Sealed(block) => block,
+    };
     let h = block.header();
     if h.min_time < from || h.max_time >= to {
         return Ok(false);
@@ -608,7 +618,9 @@ impl<'q> Fold<'q> {
                                 return Err(e);
                             }
                         }
-                        (None, IntCodes::Delta { .. }) => unreachable!("a chain is decoded"),
+                        (None, IntCodes::Delta { .. } | IntCodes::InPlace) => {
+                            unreachable!("a chain is decoded, in-place values are")
+                        }
                     }
                 }
                 ColumnView::Double { presence, lanes } => {
@@ -805,7 +817,9 @@ impl AggPass<'_, '_> {
                         DistinctValue::Int(entries[id as usize])
                     })?
                 }
-                (None, IntCodes::Delta { .. }) => unreachable!("a chain is decoded"),
+                (None, IntCodes::Delta { .. } | IntCodes::InPlace) => {
+                    unreachable!("a chain is decoded, in-place values are")
+                }
             },
             ColumnView::Double { presence, lanes } => {
                 let decoded = lanes.decoded();

@@ -357,6 +357,43 @@ proptest! {
         prop_assert_eq!(&execute(&heap_sealed, &q).unwrap(), &vec_mapped);
     }
 
+    /// The open block answers as its sealed form: a table whose tail is
+    /// still open gives the rows, groups and f64 bits of the same table
+    /// with the tail sealed, and of the row-wise oracle, at any width. Its
+    /// pruning follows the sealed rule — the open block never counts as
+    /// time-pruned, and it is zone-pruned exactly when its sealed form is
+    /// — and it decodes nothing: the scan counts no value decoded beyond
+    /// what the sealed blocks alone decode.
+    #[test]
+    fn an_open_tail_answers_as_its_sealed_form(
+        mut rows in arb_rows(),
+        sorted in any::<bool>(),
+        q in arb_query(),
+        seal_every in 20usize..120,
+        width in 1usize..=8,
+    ) {
+        if sorted {
+            rows.sort_by_key(Row::time);
+        }
+        let open = build_table(&rows, seal_every);
+        let mut sealed = open.clone();
+        sealed.seal(0).unwrap();
+        let (got, counts) = execute_at_width(&open, &q, width);
+        let want = execute_vectorized(&sealed, &q).unwrap();
+        prop_assert_eq!(&got, &execute(&open, &q).unwrap());
+        prop_assert_eq!(float_bits(&got), float_bits(&want));
+        let tail_time_pruned = open.unsealed_rows() > 0
+            && !sealed.blocks().last().unwrap().overlaps_time(q.time_from, q.time_to);
+        prop_assert_eq!(got.blocks_pruned + u64::from(tail_time_pruned), want.blocks_pruned);
+        prop_assert_eq!(
+            &LeafQueryResult { blocks_pruned: want.blocks_pruned, ..got.clone() },
+            &want
+        );
+        let sealed_only = Table::from_blocks("t", open.blocks().to_vec(), 0);
+        let (_, sealed_counts) = execute_at_width(&sealed_only, &q, 1);
+        prop_assert_eq!(counts.values_decoded, sealed_counts.values_decoded);
+    }
+
     /// Zone-map pruning is invisible: stripping zones changes only the
     /// pruning counters, never groups or matched rows.
     #[test]

@@ -25,7 +25,8 @@ cd "$(dirname "$0")/.."
 # starts a segment and a crash start reads only the open blocks; a
 # rotation anchors the disk logs it finds flushed; a disk start never
 # reads an anchor; a rejected batch leaves memory, disk and log as they
-# were), the checkpoint-fault test (a cycle wounded at each of the backup
+# were; a seal rotates once; the reconcile re-appends the rows memory
+# holds; a crash start keeps its own replay split), the checkpoint-fault test (a cycle wounded at each of the backup
 # envelope's sites keeps serving and keeps its segments linked) and the
 # E16 crash-recovery smoke (which asserts a crash attach copies nothing,
 # replays at most one open block per table and reads only what it
@@ -46,7 +47,10 @@ crash() (
         a_seal_starts_a_segment_and_a_crash_start_reads_only_the_open_blocks \
         a_rotation_anchors_the_disk_logs_it_finds_flushed \
         a_disk_start_never_reads_an_anchor \
-        a_rejected_batch_leaves_memory_disk_and_log_as_they_were --nocapture
+        a_rejected_batch_leaves_memory_disk_and_log_as_they_were \
+        a_seal_rotates_once \
+        a_reappended_tail_is_the_rows_memory_holds \
+        crash_start_reports_its_replay_split --nocapture
     cargo test --release -p scuba-leaf --test checkpoint_faults a_wounded_checkpoint_keeps_serving_and_keeps_its_segments -- --nocapture
     cargo run --release -p scuba-bench --bin exp_restart_time -- --crash
 )
@@ -97,16 +101,27 @@ format_compat() (
 # corrupt block's error, must be the same at widths 1, 2, 3 and 8.
 # Integer columns in each stored form (delta, frame of reference,
 # dictionary) answer like the oracle on heap, mapped and cold blocks at
-# those widths, and their parsers survive every byte flip and cut.
+# those widths, and their parsers survive every byte flip and cut. The
+# open block is scanned in place: a table with an open tail answers as
+# with the tail sealed (pruning counters included) and decodes nothing
+# more; the builder's string dictionary rolls back to the values left and
+# seals in the bytes `RowBlockColumn::encode` writes; its kept bounds are
+# the zone statistics of its cells; a leaf query over it encodes nothing.
 scan_kernels() (
     cargo test -q -p scuba-columnstore
     cargo test -q -p scuba-query
     PROPTEST_CASES=2000 cargo test --release -q -p scuba-query --test differential
     cargo test --release -q -p scuba-query --test int_codes
     cargo test --release -q -p scuba-columnstore --lib -- int_forms \
-        an_int_dictionary_id_past_its_entries_is_corrupt double_lanes_lz_cannot_shrink
+        an_int_dictionary_id_past_its_entries_is_corrupt double_lanes_lz_cannot_shrink \
+        a_rolled_back_dictionary_seals_as_encode_writes_its_cells \
+        an_incremental_dictionary_truncates_to_what_encode_makes \
+        kept_bounds_are_the_zone_stats_of_the_cells rows_from_returns_the_rows_pushed
+    PROPTEST_CASES=2000 cargo test --release -q -p scuba-query --test differential \
+        an_open_tail_answers_as_its_sealed_form
     cargo test --release -q -p scuba-leaf --lib -- an_answer_is_the_same_at_every_width \
-        fails_the_query_alike_at_every_width scan_width_gives_each_worker_two_blocks
+        fails_the_query_alike_at_every_width scan_width_gives_each_worker_two_blocks \
+        a_query_reads_the_open_block_in_place
     cargo test --release -q -p scuba-restart --lib -- fan_out a_panicking_job_panics_the_run
     cargo test --release -p scuba-leaf hydrat -- --nocapture
     cargo run --release -p scuba-bench --bin exp_scan -- --scan-only
