@@ -362,8 +362,9 @@ impl LeafClient for HostClient<'_> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::admission::ShedPolicy;
+    use crate::admission::{Request, ShedPolicy};
     use crate::rollover::{rollover, NullSloFeed, RolloverReport, SloPolicy};
+    use crossbeam::channel::bounded;
     use scuba_columnstore::Value;
     use scuba_query::AggSpec;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -682,17 +683,28 @@ pub(crate) mod tests {
             },
         );
         fill(&c, 10);
-        // Wedge both queues: a slow-ish query occupies the worker while a
-        // second fills the depth-1 queue. Submit without waiting.
+        // Wedge both queues: a ballast batch (to a table no query reads)
+        // occupies the worker, however fast a query runs, while a query
+        // fills the depth-1 queue. Submit without waiting.
         let q = Query::new("t", 0, i64::MAX);
         let mut parked = Vec::new();
+        let mut ballasts = Vec::new();
         for leaf in 0..2 {
             c.with_host(leaf, |h| {
                 let h = h.unwrap();
-                parked.push(h.query_async(&q).unwrap()); // being executed
+                let (reply, ballast) = bounded(1);
+                h.submit(Request::IngestBatch {
+                    table: "ballast".to_owned(),
+                    rows: (0..200_000).map(|i| Row::at(i).with("b", i)).collect(),
+                    now: 0,
+                    reply,
+                })
+                .unwrap();
+                ballasts.push(ballast);
+                while h.queue_len() > 0 {
+                    std::thread::yield_now(); // until the worker takes it
+                }
                 loop {
-                    // Keep one queued so the queue is at depth even if the
-                    // worker drains fast.
                     match h.query_async(&q) {
                         Ok(rx) => parked.push(rx),
                         Err(e) => {
@@ -713,6 +725,9 @@ pub(crate) mod tests {
         assert_eq!(stats.answered + stats.shed, 2);
         for rx in parked {
             let _ = rx.recv();
+        }
+        for rx in ballasts {
+            rx.recv().unwrap().unwrap();
         }
     }
 

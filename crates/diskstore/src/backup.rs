@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use scuba_columnstore::{LeafMap, Row, RowCells, Table};
 
 use crate::error::{DiskError, DiskResult};
-use crate::rowformat::{read_cells, skip_record, write_record, ReadOutcome};
+use crate::rowformat::{read_cells, record_span, skip_record, write_record, ReadOutcome};
 use crate::throttle::Throttle;
 
 /// File extension for row-format table logs.
@@ -43,6 +43,76 @@ pub struct RecoveryStats {
     pub translate_duration: Duration,
     /// Rows lost to torn tails (crash-truncated appends), per table.
     pub torn_tails: usize,
+}
+
+/// Bytes a disk start reads from a table's log at a time: the log is
+/// translated a window at a time, so the start holds one window (grown
+/// only for a record longer than it) rather than the whole log.
+const READ_WINDOW: usize = 4 << 20;
+
+/// Phase 1 and 2 of a disk start for one table (§4.1), a window at a
+/// time: read the log's bytes ("Reading about 120 GB ... takes 20-25
+/// minutes") and translate its records to the in-memory format ("takes
+/// 2.5-3 hours"), pushing their cells through `table`'s builder. A record
+/// is parsed only once the window holds as many bytes as its header
+/// names (or the log has ended), so one that straddles two windows reads
+/// as whole; the first torn record ends the log, as a crash-torn tail.
+/// `throttle` paces the reads; `path` names the log in errors.
+fn translate_log(
+    mut log: impl Read,
+    path: &Path,
+    window_bytes: usize,
+    table: &mut Table,
+    now: i64,
+    stats: &mut RecoveryStats,
+    throttle: Option<&Throttle>,
+) -> DiskResult<()> {
+    let mut window = Vec::new();
+    let (mut start, mut ended) = (0usize, false);
+    loop {
+        // Phase 1: top the window up until it holds the next record whole.
+        while !ended && window.len() - start < record_span(&window[start..]) {
+            window.drain(..start);
+            start = 0;
+            let read_start = Instant::now();
+            let want = window_bytes.max(record_span(&window)) as u64;
+            let n = (&mut log)
+                .take(want)
+                .read_to_end(&mut window)
+                .map_err(|e| DiskError::io(path, e))?;
+            if let Some(t) = throttle {
+                t.consume(n as u64);
+            }
+            stats.bytes_read += n as u64;
+            stats.read_duration += read_start.elapsed();
+            ended = n == 0;
+        }
+        // Phase 2: translate every record the window holds whole.
+        let translate_start = Instant::now();
+        let mut cells = RowCells::default();
+        let mut pos = start;
+        let done = loop {
+            if !ended && window.len() - pos < record_span(&window[pos..]) {
+                break false;
+            }
+            match read_cells(&window, &mut pos, &mut cells) {
+                ReadOutcome::Record(()) => {
+                    table.append_cells(&mut cells, now)?;
+                    stats.rows += 1;
+                }
+                ReadOutcome::End => break true,
+                ReadOutcome::Torn(_) => {
+                    stats.torn_tails += 1;
+                    break true;
+                }
+            }
+        };
+        stats.translate_duration += translate_start.elapsed();
+        if done {
+            return Ok(());
+        }
+        start = pos;
+    }
 }
 
 /// Result of a [`DiskBackup::coverage`] scan: how much of a table's log
@@ -275,42 +345,10 @@ impl DiskBackup {
         let mut stats = RecoveryStats::default();
         for table in tables.iter().filter(|t| on_disk.contains(t)) {
             let path = self.table_path(table)?;
-
-            // Phase 1: read the raw bytes ("Reading about 120 GB ... takes
-            // 20-25 minutes").
-            let read_start = Instant::now();
-            let mut file = File::open(&path).map_err(|e| DiskError::io(&path, e))?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)
-                .map_err(|e| DiskError::io(&path, e))?;
-            if let Some(t) = throttle {
-                t.consume(bytes.len() as u64);
-            }
-            stats.bytes_read += bytes.len() as u64;
-            stats.read_duration += read_start.elapsed();
-
-            // Phase 2: translate to the in-memory format ("takes 2.5-3
-            // hours") — parse records, push their cells through the
-            // builder.
-            let translate_start = Instant::now();
+            let file = File::open(&path).map_err(|e| DiskError::io(&path, e))?;
             let mut t = Table::new(table, now);
-            let mut cells = RowCells::default();
-            let mut pos = 0usize;
-            loop {
-                match read_cells(&bytes, &mut pos, &mut cells) {
-                    ReadOutcome::Record(()) => {
-                        t.append_cells(&mut cells, now)?;
-                        stats.rows += 1;
-                    }
-                    ReadOutcome::End => break,
-                    ReadOutcome::Torn(_) => {
-                        stats.torn_tails += 1;
-                        break;
-                    }
-                }
-            }
+            translate_log(file, &path, READ_WINDOW, &mut t, now, &mut stats, throttle)?;
             t.seal(now)?;
-            stats.translate_duration += translate_start.elapsed();
             map.insert(t);
             stats.tables += 1;
         }
@@ -576,6 +614,54 @@ mod tests {
         assert!(map.is_empty());
         assert_eq!(stats.rows, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A log translated a window at a time — windows shorter than a
+    /// header, than a record, and longer than the log — builds the table
+    /// the whole log in one buffer builds, with or without a torn tail, and
+    /// reads every byte once.
+    #[test]
+    fn a_log_read_a_window_at_a_time_translates_as_read_whole() {
+        let mut log = Vec::new();
+        for i in 0..300i64 {
+            let mut row = Row::at(i).with("seq", i);
+            if i % 3 != 0 {
+                row.set("s", format!("v{}", "x".repeat((i % 40) as usize)));
+            }
+            write_record(&row, &mut log);
+        }
+        let rows_of = |t: &Table| {
+            let mut t = t.clone();
+            t.seal(0).unwrap();
+            t.blocks()[0].decode_rows().unwrap()
+        };
+        for cut in [log.len(), log.len() - 1, log.len() - 30] {
+            let bytes = &log[..cut];
+            let (mut whole, mut want) = (Table::new("t", 0), RecoveryStats::default());
+            translate_log(
+                bytes,
+                Path::new("t"),
+                usize::MAX,
+                &mut whole,
+                0,
+                &mut want,
+                None,
+            )
+            .unwrap();
+            assert_eq!(want.rows, if cut == log.len() { 300 } else { 299 });
+            assert_eq!(want.torn_tails, usize::from(cut < log.len()));
+            for window in [1, 7, 8, 9, 64, 1000, log.len() + 1] {
+                let (mut t, mut stats) = (Table::new("t", 0), RecoveryStats::default());
+                translate_log(bytes, Path::new("t"), window, &mut t, 0, &mut stats, None).unwrap();
+                assert_eq!(
+                    (stats.rows, stats.torn_tails),
+                    (want.rows, want.torn_tails),
+                    "{window}"
+                );
+                assert_eq!(stats.bytes_read, cut as u64, "{window}");
+                assert!(rows_of(&t) == rows_of(&whole), "window {window}, cut {cut}");
+            }
+        }
     }
 
     #[test]

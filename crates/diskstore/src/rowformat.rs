@@ -116,6 +116,25 @@ pub fn read_record(buf: &[u8], pos: &mut usize) -> ReadOutcome {
     }
 }
 
+/// How many bytes from the start of `buf` the record there spans, as far
+/// as its header says: 8 until the header is whole, then the header plus
+/// the payload it names (just the header for a length past
+/// [`MAX_RECORD`], which is torn however many bytes follow). A reader
+/// holding fewer cannot yet tell a whole record from a torn one.
+pub fn record_span(buf: &[u8]) -> usize {
+    match buf.get(..4) {
+        Some(len) if buf.len() >= 8 => {
+            let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
+            if len > MAX_RECORD {
+                8
+            } else {
+                8 + len
+            }
+        }
+        _ => 8,
+    }
+}
+
 /// Read one record from `buf` at `*pos` into `cells`, advancing `*pos` on
 /// success: the names stay borrowed from `buf`, and only values are
 /// allocated. Accepts exactly what [`read_record`] accepts, and `cells`

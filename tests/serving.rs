@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use scuba::cluster::dashboard::DashboardFeed;
 use scuba::cluster::{
-    AdmissionConfig, ClusterConfig, HostedCluster, LoadMode, LoadgenConfig, ShedPolicy,
+    AdmissionConfig, ClusterConfig, HostedCluster, LoadMode, LoadgenConfig, Request, ShedPolicy,
     INFLIGHT_GAUGE, QUEUE_DEPTH_GAUGE, SHED_COUNTER,
 };
 use scuba::columnstore::table::RetentionLimits;
@@ -81,16 +81,34 @@ fn fill(c: &HostedCluster, rows_per_leaf: i64) {
 type ParkedQuery =
     crossbeam::channel::Receiver<scuba::leaf::LeafResult<scuba::query::LeafQueryResult>>;
 
-/// Keep submitting until the depth-1 queue sheds, returning the receivers
-/// of the requests that *were* admitted (one executing, one queued).
+/// Occupy the leaf's worker with a ballast batch (to a table no query
+/// reads), then keep submitting until the depth-1 queue sheds, returning
+/// the receivers of the queries that *were* admitted (the one queued
+/// behind the ballast). The ballast keeps the worker busy however fast a
+/// query runs, so the queue fills; its own outcome is checked once the
+/// queue has shed.
 fn wedge(c: &HostedCluster, leaf: usize, q: &Query) -> (Vec<ParkedQuery>, LeafError) {
     c.with_host(leaf, |h| {
         let h = h.unwrap();
-        let mut parked = vec![h.query_async(q).unwrap()];
+        let (reply, ballast) = crossbeam::channel::bounded(1);
+        h.submit(Request::IngestBatch {
+            table: "ballast".to_owned(),
+            rows: (0..200_000).map(|i| Row::at(i).with("b", i)).collect(),
+            now: 0,
+            reply,
+        })
+        .unwrap();
+        while h.queue_len() > 0 {
+            std::thread::yield_now(); // until the worker takes the ballast
+        }
+        let mut parked = Vec::new();
         loop {
             match h.query_async(q) {
                 Ok(rx) => parked.push(rx),
-                Err(e) => return (parked, e),
+                Err(e) => {
+                    ballast.recv().expect("worker answers").expect("ballast ok");
+                    return (parked, e);
+                }
             }
         }
     })
