@@ -7,9 +7,12 @@
 //! speed — and
 //! (3) after a planned restart that keeps its image, a cold table that no
 //! query touches is never copied at all, while every result stays
-//! identical to the heap leaf's, and (4) the open block — rows not yet
+//! identical to the heap leaf's, (4) the open block — rows not yet
 //! sealed, which every query over an ingesting table reads — scans in
-//! place within 2x of the same rows sealed.
+//! place within 2x of the same rows sealed, and (5) an integer `Sum`
+//! folded in `i64` over the stored form sums a delta-coded column at
+//! least 2x faster than the `f64` loop over its decoded values, with the
+//! same bits.
 //!
 //! ```sh
 //! cargo run --release -p scuba-bench --bin exp_scan
@@ -18,10 +21,14 @@
 
 use std::time::Instant;
 
-use scuba::columnstore::{Row, Table};
+use scuba::columnstore::encoding::CompressionCode;
+use scuba::columnstore::scan::{sel_all, sel_for_each_present, IntCodes};
+use scuba::columnstore::{ColumnView, Row, Table};
 use scuba::ingest::{WorkloadKind, WorkloadSpec};
 use scuba::leaf::{LeafServer, RecoveryOutcome, RestoreMode};
-use scuba::query::{execute, execute_vectorized, plan_scan, AggSpec, CmpOp, Filter, Query};
+use scuba::query::{
+    execute, execute_vectorized, plan_scan, AggSpec, AggState, CmpOp, Filter, GroupKey, Query,
+};
 use scuba_bench::{fmt_bytes, fmt_dur, header, BenchJson, LeafRig};
 
 /// The filter-heavy query mix: selective predicates over every encoding
@@ -448,9 +455,137 @@ fn open_vs_sealed(sizes: &[usize], reps: usize, json: &mut BenchJson) {
     println!("\n  open block within 2x of sealed at every size: ok");
 }
 
+/// `sum(column)` over `table`'s sealed blocks as the `f64` loop folded
+/// it: each block's present values in row order — a delta chain decoded
+/// into an array first, a frame of reference or dictionary read one value
+/// at a time — widened and added to a fresh `f64`, the blocks' sums added
+/// in block order, as the merge adds them.
+fn f64_loop_sum(table: &Table, column: &str) -> f64 {
+    let mut total = 0.0;
+    for block in table.blocks() {
+        let view = ColumnView::build(block.column(column).expect("column")).expect("view");
+        let ColumnView::Int64 { presence, ints } = &view else {
+            panic!("{column} is an integer column");
+        };
+        let sel = sel_all(block.row_count());
+        let mut acc = 0.0f64;
+        match ints.codes() {
+            IntCodes::For { base, packed } => {
+                sel_for_each_present(&sel, presence.as_ref(), |_, d| {
+                    acc += base.wrapping_add(packed.get(d) as i64) as f64
+                })
+            }
+            IntCodes::Dict { entries, ids } => {
+                sel_for_each_present(&sel, presence.as_ref(), |_, d| {
+                    acc += entries[ids.get(d).expect("id") as usize] as f64
+                })
+            }
+            _ => {
+                let values = ints.values().expect("decode");
+                sel_for_each_present(&sel, presence.as_ref(), |_, d| acc += values[d] as f64)
+            }
+        }
+        total += acc;
+    }
+    total
+}
+
+/// Integer sums: `count + sum(·)` over `rows` sealed request rows, for a
+/// delta-coded (`seq`, the row number), a frame-of-reference (`bytes`,
+/// scattered over 2^17) and a dictionary (`status`) column, through
+/// `execute_vectorized` against [`f64_loop_sum`] over the same blocks
+/// (which leaves out planning and the merge, so it favours the loop). Both
+/// must give the row-wise oracle's bits, and the delta column must sum at
+/// least 2x faster.
+fn int_sum(rows: usize, reps: usize, json: &mut BenchJson) {
+    println!("\n-- integer sums: i64 over the stored form vs the f64 loop ({rows} rows, median of {reps}) --\n");
+    let mut table = Table::new("requests", 0);
+    let mut seq = 0i64;
+    while (seq as usize) < rows {
+        let chunk = (rows - seq as usize).min(50_000);
+        let spec = WorkloadSpec::new(WorkloadKind::Requests, 4242 + seq as u64);
+        let batch: Vec<Row> = spec
+            .rows(chunk)
+            .into_iter()
+            .map(|row| {
+                seq += 1;
+                let bytes = 200 + ((seq as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 47);
+                row.with("seq", seq - 1).with("bytes", bytes as i64)
+            })
+            .collect();
+        table.append_batch(&batch, 0).expect("append");
+    }
+    table.seal(0).expect("seal");
+    println!(
+        "  {:>8} {:>6} {:>11} {:>11} {:>8}",
+        "column", "form", "f64 loop", "i64 fold", "speedup"
+    );
+    let mut delta_speedup = 0.0;
+    for (column, form, code) in [
+        ("seq", "delta", None),
+        ("bytes", "FOR", Some(CompressionCode::FOR)),
+        ("status", "dict", Some(CompressionCode::DICTIONARY)),
+    ] {
+        for block in table.blocks() {
+            let stored = block
+                .column(column)
+                .expect("column")
+                .compression()
+                .expect("code");
+            let is = |c| stored.has(c);
+            match code {
+                Some(c) => assert!(is(c), "{column} is stored as {form}"),
+                None => assert!(
+                    !is(CompressionCode::FOR) && !is(CompressionCode::DICTIONARY),
+                    "{column} is stored as {form}"
+                ),
+            }
+        }
+        let query = Query::new("requests", 0, i64::MAX)
+            .aggregates(vec![AggSpec::Count, AggSpec::Sum(column.into())]);
+        let want = execute(&table, &query).expect("row-wise");
+        let got = execute_vectorized(&table, &query).expect("vectorized");
+        assert_eq!(got, want, "{column}: vectorized diverged from the oracle");
+        let sum_bits = |states: &[AggState]| match states[1] {
+            AggState::Sum(v) => v.to_bits(),
+            ref other => panic!("{other:?}"),
+        };
+        let bits = sum_bits(&want.groups[&GroupKey::Null]);
+        assert_eq!(bits, sum_bits(&got.groups[&GroupKey::Null]), "{column}");
+        assert_eq!(f64_loop_sum(&table, column).to_bits(), bits, "{column}");
+        let loop_secs = median_secs(reps, || f64_loop_sum(&table, column));
+        let fold_secs = median_secs(reps, || execute_vectorized(&table, &query));
+        let speedup = loop_secs / fold_secs;
+        if form == "delta" {
+            delta_speedup = speedup;
+        }
+        println!(
+            "  {column:>8} {form:>6} {:>8.0} µs {:>8.0} µs {speedup:>7.2}x",
+            loop_secs * 1e6,
+            fold_secs * 1e6,
+        );
+        json.push(
+            &format!("e17_int_sum_{form}"),
+            &[
+                ("rows", rows as f64),
+                ("f64_loop_secs", loop_secs),
+                ("i64_fold_secs", fold_secs),
+            ],
+        );
+    }
+    assert!(
+        delta_speedup >= 2.0,
+        "the i64 fold of a delta column must be >=2x the f64 loop, got {delta_speedup:.2}x"
+    );
+    println!("\n  delta column >=2x the f64 loop, every answer the oracle's bits: ok");
+}
+
 /// Open-block sizes `open_vs_sealed` measures: a young block, half of
 /// one, and one just short of the 65 536-row seal.
 const OPEN_SIZES: [usize; 3] = [8_192, 32_768, 65_000];
+
+/// Sealed rows `int_sum` sums.
+const INT_SUM_ROWS: usize = 1_000_000;
 
 fn main() {
     let mut json = BenchJson::new(&["e17_"]);
@@ -461,6 +596,7 @@ fn main() {
         header("E17", "vectorized scan + kept-image smoke (--scan-only)");
         let (row, vec) = scan_kernels(30_000, 2, false, &mut json);
         open_vs_sealed(&OPEN_SIZES, 15, &mut json);
+        int_sum(INT_SUM_ROWS, 15, &mut json);
         heap_vs_mapped(30_000, 2, false, &mut json);
         kept_image(30_000, &mut json);
         println!(
@@ -478,6 +614,7 @@ fn main() {
     );
     scan_kernels(600_000, 5, true, &mut json);
     open_vs_sealed(&OPEN_SIZES, 31, &mut json);
+    int_sum(INT_SUM_ROWS, 31, &mut json);
     heap_vs_mapped(600_000, 5, true, &mut json);
     kept_image(300_000, &mut json);
     json.write();

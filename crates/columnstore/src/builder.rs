@@ -8,7 +8,7 @@
 //! individual block stays rectangular.
 //!
 //! The builder is also the open block's only form: a query reads its
-//! columns where they lie ([`crate::ColumnView::in_place`]), a string
+//! columns where they lie ([`RowBlockBuilder::view`]), a string
 //! column as the dictionary it keeps as rows arrive, and the seal encodes
 //! that dictionary as it stands.
 
@@ -19,6 +19,7 @@ use crate::error::{Error, Result};
 use crate::rbc::RowBlockColumn;
 use crate::row::{Row, RowCells};
 use crate::rowblock::{RowBlock, RowBlockHeader};
+use crate::scan::ColumnView;
 use crate::schema::Schema;
 use crate::types::{ColumnType, Value};
 use crate::zone::{ZoneMap, ZoneStats};
@@ -154,6 +155,18 @@ impl RowBlockBuilder {
     /// column is always fully present.
     pub fn column(&self, name: &str) -> Option<&ColumnData> {
         self.schema.index_of(name).map(|i| &self.columns[i])
+    }
+
+    /// A scan view of column `name`'s cells where they lie (`None` if no
+    /// row named it), an integer column carrying the bounds kept as rows
+    /// arrived (`ColumnView::in_place`).
+    pub fn view(&self, name: &str) -> Option<ColumnView<'_>> {
+        let i = self.schema.index_of(name)?;
+        let range = match self.bounds[i] {
+            Bounds::Int(min, max) => Some((min, max)),
+            _ => None,
+        };
+        Some(ColumnView::in_place(&self.columns[i], range))
     }
 
     /// The zone statistics column `name`'s seal would record (`None` if

@@ -48,22 +48,34 @@ pub fn encode<S: AsRef<str>>(values: &[S]) -> DictEncoded {
 pub struct StrDict {
     entries: Vec<String>,
     ids: Vec<u32>,
-    /// Open addressing over `entries`: each slot holds an entry's id or
-    /// [`EMPTY`]; a value probes from its hash, linearly. At most half
-    /// full, and never empty once an entry exists.
-    slots: Vec<u32>,
+    /// Open addressing over `entries`: each slot holds an entry's id
+    /// (or [`EMPTY`]) beside the low 32 bits of its hash, which place it.
+    /// A value probes from its hash, linearly, and reads an entry's bytes
+    /// only where the hashes agree; growing moves each slot by the hash it
+    /// holds, rehashing no string. At most half full, and never empty
+    /// once an entry exists.
+    slots: Vec<Slot>,
     hasher: std::hash::RandomState,
 }
 
-const EMPTY: u32 = u32::MAX;
+/// One index slot: an entry's id and its hash.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    id: u32,
+    hash: u32,
+}
 
-/// `value`'s bytes through `hasher` — without `str`'s terminator byte,
-/// which only keeps a composite key prefix-free: the index compares the
-/// whole string on every hit.
-fn hash(hasher: &std::hash::RandomState, value: &str) -> u64 {
+const EMPTY: u32 = u32::MAX;
+const VACANT: Slot = Slot { id: EMPTY, hash: 0 };
+
+/// The low 32 bits of `value`'s bytes through `hasher` — without `str`'s
+/// terminator byte, which only keeps a composite key prefix-free: the
+/// index compares the whole string on every hit. An index of at most
+/// 2^32 slots is placed by them.
+fn hash(hasher: &std::hash::RandomState, value: &str) -> u32 {
     let mut h = hasher.build_hasher();
     h.write(value.as_bytes());
-    h.finish()
+    h.finish() as u32
 }
 
 /// Two value dictionaries are equal when they hold the same values: the
@@ -102,9 +114,10 @@ impl StrDict {
 
     /// Append `value`, allocating only when it is new.
     pub fn push(&mut self, value: &str) {
-        let id = match self.find(value) {
+        let hash = hash(&self.hasher, value);
+        let id = match self.find(value, hash) {
             Ok(id) => id,
-            Err(slot) => self.insert(slot, value.to_owned()),
+            Err(slot) => self.insert(slot, value.to_owned(), hash),
         };
         self.ids.push(id);
     }
@@ -119,56 +132,67 @@ impl StrDict {
         let used = self.ids.iter().max().map_or(0, |&m| m as usize + 1);
         if used < self.entries.len() {
             self.entries.truncate(used);
-            self.reindex(self.slots.len());
+            self.rehash(self.slots.len(), used as u32);
         }
     }
 
     /// Approximate heap footprint.
     pub fn heap_size(&self) -> usize {
         let entries: usize = self.entries.iter().map(|s| s.len() + 24).sum();
-        entries + 4 * (self.ids.len() + self.slots.len())
+        entries + 4 * self.ids.len() + std::mem::size_of::<Slot>() * self.slots.len()
     }
 
-    /// The id of `value`, or the empty slot where it would go.
-    fn find(&self, value: &str) -> std::result::Result<u32, usize> {
+    /// The id of `value`, whose hash is `hash`, or the empty slot where
+    /// it would go.
+    fn find(&self, value: &str, hash: u32) -> std::result::Result<u32, usize> {
         if self.slots.is_empty() {
             return Err(0);
         }
         let mask = self.slots.len() - 1;
-        let mut slot = hash(&self.hasher, value) as usize & mask;
+        let mut slot = hash as usize & mask;
         loop {
             match self.slots[slot] {
-                EMPTY => return Err(slot),
-                id if self.entries[id as usize] == value => return Ok(id),
+                Slot { id: EMPTY, .. } => return Err(slot),
+                Slot { id, hash: h } if h == hash && self.entries[id as usize] == value => {
+                    return Ok(id)
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Add `value` as a new entry at the empty `slot` [`Self::find`] gave.
-    fn insert(&mut self, slot: usize, value: String) -> u32 {
+    /// Add `value`, whose hash is `hash`, as a new entry at the empty
+    /// `slot` [`Self::find`] gave.
+    fn insert(&mut self, slot: usize, value: String, hash: u32) -> u32 {
         let id = self.entries.len() as u32;
         self.entries.push(value);
+        let new = Slot { id, hash };
         if self.entries.len() * 2 > self.slots.len() {
-            self.reindex((self.slots.len() * 2).max(16));
+            self.rehash((self.slots.len() * 2).max(16), id);
+            self.place(new);
         } else {
-            self.slots[slot] = id;
+            self.slots[slot] = new;
         }
         id
     }
 
-    /// Rebuild the index over every entry with `capacity` slots.
-    fn reindex(&mut self, capacity: usize) {
-        self.slots.clear();
-        self.slots.resize(capacity, EMPTY);
-        let mask = capacity.wrapping_sub(1);
-        for (id, value) in self.entries.iter().enumerate() {
-            let mut slot = hash(&self.hasher, value) as usize & mask;
-            while self.slots[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.slots[slot] = id as u32;
+    /// Rebuild the index with `capacity` slots over the entries below id
+    /// `keep`, each moved by the hash its slot holds.
+    fn rehash(&mut self, capacity: usize, keep: u32) {
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; capacity]);
+        for slot in old.into_iter().filter(|s| s.id < keep) {
+            self.place(slot);
         }
+    }
+
+    /// Put `slot` in the first empty slot from where its hash places it.
+    fn place(&mut self, slot: Slot) {
+        let mask = self.slots.len() - 1;
+        let mut at = slot.hash as usize & mask;
+        while self.slots[at].id != EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
     }
 }
 
@@ -277,6 +301,57 @@ mod tests {
                     "{v} lost from the index at {len}"
                 );
             }
+        }
+    }
+
+    /// First-occurrence entries and ids, without an index.
+    fn naive(values: &[String]) -> (Vec<String>, Vec<u32>) {
+        let mut first = std::collections::HashMap::new();
+        let mut entries = Vec::new();
+        let ids = values
+            .iter()
+            .map(|v| {
+                *first.entry(v.clone()).or_insert_with(|| {
+                    entries.push(v.clone());
+                    entries.len() as u32 - 1
+                })
+            })
+            .collect();
+        (entries, ids)
+    }
+
+    /// Through ten doublings of the index, and cut back below and across
+    /// them, the dictionary holds what `encode` and a first-occurrence
+    /// reference make of the same values, and still finds every entry.
+    #[test]
+    fn an_index_grown_by_stored_hashes_equals_encode() {
+        let values: Vec<String> = (0..20_000u64)
+            .map(|i| format!("v{}", i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 6_000))
+            .collect();
+        let mut dict = StrDict::default();
+        for v in &values {
+            dict.push(v);
+        }
+        let (entries, ids) = naive(&values);
+        assert!(entries.len() > 5_000);
+        assert_eq!(dict.slots.len(), 16 << 10);
+        assert_eq!((dict.entries(), dict.ids()), (&entries[..], &ids[..]));
+        let enc = encode(&values);
+        assert_eq!((&enc.entries, &enc.indexes), (&entries, &ids));
+        for len in [19_999, 12_345, 4_000, 700, 9, 1, 0] {
+            let mut cut = dict.clone();
+            cut.truncate(len);
+            let (entries, ids) = naive(&values[..len]);
+            assert_eq!(
+                (cut.entries(), cut.ids()),
+                (&entries[..], &ids[..]),
+                "{len}"
+            );
+            // The rest pushed again: the same dictionary as pushed whole.
+            for v in &values[len..] {
+                cut.push(v);
+            }
+            assert_eq!(cut, dict, "{len}");
         }
     }
 

@@ -10,7 +10,9 @@
 //!   place — filters test the packed codes ([`sel_retain_packed`],
 //!   [`sel_retain_ids`]) and aggregates read one value per selected row —
 //!   and a delta chain, which has no random access, is decoded into a
-//!   dense `i64` array in one pass the first time something reads it,
+//!   dense `i64` array in one pass the first time something reads it; an
+//!   integer sum reads each form in place in one pass
+//!   ([`IntValues::exact_sum`]), a whole chain without an array,
 //! * doubles stay **shuffled**: a value is gathered from its eight byte
 //!   lanes when an aggregate reads it at a selected row, and the lanes are
 //!   unshuffled into a dense `f64` array only when a filter needs every
@@ -22,10 +24,10 @@
 //! * string sets fall back to the full decode (no ordering to exploit).
 //!
 //! The block still filling is scanned where it lies
-//! ([`ColumnView::in_place`]): its integers and doubles are read from the
-//! builder's dense vectors, a string column from the builder's dictionary
-//! ids and entries, and a string set from its cells — nothing is encoded,
-//! decoded or copied but the presence bitmap.
+//! ([`crate::RowBlockBuilder::view`]): its integers and doubles are read
+//! from the builder's dense vectors, a string column from the builder's
+//! dictionary ids and entries, and a string set from its cells — nothing
+//! is encoded, decoded or copied but the presence bitmap.
 //!
 //! Uncompressed payload regions are read borrowed
 //! ([`crate::rbc::read_maybe_lz_cow`]), so a mapped column's packed words
@@ -36,7 +38,7 @@
 //! executor threads through its filter kernels.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::sync::Arc;
 
 use crate::column::{ColumnData, ColumnValues};
@@ -218,8 +220,17 @@ pub enum IntCodes<'a> {
     },
     /// The builder's values, in place: every read takes them as already
     /// decoded ([`IntValues::decoded`]).
-    InPlace,
+    InPlace {
+        /// The largest `|v|`, from the bounds the builder kept as rows
+        /// arrived; `u64::MAX` when none were given.
+        bound: u64,
+    },
 }
+
+/// The largest magnitude every partial sum of a row-order `f64` fold of
+/// integers may reach and still be exact: `f64` holds every integer up to
+/// `2^53`.
+const F64_EXACT: u128 = 1 << 53;
 
 /// The present values of an integer column, read in place where the
 /// stored form allows it ([`IntCodes`]). Every form reads one value with
@@ -230,15 +241,23 @@ pub struct IntValues<'a> {
     codes: IntCodes<'a>,
     count: usize,
     values: OnceCell<Cow<'a, [i64]>>,
+    /// True once [`Self::exact_sum`] decoded the whole chain in one pass,
+    /// keeping no array: it counts as decoded, once.
+    streamed: Cell<bool>,
 }
 
 impl<'a> IntValues<'a> {
-    /// `values`, read where they lie.
-    fn in_place(values: &'a [i64]) -> IntValues<'a> {
+    /// `values`, read where they lie; `range` is their smallest and
+    /// largest, if known.
+    fn in_place(values: &'a [i64], range: Option<(i64, i64)>) -> IntValues<'a> {
+        let bound = range.map_or(u64::MAX, |(lo, hi)| {
+            lo.unsigned_abs().max(hi.unsigned_abs())
+        });
         IntValues {
-            codes: IntCodes::InPlace,
+            codes: IntCodes::InPlace { bound },
             count: values.len(),
             values: OnceCell::from(Cow::Borrowed(values)),
+            streamed: Cell::new(false),
         }
     }
 
@@ -296,6 +315,7 @@ impl<'a> IntValues<'a> {
             codes,
             count,
             values: OnceCell::new(),
+            streamed: Cell::new(false),
         })
     }
 
@@ -328,7 +348,7 @@ impl<'a> IntValues<'a> {
             return Ok(values[dense]);
         }
         match &self.codes {
-            IntCodes::Delta { .. } | IntCodes::InPlace => Ok(self.values()?[dense]),
+            IntCodes::Delta { .. } | IntCodes::InPlace { .. } => Ok(self.values()?[dense]),
             IntCodes::For { base, packed } => Ok(base.wrapping_add(packed.get(dense) as i64)),
             IntCodes::Dict { entries, ids } => Ok(entries[ids.get(dense)? as usize]),
         }
@@ -378,9 +398,128 @@ impl<'a> IntValues<'a> {
                     return Err(Error::Corrupt("dictionary index out of range"));
                 }
             }
-            IntCodes::InPlace => out.extend_from_slice(self.values()?),
+            IntCodes::InPlace { .. } => out.extend_from_slice(self.values()?),
         }
         Ok(out)
+    }
+
+    /// A bound on `|v|` over every value, read off the stored form in
+    /// O(1): a frame of reference's base and code width, a chain's first
+    /// value plus its length times the widest delta a code width allows,
+    /// a dictionary's first and last entries, the builder's bounds.
+    pub fn magnitude_bound(&self) -> u128 {
+        match &self.codes {
+            _ if self.count == 0 => 0,
+            // A zig-zag code below 2^w decodes to at most 2^(w-1) away.
+            IntCodes::Delta { first, deltas } => {
+                first.unsigned_abs() as u128 + (((self.count - 1) as u128) << (deltas.width() - 1))
+            }
+            IntCodes::For { base, packed } => {
+                let top = *base as i128 + ((1i128 << packed.width()) - 1);
+                (base.unsigned_abs() as u128).max(top.unsigned_abs())
+            }
+            IntCodes::Dict { entries, .. } => match (entries.first(), entries.last()) {
+                (Some(lo), Some(hi)) => lo.unsigned_abs().max(hi.unsigned_abs()) as u128,
+                _ => 0,
+            },
+            IntCodes::InPlace { bound } => *bound as u128,
+        }
+    }
+
+    /// The sum of the values at the selected present rows, in `i64`, when
+    /// the row-order `f64` fold of them from `0.0` is exact: `n` values
+    /// each at most [`Self::magnitude_bound`] keep every partial sum an
+    /// integer of magnitude at most `n · bound`, and while that is at most
+    /// `2^53` each `f64` addition is exact, so the total converted once
+    /// has the fold's bits. `None`, having read nothing, otherwise.
+    ///
+    /// Each form is summed in place: a frame of reference as `n · base`
+    /// plus its codes, a dictionary through its entries, a whole chain in
+    /// one unpack pass that keeps no array (and counts as decoded, as
+    /// [`Self::values`] would). A chain summed at some rows
+    /// only is decoded first, as any read of it is. An id past the
+    /// dictionary is `Corrupt`.
+    pub fn exact_sum(&self, sel: &[u64], presence: Option<&Presence>) -> Result<Option<i64>> {
+        let n = sel_count_present(sel, presence);
+        if (n as u128)
+            .checked_mul(self.magnitude_bound())
+            .is_none_or(|most| most > F64_EXACT)
+        {
+            return Ok(None);
+        }
+        let whole = n == self.count as u64;
+        let mut sum = 0i64;
+        let mut add = |v: i64| sum = sum.wrapping_add(v);
+        if let Some(values) = self.values.get() {
+            sum_at(sel, presence, whole, values, add);
+            return Ok(Some(sum));
+        }
+        match &self.codes {
+            IntCodes::Delta { first, deltas } if whole => {
+                // Delta `j` is in the last `n - 1 - j` values: the sum is
+                // `n · first + Σ (n - 1 - j) · delta_j`, each term
+                // independent of the others (wrapping, exact once
+                // bounded).
+                let m = deltas.len() as i64;
+                let (mut plain, mut weighted) = (0i64, 0i64);
+                deltas.for_each_in(0..deltas.len(), |j, d| {
+                    let d = varint::zigzag_decode(d);
+                    plain = plain.wrapping_add(d);
+                    weighted = weighted.wrapping_add(d.wrapping_mul(j as i64));
+                });
+                add(first.wrapping_mul(n as i64));
+                add(plain.wrapping_mul(m).wrapping_sub(weighted));
+                self.streamed.set(n > 0);
+            }
+            IntCodes::Delta { .. } | IntCodes::InPlace { .. } => {
+                sum_at(sel, presence, whole, self.values()?, add)
+            }
+            IntCodes::For { base, packed } => {
+                let mut codes = 0u64;
+                if whole {
+                    packed.for_each_in(0..self.count, |_, c| codes = codes.wrapping_add(c));
+                } else {
+                    sel_for_each_present(sel, presence, |_, d| {
+                        codes = codes.wrapping_add(packed.get(d))
+                    });
+                }
+                add(base.wrapping_mul(n as i64).wrapping_add(codes as i64));
+            }
+            IntCodes::Dict { entries, ids } => {
+                let mut bad = false;
+                if whole {
+                    ids.for_each(|id| match entries.get(id as usize) {
+                        Some(&v) => add(v),
+                        None => bad = true,
+                    });
+                } else {
+                    sel_for_each_present(sel, presence, |_, d| match ids.get(d) {
+                        Ok(id) => add(entries[id as usize]),
+                        Err(_) => bad = true,
+                    });
+                }
+                if bad {
+                    return Err(Error::Corrupt("dictionary index out of range"));
+                }
+            }
+        }
+        Ok(Some(sum))
+    }
+}
+
+/// Feed `add` the values at the selected present rows of a dense array;
+/// `whole` when that is every value.
+fn sum_at(
+    sel: &[u64],
+    presence: Option<&Presence>,
+    whole: bool,
+    values: &[i64],
+    mut add: impl FnMut(i64),
+) {
+    if whole {
+        add(values.iter().fold(0i64, |a, &v| a.wrapping_add(v)));
+    } else {
+        sel_for_each_present(sel, presence, |_, d| add(values[d]));
     }
 }
 
@@ -554,13 +693,16 @@ impl<'a> ColumnView<'a> {
     /// A view over the cells of a column still being built, read where
     /// they lie: the dense integers and doubles, a string dictionary's ids
     /// and entries, a string set's cells. Only the presence bitmap is
-    /// copied (it gains its rank table).
-    pub fn in_place(data: &'a ColumnData) -> ColumnView<'a> {
+    /// copied (it gains its rank table). `int_range` is an integer
+    /// column's smallest and largest value, if the caller kept them
+    /// (`RowBlockBuilder::view` does); without it no integer sum is proved
+    /// exact ([`IntValues::exact_sum`]).
+    pub(crate) fn in_place(data: &'a ColumnData, int_range: Option<(i64, i64)>) -> ColumnView<'a> {
         let presence = data.presence().map(|bits| Presence::new(bits.to_vec()));
         match data.values() {
             ColumnValues::Int64(values) => ColumnView::Int64 {
                 presence,
-                ints: IntValues::in_place(values),
+                ints: IntValues::in_place(values, int_range),
             },
             ColumnValues::Double(values) => ColumnView::Double {
                 presence,
@@ -605,10 +747,11 @@ impl<'a> ColumnView<'a> {
 
     /// How many values this view has decoded in full so far: integers
     /// and doubles once something asked for [`IntValues::values`] or
-    /// [`DoubleLanes::values`] (any read of a delta chain does), string
-    /// sets (every row) at build, dictionary ids never. A view built
-    /// [`Self::in_place`] decodes nothing: its values are already the
-    /// builder's.
+    /// [`DoubleLanes::values`] (any read of a delta chain does, a sum of a
+    /// whole chain too, which keeps no array), string sets (every row) at
+    /// build, dictionary ids never. A view of the open block
+    /// (`RowBlockBuilder::view`) decodes nothing: its values are already
+    /// the builder's.
     pub fn values_decoded(&self) -> u64 {
         fn owned<T: Clone>(values: &OnceCell<Cow<'_, [T]>>) -> u64 {
             match values.get() {
@@ -617,7 +760,10 @@ impl<'a> ColumnView<'a> {
             }
         }
         match self {
-            ColumnView::Int64 { ints, .. } => owned(&ints.values),
+            ColumnView::Int64 { ints, .. } => match owned(&ints.values) {
+                0 if ints.streamed.get() => ints.count as u64,
+                decoded => decoded,
+            },
             ColumnView::Double { lanes, .. } => owned(&lanes.values),
             ColumnView::Dict { .. } => 0,
             ColumnView::StrSet(Cow::Owned(data)) => data.len() as u64,
@@ -683,6 +829,19 @@ pub fn sel_all(rows: usize) -> Vec<u64> {
 /// Number of selected rows.
 pub fn sel_count(sel: &[u64]) -> u64 {
     sel.iter().map(|w| w.count_ones() as u64).sum()
+}
+
+/// Number of selected rows that are present.
+#[inline]
+pub fn sel_count_present(sel: &[u64], presence: Option<&Presence>) -> u64 {
+    match presence {
+        None => sel_count(sel),
+        Some(p) => sel
+            .iter()
+            .zip(&p.bits)
+            .map(|(s, pw)| (s & pw).count_ones() as u64)
+            .sum(),
+    }
 }
 
 /// True if no row is selected.
@@ -1020,7 +1179,7 @@ mod tests {
         let b = mixed_builder();
         for (name, _) in b.schema().iter() {
             let data = b.column(name).unwrap();
-            let view = ColumnView::in_place(data);
+            let view = b.view(name).unwrap();
             for row in 0..b.row_count() {
                 assert_eq!(view.value(row).unwrap(), data.get(row), "{name} row {row}");
             }

@@ -72,7 +72,7 @@ impl PlannedBlock<'_> {
     pub fn view(&self, name: &str) -> StoreResult<Option<ColumnView<'_>>> {
         match self {
             PlannedBlock::Sealed(block) => block.column(name).map(ColumnView::build).transpose(),
-            PlannedBlock::Open(open) => Ok(open.column(name).map(ColumnView::in_place)),
+            PlannedBlock::Open(open) => Ok(open.view(name)),
         }
     }
 

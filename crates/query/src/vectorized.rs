@@ -22,7 +22,11 @@
 //! * aggregate inputs are read typed from the views — no `String`, `Box`
 //!   or [`Value`] per row — and a double or a random-access integer input
 //!   no filter decoded is gathered at the selected rows only; the fold
-//!   matches each accumulator's kind once per block, not once per row.
+//!   matches each accumulator's kind once per block, not once per row,
+//! * an ungrouped `Sum` or `Avg` of integers folds in `i64` over the
+//!   stored form ([`IntValues::exact_sum`]) wherever the block's bounds
+//!   prove the `f64` fold exact — the same bits, the same [`ScanCounts`],
+//!   no `f64` add chain and, over a whole delta chain, no decoded array.
 //!
 //! The unit of work is one row block: [`scan_block`] turns a block into a
 //! [`BlockPartial`] (its rows, its [`ScanCounts`], its groups with fresh
@@ -45,8 +49,8 @@ use std::cell::{Cell, OnceCell};
 use std::collections::{HashMap, HashSet};
 
 use scuba_columnstore::scan::{
-    self, sel_all, sel_clear, sel_count, sel_for_each, sel_for_each_dense, sel_for_each_present,
-    sel_is_empty, DictIds, DictMask, IntCodes, IntValues, Presence,
+    self, sel_all, sel_clear, sel_count, sel_count_present, sel_for_each, sel_for_each_dense,
+    sel_for_each_present, sel_is_empty, DictIds, DictMask, IntCodes, IntValues, Presence,
 };
 use scuba_columnstore::{ColumnType, ColumnView, Result as StoreResult, Table, Value, TIME_COLUMN};
 
@@ -595,33 +599,7 @@ impl<'q> Fold<'q> {
             }
             match view {
                 ColumnView::Int64 { presence, ints } => {
-                    let presence = presence.as_ref();
-                    match (dense_ints(ints)?, ints.codes()) {
-                        (Some(values), _) => pass.num(agg, spec, presence, |d| values[d] as f64),
-                        (None, IntCodes::For { base, packed }) => {
-                            pass.scratch.gathered += sel_count_present(sel, presence);
-                            pass.num(agg, spec, presence, |d| {
-                                base.wrapping_add(packed.get(d) as i64) as f64
-                            })
-                        }
-                        (None, IntCodes::Dict { entries, ids }) => {
-                            pass.scratch.gathered += sel_count_present(sel, presence);
-                            let failed = Cell::new(None);
-                            pass.num(agg, spec, presence, |d| match ids.get(d) {
-                                Ok(id) => entries[id as usize] as f64,
-                                Err(e) => {
-                                    failed.set(Some(e));
-                                    0.0
-                                }
-                            });
-                            if let Some(e) = failed.into_inner() {
-                                return Err(e);
-                            }
-                        }
-                        (None, IntCodes::Delta { .. } | IntCodes::InPlace) => {
-                            unreachable!("a chain is decoded, in-place values are")
-                        }
-                    }
+                    pass.ints(agg, spec, presence.as_ref(), ints)?
                 }
                 ColumnView::Double { presence, lanes } => {
                     // Unshuffled already if a filter tested this column;
@@ -652,18 +630,6 @@ fn dense_ints<'v>(ints: &'v IntValues<'_>) -> StoreResult<Option<&'v [i64]>> {
         None if ints.is_chain() => Some(ints.values()?),
         None => None,
     })
-}
-
-/// Selected rows that are present.
-fn sel_count_present(sel: &[u64], presence: Option<&Presence>) -> u64 {
-    match presence {
-        None => sel_count(sel),
-        Some(p) => sel
-            .iter()
-            .zip(p.words())
-            .map(|(s, pw)| (s & pw).count_ones() as u64)
-            .sum(),
-    }
 }
 
 /// Visit the selected present rows of a numeric column as `(row, value)`;
@@ -701,6 +667,69 @@ impl AggPass<'_, '_> {
                 }
             }
         }
+    }
+
+    /// Feed one numeric aggregate from an integer column in its stored
+    /// form. An ungrouped `Sum` or `Avg` takes the block's `i64` total when
+    /// [`IntValues::exact_sum`] proves it the `f64` fold's: the state is
+    /// fresh at every block, so the fold would start from `0.0`. Otherwise
+    /// [`Self::num`] widens and folds each value: a delta chain's decoded
+    /// array, or a random-access form's value at each selected row. Either
+    /// way a random-access form no filter decoded counts its selected
+    /// values as gathered.
+    fn ints(
+        &mut self,
+        agg: usize,
+        spec: &AggSpec,
+        presence: Option<&Presence>,
+        ints: &IntValues<'_>,
+    ) -> StoreResult<()> {
+        let sel = self.sel;
+        if ints.decoded().is_none() && !ints.is_chain() {
+            self.scratch.gathered += sel_count_present(sel, presence);
+        }
+        if let Slots::One(slot) = self.slots {
+            let state = self.arena.state(slot, agg);
+            let fresh =
+                matches!(state, AggState::Sum(s) | AggState::Avg { sum: s, .. } if *s == 0.0);
+            if let Some(total) = fresh
+                .then(|| ints.exact_sum(sel, presence))
+                .transpose()?
+                .flatten()
+            {
+                let n = sel_count_present(sel, presence);
+                match self.arena.state(slot, agg) {
+                    _ if n == 0 => {}
+                    AggState::Sum(sum) => *sum = total as f64,
+                    AggState::Avg { sum, count } => (*sum, *count) = (total as f64, *count + n),
+                    _ => unreachable!("kinds checked above"),
+                }
+                return Ok(());
+            }
+        }
+        match (dense_ints(ints)?, ints.codes()) {
+            (Some(values), _) => self.num(agg, spec, presence, |d| values[d] as f64),
+            (None, IntCodes::For { base, packed }) => self.num(agg, spec, presence, |d| {
+                base.wrapping_add(packed.get(d) as i64) as f64
+            }),
+            (None, IntCodes::Dict { entries, ids }) => {
+                let failed = Cell::new(None);
+                self.num(agg, spec, presence, |d| match ids.get(d) {
+                    Ok(id) => entries[id as usize] as f64,
+                    Err(e) => {
+                        failed.set(Some(e));
+                        0.0
+                    }
+                });
+                if let Some(e) = failed.into_inner() {
+                    return Err(e);
+                }
+            }
+            (None, IntCodes::Delta { .. } | IntCodes::InPlace { .. }) => {
+                unreachable!("a chain is decoded, in-place values are")
+            }
+        }
+        Ok(())
     }
 
     /// Feed one numeric aggregate from a typed column: selected non-null
@@ -817,7 +846,7 @@ impl AggPass<'_, '_> {
                         DistinctValue::Int(entries[id as usize])
                     })?
                 }
-                (None, IntCodes::Delta { .. } | IntCodes::InPlace) => {
+                (None, IntCodes::Delta { .. } | IntCodes::InPlace { .. }) => {
                     unreachable!("a chain is decoded, in-place values are")
                 }
             },
@@ -1311,5 +1340,47 @@ mod tests {
         let counts = counts_of(&t, &grouped);
         assert_eq!(counts.values_decoded, 0);
         assert_eq!(counts.values_gathered, kept);
+    }
+
+    #[test]
+    fn integer_sums_count_what_the_f64_fold_read() {
+        // Two sealed blocks of 1000 rows: `seq` a delta chain, `bytes` a
+        // frame of reference, `status` a dictionary.
+        let mut t = Table::new("t", 0);
+        for i in 0..2000i64 {
+            let row = Row::at(i)
+                .with("seq", i)
+                .with("bytes", 100 + (i * 7919) % 1000)
+                .with("status", [200i64, 404, 500][(i % 3) as usize]);
+            t.append(&row, 0).unwrap();
+            if i % 1000 == 999 {
+                t.seal(0).unwrap();
+            }
+        }
+        let sums = |c: &str| {
+            vec![
+                AggSpec::Count,
+                AggSpec::Sum(c.into()),
+                AggSpec::Avg(c.into()),
+            ]
+        };
+        let all = || Query::new("t", 0, i64::MAX);
+        // A whole chain summed in one pass counts as decoded, once — also
+        // when another aggregate then decodes it.
+        let counts = counts_of(&t, &all().aggregates(sums("seq")));
+        assert_eq!((counts.values_decoded, counts.values_gathered), (2000, 0));
+        let mut both = sums("seq");
+        both.push(AggSpec::Min("seq".into()));
+        let counts = counts_of(&t, &all().aggregates(both));
+        assert_eq!((counts.values_decoded, counts.values_gathered), (2000, 0));
+        // A random-access form gathers its selected values, per aggregate.
+        for c in ["bytes", "status"] {
+            let counts = counts_of(&t, &all().aggregates(sums(c)));
+            assert_eq!((counts.values_decoded, counts.values_gathered), (0, 4000));
+        }
+        // A chain summed at some rows only is decoded first.
+        let some = all().filter(Filter::new("bytes", CmpOp::Lt, 400i64));
+        let counts = counts_of(&t, &some.aggregates(sums("seq")));
+        assert_eq!((counts.values_decoded, counts.values_gathered), (2000, 0));
     }
 }

@@ -8,7 +8,10 @@
 //! its `f64`s with `==`, and the two executors add the same values in the
 //! same order — each block into fresh states, the blocks merged in block
 //! order — so sums and means agree to the bit. The same holds when the
-//! blocks are scanned on several threads, as the leaf scans them.
+//! blocks are scanned on several threads, as the leaf scans them, and
+//! where an integer sum is folded in `i64` instead: the `big` column's
+//! values straddle the bound that decides it (`n · max |v| ≤ 2^53`), up
+//! to the ends of `i64`, in every stored form.
 
 use std::sync::Arc;
 
@@ -16,6 +19,7 @@ use proptest::collection::vec;
 use proptest::option;
 use proptest::prelude::*;
 
+use scuba_columnstore::encoding::CompressionCode;
 use scuba_columnstore::scan::remap_block;
 use scuba_columnstore::{
     ColumnData, ColumnType, Row, RowBlock, RowBlockColumn, RowBlockHeader, Schema, Table, Value,
@@ -124,7 +128,16 @@ const OPS: [CmpOp; 7] = [
     CmpOp::Contains,
 ];
 
-const COLUMNS: [&str; 7] = ["n", "d", "s", "tags", "extra", "missing", TIME_COLUMN];
+const COLUMNS: [&str; 8] = [
+    "n",
+    "d",
+    "s",
+    "tags",
+    "extra",
+    "missing",
+    TIME_COLUMN,
+    "big",
+];
 
 fn arb_op() -> impl Strategy<Value = CmpOp> {
     (0usize..OPS.len()).prop_map(|i| OPS[i])
@@ -154,7 +167,56 @@ fn agg_pool() -> Vec<AggSpec> {
         AggSpec::CountDistinct("tags".into()),
         AggSpec::Sum("s".into()),
         AggSpec::Max("missing".into()),
+        AggSpec::Sum("big".into()),
+        AggSpec::Avg("big".into()),
     ]
+}
+
+/// A deterministic scramble of `i`.
+fn mix(i: u64) -> u64 {
+    let mut x = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Magnitudes of the `big` column: `2^53` over block sizes the tests
+/// seal (so a block's sum falls either side of the exactness bound), then
+/// far past it.
+const BIG: [i64; 7] = [
+    (1 << 53) / 16,
+    (1 << 53) / 40,
+    (1 << 53) / 64,
+    (1 << 53) / 100,
+    (1 << 53) / 128,
+    1 << 62,
+    i64::MAX,
+];
+
+/// Give each row a `big` cell (one in five null) near `±BIG[scale]`,
+/// shaped per run of 40 rows so blocks come out in each form: a chain
+/// counting down by one (delta), a scatter over 12 bits (frame of
+/// reference), or four values that may include an end of `i64`
+/// (dictionary).
+fn with_big(rows: Vec<Row>, scale: usize, seed: u64) -> Vec<Row> {
+    let m = BIG[scale % BIG.len()];
+    let sign = if seed & 1 == 0 { 1 } else { -1 };
+    let end = [m - 3, i64::MAX, i64::MIN][(seed >> 1) as usize % 3];
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, r)| {
+            let (i, x) = (i as i64, mix(seed ^ i as u64));
+            if x % 5 == 0 {
+                return r;
+            }
+            let v = match (i / 40 + seed as i64) % 3 {
+                0 => sign * (m - i % 40),
+                1 => sign * (m - (x >> 8) as i64 % 4096),
+                _ => [m, -m, 7, end][(x >> 8) as usize % 4],
+            };
+            r.with("big", v)
+        })
+        .collect()
 }
 
 /// The selection-density axis over the `idx` (row number) and `pick`
@@ -270,12 +332,14 @@ proptest! {
         q in arb_query(),
         seal_every in 20usize..120,
         width in 2usize..=8,
+        (scale, seed) in (0usize..BIG.len(), any::<u64>()),
     ) {
         // Time-sorted rows give blocks with disjoint time ranges, so the
         // query's range contains some, cuts through some and misses some.
         if sorted {
             rows.sort_by_key(Row::time);
         }
+        let rows = with_big(rows, scale, seed);
         let heap = build_table(&rows, seal_every);
         let row_wise = execute(&heap, &q).unwrap();
         let vec_wise = execute_vectorized(&heap, &q).unwrap();
@@ -371,10 +435,12 @@ proptest! {
         q in arb_query(),
         seal_every in 20usize..120,
         width in 1usize..=8,
+        (scale, seed) in (0usize..BIG.len(), any::<u64>()),
     ) {
         if sorted {
             rows.sort_by_key(Row::time);
         }
+        let rows = with_big(rows, scale, seed);
         let open = build_table(&rows, seal_every);
         let mut sealed = open.clone();
         sealed.seal(0).unwrap();
@@ -748,4 +814,65 @@ fn second_filters_over_partly_selected_words() {
             assert_same(&t, &q);
         }
     }
+}
+
+/// The `big` column at every magnitude, sealed in blocks of 20 to 120
+/// rows (each form among them) with an open tail: ungrouped `Sum` and
+/// `Avg` over all of it and over a third of its rows answer with the
+/// oracle's bits at every width, open and sealed alike.
+#[test]
+fn integer_sums_keep_their_bits_across_the_bound() {
+    let aggs = vec![
+        AggSpec::Count,
+        AggSpec::Sum("big".into()),
+        AggSpec::Avg("big".into()),
+    ];
+    let queries = [
+        Query::new("t", i64::MIN, i64::MAX).aggregates(aggs.clone()),
+        Query::new("t", i64::MIN, i64::MAX)
+            .filter(Filter::new("pick", CmpOp::Lt, 333i64))
+            .aggregates(aggs),
+    ];
+    let mut forms = [false; 3];
+    for scale in 0..BIG.len() {
+        for seed in 0..6u64 {
+            let rows: Vec<Row> = (0..701i64)
+                .map(|i| Row::at(i).with("pick", (i * 7919) % 1000))
+                .collect();
+            let rows = with_big(rows, scale, seed);
+            let seal_every = [20, 40, 64, 100, 120][seed as usize % 5];
+            let open = build_table(&rows, seal_every);
+            assert!(open.unsealed_rows() > 0);
+            let mut sealed = open.clone();
+            sealed.seal(0).unwrap();
+            for block in sealed.blocks() {
+                let code = block.column("big").unwrap().compression().unwrap();
+                let form = match (
+                    code.has(CompressionCode::FOR),
+                    code.has(CompressionCode::DICTIONARY),
+                ) {
+                    (true, _) => 1,
+                    (_, true) => 2,
+                    _ => 0,
+                };
+                forms[form] = true;
+            }
+            for q in &queries {
+                let want = execute(&sealed, q).unwrap();
+                for t in [&open, &sealed] {
+                    assert_eq!(execute(t, q).unwrap(), want);
+                    for width in 1..=8 {
+                        let (got, _) = execute_at_width(t, q, width);
+                        assert_eq!(got, want, "scale {scale} seed {seed} width {width}");
+                        assert_eq!(
+                            float_bits(&got),
+                            float_bits(&want),
+                            "scale {scale} seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(forms, [true; 3], "delta, frame of reference, dictionary");
 }

@@ -4,13 +4,15 @@
 //! range and at the ends of `i64`, plus every aggregate and an integer
 //! group key, over heap, mapped and cold blocks at widths 1, 2, 3 and 8.
 //! Each answer must equal the row-wise oracle's over the heap blocks, f64
-//! bit patterns included.
+//! bit patterns included. At the edge of the integer sum's exactness
+//! rule, each form sums in `i64` at `n · bound = 2^53` and falls back to
+//! the `f64` loop at `2^53 + 1`, with the oracle's bits either way.
 
 use std::sync::Arc;
 
 use scuba_columnstore::encoding::CompressionCode;
-use scuba_columnstore::scan::remap_block;
-use scuba_columnstore::{Row, RowBlock, Table, Value};
+use scuba_columnstore::scan::{remap_block, sel_all};
+use scuba_columnstore::{ColumnView, Row, RowBlock, Table, Value};
 use scuba_diskstore::{ColdMap, ColdStore};
 use scuba_query::{
     execute, plan_scan, scan_block, AggSpec, AggState, CmpOp, Filter, LeafQueryResult,
@@ -288,4 +290,118 @@ fn int_codes_answer_like_the_oracle_on_every_backing_and_width() {
     // The literals cut through the blocks: some filters keep rows.
     assert!(matched_some > 100, "{matched_some}");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The largest `n · bound` an integer sum folds in `i64`.
+const EXACT: u128 = 1 << 53;
+
+/// `values` as one sealed block and as the same rows still open. At
+/// `exact`, `n · bound` is `2^53` — where the `i64` fold must take the sum
+/// — else `2^53 + 1`, where it must leave it to the `f64` loop; `form` is
+/// how the sealed block stores the column (`None`: the open block, whose
+/// bound is its builder's). Either way `Sum` and `Avg` must answer with
+/// the oracle's bits at every width.
+fn assert_sum_edge(form: Option<Form>, values: &[i64], exact: bool) {
+    let n = values.len() as u128;
+    let bound = values
+        .iter()
+        .map(|v| v.unsigned_abs() as u128)
+        .max()
+        .unwrap();
+    let mut open = Table::new("t", 0);
+    for (i, &v) in values.iter().enumerate() {
+        open.append(&Row::at(i as i64).with("n", v), 0).unwrap();
+    }
+    let mut sealed = open.clone();
+    sealed.seal(0).unwrap();
+    let block = &sealed.blocks()[0];
+    let view = match form {
+        Some(form) => {
+            assert_eq!(form_of(block), form);
+            ColumnView::build(block.column("n").unwrap()).unwrap()
+        }
+        None => open.open_block().unwrap().view("n").unwrap(),
+    };
+    let ColumnView::Int64 { presence, ints } = &view else {
+        panic!("an integer column views as integers");
+    };
+    // The form's bound is the values' own largest magnitude here.
+    assert_eq!(ints.magnitude_bound(), bound, "{form:?}");
+    assert_eq!(n * bound, EXACT + u128::from(!exact), "{form:?}");
+    let sum = ints
+        .exact_sum(&sel_all(values.len()), presence.as_ref())
+        .unwrap();
+    let want: i128 = values.iter().map(|&v| v as i128).sum();
+    assert_eq!(sum.map(i128::from), exact.then_some(want), "{form:?}");
+
+    let q = Query::new("t", i64::MIN, i64::MAX).aggregates(vec![
+        AggSpec::Count,
+        AggSpec::Sum("n".into()),
+        AggSpec::Avg("n".into()),
+    ]);
+    let table = if form.is_some() { &sealed } else { &open };
+    let oracle = execute(table, &q).unwrap();
+    for width in WIDTHS {
+        let got = execute_at_width(table, &q, width);
+        assert_eq!(got, oracle, "{form:?} at width {width}");
+        assert_eq!(
+            float_bits(&got),
+            float_bits(&oracle),
+            "{form:?} at width {width}"
+        );
+    }
+}
+
+/// `n` values whose largest magnitude is `2^53 / n` (rounded up, so
+/// `n · bound` is `2^53 + 1` where `n` divides that, `2^53` where it
+/// divides `2^53`).
+fn edge_bound(n: usize) -> i64 {
+    EXACT.div_ceil(n as u128) as i64
+}
+
+/// `2^53 + 1 = 3 · 107 · 28 059 810 762 433`: a block of 321 values can
+/// sit one past the bound, one of 256 exactly on it.
+const PAST: usize = 321;
+const ON: usize = 256;
+
+#[test]
+fn a_delta_chain_sums_in_i64_up_to_the_bound() {
+    assert_eq!((EXACT + 1) % PAST as u128, 0);
+    for (n, exact) in [(ON, true), (PAST, false)] {
+        // Descending by one: one-bit zig-zag deltas, so the chain's bound
+        // is `|first| + (n - 1)`, which its last value reaches.
+        let b = edge_bound(n);
+        let first = -b + (n as i64 - 1);
+        let values: Vec<i64> = (0..n as i64).map(|i| first - i).collect();
+        assert_sum_edge(Some(Form::Delta), &values, exact);
+    }
+}
+
+#[test]
+fn a_frame_of_reference_sums_in_i64_up_to_the_bound() {
+    for (n, exact) in [(ON, true), (PAST, false)] {
+        // `b - 1` and `b`: one-bit codes above base `b - 1`, so the bound
+        // is the top code's value, not the base's.
+        let b = edge_bound(n);
+        let values: Vec<i64> = (0..n).map(|i| b - 1 + (mix(i as u64) % 2) as i64).collect();
+        assert_sum_edge(Some(Form::For), &values, exact);
+    }
+}
+
+#[test]
+fn a_dictionary_sums_in_i64_up_to_the_bound() {
+    for (n, exact) in [(ON, true), (PAST, false)] {
+        let b = edge_bound(n);
+        let values: Vec<i64> = (0..n).map(|i| [b, -7, -b + 1][i % 3]).collect();
+        assert_sum_edge(Some(Form::Dict), &values, exact);
+    }
+}
+
+#[test]
+fn the_open_block_sums_in_i64_up_to_its_kept_bounds() {
+    for (n, exact) in [(ON, true), (PAST, false)] {
+        let b = edge_bound(n);
+        let values: Vec<i64> = (0..n).map(|i| [b - 1, -b, 5][i % 3]).collect();
+        assert_sum_edge(None, &values, exact);
+    }
 }

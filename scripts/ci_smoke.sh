@@ -106,16 +106,25 @@ format_compat() (
 # with the tail sealed (pruning counters included) and decodes nothing
 # more; the builder's string dictionary rolls back to the values left and
 # seals in the bytes `RowBlockColumn::encode` writes; its kept bounds are
-# the zone statistics of its cells; a leaf query over it encodes nothing.
+# the zone statistics of its cells; a leaf query over it encodes nothing;
+# its dictionary index, grown by the hashes its slots keep, equals
+# `encode`'s. An ungrouped integer Sum/Avg folds in i64 exactly where the
+# f64 fold would be exact: each form sums in i64 at n·bound = 2^53 and
+# falls back at 2^53 + 1, and the differential proptest's `big` column
+# straddles that bound up to the ends of i64 (2000 cases, below), with
+# the oracle's bits and scan counts.
 scan_kernels() (
     cargo test -q -p scuba-columnstore
     cargo test -q -p scuba-query
     PROPTEST_CASES=2000 cargo test --release -q -p scuba-query --test differential
     cargo test --release -q -p scuba-query --test int_codes
+    cargo test --release -q -p scuba-query --test int_codes -- sums_in_i64_up_to
+    cargo test --release -q -p scuba-query --lib -- integer_sums_count_what_the_f64_fold_read
     cargo test --release -q -p scuba-columnstore --lib -- int_forms \
         an_int_dictionary_id_past_its_entries_is_corrupt double_lanes_lz_cannot_shrink \
         a_rolled_back_dictionary_seals_as_encode_writes_its_cells \
         an_incremental_dictionary_truncates_to_what_encode_makes \
+        an_index_grown_by_stored_hashes_equals_encode \
         kept_bounds_are_the_zone_stats_of_the_cells rows_from_returns_the_rows_pushed
     PROPTEST_CASES=2000 cargo test --release -q -p scuba-query --test differential \
         an_open_tail_answers_as_its_sealed_form
